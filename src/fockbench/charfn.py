@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from ._linalg import spectral_norm
-from .contractions import RowContraction, cp_apply, satisfies_constraints, spectral_radius, validate
+from .contractions import RowContraction, satisfies_constraints, spectral_radius, validate
 from .errors import InvalidParameterError, PreconditionError
 from .ideals import ConstrainedSubspace, constrained_shifts
 from .poisson import constrained_poisson_kernel, poisson_kernel
@@ -38,8 +38,6 @@ class MultiAnalyticOperator:
     coefficients: dict[Word, np.ndarray]
     source_dim: int
     target_dim: int
-    flavor: str = "standard"
-    cs: ConstrainedSubspace | None = None
 
     def coefficient(self, beta: Word) -> np.ndarray:
         return self.coefficients.get(beta, np.zeros((self.target_dim, self.source_dim), dtype=complex))
@@ -188,10 +186,7 @@ def constrained_characteristic(
     operator on the certified window."""
     if not satisfies_constraints(rc, cs.generators, constraint_tol):
         raise PreconditionError("tuple violates the ideal generators")
-    op = characteristic_coefficients(rc, max_degree)
-    op.flavor = "constrained"
-    op.cs = cs
-    return op
+    return characteristic_coefficients(rc, max_degree)
 
 
 @dataclass
@@ -252,7 +247,7 @@ def verify_factorization(
         kern = poisson_kernel(rc, fock)
         ident = np.eye(theta.shape[0], dtype=complex)
         residual = spectral_norm(ident - theta @ theta.conj().T - kern.matrix @ kern.matrix.conj().T)
-        budget = spectral_norm(cp_apply(rc, np.eye(rc.dim), fock.max_degree + 1)) + 1e-10
+        budget = spectral_norm(rc.orbit(fock.max_degree + 1)) + 1e-10
         return FactorizationReport(mode, residual, budget, residual <= budget, {"ambient_dim": theta.shape[0]})
 
     if mode == "constrained_truncated":
@@ -267,7 +262,7 @@ def verify_factorization(
             mask = np.repeat(cs.degree_window_mask(cs.buffer_window), max(op.target_dim, 1)).astype(float)
             diff = diff * mask[:, None] * mask[None, :]
         residual = spectral_norm(diff)
-        budget = spectral_norm(cp_apply(rc, np.eye(rc.dim), cs.fock.max_degree + 1)) + 1e-10
+        budget = spectral_norm(rc.orbit(cs.fock.max_degree + 1)) + 1e-10
         return FactorizationReport(mode, residual, budget, residual <= budget, {"ambient_dim": theta.shape[0]})
 
     raise InvalidParameterError(f"unknown mode {mode!r}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -303,7 +302,7 @@ def run_task(ctx: RunContext, spec: dict) -> dict:
         report["checks"] = checks
         report["data"] = result["data"]
         report["status"] = "pass" if all(c["pass"] for c in checks) else "fail"
-    except FockbenchError as exc:
+    except Exception as exc:  # any task failure is recorded; the scenario goes on
         report["status"] = "fail"
         report["error"] = f"{type(exc).__name__}: {exc}"
     return report
@@ -351,15 +350,10 @@ def context_from_scenario(scenario: dict, tol: float, seed: int | None) -> RunCo
     )
 
 
-def run_scenario(path: str, tol: float = 1e-9, seed: int | None = None, parallel: bool = False) -> dict:
+def run_scenario(path: str, tol: float = 1e-9, seed: int | None = None) -> dict:
     scenario = load_scenario(path)
     ctx = context_from_scenario(scenario, tol, seed)
-    tasks = scenario["tasks"]
-    if parallel and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=min(4, len(tasks))) as pool:
-            results = list(pool.map(lambda t: run_task(ctx, t), tasks))
-    else:
-        results = [run_task(ctx, t) for t in tasks]
+    results = [run_task(ctx, t) for t in scenario["tasks"]]
     failed = sum(1 for r in results if r["status"] != "pass")
     return {
         "schema": SCHEMA,
@@ -474,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scenario", parents=[common], help="scenario file runner")
     p.add_argument("action", choices=["run"])
     p.add_argument("path")
-    p.add_argument("--parallel", action="store_true")
     return parser
 
 
@@ -496,7 +489,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "scenario":
-            report = run_scenario(args.path, tol=args.tol, seed=args.seed, parallel=args.parallel)
+            report = run_scenario(args.path, tol=args.tol, seed=args.seed)
             _emit(report, args.out)
             return 0 if report["summary"]["failed"] == 0 else 1
 

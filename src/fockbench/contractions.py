@@ -3,7 +3,7 @@ completely positive map, purity, and spectral radius."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +20,8 @@ class RowContraction:
     ``delta`` and ``delta_star`` are the Hermitian square roots of the row
     and column defects; ``defect_basis`` / ``defect_star_basis`` hold
     orthonormal eigenvector bases of the corresponding defect spaces, ordered
-    by decreasing defect eigenvalue.
+    by decreasing defect eigenvalue. ``orbit(k)`` serves Phi^k(I) from a
+    lazily extended cache shared by every tail budget and curvature sequence.
     """
 
     matrices: tuple[np.ndarray, ...]
@@ -30,6 +31,17 @@ class RowContraction:
     delta_star: np.ndarray
     defect_basis: np.ndarray
     defect_star_basis: np.ndarray
+    _orbit: list[np.ndarray] = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def orbit(self, k: int) -> np.ndarray:
+        """Phi^k(I), read-only; equal bit for bit to cp_apply(self, I, k)."""
+        if k < 0:
+            raise InvalidParameterError("need k >= 0")
+        while len(self._orbit) <= k:
+            nxt = cp_apply(self, self._orbit[-1]) if self._orbit else np.eye(self.dim, dtype=complex)
+            nxt.flags.writeable = False
+            self._orbit.append(nxt)
+        return self._orbit[k]
 
     @property
     def row_matrix(self) -> np.ndarray:
@@ -76,6 +88,8 @@ def validate(matrices: Sequence[np.ndarray], tol: float = 1e-10) -> RowContracti
     for t in mats:
         if t.ndim != 2 or t.shape != (dim, dim):
             raise InvalidParameterError("all matrices must be square with equal size")
+        if not np.isfinite(t).all():
+            raise InvalidParameterError("matrix entries must be finite")
     gram = sum(t @ t.conj().T for t in mats)
     excess = spectral_norm(gram) - 1.0
     if excess > tol:
@@ -133,7 +147,9 @@ def purity(rc: RowContraction, tol: float = 1e-10, k_max: int = 10_000) -> Purit
 
     The stop rule accounts for geometric decay: with step ratio q the
     remaining distance to the limit is at most step/(1-q), so iteration
-    continues until that projection drops below the tolerance."""
+    continues until that projection drops below the tolerance. The walk keeps
+    only its current iterate and bypasses ``RowContraction.orbit``: caching up
+    to k_max powers would hold k_max * dim^2 * 16 bytes."""
     if tol <= 0:
         raise InvalidParameterError("need tol > 0")
     x = np.eye(rc.dim, dtype=complex)

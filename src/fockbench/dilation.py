@@ -23,7 +23,6 @@ from .charfn import assemble, constrained_characteristic
 from .contractions import (
     RowContraction,
     check_constraints,
-    cp_apply,
     purity,
     validate,
 )
@@ -97,7 +96,7 @@ def build_dilation(rc: RowContraction, cs: ConstrainedSubspace, purity_tol: floa
     gram = embedding.conj().T @ embedding
     defect = spectral_norm(gram - np.eye(rc.dim))
     n_top = cs.fock.max_degree + 1
-    budget = spectral_norm(cp_apply(rc, np.eye(rc.dim), n_top) - q) + 1e-10
+    budget = spectral_norm(rc.orbit(n_top) - q) + 1e-10
     return DilationBlocks(
         rc=rc,
         cs=cs,
@@ -140,9 +139,7 @@ def verify_dilation(blocks: DilationBlocks) -> DilationReport:
         rhs = np.concatenate([top, bot], axis=0)
         residual = max(residual, spectral_norm(lhs - rhs))
     n_deg = cs.fock.max_degree
-    slice_mass = spectral_norm(
-        cp_apply(rc, np.eye(rc.dim), n_deg) - cp_apply(rc, np.eye(rc.dim), n_deg + 1)
-    )
+    slice_mass = spectral_norm(rc.orbit(n_deg) - rc.orbit(n_deg + 1))
     t_norm = max(spectral_norm(t) for t in rc.matrices)
     budget = float(np.sqrt(max(slice_mass, 0.0))) * t_norm + blocks.lsq_residual + 1e-10
     return DilationReport(residual=residual, budget=budget, passed=residual <= budget)
@@ -249,7 +246,7 @@ def model_space(rc: RowContraction, cs: ConstrainedSubspace, purity_tol: float =
     p_model = basis @ basis.conj().T
     kk = kern.matrix @ kern.matrix.conj().T
     projection_residual = spectral_norm(p_model - kk)
-    tail = spectral_norm(cp_apply(rc, np.eye(rc.dim), cs.fock.max_degree + 1))
+    tail = spectral_norm(rc.orbit(cs.fock.max_degree + 1))
     projection_budget = 3.0 * tail + 1e-9
 
     complement_residual = spectral_norm(
@@ -265,7 +262,7 @@ def model_space(rc: RowContraction, cs: ConstrainedSubspace, purity_tol: float =
         compressed.append(basis.conj().T @ lifted @ basis)
         via_kernel = kern.matrix.conj().T @ lifted @ kern.matrix
         equivalence_residual = max(equivalence_residual, spectral_norm(via_kernel - rc.matrices[i]))
-    equivalence_budget = spectral_norm(cp_apply(rc, np.eye(rc.dim), cs.fock.max_degree)) + 1e-9
+    equivalence_budget = spectral_norm(rc.orbit(cs.fock.max_degree)) + 1e-9
 
     return ModelSpaceResult(
         basis=basis,

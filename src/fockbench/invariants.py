@@ -20,7 +20,7 @@ import numpy as np
 
 from ._linalg import aitken_extrapolate, matrix_rank, spectral_norm
 from .charfn import assemble, characteristic_coefficients
-from .contractions import RowContraction, cp_apply, satisfies_constraints
+from .contractions import RowContraction, satisfies_constraints
 from .errors import InvalidParameterError, PreconditionError
 from .ideals import commutator_generators
 from .words import TruncatedFock, Word
@@ -50,7 +50,7 @@ def curvature_phi(rc: RowContraction, m_max: int) -> CurvatureReport:
     """
     if m_max < 1:
         raise InvalidParameterError("need m_max >= 1")
-    traces = [float(np.trace(cp_apply(rc, np.eye(rc.dim), m)).real) for m in range(m_max + 2)]
+    traces = [float(np.trace(rc.orbit(m)).real) for m in range(m_max + 2)]
     seq = [
         (traces[0] - traces[m]) / _geometric_denominator(rc.n, m)
         for m in range(1, m_max + 1)
@@ -74,7 +74,7 @@ def euler_phi(rc: RowContraction, m_max: int) -> CurvatureReport:
         raise InvalidParameterError("need m_max >= 1")
     ranks = []
     for m in range(1, m_max + 1):
-        ranks.append(matrix_rank(np.eye(rc.dim) - cp_apply(rc, np.eye(rc.dim), m)))
+        ranks.append(matrix_rank(np.eye(rc.dim) - rc.orbit(m)))
     seq = [ranks[m - 1] / _geometric_denominator(rc.n, m) for m in range(1, m_max + 1)]
     return CurvatureReport(
         method="phi_limit",
@@ -112,9 +112,7 @@ def curvature_theta(rc: RowContraction, fock: TruncatedFock, m_max: int, buffer:
         seq.append(rank_defect - slice_trace / rc.n**m)
         # CP-map route to the same slice quantity.
         slice_dim = rc.n**m * tgt
-        phi_side = float(
-            np.trace(cp_apply(rc, np.eye(rc.dim), m) - cp_apply(rc, np.eye(rc.dim), m + 1)).real
-        )
+        phi_side = float(np.trace(rc.orbit(m) - rc.orbit(m + 1)).real)
         cross.append(abs((slice_dim - slice_trace) - phi_side) / rc.n**m)
 
         le_rows = np.repeat(fock.degree_le_mask(m), tgt)
@@ -129,7 +127,7 @@ def curvature_theta(rc: RowContraction, fock: TruncatedFock, m_max: int, buffer:
         sequence=seq,
         last=seq[-1],
         aitken=aitken_extrapolate(seq),
-        budget=spectral_norm(cp_apply(rc, np.eye(rc.dim), fock.max_degree + 1)),
+        budget=spectral_norm(rc.orbit(fock.max_degree + 1)),
         extras={
             "cross_check_vs_phi": cross,
             "euler_sequence": euler_seq,

@@ -46,7 +46,6 @@ class PoissonKernel:
     tail_budget: float
     cs: ConstrainedSubspace | None = None
     range_containment: float | None = None
-    is_pure: bool | None = None
 
     @property
     def defect_dim(self) -> int:
@@ -89,11 +88,8 @@ def poisson_kernel(rc: RowContraction, fock: TruncatedFock, r: float = 1.0) -> P
     for idx, w in enumerate(fock.words):
         k[idx * ddim : (idx + 1) * ddim, :] = (r ** len(w)) * (reduced @ prods[idx])
 
-    tail = (r ** (2 * (fock.max_degree + 1))) * cp_apply(rc, np.eye(rc.dim), fock.max_degree + 1)
+    tail = (r ** (2 * (fock.max_degree + 1))) * rc.orbit(fock.max_degree + 1)
     defect = spectral_norm(k.conj().T @ k - (np.eye(rc.dim) - tail))
-    is_pure = None
-    if r == 1.0:
-        is_pure = purity(rc).is_pure
     return PoissonKernel(
         rc=rc,
         r=r,
@@ -103,7 +99,6 @@ def poisson_kernel(rc: RowContraction, fock: TruncatedFock, r: float = 1.0) -> P
         defect_basis=basis,
         isometry_defect=defect,
         tail_budget=spectral_norm(tail),
-        is_pure=is_pure,
     )
 
 
@@ -127,7 +122,7 @@ def constrained_poisson_kernel(
     containment = spectral_norm(full.matrix - lift @ compressed)
     defect = spectral_norm(
         compressed.conj().T @ compressed
-        - (np.eye(rc.dim) - (r ** (2 * (cs.fock.max_degree + 1))) * cp_apply(rc, np.eye(rc.dim), cs.fock.max_degree + 1))
+        - (np.eye(rc.dim) - (r ** (2 * (cs.fock.max_degree + 1))) * rc.orbit(cs.fock.max_degree + 1))
     )
     return PoissonKernel(
         rc=rc,
@@ -140,7 +135,6 @@ def constrained_poisson_kernel(
         tail_budget=full.tail_budget,
         cs=cs,
         range_containment=containment,
-        is_pure=full.is_pure,
     )
 
 
@@ -253,6 +247,6 @@ def kernel_gram(rc: RowContraction, fock: TruncatedFock, r: float = 1.0) -> Gram
     gram = kern.gram()
     q = purity(rc).q_limit
     residual = spectral_norm(gram - (np.eye(rc.dim) - q))
-    tail = (r ** (2 * (fock.max_degree + 1))) * cp_apply(rc, np.eye(rc.dim), fock.max_degree + 1)
+    tail = (r ** (2 * (fock.max_degree + 1))) * rc.orbit(fock.max_degree + 1)
     budget = spectral_norm(tail - q) + 1e-12
     return GramReport(gram=gram, residual=residual, budget=budget)

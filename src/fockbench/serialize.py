@@ -31,12 +31,13 @@ def matrix_to_json(a: np.ndarray) -> dict:
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
         rows, cols = (int(x) for x in obj["shape"])
-        data = obj["data"]
+        flat = np.array([complex(re, im) for re, im in obj["data"]], dtype=complex)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameterError(f"bad matrix object: {exc}") from exc
-    if len(data) != rows * cols:
-        raise InvalidParameterError(f"matrix data length {len(data)} != {rows}*{cols}")
-    flat = np.array([complex(re, im) for re, im in data], dtype=complex)
+    if flat.size != rows * cols:
+        raise InvalidParameterError(f"matrix data length {flat.size} != {rows}*{cols}")
+    if not np.isfinite(flat).all():
+        raise InvalidParameterError("matrix entries must be finite")
     return flat.reshape(rows, cols)
 
 

@@ -69,6 +69,11 @@ class TestValidate:
         row = rc.row_matrix
         assert np.linalg.norm(rc.delta_star @ rc.delta_star + row.conj().T @ row - np.eye(12), 2) < 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.1, np.nan)])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(InvalidParameterError):
+            validate([np.array([[bad]]), np.array([[0.1]])])
+
 
 class TestCpApply:
     def test_zero_iterate_is_identity_map(self):
@@ -99,6 +104,27 @@ class TestCpApply:
             gap_eigs = np.linalg.eigvalsh(prev - nxt)
             assert gap_eigs.min() > -1e-12
             prev = nxt
+
+
+def test_orbit_rejects_negative_power():
+    with pytest.raises(InvalidParameterError):
+        validate([np.zeros((1, 1))]).orbit(-1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(0, 12), min_size=1, max_size=6),
+)
+def test_orbit_matches_cp_apply_from_identity(n, dim, seed, requests):
+    rc = random_row_contraction(np.random.default_rng(seed), n, dim)
+    for k in requests:
+        power = rc.orbit(k)
+        assert np.array_equal(power, cp_apply(rc, np.eye(rc.dim), k))
+        with pytest.raises(ValueError):
+            power[...] = 0.0
 
 
 class TestPurity:

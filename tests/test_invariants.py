@@ -125,6 +125,27 @@ class TestCurvatureTheta:
             curvature_theta(coisometric_pair(), TruncatedFock(2, 3), 3)
 
 
+def test_curvature_routes_share_one_orbit(monkeypatch):
+    # phi needs Phi^m(I) up to m_max + 1 and the theta budget Phi^(m_max + 2)(I):
+    # read from one orbit, that is m_max + 2 CP steps in total.
+    import fockbench.contractions as contractions
+
+    steps = []
+    original = contractions.cp_apply
+
+    def counting(rc, x, k=1):
+        steps.append(k)
+        return original(rc, x, k)
+
+    monkeypatch.setattr(contractions, "cp_apply", counting)
+    m_max = 6
+    rc = nilpotent_commuting_pair()
+    curvature_phi(rc, m_max)
+    euler_phi(rc, m_max)
+    curvature_theta(rc, TruncatedFock(2, m_max + 1), m_max)
+    assert 0 < sum(steps) <= m_max + 2
+
+
 class TestSymmetricTruncation:
     def test_dimensions_match_binomials(self):
         sym = SymmetricTruncation(3, 5)
