@@ -52,7 +52,6 @@ from .dilation import (
     DilationBlocks,
     WoldSplit,
     build_dilation,
-    dilation_index,
     maximal_constrained_piece,
     model_space,
     shift_multiplicity,

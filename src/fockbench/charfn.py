@@ -92,8 +92,9 @@ def assemble(
     With a Fock ambient the right-creation word operators are index maps, so
     coefficient beta lands at block rows mu*reverse(beta) for every word mu
     it fits against. With a constrained ambient the compressed right shifts
-    are multiplied out word by word. ``radial`` scales coefficient beta by
-    radial**|beta|.
+    are multiplied out word by word; for a graded subspace each product is
+    added only on its nonzero degree blocks. ``radial`` scales coefficient
+    beta by radial**|beta|.
     """
     if (fock is None) == (cs is None):
         raise InvalidParameterError("pass exactly one ambient: fock or cs")
@@ -126,11 +127,22 @@ def assemble(
     prods: dict[Word, np.ndarray] = {IDENTITY_WORD: np.eye(njdim, dtype=complex)}
     for w in cs.fock.words[1:]:
         prods[w] = prods[Word(w.letters[:-1])] @ w_ops[w.letters[-1] - 1]
+    # Graded: P_beta maps degree m to m + |beta| and is an exact +-0 elsewhere,
+    # which adds nothing to the +0 accumulator, so only those blocks are added.
+    off = np.cumsum([0, *cs.slice_dims]) if cs.graded else None
+    out4 = out.reshape(njdim, tgt, njdim, src)
     for beta, theta in op.coefficients.items():
         if len(beta) > cs.fock.max_degree:
             continue
         block = (radial ** len(beta)) * (np.kron(theta, eye_m) if multiplicity > 1 else theta)
-        out += np.kron(prods[beta], block)
+        if off is None:
+            out += np.kron(prods[beta], block)
+            continue
+        for m in range(cs.fock.max_degree - len(beta) + 1):
+            rows = slice(off[m + len(beta)], off[m + len(beta) + 1])
+            cols = slice(off[m], off[m + 1])
+            view = out4[rows, :, cols, :]
+            view += np.kron(prods[beta][rows, cols], block).reshape(view.shape)
     return out
 
 

@@ -22,7 +22,6 @@ from .charfn import verify_factorization
 from .contractions import RowContraction, validate
 from .dilation import (
     build_dilation,
-    dilation_index,
     model_space,
     shift_multiplicity,
     verify_dilation,
@@ -189,6 +188,8 @@ def task_pick(ctx: RunContext, params: dict) -> dict:
     points = [point_from_json(p, ctx.n) for p in params["points"]]
     targets = [matrix_from_json(a) if isinstance(a, dict) else np.atleast_2d(complex(a[0], a[1]))
                for a in params["targets"]]
+    if not all(np.isfinite(a).all() for a in targets):
+        raise InvalidParameterError("pick targets must be finite")
     tol = float(params.get("tol", 1e-9))
     for z in points:
         member = variety_membership(z, ctx.generators, ctx.n)
@@ -241,7 +242,7 @@ def task_dilate(ctx: RunContext, params: dict) -> dict:
     ]
     data = {
         "k_dim": blocks.k_dim,
-        "dilation_index": dilation_index(ctx.rc),
+        "dilation_index": ctx.rc.defect_rank,
         "defect_rank": ctx.rc.defect_rank,
         "kernel_isometry_defect": blocks.kernel.isometry_defect,
     }

@@ -145,11 +145,6 @@ def verify_dilation(blocks: DilationBlocks) -> DilationReport:
     return DilationReport(residual=residual, budget=budget, passed=residual <= budget)
 
 
-def dilation_index(rc: RowContraction) -> int:
-    """Rank of the row defect under the global cutoff."""
-    return rc.defect_rank
-
-
 @dataclass
 class WoldSplit:
     q: np.ndarray

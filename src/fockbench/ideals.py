@@ -176,7 +176,8 @@ def _ideal_columns(fock: TruncatedFock, generators: Sequence[NcPolynomial]):
 
     Built by index arithmetic: the column for (alpha, p, beta) is
     sum_w c_w e_{alpha w beta}, with words beyond the truncation dropped
-    (possible only for non-homogeneous p).
+    (possible only for non-homogeneous p). Homogeneous generators go through
+    ``_ideal_slice`` instead, one degree slice at a time.
     """
     n, top = fock.n, fock.max_degree
     columns: list[tuple[int, np.ndarray]] = []  # (degree tag, vector)
@@ -197,6 +198,31 @@ def _ideal_columns(fock: TruncatedFock, generators: Sequence[NcPolynomial]):
                         vec[idx] += c
                 columns.append((len(alpha) + d + len(beta), vec))
     return columns
+
+
+def _ideal_slice(fock: TruncatedFock, generators: Sequence[NcPolynomial], m: int) -> np.ndarray:
+    """Degree-m columns of ``_ideal_columns`` for homogeneous generators, in
+    slice coordinates and in the same order (generator, then beta by length
+    and lexicographically, then alpha lexicographically) with the same values.
+
+    Within slice m the column for (alpha, p, beta) holds c_w at the slice
+    index of alpha*w*beta, which is idx(alpha) n^(d+|beta|) + idx(w) n^|beta|
+    + idx(beta) for deg p = d.
+    """
+    n = fock.n
+    degrees = [p.degree for p in generators if p.degree <= m]
+    mat = np.zeros((n**m, sum((m - d + 1) * n ** (m - d) for d in degrees)), dtype=complex)
+    col = 0
+    for p in generators:
+        d = p.degree
+        for b in range(m - d + 1):
+            a = m - d - b
+            rows = (np.arange(n**b)[:, None] + np.arange(n**a)[None, :] * n ** (d + b)).ravel()
+            cols = np.arange(col, col + rows.size)
+            for w, c in p.terms.items():
+                mat[rows + (fock.index[w] - fock.slice_offsets[d]) * n**b, cols] += c
+            col += rows.size
+    return mat
 
 
 def build_constrained_subspace(fock: TruncatedFock, generators: Sequence[NcPolynomial]) -> ConstrainedSubspace:
@@ -224,19 +250,13 @@ def build_constrained_subspace(fock: TruncatedFock, generators: Sequence[NcPolyn
             slice_dims=[fock.n**m for m in range(fock.max_degree + 1)],
         )
 
-    homogeneous = all(g.is_homogeneous for g in gens)
-    columns = _ideal_columns(fock, gens)
-
-    if homogeneous:
+    if all(g.is_homogeneous for g in gens):
         basis_blocks: list[np.ndarray] = []
         degrees: list[int] = []
         slice_dims: list[int] = []
         for m in range(fock.max_degree + 1):
             sl = fock.slice_range(m)
-            slice_cols = [vec[sl] for deg, vec in columns if deg == m]
-            width = fock.slice_offsets[m + 1] - fock.slice_offsets[m]
-            mat = np.stack(slice_cols, axis=1) if slice_cols else np.zeros((width, 0), dtype=complex)
-            comp = complement_basis(mat, width)
+            comp = complement_basis(_ideal_slice(fock, gens, m), fock.n**m)
             block = np.zeros((fock.dim, comp.shape[1]), dtype=complex)
             block[sl, :] = comp
             basis_blocks.append(block)
@@ -246,7 +266,7 @@ def build_constrained_subspace(fock: TruncatedFock, generators: Sequence[NcPolyn
         graded = True
         warning = None
     else:
-        mat = np.stack([vec for _, vec in columns], axis=1)
+        mat = np.stack([vec for _, vec in _ideal_columns(fock, gens)], axis=1)
         basis = complement_basis(mat, fock.dim)
         graded = False
         # Degree tag = highest slice carrying mass; used for buffer windows.
@@ -276,13 +296,22 @@ def build_constrained_subspace(fock: TruncatedFock, generators: Sequence[NcPolyn
 
 def constrained_shifts(cs: ConstrainedSubspace) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Compressions of the left/right creation tuples to the constrained subspace,
-    expressed in its orthonormal basis."""
-    from .words import left_creation_tuple, right_creation_tuple
+    expressed in its orthonormal basis.
 
+    Q^* S is a gather through the Fock child map: each of its entries is one
+    product with 1 plus exact zeros, so the gathered matrix equals the dense
+    product bit for bit and no dim x dim creation matrix is built."""
     q = cs.basis
-    left = [q.conj().T @ s @ q for s in left_creation_tuple(cs.fock)]
-    right = [q.conj().T @ r @ q for r in right_creation_tuple(cs.fock)]
-    return left, right
+    qh = q.conj().T
+
+    def compress(side: str, i: int) -> np.ndarray:
+        src, dst = cs.fock.child_map(side, i)
+        g = np.zeros(qh.shape, dtype=complex)
+        g[:, src] = qh[:, dst]
+        return g @ q
+
+    gens = range(1, cs.fock.n + 1)
+    return [compress("left", i) for i in gens], [compress("right", i) for i in gens]
 
 
 @dataclass

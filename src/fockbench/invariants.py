@@ -275,6 +275,12 @@ def arveson_curvature(
     """
     if seed is None:
         raise InvalidParameterError("a seed is required for reproducible sampling")
+    if m_max < 1:
+        raise InvalidParameterError(f"need m_max >= 1, got {m_max}")
+    if mc_samples < 2:
+        raise InvalidParameterError(f"need mc_samples >= 2 for a standard error, got {mc_samples}")
+    if not r_values:
+        raise InvalidParameterError("need at least one radial parameter")
     if not satisfies_constraints(rc, commutator_generators(rc.n), 1e-10):
         raise PreconditionError("tuple is not commuting to 1e-10")
 

@@ -41,6 +41,16 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return flat.reshape(rows, cols)
 
 
+def _finite_array(obj, dtype, what: str) -> np.ndarray:
+    try:
+        arr = np.asarray(obj, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"bad {what}: {exc}") from exc
+    if not np.isfinite(arr).all():
+        raise InvalidParameterError(f"{what} entries must be finite")
+    return arr
+
+
 def polynomial_to_json(p: NcPolynomial) -> list[dict]:
     terms = sorted(p.terms.items(), key=lambda t: (len(t[0]), t[0].letters))
     return [
@@ -85,7 +95,8 @@ def ideal_from_spec(n: int, spec) -> list[NcPolynomial]:
         if kind == "truncated":
             return word_length_generators(n, int(spec["m"]))
         if kind == "q-commutative":
-            q = matrix_from_json(spec["q"]) if isinstance(spec["q"], dict) else np.asarray(spec["q"], dtype=complex)
+            q = spec["q"]
+            q = matrix_from_json(q) if isinstance(q, dict) else _finite_array(q, complex, "q matrix")
             if q.shape != (n, n):
                 raise InvalidParameterError(f"q matrix must be {n}x{n}")
             return q_commutator_generators(q)
@@ -115,7 +126,7 @@ def complex_to_json(z: complex) -> list[float]:
 
 
 def point_from_json(obj, n: int) -> np.ndarray:
-    arr = np.asarray(obj, dtype=float)
+    arr = _finite_array(obj, float, "point")
     if arr.shape == (n, 2):
         return arr[:, 0] + 1j * arr[:, 1]
     if arr.shape == (n,):

@@ -102,6 +102,25 @@ class TruncatedFock:
     def degree_le_mask(self, m: int) -> np.ndarray:
         return self.degrees <= m
 
+    def child_map(self, side: Literal["left", "right"], i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays (src, dst) with e_src -> e_dst under left (e_a -> e_{g_i a})
+        or right (e_a -> e_{a g_i}) creation by g_i.
+
+        In slice m, word j has left child off[m+1] + (i-1) n^m + j and right
+        child off[m+1] + j n + (i-1); top-degree words have no child.
+        """
+        if not 1 <= i <= self.n:
+            raise InvalidParameterError(f"generator index {i} outside 1..{self.n}")
+        if side not in ("left", "right"):
+            raise InvalidParameterError(f"side must be 'left' or 'right', got {side!r}")
+        src = np.arange(self.slice_offsets[self.max_degree])
+        dst = np.empty_like(src)
+        for m in range(self.max_degree):
+            j = np.arange(self.n**m)
+            child = (i - 1) * self.n**m + j if side == "left" else j * self.n + (i - 1)
+            dst[self.slice_offsets[m] : self.slice_offsets[m + 1]] = self.slice_offsets[m + 1] + child
+        return src, dst
+
     def basis_vector(self, word: Word) -> np.ndarray:
         e = np.zeros(self.dim, dtype=complex)
         e[self.index[word]] = 1.0
@@ -117,17 +136,9 @@ def creation_matrix(fock: TruncatedFock, side: Literal["left", "right"], i: int)
     Words of top degree are annihilated; on the degree <= N-1 span the matrix
     is a partial isometry with orthogonal range slices.
     """
-    if not 1 <= i <= fock.n:
-        raise InvalidParameterError(f"generator index {i} outside 1..{fock.n}")
-    if side not in ("left", "right"):
-        raise InvalidParameterError(f"side must be 'left' or 'right', got {side!r}")
-    g = Word((i,))
+    src, dst = fock.child_map(side, i)
     mat = np.zeros((fock.dim, fock.dim), dtype=complex)
-    for col, w in enumerate(fock.words):
-        if len(w) >= fock.max_degree:
-            continue
-        target = g * w if side == "left" else w * g
-        mat[fock.index[target], col] = 1.0
+    mat[dst, src] = 1.0
     return mat
 
 

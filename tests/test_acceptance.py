@@ -209,7 +209,7 @@ def test_criterion_06_dilation_zoo():
         eigs = np.linalg.eigvalsh(np.eye(rc.dim) - rc.row_gram())
         eigs = np.clip(eigs, 0.0, None)
         oracle_rank = int(np.count_nonzero(eigs > max(1e-9 * eigs.max(initial=0.0), 1e-12)))
-        assert fb.dilation_index(rc) == oracle_rank
+        assert rc.defect_rank == oracle_rank
         rep = fb.verify_dilation(blocks)
         assert rep.residual <= rep.budget
     report(f"ACCEPTANCE 06 dilation-zoo ({len(zoo)} tuples): PASS")

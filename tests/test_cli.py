@@ -6,12 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fockbench.cli import main, run_scenario
+from fockbench.cli import RunContext, main, run_scenario, task_pick
 from fockbench.errors import InvalidParameterError
 from fockbench.serialize import (
     ideal_from_spec,
     matrix_from_json,
     matrix_to_json,
+    point_from_json,
     polynomial_from_json,
     polynomial_to_json,
 )
@@ -63,6 +64,23 @@ class TestSerialize:
     def test_non_finite_or_malformed_entry_rejected(self, entry):
         with pytest.raises(InvalidParameterError):
             matrix_from_json({"shape": [1, 2], "data": [[0.5, 0.0], entry]})
+
+    @pytest.mark.parametrize(
+        "point", [[[float("nan"), 0.0], [0.0, 0.0]], [float("inf"), 0.0], [["abc", 0], [0, 0]]]
+    )
+    def test_non_finite_or_malformed_point_rejected(self, point):
+        with pytest.raises(InvalidParameterError):
+            point_from_json(point, 2)
+
+    def test_non_finite_q_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            ideal_from_spec(2, {"kind": "q-commutative", "q": [[0, float("inf")], [0, 0]]})
+
+    def test_non_finite_pick_target_rejected(self):
+        ctx = RunContext(n=1, trunc=2, generators=[], rc=None, tol=1e-9, seed=None)
+        params = {"points": [[[0.0, 0.0]], [[0.5, 0.0]]], "targets": [[0.0, 0.0], [float("nan"), 0.0]]}
+        with pytest.raises(InvalidParameterError):
+            task_pick(ctx, params)
 
 
 class TestSubcommands:
@@ -168,11 +186,12 @@ class TestScenario:
         # the failing task does not abort the rest
         assert [t["status"] for t in report["tasks"]] == ["fail", "pass"]
 
-    @pytest.mark.parametrize("bad_task", [
-        {"task": "arveson", "m_max": 2, "mc_samples": 0},
-        {"task": "factorize", "mode": "point", "points": [[[0.1, 0.0], [0.2, 0.0]]], "tol": "abc"},
-    ])
-    def test_raising_task_is_recorded_and_the_rest_run(self, tmp_path, bad_task):
+    @pytest.mark.parametrize("bad_task, error_prefix", [
+        ({"task": "arveson", "m_max": 2, "mc_samples": 0}, "InvalidParameterError: "),
+        ({"task": "factorize", "mode": "point", "points": [[[0.1, 0.0], [0.2, 0.0]]], "tol": "abc"},
+         "ValueError: "),
+    ], ids=["mc_samples_zero", "tol_not_a_number"])
+    def test_raising_task_is_recorded_and_the_rest_run(self, tmp_path, bad_task, error_prefix):
         scenario = self.scenario_dict()
         scenario["tasks"] = [bad_task, {"task": "curvature", "m_max": 2}]
         path = tmp_path / "scenario.json"
@@ -181,7 +200,21 @@ class TestScenario:
         assert main(["scenario", "run", str(path), "--out", str(out)]) == 1
         report = json.loads(out.read_text())
         assert [t["status"] for t in report["tasks"]] == ["fail", "pass"]
-        assert report["tasks"][0]["error"].startswith("ValueError: ")
+        assert report["tasks"][0]["error"].startswith(error_prefix)
+
+    def test_non_finite_point_fails_its_task_at_the_boundary(self, tmp_path):
+        scenario = self.scenario_dict()
+        scenario["tasks"] = [
+            {"task": "factorize", "mode": "point", "points": [[[float("nan"), 0.0], [0.0, 0.0]]]},
+            {"task": "curvature", "m_max": 2},
+        ]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "report.json"
+        assert main(["scenario", "run", str(path), "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert [t["status"] for t in report["tasks"]] == ["fail", "pass"]
+        assert report["tasks"][0]["error"].startswith("InvalidParameterError: ")
 
     def test_non_finite_tuple_entry_exits_2(self, tmp_path, capsys):
         scenario = self.scenario_dict()
@@ -240,3 +273,10 @@ class TestDeterminism:
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
         stored = (DATA / "golden_report.json").read_text()
         assert text == stored
+
+    def test_qcomm_golden_report_matches_stored(self, tmp_path):
+        """Pins the graded fast paths (shifts, slice-built ideal, block-wise
+        constrained assembly) to the stored dense-path report, byte for byte."""
+        out = tmp_path / "report.json"
+        assert main(["scenario", "run", str(DATA / "golden_qcomm_scenario.json"), "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / "golden_qcomm_report.json").read_bytes()

@@ -9,7 +9,6 @@ from fockbench import (
     build_dilation,
     commutator_generators,
     constrained_shifts,
-    dilation_index,
     left_creation_tuple,
     maximal_constrained_piece,
     model_space,
@@ -103,15 +102,15 @@ class TestVerifyDilation:
 
 class TestDilationIndex:
     def test_zero_scalar(self):
-        assert dilation_index(validate([np.zeros((1, 1))])) == 1
+        assert validate([np.zeros((1, 1))]).defect_rank == 1
 
     def test_coisometric(self):
         rc = validate([np.array([[1 / np.sqrt(2)]]), np.array([[1 / np.sqrt(2)]])])
-        assert dilation_index(rc) == 0
+        assert rc.defect_rank == 0
 
     def test_rank_two_commuting_example(self):
         rc = validate([np.diag([0.4, 0.1]), np.diag([0.2, 0.3])])
-        assert dilation_index(rc) == 2
+        assert rc.defect_rank == 2
 
 
 class TestWold:

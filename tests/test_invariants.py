@@ -170,6 +170,13 @@ class TestArveson:
         with pytest.raises(PreconditionError):
             arveson_curvature(validate([a, b]), seed=1)
 
+    @pytest.mark.parametrize("sizes", [
+        {"mc_samples": 0}, {"mc_samples": 1}, {"m_max": 0}, {"r_values": ()},
+    ])
+    def test_rejects_bad_sizes(self, sizes):
+        with pytest.raises(InvalidParameterError):
+            arveson_curvature(nilpotent_commuting_pair(), seed=1, **{"m_max": 2, "mc_samples": 100, **sizes})
+
     def test_coisometric_estimates_vanish(self):
         rep = arveson_curvature(coisometric_pair(), m_max=4, mc_samples=2000, seed=3)
         assert all(abs(est) < 1e-12 for est, _ in rep.boundary.values())
