@@ -220,23 +220,21 @@ def verify_factorization(
 ) -> FactorizationReport:
     """Check I - Theta Theta^* against the Poisson-kernel square.
 
-    Point modes compare against the closed resolvent form and are
-    truncation-free; truncated modes compare against K K^* on the full
-    truncation, where the identity telescopes exactly, and carry the purity
-    tail as an explicit budget."""
-    if mode in ("point", "constrained_point"):
+    ``"point"`` compares against the closed resolvent form and is
+    truncation-free; with ``cs`` the point must also satisfy the ideal
+    generators. ``"truncated"`` compares against K K^* on the full
+    truncation of exactly one ambient, ``fock`` or ``cs``, where the identity
+    telescopes exactly, and carries the purity tail as an explicit budget.
+    """
+    if mode == "point":
         if point is None:
             raise InvalidParameterError("point mode needs a point")
-        if mode == "constrained_point":
-            if cs is None:
-                raise InvalidParameterError("constrained_point mode needs cs")
-            xs = _lifted_point(point)
-            if xs[0].shape[0] > 1 or len(cs.generators) > 0:
-                pt_rc = validate(xs, tol=1e-8)
-                if not satisfies_constraints(pt_rc, cs.generators, 1e-8):
-                    raise PreconditionError("point violates the ideal generators")
-        theta = point_evaluate(rc, point)
         xs = _lifted_point(point)
+        if cs is not None and (xs[0].shape[0] > 1 or len(cs.generators) > 0):
+            pt_rc = validate(xs, tol=1e-8)
+            if not satisfies_constraints(pt_rc, cs.generators, 1e-8):
+                raise PreconditionError("point violates the ideal generators")
+        theta = point_evaluate(rc, point)
         k = xs[0].shape[0]
         d = rc.dim
         eye_k = np.eye(k, dtype=complex)
@@ -252,29 +250,22 @@ def verify_factorization(
         return FactorizationReport(mode, residual, tol, residual <= tol, {"point_dim": k})
 
     if mode == "truncated":
-        if fock is None:
-            raise InvalidParameterError("truncated mode needs a fock ambient")
-        op = characteristic_coefficients(rc, fock.max_degree)
-        theta = assemble(op, fock=fock)
-        kern = poisson_kernel(rc, fock)
-        ident = np.eye(theta.shape[0], dtype=complex)
-        residual = spectral_norm(ident - theta @ theta.conj().T - kern.matrix @ kern.matrix.conj().T)
-        budget = spectral_norm(rc.orbit(fock.max_degree + 1)) + 1e-10
-        return FactorizationReport(mode, residual, budget, residual <= budget, {"ambient_dim": theta.shape[0]})
-
-    if mode == "constrained_truncated":
+        if (fock is None) == (cs is None):
+            raise InvalidParameterError("truncated mode needs exactly one ambient: fock or cs")
         if cs is None:
-            raise InvalidParameterError("constrained_truncated mode needs cs")
-        op = constrained_characteristic(rc, cs, cs.fock.max_degree)
-        theta = assemble(op, cs=cs)
-        kern = constrained_poisson_kernel(rc, cs)
+            op = characteristic_coefficients(rc, fock.max_degree)
+            kern = poisson_kernel(rc, fock)
+        else:
+            op = constrained_characteristic(rc, cs, cs.fock.max_degree)
+            kern = constrained_poisson_kernel(rc, cs)
+        theta = assemble(op, fock=fock, cs=cs)
         ident = np.eye(theta.shape[0], dtype=complex)
         diff = ident - theta @ theta.conj().T - kern.matrix @ kern.matrix.conj().T
-        if not cs.graded:
+        if cs is not None and not cs.graded:
             mask = np.repeat(cs.degree_window_mask(cs.buffer_window), max(op.target_dim, 1)).astype(float)
             diff = diff * mask[:, None] * mask[None, :]
         residual = spectral_norm(diff)
-        budget = spectral_norm(rc.orbit(cs.fock.max_degree + 1)) + 1e-10
+        budget = spectral_norm(rc.orbit(op.max_degree + 1)) + 1e-10
         return FactorizationReport(mode, residual, budget, residual <= budget, {"ambient_dim": theta.shape[0]})
 
     raise InvalidParameterError(f"unknown mode {mode!r}")

@@ -98,7 +98,6 @@ def task_factorize(ctx: RunContext, params: dict) -> dict:
     tol = float(params.get("tol", ctx.tol))
     checks = []
     data: dict = {"mode": mode}
-    constrained = bool(ctx.generators)
     if mode == "point":
         points = [point_from_json(p, ctx.n) for p in params.get("points", [])]
         count = int(params.get("random_points", 0))
@@ -113,19 +112,16 @@ def task_factorize(ctx: RunContext, params: dict) -> dict:
         if not points:
             raise InvalidParameterError("point mode needs points")
         residuals = []
+        cs = ctx.cs() if ctx.generators else None
         for z in points:
-            kind = "constrained_point" if constrained else "point"
-            rep = verify_factorization(rc, mode=kind, point=list(z), cs=ctx.cs() if constrained else None, tol=tol)
+            rep = verify_factorization(rc, mode="point", point=list(z), cs=cs, tol=tol)
             residuals.append(rep.residual)
         data["points"] = [[complex_to_json(v) for v in z] for z in points]
         data["residuals"] = residuals
         checks.append(_check("point_factorization_max_residual", max(residuals), tol))
     elif mode == "truncated":
-        kind = "constrained_truncated" if constrained else "truncated"
-        rep = verify_factorization(
-            rc, mode=kind, fock=ctx.fock() if not constrained else None,
-            cs=ctx.cs() if constrained else None, tol=tol,
-        )
+        ambient = {"cs": ctx.cs()} if ctx.generators else {"fock": ctx.fock()}
+        rep = verify_factorization(rc, mode="truncated", tol=tol, **ambient)
         data["residual"] = rep.residual
         data["budget"] = rep.budget
         checks.append(_check("truncated_factorization_residual", rep.residual, max(rep.budget, tol)))
@@ -315,10 +311,19 @@ def run_task(ctx: RunContext, spec: dict) -> dict:
 TUPLE_TASKS = {"factorize", "curvature", "arveson", "wold", "dilate", "model", "poisson"}
 
 
+def _reject_constant(name: str):
+    raise InvalidParameterError(f"JSON constant {name} is not allowed: numbers must be finite")
+
+
+def _strict_json(text: str):
+    """Parse JSON input, rejecting NaN and +-Infinity so no report can echo them."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def load_scenario(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    scenario = json.loads(text)
+    scenario = _strict_json(text)
     for key in ("n", "N", "tasks"):
         if key not in scenario:
             raise InvalidParameterError(f"scenario is missing required key {key!r}")
@@ -370,7 +375,7 @@ def run_scenario(path: str, tol: float = 1e-9, seed: int | None = None) -> dict:
 
 def _load_tuple(path: str) -> tuple[int, RowContraction]:
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        obj = _strict_json(fh.read())
     rc = validate([matrix_from_json(m) for m in obj["T"]])
     n = int(obj.get("n", rc.n))
     if n != rc.n:
@@ -392,7 +397,7 @@ def _parse_points(text: str, n: int) -> list[np.ndarray]:
 def _parse_targets(args) -> list:
     if args.targets_file:
         with open(args.targets_file, "r", encoding="utf-8") as fh:
-            return [matrix_from_json(m) for m in json.load(fh)]
+            return [matrix_from_json(m) for m in _strict_json(fh.read())]
     if args.targets is None:
         raise InvalidParameterError("pick needs --targets or --targets-file")
     return [np.atleast_2d(complex(t.strip())) for t in args.targets.split(",")]
@@ -477,7 +482,7 @@ def _ideal_arg(args, n: int):
     if spec == "q-commutative":
         if getattr(args, "q", None) is None:
             raise InvalidParameterError("q-commutative ideal needs --q")
-        return {"kind": "q-commutative", "q": json.loads(args.q)}
+        return {"kind": "q-commutative", "q": _strict_json(args.q)}
     return spec
 
 

@@ -118,19 +118,12 @@ def cp_apply(rc: RowContraction, x: np.ndarray, k: int = 1) -> np.ndarray:
     return x
 
 
-def cp_matrix(rc: RowContraction) -> np.ndarray:
-    """Matrix of the completely positive map on vectorized inputs
-    (column-stacking convention)."""
-    return sum(np.kron(t.conj(), t) for t in rc.matrices)
-
-
 @dataclass
 class PurityResult:
     q_limit: np.ndarray
     is_pure: bool
     k_used: int
     converged: bool
-    final_step: float
 
     def unit_eigenspace(self, tol: float = 1e-8) -> np.ndarray:
         """Directions the CP iteration leaves untouched (limit eigenvalue one).
@@ -153,7 +146,6 @@ def purity(rc: RowContraction, tol: float = 1e-10, k_max: int = 10_000) -> Purit
     if tol <= 0:
         raise InvalidParameterError("need tol > 0")
     x = np.eye(rc.dim, dtype=complex)
-    step = np.inf
     prev_step = None
     k = 0
     for k in range(1, k_max + 1):
@@ -163,8 +155,8 @@ def purity(rc: RowContraction, tol: float = 1e-10, k_max: int = 10_000) -> Purit
         ratio = 0.5 if prev_step is None or prev_step <= 0 else min(step / prev_step, 1.0 - 1e-9)
         prev_step = step
         if step / max(1.0 - ratio, 1e-9) < tol:
-            return PurityResult(x, spectral_norm(x) < tol, k, True, step)
-    return PurityResult(x, spectral_norm(x) < tol, k, False, step)
+            return PurityResult(x, spectral_norm(x) < tol, k, True)
+    return PurityResult(x, spectral_norm(x) < tol, k, False)
 
 
 def spectral_radius(matrices_or_rc) -> float:

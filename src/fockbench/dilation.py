@@ -39,7 +39,6 @@ class DilationBlocks:
     rc: RowContraction
     cs: ConstrainedSubspace
     kernel: PoissonKernel
-    y: np.ndarray
     k_basis: np.ndarray
     z_ops: list[np.ndarray]
     embedding: np.ndarray
@@ -101,7 +100,6 @@ def build_dilation(rc: RowContraction, cs: ConstrainedSubspace, purity_tol: floa
         rc=rc,
         cs=cs,
         kernel=kernel,
-        y=y,
         k_basis=k_basis,
         z_ops=z_ops,
         embedding=embedding,

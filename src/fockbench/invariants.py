@@ -23,7 +23,7 @@ from .charfn import assemble, characteristic_coefficients
 from .contractions import RowContraction, satisfies_constraints
 from .errors import InvalidParameterError, PreconditionError
 from .ideals import commutator_generators
-from .words import TruncatedFock, Word
+from .words import IDENTITY_WORD, TruncatedFock
 
 
 @dataclass
@@ -100,6 +100,7 @@ def curvature_theta(rc: RowContraction, fock: TruncatedFock, m_max: int, buffer:
     theta = assemble(op, fock=fock)
     tgt = op.target_dim
     gram = theta @ theta.conj().T
+    resid_full = np.eye(gram.shape[0]) - gram
 
     rank_defect = rc.defect_rank
     seq = []
@@ -116,8 +117,7 @@ def curvature_theta(rc: RowContraction, fock: TruncatedFock, m_max: int, buffer:
         cross.append(abs((slice_dim - slice_trace) - phi_side) / rc.n**m)
 
         le_rows = np.repeat(fock.degree_le_mask(m), tgt)
-        resid = (np.eye(gram.shape[0]) - gram)[:, le_rows]
-        r = matrix_rank(resid)
+        r = matrix_rank(resid_full[:, le_rows])
         euler_ranks.append(r)
         euler_seq.append(r / _geometric_denominator(rc.n, m))
 
@@ -186,41 +186,20 @@ def _symmetric_char_matrix(rc: RowContraction, sym: SymmetricTruncation) -> np.n
     """Characteristic function assembled on the symmetric truncation.
 
     For a commuting tuple the compressed creation operators commute, so the
-    word sum collapses to one coefficient sum per occupation class; the class
-    sums are accumulated by a word walk that prunes dead branches.
+    word sum collapses to one coefficient sum per occupation class; each class
+    sum adds its Fourier coefficients in the order of
+    ``characteristic_coefficients``.
     """
-    op0 = characteristic_coefficients(rc, 1)  # constant coefficient and defect data
-    tgt, src = op0.target_dim, op0.source_dim
+    op = characteristic_coefficients(rc, sym.max_degree)
     class_sums: dict[tuple[int, ...], np.ndarray] = {}
-
-    d = rc.dim
-    blocks = [rc.delta_star[(i - 1) * d : i * d, :] @ rc.defect_star_basis for i in range(1, rc.n + 1)]
-    reduced = rc.defect_basis.conj().T @ rc.delta
-
-    def occupation(letters: tuple[int, ...]) -> tuple[int, ...]:
-        occ = [0] * rc.n
-        for a in letters:
-            occ[a - 1] += 1
-        return tuple(occ)
-
-    def walk(gamma: tuple[int, ...], m_gamma: np.ndarray):
-        for i in range(1, rc.n + 1):
-            occ = occupation(gamma + (i,))
-            coeff = m_gamma @ blocks[i - 1]
-            if occ in class_sums:
-                class_sums[occ] = class_sums[occ] + coeff
-            else:
-                class_sums[occ] = coeff
-        if len(gamma) + 1 < sym.max_degree:
-            for j in range(1, rc.n + 1):
-                nxt = m_gamma @ rc.matrices[j - 1].conj().T
-                if spectral_norm(nxt) > 1e-16:
-                    walk(gamma + (j,), nxt)
-
-    walk((), reduced)
+    for beta, theta in op.coefficients.items():
+        if beta == IDENTITY_WORD:
+            continue
+        occ = tuple(beta.letters.count(i) for i in range(1, rc.n + 1))
+        class_sums[occ] = class_sums[occ] + theta if occ in class_sums else theta
 
     creations = [sym.creation(i) for i in range(1, rc.n + 1)]
-    out = np.kron(np.eye(sym.dim, dtype=complex), op0.coefficient(Word(())))
+    out = np.kron(np.eye(sym.dim, dtype=complex), op.coefficients[IDENTITY_WORD])
     # Operator powers per occupation class, built degree by degree.
     powers: dict[tuple[int, ...], np.ndarray] = {tuple([0] * rc.n): np.eye(sym.dim, dtype=complex)}
     for m in range(1, sym.max_degree + 1):
@@ -229,8 +208,7 @@ def _symmetric_char_matrix(rc: RowContraction, sym: SymmetricTruncation) -> np.n
             parent = list(mu)
             parent[j] -= 1
             powers[mu] = powers[tuple(parent)] @ creations[j]
-            if mu in class_sums:
-                out += np.kron(powers[mu], class_sums[mu])
+            out += np.kron(powers[mu], class_sums[mu])
     return out
 
 
@@ -318,8 +296,7 @@ def arveson_curvature(
     # (b), (c) on the symmetric truncation.
     sym = SymmetricTruncation(rc.n, m_max)
     theta = _symmetric_char_matrix(rc, sym)
-    op0 = characteristic_coefficients(rc, 1)
-    tgt = op0.target_dim
+    tgt = rc.defect_rank
     gram = theta @ theta.conj().T
     resid_full = np.eye(gram.shape[0]) - gram
     qm_seq = []

@@ -191,7 +191,6 @@ class PoissonTransformResult:
     r_values: tuple[float, ...]
     values: list[np.ndarray]
     deviations: list[float]
-    limit_estimate: np.ndarray
     target: np.ndarray
 
 
@@ -228,7 +227,6 @@ def poisson_transform(
         r_values=tuple(float(r) for r in r_values),
         values=values,
         deviations=deviations,
-        limit_estimate=values[-1],
         target=target,
     )
 

@@ -16,7 +16,7 @@ from fockbench import (
     verify_factorization,
     word_operator,
 )
-from fockbench.errors import PreconditionError
+from fockbench.errors import InvalidParameterError, PreconditionError
 
 
 def random_contraction(rng, n, dim, scale=1.05):
@@ -211,7 +211,7 @@ class TestFactorization:
     def test_constrained_truncated_two_path(self):
         rc = validate([np.diag([0.3, -0.2]), np.diag([0.1, 0.35])])
         cs = build_constrained_subspace(TruncatedFock(2, 5), commutator_generators(2))
-        rep = verify_factorization(rc, mode="constrained_truncated", cs=cs)
+        rep = verify_factorization(rc, mode="truncated", cs=cs)
         assert rep.residual < 1e-10
 
     def test_constrained_point_checks_membership(self):
@@ -220,7 +220,32 @@ class TestFactorization:
         rc = validate([np.diag([0.3, -0.2]), np.diag([0.1, 0.35])])
         cs = build_constrained_subspace(TruncatedFock(2, 3), commutator_generators(2))
         with pytest.raises(PreconditionError):
-            verify_factorization(rc, mode="constrained_point", point=[a, b], cs=cs)
+            verify_factorization(rc, mode="point", point=[a, b], cs=cs)
+
+    def test_point_mode_checks_membership_only_with_cs(self):
+        # the same non-commuting matrix point passes without the ideal
+        a = np.array([[0, 0.5], [0, 0]])
+        b = np.array([[0.5, 0], [0, -0.5]])
+        rc = validate([np.diag([0.3, -0.2]), np.diag([0.1, 0.35])])
+        assert verify_factorization(rc, mode="point", point=[a, b]).passed
+        cs = build_constrained_subspace(TruncatedFock(2, 3), commutator_generators(2))
+        commuting = [np.diag([0.2, -0.1]), np.diag([0.3, 0.1j])]
+        assert verify_factorization(rc, mode="point", point=commuting, cs=cs).passed
+
+    @pytest.mark.parametrize("ambients", ["both", "neither"])
+    def test_truncated_mode_needs_exactly_one_ambient(self, ambients):
+        rc = validate([np.diag([0.3, -0.2]), np.diag([0.1, 0.35])])
+        fock = TruncatedFock(2, 3)
+        kwargs = {"fock": fock, "cs": build_constrained_subspace(fock, [])} if ambients == "both" else {}
+        with pytest.raises(InvalidParameterError, match="exactly one ambient"):
+            verify_factorization(rc, mode="truncated", **kwargs)
+
+    @pytest.mark.parametrize("mode", ["constrained_point", "constrained_truncated"])
+    def test_removed_mode_names_are_unknown(self, mode):
+        rc = validate([np.diag([0.3, -0.2]), np.diag([0.1, 0.35])])
+        cs = build_constrained_subspace(TruncatedFock(2, 3), commutator_generators(2))
+        with pytest.raises(InvalidParameterError, match="unknown mode"):
+            verify_factorization(rc, mode=mode, point=[0.1, 0.2], cs=cs)
 
 
 class TestConstrainedCompression:

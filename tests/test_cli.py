@@ -202,7 +202,9 @@ class TestScenario:
         assert [t["status"] for t in report["tasks"]] == ["fail", "pass"]
         assert report["tasks"][0]["error"].startswith(error_prefix)
 
-    def test_non_finite_point_fails_its_task_at_the_boundary(self, tmp_path):
+    def test_non_finite_point_fails_its_task_at_the_boundary(self, tmp_path, capsys):
+        # the NaN token is rejected when the scenario is parsed, before any
+        # compute, so no report is written that could echo it
         scenario = self.scenario_dict()
         scenario["tasks"] = [
             {"task": "factorize", "mode": "point", "points": [[[float("nan"), 0.0], [0.0, 0.0]]]},
@@ -211,10 +213,20 @@ class TestScenario:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario))
         out = tmp_path / "report.json"
-        assert main(["scenario", "run", str(path), "--out", str(out)]) == 1
-        report = json.loads(out.read_text())
-        assert [t["status"] for t in report["tasks"]] == ["fail", "pass"]
-        assert report["tasks"][0]["error"].startswith("InvalidParameterError: ")
+        assert main(["scenario", "run", str(path), "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_strict_json_constants_exit_2(self, tmp_path, capsys, token):
+        rc_path = tmp_path / "rc.json"
+        rc_path.write_text('{"n": 1, "T": [{"shape": [1, 1], "data": [[%s, 0.0]]}]}' % token)
+        assert main(["wold", "--input", str(rc_path)]) == 2
+        targets = tmp_path / "targets.json"
+        targets.write_text('[{"shape": [1, 1], "data": [[%s, 0.0]]}]' % token)
+        assert main(["pick", "--n", "1", "--points", "0.1", "--targets-file", str(targets)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("finite") == 2 and token in err
 
     def test_non_finite_tuple_entry_exits_2(self, tmp_path, capsys):
         scenario = self.scenario_dict()

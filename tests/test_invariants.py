@@ -3,17 +3,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fockbench.invariants as invariants_mod
 from fockbench import (
     SymmetricTruncation,
     TruncatedFock,
+    Word,
     arveson_curvature,
+    characteristic_coefficients,
     curvature_phi,
     curvature_theta,
     euler_phi,
     validate,
 )
+from fockbench._linalg import spectral_norm
 from fockbench.errors import InvalidParameterError, PreconditionError
+from fockbench.invariants import _multisets, _symmetric_char_matrix
 
 
 def brute_force_trace_sequence(mats, m_max):
@@ -205,7 +212,6 @@ class TestArveson:
         # two-path check of the symmetric-space assembly at a small degree
         from fockbench import assemble, build_constrained_subspace, commutator_generators
         from fockbench import constrained_characteristic
-        from fockbench.invariants import _symmetric_char_matrix
 
         rc = validate([np.diag([0.3, -0.2]), np.diag([0.15, 0.25])])
         top = 3
@@ -218,3 +224,112 @@ class TestArveson:
         sv1 = np.linalg.svd(theta_sym, compute_uv=False)
         sv2 = np.linalg.svd(theta_cs, compute_uv=False)
         assert np.allclose(sorted(sv1), sorted(sv2), atol=1e-10)
+
+
+# --- the symmetric assembly reads the one Neumann word walk ------------------
+
+
+def pruned_walk_char_matrix(rc, sym):
+    """The symmetric assembly as it was built on a private word walk that
+    dropped every branch whose product had spectral norm at most 1e-16.
+
+    Returns the matrix and the number of non-constant coefficients summed."""
+    op0 = characteristic_coefficients(rc, 1)
+    class_sums = {}
+    d = rc.dim
+    blocks = [rc.delta_star[(i - 1) * d : i * d, :] @ rc.defect_star_basis for i in range(1, rc.n + 1)]
+    reduced = rc.defect_basis.conj().T @ rc.delta
+    summed = 0
+
+    def walk(gamma, m_gamma):
+        nonlocal summed
+        for i in range(1, rc.n + 1):
+            letters = gamma + (i,)
+            occ = tuple(letters.count(a) for a in range(1, rc.n + 1))
+            coeff = m_gamma @ blocks[i - 1]
+            class_sums[occ] = class_sums[occ] + coeff if occ in class_sums else coeff
+            summed += 1
+        if len(gamma) + 1 < sym.max_degree:
+            for j in range(1, rc.n + 1):
+                nxt = m_gamma @ rc.matrices[j - 1].conj().T
+                if spectral_norm(nxt) > 1e-16:
+                    walk(gamma + (j,), nxt)
+
+    walk((), reduced)
+    creations = [sym.creation(i) for i in range(1, rc.n + 1)]
+    out = np.kron(np.eye(sym.dim, dtype=complex), op0.coefficients[Word(())])
+    powers = {tuple([0] * rc.n): np.eye(sym.dim, dtype=complex)}
+    for m in range(1, sym.max_degree + 1):
+        for mu in _multisets(rc.n, m):
+            j = next(k for k, c in enumerate(mu) if c > 0)
+            parent = list(mu)
+            parent[j] -= 1
+            powers[mu] = powers[tuple(parent)] @ creations[j]
+            if mu in class_sums:
+                out += np.kron(powers[mu], class_sums[mu])
+    return out, summed
+
+
+# Entries are exact zeros or bounded away from zero, so every walk product is
+# either an exact zero (where pruning fires) or far above the 1e-16 cut.
+_entries = st.one_of(
+    st.just(0j),
+    st.builds(lambda r, phase: r * np.exp(1j * phase), st.floats(0.1, 1.0), st.floats(0.0, 6.3)),
+)
+
+
+def _scaled(mats, row_norm):
+    norm = np.linalg.norm(np.concatenate(mats, axis=1), 2)
+    return validate([m * (row_norm / norm) for m in mats] if norm > 0 else mats)
+
+
+@st.composite
+def diagonal_tuples(draw):
+    n = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 3))
+    mats = [np.diag(draw(st.lists(_entries, min_size=dim, max_size=dim))) for _ in range(n)]
+    return _scaled(mats, draw(st.floats(0.3, 0.9)))
+
+
+@st.composite
+def nilpotent_pairs(draw):
+    dim = draw(st.integers(2, 3))
+    mats = []
+    for _ in range(2):
+        t = np.zeros((dim, dim), dtype=complex)
+        t[np.triu_indices(dim, 1)] = draw(st.lists(_entries, min_size=dim * (dim - 1) // 2,
+                                                   max_size=dim * (dim - 1) // 2))
+        mats.append(t)
+    return _scaled(mats, draw(st.floats(0.3, 0.9)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(diagonal_tuples(), nilpotent_pairs()), st.integers(1, 5))
+def test_symmetric_assembly_matches_the_pruned_walk(rc, m_max):
+    sym = SymmetricTruncation(rc.n, m_max)
+    expected, _ = pruned_walk_char_matrix(rc, sym)
+    assert np.array_equal(_symmetric_char_matrix(rc, sym), expected)
+
+
+def test_pruned_walk_dropped_only_exact_zeros_on_the_nilpotent_pair():
+    rc = nilpotent_commuting_pair()
+    sym = SymmetricTruncation(2, 4)
+    expected, summed = pruned_walk_char_matrix(rc, sym)
+    op = characteristic_coefficients(rc, 4)
+    # the walk stopped after length 2; the 24 longer coefficients are exact zeros
+    assert summed == 6 and len(op.coefficients) - 1 == 30
+    assert all(not theta.any() for beta, theta in op.coefficients.items() if len(beta) > 2)
+    assert np.array_equal(_symmetric_char_matrix(rc, sym), expected)
+
+
+def test_arveson_walks_the_coefficients_once(monkeypatch):
+    calls = []
+    original = invariants_mod.characteristic_coefficients
+
+    def counting(rc, max_degree):
+        calls.append(max_degree)
+        return original(rc, max_degree)
+
+    monkeypatch.setattr(invariants_mod, "characteristic_coefficients", counting)
+    arveson_curvature(nilpotent_commuting_pair(), m_max=5, mc_samples=100, seed=1)
+    assert calls == [5]
