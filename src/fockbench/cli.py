@@ -383,6 +383,34 @@ def _load_tuple(path: str) -> tuple[int, RowContraction]:
     return n, rc
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of a float flag: rejects NaN and +-inf at parse time."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _finite_floats(text: str) -> list[float]:
+    """argparse type of a comma-separated float list, each entry finite."""
+    return [_finite_float(x) for x in text.split(",")]
+
+
+def _finite_complex(text: str) -> complex:
+    """One entry of a comma-separated complex list (``--points``, ``--targets``)."""
+    text = text.strip()
+    try:
+        value = complex(text)
+    except ValueError:
+        raise InvalidParameterError(f"{text!r} is not a number") from None
+    if not np.isfinite(value):
+        raise InvalidParameterError(f"{text!r} is not a finite number")
+    return value
+
+
 def _parse_points(text: str, n: int) -> list[np.ndarray]:
     points = []
     chunks = text.split(";") if n > 1 else text.split(",")
@@ -390,7 +418,7 @@ def _parse_points(text: str, n: int) -> list[np.ndarray]:
         coords = chunk.split(",") if n > 1 else [chunk]
         if len(coords) != n:
             raise InvalidParameterError(f"point {chunk!r} does not have {n} coordinates")
-        points.append(np.array([complex(c.strip()) for c in coords]))
+        points.append(np.array([_finite_complex(c) for c in coords]))
     return points
 
 
@@ -400,7 +428,7 @@ def _parse_targets(args) -> list:
             return [matrix_from_json(m) for m in _strict_json(fh.read())]
     if args.targets is None:
         raise InvalidParameterError("pick needs --targets or --targets-file")
-    return [np.atleast_2d(complex(t.strip())) for t in args.targets.split(",")]
+    return [np.atleast_2d(_finite_complex(t)) for t in args.targets.split(",")]
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -423,7 +451,7 @@ def _single_report(name: str, ctx: RunContext, spec: dict, out: str | None) -> i
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9, help="default check tolerance")
+    common.add_argument("--tol", type=_finite_float, default=1e-9, help="default check tolerance")
     common.add_argument("--seed", type=int, default=None, help="master seed for sampled quantities")
     common.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     common.add_argument("--format", choices=["json"], default="json", help="output format (json only)")
@@ -457,11 +485,11 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "arveson":
             p.add_argument("--m-max", type=int, default=8)
             p.add_argument("--mc-samples", type=int, default=100_000)
-            p.add_argument("--r-list", default="0.9,0.99,0.999")
+            p.add_argument("--r-list", type=_finite_floats, default="0.9,0.99,0.999")
         if name == "wold":
             p.add_argument("--k-max", type=int, default=None)
         if name == "poisson":
-            p.add_argument("--r", type=float, default=1.0)
+            p.add_argument("--r", type=_finite_float, default=1.0)
 
     p = sub.add_parser("pick", parents=[common], help="Pick-matrix feasibility test")
     p.add_argument("--n", type=int, required=True)
@@ -534,7 +562,7 @@ def main(argv=None) -> int:
         elif args.command == "arveson":
             spec["m_max"] = args.m_max
             spec["mc_samples"] = args.mc_samples
-            spec["r_values"] = [float(x) for x in args.r_list.split(",")]
+            spec["r_values"] = args.r_list
             spec["seed"] = args.seed
         elif args.command == "wold":
             spec["k_max"] = args.k_max

@@ -140,6 +140,25 @@ class TestSubcommands:
     def test_missing_input_exits_2(self, tmp_path):
         assert main(["wold", "--input", str(tmp_path / "none.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pick", "--n", "1", "--points", "0,0.5", "--targets", "0,0.5", "--tol", "nan"],
+            ["poisson", "--input", "RC", "--r", "inf"],
+            ["pick", "--n", "1", "--points", "0,nan", "--targets", "0,0.5"],
+            ["factorize", "--input", "RC", "--points", "0.1,0.2;0,-inf"],
+            ["pick", "--n", "1", "--points", "0,0.5", "--targets", "0,-inf"],
+            ["arveson", "--input", "RC", "--seed", "1", "--r-list", "0.9,nan"],
+        ],
+        ids=["tol", "r", "pick_points", "factorize_points", "targets", "r_list"],
+    )
+    def test_non_finite_flag_exits_2_before_any_report(self, rc_file, tmp_path, capsys, argv):
+        out = tmp_path / "report.json"
+        argv = [rc_file if a == "RC" else a for a in argv]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestScenario:
     def scenario_dict(self):

@@ -31,6 +31,41 @@ def brute_force_word_sum(mats, k):
     return total
 
 
+def dense_radius(mats):
+    """Reference: square root of the largest eigenvalue modulus of the dense
+    dim^2 x dim^2 matrix of Phi."""
+    eigs = np.linalg.eigvals(sum(np.kron(np.conj(t), t) for t in mats))
+    return float(np.sqrt(np.abs(eigs).max()))
+
+
+def counting_eigvals(monkeypatch):
+    """Patch np.linalg.eigvals to record the shape of every matrix it gets."""
+    calls = []
+    real = np.linalg.eigvals
+
+    def eigvals(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    return calls
+
+
+def family_tuple(family, n, dim, seed):
+    rng = np.random.default_rng(seed)
+
+    def gaussian():
+        return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+    if family == "random":
+        return [gaussian() for _ in range(n)]
+    if family == "nilpotent":
+        return [np.triu(gaussian(), 1) for _ in range(n)]
+    if family == "diagonal":
+        return [np.diag(np.diag(gaussian())) for _ in range(n)]
+    return [c * np.linalg.qr(gaussian())[0] for c in rng.uniform(0.1, 1.0, n)]
+
+
 def random_row_contraction(rng, n, dim, margin=1.05):
     mats = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for _ in range(n)]
     norm = np.linalg.norm(np.concatenate(mats, axis=1), 2)
@@ -176,6 +211,60 @@ class TestSpectralRadius:
         rc = validate([u1 / np.sqrt(2), u2 / np.sqrt(2)])
         assert abs(spectral_radius(rc) - 1.0) < 1e-10
 
+    @pytest.mark.parametrize(
+        "mats",
+        [
+            [],
+            [np.zeros((2, 3))],
+            [np.zeros((2, 2)), np.zeros((3, 3))],
+            [np.array([[0.5, np.nan], [0.0, 0.1]])],
+            [np.eye(2), np.array([[np.inf, 0.0], [0.0, 0.0]])],
+        ],
+        ids=["empty", "not_square", "unequal_sizes", "nan_entry", "inf_entry"],
+    )
+    def test_rejects_bad_input(self, mats):
+        with pytest.raises(InvalidParameterError):
+            spectral_radius(mats)
+
+    def test_certified_path_skips_dense_eigvals(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        pair = [rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24)) for _ in range(2)]
+        reference = dense_radius(pair)
+        calls = counting_eigvals(monkeypatch)
+        value = spectral_radius(pair)
+        assert calls == []
+        assert abs(value - reference) <= 1e-10 * reference
+
+    @pytest.mark.parametrize(
+        "mats",
+        [[0.5 * np.diag(np.ones(7), 1)], [np.diag(np.linspace(0.1, 0.6, 8)), np.diag(np.linspace(0.5, -0.3, 8))]],
+        ids=["nilpotent_jordan", "diagonal_pair"],
+    )
+    def test_fallback_returns_the_dense_value(self, monkeypatch, mats):
+        reference = dense_radius(mats)
+        calls = counting_eigvals(monkeypatch)
+        assert spectral_radius(mats) == reference
+        assert calls == [(64, 64)]
+
+    def test_known_radius_beyond_the_dense_cutoff(self):
+        # T_i = S (c V_i) S^{-1} with [V_1 V_2] a coisometry: Phi_T is similar to
+        # c^2 times a unital map, so rho(Phi_T) = c^2 and the radius is c.
+        rng = np.random.default_rng(72)
+        dim, c = 72, 0.7
+        cols = np.linalg.qr(rng.standard_normal((2 * dim, dim)) + 1j * rng.standard_normal((2 * dim, dim)))[0]
+        row = cols.conj().T
+        s = np.eye(dim) + 0.3 * rng.standard_normal((dim, dim)) / np.sqrt(dim)
+        assert np.linalg.cond(s) < 5
+        s_inv = np.linalg.inv(s)
+        mats = [s @ (c * row[:, i * dim : (i + 1) * dim]) @ s_inv for i in range(2)]
+        assert abs(spectral_radius(mats) - c) <= 1e-10 * c
+
+    def test_reducible_tuple_beyond_the_dense_cutoff(self):
+        # diagonal pair: the bracket stalls, and the norm-root loop is exact here
+        d1, d2 = np.linspace(0.1, 0.6, 72), np.linspace(0.5, -0.3, 72)
+        expected = np.sqrt(np.max(d1**2 + d2**2))
+        assert abs(spectral_radius([np.diag(d1), np.diag(d2)]) - expected) <= 1e-12
+
 
 class TestCheckConstraints:
     def test_commuting_diagonals(self):
@@ -207,3 +296,16 @@ def test_purity_unit_eigenspace_diagnostic():
     assert space.shape[1] == 1
     assert abs(abs(space[2, 0]) - 1.0) < 1e-10
     assert purity(validate([np.zeros((1, 1))])).unit_eigenspace().shape[1] == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["random", "nilpotent", "diagonal", "scaled_unitary"]),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_spectral_radius_matches_dense_reference(family, n, dim, seed):
+    mats = family_tuple(family, n, dim, seed)
+    reference = dense_radius(mats)
+    assert abs(spectral_radius(mats) - reference) <= 1e-10 * reference
