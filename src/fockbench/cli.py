@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from ._linalg import spectral_norm
 from .charfn import verify_factorization
-from .contractions import RowContraction, validate
+from .contractions import PurityResult, RowContraction, validate
 from .dilation import (
     build_dilation,
     model_space,
@@ -68,6 +68,11 @@ class RunContext:
 
 def _check(name: str, value: float, bound: float) -> dict:
     return {"name": name, "value": float(value), "bound": float(bound), "pass": bool(value <= bound)}
+
+
+def _purity(pur: PurityResult) -> dict:
+    """How the purity limit was decided: certified or walked, in how many steps."""
+    return {"method": pur.method, "k_used": pur.k_used, "converged": pur.converged}
 
 
 # --- task handlers ---------------------------------------------------------
@@ -223,6 +228,7 @@ def task_wold(ctx: RunContext, params: dict) -> dict:
         "k1_dim": int(split.k1_basis.shape[1]),
         "idempotency_defect": split.idempotency_defect,
         "is_shift": mult.is_shift,
+        "purity": _purity(split.purity),
     }
     return {"checks": checks, "data": data}
 
@@ -241,6 +247,7 @@ def task_dilate(ctx: RunContext, params: dict) -> dict:
         "dilation_index": ctx.rc.defect_rank,
         "defect_rank": ctx.rc.defect_rank,
         "kernel_isometry_defect": blocks.kernel.isometry_defect,
+        "purity": _purity(blocks.purity),
     }
     return {"checks": checks, "data": data}
 
@@ -252,7 +259,7 @@ def task_model(ctx: RunContext, params: dict) -> dict:
         _check("complement_residual", res.complement_residual, res.projection_budget),
         _check("equivalence_residual", res.equivalence_residual, res.equivalence_budget),
     ]
-    data = {"model_dim": int(res.basis.shape[1])}
+    data = {"model_dim": int(res.basis.shape[1]), "purity": _purity(res.purity)}
     return {"checks": checks, "data": data}
 
 
@@ -272,7 +279,7 @@ def task_poisson(ctx: RunContext, params: dict) -> dict:
     ]
     if kern.range_containment is not None:
         checks.append(_check("range_containment", kern.range_containment, 1e-10))
-    data = {"defect_dim": kern.defect_dim, "tail_budget": kern.tail_budget}
+    data = {"defect_dim": kern.defect_dim, "tail_budget": kern.tail_budget, "purity": _purity(gram.purity)}
     return {"checks": checks, "data": data}
 
 

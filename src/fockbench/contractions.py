@@ -4,7 +4,7 @@ completely positive map, purity, and spectral radius."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -93,6 +93,14 @@ def _square_tuple(matrices: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
     return mats
 
 
+def check_count(name: str, value, minimum: int) -> int:
+    """An integer parameter (not a bool) that must be at least ``minimum``;
+    anything else raises InvalidParameterError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise InvalidParameterError(f"need an integer {name} >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def validate(matrices: Sequence[np.ndarray], tol: float = 1e-10) -> RowContraction:
     """Build a RowContraction, constructing defect data; rejects tuples whose
     row norm exceeds one beyond tolerance."""
@@ -128,10 +136,17 @@ def cp_apply(rc: RowContraction, x: np.ndarray, k: int = 1) -> np.ndarray:
 
 @dataclass
 class PurityResult:
+    """The limit Q = lim Phi^k(I) and how it was decided.
+
+    ``method`` is ``"certified"`` when a Collatz-Wielandt bound proved
+    rho(Phi) < 1, so Q = 0 exactly and ``k_used`` counts bracket steps; it is
+    ``"walk"`` when Q came from iterating Phi, and ``k_used`` counts CP steps."""
+
     q_limit: np.ndarray
     is_pure: bool
     k_used: int
     converged: bool
+    method: str
 
     def unit_eigenspace(self, tol: float = 1e-8) -> np.ndarray:
         """Directions the CP iteration leaves untouched (limit eigenvalue one).
@@ -142,17 +157,41 @@ class PurityResult:
         return vecs[:, vals >= 1.0 - tol]
 
 
-def purity(rc: RowContraction, tol: float = 1e-10, k_max: int = 10_000) -> PurityResult:
-    """Iterate the CP map on the identity until the decreasing sequence
-    stabilizes; the limit is the obstruction to purity.
+# Margin below one that an upper Collatz-Wielandt bound on rho(Phi) must clear
+# before purity treats rho(Phi) < 1 as proved; a lower bound at or above
+# 1 - PURITY_GAP marks rho(Phi) = 1 and sends purity to the walk at once.
+PURITY_GAP = 1e-9
 
-    The stop rule accounts for geometric decay: with step ratio q the
-    remaining distance to the limit is at most step/(1-q), so iteration
-    continues until that projection drops below the tolerance. The walk keeps
+
+def purity(rc: RowContraction, tol: float = 1e-10, k_max: int = 10_000) -> PurityResult:
+    """The limit Q of the decreasing sequence Phi^k(I); the tuple is pure
+    exactly when Q = 0.
+
+    In finite dimension Phi^k(I) -> 0 exactly when rho(Phi) < 1. So purity
+    first runs the Collatz-Wielandt bracket of ``spectral_radius`` and returns
+    Q = 0 (method ``"certified"``) as soon as its upper bound on rho(Phi) is at
+    most 1 - PURITY_GAP. From X_0 = I the first bound is the top eigenvalue of
+    sum T_i T_i^*, so a tuple with row norm below 1 - PURITY_GAP is certified
+    in one step. Phi(X_k) = 0 also certifies Q = 0.
+
+    The walk (method ``"walk"``) runs only when no certificate comes: an
+    iterate is not positive definite (nilpotent tuples), the lower bound
+    reaches 1 - PURITY_GAP (rho(Phi) = 1), or the bracket stalls. It iterates
+    Phi on the identity; with step ratio q the remaining distance to the
+    limit is at most step/(1-q), so it stops once that projection drops below
+    the tolerance, or after k_max steps with ``converged`` false. It keeps
     only its current iterate and bypasses ``RowContraction.orbit``: caching up
-    to k_max powers would hold k_max * dim^2 * 16 bytes."""
+    to k_max powers would hold k_max * dim^2 * 16 bytes.
+
+    Raises InvalidParameterError unless tol > 0 and k_max is an integer >= 1."""
     if tol <= 0:
         raise InvalidParameterError("need tol > 0")
+    check_count("k_max", k_max, 1)
+    for steps, (lo, hi) in enumerate(_collatz_wielandt(rc.matrices), 1):
+        if hi <= 1.0 - PURITY_GAP:
+            return PurityResult(np.zeros((rc.dim, rc.dim), dtype=complex), True, steps, True, "certified")
+        if lo >= 1.0 - PURITY_GAP:
+            break
     x = np.eye(rc.dim, dtype=complex)
     prev_step = None
     k = 0
@@ -163,22 +202,30 @@ def purity(rc: RowContraction, tol: float = 1e-10, k_max: int = 10_000) -> Purit
         ratio = 0.5 if prev_step is None or prev_step <= 0 else min(step / prev_step, 1.0 - 1e-9)
         prev_step = step
         if step / max(1.0 - ratio, 1e-9) < tol:
-            return PurityResult(x, spectral_norm(x) < tol, k, True)
-    return PurityResult(x, spectral_norm(x) < tol, k, False)
+            return PurityResult(x, spectral_norm(x) < tol, k, True, "walk")
+    return PurityResult(x, spectral_norm(x) < tol, k, False, "walk")
 
 
-# Perron iteration of spectral_radius: the relative bracket width that
-# certifies, the step cap, and the stagnation rule (give up when the width has
-# not halved over the last PERRON_STALL_STEPS steps). A stalled bracket costs
-# PERRON_STALL_STEPS + 1 steps, about 2 ms for a diagonal pair of dim 32.
+# Perron iteration of the Collatz-Wielandt bracket: the relative bracket
+# width at which spectral_radius certifies, the step cap, and the stagnation
+# rule (stop when the width has not halved over the last PERRON_STALL_STEPS
+# steps). A stalled bracket costs PERRON_STALL_STEPS + 1 steps, about 2 ms for
+# a diagonal pair of dim 32.
 PERRON_RTOL = 1e-13
 PERRON_MAX_STEPS = 500
 PERRON_STALL_STEPS = 12
 
 
-def _perron_radius(mats: tuple[np.ndarray, ...]) -> float | None:
-    """sqrt(rho(Phi)) from the Collatz-Wielandt bracket of the normalized
-    power iteration, or None when the iteration cannot certify it."""
+def _collatz_wielandt(mats: tuple[np.ndarray, ...]) -> Iterator[tuple[float, float]]:
+    """The best bounds (lo, hi) on rho(Phi) after each step of the normalized
+    power iteration X_{k+1} = Phi(X_k) / |Phi(X_k)|_F from X_0 = I.
+
+    While X_k = L L^* is positive definite, the extreme eigenvalues l, u of
+    L^{-1} Phi(X_k) L^{-*} bound rho(Phi): Phi(X) >= l X gives rho >= l, and
+    Phi(X) <= u X gives rho <= u. Yields (0.0, 0.0) and stops when
+    Phi(X_k) = 0. Stops without a bound when X_k is not positive definite,
+    when the width has stalled, or after PERRON_MAX_STEPS steps. Phi is formed
+    inline, so the ``cp_apply`` and ``spectral_norm`` counts are untouched."""
     adjoints = [t.conj().T for t in mats]
     x = np.eye(mats[0].shape[0], dtype=complex)
     lo, hi = 0.0, np.inf
@@ -187,21 +234,29 @@ def _perron_radius(mats: tuple[np.ndarray, ...]) -> float | None:
         y = sum(t @ x @ a for t, a in zip(mats, adjoints))
         scale = np.linalg.norm(y)
         if scale == 0.0:
-            return 0.0
+            yield 0.0, 0.0
+            return
         try:
             linv = np.linalg.inv(np.linalg.cholesky(x))
             vals = np.linalg.eigvalsh(linv @ y @ linv.conj().T)
         except np.linalg.LinAlgError:
-            return None
+            return
         lo, hi = max(lo, float(vals[0])), min(hi, float(vals[-1]))
+        yield lo, hi
+        widths.append(hi - lo)
+        if len(widths) > PERRON_STALL_STEPS and widths[-1] > 0.5 * widths[-1 - PERRON_STALL_STEPS]:
+            return
+        x = y / scale
+
+
+def _perron_radius(mats: tuple[np.ndarray, ...]) -> float | None:
+    """sqrt(rho(Phi)) once the Collatz-Wielandt bracket is within
+    PERRON_RTOL, or None when it cannot certify it."""
+    for lo, hi in _collatz_wielandt(mats):
         if hi - lo <= PERRON_RTOL * hi:
             # Bounds that cross by more than the tolerance show rounding noise
             # above it: certify nothing.
             return float(np.sqrt(0.5 * (lo + hi))) if lo - hi <= PERRON_RTOL * hi else None
-        widths.append(hi - lo)
-        if len(widths) > PERRON_STALL_STEPS and widths[-1] > 0.5 * widths[-1 - PERRON_STALL_STEPS]:
-            return None
-        x = y / scale
     return None
 
 

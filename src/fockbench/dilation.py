@@ -21,8 +21,10 @@ from ._linalg import (
 )
 from .charfn import assemble, constrained_characteristic
 from .contractions import (
+    PurityResult,
     RowContraction,
     check_constraints,
+    check_count,
     purity,
     validate,
 )
@@ -47,6 +49,7 @@ class DilationBlocks:
     cuntz_residual: float
     constraint_residuals: list[float]
     lsq_residual: float
+    purity: PurityResult
 
     @property
     def k_dim(self) -> int:
@@ -108,6 +111,7 @@ def build_dilation(rc: RowContraction, cs: ConstrainedSubspace, purity_tol: floa
         cuntz_residual=cuntz,
         constraint_residuals=constraint_res,
         lsq_residual=lsq_res,
+        purity=pur,
     )
 
 
@@ -152,6 +156,7 @@ class WoldSplit:
     idempotency_defect: float
     two_path_angles: np.ndarray
     two_path_dim_match: bool
+    purity: PurityResult
 
 
 def wold_decompose(matrices: Sequence[np.ndarray], k_max: int | None = None) -> WoldSplit:
@@ -160,13 +165,14 @@ def wold_decompose(matrices: Sequence[np.ndarray], k_max: int | None = None) -> 
     The shift part is computed two ways: as the span of word translates of
     the defect range, and as the null space of the purity limit; the
     principal angles between the two are reported, not assumed zero. The
-    idempotency of the defect is likewise reported only."""
+    idempotency of the defect is likewise reported only. ``k_max`` (default
+    dim) bounds the word length of the translates; InvalidParameterError
+    unless it is an integer >= 0."""
     rc = validate(matrices, tol=1e-8)
     dim = rc.dim
+    k_max = dim if k_max is None else check_count("k_max", k_max, 0)
     q = np.eye(dim, dtype=complex) - rc.row_gram()
     idem = spectral_norm(q @ q - q)
-    if k_max is None:
-        k_max = dim
     k0_span = _word_translate_span([q], rc.matrices, k_max)
 
     pur = purity(rc, tol=1e-12)
@@ -187,6 +193,7 @@ def wold_decompose(matrices: Sequence[np.ndarray], k_max: int | None = None) -> 
         idempotency_defect=idem,
         two_path_angles=angles,
         two_path_dim_match=k0_span.shape[1] == k0_null.shape[1],
+        purity=pur,
     )
 
 
@@ -215,6 +222,7 @@ class ModelSpaceResult:
     equivalence_residual: float
     equivalence_budget: float
     complement_residual: float
+    purity: PurityResult
 
 
 def model_space(rc: RowContraction, cs: ConstrainedSubspace, purity_tol: float = 1e-10) -> ModelSpaceResult:
@@ -265,6 +273,7 @@ def model_space(rc: RowContraction, cs: ConstrainedSubspace, purity_tol: float =
         equivalence_residual=equivalence_residual,
         equivalence_budget=equivalence_budget,
         complement_residual=complement_residual,
+        purity=pur,
     )
 
 

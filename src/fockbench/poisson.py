@@ -16,6 +16,7 @@ import numpy as np
 
 from ._linalg import spectral_norm
 from .contractions import (
+    PurityResult,
     RowContraction,
     check_constraints,
     cp_apply,
@@ -236,6 +237,7 @@ class GramReport:
     gram: np.ndarray
     residual: float
     budget: float
+    purity: PurityResult
 
 
 def kernel_gram(rc: RowContraction, fock: TruncatedFock, r: float = 1.0) -> GramReport:
@@ -243,8 +245,9 @@ def kernel_gram(rc: RowContraction, fock: TruncatedFock, r: float = 1.0) -> Gram
     ||r^(2(N+1)) Phi^(N+1)(I) - Q|| attached."""
     kern = poisson_kernel(rc, fock, r)
     gram = kern.gram()
-    q = purity(rc).q_limit
+    pur = purity(rc)
+    q = pur.q_limit
     residual = spectral_norm(gram - (np.eye(rc.dim) - q))
     tail = (r ** (2 * (fock.max_degree + 1))) * rc.orbit(fock.max_degree + 1)
     budget = spectral_norm(tail - q) + 1e-12
-    return GramReport(gram=gram, residual=residual, budget=budget)
+    return GramReport(gram=gram, residual=residual, budget=budget, purity=pur)

@@ -209,7 +209,8 @@ class TestScenario:
         ({"task": "arveson", "m_max": 2, "mc_samples": 0}, "InvalidParameterError: "),
         ({"task": "factorize", "mode": "point", "points": [[[0.1, 0.0], [0.2, 0.0]]], "tol": "abc"},
          "ValueError: "),
-    ], ids=["mc_samples_zero", "tol_not_a_number"])
+        ({"task": "wold", "k_max": -1}, "InvalidParameterError: "),
+    ], ids=["mc_samples_zero", "tol_not_a_number", "wold_negative_k_max"])
     def test_raising_task_is_recorded_and_the_rest_run(self, tmp_path, bad_task, error_prefix):
         scenario = self.scenario_dict()
         scenario["tasks"] = [bad_task, {"task": "curvature", "m_max": 2}]

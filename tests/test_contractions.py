@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fockbench import (
     check_constraints,
     commutator_generators,
+    contractions,
     cp_apply,
     purity,
     spectral_radius,
@@ -64,6 +65,13 @@ def family_tuple(family, n, dim, seed):
     if family == "diagonal":
         return [np.diag(np.diag(gaussian())) for _ in range(n)]
     return [c * np.linalg.qr(gaussian())[0] for c in rng.uniform(0.1, 1.0, n)]
+
+
+def scaled_coisometry(rng, n, dim, c=1.0):
+    """c times a random coisometry: [T_1 ... T_n] has orthonormal rows."""
+    gauss = rng.standard_normal((n * dim, dim)) + 1j * rng.standard_normal((n * dim, dim))
+    row = c * np.linalg.qr(gauss)[0].conj().T
+    return [row[:, i * dim : (i + 1) * dim] for i in range(n)]
 
 
 def random_row_contraction(rng, n, dim, margin=1.05):
@@ -177,11 +185,43 @@ class TestPurity:
         assert np.linalg.norm(res.q_limit) == 0.0
 
     def test_scalar_decay_rate(self):
+        # diag(r, 1) has rho(Phi) = 1, so no certificate exists and the walk
+        # decides; its stop rule must follow the r^2 decay of the pure part
         r = 0.9
-        res = purity(validate([np.array([[r]])]), tol=1e-10)
-        assert res.is_pure
+        res = purity(validate([np.diag([r, 1.0])]), tol=1e-10)
+        assert res.method == "walk" and res.converged and not res.is_pure
+        assert np.linalg.norm(res.q_limit - np.diag([0.0, 1.0])) < 1e-9
         predicted = np.log(1e-10) / np.log(r**2)
         assert res.k_used < 2 * predicted
+
+    def test_certificate_replaces_the_walk(self, monkeypatch):
+        calls = []
+        real = contractions.cp_apply
+
+        def cp_apply(rc, x, k=1):
+            calls.append(k)
+            return real(rc, x, k)
+
+        monkeypatch.setattr(contractions, "cp_apply", cp_apply)
+        # (1 - 1e-3) x a coisometry: rho(Phi) = (1 - 1e-3)^2, certified by
+        # the first bound, the top eigenvalue of sum T_i T_i^*
+        res = purity(validate(scaled_coisometry(np.random.default_rng(8), 2, 8, 1.0 - 1e-3)))
+        assert (res.method, res.k_used, res.converged, res.is_pure) == ("certified", 1, True, True)
+        assert not res.q_limit.any() and calls == []
+        # the golden nilpotent pair: Phi^2(I) = 0 certifies Q = 0 at step 2
+        golden = [np.array([[0, c / np.sqrt(2)], [0, 0]]) for c in (1, 1j)]
+        res = purity(validate(golden))
+        assert (res.method, res.k_used) == ("certified", 2) and calls == []
+        # a Jordan block: Phi(I) is singular, the bracket gives up, the walk decides
+        jordan = np.diag([1.0, 1.0], 1)
+        res = purity(validate([jordan]))
+        assert (res.method, res.k_used, res.converged, res.is_pure) == ("walk", 4, True, True)
+        assert calls == [1] * 4 and not res.q_limit.any()
+
+    @pytest.mark.parametrize("k_max", [0, -1, 1.5, 10.0, True, "10", None])
+    def test_rejects_bad_k_max(self, k_max):
+        with pytest.raises(InvalidParameterError):
+            purity(validate([np.array([[0.5]])]), k_max=k_max)
 
     def test_purity_is_scale_consistent(self):
         rng = np.random.default_rng(21)
@@ -251,12 +291,11 @@ class TestSpectralRadius:
         # c^2 times a unital map, so rho(Phi_T) = c^2 and the radius is c.
         rng = np.random.default_rng(72)
         dim, c = 72, 0.7
-        cols = np.linalg.qr(rng.standard_normal((2 * dim, dim)) + 1j * rng.standard_normal((2 * dim, dim)))[0]
-        row = cols.conj().T
+        scaled = scaled_coisometry(rng, 2, dim, c)
         s = np.eye(dim) + 0.3 * rng.standard_normal((dim, dim)) / np.sqrt(dim)
         assert np.linalg.cond(s) < 5
         s_inv = np.linalg.inv(s)
-        mats = [s @ (c * row[:, i * dim : (i + 1) * dim]) @ s_inv for i in range(2)]
+        mats = [s @ v @ s_inv for v in scaled]
         assert abs(spectral_radius(mats) - c) <= 1e-10 * c
 
     def test_reducible_tuple_beyond_the_dense_cutoff(self):
@@ -285,6 +324,89 @@ class TestCheckConstraints:
 def test_scalar_purity_limit_is_zero(r):
     res = purity(validate([np.array([[r]])]), tol=1e-8)
     assert res.is_pure
+
+
+def reference_walk(mats):
+    """Phi^k(I) at k = 2^17 (131 072 steps) and k = 2^40: the dense
+    dim^2 x dim^2 matrix of Phi (row-major vec, vec(T X T^*) = (T kron
+    conj(T)) vec(X)) raised to k by repeated squaring, applied to vec(I).
+    The short walk is compared with a converged walk; the long one, where
+    rounding has drifted a unit-modulus eigenvalue by about k * eps, decides
+    only whether the orbit tends to 0."""
+    dim = mats[0].shape[0]
+    m = sum(np.kron(t, t.conj()) for t in mats)
+    powers = {}
+    for j in range(1, 41):
+        m = m @ m
+        powers[j] = m
+    return [(powers[j] @ np.eye(dim).reshape(-1)).reshape(dim, dim) for j in (17, 40)]
+
+
+def purity_family(family, n, dim, seed, exponent):
+    """A tuple of the family and whether rho(Phi) = 1. ``exponent`` in [0, 1]
+    sets the family's scale: the row norm 1 - 10^-(0.05 + 5.95 exponent) of a
+    strict contraction, eps = 10^-(3 + 3 exponent) of a near-coisometry, the
+    condition number 10^(6 exponent) of the similarity on the strict block."""
+    rng = np.random.default_rng(seed)
+
+    def gaussian(d):
+        return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+    def to_row_norm(mats, r):
+        top = np.linalg.norm(np.concatenate(mats, axis=1), 2)
+        return [m * (r / top) for m in mats] if top > 0 else mats
+
+    if family == "strict":
+        return to_row_norm([gaussian(dim) for _ in range(n)], 1.0 - 10.0 ** -(0.05 + 5.95 * exponent)), False
+    if family == "near_coisometric":
+        return scaled_coisometry(rng, n, dim, 1.0 - 10.0 ** -(3.0 + 3.0 * exponent)), False
+    if family == "nilpotent":
+        w = np.linalg.qr(gaussian(dim))[0]
+        scale = rng.choice([1.0, rng.uniform(0.1, 1.0)])
+        mats = to_row_norm([np.triu(gaussian(dim), 1) for _ in range(n)], scale)
+        return [w @ m @ w.conj().T for m in mats], False
+    if family == "coisometry":
+        return scaled_coisometry(rng, n, dim), True
+    # a coisometric block plus a strict block, mixed by a unitary. For a row
+    # contraction with rho(Phi) = 1 the coisometric part always reduces the
+    # tuple (Popescu's decomposition), so the similarity of condition number
+    # 10^(6 exponent) acts inside the strict block. The two blocks fill dim + 1.
+    du = int(rng.integers(1, dim + 1))
+    ds = dim + 1 - du
+    sim = np.linalg.qr(gaussian(ds))[0] @ np.diag(np.logspace(0, 6 * exponent, ds))
+    sim = sim @ np.linalg.qr(gaussian(ds))[0]
+    sim_inv = np.linalg.inv(sim)
+    strict = [sim @ g @ sim_inv for g in (gaussian(ds) for _ in range(n))]
+    if rng.random() < 0.3:
+        strict = [np.triu(c, 1) for c in strict]
+    strict = to_row_norm(strict, rng.uniform(0.05, 0.95))
+    w = np.linalg.qr(gaussian(du + ds))[0]
+    mats = [w @ np.block([[u, np.zeros((du, ds))], [np.zeros((ds, du)), c]]) @ w.conj().T
+            for u, c in zip(scaled_coisometry(rng, n, du), strict)]
+    return mats, True
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["strict", "near_coisometric", "nilpotent", "coisometry", "unitary_plus_strict"]),
+    st.integers(1, 3),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 1.0),
+)
+def test_certified_purity_matches_a_long_dense_walk(family, n, dim, seed, exponent):
+    mats, peripheral = purity_family(family, n, dim, seed, exponent)
+    res = purity(validate(mats))
+    walk, long_walk = reference_walk(mats)
+    if res.method == "certified":
+        assert not peripheral
+        assert not res.q_limit.any() and res.is_pure and res.converged
+        assert np.linalg.norm(long_walk, 2) < 1e-8
+    elif res.converged:
+        assert np.linalg.norm(res.q_limit - walk, 2) < 1e-8
+    if family in ("strict", "near_coisometric"):
+        # row norm below 1 - PURITY_GAP: the first bound certifies
+        assert (res.method, res.k_used) == ("certified", 1)
 
 
 def test_purity_unit_eigenspace_diagnostic():

@@ -38,6 +38,14 @@ def mixed_pair():
     return validate(out)
 
 
+def near_coisometry(dim=6, eps=1e-3):
+    """(1 - eps) times a random coisometric pair on C^dim."""
+    rng = np.random.default_rng(6)
+    cols = np.linalg.qr(rng.standard_normal((2 * dim, dim)) + 1j * rng.standard_normal((2 * dim, dim)))[0]
+    row = (1.0 - eps) * cols.conj().T
+    return [row[:, :dim], row[:, dim:]]
+
+
 def free_cs(n, top):
     return build_constrained_subspace(TruncatedFock(n, top), [])
 
@@ -67,6 +75,15 @@ class TestBuildDilation:
         assert blocks.cuntz_residual < 1e-12
         assert max(blocks.constraint_residuals) < 1e-12
         assert blocks.isometry_defect < 1e-12
+
+    def test_near_coisometric_tuple_has_no_cuntz_block(self):
+        # (1 - 1e-3) x a coisometry is pure; a purity walk stopped at k_max
+        # leaves Q ~ e^-20 I and would build a spurious Cuntz block of dim 6
+        rc = validate(near_coisometry())
+        blocks = build_dilation(rc, free_cs(2, 2))
+        assert blocks.purity.method == "certified"
+        assert blocks.k_dim == 0 and blocks.cuntz_residual == 0.0
+        assert blocks.isometry_defect <= blocks.isometry_budget
 
     def test_constraint_violation_rejected(self):
         a = np.array([[0, 0.5], [0, 0]])
@@ -144,6 +161,21 @@ class TestWold:
         proj = split.k0_basis @ split.k0_basis.conj().T
         expected = np.diag([1.0, 1.0, 1.0, 0.0])
         assert np.linalg.norm(proj - expected, 2) < 1e-10
+
+    def test_near_coisometric_tuple_is_all_shift(self):
+        split = wold_decompose(near_coisometry())
+        assert split.purity.method == "certified"
+        assert split.k0_basis.shape[1] == 6 and split.two_path_dim_match
+
+    @pytest.mark.parametrize("k_max", [-1, 2.0, True, "3"])
+    def test_rejects_bad_k_max(self, k_max):
+        with pytest.raises(InvalidParameterError):
+            wold_decompose([np.array([[0.5]])], k_max=k_max)
+
+    def test_zero_k_max_spans_the_defect_range_only(self):
+        jordan = np.diag([1.0, 1.0, 1.0], 1)
+        assert wold_decompose([jordan], k_max=0).k0_basis.shape[1] == 1
+        assert wold_decompose([jordan]).k0_basis.shape[1] == 4
 
     def test_strict_scalar_contraction_is_all_shift(self):
         split = wold_decompose([np.array([[0.5]])])
