@@ -12,11 +12,14 @@ RANK_RTOL = 1e-9
 
 
 def svd_positive(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full left singular vector basis and singular values, descending."""
+    """Full left singular vector basis and singular values, descending.
+
+    Full matrices only for a tall input: for a wide or square one the thin U
+    is already square, and the thin SVD does not form the wide V^H."""
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
         return np.eye(a.shape[0], dtype=complex), np.zeros(0)
-    u, s, _ = np.linalg.svd(a, full_matrices=True)
+    u, s, _ = np.linalg.svd(a, full_matrices=a.shape[0] > a.shape[1])
     return u, s
 
 

@@ -28,7 +28,7 @@ from .dilation import (
     wold_decompose,
 )
 from .errors import FockbenchError, InvalidParameterError
-from .ideals import NcPolynomial, build_constrained_subspace, constrained_shifts
+from .ideals import NcPolynomial, build_constrained_subspace, constrained_shifts, ideal_orthogonality
 from .interpolation import PickProblem, pick_feasible, pick_matrix, variety_membership
 from .invariants import arveson_curvature, curvature_phi, curvature_theta, euler_phi
 from .poisson import constrained_poisson_kernel, intertwining_check, kernel_gram, poisson_kernel
@@ -82,9 +82,15 @@ def task_shifts(ctx: RunContext, params: dict) -> dict:
     cs = ctx.cs()
     left, right = constrained_shifts(cs)
     checks = [
-        _check("projection_idempotent", spectral_norm(cs.projection @ cs.projection - cs.projection), 1e-12),
+        _check("basis_orthonormal", spectral_norm(cs.basis.conj().T @ cs.basis - np.eye(cs.dim)), 1e-12),
+        _check("ideal_orthogonality", ideal_orthogonality(cs), 1e-12),
     ]
-    data: dict = {"dim": cs.dim, "slice_dims": cs.slice_dims, "graded": cs.graded}
+    data: dict = {
+        "dim": cs.dim,
+        "slice_dims": cs.slice_dims,
+        "slice_rank_gaps": [{"sigma_zero_max": z, "sigma_nonzero_min": nz} for z, nz in cs.slice_rank_gaps],
+        "graded": cs.graded,
+    }
     if cs.contains_vacuum():
         v0 = cs.vacuum_vector()
         defect = np.eye(cs.dim) - sum(b @ b.conj().T for b in left)

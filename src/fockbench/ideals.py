@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import complement_basis, range_basis, spectral_norm
+from ._linalg import complement_basis, numerical_rank, range_basis, spectral_norm, svd_positive
 from .errors import InvalidParameterError, PreconditionError, RejectedInputError
 from .words import IDENTITY_WORD, TruncatedFock, Word, word_operator
 
@@ -121,22 +121,27 @@ def word_length_generators(n: int, m: int) -> list[NcPolynomial]:
 
 @dataclass
 class ConstrainedSubspace:
-    """Orthonormal basis of the truncated constrained subspace with its projection.
+    """Orthonormal basis of the truncated constrained subspace N_J.
 
     ``basis`` has one column per basis vector (in Fock coordinates); for
-    homogeneous generators each column is supported in a single degree slice
-    and ``basis_degrees`` records it. ``truncation_warning`` is set for
-    non-homogeneous generators, where the truncated ideal span may undershoot
-    the true one and downstream checks restrict to a buffer window.
+    homogeneous generators each column is supported in a single degree slice,
+    columns are ordered by degree, and ``basis_degrees`` records each degree.
+    ``slice_rank_gaps`` holds, per slice, the (largest singular value counted
+    as zero, smallest counted as nonzero) of the rank decisions that fixed
+    that slice's dimension, with None where a side is empty; it is empty, like
+    ``slice_dims``, for non-homogeneous generators. ``truncation_warning`` is
+    set for non-homogeneous generators, where the truncated ideal span may
+    undershoot the true one and downstream checks restrict to a buffer window.
+    The projection onto N_J is ``basis @ basis^*``; it is never stored.
     """
 
     fock: TruncatedFock
     generators: list[NcPolynomial]
     basis: np.ndarray
-    projection: np.ndarray
     graded: bool
     basis_degrees: np.ndarray
     slice_dims: list[int]
+    slice_rank_gaps: list[tuple[float | None, float | None]]
     truncation_warning: str | None = None
 
     @property
@@ -155,17 +160,16 @@ class ConstrainedSubspace:
         return self.fock.max_degree - self.max_generator_degree
 
     def contains_vacuum(self, tol: float = 1e-10) -> bool:
-        e0 = np.zeros(self.fock.dim, dtype=complex)
-        e0[0] = 1.0
-        return spectral_norm(self.projection @ e0 - e0) <= tol
+        """Whether |P e_0 - e_0| <= tol, with P e_0 = Q (row 0 of Q)^*."""
+        residual = self.basis @ self.basis[0].conj()
+        residual[0] -= 1.0
+        return spectral_norm(residual) <= tol
 
     def vacuum_vector(self) -> np.ndarray:
         """Coordinates of the vacuum in the subspace basis; requires 1 in N_J."""
         if not self.contains_vacuum():
             raise PreconditionError("the vacuum does not lie in the constrained subspace")
-        e0 = np.zeros(self.fock.dim, dtype=complex)
-        e0[0] = 1.0
-        return self.basis.conj().T @ e0
+        return self.basis[0].conj()
 
     def degree_window_mask(self, max_degree: int) -> np.ndarray:
         return self.basis_degrees <= max_degree
@@ -176,8 +180,8 @@ def _ideal_columns(fock: TruncatedFock, generators: Sequence[NcPolynomial]):
 
     Built by index arithmetic: the column for (alpha, p, beta) is
     sum_w c_w e_{alpha w beta}, with words beyond the truncation dropped
-    (possible only for non-homogeneous p). Homogeneous generators go through
-    ``_ideal_slice`` instead, one degree slice at a time.
+    (possible only for non-homogeneous p). Homogeneous generators never build
+    it: their subspace comes from the slice recursion of ``_next_slice``.
     """
     n, top = fock.n, fock.max_degree
     columns: list[tuple[int, np.ndarray]] = []  # (degree tag, vector)
@@ -204,6 +208,9 @@ def _ideal_slice(fock: TruncatedFock, generators: Sequence[NcPolynomial], m: int
     """Degree-m columns of ``_ideal_columns`` for homogeneous generators, in
     slice coordinates and in the same order (generator, then beta by length
     and lexicographically, then alpha lexicographically) with the same values.
+    The dense reference the slice recursion is checked against
+    (``ideal_orthogonality``); for degree-m generators alone it is their
+    coefficient matrix, which the recursion uses.
 
     Within slice m the column for (alpha, p, beta) holds c_w at the slice
     index of alpha*w*beta, which is idx(alpha) n^(d+|beta|) + idx(w) n^|beta|
@@ -225,12 +232,48 @@ def _ideal_slice(fock: TruncatedFock, generators: Sequence[NcPolynomial], m: int
     return mat
 
 
-def build_constrained_subspace(fock: TruncatedFock, generators: Sequence[NcPolynomial]) -> ConstrainedSubspace:
-    """Constrained subspace at truncation level, with its orthogonal projection.
+def _complement(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``complement_basis`` of the column span of a, with the singular values
+    its rank decision counted as zero and as nonzero."""
+    u, s = svd_positive(a)
+    rank = numerical_rank(s)
+    return u[:, rank:], s[rank:], s[:rank]
 
-    Homogeneous generators give a graded result: the complement is computed
-    slice by slice, so every basis vector lives in one degree slice and the
-    slice dimensions are stable under increasing the truncation.
+
+def _next_slice(fock: TruncatedFock, gens: Sequence[NcPolynomial], prev: np.ndarray | None, m: int):
+    """Orthonormal basis of N_m from the basis ``prev`` of N_{m-1}, with the
+    rank gap of the decisions that fixed its dimension.
+
+    The degree-m ideal slice is J_{m-1} (x) C^n + C^n (x) J_{m-1} + span of the
+    degree-m generators, so N_m = (N_{m-1} (x) C^n) cap (C^n (x) N_{m-1}) cap G_m^perp.
+    With C1 = prev (x) I and C2 = I (x) prev (both orthonormal), the
+    intersection is C1 times the null space of (I - C2 C2^*) C1, a thin
+    problem of width n dim N_{m-1}; the generators then act only inside that
+    candidate space. N_0 starts from the candidate space C^1."""
+    if m == 0:
+        cand, zero, nonzero = np.ones((1, 1), dtype=complex), np.zeros(0), np.zeros(0)
+    else:
+        eye_n = np.eye(fock.n, dtype=complex)
+        c1, c2 = np.kron(prev, eye_n), np.kron(eye_n, prev)
+        null, zero, nonzero = _complement((c1 - c2 @ (c2.conj().T @ c1)).conj().T)
+        cand = c1 @ null
+    top = _ideal_slice(fock, [p for p in gens if p.degree == m], m)
+    keep, zero_g, nonzero_g = _complement(cand.conj().T @ top)
+    zero, nonzero = np.concatenate([zero, zero_g]), np.concatenate([nonzero, nonzero_g])
+    gap = (float(zero.max()) if zero.size else None, float(nonzero.min()) if nonzero.size else None)
+    return np.linalg.qr(cand @ keep)[0], gap
+
+
+def build_constrained_subspace(fock: TruncatedFock, generators: Sequence[NcPolynomial]) -> ConstrainedSubspace:
+    """Constrained subspace N_J at truncation level.
+
+    Homogeneous generators give a graded result, built slice by slice: N_m
+    comes from N_{m-1} by the thin intersection of ``_next_slice``, so every
+    basis vector lives in one degree slice, no translate of a generator is
+    formed, and the slice dimensions are stable under increasing the
+    truncation.
+    Non-homogeneous generators take the complement of the truncated ideal
+    columns in the whole truncated space.
     """
     gens = [g for g in generators if g.terms]
     for g in gens:
@@ -238,31 +281,28 @@ def build_constrained_subspace(fock: TruncatedFock, generators: Sequence[NcPolyn
             raise InvalidParameterError("generator degree exceeds the truncation degree")
 
     if not gens:
-        dim = fock.dim
-        basis = np.eye(dim, dtype=complex)
         return ConstrainedSubspace(
             fock=fock,
             generators=[],
-            basis=basis,
-            projection=np.eye(dim, dtype=complex),
+            basis=np.eye(fock.dim, dtype=complex),
             graded=True,
             basis_degrees=fock.degrees.copy(),
             slice_dims=[fock.n**m for m in range(fock.max_degree + 1)],
+            slice_rank_gaps=[(None, None)] * (fock.max_degree + 1),
         )
 
     if all(g.is_homogeneous for g in gens):
-        basis_blocks: list[np.ndarray] = []
-        degrees: list[int] = []
-        slice_dims: list[int] = []
+        slices: list[np.ndarray] = []
+        gaps: list[tuple[float | None, float | None]] = []
         for m in range(fock.max_degree + 1):
-            sl = fock.slice_range(m)
-            comp = complement_basis(_ideal_slice(fock, gens, m), fock.n**m)
-            block = np.zeros((fock.dim, comp.shape[1]), dtype=complex)
-            block[sl, :] = comp
-            basis_blocks.append(block)
-            degrees.extend([m] * comp.shape[1])
-            slice_dims.append(comp.shape[1])
-        basis = np.concatenate(basis_blocks, axis=1)
+            block, gap = _next_slice(fock, gens, slices[-1] if slices else None, m)
+            slices.append(block)
+            gaps.append(gap)
+        slice_dims = [block.shape[1] for block in slices]
+        basis = np.zeros((fock.dim, sum(slice_dims)), dtype=complex)
+        for m, (block, col) in enumerate(zip(slices, np.cumsum([0, *slice_dims]))):
+            basis[fock.slice_range(m), col : col + block.shape[1]] = block
+        degrees = np.repeat(np.arange(fock.max_degree + 1), slice_dims)
         graded = True
         warning = None
     else:
@@ -276,21 +316,39 @@ def build_constrained_subspace(fock: TruncatedFock, generators: Sequence[NcPolyn
             mass = np.abs(col) > 1e-12
             degrees.append(int(fock.degrees[mass].max()) if mass.any() else 0)
         slice_dims = []
+        gaps = []
         warning = (
             "non-homogeneous generators: the truncated ideal span may undershoot the "
             f"true one; identities are trusted only up to degree {fock.max_degree - max(g.degree for g in gens)}"
         )
 
-    projection = basis @ basis.conj().T
     return ConstrainedSubspace(
         fock=fock,
         generators=list(gens),
         basis=basis,
-        projection=projection,
         graded=graded,
         basis_degrees=np.array(degrees, dtype=int),
         slice_dims=slice_dims,
+        slice_rank_gaps=gaps,
         truncation_warning=warning,
+    )
+
+
+def ideal_orthogonality(cs: ConstrainedSubspace) -> float:
+    """Largest |A^* Q| between the ideal vectors A and the basis Q, zero in
+    exact arithmetic: per degree slice (A_m from ``_ideal_slice``) for
+    homogeneous generators, over the truncated ideal columns otherwise."""
+    if not cs.generators:
+        return 0.0
+    if not cs.graded:
+        mat = np.stack([vec for _, vec in _ideal_columns(cs.fock, cs.generators)], axis=1)
+        return spectral_norm(mat.conj().T @ cs.basis)
+    fock = cs.fock
+    return max(
+        spectral_norm(
+            _ideal_slice(fock, cs.generators, m).conj().T @ cs.basis[fock.slice_range(m), cs.basis_degrees == m]
+        )
+        for m in range(fock.max_degree + 1)
     )
 
 

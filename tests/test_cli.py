@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fockbench.cli import RunContext, main, run_scenario, task_pick
+from fockbench.cli import RunContext, main, run_scenario, task_pick, task_shifts
 from fockbench.errors import InvalidParameterError
 from fockbench.serialize import (
     ideal_from_spec,
@@ -16,7 +17,7 @@ from fockbench.serialize import (
     polynomial_from_json,
     polynomial_to_json,
 )
-from fockbench.ideals import NcPolynomial
+from fockbench.ideals import NcPolynomial, _ideal_slice, commutator_generators
 from fockbench.words import Word
 
 DATA = Path(__file__).parent / "data"
@@ -100,6 +101,34 @@ class TestSubcommands:
         assert task["data"]["slice_dims"] == [1, 2, 3, 4]
         assert task["status"] == "pass"
         assert len(task["data"]["left_shifts"]) == 2
+        # Every rank decision behind slice_dims is reported with a clear gap;
+        # slice 0 makes none.
+        gaps = task["data"]["slice_rank_gaps"]
+        assert gaps[0] == {"sigma_zero_max": None, "sigma_nonzero_min": None}
+        for gap in gaps[1:]:
+            assert gap["sigma_zero_max"] <= 1e-12
+            assert gap["sigma_nonzero_min"] is None or gap["sigma_nonzero_min"] > 0.5
+
+    @pytest.mark.parametrize("mutation,failing", [("scale", "basis_orthonormal"), ("rotate", "ideal_orthogonality")])
+    def test_shifts_checks_fail_on_a_perturbed_basis(self, mutation, failing):
+        gens = commutator_generators(2)
+        ctx = RunContext(n=2, trunc=4, generators=gens, rc=None, tol=1e-8, seed=None)
+        cs = ctx.cs()
+        q = cs.basis.copy()
+        col = int(np.flatnonzero(cs.basis_degrees == 2)[0])
+        if mutation == "scale":
+            q[:, col] *= 1.0 + 1e-11
+        else:
+            # Turn one slice-2 vector towards the ideal: the basis stays
+            # orthonormal, since the ideal is orthogonal to every basis vector.
+            ideal = np.zeros(cs.fock.dim, dtype=complex)
+            ideal[cs.fock.slice_range(2)] = _ideal_slice(cs.fock, gens, 2)[:, 0]
+            ideal /= np.linalg.norm(ideal)
+            q[:, col] = np.cos(1e-11) * q[:, col] + np.sin(1e-11) * ideal
+        ctx._cs = dataclasses.replace(cs, basis=q)
+        checks = {c["name"]: c for c in task_shifts(ctx, {"emit_matrices": False})["checks"]}
+        assert not checks[failing]["pass"]
+        assert all(c["pass"] for name, c in checks.items() if name != failing)
 
     def test_curvature_coisometric_all_zero(self, tmp_path):
         rc = {"n": 2, "T": [matrix_to_json(np.eye(1) / np.sqrt(2))] * 2}

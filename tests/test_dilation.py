@@ -263,7 +263,7 @@ class TestMaximalConstrainedPiece:
         cs = build_constrained_subspace(f, commutator_generators(2))
         basis, diag = maximal_constrained_piece(s, commutator_generators(2), k_max=f.max_degree, cs=cs)
         # spans coincide exactly in the graded case
-        gap = basis @ basis.conj().T - cs.projection
+        gap = basis @ basis.conj().T - cs.basis @ cs.basis.conj().T
         assert np.linalg.norm(gap, 2) < 1e-10
         assert max(diag["compressed_residuals"]) < 1e-10
         assert diag["cs_max_angle"] < 1e-8

@@ -1,8 +1,12 @@
-"""Each graded fast path pinned to the dense path it replaced, exactly.
+"""Each graded fast path pinned to the dense path it replaced.
 
-The fast paths (child-index maps for the shifts, slice-built ideal matrices,
-block-restricted constrained assembly) rearrange the same floating-point
-operations, so every comparison here is ``np.array_equal``, not a tolerance.
+The child-index maps for the shifts, the slice-built ideal matrices and the
+block-restricted constrained assembly rearrange the same floating-point
+operations, so those comparisons are ``np.array_equal``, not a tolerance.
+The slice recursion for the constrained subspace computes a different
+orthonormal basis of the same space, so it is pinned basis-free, to 1e-12:
+equal slice dimensions, principal angles, and shifts unitarily similar to
+those of the dense complement of each ideal slice.
 """
 
 import numpy as np
@@ -27,6 +31,7 @@ from fockbench import (
     validate,
     word_length_generators,
 )
+from fockbench._linalg import complement_basis, principal_angles
 from fockbench.ideals import _ideal_columns, _ideal_slice
 
 
@@ -115,6 +120,53 @@ def test_ideal_slices_match_ideal_columns(case):
         ref = [vec[sl] for deg, vec in columns if deg == m]
         ref = np.stack(ref, axis=1) if ref else np.zeros((n**m, 0), dtype=complex)
         assert np.array_equal(_ideal_slice(fock, gens, m), ref)
+
+
+def assert_recursion_matches_dense_complement(fock, gens):
+    """The recursion's N_m against the complement of the dense ideal slice."""
+    cs = build_constrained_subspace(fock, gens)
+    ref = np.zeros((fock.dim, 0), dtype=complex)
+    for m in range(fock.max_degree + 1):
+        comp = complement_basis(_ideal_slice(fock, gens, m), fock.n**m)
+        assert cs.slice_dims[m] == comp.shape[1]
+        new = cs.basis[fock.slice_range(m), cs.basis_degrees == m]
+        assert np.all(principal_angles(new, comp) <= 1e-12)
+        block = np.zeros((fock.dim, comp.shape[1]), dtype=complex)
+        block[fock.slice_range(m)] = comp
+        ref = np.concatenate([ref, block], axis=1)
+    u = ref.conj().T @ cs.basis
+    assert np.linalg.norm(u.conj().T @ u - np.eye(cs.dim), 2) <= 1e-12
+    for side, shifts in zip(("left", "right"), constrained_shifts(cs)):
+        for i, fast in enumerate(shifts, start=1):
+            dense = ref.conj().T @ dense_creation(fock, side, i) @ ref
+            assert np.linalg.norm(fast - u.conj().T @ dense @ u, 2) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(ideals(homogeneous_only=True))
+def test_slice_recursion_matches_dense_complement(case):
+    n, top, gens = case
+    assert_recursion_matches_dense_complement(TruncatedFock(n, top), gens)
+
+
+@pytest.mark.parametrize("n,top,gens", [
+    (2, 4, [NcPolynomial({IDENTITY_WORD: 1.0})]),
+    (2, 4, [NcPolynomial({Word((1,)): 1.0, Word((2,)): -0.5j})]),
+    (3, 3, [NcPolynomial.monomial([2])]),
+    (2, 5, [*commutator_generators(2), NcPolynomial({Word((1, 1, 2)): 1.0, Word((2, 2, 2)): 0.3})]),
+    (3, 4, [*q_commutator_generators(np.full((3, 3), 0.5 - 0.2j)), NcPolynomial.monomial([1, 2, 3])]),
+    (2, 5, word_length_generators(2, 3)),
+    (3, 3, word_length_generators(3, 1)),
+], ids=["constant", "degree1_mix", "degree1_monomial", "degrees2and3", "q_degrees2and3",
+        "word_length3", "word_length1"])
+def test_slice_recursion_edge_cases(n, top, gens):
+    assert_recursion_matches_dense_complement(TruncatedFock(n, top), gens)
+
+
+def test_constant_generator_gives_the_zero_subspace():
+    cs = build_constrained_subspace(TruncatedFock(2, 3), [NcPolynomial({IDENTITY_WORD: 2.0})])
+    assert cs.dim == 0 and cs.slice_dims == [0, 0, 0, 0]
+    assert not cs.contains_vacuum()
 
 
 @settings(max_examples=25, deadline=None)

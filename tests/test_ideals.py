@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -76,6 +77,20 @@ class TestBuildConstrainedSubspace:
             assert cs.slice_dims[m] == multiset_slice_dimension(n, m)
             assert cs.slice_dims[m] == math.comb(n + m - 1, m)
 
+    @pytest.mark.parametrize("n,top", [(2, 12), (3, 8)])
+    def test_symmetric_tensor_oracle_at_scale(self, n, top):
+        # N_m is exactly the symmetric tensors: dimension C(m+n-1, n-1), and
+        # every basis vector is fixed by each swap of adjacent tensor factors.
+        f = TruncatedFock(n, top)
+        start = time.perf_counter()
+        cs = build_constrained_subspace(f, commutator_generators(n))
+        assert time.perf_counter() - start < 1.0
+        for m in range(top + 1):
+            assert cs.slice_dims[m] == math.comb(m + n - 1, n - 1)
+            q = cs.basis[f.slice_range(m), cs.basis_degrees == m].reshape((n,) * m + (-1,))
+            for k in range(m - 1):
+                assert np.abs(np.swapaxes(q, k, k + 1) - q).max() < 1e-12
+
     def test_word_length_ideal_keeps_low_degrees(self):
         f = TruncatedFock(2, 3)
         cs = build_constrained_subspace(f, word_length_generators(2, 2))
@@ -91,7 +106,7 @@ class TestBuildConstrainedSubspace:
     def test_projection_is_orthogonal_projection(self):
         f = TruncatedFock(2, 4)
         cs = build_constrained_subspace(f, q_commutator_generators(np.array([[1, 0.3], [0, 1]])))
-        p = cs.projection
+        p = cs.basis @ cs.basis.conj().T
         assert np.linalg.norm(p @ p - p, 2) < 1e-12
         assert np.linalg.norm(p - p.conj().T, 2) < 1e-12
         gram = cs.basis.conj().T @ cs.basis
