@@ -4,11 +4,7 @@ from .words import (
     IDENTITY_WORD,
     TruncatedFock,
     Word,
-    creation_matrix,
     enumerate_words,
-    flip_unitary,
-    left_creation_tuple,
-    right_creation_tuple,
     word_operator,
 )
 from .ideals import (
@@ -61,7 +57,6 @@ from .dilation import (
 from .invariants import (
     ArvesonReport,
     CurvatureReport,
-    SymmetricTruncation,
     arveson_curvature,
     curvature_phi,
     curvature_theta,

@@ -6,8 +6,11 @@ restricted to defect coordinates. Expanding the resolvent as a Neumann series
 produces one Fourier coefficient per word; the expansion pairs the ambient
 word with the *reverse* of the operator word, which is the one indexing trap
 in this module. ``assemble`` places coefficient beta at ambient blocks
-(mu * reverse(beta), mu), matching the action of right creation products, and
-a dedicated convention test pins point evaluation against partial sums.
+(mu * reverse(beta), mu), matching the action of right creation products, one
+degree pair at a time: the degree-k coefficients, stacked by reversed word,
+form the block from degree m to m + k of every ambient, compressed to the
+slice bases of a constrained one. A dedicated convention test pins point
+evaluation against partial sums.
 """
 
 from __future__ import annotations
@@ -84,65 +87,74 @@ def assemble(
     op: MultiAnalyticOperator,
     fock: TruncatedFock | None = None,
     cs: ConstrainedSubspace | None = None,
-    multiplicity: int = 1,
-    radial: float = 1.0,
 ) -> np.ndarray:
     """Truncated matrix of the multi-analytic operator on (ambient tensor source).
 
-    With a Fock ambient the right-creation word operators are index maps, so
-    coefficient beta lands at block rows mu*reverse(beta) for every word mu
-    it fits against. With a constrained ambient the compressed right shifts
-    are multiplied out word by word; for a graded subspace each product is
-    added only on its nonzero degree blocks. ``radial`` scales coefficient
-    beta by radial**|beta|.
+    Coefficient beta lands at block rows mu*reverse(beta) for every word mu it
+    fits against. So with Theta_k the degree-k coefficients stacked in the
+    order of the reversed words, the Fock block from degree m to degree m + k
+    is I_{n^m} (x) Theta_k, written through a strided view. A graded
+    constrained ambient compresses that block to its slice bases,
+    (Q_{m+k}^* (x) I)(I_{n^m} (x) Theta_k)(Q_m (x) I), as two products; N_J is
+    co-invariant, so this equals the assembly against products of the
+    compressed right shifts. Non-homogeneous generators keep those word
+    products: there the compression of a product differs from the product of
+    compressions at truncation.
     """
     if (fock is None) == (cs is None):
         raise InvalidParameterError("pass exactly one ambient: fock or cs")
-    src = op.source_dim * multiplicity
-    tgt = op.target_dim * multiplicity
-    eye_m = np.eye(multiplicity, dtype=complex)
+    ambient = fock if cs is None else cs.fock
+    if op.max_degree < ambient.max_degree:
+        raise InvalidParameterError("coefficients do not cover the ambient truncation degree")
+    n, top, src, tgt = ambient.n, ambient.max_degree, op.source_dim, op.target_dim
+    if cs is not None and not cs.graded:
+        return _assemble_word_products(op, cs)
+    thetas = [
+        np.concatenate([op.coefficient(rho.reverse()) for rho in ambient.words[ambient.slice_range(k)]])
+        for k in range(top + 1)
+    ]
 
-    if fock is not None:
-        if op.max_degree < fock.max_degree:
-            raise InvalidParameterError("coefficients do not cover the ambient truncation degree")
+    if cs is None:
         out = np.zeros((fock.dim * tgt, fock.dim * src), dtype=complex)
-        for beta, theta in op.coefficients.items():
-            if len(beta) > fock.max_degree:
-                continue
-            block = (radial ** len(beta)) * (np.kron(theta, eye_m) if multiplicity > 1 else theta)
-            rev = beta.reverse()
-            for col, mu in enumerate(fock.words):
-                if len(mu) + len(beta) > fock.max_degree:
-                    continue
-                r0 = fock.index[mu * rev]
-                out[r0 * tgt : (r0 + 1) * tgt, col * src : (col + 1) * src] += block
+        off = fock.slice_offsets
+        for k, theta_k in enumerate(thetas):
+            for m in range(top - k + 1):
+                block = out[off[m + k] * tgt : off[m + k + 1] * tgt, off[m] * src : off[m + 1] * src]
+                mu = np.arange(n**m)
+                # Every block is written once, onto zeros.
+                block.reshape(n**m, n**k * tgt, n**m, src)[mu, :, mu, :] += theta_k
         return out
 
-    if op.max_degree < cs.fock.max_degree:
-        raise InvalidParameterError("coefficients do not cover the ambient truncation degree")
+    off = np.cumsum([0, *cs.slice_dims])
+    slices = [cs.basis[ambient.slice_range(m), off[m] : off[m + 1]] for m in range(top + 1)]
+    out = np.zeros((cs.dim * tgt, cs.dim * src), dtype=complex)
+    out4 = out.reshape(cs.dim, tgt, cs.dim, src)
+    for k, theta_k in enumerate(thetas):
+        for m in range(top - k + 1):
+            q_t, q_s = slices[m + k], slices[m]
+            d_t, d_s = q_t.shape[1], q_s.shape[1]
+            # Contract the word rho of Theta_k against Q_{m+k} = Q[(mu, rho), i],
+            # then mu against Q_m.
+            lhs = q_t.reshape(n**m, n**k, d_t).transpose(0, 2, 1).conj().reshape(n**m * d_t, n**k)
+            y = lhs @ theta_k.reshape(n**k, tgt * src)
+            z = y.reshape(n**m, d_t * tgt * src).T @ q_s
+            out4[off[m + k] : off[m + k + 1], :, off[m] : off[m + 1], :] = (
+                z.reshape(d_t, tgt, src, d_s).transpose(0, 1, 3, 2)
+            )
+    return out
+
+
+def _assemble_word_products(op: MultiAnalyticOperator, cs: ConstrainedSubspace) -> np.ndarray:
+    """Kron-sum of each coefficient with the product of the compressed right
+    shifts along its word, built by parent recursion."""
     _, w_ops = constrained_shifts(cs)
-    njdim = cs.dim
-    out = np.zeros((njdim * tgt, njdim * src), dtype=complex)
-    # Word products of the compressed right shifts, by parent recursion.
-    prods: dict[Word, np.ndarray] = {IDENTITY_WORD: np.eye(njdim, dtype=complex)}
+    prods: dict[Word, np.ndarray] = {IDENTITY_WORD: np.eye(cs.dim, dtype=complex)}
     for w in cs.fock.words[1:]:
         prods[w] = prods[Word(w.letters[:-1])] @ w_ops[w.letters[-1] - 1]
-    # Graded: P_beta maps degree m to m + |beta| and is an exact +-0 elsewhere,
-    # which adds nothing to the +0 accumulator, so only those blocks are added.
-    off = np.cumsum([0, *cs.slice_dims]) if cs.graded else None
-    out4 = out.reshape(njdim, tgt, njdim, src)
+    out = np.zeros((cs.dim * op.target_dim, cs.dim * op.source_dim), dtype=complex)
     for beta, theta in op.coefficients.items():
-        if len(beta) > cs.fock.max_degree:
-            continue
-        block = (radial ** len(beta)) * (np.kron(theta, eye_m) if multiplicity > 1 else theta)
-        if off is None:
-            out += np.kron(prods[beta], block)
-            continue
-        for m in range(cs.fock.max_degree - len(beta) + 1):
-            rows = slice(off[m + len(beta)], off[m + len(beta) + 1])
-            cols = slice(off[m], off[m + 1])
-            view = out4[rows, :, cols, :]
-            view += np.kron(prods[beta][rows, cols], block).reshape(view.shape)
+        if len(beta) <= cs.fock.max_degree:
+            out += np.kron(prods[beta], theta)
     return out
 
 

@@ -23,7 +23,6 @@ from .contractions import PurityResult, RowContraction, validate
 from .dilation import (
     build_dilation,
     model_space,
-    shift_multiplicity,
     verify_dilation,
     wold_decompose,
 )
@@ -222,8 +221,7 @@ def task_pick(ctx: RunContext, params: dict) -> dict:
 
 
 def task_wold(ctx: RunContext, params: dict) -> dict:
-    split = wold_decompose(list(ctx.rc.matrices), k_max=params.get("k_max"))
-    mult = shift_multiplicity(list(ctx.rc.matrices))
+    split = wold_decompose(ctx.rc, k_max=params.get("k_max"))
     checks = [
         _check("two_path_max_angle", float(split.two_path_angles.max(initial=0.0)), 1e-8),
         _check("two_path_dim_mismatch", 0.0 if split.two_path_dim_match else 1.0, 0.0),
@@ -233,7 +231,7 @@ def task_wold(ctx: RunContext, params: dict) -> dict:
         "k0_dim": int(split.k0_basis.shape[1]),
         "k1_dim": int(split.k1_basis.shape[1]),
         "idempotency_defect": split.idempotency_defect,
-        "is_shift": mult.is_shift,
+        "is_shift": split.purity.is_pure,
         "purity": _purity(split.purity),
     }
     return {"checks": checks, "data": data}
@@ -407,9 +405,12 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _finite_floats(text: str) -> list[float]:
-    """argparse type of a comma-separated float list, each entry finite."""
-    return [_finite_float(x) for x in text.split(",")]
+def _radii(text: str) -> list[float]:
+    """argparse type of a comma-separated list of radial parameters, each in (0, 1)."""
+    values = [_finite_float(x) for x in text.split(",")]
+    if not all(0.0 < value < 1.0 for value in values):
+        raise argparse.ArgumentTypeError(f"radial parameters must lie in (0, 1), got {text!r}")
+    return values
 
 
 def _finite_complex(text: str) -> complex:
@@ -498,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "arveson":
             p.add_argument("--m-max", type=int, default=8)
             p.add_argument("--mc-samples", type=int, default=100_000)
-            p.add_argument("--r-list", type=_finite_floats, default="0.9,0.99,0.999")
+            p.add_argument("--r-list", type=_radii, default="0.9,0.99,0.999")
         if name == "wold":
             p.add_argument("--k-max", type=int, default=None)
         if name == "poisson":

@@ -159,7 +159,7 @@ class WoldSplit:
     purity: PurityResult
 
 
-def wold_decompose(matrices: Sequence[np.ndarray], k_max: int | None = None) -> WoldSplit:
+def wold_decompose(matrices: Sequence[np.ndarray] | RowContraction, k_max: int | None = None) -> WoldSplit:
     """Split a row contraction into its shift part and its residual part.
 
     The shift part is computed two ways: as the span of word translates of
@@ -167,8 +167,9 @@ def wold_decompose(matrices: Sequence[np.ndarray], k_max: int | None = None) -> 
     principal angles between the two are reported, not assumed zero. The
     idempotency of the defect is likewise reported only. ``k_max`` (default
     dim) bounds the word length of the translates; InvalidParameterError
-    unless it is an integer >= 0."""
-    rc = validate(matrices, tol=1e-8)
+    unless it is an integer >= 0. A RowContraction is taken as validated;
+    raw matrices are validated with tolerance 1e-8."""
+    rc = matrices if isinstance(matrices, RowContraction) else validate(matrices, tol=1e-8)
     dim = rc.dim
     k_max = dim if k_max is None else check_count("k_max", k_max, 0)
     q = np.eye(dim, dtype=complex) - rc.row_gram()

@@ -204,31 +204,14 @@ def _ideal_columns(fock: TruncatedFock, generators: Sequence[NcPolynomial]):
     return columns
 
 
-def _ideal_slice(fock: TruncatedFock, generators: Sequence[NcPolynomial], m: int) -> np.ndarray:
-    """Degree-m columns of ``_ideal_columns`` for homogeneous generators, in
-    slice coordinates and in the same order (generator, then beta by length
-    and lexicographically, then alpha lexicographically) with the same values.
-    The dense reference the slice recursion is checked against
-    (``ideal_orthogonality``); for degree-m generators alone it is their
-    coefficient matrix, which the recursion uses.
-
-    Within slice m the column for (alpha, p, beta) holds c_w at the slice
-    index of alpha*w*beta, which is idx(alpha) n^(d+|beta|) + idx(w) n^|beta|
-    + idx(beta) for deg p = d.
-    """
-    n = fock.n
-    degrees = [p.degree for p in generators if p.degree <= m]
-    mat = np.zeros((n**m, sum((m - d + 1) * n ** (m - d) for d in degrees)), dtype=complex)
-    col = 0
-    for p in generators:
-        d = p.degree
-        for b in range(m - d + 1):
-            a = m - d - b
-            rows = (np.arange(n**b)[:, None] + np.arange(n**a)[None, :] * n ** (d + b)).ravel()
-            cols = np.arange(col, col + rows.size)
-            for w, c in p.terms.items():
-                mat[rows + (fock.index[w] - fock.slice_offsets[d]) * n**b, cols] += c
-            col += rows.size
+def _generator_matrix(fock: TruncatedFock, generators: Sequence[NcPolynomial], d: int) -> np.ndarray:
+    """Coefficient vectors of the degree-d generators, one column each, in
+    the coordinates of slice d."""
+    gens = [p for p in generators if p.degree == d]
+    mat = np.zeros((fock.n**d, len(gens)), dtype=complex)
+    for col, p in enumerate(gens):
+        for w, c in p.terms.items():
+            mat[fock.index[w] - fock.slice_offsets[d], col] += c
     return mat
 
 
@@ -257,7 +240,7 @@ def _next_slice(fock: TruncatedFock, gens: Sequence[NcPolynomial], prev: np.ndar
         c1, c2 = np.kron(prev, eye_n), np.kron(eye_n, prev)
         null, zero, nonzero = _complement((c1 - c2 @ (c2.conj().T @ c1)).conj().T)
         cand = c1 @ null
-    top = _ideal_slice(fock, [p for p in gens if p.degree == m], m)
+    top = _generator_matrix(fock, gens, m)
     keep, zero_g, nonzero_g = _complement(cand.conj().T @ top)
     zero, nonzero = np.concatenate([zero, zero_g]), np.concatenate([nonzero, nonzero_g])
     gap = (float(zero.max()) if zero.size else None, float(nonzero.min()) if nonzero.size else None)
@@ -336,20 +319,34 @@ def build_constrained_subspace(fock: TruncatedFock, generators: Sequence[NcPolyn
 
 def ideal_orthogonality(cs: ConstrainedSubspace) -> float:
     """Largest |A^* Q| between the ideal vectors A and the basis Q, zero in
-    exact arithmetic: per degree slice (A_m from ``_ideal_slice``) for
-    homogeneous generators, over the truncated ideal columns otherwise."""
+    exact arithmetic: per degree slice for homogeneous generators, over the
+    truncated ideal columns otherwise.
+
+    The slice-m ideal vectors are the translates alpha (x) p (x) beta with
+    |alpha| = a, deg p = d and |beta| = b, so their inner products with the
+    slice basis Q_m, reshaped to (n^a, n^d, n^b, k), contract the generator
+    coefficients against its middle axis; no translate is formed."""
     if not cs.generators:
         return 0.0
     if not cs.graded:
         mat = np.stack([vec for _, vec in _ideal_columns(cs.fock, cs.generators)], axis=1)
         return spectral_norm(mat.conj().T @ cs.basis)
-    fock = cs.fock
-    return max(
-        spectral_norm(
-            _ideal_slice(fock, cs.generators, m).conj().T @ cs.basis[fock.slice_range(m), cs.basis_degrees == m]
-        )
-        for m in range(fock.max_degree + 1)
-    )
+    fock, n = cs.fock, cs.fock.n
+    worst = 0.0
+    for m in range(fock.max_degree + 1):
+        q = cs.basis[fock.slice_range(m), cs.basis_degrees == m]
+        k = q.shape[1]
+        if k == 0:
+            continue
+        rows = []
+        for d in sorted({p.degree for p in cs.generators if p.degree <= m}):
+            coeffs = _generator_matrix(fock, cs.generators, d).conj()
+            for b in range(m - d + 1):
+                inner = np.tensordot(coeffs, q.reshape(n ** (m - d - b), n**d, n**b, k), axes=([0], [1]))
+                rows.append(inner.reshape(-1, k))
+        if rows:
+            worst = max(worst, spectral_norm(np.concatenate(rows)))
+    return worst
 
 
 def constrained_shifts(cs: ConstrainedSubspace) -> tuple[list[np.ndarray], list[np.ndarray]]:

@@ -22,8 +22,8 @@ from ._linalg import aitken_extrapolate, matrix_rank, spectral_norm
 from .charfn import assemble, characteristic_coefficients
 from .contractions import RowContraction, satisfies_constraints
 from .errors import InvalidParameterError, PreconditionError
-from .ideals import commutator_generators
-from .words import IDENTITY_WORD, TruncatedFock
+from .ideals import build_constrained_subspace, commutator_generators
+from .words import TruncatedFock
 
 
 @dataclass
@@ -136,82 +136,6 @@ def curvature_theta(rc: RowContraction, fock: TruncatedFock, m_max: int, buffer:
     )
 
 
-# --- commutative (symmetric Fock) machinery -------------------------------
-
-
-def _multisets(n: int, m: int) -> list[tuple[int, ...]]:
-    """Occupation vectors (mu_1..mu_n) with total m, in lexicographic order."""
-    if n == 1:
-        return [(m,)]
-    out = []
-    for first in range(m, -1, -1):
-        for rest in _multisets(n - 1, m - first):
-            out.append((first,) + rest)
-    return out
-
-
-class SymmetricTruncation:
-    """Occupation-number basis of the symmetric subspace up to a degree, with
-    the compressed creation tuple acting by sqrt((mu_i+1)/(m+1)) transitions."""
-
-    def __init__(self, n: int, max_degree: int):
-        self.n = n
-        self.max_degree = max_degree
-        self.states: list[tuple[int, ...]] = []
-        self.slice_dims: list[int] = []
-        for m in range(max_degree + 1):
-            block = _multisets(n, m)
-            self.states.extend(block)
-            self.slice_dims.append(len(block))
-        self.index = {s: k for k, s in enumerate(self.states)}
-        self.degrees = np.array([sum(s) for s in self.states], dtype=int)
-
-    @property
-    def dim(self) -> int:
-        return len(self.states)
-
-    def creation(self, i: int) -> np.ndarray:
-        mat = np.zeros((self.dim, self.dim), dtype=complex)
-        for col, mu in enumerate(self.states):
-            m = sum(mu)
-            if m >= self.max_degree:
-                continue
-            nu = list(mu)
-            nu[i - 1] += 1
-            mat[self.index[tuple(nu)], col] = math.sqrt((mu[i - 1] + 1) / (m + 1))
-        return mat
-
-
-def _symmetric_char_matrix(rc: RowContraction, sym: SymmetricTruncation) -> np.ndarray:
-    """Characteristic function assembled on the symmetric truncation.
-
-    For a commuting tuple the compressed creation operators commute, so the
-    word sum collapses to one coefficient sum per occupation class; each class
-    sum adds its Fourier coefficients in the order of
-    ``characteristic_coefficients``.
-    """
-    op = characteristic_coefficients(rc, sym.max_degree)
-    class_sums: dict[tuple[int, ...], np.ndarray] = {}
-    for beta, theta in op.coefficients.items():
-        if beta == IDENTITY_WORD:
-            continue
-        occ = tuple(beta.letters.count(i) for i in range(1, rc.n + 1))
-        class_sums[occ] = class_sums[occ] + theta if occ in class_sums else theta
-
-    creations = [sym.creation(i) for i in range(1, rc.n + 1)]
-    out = np.kron(np.eye(sym.dim, dtype=complex), op.coefficients[IDENTITY_WORD])
-    # Operator powers per occupation class, built degree by degree.
-    powers: dict[tuple[int, ...], np.ndarray] = {tuple([0] * rc.n): np.eye(sym.dim, dtype=complex)}
-    for m in range(1, sym.max_degree + 1):
-        for mu in _multisets(rc.n, m):
-            j = next(k for k, c in enumerate(mu) if c > 0)
-            parent = list(mu)
-            parent[j] -= 1
-            powers[mu] = powers[tuple(parent)] @ creations[j]
-            out += np.kron(powers[mu], class_sums[mu])
-    return out
-
-
 @dataclass
 class ArvesonReport:
     boundary: dict  # r -> (estimate, mc_stderr)
@@ -238,18 +162,20 @@ def arveson_curvature(
     seed: int | None = None,
     r_values: Sequence[float] = (0.9, 0.99, 0.999),
     shards: int = 8,
-    cs=None,
 ) -> ArvesonReport:
     """Commutative curvature and Euler estimates, three ways.
 
     (a) seeded Monte-Carlo boundary integral of the closed-form integrand
         (1 - r^2) trace[defect-root resolvent pair], per radial parameter;
     (b) the slice-trace formula (n-1)! trace[(I - Theta Theta^*)(Q_m tensor I)]
-        / m^(n-1) on the symmetric truncation (the n^m printed in the source
-        normalization degenerates; the proof's m^(n-1) is used);
+        / m^(n-1) (the n^m printed in the source normalization degenerates;
+        the proof's m^(n-1) is used);
     (c) the Euler rank formula n! rank[(I - Theta Theta^*)(Q_<=m tensor I)] / m^n.
 
-    Mutual deviations are reported; no scalar limit is claimed.
+    (b) and (c) read the constrained characteristic function on N_J of the
+    commutator ideal, the symmetric tensors, up to degree m_max; Q_m is the
+    projection onto its degree-m slice. Mutual deviations are reported; no
+    scalar limit is claimed. Radial parameters must lie in (0, 1).
     """
     if seed is None:
         raise InvalidParameterError("a seed is required for reproducible sampling")
@@ -259,6 +185,8 @@ def arveson_curvature(
         raise InvalidParameterError(f"need mc_samples >= 2 for a standard error, got {mc_samples}")
     if not r_values:
         raise InvalidParameterError("need at least one radial parameter")
+    if not all(0.0 < r < 1.0 for r in r_values):
+        raise InvalidParameterError(f"radial parameters must lie in (0, 1), got {tuple(r_values)}")
     if not satisfies_constraints(rc, commutator_generators(rc.n), 1e-10):
         raise PreconditionError("tuple is not commuting to 1e-10")
 
@@ -293,21 +221,19 @@ def arveson_curvature(
     r_top = float(r_values[-1])
     normalized_anchor = boundary[r_top][0] / (1.0 - r_top * r_top) / max(rc.defect_rank, 1)
 
-    # (b), (c) on the symmetric truncation.
-    sym = SymmetricTruncation(rc.n, m_max)
-    theta = _symmetric_char_matrix(rc, sym)
+    # (b), (c) on N_J of the commutator ideal.
+    cs = build_constrained_subspace(TruncatedFock(rc.n, m_max), commutator_generators(rc.n))
+    theta = assemble(characteristic_coefficients(rc, m_max), cs=cs)
     tgt = rc.defect_rank
     gram = theta @ theta.conj().T
     resid_full = np.eye(gram.shape[0]) - gram
     qm_seq = []
     euler_seq = []
     for m in range(1, m_max + 1):
-        rows = np.repeat(sym.degrees == m, tgt) if tgt else np.zeros(0, dtype=bool)
-        slice_dim = sym.slice_dims[m] * tgt
-        slice_trace = float(np.trace(gram[np.ix_(rows, rows)]).real) if tgt else 0.0
-        qm_seq.append(math.factorial(rc.n - 1) * (slice_dim - slice_trace) / m ** (rc.n - 1))
-        le_rows = np.repeat(sym.degrees <= m, tgt) if tgt else np.zeros(0, dtype=bool)
-        rank = matrix_rank(resid_full[:, le_rows]) if tgt else 0
+        rows = np.repeat(cs.basis_degrees == m, tgt)
+        slice_trace = float(np.trace(gram[np.ix_(rows, rows)]).real)
+        qm_seq.append(math.factorial(rc.n - 1) * (cs.slice_dims[m] * tgt - slice_trace) / m ** (rc.n - 1))
+        rank = matrix_rank(resid_full[:, np.repeat(cs.basis_degrees <= m, tgt)])
         euler_seq.append(math.factorial(rc.n) * rank / m**rc.n)
 
     deviations = {

@@ -19,13 +19,12 @@ from .contractions import (
     PurityResult,
     RowContraction,
     check_constraints,
-    cp_apply,
     defect_root_and_basis,
     purity,
 )
 from .errors import InvalidParameterError, PreconditionError
 from .ideals import ConstrainedSubspace, constrained_shifts
-from .words import TruncatedFock, Word, creation_matrix
+from .words import TruncatedFock, Word, word_operator
 
 
 @dataclass
@@ -41,7 +40,6 @@ class PoissonKernel:
     r: float
     fock: TruncatedFock
     matrix: np.ndarray
-    defect_root: np.ndarray
     defect_basis: np.ndarray
     isometry_defect: float
     tail_budget: float
@@ -96,7 +94,6 @@ def poisson_kernel(rc: RowContraction, fock: TruncatedFock, r: float = 1.0) -> P
         r=r,
         fock=fock,
         matrix=k,
-        defect_root=delta_r,
         defect_basis=basis,
         isometry_defect=defect,
         tail_budget=spectral_norm(tail),
@@ -130,7 +127,6 @@ def constrained_poisson_kernel(
         r=r,
         fock=cs.fock,
         matrix=compressed,
-        defect_root=full.defect_root,
         defect_basis=full.defect_basis,
         isometry_defect=defect,
         tail_budget=full.tail_budget,
@@ -153,30 +149,36 @@ def intertwining_check(kernel: PoissonKernel) -> IntertwiningReport:
     The identity is exact on rows of ambient degree <= N-1; the top slice
     cannot receive weight from words of length N+1, so those rows are
     excluded from the headline residual and their mass is reported as the
-    budget of the unwindowed residual.
+    budget of the unwindowed residual. On the Fock ambient (S_i^* tensor I) K
+    is a gather through the left child map: it takes row block g_i mu to row
+    block mu and leaves the top-degree blocks zero.
     """
     rc, fock, r = kernel.rc, kernel.fock, kernel.r
     ddim = kernel.defect_dim
     if kernel.cs is None:
-        shifts = [creation_matrix(fock, "left", i) for i in range(1, fock.n + 1)]
+        blocks = kernel.matrix.reshape(fock.dim, ddim, rc.dim)
+        shifted = []
+        for i in range(1, fock.n + 1):
+            src, dst = fock.child_map("left", i)
+            moved = np.zeros_like(blocks)
+            moved[src] = blocks[dst]
+            shifted.append(moved.reshape(kernel.matrix.shape))
         degrees = fock.degrees
     else:
-        shifts, _ = constrained_shifts(kernel.cs)
+        eye_d = np.eye(ddim, dtype=complex)
+        shifted = [np.kron(b.conj().T, eye_d) @ kernel.matrix for b in constrained_shifts(kernel.cs)[0]]
         degrees = kernel.cs.basis_degrees
     row_mask = np.repeat(degrees <= fock.max_degree - 1, ddim)
 
     per = []
     full = []
-    eye_d = np.eye(ddim, dtype=complex)
-    for i, s in enumerate(shifts, start=1):
-        lhs = kernel.matrix @ (r * rc.matrices[i - 1].conj().T)
-        rhs = np.kron(s.conj().T, eye_d) @ kernel.matrix
-        diff = lhs - rhs
+    for t, moved in zip(rc.matrices, shifted):
+        diff = kernel.matrix @ (r * t.conj().T) - moved
         full.append(spectral_norm(diff))
         per.append(spectral_norm(diff[row_mask, :]))
-    # top-slice mass of the kernel times the shifted generator norm
-    delta_sq = kernel.defect_root @ kernel.defect_root
-    top = cp_apply(rc, delta_sq, fock.max_degree)
+    # Top-slice mass of the kernel, Phi^N(I - r^2 Phi(I)), from the cached
+    # orbit, times the shifted generator norm.
+    top = rc.orbit(fock.max_degree) - (r * r) * rc.orbit(fock.max_degree + 1)
     t_norm = max(spectral_norm(t) for t in rc.matrices)
     budget = (r ** (fock.max_degree + 1)) * float(np.sqrt(max(spectral_norm(top), 0.0))) * t_norm + 1e-12
     return IntertwiningReport(
@@ -205,23 +207,28 @@ def poisson_transform(
     """Evaluate K_r^* (S_alpha S_beta^* tensor I) K_r along a radial sequence
     and report the deviation from T_alpha T_beta^*.
 
-    No extrapolated ground truth is claimed; the trajectory itself is the
-    result."""
+    S_alpha S_beta^* takes e_{beta nu} to e_{alpha nu} for |nu| <= N -
+    max(|alpha|, |beta|) and kills every other basis vector, so the product
+    is the sum over those nu of K_{alpha nu}^* K_{beta nu}, with K_w the row
+    block of word w. The indices of word*nu compose the left child maps, last
+    letter first. No extrapolated ground truth is claimed; the trajectory
+    itself is the result."""
     if len(alpha) > fock.max_degree or len(beta) > fock.max_degree:
         raise InvalidParameterError("word length exceeds the truncation degree")
-    s_ops = [creation_matrix(fock, "left", i) for i in range(1, fock.n + 1)]
-    from .words import word_operator
-
-    s_alpha = word_operator(s_ops, alpha)
-    s_beta = word_operator(s_ops, beta)
+    count = fock.slice_offsets[fock.max_degree - max(len(alpha), len(beta)) + 1]
+    rows_a, rows_b = np.arange(count), np.arange(count)
+    for letter in reversed(alpha.letters):
+        rows_a = fock.child_map("left", letter)[1][rows_a]
+    for letter in reversed(beta.letters):
+        rows_b = fock.child_map("left", letter)[1][rows_b]
     target = word_operator(rc.matrices, alpha) @ word_operator(rc.matrices, beta).conj().T
 
     values = []
     deviations = []
     for r in r_values:
         kern = poisson_kernel(rc, fock, float(r))
-        mid = np.kron(s_alpha @ s_beta.conj().T, np.eye(kern.defect_dim, dtype=complex))
-        val = kern.matrix.conj().T @ mid @ kern.matrix
+        blocks = kern.matrix.reshape(fock.dim, kern.defect_dim, rc.dim)
+        val = blocks[rows_a].reshape(-1, rc.dim).conj().T @ blocks[rows_b].reshape(-1, rc.dim)
         values.append(val)
         deviations.append(spectral_norm(val - target))
     return PoissonTransformResult(

@@ -3,8 +3,13 @@
 A word is a finite sequence of generator indices in 1..n; the empty word is
 the semigroup identity. The truncated Fock space keeps the orthonormal basis
 e_alpha for all words of length at most N, ordered by length and then
-lexicographically, so every operator in the package is a concrete complex
-matrix with a reproducible basis.
+lexicographically, so every vector and every operator the package reports
+has a reproducible basis.
+
+The left and right creation operators are never stored as matrices: each is
+the index map ``TruncatedFock.child_map``, e_a -> e_{g_i a} or e_a -> e_{a g_i},
+and callers gather or scatter rows through it. Their compressions to a
+constrained subspace are ``ideals.constrained_shifts``.
 
 Truncation rule: creation operators annihilate the top degree slice, which
 keeps them endomorphisms of one space. Identities that move weight upward in
@@ -128,35 +133,6 @@ class TruncatedFock:
 
     def __repr__(self) -> str:
         return f"TruncatedFock(n={self.n}, max_degree={self.max_degree}, dim={self.dim})"
-
-
-def creation_matrix(fock: TruncatedFock, side: Literal["left", "right"], i: int) -> np.ndarray:
-    """Matrix of the left (e_a -> e_{g_i a}) or right (e_a -> e_{a g_i}) creation operator.
-
-    Words of top degree are annihilated; on the degree <= N-1 span the matrix
-    is a partial isometry with orthogonal range slices.
-    """
-    src, dst = fock.child_map(side, i)
-    mat = np.zeros((fock.dim, fock.dim), dtype=complex)
-    mat[dst, src] = 1.0
-    return mat
-
-
-def left_creation_tuple(fock: TruncatedFock) -> list[np.ndarray]:
-    return [creation_matrix(fock, "left", i) for i in range(1, fock.n + 1)]
-
-
-def right_creation_tuple(fock: TruncatedFock) -> list[np.ndarray]:
-    return [creation_matrix(fock, "right", i) for i in range(1, fock.n + 1)]
-
-
-def flip_unitary(fock: TruncatedFock) -> np.ndarray:
-    """Permutation matrix e_alpha -> e_{reverse(alpha)}; an involution that
-    conjugates left creation into right creation."""
-    mat = np.zeros((fock.dim, fock.dim), dtype=complex)
-    for col, w in enumerate(fock.words):
-        mat[fock.index[w.reverse()], col] = 1.0
-    return mat
 
 
 def word_operator(ops: Iterable[np.ndarray], word: Word) -> np.ndarray:

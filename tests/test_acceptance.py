@@ -227,7 +227,7 @@ def test_criterion_07_wold_two_path():
                 [np.zeros((1, jordan_size)), np.array([[np.exp(1j * phase)]])],
             ])])
     fock = fb.TruncatedFock(2, 3)
-    s = fb.left_creation_tuple(fock)
+    s, _ = fb.constrained_shifts(fb.build_constrained_subspace(fock, []))
     z = [np.array([[1 / np.sqrt(2)]]), np.array([[1j / np.sqrt(2)]])]
     families.append([np.block([
         [si, np.zeros((fock.dim, 1))],

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fockbench import (
+    MultiAnalyticOperator,
     TruncatedFock,
     Word,
     assemble,
@@ -9,7 +10,7 @@ from fockbench import (
     characteristic_coefficients,
     commutator_generators,
     constrained_characteristic,
-    left_creation_tuple,
+    constrained_shifts,
     point_evaluate,
     unitary_invariance_check,
     validate,
@@ -23,6 +24,19 @@ def random_contraction(rng, n, dim, scale=1.05):
     mats = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for _ in range(n)]
     norm = np.linalg.norm(np.concatenate(mats, axis=1), 2)
     return validate([m / (norm * scale) for m in mats])
+
+
+def creation_tuples(f):
+    """Left and right creation tuples as matrices (the free ideal's N_J has
+    the identity basis, so its compressions equal them bit for bit)."""
+    return constrained_shifts(build_constrained_subspace(f, []))
+
+
+def transformed(op, fn):
+    """The operator whose coefficient at beta is fn(beta, theta_beta)."""
+    coeffs = {beta: fn(beta, theta) for beta, theta in op.coefficients.items()}
+    first = next(iter(coeffs.values()))
+    return MultiAnalyticOperator(op.n, op.max_degree, coeffs, first.shape[1], first.shape[0])
 
 
 def random_commuting_contraction(rng, n, dim, scale=1.05):
@@ -82,9 +96,7 @@ class TestAssemble:
         rc = validate([np.zeros((1, 1))])
         f = TruncatedFock(1, 3)
         mat = assemble(characteristic_coefficients(rc, 3), fock=f)
-        from fockbench import creation_matrix
-
-        assert np.allclose(mat, creation_matrix(f, "right", 1))
+        assert np.allclose(mat, creation_tuples(f)[1][0])
 
     def test_multi_analyticity_is_exact(self):
         rng = np.random.default_rng(12)
@@ -92,7 +104,7 @@ class TestAssemble:
         f = TruncatedFock(2, 4)
         op = characteristic_coefficients(rc, 4)
         mat = assemble(op, fock=f)
-        for s in left_creation_tuple(f):
+        for s in creation_tuples(f)[0]:
             lhs = mat @ np.kron(s, np.eye(op.source_dim, dtype=complex))
             rhs = np.kron(s, np.eye(op.target_dim, dtype=complex)) @ mat
             assert np.linalg.norm(lhs - rhs, 2) < 1e-12
@@ -105,7 +117,8 @@ class TestAssemble:
         full = assemble(op, fock=f)
         gaps = []
         for r in (0.9, 0.99, 0.999):
-            gaps.append(np.abs(full - assemble(op, fock=f, radial=r)).max())
+            radial = transformed(op, lambda beta, theta: r ** len(beta) * theta)
+            gaps.append(np.abs(full - assemble(radial, fock=f)).max())
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_multiplicity_tensors_coefficients(self):
@@ -113,7 +126,7 @@ class TestAssemble:
         f = TruncatedFock(1, 2)
         op = characteristic_coefficients(rc, 2)
         single = assemble(op, fock=f)
-        doubled = assemble(op, fock=f, multiplicity=2)
+        doubled = assemble(transformed(op, lambda beta, theta: np.kron(theta, np.eye(2))), fock=f)
         assert doubled.shape == (2 * single.shape[0], 2 * single.shape[1])
         perm = np.kron(single, np.eye(2))
         assert np.allclose(doubled, perm)
@@ -329,5 +342,12 @@ class TestConstrainedMultiAnalyticity:
         cs = build_constrained_subspace(f, commutator_generators(2))
         op = constrained_characteristic(rc, cs, 3)
         single = assemble(op, cs=cs)
-        doubled = assemble(op, cs=cs, multiplicity=2)
+        doubled = assemble(transformed(op, lambda beta, theta: np.kron(theta, np.eye(2))), cs=cs)
         assert doubled.shape == (2 * single.shape[0], 2 * single.shape[1])
+        # (ambient, target, multiplicity) x (ambient, source, multiplicity)
+        tgt, src = op.target_dim, op.source_dim
+        blocks = doubled.reshape(cs.dim, tgt, 2, cs.dim, src, 2)
+        for a in range(2):
+            for b in range(2):
+                expected = single if a == b else np.zeros_like(single)
+                assert np.abs(blocks[:, :, a, :, :, b].reshape(single.shape) - expected).max() < 1e-14

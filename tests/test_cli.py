@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fockbench.cli import RunContext, main, run_scenario, task_pick, task_shifts
+from fockbench.cli import RunContext, main, run_scenario, task_pick, task_shifts, task_wold
+from fockbench.contractions import validate
 from fockbench.errors import InvalidParameterError
 from fockbench.serialize import (
     ideal_from_spec,
@@ -17,7 +18,7 @@ from fockbench.serialize import (
     polynomial_from_json,
     polynomial_to_json,
 )
-from fockbench.ideals import NcPolynomial, _ideal_slice, commutator_generators
+from fockbench.ideals import NcPolynomial, _generator_matrix, commutator_generators
 from fockbench.words import Word
 
 DATA = Path(__file__).parent / "data"
@@ -122,7 +123,7 @@ class TestSubcommands:
             # Turn one slice-2 vector towards the ideal: the basis stays
             # orthonormal, since the ideal is orthogonal to every basis vector.
             ideal = np.zeros(cs.fock.dim, dtype=complex)
-            ideal[cs.fock.slice_range(2)] = _ideal_slice(cs.fock, gens, 2)[:, 0]
+            ideal[cs.fock.slice_range(2)] = _generator_matrix(cs.fock, gens, 2)[:, 0]
             ideal /= np.linalg.norm(ideal)
             q[:, col] = np.cos(1e-11) * q[:, col] + np.sin(1e-11) * ideal
         ctx._cs = dataclasses.replace(cs, basis=q)
@@ -188,6 +189,33 @@ class TestSubcommands:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("radii", ["1.0", "0.9,1.5", "-0.5", "0"])
+    def test_r_list_outside_the_unit_interval_exits_2(self, rc_file, tmp_path, capsys, radii):
+        out = tmp_path / "report.json"
+        argv = ["arveson", "--input", rc_file, "--seed", "1", "--r-list", radii, "--out", str(out)]
+        assert main(argv) == 2
+        assert "(0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_wold_reuses_the_validated_tuple_and_its_purity(self, monkeypatch):
+        import fockbench.dilation as dilation
+
+        calls = {"validate": 0, "purity": 0}
+
+        def counting(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        rc = validate([matrix_from_json(m) for m in nilpotent_pair_json()["T"]])
+        monkeypatch.setattr(dilation, "validate", counting("validate", dilation.validate))
+        monkeypatch.setattr(dilation, "purity", counting("purity", dilation.purity))
+        ctx = RunContext(n=2, trunc=3, generators=[], rc=rc, tol=1e-9, seed=None)
+        data = task_wold(ctx, {})["data"]
+        assert calls == {"validate": 0, "purity": 1}
+        assert data["is_shift"] is True
+
 
 class TestScenario:
     def scenario_dict(self):
@@ -239,7 +267,8 @@ class TestScenario:
         ({"task": "factorize", "mode": "point", "points": [[[0.1, 0.0], [0.2, 0.0]]], "tol": "abc"},
          "ValueError: "),
         ({"task": "wold", "k_max": -1}, "InvalidParameterError: "),
-    ], ids=["mc_samples_zero", "tol_not_a_number", "wold_negative_k_max"])
+        ({"task": "arveson", "m_max": 2, "mc_samples": 100, "r_values": [0.9, 1.0]}, "InvalidParameterError: "),
+    ], ids=["mc_samples_zero", "tol_not_a_number", "wold_negative_k_max", "arveson_radius_one"])
     def test_raising_task_is_recorded_and_the_rest_run(self, tmp_path, bad_task, error_prefix):
         scenario = self.scenario_dict()
         scenario["tasks"] = [bad_task, {"task": "curvature", "m_max": 2}]

@@ -9,7 +9,6 @@ from fockbench import (
     build_dilation,
     commutator_generators,
     constrained_shifts,
-    left_creation_tuple,
     maximal_constrained_piece,
     model_space,
     shift_multiplicity,
@@ -187,7 +186,7 @@ class TestWold:
 
     def test_truncated_creation_block_plus_cuntz(self):
         f = TruncatedFock(2, 3)
-        s = left_creation_tuple(f)
+        s, _ = constrained_shifts(build_constrained_subspace(f, []))
         z = [np.array([[1 / np.sqrt(2)]]), np.array([[1j / np.sqrt(2)]])]
         v = [np.block([
             [si, np.zeros((f.dim, 1))],
@@ -259,7 +258,7 @@ class TestModelSpace:
 class TestMaximalConstrainedPiece:
     def test_commutators_on_truncated_creation_recover_symmetric_space(self):
         f = TruncatedFock(2, 4)
-        s = left_creation_tuple(f)
+        s, _ = constrained_shifts(build_constrained_subspace(f, []))
         cs = build_constrained_subspace(f, commutator_generators(2))
         basis, diag = maximal_constrained_piece(s, commutator_generators(2), k_max=f.max_degree, cs=cs)
         # spans coincide exactly in the graded case
@@ -294,7 +293,7 @@ class TestWoldPartialSumIdentities:
         # recovers the projection onto the shift part, and the CP powers of
         # the identity converge to the projection onto the residual part.
         f = TruncatedFock(2, 3)
-        s = left_creation_tuple(f)
+        s, _ = constrained_shifts(build_constrained_subspace(f, []))
         z = [np.array([[1 / np.sqrt(2)]]), np.array([[1j / np.sqrt(2)]])]
         v = [np.block([
             [si, np.zeros((f.dim, 1))],

@@ -1,12 +1,16 @@
 """Each graded fast path pinned to the dense path it replaced.
 
-The child-index maps for the shifts, the slice-built ideal matrices and the
-block-restricted constrained assembly rearrange the same floating-point
-operations, so those comparisons are ``np.array_equal``, not a tolerance.
-The slice recursion for the constrained subspace computes a different
-orthonormal basis of the same space, so it is pinned basis-free, to 1e-12:
-equal slice dimensions, principal angles, and shifts unitarily similar to
-those of the dense complement of each ideal slice.
+The child-index maps for the shifts and the degree-by-degree Fock assembly
+rearrange the same floating-point operations, so those comparisons are
+``np.array_equal``, not a tolerance; so is the word-product assembly kept for
+non-homogeneous generators. The graded constrained assembly compresses each
+Fock block to the slice bases by two products, a different association than
+the word products of compressed shifts, so it is pinned under a computed
+rounding budget. The slice recursion for the constrained subspace computes a
+different orthonormal basis of the same space, so it is pinned basis-free,
+to 1e-12: equal slice dimensions, principal angles, and shifts unitarily
+similar to those of the dense complement of each ideal slice. The ideal
+slices themselves are a dense reference built here.
 """
 
 import numpy as np
@@ -14,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fockbench.charfn as charfn_mod
 import fockbench.ideals as ideals_mod
-import fockbench.words as words_mod
 from fockbench import (
     IDENTITY_WORD,
     NcPolynomial,
@@ -26,13 +30,12 @@ from fockbench import (
     characteristic_coefficients,
     commutator_generators,
     constrained_shifts,
-    creation_matrix,
     q_commutator_generators,
     validate,
     word_length_generators,
 )
 from fockbench._linalg import complement_basis, principal_angles
-from fockbench.ideals import _ideal_columns, _ideal_slice
+from fockbench.ideals import _generator_matrix, _ideal_columns, ideal_orthogonality
 
 
 def dense_creation(fock, side, i):
@@ -46,21 +49,71 @@ def dense_creation(fock, side, i):
     return mat
 
 
-def dense_assemble(op, cs, multiplicity=1, radial=1.0):
+def dense_assemble(op, cs):
     """Constrained assembly as the full kron-sum over every word."""
-    eye_m = np.eye(multiplicity, dtype=complex)
     _, w_ops = constrained_shifts(cs)
-    src, tgt = op.source_dim * multiplicity, op.target_dim * multiplicity
-    out = np.zeros((cs.dim * tgt, cs.dim * src), dtype=complex)
+    out = np.zeros((cs.dim * op.target_dim, cs.dim * op.source_dim), dtype=complex)
     prods = {IDENTITY_WORD: np.eye(cs.dim, dtype=complex)}
     for w in cs.fock.words[1:]:
         prods[w] = prods[Word(w.letters[:-1])] @ w_ops[w.letters[-1] - 1]
     for beta, theta in op.coefficients.items():
         if len(beta) > cs.fock.max_degree:
             continue
-        block = (radial ** len(beta)) * (np.kron(theta, eye_m) if multiplicity > 1 else theta)
-        out += np.kron(prods[beta], block)
+        out += np.kron(prods[beta], theta)
     return out
+
+
+def word_loop_assemble(op, fock):
+    """Fock assembly as the per-word placement loop: coefficient beta at
+    block (mu * reverse(beta), mu) for every word mu it fits against."""
+    src, tgt = op.source_dim, op.target_dim
+    out = np.zeros((fock.dim * tgt, fock.dim * src), dtype=complex)
+    for beta, theta in op.coefficients.items():
+        if len(beta) > fock.max_degree:
+            continue
+        rev = beta.reverse()
+        for col, mu in enumerate(fock.words):
+            if len(mu) + len(beta) > fock.max_degree:
+                continue
+            r0 = fock.index[mu * rev]
+            out[r0 * tgt : (r0 + 1) * tgt, col * src : (col + 1) * src] += theta
+    return out
+
+
+def assembly_budget(op, cs):
+    """Rounding budget between the two constrained assemblies.
+
+    Every entry of either one sums terms P[i, j] theta_beta[t, s] with
+    |P[i, j]| <= 1 (entries of contractions and of orthonormal bases), so its
+    value is at most the sum S of the largest coefficient entries; each path
+    reaches it through at most (N + 1) dim(Fock) roundings of that size."""
+    total = sum(np.abs(theta).max(initial=0.0) for theta in op.coefficients.values())
+    return (cs.fock.max_degree + 1) * cs.fock.dim * np.finfo(float).eps * total
+
+
+def ideal_slice(fock, generators, m):
+    """Dense degree-m ideal slice: the degree-m columns of ``_ideal_columns``
+    for homogeneous generators, in slice coordinates and in the same order
+    (generator, then beta by length and lexicographically, then alpha
+    lexicographically) with the same values. The column for (alpha, p, beta)
+    holds c_w at the slice index of alpha*w*beta, which is
+    idx(alpha) n^(d+|beta|) + idx(w) n^|beta| + idx(beta) for deg p = d."""
+    n = fock.n
+    degrees = [p.degree for p in generators if p.degree <= m]
+    mat = np.zeros((n**m, sum((m - d + 1) * n ** (m - d) for d in degrees)), dtype=complex)
+    col = 0
+    for p in generators:
+        d = p.degree
+        if d > m:
+            continue
+        for b in range(m - d + 1):
+            a = m - d - b
+            rows = (np.arange(n**b)[:, None] + np.arange(n**a)[None, :] * n ** (d + b)).ravel()
+            cols = np.arange(col, col + rows.size)
+            for w, c in p.terms.items():
+                mat[rows + (fock.index[w] - fock.slice_offsets[d]) * n**b, cols] += c
+            col += rows.size
+    return mat
 
 
 @st.composite
@@ -91,7 +144,9 @@ def test_child_map_matches_dense_creation(n, top, side, data):
     fock = TruncatedFock(n, top)
     i = data.draw(st.integers(1, n))
     src, dst = fock.child_map(side, i)
-    assert np.array_equal(creation_matrix(fock, side, i), dense_creation(fock, side, i))
+    left, right = constrained_shifts(build_constrained_subspace(fock, []))
+    shift = (left if side == "left" else right)[i - 1]
+    assert np.array_equal(shift, dense_creation(fock, side, i))
     for s, d in zip(src, dst):
         w = fock.words[s]
         assert fock.words[d] == (Word((i,)) * w if side == "left" else w * Word((i,)))
@@ -119,7 +174,22 @@ def test_ideal_slices_match_ideal_columns(case):
         sl = fock.slice_range(m)
         ref = [vec[sl] for deg, vec in columns if deg == m]
         ref = np.stack(ref, axis=1) if ref else np.zeros((n**m, 0), dtype=complex)
-        assert np.array_equal(_ideal_slice(fock, gens, m), ref)
+        assert np.array_equal(ideal_slice(fock, gens, m), ref)
+        degree_m = [p for p in gens if p.degree == m]
+        assert np.array_equal(_generator_matrix(fock, gens, m), ideal_slice(fock, degree_m, m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ideals(homogeneous_only=True))
+def test_ideal_orthogonality_matches_dense_slices(case):
+    n, top, gens = case
+    cs = build_constrained_subspace(TruncatedFock(n, top), gens)
+    fock, dense = cs.fock, 0.0
+    for m in range(top + 1):
+        inner = ideal_slice(fock, gens, m).conj().T @ cs.basis[fock.slice_range(m), cs.basis_degrees == m]
+        if inner.size:
+            dense = max(dense, np.linalg.norm(inner, 2))
+    assert abs(ideal_orthogonality(cs) - dense) <= 1e-15
 
 
 def assert_recursion_matches_dense_complement(fock, gens):
@@ -127,7 +197,7 @@ def assert_recursion_matches_dense_complement(fock, gens):
     cs = build_constrained_subspace(fock, gens)
     ref = np.zeros((fock.dim, 0), dtype=complex)
     for m in range(fock.max_degree + 1):
-        comp = complement_basis(_ideal_slice(fock, gens, m), fock.n**m)
+        comp = complement_basis(ideal_slice(fock, gens, m), fock.n**m)
         assert cs.slice_dims[m] == comp.shape[1]
         new = cs.basis[fock.slice_range(m), cs.basis_degrees == m]
         assert np.all(principal_angles(new, comp) <= 1e-12)
@@ -169,17 +239,53 @@ def test_constant_generator_gives_the_zero_subspace():
     assert not cs.contains_vacuum()
 
 
+def random_coefficients(n, top, seed, dim=2):
+    rng = np.random.default_rng(seed)
+    mats = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for _ in range(n)]
+    scale = 0.9 / np.linalg.norm(np.hstack(mats), 2)
+    return characteristic_coefficients(validate([scale * t for t in mats]), top)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 3), st.integers(0, 2**31 - 1))
+def test_fock_assembly_matches_the_word_loop(n, top, dim, seed):
+    op = random_coefficients(n, top, seed, dim)
+    fock = TruncatedFock(n, top)
+    assert np.array_equal(assemble(op, fock=fock), word_loop_assemble(op, fock))
+
+
 @settings(max_examples=25, deadline=None)
-@given(ideals(), st.integers(1, 2), st.sampled_from([1.0, 0.7]), st.integers(0, 2**31 - 1))
-def test_constrained_assembly_matches_kron_sum(case, multiplicity, radial, seed):
+@given(ideals(), st.integers(0, 2**31 - 1))
+def test_constrained_assembly_matches_kron_sum(case, seed):
     n, top, gens = case
     cs = build_constrained_subspace(TruncatedFock(n, top), gens)
-    rng = np.random.default_rng(seed)
-    mats = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(n)]
-    scale = 0.9 / np.linalg.norm(np.hstack(mats), 2)
-    op = characteristic_coefficients(validate([scale * t for t in mats]), top)
-    fast = assemble(op, cs=cs, multiplicity=multiplicity, radial=radial)
-    assert np.array_equal(fast, dense_assemble(op, cs, multiplicity, radial))
+    op = random_coefficients(n, top, seed)
+    fast = assemble(op, cs=cs)
+    if cs.graded:
+        assert np.abs(fast - dense_assemble(op, cs)).max(initial=0.0) <= assembly_budget(op, cs)
+    else:
+        assert np.array_equal(fast, dense_assemble(op, cs))
+
+
+def coisometric_pair():
+    return validate([np.array([[1 / np.sqrt(2)]]), np.array([[1 / np.sqrt(2)]])])
+
+
+@pytest.mark.parametrize("rc,n,gens", [
+    (validate([np.array([[0.5, 0.2], [0.0, -0.3]])]), 1, []),
+    (coisometric_pair(), 2, commutator_generators(2)),
+    (coisometric_pair(), 2, []),
+    (validate([np.diag([0.3, 0.1]), np.diag([0.2, -0.4])]), 2, [NcPolynomial({IDENTITY_WORD: 1.0})]),
+], ids=["n1", "defect_rank0_commutative", "defect_rank0_free", "constant_generator"])
+def test_assembly_edge_cases(rc, n, gens):
+    top = 4
+    op = characteristic_coefficients(rc, top)
+    fock = TruncatedFock(n, top)
+    cs = build_constrained_subspace(fock, gens)
+    fast = assemble(op, cs=cs)
+    assert fast.shape == (cs.dim * op.target_dim, cs.dim * op.source_dim)
+    assert np.abs(fast - dense_assemble(op, cs)).max(initial=0.0) <= assembly_budget(op, cs)
+    assert np.array_equal(assemble(op, fock=fock), word_loop_assemble(op, fock))
 
 
 def test_graded_paths_skip_dense_builders(monkeypatch):
@@ -187,9 +293,12 @@ def test_graded_paths_skip_dense_builders(monkeypatch):
         raise AssertionError("dense builder called on a graded fast path")
 
     monkeypatch.setattr(ideals_mod, "_ideal_columns", forbidden)
-    monkeypatch.setattr(words_mod, "creation_matrix", forbidden)
+    monkeypatch.setattr(charfn_mod, "_assemble_word_products", forbidden)
     for n, gens in ((3, commutator_generators(3)), (2, q_commutator_generators(np.full((2, 2), 0.5))),
                     (2, word_length_generators(2, 3))):
-        constrained_shifts(build_constrained_subspace(TruncatedFock(n, 4), gens))
+        cs = build_constrained_subspace(TruncatedFock(n, 4), gens)
+        constrained_shifts(cs)
+        ideal_orthogonality(cs)
+        assemble(random_coefficients(n, 4, 0), cs=cs)
     with pytest.raises(AssertionError):
         build_constrained_subspace(TruncatedFock(2, 3), [NcPolynomial({Word((1, 2)): 1.0, Word((1,)): 1.0})])

@@ -63,11 +63,13 @@ class TestBuildConstrainedSubspace:
         cs = build_constrained_subspace(f, [])
         assert cs.dim == 15
         assert np.array_equal(cs.basis, np.eye(15))
-        left, _ = constrained_shifts(cs)
-        from fockbench import left_creation_tuple
-
-        for b, s in zip(left, left_creation_tuple(f)):
-            assert np.array_equal(b, s)
+        # the compressions are the creation matrices e_src -> e_dst themselves
+        for side, shifts in zip(("left", "right"), constrained_shifts(cs)):
+            for i, b in enumerate(shifts, start=1):
+                src, dst = f.child_map(side, i)
+                s = np.zeros((f.dim, f.dim), dtype=complex)
+                s[dst, src] = 1.0
+                assert np.array_equal(b, s)
 
     @pytest.mark.parametrize("n,top", [(2, 3), (2, 6), (3, 4)])
     def test_commutative_slice_dimensions_match_multiset_oracle(self, n, top):

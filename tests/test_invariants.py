@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import fockbench.invariants as invariants_mod
 from fockbench import (
-    SymmetricTruncation,
+    IDENTITY_WORD,
     TruncatedFock,
     Word,
     arveson_curvature,
@@ -18,9 +18,8 @@ from fockbench import (
     euler_phi,
     validate,
 )
-from fockbench._linalg import spectral_norm
+from fockbench._linalg import matrix_rank, spectral_norm
 from fockbench.errors import InvalidParameterError, PreconditionError
-from fockbench.invariants import _multisets, _symmetric_char_matrix
 
 
 def brute_force_trace_sequence(mats, m_max):
@@ -153,6 +152,99 @@ def test_curvature_routes_share_one_orbit(monkeypatch):
     assert 0 < sum(steps) <= m_max + 2
 
 
+# --- the symmetric-truncation reference for arveson_curvature ---------------
+#
+# Routes (b) and (c) of arveson_curvature on a private occupation-number
+# basis of the symmetric Fock space, with its own creation matrices; the
+# library computes the same sequences on N_J of the commutator ideal.
+
+
+def _multisets(n, m):
+    """Occupation vectors (mu_1..mu_n) with total m, in lexicographic order."""
+    if n == 1:
+        return [(m,)]
+    out = []
+    for first in range(m, -1, -1):
+        for rest in _multisets(n - 1, m - first):
+            out.append((first,) + rest)
+    return out
+
+
+class SymmetricTruncation:
+    """Occupation-number basis of the symmetric subspace up to a degree, with
+    the compressed creation tuple acting by sqrt((mu_i+1)/(m+1)) transitions."""
+
+    def __init__(self, n, max_degree):
+        self.n = n
+        self.max_degree = max_degree
+        self.states = []
+        self.slice_dims = []
+        for m in range(max_degree + 1):
+            block = _multisets(n, m)
+            self.states.extend(block)
+            self.slice_dims.append(len(block))
+        self.index = {s: k for k, s in enumerate(self.states)}
+        self.degrees = np.array([sum(s) for s in self.states], dtype=int)
+
+    @property
+    def dim(self):
+        return len(self.states)
+
+    def creation(self, i):
+        mat = np.zeros((self.dim, self.dim), dtype=complex)
+        for col, mu in enumerate(self.states):
+            m = sum(mu)
+            if m >= self.max_degree:
+                continue
+            nu = list(mu)
+            nu[i - 1] += 1
+            mat[self.index[tuple(nu)], col] = math.sqrt((mu[i - 1] + 1) / (m + 1))
+        return mat
+
+
+def _symmetric_char_matrix(rc, sym):
+    """Characteristic function assembled on the symmetric truncation: the
+    compressed creation operators commute, so the word sum collapses to one
+    coefficient sum per occupation class."""
+    op = characteristic_coefficients(rc, sym.max_degree)
+    class_sums = {}
+    for beta, theta in op.coefficients.items():
+        if beta == IDENTITY_WORD:
+            continue
+        occ = tuple(beta.letters.count(i) for i in range(1, rc.n + 1))
+        class_sums[occ] = class_sums[occ] + theta if occ in class_sums else theta
+
+    creations = [sym.creation(i) for i in range(1, rc.n + 1)]
+    out = np.kron(np.eye(sym.dim, dtype=complex), op.coefficients[IDENTITY_WORD])
+    powers = {tuple([0] * rc.n): np.eye(sym.dim, dtype=complex)}
+    for m in range(1, sym.max_degree + 1):
+        for mu in _multisets(rc.n, m):
+            j = next(k for k, c in enumerate(mu) if c > 0)
+            parent = list(mu)
+            parent[j] -= 1
+            powers[mu] = powers[tuple(parent)] @ creations[j]
+            out += np.kron(powers[mu], class_sums[mu])
+    return out
+
+
+def symmetric_reference_sequences(rc, m_max):
+    """(qm_sequence, euler_sequence) of arveson_curvature on the symmetric
+    truncation."""
+    sym = SymmetricTruncation(rc.n, m_max)
+    theta = _symmetric_char_matrix(rc, sym)
+    tgt = rc.defect_rank
+    gram = theta @ theta.conj().T
+    resid_full = np.eye(gram.shape[0]) - gram
+    qm_seq, euler_seq = [], []
+    for m in range(1, m_max + 1):
+        rows = np.repeat(sym.degrees == m, tgt)
+        slice_trace = float(np.trace(gram[np.ix_(rows, rows)]).real)
+        qm_seq.append(math.factorial(rc.n - 1) * (sym.slice_dims[m] * tgt - slice_trace) / m ** (rc.n - 1))
+        rank = matrix_rank(resid_full[:, np.repeat(sym.degrees <= m, tgt)])
+        euler_seq.append(math.factorial(rc.n) * rank / m**rc.n)
+    return qm_seq, euler_seq
+
+
 class TestSymmetricTruncation:
     def test_dimensions_match_binomials(self):
         sym = SymmetricTruncation(3, 5)
@@ -179,6 +271,7 @@ class TestArveson:
 
     @pytest.mark.parametrize("sizes", [
         {"mc_samples": 0}, {"mc_samples": 1}, {"m_max": 0}, {"r_values": ()},
+        {"r_values": (1.0,)}, {"r_values": (0.9, 1.5)}, {"r_values": (-0.5,)}, {"r_values": (0.0,)},
     ])
     def test_rejects_bad_sizes(self, sizes):
         with pytest.raises(InvalidParameterError):
@@ -209,7 +302,7 @@ class TestArveson:
         assert rep.deviations["boundary_vs_qm"] < 2e-2
 
     def test_symmetric_theta_matches_full_compression(self):
-        # two-path check of the symmetric-space assembly at a small degree
+        # two-path check of the symmetric reference at a small degree
         from fockbench import assemble, build_constrained_subspace, commutator_generators
         from fockbench import constrained_characteristic
 
@@ -226,7 +319,23 @@ class TestArveson:
         assert np.allclose(sorted(sv1), sorted(sv2), atol=1e-10)
 
 
-# --- the symmetric assembly reads the one Neumann word walk ------------------
+@pytest.mark.parametrize("rc,m_max", [
+    (validate([np.diag([0.4, 0.1]), np.diag([0.1, 0.3])]), 6),
+    (validate([np.diag([0.3, -0.2 + 0.1j, 0.05]), np.diag([0.1j, 0.35, -0.2]), np.diag([0.2, 0.1, 0.4j])]), 5),
+    (nilpotent_commuting_pair(), 6),
+    (coisometric_pair(), 4),
+    (validate([np.array([[0.5, 0.2], [0.0, -0.3]])]), 5),
+    (validate([np.zeros((1, 1))]), 4),
+], ids=["diagonal_pair", "diagonal_triple", "nilpotent_pair", "coisometric_pair", "n1_jordan", "n1_zero"])
+def test_arveson_matches_the_symmetric_reference(rc, m_max):
+    rep = arveson_curvature(rc, m_max=m_max, mc_samples=100, seed=1)
+    qm_ref, euler_ref = symmetric_reference_sequences(rc, m_max)
+    assert rep.euler_sequence == euler_ref
+    for got, ref in zip(rep.qm_sequence, qm_ref, strict=True):
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+# --- the symmetric reference reads the one Neumann word walk ------------------
 
 
 def pruned_walk_char_matrix(rc, sym):

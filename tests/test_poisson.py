@@ -7,14 +7,30 @@ from fockbench import (
     build_constrained_subspace,
     commutator_generators,
     constrained_poisson_kernel,
+    constrained_shifts,
     cp_apply,
     intertwining_check,
     kernel_gram,
     poisson_kernel,
     poisson_transform,
     validate,
+    word_operator,
 )
+from fockbench._linalg import spectral_norm
 from fockbench.errors import InvalidParameterError, PreconditionError
+
+
+def left_creation(f):
+    """The left creation tuple as matrices (compressions to the free ideal's
+    N_J, whose basis is the identity)."""
+    return constrained_shifts(build_constrained_subspace(f, []))[0]
+
+
+def random_pair(seed, dim=3, slack=1.02):
+    rng = np.random.default_rng(seed)
+    mats = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for _ in range(2)]
+    norm = np.linalg.norm(np.concatenate(mats, axis=1), 2)
+    return validate([m / (norm * slack) for m in mats])
 
 
 def nilpotent_commuting_pair():
@@ -125,7 +141,40 @@ class TestIntertwining:
         assert rep.residual < 1e-10
 
 
+    @pytest.mark.parametrize("r", [1.0, 0.8])
+    def test_fock_gather_matches_the_dense_adjoint_shift(self, r):
+        # the child-map gather equals (S_i^* (x) I) K bit for bit, and the
+        # budget read from the orbit equals Phi^N applied to the squared defect
+        rc, f = random_pair(21), TruncatedFock(2, 4)
+        kern = poisson_kernel(rc, f, r=r)
+        rep = intertwining_check(kern)
+        eye_d = np.eye(kern.defect_dim)
+        mask = np.repeat(f.degrees <= f.max_degree - 1, kern.defect_dim)
+        for i, s in enumerate(left_creation(f)):
+            diff = kern.matrix @ (r * rc.matrices[i].conj().T) - np.kron(s.conj().T, eye_d) @ kern.matrix
+            assert rep.per_generator[i] == spectral_norm(diff[mask, :])
+        delta_sq = np.eye(rc.dim) - r * r * rc.row_gram()
+        top = spectral_norm(cp_apply(rc, delta_sq, f.max_degree))
+        t_norm = max(spectral_norm(t) for t in rc.matrices)
+        dense_budget = r ** (f.max_degree + 1) * np.sqrt(top) * t_norm + 1e-12
+        assert abs(rep.top_slice_budget - dense_budget) <= 1e-12 * dense_budget
+
+
 class TestPoissonTransform:
+    @pytest.mark.parametrize("alpha,beta", [((), ()), ((1,), ()), ((), (2, 1)), ((1, 2), (2,)), ((2, 1, 1), (1,)),
+                                            ((1, 2, 2, 1), ())])
+    def test_matches_the_dense_word_operators(self, alpha, beta):
+        rc, f = random_pair(22, dim=2), TruncatedFock(2, 4)
+        s = left_creation(f)
+        alpha, beta = Word(alpha), Word(beta)
+        res = poisson_transform(rc, f, alpha, beta, r_values=(0.9, 1.0))
+        mid = word_operator(s, alpha) @ word_operator(s, beta).conj().T
+        for r, val in zip(res.r_values, res.values):
+            kern = poisson_kernel(rc, f, r)
+            dense = kern.matrix.conj().T @ np.kron(mid, np.eye(kern.defect_dim)) @ kern.matrix
+            assert np.abs(val - dense).max() <= 1e-14
+
+
     def test_unitality(self):
         rng = np.random.default_rng(4)
         mats = [rng.standard_normal((2, 2)) for _ in range(2)]

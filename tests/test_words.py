@@ -6,13 +6,22 @@ from hypothesis import strategies as st
 from fockbench import (
     TruncatedFock,
     Word,
-    creation_matrix,
+    build_constrained_subspace,
+    constrained_shifts,
     enumerate_words,
-    flip_unitary,
-    left_creation_tuple,
-    right_creation_tuple,
 )
 from fockbench.errors import InvalidParameterError
+
+
+def creation_tuples(f):
+    """Left and right creation tuples as matrices: the compressions to the
+    free ideal's N_J, whose basis is the identity, equal bit for bit."""
+    return constrained_shifts(build_constrained_subspace(f, []))
+
+
+def reversal(f):
+    """Basis index of reverse(alpha) for each basis word alpha."""
+    return np.array([f.index[w.reverse()] for w in f.words])
 
 
 def test_enumerate_words_small_cases():
@@ -47,7 +56,7 @@ def test_truncated_fock_dimensions():
 
 def test_single_generator_left_creation_is_jordan_shift():
     f = TruncatedFock(1, 2)
-    s = creation_matrix(f, "left", 1)
+    s = creation_tuples(f)[0][0]
     expected = np.zeros((3, 3), dtype=complex)
     expected[1, 0] = expected[2, 1] = 1.0
     assert np.array_equal(s, expected)
@@ -55,7 +64,7 @@ def test_single_generator_left_creation_is_jordan_shift():
 
 def test_creation_isometry_relations_on_low_degrees():
     f = TruncatedFock(2, 3)
-    s = left_creation_tuple(f)
+    s, _ = creation_tuples(f)
     low = f.degree_le_mask(2)
     assert np.linalg.norm((s[0].conj().T @ s[1])) == 0.0
     for i in range(2):
@@ -65,8 +74,7 @@ def test_creation_isometry_relations_on_low_degrees():
 
 def test_left_and_right_creation_on_named_vectors():
     f = TruncatedFock(2, 2)
-    s1 = creation_matrix(f, "left", 1)
-    r1 = creation_matrix(f, "right", 1)
+    (s1, _), (r1, _) = creation_tuples(f)
     e_g2 = f.basis_vector(Word((2,)))
     assert np.array_equal(s1 @ e_g2, f.basis_vector(Word((1, 2))))
     assert np.array_equal(r1 @ e_g2, f.basis_vector(Word((2, 1))))
@@ -74,38 +82,40 @@ def test_left_and_right_creation_on_named_vectors():
 
 def test_creation_defect_is_vacuum_projection():
     f = TruncatedFock(2, 3)
-    s = left_creation_tuple(f)
+    s, _ = creation_tuples(f)
     total = sum(m @ m.conj().T for m in s)
     expected = np.eye(f.dim, dtype=complex)
     expected[0, 0] = 0.0
     assert np.array_equal(total, expected)
 
 
-def test_creation_matrix_rejects_bad_generator():
+def test_child_map_rejects_bad_generator():
     f = TruncatedFock(2, 2)
     with pytest.raises(InvalidParameterError):
-        creation_matrix(f, "left", 3)
+        f.child_map("left", 3)
     with pytest.raises(InvalidParameterError):
-        creation_matrix(f, "up", 1)
+        f.child_map("up", 1)
 
 
 def test_flip_unitary_involution_and_fixed_short_words():
+    # The flip e_alpha -> e_reverse(alpha) as an index permutation.
     f = TruncatedFock(2, 2)
-    u = flip_unitary(f)
-    assert np.array_equal(u @ u, np.eye(f.dim))
-    assert np.array_equal(u @ f.basis_vector(Word(())), f.basis_vector(Word(())))
-    assert np.array_equal(u @ f.basis_vector(Word((1,))), f.basis_vector(Word((1,))))
-    assert np.array_equal(u @ f.basis_vector(Word((1, 2))), f.basis_vector(Word((2, 1))))
+    rev = reversal(f)
+    assert np.array_equal(rev[rev], np.arange(f.dim))
+    for word, image in [((), ()), ((1,), (1,)), ((1, 2), (2, 1))]:
+        assert rev[f.index[Word(word)]] == f.index[Word(image)]
 
 
 def test_flip_conjugation_swaps_creation_sides():
     # Exact on the whole truncation: both sides annihilate the top slice.
     f = TruncatedFock(2, 3)
-    u = flip_unitary(f)
-    s = left_creation_tuple(f)
-    r = right_creation_tuple(f)
-    for i in range(2):
-        assert np.array_equal(u.conj().T @ s[i] @ u, r[i])
+    rev = reversal(f)
+    for i in range(1, 3):
+        left_src, left_dst = f.child_map("left", i)
+        right_src, right_dst = f.child_map("right", i)
+        assert np.array_equal(np.sort(rev[left_src]), right_src)
+        right_child = dict(zip(right_src, right_dst))
+        assert all(right_child[rev[a]] == rev[b] for a, b in zip(left_src, left_dst))
 
 
 @settings(max_examples=30, deadline=None)
@@ -118,7 +128,7 @@ def test_word_reverse_is_an_involution(letters):
 
 def test_word_concatenation_matches_operator_products():
     f = TruncatedFock(2, 3)
-    s = left_creation_tuple(f)
+    s, _ = creation_tuples(f)
     from fockbench import word_operator
 
     w = Word((1, 2, 1))
