@@ -50,7 +50,6 @@ from .dilation import (
     build_dilation,
     maximal_constrained_piece,
     model_space,
-    shift_multiplicity,
     verify_dilation,
     wold_decompose,
 )

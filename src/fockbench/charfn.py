@@ -5,12 +5,17 @@ The symbol of a row contraction T is
 restricted to defect coordinates. Expanding the resolvent as a Neumann series
 produces one Fourier coefficient per word; the expansion pairs the ambient
 word with the *reverse* of the operator word, which is the one indexing trap
-in this module. ``assemble`` places coefficient beta at ambient blocks
-(mu * reverse(beta), mu), matching the action of right creation products, one
-degree pair at a time: the degree-k coefficients, stacked by reversed word,
-form the block from degree m to m + k of every ambient, compressed to the
-slice bases of a constrained one. A dedicated convention test pins point
-evaluation against partial sums.
+in this module. The coefficients are therefore stored in reversed-word order:
+one (#words, target, source) array whose entry at basis word rho is the
+coefficient of reverse(rho). In that order the degree-k coefficients are the
+degree-(k-1) Poisson kernel blocks (defect root) T_rho^* of the shared word
+walk (``words.word_products``) times the column-defect blocks, the word-level
+form of I - Theta Theta^* = K K^*. ``assemble`` places coefficient beta at
+ambient blocks (mu * reverse(beta), mu), matching the action of right
+creation products, one degree pair at a time: the degree-k slice of the
+stored array is the block from degree m to m + k of every ambient,
+compressed to the slice bases of a constrained one. A dedicated convention
+test pins point evaluation against partial sums.
 """
 
 from __future__ import annotations
@@ -25,62 +30,59 @@ from .contractions import RowContraction, satisfies_constraints, spectral_radius
 from .errors import InvalidParameterError, PreconditionError
 from .ideals import ConstrainedSubspace, constrained_shifts
 from .poisson import constrained_poisson_kernel, poisson_kernel
-from .words import IDENTITY_WORD, TruncatedFock, Word
+from .words import TruncatedFock, Word, word_products
 
 
 @dataclass
 class MultiAnalyticOperator:
     """Fourier coefficient family of a multi-analytic operator.
 
-    ``coefficients[beta]`` maps source defect coordinates to target defect
-    coordinates; the assembled matrix is the coefficient-weighted sum of
-    right-creation word operators (or their constrained compressions)."""
+    ``coefficients[j]`` is the coefficient of the reverse of basis word j (in
+    the length-lexicographic order of ``TruncatedFock``), mapping source defect
+    coordinates to target defect coordinates; the assembled matrix is the
+    coefficient-weighted sum of right-creation word operators (or their
+    constrained compressions)."""
 
     n: int
     max_degree: int
-    coefficients: dict[Word, np.ndarray]
-    source_dim: int
-    target_dim: int
+    coefficients: np.ndarray
+
+    @property
+    def target_dim(self) -> int:
+        return self.coefficients.shape[1]
+
+    @property
+    def source_dim(self) -> int:
+        return self.coefficients.shape[2]
 
     def coefficient(self, beta: Word) -> np.ndarray:
-        return self.coefficients.get(beta, np.zeros((self.target_dim, self.source_dim), dtype=complex))
+        idx = TruncatedFock(self.n, self.max_degree).word_index(beta.reverse())
+        if idx is None:
+            return np.zeros((self.target_dim, self.source_dim), dtype=complex)
+        return self.coefficients[idx]
 
 
 def characteristic_coefficients(rc: RowContraction, max_degree: int) -> MultiAnalyticOperator:
     """Fourier coefficients of the characteristic function up to a degree.
 
     The constant coefficient is -T compressed between the defect spaces; the
-    word gamma*g_i coefficient combines (row defect root) T_{reverse(gamma)}^*
-    with the i-th block row of the column defect root."""
+    word gamma*g_i coefficient is the kernel block (row defect root)
+    T_{reverse(gamma)}^* times the i-th block row of the column defect root.
+    In reversed-word order the degree-k slice is therefore
+    ``concatenate([K_{k-1} @ block_i for i])`` with K_{k-1} the degree-(k-1)
+    slice of the kernel walk."""
     if max_degree < 1:
         raise InvalidParameterError("need max_degree >= 1")
-    d = rc.dim
+    d, n = rc.dim, rc.n
     e_t = rc.defect_basis
     e_s = rc.defect_star_basis
-    row = rc.row_matrix
-    coeffs: dict[Word, np.ndarray] = {
-        IDENTITY_WORD: -(e_t.conj().T @ row @ e_s)
-    }
     # i-th block row of the column defect root, already in source coordinates.
-    blocks = [rc.delta_star[(i - 1) * d : i * d, :] @ e_s for i in range(1, rc.n + 1)]
-    reduced = e_t.conj().T @ rc.delta
-
-    def extend(gamma_letters: tuple[int, ...], m_gamma: np.ndarray):
-        # m_gamma = (target coords of delta) @ T_{reverse(gamma)}^*
-        for i in range(1, rc.n + 1):
-            coeffs[Word(gamma_letters + (i,))] = m_gamma @ blocks[i - 1]
-        if len(gamma_letters) + 1 < max_degree:
-            for j in range(1, rc.n + 1):
-                extend(gamma_letters + (j,), m_gamma @ rc.matrices[j - 1].conj().T)
-
-    extend((), reduced)
-    return MultiAnalyticOperator(
-        n=rc.n,
-        max_degree=max_degree,
-        coefficients=coeffs,
-        source_dim=e_s.shape[1],
-        target_dim=e_t.shape[1],
-    )
+    blocks = [rc.delta_star[i * d : (i + 1) * d, :] @ e_s for i in range(n)]
+    kernel = word_products(e_t.conj().T @ rc.delta, [t.conj().T for t in rc.matrices], max_degree - 1)
+    below = TruncatedFock(n, max_degree - 1)
+    thetas = [-(e_t.conj().T @ rc.row_matrix @ e_s)[None]]
+    thetas += [np.concatenate([kernel[below.slice_range(k)] @ b for b in blocks]) for k in range(max_degree)]
+    return MultiAnalyticOperator(n=n, max_degree=max_degree, coefficients=np.concatenate(thetas))
 
 
 def assemble(
@@ -109,10 +111,7 @@ def assemble(
     n, top, src, tgt = ambient.n, ambient.max_degree, op.source_dim, op.target_dim
     if cs is not None and not cs.graded:
         return _assemble_word_products(op, cs)
-    thetas = [
-        np.concatenate([op.coefficient(rho.reverse()) for rho in ambient.words[ambient.slice_range(k)]])
-        for k in range(top + 1)
-    ]
+    thetas = [op.coefficients[ambient.slice_range(k)].reshape(n**k * tgt, src) for k in range(top + 1)]
 
     if cs is None:
         out = np.zeros((fock.dim * tgt, fock.dim * src), dtype=complex)
@@ -146,15 +145,12 @@ def assemble(
 
 def _assemble_word_products(op: MultiAnalyticOperator, cs: ConstrainedSubspace) -> np.ndarray:
     """Kron-sum of each coefficient with the product of the compressed right
-    shifts along its word, built by parent recursion."""
-    _, w_ops = constrained_shifts(cs)
-    prods: dict[Word, np.ndarray] = {IDENTITY_WORD: np.eye(cs.dim, dtype=complex)}
-    for w in cs.fock.words[1:]:
-        prods[w] = prods[Word(w.letters[:-1])] @ w_ops[w.letters[-1] - 1]
+    shifts along its word. The walk gives basis word rho the product along
+    reverse(rho), which is the word of the coefficient stored at rho."""
+    prods = word_products(np.eye(cs.dim, dtype=complex), constrained_shifts(cs, "right"), cs.fock.max_degree)
     out = np.zeros((cs.dim * op.target_dim, cs.dim * op.source_dim), dtype=complex)
-    for beta, theta in op.coefficients.items():
-        if len(beta) <= cs.fock.max_degree:
-            out += np.kron(prods[beta], theta)
+    for prod, theta in zip(prods, op.coefficients):
+        out += np.kron(prod, theta)
     return out
 
 
@@ -298,7 +294,5 @@ def unitary_invariance_check(rc: RowContraction, u: np.ndarray, max_degree: int 
     op_p = characteristic_coefficients(primed, max_degree)
     tau = primed.defect_basis.conj().T @ u @ rc.defect_basis
     tau_star = primed.defect_star_basis.conj().T @ np.kron(np.eye(rc.n), u) @ rc.defect_star_basis
-    residual = 0.0
-    for beta, theta in op.coefficients.items():
-        residual = max(residual, spectral_norm(tau @ theta - op_p.coefficient(beta) @ tau_star))
-    return residual
+    diff = tau @ op.coefficients - op_p.coefficients @ tau_star
+    return max(spectral_norm(block) for block in diff)

@@ -79,7 +79,7 @@ def _purity(pur: PurityResult) -> dict:
 
 def task_shifts(ctx: RunContext, params: dict) -> dict:
     cs = ctx.cs()
-    left, right = constrained_shifts(cs)
+    left = constrained_shifts(cs, "left")
     checks = [
         _check("basis_orthonormal", spectral_norm(cs.basis.conj().T @ cs.basis - np.eye(cs.dim)), 1e-12),
         _check("ideal_orthogonality", ideal_orthogonality(cs), 1e-12),
@@ -98,7 +98,7 @@ def task_shifts(ctx: RunContext, params: dict) -> dict:
         checks.append(_check("defect_is_vacuum_projection", spectral_norm(diff), 1e-10))
     if params.get("emit_matrices", True):
         data["left_shifts"] = [matrix_to_json(b) for b in left]
-        data["right_shifts"] = [matrix_to_json(w) for w in right]
+        data["right_shifts"] = [matrix_to_json(w) for w in constrained_shifts(cs, "right")]
     return {"checks": checks, "data": data}
 
 

@@ -1,5 +1,5 @@
-"""Dilation blocks, Wold decompositions, shift multiplicity, model spaces,
-and maximal constrained pieces."""
+"""Dilation blocks, Wold decompositions (with the shift multiplicity), model
+spaces, and maximal constrained pieces."""
 
 from __future__ import annotations
 
@@ -129,7 +129,7 @@ def verify_dilation(blocks: DilationBlocks) -> DilationReport:
     degree slice; the reported budget combines that slice's mass with the
     least-squares residual of the Cuntz block."""
     rc, cs = blocks.rc, blocks.cs
-    b_ops, _ = constrained_shifts(cs)
+    b_ops = constrained_shifts(cs, "left")
     ddim = blocks.kernel.defect_dim
     eye_d = np.eye(ddim, dtype=complex)
     kdim = blocks.k_dim
@@ -199,22 +199,6 @@ def wold_decompose(matrices: Sequence[np.ndarray] | RowContraction, k_max: int |
 
 
 @dataclass
-class ShiftMultiplicity:
-    multiplicity: int
-    is_shift: bool
-
-
-def shift_multiplicity(matrices: Sequence[np.ndarray], tol: float = 1e-10) -> ShiftMultiplicity:
-    """Multiplicity = rank of the defect; the tuple is a (constrained) shift
-    exactly when its CP powers of the identity vanish in the limit."""
-    rc = validate(matrices, tol=1e-8)
-    q = np.eye(rc.dim, dtype=complex) - rc.row_gram()
-    mult = matrix_rank(q)
-    pur = purity(rc, tol=tol)
-    return ShiftMultiplicity(multiplicity=mult, is_shift=pur.is_pure)
-
-
-@dataclass
 class ModelSpaceResult:
     basis: np.ndarray
     compressed: list[np.ndarray]
@@ -255,7 +239,7 @@ def model_space(rc: RowContraction, cs: ConstrainedSubspace, purity_tol: float =
         p_model + theta @ theta.conj().T - np.eye(theta.shape[0], dtype=complex)
     )
 
-    b_ops, _ = constrained_shifts(cs)
+    b_ops = constrained_shifts(cs, "left")
     eye_d = np.eye(kern.defect_dim, dtype=complex)
     equivalence_residual = 0.0
     compressed = []

@@ -9,13 +9,13 @@ For homogeneous generators this truncated picture is exact degree by degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
 from ._linalg import complement_basis, numerical_rank, range_basis, spectral_norm, svd_positive
 from .errors import InvalidParameterError, PreconditionError, RejectedInputError
-from .words import IDENTITY_WORD, TruncatedFock, Word, word_operator
+from .words import IDENTITY_WORD, TruncatedFock, Word, enumerate_words, word_operator
 
 
 class NcPolynomial:
@@ -183,9 +183,9 @@ def _ideal_columns(fock: TruncatedFock, generators: Sequence[NcPolynomial]):
     (possible only for non-homogeneous p). Homogeneous generators never build
     it: their subspace comes from the slice recursion of ``_next_slice``.
     """
-    n, top = fock.n, fock.max_degree
+    top = fock.max_degree
     columns: list[tuple[int, np.ndarray]] = []  # (degree tag, vector)
-    all_words = fock.words
+    all_words = enumerate_words(fock.n, top)
     for p in generators:
         d = p.degree
         for beta in all_words:
@@ -211,7 +211,7 @@ def _generator_matrix(fock: TruncatedFock, generators: Sequence[NcPolynomial], d
     mat = np.zeros((fock.n**d, len(gens)), dtype=complex)
     for col, p in enumerate(gens):
         for w, c in p.terms.items():
-            mat[fock.index[w] - fock.slice_offsets[d], col] += c
+            mat[fock.word_index(w) - fock.slice_offsets[d], col] += c
     return mat
 
 
@@ -262,6 +262,8 @@ def build_constrained_subspace(fock: TruncatedFock, generators: Sequence[NcPolyn
     for g in gens:
         if g.degree > fock.max_degree:
             raise InvalidParameterError("generator degree exceeds the truncation degree")
+        if any(x > fock.n for w in g.terms for x in w.letters):
+            raise InvalidParameterError(f"generator {g} uses a letter beyond n = {fock.n}")
 
     if not gens:
         return ConstrainedSubspace(
@@ -349,24 +351,21 @@ def ideal_orthogonality(cs: ConstrainedSubspace) -> float:
     return worst
 
 
-def constrained_shifts(cs: ConstrainedSubspace) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Compressions of the left/right creation tuples to the constrained subspace,
-    expressed in its orthonormal basis.
+def constrained_shifts(cs: ConstrainedSubspace, side: Literal["left", "right"]) -> list[np.ndarray]:
+    """Compressions of the left or right creation tuple to the constrained
+    subspace, expressed in its orthonormal basis.
 
     Q^* S is a gather through the Fock child map: each of its entries is one
     product with 1 plus exact zeros, so the gathered matrix equals the dense
     product bit for bit and no dim x dim creation matrix is built."""
-    q = cs.basis
-    qh = q.conj().T
-
-    def compress(side: str, i: int) -> np.ndarray:
+    qh = cs.basis.conj().T
+    out = []
+    for i in range(1, cs.fock.n + 1):
         src, dst = cs.fock.child_map(side, i)
         g = np.zeros(qh.shape, dtype=complex)
         g[:, src] = qh[:, dst]
-        return g @ q
-
-    gens = range(1, cs.fock.n + 1)
-    return [compress("left", i) for i in gens], [compress("right", i) for i in gens]
+        out.append(g @ cs.basis)
+    return out
 
 
 @dataclass
@@ -394,7 +393,7 @@ def cyclic_span_check(
     constrained subspace tensored with the vacuum compression E of M. The
     comparison is restricted to the degree window the truncation can certify.
     """
-    left, _ = constrained_shifts(cs)
+    left = constrained_shifts(cs, "left")
     nj_dim = cs.dim
     m = np.asarray(m_basis, dtype=complex).reshape(nj_dim * d_dim, -1)
     m = range_basis(m)

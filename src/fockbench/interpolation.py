@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidParameterError, OutOfBallError, PreconditionError
 from .ideals import ConstrainedSubspace, NcPolynomial, constrained_shifts
-from .words import Word
+from .words import word_products
 
 
 def _as_point(point, n: int) -> np.ndarray:
@@ -59,17 +59,12 @@ def kernel_vector(cs: ConstrainedSubspace, point, membership_tol: float = 1e-10)
         raise PreconditionError(
             f"point is not in the variety: residuals {['%.2e' % r for r in member.residuals]}"
         )
-    vec = np.zeros(cs.fock.dim, dtype=complex)
-    vec[0] = 1.0
-    for idx, w in enumerate(cs.fock.words):
-        if idx == 0:
-            continue
-        parent = cs.fock.index[Word(w.letters[:-1])]
-        vec[idx] = vec[parent] * np.conj(z[w.letters[-1] - 1])
-    coords = cs.basis.conj().T @ vec
+    # Entry alpha is conj(z)^alpha, one word walk over the scalars conj(z_i).
+    vec = word_products(np.ones(1, dtype=complex), np.conj(z).reshape(n, 1, 1), cs.fock.max_degree)
+    coords = cs.basis.conj().T @ vec[:, 0]
     norm = float(np.linalg.norm(coords))
 
-    b_ops, _ = constrained_shifts(cs)
+    b_ops = constrained_shifts(cs, "left")
     resid = 0.0
     for i, b in enumerate(b_ops):
         resid = max(resid, float(np.linalg.norm(b.conj().T @ coords - np.conj(z[i]) * coords)))

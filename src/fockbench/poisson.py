@@ -24,7 +24,7 @@ from .contractions import (
 )
 from .errors import InvalidParameterError, PreconditionError
 from .ideals import ConstrainedSubspace, constrained_shifts
-from .words import TruncatedFock, Word, word_operator
+from .words import TruncatedFock, Word, word_operator, word_products
 
 
 @dataclass
@@ -60,32 +60,23 @@ def _radial_defect(rc: RowContraction, r: float) -> tuple[np.ndarray, np.ndarray
     return defect_root_and_basis(np.eye(rc.dim) - (r * r) * rc.row_gram())
 
 
-def _word_adjoint_products(rc: RowContraction, fock: TruncatedFock) -> list[np.ndarray]:
-    """T_alpha^* for every basis word, built by parent recursion."""
-    prods: list[np.ndarray] = [np.eye(rc.dim, dtype=complex)]
-    for w in fock.words[1:]:
-        parent = fock.index[Word(w.letters[:-1])]
-        last = w.letters[-1]
-        prods.append(rc.matrices[last - 1].conj().T @ prods[parent])
-    return prods
-
-
 def poisson_kernel(rc: RowContraction, fock: TruncatedFock, r: float = 1.0) -> PoissonKernel:
     """Truncated radial Poisson kernel.
 
-    The reported isometry defect is measured against the exact truncated Gram
-    I - r^(2(N+1)) Phi^(N+1)(I), so it is floating noise by construction; the
-    tail budget bounds the distance from the untruncated Gram.
+    The row blocks are one word walk: block alpha is (reduced defect root)
+    T_alpha^*, built from its parent by one product with T_i^*, and the
+    degree-m slice is scaled by r^m. The reported isometry defect is measured
+    against the exact truncated Gram I - r^(2(N+1)) Phi^(N+1)(I), so it is
+    floating noise by construction; the tail budget bounds the distance from
+    the untruncated Gram.
     """
     if not 0.0 < r <= 1.0:
         raise InvalidParameterError(f"radial parameter must lie in (0, 1], got {r}")
     delta_r, basis = _radial_defect(rc, r)
-    ddim = basis.shape[1]
-    prods = _word_adjoint_products(rc, fock)
-    reduced = basis.conj().T @ delta_r
-    k = np.zeros((fock.dim * ddim, rc.dim), dtype=complex)
-    for idx, w in enumerate(fock.words):
-        k[idx * ddim : (idx + 1) * ddim, :] = (r ** len(w)) * (reduced @ prods[idx])
+    adjoints = [t.conj().T for t in rc.matrices]
+    blocks = word_products(basis.conj().T @ delta_r, adjoints, fock.max_degree)
+    blocks *= (r ** fock.degrees)[:, None, None]
+    k = blocks.reshape(fock.dim * basis.shape[1], rc.dim)
 
     tail = (r ** (2 * (fock.max_degree + 1))) * rc.orbit(fock.max_degree + 1)
     defect = spectral_norm(k.conj().T @ k - (np.eye(rc.dim) - tail))
@@ -107,17 +98,19 @@ def constrained_poisson_kernel(
 
     Requires the tuple to satisfy the ideal generators; also verifies that
     the full kernel's range already lies in the constrained part (exact for
-    homogeneous generators)."""
+    homogeneous generators). Q^* acts on the word index only, so the
+    compression and the containment residual are each one product on the
+    (word, defect * dim) reshape of the kernel."""
     residuals = check_constraints(rc, cs.generators)
     if any(res > constraint_tol for res in residuals):
         raise PreconditionError(
             f"tuple violates the ideal generators: residuals {['%.2e' % r_ for r_ in residuals]}"
         )
     full = poisson_kernel(rc, cs.fock, r)
-    ddim = full.defect_dim
-    lift = np.kron(cs.basis, np.eye(ddim, dtype=complex))
-    compressed = lift.conj().T @ full.matrix
-    containment = spectral_norm(full.matrix - lift @ compressed)
+    words = full.matrix.reshape(cs.fock.dim, -1)
+    coords = cs.basis.conj().T @ words
+    compressed = coords.reshape(cs.dim * full.defect_dim, rc.dim)
+    containment = spectral_norm((words - cs.basis @ coords).reshape(full.matrix.shape))
     defect = spectral_norm(
         compressed.conj().T @ compressed
         - (np.eye(rc.dim) - (r ** (2 * (cs.fock.max_degree + 1))) * rc.orbit(cs.fock.max_degree + 1))
@@ -166,7 +159,7 @@ def intertwining_check(kernel: PoissonKernel) -> IntertwiningReport:
         degrees = fock.degrees
     else:
         eye_d = np.eye(ddim, dtype=complex)
-        shifted = [np.kron(b.conj().T, eye_d) @ kernel.matrix for b in constrained_shifts(kernel.cs)[0]]
+        shifted = [np.kron(b.conj().T, eye_d) @ kernel.matrix for b in constrained_shifts(kernel.cs, "left")]
         degrees = kernel.cs.basis_degrees
     row_mask = np.repeat(degrees <= fock.max_degree - 1, ddim)
 

@@ -106,20 +106,6 @@ def ideal_from_spec(n: int, spec) -> list[NcPolynomial]:
     raise InvalidParameterError("ideal spec must be a string, list, or object")
 
 
-def coefficients_to_json(op) -> list[dict]:
-    """Dump a multi-analytic operator's Fourier coefficients in basis order,
-    one {word, matrix} entry per word; the golden-file format for symbols."""
-    items = sorted(op.coefficients.items(), key=lambda t: (len(t[0]), t[0].letters))
-    return [{"word": list(w.letters), "matrix": matrix_to_json(c)} for w, c in items]
-
-
-def coefficients_from_json(obj: list) -> dict:
-    out = {}
-    for item in obj:
-        out[Word(tuple(int(x) for x in item["word"]))] = matrix_from_json(item["matrix"])
-    return out
-
-
 def complex_to_json(z: complex) -> list[float]:
     z = complex(z)
     return [float(z.real), float(z.imag)]

@@ -1,10 +1,22 @@
-"""Free-semigroup words and the degree-truncated full Fock space.
+"""Free-semigroup words, the degree-truncated full Fock space, and the one
+word walk every per-word product runs through.
 
 A word is a finite sequence of generator indices in 1..n; the empty word is
 the semigroup identity. The truncated Fock space keeps the orthonormal basis
 e_alpha for all words of length at most N, ordered by length and then
 lexicographically, so every vector and every operator the package reports
-has a reproducible basis.
+has a reproducible basis. That order is index arithmetic: word
+g_{a_1} ... g_{a_m} sits at the slice offset of degree m plus its letters
+read as the base-n digits a_1 - 1, ..., a_m - 1, so ``TruncatedFock`` stores
+no word and ``Word`` appears only at the boundary (polynomial terms,
+Poisson-transform arguments, ``word_operator``).
+
+``word_products`` walks the words degree by degree: the block of g_i b is
+the block of b times op_i, so the block of alpha = g_{a_1} ... g_{a_m} is
+start @ op_{a_m} @ ... @ op_{a_1}, the product along the reversed word. With
+ops T_i^* that is start @ T_alpha^* (the Poisson kernel); with the right
+shifts it is the product along reverse(alpha) (the characteristic function's
+reversed-word order).
 
 The left and right creation operators are never stored as matrices: each is
 the index map ``TruncatedFock.child_map``, e_a -> e_{g_i a} or e_a -> e_{a g_i},
@@ -20,7 +32,7 @@ degree and are exact everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -74,23 +86,35 @@ def enumerate_words(n: int, max_len: int) -> list[Word]:
     return words
 
 
+def word_products(start: np.ndarray, ops: Sequence[np.ndarray], depth: int) -> np.ndarray:
+    """Blocks start @ op_{a_m} @ ... @ op_{a_1} for every word a_1 ... a_m of
+    length <= depth, stacked along axis 0 in basis order.
+
+    Degree m is ``concatenate([stack_{m-1} @ op_i for i])``: in basis order
+    g_i b follows the n^(m-1) words of every earlier first letter, so its
+    block is (block of b) @ op_i. The result has shape (#words,) + start.shape
+    with the op shapes chained on the last axis."""
+    stacks = [np.asarray(start)[None]]
+    for _ in range(depth):
+        stacks.append(np.concatenate([stacks[-1] @ op for op in ops]))
+    return np.concatenate(stacks)
+
+
 class TruncatedFock:
     """Orthonormal word basis of the full Fock space up to a fixed degree."""
 
     def __init__(self, n: int, max_degree: int):
         self.n = int(n)
         self.max_degree = int(max_degree)
-        self.words: tuple[Word, ...] = tuple(enumerate_words(self.n, self.max_degree))
-        self.index: dict[Word, int] = {w: k for k, w in enumerate(self.words)}
         offsets = [0]
         for m in range(self.max_degree + 1):
             offsets.append(offsets[-1] + self.n**m)
         self.slice_offsets: tuple[int, ...] = tuple(offsets)
-        self.degrees = np.array([len(w) for w in self.words], dtype=int)
+        self.degrees = np.repeat(np.arange(self.max_degree + 1), np.diff(offsets))
 
     @property
     def dim(self) -> int:
-        return len(self.words)
+        return self.slice_offsets[-1]
 
     def slice_range(self, m: int) -> slice:
         if not 0 <= m <= self.max_degree:
@@ -98,8 +122,14 @@ class TruncatedFock:
         return slice(self.slice_offsets[m], self.slice_offsets[m + 1])
 
     def word_index(self, word: Word) -> int | None:
-        """Basis index of e_word, or None if the word exceeds the truncation."""
-        return self.index.get(word)
+        """Basis index of e_word, or None if the word exceeds the truncation
+        or uses a generator beyond n."""
+        if len(word) > self.max_degree or any(x > self.n for x in word.letters):
+            return None
+        digits = 0
+        for x in word.letters:
+            digits = digits * self.n + (x - 1)
+        return self.slice_offsets[len(word)] + digits
 
     def degree_mask(self, m: int) -> np.ndarray:
         return self.degrees == m
@@ -127,8 +157,11 @@ class TruncatedFock:
         return src, dst
 
     def basis_vector(self, word: Word) -> np.ndarray:
+        idx = self.word_index(word)
+        if idx is None:
+            raise InvalidParameterError(f"word {word} is not a basis word of {self}")
         e = np.zeros(self.dim, dtype=complex)
-        e[self.index[word]] = 1.0
+        e[idx] = 1.0
         return e
 
     def __repr__(self) -> str:

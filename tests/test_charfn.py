@@ -11,6 +11,7 @@ from fockbench import (
     commutator_generators,
     constrained_characteristic,
     constrained_shifts,
+    enumerate_words,
     point_evaluate,
     unitary_invariance_check,
     validate,
@@ -29,14 +30,20 @@ def random_contraction(rng, n, dim, scale=1.05):
 def creation_tuples(f):
     """Left and right creation tuples as matrices (the free ideal's N_J has
     the identity basis, so its compressions equal them bit for bit)."""
-    return constrained_shifts(build_constrained_subspace(f, []))
+    cs = build_constrained_subspace(f, [])
+    return constrained_shifts(cs, "left"), constrained_shifts(cs, "right")
+
+
+def coefficient_items(op):
+    """(beta, theta_beta) for every stored coefficient: the entry at basis
+    word rho is the coefficient of reverse(rho)."""
+    return [(rho.reverse(), theta) for rho, theta in zip(enumerate_words(op.n, op.max_degree), op.coefficients)]
 
 
 def transformed(op, fn):
     """The operator whose coefficient at beta is fn(beta, theta_beta)."""
-    coeffs = {beta: fn(beta, theta) for beta, theta in op.coefficients.items()}
-    first = next(iter(coeffs.values()))
-    return MultiAnalyticOperator(op.n, op.max_degree, coeffs, first.shape[1], first.shape[0])
+    coeffs = np.stack([fn(beta, theta) for beta, theta in coefficient_items(op)])
+    return MultiAnalyticOperator(op.n, op.max_degree, coeffs)
 
 
 def random_commuting_contraction(rng, n, dim, scale=1.05):
@@ -78,8 +85,7 @@ class TestCoefficients:
         op = characteristic_coefficients(rc, 3)
         mat = assemble(op, fock=f)
         tgt, src = op.target_dim, op.source_dim
-        for w in f.words:
-            row = f.index[w]
+        for row, w in enumerate(enumerate_words(2, 3)):
             block = mat[row * tgt : (row + 1) * tgt, 0:src]
             assert np.allclose(block, op.coefficient(w.reverse()), atol=1e-13)
 
@@ -88,7 +94,8 @@ class TestAssemble:
     def test_identity_symbol(self):
         rc = validate([np.zeros((1, 1))])
         op = characteristic_coefficients(rc, 3)
-        op.coefficients = {Word(()): np.eye(1, dtype=complex)}
+        op.coefficients = np.zeros_like(op.coefficients)
+        op.coefficients[0] = np.eye(1)
         f = TruncatedFock(1, 3)
         assert np.array_equal(assemble(op, fock=f), np.eye(f.dim))
 
@@ -163,7 +170,7 @@ class TestPointEvaluate:
         partial = np.zeros_like(direct)
         errors = []
         for deg in range(max_deg + 1):
-            for beta, theta in op.coefficients.items():
+            for beta, theta in coefficient_items(op):
                 if len(beta) == deg:
                     partial += np.kron(word_operator(xs, beta), theta)
             errors.append(np.linalg.norm(partial - direct, 2))
@@ -305,32 +312,27 @@ class TestUnitaryInvariance:
             unitary_invariance_check(rc, np.array([[0.9]]))
 
 
-def test_coefficient_dump_roundtrip():
-    from fockbench.serialize import coefficients_from_json, coefficients_to_json
-
+@pytest.mark.parametrize("n,top", [(1, 4), (2, 3), (3, 2)])
+def test_coefficients_are_one_array_in_reversed_word_order(n, top):
     rng = np.random.default_rng(25)
-    rc = random_contraction(rng, 2, 2)
-    op = characteristic_coefficients(rc, 3)
-    dumped = coefficients_to_json(op)
-    # basis order: lengths never decrease
-    lengths = [len(entry["word"]) for entry in dumped]
-    assert lengths == sorted(lengths)
-    restored = coefficients_from_json(dumped)
-    assert set(restored) == set(op.coefficients)
-    for w, mat in restored.items():
-        assert np.array_equal(mat, op.coefficients[w])
+    rc = random_contraction(rng, n, 2)
+    op = characteristic_coefficients(rc, top)
+    assert len(op.coefficients) == sum(n**k for k in range(top + 1))
+    assert op.coefficients.shape[1:] == (op.target_dim, op.source_dim)
+    for rho, theta in zip(enumerate_words(n, top), op.coefficients):
+        assert np.array_equal(op.coefficient(rho.reverse()), theta)
+    beyond = op.coefficient(Word((1,) * (top + 1)))
+    assert beyond.shape == (op.target_dim, op.source_dim) and not beyond.any()
 
 
 class TestConstrainedMultiAnalyticity:
     def test_assembled_operator_intertwines_constrained_shifts(self):
-        from fockbench import constrained_shifts
-
         rc = validate([np.diag([0.3, -0.2 + 0.1j]), np.diag([0.1j, 0.35])])
         f = TruncatedFock(2, 4)
         cs = build_constrained_subspace(f, commutator_generators(2))
         op = constrained_characteristic(rc, cs, f.max_degree)
         mat = assemble(op, cs=cs)
-        b_ops, _ = constrained_shifts(cs)
+        b_ops = constrained_shifts(cs, "left")
         for b in b_ops:
             lhs = mat @ np.kron(b, np.eye(op.source_dim, dtype=complex))
             rhs = np.kron(b, np.eye(op.target_dim, dtype=complex)) @ mat

@@ -11,7 +11,6 @@ from fockbench import (
     constrained_shifts,
     maximal_constrained_piece,
     model_space,
-    shift_multiplicity,
     validate,
     verify_dilation,
     wold_decompose,
@@ -186,7 +185,7 @@ class TestWold:
 
     def test_truncated_creation_block_plus_cuntz(self):
         f = TruncatedFock(2, 3)
-        s, _ = constrained_shifts(build_constrained_subspace(f, []))
+        s = constrained_shifts(build_constrained_subspace(f, []), "left")
         z = [np.array([[1 / np.sqrt(2)]]), np.array([[1j / np.sqrt(2)]])]
         v = [np.block([
             [si, np.zeros((f.dim, 1))],
@@ -200,27 +199,29 @@ class TestWold:
 
 
 class TestShiftMultiplicity:
+    """The shift multiplicity is the Wold split's defect rank; the tuple is a
+    (constrained) shift exactly when its purity limit vanishes."""
+
     def test_tensor_multiplicity_of_constrained_shift(self):
         cs = commutative_cs(2, 3)
-        left, _ = constrained_shifts(cs)
+        left = constrained_shifts(cs, "left")
         for mult in (1, 2, 3):
             eye = np.eye(mult, dtype=complex)
-            tensored = [np.kron(b, eye) for b in left]
-            res = shift_multiplicity(tensored)
-            assert res.multiplicity == mult
-            assert res.is_shift
+            split = wold_decompose([np.kron(b, eye) for b in left])
+            assert split.multiplicity == mult
+            assert split.purity.is_pure
 
     def test_unitary_is_not_a_shift(self):
-        res = shift_multiplicity([np.array([[np.exp(0.2j)]])])
-        assert res.multiplicity == 0
-        assert not res.is_shift
+        split = wold_decompose([np.array([[np.exp(0.2j)]])])
+        assert split.multiplicity == 0
+        assert not split.purity.is_pure
 
     def test_jordan_shift(self):
         jordan = np.zeros((3, 3))
         jordan[0, 1] = jordan[1, 2] = 1.0
-        res = shift_multiplicity([jordan])
-        assert res.multiplicity == 1
-        assert res.is_shift
+        split = wold_decompose([jordan])
+        assert split.multiplicity == 1
+        assert split.purity.is_pure
 
 
 class TestModelSpace:
@@ -258,7 +259,7 @@ class TestModelSpace:
 class TestMaximalConstrainedPiece:
     def test_commutators_on_truncated_creation_recover_symmetric_space(self):
         f = TruncatedFock(2, 4)
-        s, _ = constrained_shifts(build_constrained_subspace(f, []))
+        s = constrained_shifts(build_constrained_subspace(f, []), "left")
         cs = build_constrained_subspace(f, commutator_generators(2))
         basis, diag = maximal_constrained_piece(s, commutator_generators(2), k_max=f.max_degree, cs=cs)
         # spans coincide exactly in the graded case
@@ -293,7 +294,7 @@ class TestWoldPartialSumIdentities:
         # recovers the projection onto the shift part, and the CP powers of
         # the identity converge to the projection onto the residual part.
         f = TruncatedFock(2, 3)
-        s, _ = constrained_shifts(build_constrained_subspace(f, []))
+        s = constrained_shifts(build_constrained_subspace(f, []), "left")
         z = [np.array([[1 / np.sqrt(2)]]), np.array([[1j / np.sqrt(2)]])]
         v = [np.block([
             [si, np.zeros((f.dim, 1))],

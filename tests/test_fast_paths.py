@@ -1,16 +1,23 @@
-"""Each graded fast path pinned to the dense path it replaced.
+"""Each fast path pinned to the dense path it replaced.
 
 The child-index maps for the shifts and the degree-by-degree Fock assembly
 rearrange the same floating-point operations, so those comparisons are
 ``np.array_equal``, not a tolerance; so is the word-product assembly kept for
-non-homogeneous generators. The graded constrained assembly compresses each
-Fock block to the slice bases by two products, a different association than
-the word products of compressed shifts, so it is pinned under a computed
-rounding budget. The slice recursion for the constrained subspace computes a
-different orthonormal basis of the same space, so it is pinned basis-free,
-to 1e-12: equal slice dimensions, principal angles, and shifts unitarily
-similar to those of the dense complement of each ideal slice. The ideal
-slices themselves are a dense reference built here.
+non-homogeneous generators. The shared word walk (``word_products``) is
+pinned against the per-word parent recursions it replaced, kept here as
+references, and each reference against the dense ``word_operator`` of every
+word: bit for bit where the walk associates the products the same way (the
+walk itself and the Θ coefficients), under a computed rounding budget where
+it does not (the Poisson kernel, whose old recursion multiplied the adjoints
+before the defect root, and the kernel vector, whose scalar products now run
+from the last letter). The graded constrained assembly compresses each Fock
+block to the slice bases by two products, a different association than the
+word products of compressed shifts, so it is pinned under a computed rounding
+budget. The slice recursion for the constrained subspace computes a different
+orthonormal basis of the same space, so it is pinned basis-free, to 1e-12:
+equal slice dimensions, principal angles, and shifts unitarily similar to
+those of the dense complement of each ideal slice. The ideal slices
+themselves are a dense reference built here.
 """
 
 import numpy as np
@@ -30,36 +37,112 @@ from fockbench import (
     characteristic_coefficients,
     commutator_generators,
     constrained_shifts,
+    enumerate_words,
+    kernel_vector,
+    poisson_kernel,
     q_commutator_generators,
     validate,
     word_length_generators,
+    word_operator,
 )
 from fockbench._linalg import complement_basis, principal_angles
 from fockbench.ideals import _generator_matrix, _ideal_columns, ideal_orthogonality
+from fockbench.poisson import _radial_defect
+from fockbench.words import word_products
+
+EPS = np.finfo(float).eps
 
 
 def dense_creation(fock, side, i):
     """The word-by-word creation matrix, as built before the child map."""
     g = Word((i,))
     mat = np.zeros((fock.dim, fock.dim), dtype=complex)
-    for col, w in enumerate(fock.words):
+    for col, w in enumerate(enumerate_words(fock.n, fock.max_degree)):
         if len(w) >= fock.max_degree:
             continue
-        mat[fock.index[g * w if side == "left" else w * g], col] = 1.0
+        mat[fock.word_index(g * w if side == "left" else w * g), col] = 1.0
     return mat
 
 
+def coefficient_items(op):
+    """(beta, theta_beta) for every stored coefficient: the entry at basis
+    word rho is the coefficient of reverse(rho)."""
+    return [(rho.reverse(), theta) for rho, theta in zip(enumerate_words(op.n, op.max_degree), op.coefficients)]
+
+
+# --- the per-word parent recursions the shared walk replaced ---------------
+
+
+def letter_products(start, ops, top):
+    """start @ op_{a_1} @ ... @ op_{a_m} for every word of length <= top,
+    each from its parent a_1 ... a_{m-1} by one product (the recursion of the
+    former constrained word-product assembly)."""
+    prods = {IDENTITY_WORD: start}
+    for w in enumerate_words(len(ops), top)[1:]:
+        prods[w] = prods[Word(w.letters[:-1])] @ ops[w.letters[-1] - 1]
+    return prods
+
+
+def word_adjoint_products(rc, top):
+    """T_alpha^* for every word of length <= top, by the parent recursion
+    T_{gamma g_i}^* = T_i^* T_gamma^* of the former Poisson kernel."""
+    prods = {IDENTITY_WORD: np.eye(rc.dim, dtype=complex)}
+    for w in enumerate_words(rc.n, top)[1:]:
+        prods[w] = rc.matrices[w.letters[-1] - 1].conj().T @ prods[Word(w.letters[:-1])]
+    return prods
+
+
+def recursive_kernel(rc, top, r):
+    """The former Poisson kernel: block alpha is r^|alpha| (reduced defect
+    root) T_alpha^*; returns the stacked blocks and the reduced root."""
+    delta, basis = _radial_defect(rc, r)
+    reduced = basis.conj().T @ delta
+    prods = word_adjoint_products(rc, top)
+    blocks = [(r ** len(w)) * (reduced @ prods[w]) for w in enumerate_words(rc.n, top)]
+    return np.stack(blocks), reduced
+
+
+def extend_coefficients(rc, top):
+    """The former depth-first coefficient recursion: the coefficient of
+    gamma*g_i is (reduced defect root) T_{reverse(gamma)}^* times the i-th
+    block row of the column defect root, with the running product extended by
+    one adjoint per letter of gamma."""
+    d = rc.dim
+    e_t, e_s = rc.defect_basis, rc.defect_star_basis
+    coeffs = {IDENTITY_WORD: -(e_t.conj().T @ rc.row_matrix @ e_s)}
+    blocks = [rc.delta_star[(i - 1) * d : i * d, :] @ e_s for i in range(1, rc.n + 1)]
+
+    def extend(gamma, m_gamma):
+        for i in range(1, rc.n + 1):
+            coeffs[Word(gamma + (i,))] = m_gamma @ blocks[i - 1]
+        if len(gamma) + 1 < top:
+            for j in range(1, rc.n + 1):
+                extend(gamma + (j,), m_gamma @ rc.matrices[j - 1].conj().T)
+
+    extend((), e_t.conj().T @ rc.delta)
+    return coeffs, blocks
+
+
+def recursive_kernel_vector(cs, z):
+    """The former kernel-vector recursion: entry alpha is its parent's entry
+    times conj(z) of the last letter."""
+    words = enumerate_words(cs.fock.n, cs.fock.max_degree)
+    vec = np.zeros(cs.fock.dim, dtype=complex)
+    vec[0] = 1.0
+    for idx, w in enumerate(words[1:], start=1):
+        vec[idx] = vec[cs.fock.word_index(Word(w.letters[:-1]))] * np.conj(z[w.letters[-1] - 1])
+    return cs.basis.conj().T @ vec
+
+
 def dense_assemble(op, cs):
-    """Constrained assembly as the full kron-sum over every word."""
-    _, w_ops = constrained_shifts(cs)
+    """Constrained assembly as the full kron-sum over every word, with the
+    word products of the compressed right shifts from the parent recursion."""
+    right = constrained_shifts(cs, "right")
+    prods = letter_products(np.eye(cs.dim, dtype=complex), right, cs.fock.max_degree)
     out = np.zeros((cs.dim * op.target_dim, cs.dim * op.source_dim), dtype=complex)
-    prods = {IDENTITY_WORD: np.eye(cs.dim, dtype=complex)}
-    for w in cs.fock.words[1:]:
-        prods[w] = prods[Word(w.letters[:-1])] @ w_ops[w.letters[-1] - 1]
-    for beta, theta in op.coefficients.items():
-        if len(beta) > cs.fock.max_degree:
-            continue
-        out += np.kron(prods[beta], theta)
+    for beta, theta in coefficient_items(op):
+        if len(beta) <= cs.fock.max_degree:
+            out += np.kron(prods[beta], theta)
     return out
 
 
@@ -68,14 +151,14 @@ def word_loop_assemble(op, fock):
     block (mu * reverse(beta), mu) for every word mu it fits against."""
     src, tgt = op.source_dim, op.target_dim
     out = np.zeros((fock.dim * tgt, fock.dim * src), dtype=complex)
-    for beta, theta in op.coefficients.items():
+    for beta, theta in coefficient_items(op):
         if len(beta) > fock.max_degree:
             continue
         rev = beta.reverse()
-        for col, mu in enumerate(fock.words):
+        for col, mu in enumerate(enumerate_words(fock.n, fock.max_degree)):
             if len(mu) + len(beta) > fock.max_degree:
                 continue
-            r0 = fock.index[mu * rev]
+            r0 = fock.word_index(mu * rev)
             out[r0 * tgt : (r0 + 1) * tgt, col * src : (col + 1) * src] += theta
     return out
 
@@ -87,8 +170,8 @@ def assembly_budget(op, cs):
     |P[i, j]| <= 1 (entries of contractions and of orthonormal bases), so its
     value is at most the sum S of the largest coefficient entries; each path
     reaches it through at most (N + 1) dim(Fock) roundings of that size."""
-    total = sum(np.abs(theta).max(initial=0.0) for theta in op.coefficients.values())
-    return (cs.fock.max_degree + 1) * cs.fock.dim * np.finfo(float).eps * total
+    total = np.abs(op.coefficients).max(axis=(1, 2), initial=0.0).sum()
+    return (cs.fock.max_degree + 1) * cs.fock.dim * EPS * total
 
 
 def ideal_slice(fock, generators, m):
@@ -111,7 +194,7 @@ def ideal_slice(fock, generators, m):
             rows = (np.arange(n**b)[:, None] + np.arange(n**a)[None, :] * n ** (d + b)).ravel()
             cols = np.arange(col, col + rows.size)
             for w, c in p.terms.items():
-                mat[rows + (fock.index[w] - fock.slice_offsets[d]) * n**b, cols] += c
+                mat[rows + (fock.word_index(w) - fock.slice_offsets[d]) * n**b, cols] += c
             col += rows.size
     return mat
 
@@ -144,12 +227,12 @@ def test_child_map_matches_dense_creation(n, top, side, data):
     fock = TruncatedFock(n, top)
     i = data.draw(st.integers(1, n))
     src, dst = fock.child_map(side, i)
-    left, right = constrained_shifts(build_constrained_subspace(fock, []))
-    shift = (left if side == "left" else right)[i - 1]
+    shift = constrained_shifts(build_constrained_subspace(fock, []), side)[i - 1]
     assert np.array_equal(shift, dense_creation(fock, side, i))
+    words = enumerate_words(n, top)
     for s, d in zip(src, dst):
-        w = fock.words[s]
-        assert fock.words[d] == (Word((i,)) * w if side == "left" else w * Word((i,)))
+        w = words[s]
+        assert words[d] == (Word((i,)) * w if side == "left" else w * Word((i,)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -157,7 +240,7 @@ def test_child_map_matches_dense_creation(n, top, side, data):
 def test_constrained_shifts_match_dense_compression(case):
     n, top, gens = case
     cs = build_constrained_subspace(TruncatedFock(n, top), gens)
-    left, right = constrained_shifts(cs)
+    left, right = constrained_shifts(cs, "left"), constrained_shifts(cs, "right")
     q = cs.basis
     for i in range(1, n + 1):
         assert np.array_equal(left[i - 1], q.conj().T @ dense_creation(cs.fock, "left", i) @ q)
@@ -206,8 +289,8 @@ def assert_recursion_matches_dense_complement(fock, gens):
         ref = np.concatenate([ref, block], axis=1)
     u = ref.conj().T @ cs.basis
     assert np.linalg.norm(u.conj().T @ u - np.eye(cs.dim), 2) <= 1e-12
-    for side, shifts in zip(("left", "right"), constrained_shifts(cs)):
-        for i, fast in enumerate(shifts, start=1):
+    for side in ("left", "right"):
+        for i, fast in enumerate(constrained_shifts(cs, side), start=1):
             dense = ref.conj().T @ dense_creation(fock, side, i) @ ref
             assert np.linalg.norm(fast - u.conj().T @ dense @ u, 2) <= 1e-12
 
@@ -267,6 +350,10 @@ def test_constrained_assembly_matches_kron_sum(case, seed):
         assert np.array_equal(fast, dense_assemble(op, cs))
 
 
+# z_1^2 = z_2 / 2 on scalar points; its ideal is not graded.
+NON_HOMOGENEOUS = NcPolynomial({Word((1, 1)): 1.0, Word((2,)): -0.5})
+
+
 def coisometric_pair():
     return validate([np.array([[1 / np.sqrt(2)]]), np.array([[1 / np.sqrt(2)]])])
 
@@ -276,7 +363,8 @@ def coisometric_pair():
     (coisometric_pair(), 2, commutator_generators(2)),
     (coisometric_pair(), 2, []),
     (validate([np.diag([0.3, 0.1]), np.diag([0.2, -0.4])]), 2, [NcPolynomial({IDENTITY_WORD: 1.0})]),
-], ids=["n1", "defect_rank0_commutative", "defect_rank0_free", "constant_generator"])
+    (validate([np.diag([0.3, 0.1]), np.diag([0.2, -0.4])]), 2, [NON_HOMOGENEOUS]),
+], ids=["n1", "defect_rank0_commutative", "defect_rank0_free", "constant_generator", "non_homogeneous"])
 def test_assembly_edge_cases(rc, n, gens):
     top = 4
     op = characteristic_coefficients(rc, top)
@@ -297,8 +385,117 @@ def test_graded_paths_skip_dense_builders(monkeypatch):
     for n, gens in ((3, commutator_generators(3)), (2, q_commutator_generators(np.full((2, 2), 0.5))),
                     (2, word_length_generators(2, 3))):
         cs = build_constrained_subspace(TruncatedFock(n, 4), gens)
-        constrained_shifts(cs)
+        constrained_shifts(cs, "left")
+        constrained_shifts(cs, "right")
         ideal_orthogonality(cs)
         assemble(random_coefficients(n, 4, 0), cs=cs)
     with pytest.raises(AssertionError):
         build_constrained_subspace(TruncatedFock(2, 3), [NcPolynomial({Word((1, 2)): 1.0, Word((1,)): 1.0})])
+
+
+def random_tuple(n, dim, seed, row_norm=0.9):
+    rng = np.random.default_rng(seed)
+    mats = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for _ in range(n)]
+    return validate([row_norm * t / np.linalg.norm(np.hstack(mats), 2) for t in mats])
+
+
+def product_budget(top, dim):
+    """Rounding budget between two evaluations of a product of at most
+    top + 1 factors of norm <= 1 (a reduced defect root, then adjoints of a
+    row contraction): each matmul perturbs an entry by at most dim eps, and
+    either path takes top + 1 of them."""
+    return 2 * (top + 1) * (dim + 1) * EPS
+
+
+# A row contraction from every branch the walk must cover: n = 1, a random
+# pair, and a coisometry (defect rank 0, so every kernel block has no rows).
+WALK_TUPLES = [
+    pytest.param(validate([np.array([[0.5, 0.2], [0.0, -0.3]])]), id="n1"),
+    pytest.param(random_tuple(2, 3, 4), id="random_pair"),
+    pytest.param(coisometric_pair(), id="defect_rank0"),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 4), st.integers(0, 2), st.integers(1, 3), st.integers(0, 2**31 - 1))
+def test_word_products_match_the_parent_recursion(n, top, rows, dim, seed):
+    rng = np.random.default_rng(seed)
+    ops = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for _ in range(n)]
+    ops = [t / max(np.linalg.norm(t, 2), 1.0) for t in ops]
+    start = rng.standard_normal((rows, dim)) / np.sqrt(dim)
+    stack = word_products(start, ops, top)
+    assert stack.shape == (TruncatedFock(n, top).dim, rows, dim)
+    ref = letter_products(start, ops, top)
+    for rho, block in zip(enumerate_words(n, top), stack):
+        assert np.array_equal(block, ref[rho.reverse()])
+        dense = start @ word_operator(ops, rho.reverse())
+        assert np.abs(block - dense).max(initial=0.0) <= product_budget(top, dim)
+
+
+def assert_kernel_matches_references(rc, top, r):
+    fock = TruncatedFock(rc.n, top)
+    kern = poisson_kernel(rc, fock, r)
+    ref, reduced = recursive_kernel(rc, top, r)
+    assert kern.matrix.shape == (fock.dim * reduced.shape[0], rc.dim)
+    budget = product_budget(top, rc.dim)
+    assert np.abs(kern.matrix - ref.reshape(kern.matrix.shape)).max(initial=0.0) <= budget
+    for w, block in zip(enumerate_words(rc.n, top), ref):
+        dense = (r ** len(w)) * (reduced @ word_operator(rc.matrices, w).conj().T)
+        assert np.abs(block - dense).max(initial=0.0) <= budget
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 3), st.sampled_from([1.0, 0.95, 0.5]),
+       st.integers(0, 2**31 - 1))
+def test_poisson_kernel_matches_the_word_adjoint_recursion(n, top, dim, r, seed):
+    assert_kernel_matches_references(random_tuple(n, dim, seed), top, r)
+
+
+@pytest.mark.parametrize("r", [1.0, 0.8])
+@pytest.mark.parametrize("rc", WALK_TUPLES)
+def test_poisson_kernel_edge_cases(rc, r):
+    assert_kernel_matches_references(rc, 4, r)
+
+
+def assert_coefficients_match_references(rc, top):
+    op = characteristic_coefficients(rc, top)
+    assert len(op.coefficients) == sum(rc.n**k for k in range(top + 1))
+    ref, blocks = extend_coefficients(rc, top)
+    reduced = rc.defect_basis.conj().T @ rc.delta
+    budget = product_budget(top, rc.dim)
+    for beta, theta in coefficient_items(op):
+        assert np.array_equal(theta, ref[beta])
+        if len(beta):
+            gamma, i = Word(beta.letters[:-1]), beta.letters[-1]
+            dense = reduced @ word_operator(rc.matrices, gamma.reverse()).conj().T @ blocks[i - 1]
+            assert np.abs(theta - dense).max(initial=0.0) <= budget
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**31 - 1))
+def test_theta_coefficients_match_the_extend_recursion(n, top, dim, seed):
+    assert_coefficients_match_references(random_tuple(n, dim, seed), top)
+
+
+@pytest.mark.parametrize("rc", WALK_TUPLES)
+def test_theta_coefficient_edge_cases(rc):
+    assert_coefficients_match_references(rc, 4)
+
+
+@pytest.mark.parametrize("n,top,gens,point", [
+    (1, 6, [], [0.6]),
+    (2, 5, [], [0.3 - 0.2j, 0.5]),
+    (3, 4, commutator_generators(3), [0.2, -0.3j, 0.4]),
+    (2, 5, [NON_HOMOGENEOUS], [0.3, 0.18]),
+], ids=["n1", "free", "commutative", "non_homogeneous"])
+def test_kernel_vector_matches_the_parent_recursion(n, top, gens, point):
+    cs = build_constrained_subspace(TruncatedFock(n, top), gens)
+    z = np.asarray(point, dtype=complex)
+    got = kernel_vector(cs, z).vector
+    ref = recursive_kernel_vector(cs, z)
+    dense = cs.basis.conj().T @ np.array(
+        [np.prod(np.conj(z)[np.array(w.letters, dtype=int) - 1]) for w in enumerate_words(n, top)]
+    )
+    budget = 2 * (top + 1) * np.sqrt(cs.fock.dim) * EPS
+    assert np.abs(got - ref).max() <= budget
+    assert np.abs(ref - dense).max() <= budget

@@ -64,8 +64,8 @@ class TestBuildConstrainedSubspace:
         assert cs.dim == 15
         assert np.array_equal(cs.basis, np.eye(15))
         # the compressions are the creation matrices e_src -> e_dst themselves
-        for side, shifts in zip(("left", "right"), constrained_shifts(cs)):
-            for i, b in enumerate(shifts, start=1):
+        for side in ("left", "right"):
+            for i, b in enumerate(constrained_shifts(cs, side), start=1):
                 src, dst = f.child_map(side, i)
                 s = np.zeros((f.dim, f.dim), dtype=complex)
                 s[dst, src] = 1.0
@@ -133,6 +133,14 @@ class TestBuildConstrainedSubspace:
         with pytest.raises(InvalidParameterError):
             build_constrained_subspace(f, commutator_generators(2))
 
+    @pytest.mark.parametrize("gen", [
+        NcPolynomial.monomial([1, 3]),
+        NcPolynomial({Word((3,)): 1.0, Word(()): 1.0}),
+    ], ids=["homogeneous", "non_homogeneous"])
+    def test_generator_letter_beyond_n_rejected(self, gen):
+        with pytest.raises(InvalidParameterError):
+            build_constrained_subspace(TruncatedFock(2, 3), [gen])
+
 
 class TestConstrainedShifts:
     def test_defect_is_vacuum_projection_for_standard_ideals(self):
@@ -144,7 +152,7 @@ class TestConstrainedShifts:
         ]
         for gens in ideals:
             cs = build_constrained_subspace(f, gens)
-            left, _ = constrained_shifts(cs)
+            left = constrained_shifts(cs, "left")
             defect = np.eye(cs.dim) - sum(b @ b.conj().T for b in left)
             v0 = cs.vacuum_vector()
             window = cs.degree_window_mask(f.max_degree - 1)
@@ -155,7 +163,7 @@ class TestConstrainedShifts:
         f = TruncatedFock(2, 4)
         gens = commutator_generators(2)
         cs = build_constrained_subspace(f, gens)
-        left, _ = constrained_shifts(cs)
+        left = constrained_shifts(cs, "left")
         window = cs.degree_window_mask(f.max_degree - max(g.degree for g in gens))
         for p in gens:
             image = evaluate_polynomial(p, left)[:, window]
@@ -164,7 +172,7 @@ class TestConstrainedShifts:
     def test_commutation_of_shifts_on_safe_degrees(self):
         f = TruncatedFock(2, 3)
         cs = build_constrained_subspace(f, commutator_generators(2))
-        left, _ = constrained_shifts(cs)
+        left = constrained_shifts(cs, "left")
         window = cs.degree_window_mask(1)
         comm = (left[0] @ left[1] - left[1] @ left[0])[:, window]
         assert np.linalg.norm(comm, 2) < 1e-12

@@ -14,6 +14,7 @@ from fockbench import (
     arveson_curvature,
     characteristic_coefficients,
     curvature_phi,
+    enumerate_words,
     curvature_theta,
     euler_phi,
     validate,
@@ -170,6 +171,20 @@ def _multisets(n, m):
     return out
 
 
+def coefficient_items(op):
+    """(beta, theta_beta) for every stored coefficient: the entry at basis
+    word rho is the coefficient of reverse(rho)."""
+    return [(rho.reverse(), theta) for rho, theta in zip(enumerate_words(op.n, op.max_degree), op.coefficients)]
+
+
+def walk_order(item):
+    """Sort key putting coefficient words gamma*g_i in the order of a
+    depth-first walk over the prefixes gamma (the order the pruned walk below
+    sums them in): prefixes in preorder, then the last letter."""
+    letters = item[0].letters
+    return letters[:-1], letters[-1]
+
+
 class SymmetricTruncation:
     """Occupation-number basis of the symmetric subspace up to a degree, with
     the compressed creation tuple acting by sqrt((mu_i+1)/(m+1)) transitions."""
@@ -208,14 +223,12 @@ def _symmetric_char_matrix(rc, sym):
     coefficient sum per occupation class."""
     op = characteristic_coefficients(rc, sym.max_degree)
     class_sums = {}
-    for beta, theta in op.coefficients.items():
-        if beta == IDENTITY_WORD:
-            continue
+    for beta, theta in sorted(coefficient_items(op)[1:], key=walk_order):
         occ = tuple(beta.letters.count(i) for i in range(1, rc.n + 1))
         class_sums[occ] = class_sums[occ] + theta if occ in class_sums else theta
 
     creations = [sym.creation(i) for i in range(1, rc.n + 1)]
-    out = np.kron(np.eye(sym.dim, dtype=complex), op.coefficients[IDENTITY_WORD])
+    out = np.kron(np.eye(sym.dim, dtype=complex), op.coefficient(IDENTITY_WORD))
     powers = {tuple([0] * rc.n): np.eye(sym.dim, dtype=complex)}
     for m in range(1, sym.max_degree + 1):
         for mu in _multisets(rc.n, m):
@@ -366,7 +379,7 @@ def pruned_walk_char_matrix(rc, sym):
 
     walk((), reduced)
     creations = [sym.creation(i) for i in range(1, rc.n + 1)]
-    out = np.kron(np.eye(sym.dim, dtype=complex), op0.coefficients[Word(())])
+    out = np.kron(np.eye(sym.dim, dtype=complex), op0.coefficient(Word(())))
     powers = {tuple([0] * rc.n): np.eye(sym.dim, dtype=complex)}
     for m in range(1, sym.max_degree + 1):
         for mu in _multisets(rc.n, m):
@@ -427,7 +440,7 @@ def test_pruned_walk_dropped_only_exact_zeros_on_the_nilpotent_pair():
     op = characteristic_coefficients(rc, 4)
     # the walk stopped after length 2; the 24 longer coefficients are exact zeros
     assert summed == 6 and len(op.coefficients) - 1 == 30
-    assert all(not theta.any() for beta, theta in op.coefficients.items() if len(beta) > 2)
+    assert all(not theta.any() for beta, theta in coefficient_items(op) if len(beta) > 2)
     assert np.array_equal(_symmetric_char_matrix(rc, sym), expected)
 
 

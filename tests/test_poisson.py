@@ -23,7 +23,7 @@ from fockbench.errors import InvalidParameterError, PreconditionError
 def left_creation(f):
     """The left creation tuple as matrices (compressions to the free ideal's
     N_J, whose basis is the identity)."""
-    return constrained_shifts(build_constrained_subspace(f, []))[0]
+    return constrained_shifts(build_constrained_subspace(f, []), "left")
 
 
 def random_pair(seed, dim=3, slack=1.02):

@@ -9,19 +9,22 @@ from fockbench import (
     build_constrained_subspace,
     constrained_shifts,
     enumerate_words,
+    word_operator,
 )
+from fockbench.words import word_products
 from fockbench.errors import InvalidParameterError
 
 
 def creation_tuples(f):
     """Left and right creation tuples as matrices: the compressions to the
     free ideal's N_J, whose basis is the identity, equal bit for bit."""
-    return constrained_shifts(build_constrained_subspace(f, []))
+    cs = build_constrained_subspace(f, [])
+    return constrained_shifts(cs, "left"), constrained_shifts(cs, "right")
 
 
 def reversal(f):
     """Basis index of reverse(alpha) for each basis word alpha."""
-    return np.array([f.index[w.reverse()] for w in f.words])
+    return np.array([f.word_index(w.reverse()) for w in enumerate_words(f.n, f.max_degree)])
 
 
 def test_enumerate_words_small_cases():
@@ -42,6 +45,33 @@ def test_enumerate_words_order_is_length_lex():
 def test_enumerate_words_rejects_bad_parameters(n, bad_len):
     with pytest.raises(InvalidParameterError):
         enumerate_words(n, bad_len)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 4))
+def test_word_index_is_the_enumeration_position(n, top):
+    f = TruncatedFock(n, top)
+    words = enumerate_words(n, top)
+    assert [f.word_index(w) for w in words] == list(range(f.dim))
+    assert np.array_equal(f.degrees, [len(w) for w in words])
+    assert f.word_index(Word((1,) * (top + 1))) is None
+    assert f.word_index(Word((n + 1,))) is None
+
+
+def test_basis_vector_rejects_words_outside_the_truncation():
+    f = TruncatedFock(2, 2)
+    with pytest.raises(InvalidParameterError):
+        f.basis_vector(Word((1, 1, 1)))
+
+
+def test_word_products_blocks_are_reversed_word_products():
+    rng = np.random.default_rng(3)
+    ops = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2)]
+    start = rng.standard_normal((2, 3))
+    stack = word_products(start, ops, 3)
+    assert stack.shape == (15, 2, 3)
+    for idx, w in enumerate(enumerate_words(2, 3)):
+        assert np.allclose(stack[idx], start @ word_operator(ops, w.reverse()), atol=1e-13)
 
 
 def test_truncated_fock_dimensions():
@@ -103,7 +133,7 @@ def test_flip_unitary_involution_and_fixed_short_words():
     rev = reversal(f)
     assert np.array_equal(rev[rev], np.arange(f.dim))
     for word, image in [((), ()), ((1,), (1,)), ((1, 2), (2, 1))]:
-        assert rev[f.index[Word(word)]] == f.index[Word(image)]
+        assert rev[f.word_index(Word(word))] == f.word_index(Word(image))
 
 
 def test_flip_conjugation_swaps_creation_sides():
@@ -129,8 +159,6 @@ def test_word_reverse_is_an_involution(letters):
 def test_word_concatenation_matches_operator_products():
     f = TruncatedFock(2, 3)
     s, _ = creation_tuples(f)
-    from fockbench import word_operator
-
     w = Word((1, 2, 1))
     prod = s[0] @ s[1] @ s[0]
     assert np.array_equal(word_operator(s, w), prod)
