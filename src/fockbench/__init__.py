@@ -34,15 +34,16 @@ from .poisson import (
     kernel_gram,
     poisson_kernel,
     poisson_transform,
+    shift_adjoints,
 )
 from .charfn import (
     MultiAnalyticOperator,
     assemble,
     characteristic_coefficients,
-    constrained_characteristic,
     point_evaluate,
     unitary_invariance_check,
-    verify_factorization,
+    verify_point_factorization,
+    verify_truncated_factorization,
 )
 from .dilation import (
     DilationBlocks,

@@ -26,10 +26,10 @@ from typing import Sequence
 import numpy as np
 
 from ._linalg import spectral_norm
-from .contractions import RowContraction, satisfies_constraints, spectral_radius, validate
+from .contractions import RowContraction, check_constraints, spectral_radius, validate
 from .errors import InvalidParameterError, PreconditionError
 from .ideals import ConstrainedSubspace, constrained_shifts
-from .poisson import constrained_poisson_kernel, poisson_kernel
+from .poisson import PoissonKernel
 from .words import TruncatedFock, Word, word_products
 
 
@@ -198,85 +198,68 @@ def point_evaluate(rc: RowContraction, point: Sequence) -> np.ndarray:
     )
 
 
-def constrained_characteristic(
-    rc: RowContraction, cs: ConstrainedSubspace, max_degree: int, constraint_tol: float = 1e-10
-) -> MultiAnalyticOperator:
-    """Constrained flavor: same Fourier coefficients, assembled against the
-    compressed right shifts; equals the compression of the standard assembled
-    operator on the certified window."""
-    if not satisfies_constraints(rc, cs.generators, constraint_tol):
-        raise PreconditionError("tuple violates the ideal generators")
-    return characteristic_coefficients(rc, max_degree)
+def kernel_theta(kernel: PoissonKernel) -> np.ndarray:
+    """Theta_T of the kernel's tuple assembled on the kernel's ambient, the
+    Fock space or N_J, truncated at the kernel's degree."""
+    op = characteristic_coefficients(kernel.rc, kernel.fock.max_degree)
+    if kernel.cs is None:
+        return assemble(op, fock=kernel.fock)
+    return assemble(op, cs=kernel.cs)
 
 
 @dataclass
 class FactorizationReport:
-    mode: str
     residual: float
     budget: float
     passed: bool
-    extras: dict
 
 
-def verify_factorization(
+def verify_point_factorization(
     rc: RowContraction,
-    mode: str = "point",
-    point: Sequence | None = None,
-    fock: TruncatedFock | None = None,
+    point: Sequence,
     cs: ConstrainedSubspace | None = None,
     tol: float = 1e-9,
 ) -> FactorizationReport:
-    """Check I - Theta Theta^* against the Poisson-kernel square.
+    """Check I - Theta(X) Theta(X)^* against the Poisson-kernel square at a
+    strict point X, scalar or matrix, in the closed resolvent form; this is
+    truncation-free. With ``cs`` the point must also satisfy the ideal
+    generators."""
+    xs = _lifted_point(point)
+    if cs is not None and (xs[0].shape[0] > 1 or len(cs.generators) > 0):
+        pt_rc = validate(xs, tol=1e-8)
+        if max(check_constraints(pt_rc, cs.generators), default=0.0) > 1e-8:
+            raise PreconditionError("point violates the ideal generators")
+    theta = point_evaluate(rc, point)
+    k = xs[0].shape[0]
+    d = rc.dim
+    eye_k = np.eye(k, dtype=complex)
+    a = np.eye(k * d, dtype=complex) - sum(np.kron(x, t.conj().T) for x, t in zip(xs, rc.matrices))
+    gram_x = sum(x @ x.conj().T for x in xs)
+    # c = (I - T X*)^{-1} (I tensor delta); RHS = c^* (I - X X^* tensor I) c.
+    c = np.linalg.solve(a.conj().T, np.kron(eye_k, rc.delta))
+    rhs_full = c.conj().T @ (np.eye(k * d, dtype=complex) - np.kron(gram_x, np.eye(d))) @ c
+    lift = np.kron(eye_k, rc.defect_basis)
+    rhs = lift.conj().T @ rhs_full @ lift
+    lhs = np.eye(theta.shape[0], dtype=complex) - theta @ theta.conj().T
+    residual = spectral_norm(lhs - rhs)
+    return FactorizationReport(residual, tol, residual <= tol)
 
-    ``"point"`` compares against the closed resolvent form and is
-    truncation-free; with ``cs`` the point must also satisfy the ideal
-    generators. ``"truncated"`` compares against K K^* on the full
-    truncation of exactly one ambient, ``fock`` or ``cs``, where the identity
-    telescopes exactly, and carries the purity tail as an explicit budget.
-    """
-    if mode == "point":
-        if point is None:
-            raise InvalidParameterError("point mode needs a point")
-        xs = _lifted_point(point)
-        if cs is not None and (xs[0].shape[0] > 1 or len(cs.generators) > 0):
-            pt_rc = validate(xs, tol=1e-8)
-            if not satisfies_constraints(pt_rc, cs.generators, 1e-8):
-                raise PreconditionError("point violates the ideal generators")
-        theta = point_evaluate(rc, point)
-        k = xs[0].shape[0]
-        d = rc.dim
-        eye_k = np.eye(k, dtype=complex)
-        a = np.eye(k * d, dtype=complex) - sum(np.kron(x, t.conj().T) for x, t in zip(xs, rc.matrices))
-        gram_x = sum(x @ x.conj().T for x in xs)
-        # c = (I - T X*)^{-1} (I tensor delta); RHS = c^* (I - X X^* tensor I) c.
-        c = np.linalg.solve(a.conj().T, np.kron(eye_k, rc.delta))
-        rhs_full = c.conj().T @ (np.eye(k * d, dtype=complex) - np.kron(gram_x, np.eye(d))) @ c
-        lift = np.kron(eye_k, rc.defect_basis)
-        rhs = lift.conj().T @ rhs_full @ lift
-        lhs = np.eye(theta.shape[0], dtype=complex) - theta @ theta.conj().T
-        residual = spectral_norm(lhs - rhs)
-        return FactorizationReport(mode, residual, tol, residual <= tol, {"point_dim": k})
 
-    if mode == "truncated":
-        if (fock is None) == (cs is None):
-            raise InvalidParameterError("truncated mode needs exactly one ambient: fock or cs")
-        if cs is None:
-            op = characteristic_coefficients(rc, fock.max_degree)
-            kern = poisson_kernel(rc, fock)
-        else:
-            op = constrained_characteristic(rc, cs, cs.fock.max_degree)
-            kern = constrained_poisson_kernel(rc, cs)
-        theta = assemble(op, fock=fock, cs=cs)
-        ident = np.eye(theta.shape[0], dtype=complex)
-        diff = ident - theta @ theta.conj().T - kern.matrix @ kern.matrix.conj().T
-        if cs is not None and not cs.graded:
-            mask = np.repeat(cs.degree_window_mask(cs.buffer_window), max(op.target_dim, 1)).astype(float)
-            diff = diff * mask[:, None] * mask[None, :]
-        residual = spectral_norm(diff)
-        budget = spectral_norm(rc.orbit(op.max_degree + 1)) + 1e-10
-        return FactorizationReport(mode, residual, budget, residual <= budget, {"ambient_dim": theta.shape[0]})
-
-    raise InvalidParameterError(f"unknown mode {mode!r}")
+def verify_truncated_factorization(kernel: PoissonKernel) -> FactorizationReport:
+    """Check I - Theta Theta^* = K K^* on the kernel's ambient, where the
+    identity telescopes exactly; the purity tail is the budget. On a
+    non-graded N_J the comparison is restricted to the buffer window."""
+    kernel.require_unit_radius("the truncated factorization")
+    cs = kernel.cs
+    theta = kernel_theta(kernel)
+    ident = np.eye(theta.shape[0], dtype=complex)
+    diff = ident - theta @ theta.conj().T - kernel.matrix @ kernel.matrix.conj().T
+    if cs is not None and not cs.graded:
+        mask = np.repeat(cs.degree_window_mask(cs.buffer_window), max(kernel.defect_dim, 1)).astype(float)
+        diff = diff * mask[:, None] * mask[None, :]
+    residual = spectral_norm(diff)
+    budget = spectral_norm(kernel.rc.orbit(kernel.fock.max_degree + 1)) + 1e-10
+    return FactorizationReport(residual, budget, residual <= budget)
 
 
 def unitary_invariance_check(rc: RowContraction, u: np.ndarray, max_degree: int = 6) -> float:

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from ._linalg import spectral_norm
-from .charfn import verify_factorization
-from .contractions import PurityResult, RowContraction, validate
+from .charfn import verify_point_factorization, verify_truncated_factorization
+from .contractions import RowContraction, validate
 from .dilation import (
     build_dilation,
     model_space,
@@ -28,9 +28,9 @@ from .dilation import (
 )
 from .errors import FockbenchError, InvalidParameterError
 from .ideals import NcPolynomial, build_constrained_subspace, constrained_shifts, ideal_orthogonality
-from .interpolation import PickProblem, pick_feasible, pick_matrix, variety_membership
+from .interpolation import PickProblem, pick_feasible, variety_membership
 from .invariants import arveson_curvature, curvature_phi, curvature_theta, euler_phi
-from .poisson import constrained_poisson_kernel, intertwining_check, kernel_gram, poisson_kernel
+from .poisson import PoissonKernel, constrained_poisson_kernel, intertwining_check, kernel_gram, poisson_kernel
 from .serialize import (
     complex_to_json,
     ideal_from_spec,
@@ -53,6 +53,7 @@ class RunContext:
     seed: int | None
     _fock: TruncatedFock | None = field(default=None, repr=False)
     _cs: object = field(default=None, repr=False)
+    _kernels: dict = field(default_factory=dict, repr=False)
 
     def fock(self) -> TruncatedFock:
         if self._fock is None:
@@ -64,13 +65,23 @@ class RunContext:
             self._cs = build_constrained_subspace(self.fock(), self.generators)
         return self._cs
 
+    def kernel(self, r: float = 1.0) -> PoissonKernel:
+        """The scenario's Poisson kernel at radius r, built once: on N_J when
+        the scenario has generators, on the Fock space otherwise. Every task
+        that checks a kernel identity reads it."""
+        if r not in self._kernels:
+            self._kernels[r] = (constrained_poisson_kernel(self.rc, self.cs(), r) if self.generators
+                                else poisson_kernel(self.rc, self.fock(), r))
+        return self._kernels[r]
+
 
 def _check(name: str, value: float, bound: float) -> dict:
     return {"name": name, "value": float(value), "bound": float(bound), "pass": bool(value <= bound)}
 
 
-def _purity(pur: PurityResult) -> dict:
-    """How the purity limit was decided: certified or walked, in how many steps."""
+def _purity(rc: RowContraction) -> dict:
+    """How the tuple's one purity limit was decided: certified or walked, in how many steps."""
+    pur = rc.purity_limit()
     return {"method": pur.method, "k_used": pur.k_used, "converged": pur.converged}
 
 
@@ -124,14 +135,12 @@ def task_factorize(ctx: RunContext, params: dict) -> dict:
         residuals = []
         cs = ctx.cs() if ctx.generators else None
         for z in points:
-            rep = verify_factorization(rc, mode="point", point=list(z), cs=cs, tol=tol)
-            residuals.append(rep.residual)
+            residuals.append(verify_point_factorization(rc, list(z), cs=cs, tol=tol).residual)
         data["points"] = [[complex_to_json(v) for v in z] for z in points]
         data["residuals"] = residuals
         checks.append(_check("point_factorization_max_residual", max(residuals), tol))
     elif mode == "truncated":
-        ambient = {"cs": ctx.cs()} if ctx.generators else {"fock": ctx.fock()}
-        rep = verify_factorization(rc, mode="truncated", tol=tol, **ambient)
+        rep = verify_truncated_factorization(ctx.kernel())
         data["residual"] = rep.residual
         data["budget"] = rep.budget
         checks.append(_check("truncated_factorization_residual", rep.residual, max(rep.budget, tol)))
@@ -203,7 +212,6 @@ def task_pick(ctx: RunContext, params: dict) -> dict:
             raise FockbenchError(f"point {z} is not in the variety of the ideal")
     problem = PickProblem(n=ctx.n, points=np.array(points), targets=targets,
                           generators=list(ctx.generators))
-    m = pick_matrix(problem)
     res = pick_feasible(problem, tol)
     verdict = "feasible (marginal)" if (res.feasible and res.marginal) else (
         "feasible" if res.feasible else "infeasible")
@@ -213,7 +221,7 @@ def task_pick(ctx: RunContext, params: dict) -> dict:
         "marginal": res.marginal,
         "lambda_min": res.lambda_min,
         "lambda_max": res.lambda_max,
-        "pick_matrix": matrix_to_json(m),
+        "pick_matrix": matrix_to_json(res.matrix),
     }
     if res.certificate is not None:
         data["certificate"] = matrix_to_json(res.certificate.reshape(-1, 1))
@@ -232,13 +240,13 @@ def task_wold(ctx: RunContext, params: dict) -> dict:
         "k1_dim": int(split.k1_basis.shape[1]),
         "idempotency_defect": split.idempotency_defect,
         "is_shift": split.purity.is_pure,
-        "purity": _purity(split.purity),
+        "purity": _purity(ctx.rc),
     }
     return {"checks": checks, "data": data}
 
 
 def task_dilate(ctx: RunContext, params: dict) -> dict:
-    blocks = build_dilation(ctx.rc, ctx.cs())
+    blocks = build_dilation(ctx.kernel())
     rep = verify_dilation(blocks)
     checks = [
         _check("embedding_isometry_defect", blocks.isometry_defect, max(blocks.isometry_budget, 1e-10)),
@@ -251,31 +259,26 @@ def task_dilate(ctx: RunContext, params: dict) -> dict:
         "dilation_index": ctx.rc.defect_rank,
         "defect_rank": ctx.rc.defect_rank,
         "kernel_isometry_defect": blocks.kernel.isometry_defect,
-        "purity": _purity(blocks.purity),
+        "purity": _purity(ctx.rc),
     }
     return {"checks": checks, "data": data}
 
 
 def task_model(ctx: RunContext, params: dict) -> dict:
-    res = model_space(ctx.rc, ctx.cs())
+    res = model_space(ctx.kernel())
     checks = [
         _check("projection_residual", res.projection_residual, res.projection_budget),
         _check("complement_residual", res.complement_residual, res.projection_budget),
         _check("equivalence_residual", res.equivalence_residual, res.equivalence_budget),
     ]
-    data = {"model_dim": int(res.basis.shape[1]), "purity": _purity(res.purity)}
+    data = {"model_dim": int(res.basis.shape[1]), "purity": _purity(ctx.rc)}
     return {"checks": checks, "data": data}
 
 
 def task_poisson(ctx: RunContext, params: dict) -> dict:
-    rc = ctx.rc
-    r = float(params.get("r", 1.0))
-    if ctx.generators:
-        kern = constrained_poisson_kernel(rc, ctx.cs(), r)
-    else:
-        kern = poisson_kernel(rc, ctx.fock(), r)
+    kern = ctx.kernel(float(params.get("r", 1.0)))
     inter = intertwining_check(kern)
-    gram = kernel_gram(rc, ctx.fock(), r)
+    gram = kernel_gram(kern)
     checks = [
         _check("intertwining_residual", inter.residual, 1e-10),
         _check("gram_vs_purity", gram.residual, gram.budget),
@@ -283,7 +286,7 @@ def task_poisson(ctx: RunContext, params: dict) -> dict:
     ]
     if kern.range_containment is not None:
         checks.append(_check("range_containment", kern.range_containment, 1e-10))
-    data = {"defect_dim": kern.defect_dim, "tail_budget": kern.tail_budget, "purity": _purity(gram.purity)}
+    data = {"defect_dim": kern.defect_dim, "tail_budget": kern.tail_budget, "purity": _purity(ctx.rc)}
     return {"checks": checks, "data": data}
 
 

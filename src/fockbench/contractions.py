@@ -21,7 +21,8 @@ class RowContraction:
     and column defects; ``defect_basis`` / ``defect_star_basis`` hold
     orthonormal eigenvector bases of the corresponding defect spaces, ordered
     by decreasing defect eigenvalue. ``orbit(k)`` serves Phi^k(I) from a
-    lazily extended cache shared by every tail budget and curvature sequence.
+    lazily extended cache shared by every tail budget and curvature sequence;
+    ``purity_limit()`` serves the one purity limit every check reads.
     """
 
     matrices: tuple[np.ndarray, ...]
@@ -32,6 +33,7 @@ class RowContraction:
     defect_basis: np.ndarray
     defect_star_basis: np.ndarray
     _orbit: list[np.ndarray] = field(default_factory=list, init=False, repr=False, compare=False)
+    _purity: PurityResult | None = field(default=None, init=False, repr=False, compare=False)
 
     def orbit(self, k: int) -> np.ndarray:
         """Phi^k(I), read-only; equal bit for bit to cp_apply(self, I, k)."""
@@ -42,6 +44,13 @@ class RowContraction:
             nxt.flags.writeable = False
             self._orbit.append(nxt)
         return self._orbit[k]
+
+    def purity_limit(self) -> PurityResult:
+        """``purity(self, PURITY_TOL)``, decided once per tuple; Q is read-only."""
+        if self._purity is None:
+            self._purity = purity(self, tol=PURITY_TOL)
+            self._purity.q_limit.flags.writeable = False
+        return self._purity
 
     @property
     def row_matrix(self) -> np.ndarray:
@@ -161,6 +170,9 @@ class PurityResult:
 # before purity treats rho(Phi) < 1 as proved; a lower bound at or above
 # 1 - PURITY_GAP marks rho(Phi) = 1 and sends purity to the walk at once.
 PURITY_GAP = 1e-9
+
+# Tolerance of the one purity limit each tuple caches (``purity_limit``).
+PURITY_TOL = 1e-13
 
 
 def purity(rc: RowContraction, tol: float = 1e-10, k_max: int = 10_000) -> PurityResult:
@@ -313,7 +325,3 @@ def spectral_radius(matrices_or_rc) -> float:
 def check_constraints(rc: RowContraction, generators: Sequence[NcPolynomial]) -> list[float]:
     """Spectral norm of each generator evaluated on the tuple."""
     return [spectral_norm(evaluate_polynomial(p, rc.matrices)) for p in generators]
-
-
-def satisfies_constraints(rc: RowContraction, generators: Sequence[NcPolynomial], tol: float = 1e-10) -> bool:
-    return all(r <= tol for r in check_constraints(rc, generators))

@@ -19,27 +19,18 @@ from ._linalg import (
     spectral_norm,
     svd_positive,
 )
-from .charfn import assemble, constrained_characteristic
-from .contractions import (
-    PurityResult,
-    RowContraction,
-    check_constraints,
-    check_count,
-    purity,
-    validate,
-)
+from .charfn import kernel_theta
+from .contractions import PURITY_TOL, PurityResult, RowContraction, check_count, validate
 from .errors import InvalidParameterError, PreconditionError
-from .ideals import ConstrainedSubspace, NcPolynomial, constrained_shifts, evaluate_polynomial
-from .poisson import PoissonKernel, constrained_poisson_kernel
+from .ideals import ConstrainedSubspace, NcPolynomial, evaluate_polynomial
+from .poisson import PoissonKernel, shift_adjoints
 
 
 @dataclass
 class DilationBlocks:
-    """Constrained dilation data: the kernel block, the Cuntz block, and the
-    isometric embedding between them."""
+    """Dilation data: the kernel block, the Cuntz block, and the isometric
+    embedding V = [K; Y] between them."""
 
-    rc: RowContraction
-    cs: ConstrainedSubspace
     kernel: PoissonKernel
     k_basis: np.ndarray
     z_ops: list[np.ndarray]
@@ -49,30 +40,30 @@ class DilationBlocks:
     cuntz_residual: float
     constraint_residuals: list[float]
     lsq_residual: float
-    purity: PurityResult
 
     @property
     def k_dim(self) -> int:
         return self.k_basis.shape[1]
 
 
-def build_dilation(rc: RowContraction, cs: ConstrainedSubspace, purity_tol: float = 1e-13) -> DilationBlocks:
-    """Split the tuple into a constrained-shift part and a Cuntz part.
+def build_dilation(kernel: PoissonKernel) -> DilationBlocks:
+    """Split the kernel's tuple into a shift part on the kernel's ambient
+    (N_J, or the Fock space for the free ideal) and a Cuntz part.
 
     The Cuntz block acts on the closure of the range of the square root of
     the purity limit; its generators are the adjoints of the operators that
-    implement T_i^* there, obtained by least squares on that range."""
-    res = check_constraints(rc, cs.generators)
-    if any(r > 1e-10 for r in res):
-        raise PreconditionError("tuple violates the ideal generators")
-    pur = purity(rc, tol=purity_tol)
-    q = pur.q_limit
+    implement T_i^* there, obtained by least squares on that range. The
+    tuple met the ideal generators when the kernel was built."""
+    kernel.require_unit_radius("the dilation")
+    rc = kernel.rc
+    generators = [] if kernel.cs is None else kernel.cs.generators
+    q = rc.purity_limit().q_limit
     y = herm_sqrt_psd(q, clamp=1e-10)
     # Directions with q-eigenvalue at the iteration-error level are
     # indistinguishable from zero; an absolute cutoff keeps pure tuples from
     # acquiring a noise Cuntz block.
     q_vals, q_vecs = eigh_descending(q)
-    keep = q_vals > max(100.0 * purity_tol, RANK_RTOL * max(q_vals.max(initial=0.0), 0.0))
+    keep = q_vals > max(100.0 * PURITY_TOL, RANK_RTOL * max(q_vals.max(initial=0.0), 0.0))
     k_basis = q_vecs[:, keep]
     kdim = k_basis.shape[1]
 
@@ -88,20 +79,17 @@ def build_dilation(rc: RowContraction, cs: ConstrainedSubspace, purity_tol: floa
             lsq_res = max(lsq_res, spectral_norm(lam @ y_hat - rhs))
             z_ops.append(lam.conj().T)
         cuntz = spectral_norm(sum(z @ z.conj().T for z in z_ops) - np.eye(kdim))
-        constraint_res = [spectral_norm(evaluate_polynomial(p, z_ops)) for p in cs.generators]
+        constraint_res = [spectral_norm(evaluate_polynomial(p, z_ops)) for p in generators]
     else:
         cuntz = 0.0
-        constraint_res = [0.0 for _ in cs.generators]
+        constraint_res = [0.0 for _ in generators]
 
-    kernel = constrained_poisson_kernel(rc, cs)
     embedding = np.concatenate([kernel.matrix, y_hat], axis=0)
     gram = embedding.conj().T @ embedding
     defect = spectral_norm(gram - np.eye(rc.dim))
-    n_top = cs.fock.max_degree + 1
+    n_top = kernel.fock.max_degree + 1
     budget = spectral_norm(rc.orbit(n_top) - q) + 1e-10
     return DilationBlocks(
-        rc=rc,
-        cs=cs,
         kernel=kernel,
         k_basis=k_basis,
         z_ops=z_ops,
@@ -111,7 +99,6 @@ def build_dilation(rc: RowContraction, cs: ConstrainedSubspace, purity_tol: floa
         cuntz_residual=cuntz,
         constraint_residuals=constraint_res,
         lsq_residual=lsq_res,
-        purity=pur,
     )
 
 
@@ -119,7 +106,6 @@ def build_dilation(rc: RowContraction, cs: ConstrainedSubspace, purity_tol: floa
 class DilationReport:
     residual: float
     budget: float
-    passed: bool
 
 
 def verify_dilation(blocks: DilationBlocks) -> DilationReport:
@@ -128,23 +114,19 @@ def verify_dilation(blocks: DilationBlocks) -> DilationReport:
     The kernel block of the identity is exact except for the top ambient
     degree slice; the reported budget combines that slice's mass with the
     least-squares residual of the Cuntz block."""
-    rc, cs = blocks.rc, blocks.cs
-    b_ops = constrained_shifts(cs, "left")
-    ddim = blocks.kernel.defect_dim
-    eye_d = np.eye(ddim, dtype=complex)
+    rc = blocks.kernel.rc
     kdim = blocks.k_dim
     residual = 0.0
-    for i, t in enumerate(rc.matrices):
+    for i, (t, top) in enumerate(zip(rc.matrices, shift_adjoints(blocks.kernel))):
         lhs = blocks.embedding @ t.conj().T
-        top = np.kron(b_ops[i].conj().T, eye_d) @ blocks.kernel.matrix
         bot = blocks.z_ops[i].conj().T @ blocks.embedding[-kdim:, :] if kdim else np.zeros((0, rc.dim))
         rhs = np.concatenate([top, bot], axis=0)
         residual = max(residual, spectral_norm(lhs - rhs))
-    n_deg = cs.fock.max_degree
+    n_deg = blocks.kernel.fock.max_degree
     slice_mass = spectral_norm(rc.orbit(n_deg) - rc.orbit(n_deg + 1))
     t_norm = max(spectral_norm(t) for t in rc.matrices)
     budget = float(np.sqrt(max(slice_mass, 0.0))) * t_norm + blocks.lsq_residual + 1e-10
-    return DilationReport(residual=residual, budget=budget, passed=residual <= budget)
+    return DilationReport(residual=residual, budget=budget)
 
 
 @dataclass
@@ -176,7 +158,7 @@ def wold_decompose(matrices: Sequence[np.ndarray] | RowContraction, k_max: int |
     idem = spectral_norm(q @ q - q)
     k0_span = _word_translate_span([q], rc.matrices, k_max)
 
-    pur = purity(rc, tol=1e-12)
+    pur = rc.purity_limit()
     vals, vecs = eigh_descending(pur.q_limit)
     # absolute floor: a geometrically pure tuple leaves iteration-noise
     # eigenvalues that a relative rule would misread as a residual part
@@ -207,48 +189,43 @@ class ModelSpaceResult:
     equivalence_residual: float
     equivalence_budget: float
     complement_residual: float
-    purity: PurityResult
 
 
-def model_space(rc: RowContraction, cs: ConstrainedSubspace, purity_tol: float = 1e-10) -> ModelSpaceResult:
-    """Model a pure constrained tuple inside (constrained subspace) tensor
-    (row defect) as the complement of the range of its characteristic function.
+def model_space(kernel: PoissonKernel) -> ModelSpaceResult:
+    """Model a pure tuple inside (kernel ambient) tensor (row defect) as the
+    complement of the range of its characteristic function, and compare it
+    with the range of K K^*.
 
     The assembled characteristic function at truncation is a near-partial
     isometry whose singular values cluster at 0 and 1 with a gap controlled
     by the purity tail, so the range split uses the half gap rather than the
-    global relative cutoff."""
-    pur = purity(rc, tol=purity_tol)
-    if not pur.is_pure:
+    global relative cutoff. One shift action on [K | basis] gives both the
+    compressed model operators and the kernel side of the equivalence."""
+    kernel.require_unit_radius("the model space")
+    rc, top = kernel.rc, kernel.fock.max_degree
+    if not rc.purity_limit().is_pure:
         raise PreconditionError("model space requires a pure row contraction")
-    op = constrained_characteristic(rc, cs, cs.fock.max_degree)
-    theta = assemble(op, cs=cs)
-    kern = constrained_poisson_kernel(rc, cs)
+    theta = kernel_theta(kernel)
 
     u, s = svd_positive(theta)
     rank = int(np.count_nonzero(s > 0.5)) if s.size else 0
     basis = u[:, rank:]
 
     p_model = basis @ basis.conj().T
-    kk = kern.matrix @ kern.matrix.conj().T
-    projection_residual = spectral_norm(p_model - kk)
-    tail = spectral_norm(rc.orbit(cs.fock.max_degree + 1))
-    projection_budget = 3.0 * tail + 1e-9
+    k = kernel.matrix
+    projection_residual = spectral_norm(p_model - k @ k.conj().T)
+    projection_budget = 3.0 * spectral_norm(rc.orbit(top + 1)) + 1e-9
 
     complement_residual = spectral_norm(
         p_model + theta @ theta.conj().T - np.eye(theta.shape[0], dtype=complex)
     )
 
-    b_ops = constrained_shifts(cs, "left")
-    eye_d = np.eye(kern.defect_dim, dtype=complex)
     equivalence_residual = 0.0
     compressed = []
-    for i, b in enumerate(b_ops):
-        lifted = np.kron(b, eye_d)
-        compressed.append(basis.conj().T @ lifted @ basis)
-        via_kernel = kern.matrix.conj().T @ lifted @ kern.matrix
-        equivalence_residual = max(equivalence_residual, spectral_norm(via_kernel - rc.matrices[i]))
-    equivalence_budget = spectral_norm(rc.orbit(cs.fock.max_degree)) + 1e-9
+    for t, moved in zip(rc.matrices, shift_adjoints(kernel, np.concatenate([k, basis], axis=1))):
+        compressed.append(moved[:, k.shape[1] :].conj().T @ basis)
+        equivalence_residual = max(equivalence_residual, spectral_norm(moved[:, : k.shape[1]].conj().T @ k - t))
+    equivalence_budget = spectral_norm(rc.orbit(top)) + 1e-9
 
     return ModelSpaceResult(
         basis=basis,
@@ -258,7 +235,6 @@ def model_space(rc: RowContraction, cs: ConstrainedSubspace, purity_tol: float =
         equivalence_residual=equivalence_residual,
         equivalence_budget=equivalence_budget,
         complement_residual=complement_residual,
-        purity=pur,
     )
 
 

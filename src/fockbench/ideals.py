@@ -15,7 +15,7 @@ import numpy as np
 
 from ._linalg import complement_basis, numerical_rank, range_basis, spectral_norm, svd_positive
 from .errors import InvalidParameterError, PreconditionError, RejectedInputError
-from .words import IDENTITY_WORD, TruncatedFock, Word, enumerate_words, word_operator
+from .words import TruncatedFock, Word, enumerate_words, word_operator
 
 
 class NcPolynomial:
@@ -43,13 +43,6 @@ class NcPolynomial:
     def is_homogeneous(self) -> bool:
         lengths = {len(w) for w in self.terms}
         return len(lengths) <= 1
-
-    @property
-    def constant_term(self) -> complex:
-        return self.terms.get(IDENTITY_WORD, 0j)
-
-    def evaluate(self, ops: Sequence[np.ndarray]) -> np.ndarray:
-        return evaluate_polynomial(self, ops)
 
     def evaluate_scalar(self, point: Sequence[complex]) -> complex:
         """Evaluate at a scalar commuting point (word -> product of coordinates)."""

@@ -48,13 +48,13 @@ class KernelVectorResult:
     norm: float
 
 
-def kernel_vector(cs: ConstrainedSubspace, point, membership_tol: float = 1e-10) -> KernelVectorResult:
+def kernel_vector(cs: ConstrainedSubspace, point) -> KernelVectorResult:
     """Truncated kernel vector of a variety point, projected into the
     constrained subspace; joint eigenvector of the adjoint shifts up to a
     |point|^N tail that is reported alongside."""
     n = cs.fock.n
     z = _as_point(point, n)
-    member = variety_membership(z, cs.generators, n, membership_tol)
+    member = variety_membership(z, cs.generators, n)
     if not member.member:
         raise PreconditionError(
             f"point is not in the variety: residuals {['%.2e' % r for r in member.residuals]}"
@@ -118,7 +118,8 @@ class PickProblem:
 def pick_matrix(problem: PickProblem) -> np.ndarray:
     """Block Hermitian matrix with (i, j) block (I - A_i A_j^*) / (1 - <p_i, p_j>).
 
-    The lower triangle mirrors the upper entrywise, so Hermiticity is bitwise.
+    The strict lower triangle is one index copy of the conjugated strict upper
+    triangle and the diagonal is made real, so Hermiticity is bitwise.
     """
     k, d = problem.k, problem.target_dim
     out = np.zeros((k * d, k * d), dtype=complex)
@@ -127,15 +128,16 @@ def pick_matrix(problem: PickProblem) -> np.ndarray:
             inner = np.sum(problem.points[i] * np.conj(problem.points[j]))
             block = (np.eye(d) - problem.targets[i] @ problem.targets[j].conj().T) / (1.0 - inner)
             out[i * d : (i + 1) * d, j * d : (j + 1) * d] = block
-    for p in range(k * d):
-        for q in range(p):
-            out[p, q] = np.conj(out[q, p])
-        out[p, p] = out[p, p].real
+    lower = np.tril_indices(k * d, -1)
+    out[lower] = out.T[lower].conj()
+    diag = np.diag_indices(k * d)
+    out[diag] = out[diag].real
     return out
 
 
 @dataclass
 class FeasibilityResult:
+    matrix: np.ndarray  # the Pick matrix the verdict was read from
     feasible: bool
     marginal: bool
     lambda_min: float
@@ -153,6 +155,7 @@ def pick_feasible(problem: PickProblem, tol: float = 1e-9) -> FeasibilityResult:
     band = tol * max(1.0, lam_max)
     feasible = lam_min >= -band
     return FeasibilityResult(
+        matrix=m,
         feasible=feasible,
         marginal=abs(lam_min) <= band,
         lambda_min=lam_min,

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._linalg import aitken_extrapolate, matrix_rank, spectral_norm
 from .charfn import assemble, characteristic_coefficients
-from .contractions import RowContraction, satisfies_constraints
+from .contractions import RowContraction, check_constraints
 from .errors import InvalidParameterError, PreconditionError
 from .ideals import build_constrained_subspace, commutator_generators
 from .words import TruncatedFock
@@ -155,13 +155,16 @@ def _sphere_samples(n: int, count: int, seed_seq: np.random.SeedSequence) -> np.
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
+# Seed streams of the Monte-Carlo boundary integral; a seed draws fixed samples.
+MC_SHARDS = 8
+
+
 def arveson_curvature(
     rc: RowContraction,
     m_max: int = 8,
     mc_samples: int = 100_000,
     seed: int | None = None,
     r_values: Sequence[float] = (0.9, 0.99, 0.999),
-    shards: int = 8,
 ) -> ArvesonReport:
     """Commutative curvature and Euler estimates, three ways.
 
@@ -187,14 +190,14 @@ def arveson_curvature(
         raise InvalidParameterError("need at least one radial parameter")
     if not all(0.0 < r < 1.0 for r in r_values):
         raise InvalidParameterError(f"radial parameters must lie in (0, 1), got {tuple(r_values)}")
-    if not satisfies_constraints(rc, commutator_generators(rc.n), 1e-10):
+    if max(check_constraints(rc, commutator_generators(rc.n)), default=0.0) > 1e-10:
         raise PreconditionError("tuple is not commuting to 1e-10")
 
     # (a) Monte-Carlo boundary integral, sharded deterministically.
     boundary: dict[float, tuple[float, float]] = {}
-    per_shard = [mc_samples // shards] * shards
+    per_shard = [mc_samples // MC_SHARDS] * MC_SHARDS
     per_shard[-1] += mc_samples - sum(per_shard)
-    children = np.random.SeedSequence(seed).spawn(shards)
+    children = np.random.SeedSequence(seed).spawn(MC_SHARDS)
     raw_means = {}
     for r in r_values:
         acc = []

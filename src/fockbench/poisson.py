@@ -9,19 +9,13 @@ statement comes with a computable truncation budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from ._linalg import spectral_norm
-from .contractions import (
-    PurityResult,
-    RowContraction,
-    check_constraints,
-    defect_root_and_basis,
-    purity,
-)
+from .contractions import RowContraction, check_constraints, defect_root_and_basis
 from .errors import InvalidParameterError, PreconditionError
 from .ideals import ConstrainedSubspace, constrained_shifts
 from .words import TruncatedFock, Word, word_operator, word_products
@@ -33,7 +27,9 @@ class PoissonKernel:
 
     ``matrix`` maps the underlying space into (ambient basis) tensor (defect
     coordinates); for the constrained flavor the ambient is the constrained
-    subspace basis and ``cs`` is set.
+    subspace basis and ``cs`` is set. Every check of the kernel (Gram,
+    intertwining, truncated factorization, dilation, model space) takes the
+    kernel itself and reads the tuple, the ambient and r from it.
     """
 
     rc: RowContraction
@@ -50,8 +46,17 @@ class PoissonKernel:
     def defect_dim(self) -> int:
         return self.defect_basis.shape[1]
 
+    @property
+    def ambient_dim(self) -> int:
+        return self.fock.dim if self.cs is None else self.cs.dim
+
     def gram(self) -> np.ndarray:
         return self.matrix.conj().T @ self.matrix
+
+    def require_unit_radius(self, what: str) -> None:
+        """InvalidParameterError unless r = 1, where K K^* = I - Theta Theta^*."""
+        if self.r != 1.0:
+            raise InvalidParameterError(f"{what} needs the r = 1 kernel, got r = {self.r}")
 
 
 def _radial_defect(rc: RowContraction, r: float) -> tuple[np.ndarray, np.ndarray]:
@@ -91,18 +96,18 @@ def poisson_kernel(rc: RowContraction, fock: TruncatedFock, r: float = 1.0) -> P
     )
 
 
-def constrained_poisson_kernel(
-    rc: RowContraction, cs: ConstrainedSubspace, r: float = 1.0, constraint_tol: float = 1e-10
-) -> PoissonKernel:
+def constrained_poisson_kernel(rc: RowContraction, cs: ConstrainedSubspace, r: float = 1.0) -> PoissonKernel:
     """Compression of the Poisson kernel to the constrained subspace.
 
-    Requires the tuple to satisfy the ideal generators; also verifies that
-    the full kernel's range already lies in the constrained part (exact for
-    homogeneous generators). Q^* acts on the word index only, so the
-    compression and the containment residual are each one product on the
-    (word, defect * dim) reshape of the kernel."""
+    This is the one place a tuple is checked against the ideal generators
+    (PreconditionError for a residual beyond 1e-10); everything that reads
+    the kernel relies on it. It also verifies that the full kernel's range
+    already lies in the constrained part (exact for homogeneous generators).
+    Q^* acts on the word index only, so the compression and the containment
+    residual are each one product on the (word, defect * dim) reshape of the
+    kernel."""
     residuals = check_constraints(rc, cs.generators)
-    if any(res > constraint_tol for res in residuals):
+    if any(res > 1e-10 for res in residuals):
         raise PreconditionError(
             f"tuple violates the ideal generators: residuals {['%.2e' % r_ for r_ in residuals]}"
         )
@@ -110,21 +115,14 @@ def constrained_poisson_kernel(
     words = full.matrix.reshape(cs.fock.dim, -1)
     coords = cs.basis.conj().T @ words
     compressed = coords.reshape(cs.dim * full.defect_dim, rc.dim)
-    containment = spectral_norm((words - cs.basis @ coords).reshape(full.matrix.shape))
-    defect = spectral_norm(
-        compressed.conj().T @ compressed
-        - (np.eye(rc.dim) - (r ** (2 * (cs.fock.max_degree + 1))) * rc.orbit(cs.fock.max_degree + 1))
-    )
-    return PoissonKernel(
-        rc=rc,
-        r=r,
-        fock=cs.fock,
+    top = cs.fock.max_degree + 1
+    exact_gram = np.eye(rc.dim) - (r ** (2 * top)) * rc.orbit(top)
+    return replace(
+        full,
         matrix=compressed,
-        defect_basis=full.defect_basis,
-        isometry_defect=defect,
-        tail_budget=full.tail_budget,
+        isometry_defect=spectral_norm(compressed.conj().T @ compressed - exact_gram),
         cs=cs,
-        range_containment=containment,
+        range_containment=spectral_norm((words - cs.basis @ coords).reshape(full.matrix.shape)),
     )
 
 
@@ -136,39 +134,42 @@ class IntertwiningReport:
     top_slice_budget: float
 
 
+def shift_adjoints(kernel: PoissonKernel, x: np.ndarray | None = None) -> list[np.ndarray]:
+    """(S_i^* tensor I) x for i = 1..n on the kernel's ambient; x (default:
+    the kernel matrix) has one row block per ambient basis vector.
+
+    On the Fock space S_i^* is a gather through the left child map: it takes
+    row block g_i mu to row block mu and leaves the top-degree blocks zero.
+    On N_J it is B_i^* = (Q^* S_i Q)^* applied to the (ambient, rest)
+    reshape of x; no Kronecker lift is formed."""
+    x = kernel.matrix if x is None else x
+    blocks = x.reshape(kernel.ambient_dim, -1)
+    if kernel.cs is not None:
+        return [(b.conj().T @ blocks).reshape(x.shape) for b in constrained_shifts(kernel.cs, "left")]
+    out = []
+    for i in range(1, kernel.fock.n + 1):
+        src, dst = kernel.fock.child_map("left", i)
+        moved = np.zeros_like(blocks)
+        moved[src] = blocks[dst]
+        out.append(moved.reshape(x.shape))
+    return out
+
+
 def intertwining_check(kernel: PoissonKernel) -> IntertwiningReport:
     """Residual of K (r T_i^*) = (shift_i^* tensor I) K over all generators.
 
     The identity is exact on rows of ambient degree <= N-1; the top slice
     cannot receive weight from words of length N+1, so those rows are
     excluded from the headline residual and their mass is reported as the
-    budget of the unwindowed residual. On the Fock ambient (S_i^* tensor I) K
-    is a gather through the left child map: it takes row block g_i mu to row
-    block mu and leaves the top-degree blocks zero.
+    budget of the unwindowed residual.
     """
     rc, fock, r = kernel.rc, kernel.fock, kernel.r
-    ddim = kernel.defect_dim
-    if kernel.cs is None:
-        blocks = kernel.matrix.reshape(fock.dim, ddim, rc.dim)
-        shifted = []
-        for i in range(1, fock.n + 1):
-            src, dst = fock.child_map("left", i)
-            moved = np.zeros_like(blocks)
-            moved[src] = blocks[dst]
-            shifted.append(moved.reshape(kernel.matrix.shape))
-        degrees = fock.degrees
-    else:
-        eye_d = np.eye(ddim, dtype=complex)
-        shifted = [np.kron(b.conj().T, eye_d) @ kernel.matrix for b in constrained_shifts(kernel.cs, "left")]
-        degrees = kernel.cs.basis_degrees
-    row_mask = np.repeat(degrees <= fock.max_degree - 1, ddim)
+    degrees = fock.degrees if kernel.cs is None else kernel.cs.basis_degrees
+    row_mask = np.repeat(degrees <= fock.max_degree - 1, kernel.defect_dim)
 
-    per = []
-    full = []
-    for t, moved in zip(rc.matrices, shifted):
-        diff = kernel.matrix @ (r * t.conj().T) - moved
-        full.append(spectral_norm(diff))
-        per.append(spectral_norm(diff[row_mask, :]))
+    diffs = [kernel.matrix @ (r * t.conj().T) - moved for t, moved in zip(rc.matrices, shift_adjoints(kernel))]
+    per = [spectral_norm(diff[row_mask, :]) for diff in diffs]
+    full = [spectral_norm(diff) for diff in diffs]
     # Top-slice mass of the kernel, Phi^N(I - r^2 Phi(I)), from the cached
     # orbit, times the shifted generator norm.
     top = rc.orbit(fock.max_degree) - (r * r) * rc.orbit(fock.max_degree + 1)
@@ -237,17 +238,14 @@ class GramReport:
     gram: np.ndarray
     residual: float
     budget: float
-    purity: PurityResult
 
 
-def kernel_gram(rc: RowContraction, fock: TruncatedFock, r: float = 1.0) -> GramReport:
-    """K^*K compared against I minus the purity limit, with the tail budget
-    ||r^(2(N+1)) Phi^(N+1)(I) - Q|| attached."""
-    kern = poisson_kernel(rc, fock, r)
-    gram = kern.gram()
-    pur = purity(rc)
-    q = pur.q_limit
+def kernel_gram(kernel: PoissonKernel) -> GramReport:
+    """K^*K compared against I minus the tuple's purity limit, with the tail
+    budget ||r^(2(N+1)) Phi^(N+1)(I) - Q|| attached."""
+    rc, top = kernel.rc, kernel.fock.max_degree + 1
+    gram = kernel.gram()
+    q = rc.purity_limit().q_limit
     residual = spectral_norm(gram - (np.eye(rc.dim) - q))
-    tail = (r ** (2 * (fock.max_degree + 1))) * rc.orbit(fock.max_degree + 1)
-    budget = spectral_norm(tail - q) + 1e-12
-    return GramReport(gram=gram, residual=residual, budget=budget, purity=pur)
+    budget = spectral_norm((kernel.r ** (2 * top)) * rc.orbit(top) - q) + 1e-12
+    return GramReport(gram=gram, residual=residual, budget=budget)

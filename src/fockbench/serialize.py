@@ -8,8 +8,11 @@ self-contained golden artifact.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
+from .contractions import check_count
 from .errors import InvalidParameterError
 from .ideals import (
     NcPolynomial,
@@ -59,12 +62,34 @@ def polynomial_to_json(p: NcPolynomial) -> list[dict]:
     ]
 
 
+def _real(value, what: str) -> float:
+    """A finite JSON number: an int or a float, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise InvalidParameterError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def polynomial_from_json(obj: list) -> NcPolynomial:
+    """Terms {"word": [letters >= 1], "re": x, "im": y} with finite x and y;
+    anything else raises InvalidParameterError."""
+    if not isinstance(obj, list):
+        raise InvalidParameterError(f"a polynomial is a list of terms, got {obj!r}")
     terms: dict[Word, complex] = {}
     for item in obj:
-        w = Word(tuple(int(x) for x in item["word"]))
-        terms[w] = terms.get(w, 0j) + complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
+        if not isinstance(item, dict) or not isinstance(item.get("word"), list):
+            raise InvalidParameterError(f"a term needs a list of letters as 'word', got {item!r}")
+        w = Word(tuple(check_count("letter", x, 1) for x in item["word"]))
+        terms[w] = terms.get(w, 0j) + complex(_real(item.get("re", 0.0), "re"), _real(item.get("im", 0.0), "im"))
     return NcPolynomial(terms)
+
+
+def _custom_generators(n: int, obj) -> list[NcPolynomial]:
+    if not isinstance(obj, list):
+        raise InvalidParameterError(f"custom generators are a list of polynomials, got {obj!r}")
+    gens = [polynomial_from_json(p) for p in obj]
+    if any(x > n for g in gens for w in g.terms for x in w.letters):
+        raise InvalidParameterError(f"a generator uses a letter beyond n = {n}")
+    return gens
 
 
 def ideal_from_spec(n: int, spec) -> list[NcPolynomial]:
@@ -72,7 +97,9 @@ def ideal_from_spec(n: int, spec) -> list[NcPolynomial]:
 
     Accepts the shorthand strings "free", "commutative", "truncated(m)",
     "q-commutative" (with a dict carrying the q matrix), or an explicit
-    {"kind": ..., ...} / list-of-polynomials form."""
+    {"kind": ..., ...} / list-of-polynomials form. A malformed spec (an m that
+    is not an integer >= 1, a bad term, a letter beyond n) raises
+    InvalidParameterError before any generator is used."""
     if spec is None:
         return []
     if isinstance(spec, str):
@@ -82,10 +109,11 @@ def ideal_from_spec(n: int, spec) -> list[NcPolynomial]:
         if s == "commutative":
             return commutator_generators(n)
         if s.startswith("truncated(") and s.endswith(")"):
-            return word_length_generators(n, int(s[len("truncated(") : -1]))
+            m = s[len("truncated(") : -1].strip()
+            return word_length_generators(n, check_count("m", int(m) if m.isdecimal() else m, 1))
         raise InvalidParameterError(f"unknown ideal shorthand {spec!r}")
     if isinstance(spec, list):
-        return [polynomial_from_json(p) for p in spec]
+        return _custom_generators(n, spec)
     if isinstance(spec, dict):
         kind = str(spec.get("kind", "")).lower().replace("_", "-")
         if kind == "free":
@@ -93,7 +121,7 @@ def ideal_from_spec(n: int, spec) -> list[NcPolynomial]:
         if kind == "commutative":
             return commutator_generators(n)
         if kind == "truncated":
-            return word_length_generators(n, int(spec["m"]))
+            return word_length_generators(n, check_count("m", spec.get("m"), 1))
         if kind == "q-commutative":
             q = spec["q"]
             q = matrix_from_json(q) if isinstance(q, dict) else _finite_array(q, complex, "q matrix")
@@ -101,7 +129,7 @@ def ideal_from_spec(n: int, spec) -> list[NcPolynomial]:
                 raise InvalidParameterError(f"q matrix must be {n}x{n}")
             return q_commutator_generators(q)
         if kind == "custom":
-            return [polynomial_from_json(p) for p in spec["generators"]]
+            return _custom_generators(n, spec["generators"])
         raise InvalidParameterError(f"unknown ideal kind {spec.get('kind')!r}")
     raise InvalidParameterError("ideal spec must be a string, list, or object")
 

@@ -83,7 +83,7 @@ def test_criterion_01_point_factorization():
                         mats = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(n)]
                         norm = np.linalg.norm(np.concatenate(mats, axis=1), 2)
                         point = [m / (norm * 1.3) for m in mats]
-                    rep = fb.verify_factorization(rc, mode="point", point=point)
+                    rep = fb.verify_point_factorization(rc, point)
                     worst = max(worst, rep.residual)
     elapsed = time.monotonic() - start
     assert count_rc >= 50
@@ -108,13 +108,13 @@ def test_criterion_02_truncated_factorization():
     ]
     for rc, degree, top in nilpotents:
         assert top >= degree
-        rep = fb.verify_factorization(rc, mode="truncated", fock=fb.TruncatedFock(rc.n, top))
+        rep = fb.verify_truncated_factorization(fb.poisson_kernel(rc, fb.TruncatedFock(rc.n, top)))
         assert rep.residual <= 1e-10
 
     rng = np.random.default_rng(102)
     for _ in range(3):
         rc = random_tuple(rng, 2, 3, commuting=False, scale=1.02)
-        rep = fb.verify_factorization(rc, mode="truncated", fock=fb.TruncatedFock(2, 5))
+        rep = fb.verify_truncated_factorization(fb.poisson_kernel(rc, fb.TruncatedFock(2, 5)))
         assert rep.residual <= rep.budget
     report("ACCEPTANCE 02 truncated-factorization (nilpotent exact, generic within budget): PASS")
 
@@ -173,7 +173,7 @@ def test_criterion_05_poisson_intertwining_and_gram():
         inter = fb.intertwining_check(kern)
         assert inter.residual <= 1e-10
         worst = max(worst, inter.residual)
-        gram = fb.kernel_gram(rc, fock)
+        gram = fb.kernel_gram(kern)
         tail = spectral_norm(fb.cp_apply(rc, np.eye(rc.dim), top + 1))
         assert gram.residual <= tail + 1e-10
     report(f"ACCEPTANCE 05 poisson-intertwining+gram (7 pairs, max residual {worst:.2e}): PASS")
@@ -201,7 +201,7 @@ def test_criterion_06_dilation_zoo():
     assert len(zoo) >= 10
     for rc, gens, n, top in zoo:
         cs = fb.build_constrained_subspace(fb.TruncatedFock(n, top), gens)
-        blocks = fb.build_dilation(rc, cs)
+        blocks = fb.build_dilation(fb.constrained_poisson_kernel(rc, cs))
         assert blocks.isometry_defect <= blocks.isometry_budget
         assert blocks.cuntz_residual <= 1e-10
         assert max(blocks.constraint_residuals, default=0.0) <= 1e-10
@@ -258,7 +258,7 @@ def test_criterion_08_model_theorem():
     ]
     for rc, gens, n, top in cases:
         cs = fb.build_constrained_subspace(fb.TruncatedFock(n, top), gens)
-        res = fb.model_space(rc, cs)
+        res = fb.model_space(fb.constrained_poisson_kernel(rc, cs))
         assert res.complement_residual <= res.projection_budget
         assert res.projection_residual <= res.projection_budget
         assert res.equivalence_residual <= 1e-9

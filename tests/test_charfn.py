@@ -9,15 +9,18 @@ from fockbench import (
     build_constrained_subspace,
     characteristic_coefficients,
     commutator_generators,
-    constrained_characteristic,
+    constrained_poisson_kernel,
     constrained_shifts,
     enumerate_words,
     point_evaluate,
+    poisson_kernel,
     unitary_invariance_check,
     validate,
-    verify_factorization,
+    verify_point_factorization,
+    verify_truncated_factorization,
     word_operator,
 )
+from fockbench.cli import RunContext, task_factorize
 from fockbench.errors import InvalidParameterError, PreconditionError
 
 
@@ -196,7 +199,7 @@ class TestPointEvaluate:
 class TestFactorization:
     def test_scalar_anchor_at_half(self):
         rc = validate([np.zeros((1, 1))])
-        rep = verify_factorization(rc, mode="point", point=[0.5])
+        rep = verify_point_factorization(rc, [0.5])
         assert rep.residual < 1e-15
         theta = point_evaluate(rc, [0.5])
         assert abs((1 - abs(theta[0, 0]) ** 2) - 0.75) < 1e-14
@@ -210,7 +213,7 @@ class TestFactorization:
                 for _ in range(5):
                     z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                     z = 0.9 * z / np.linalg.norm(z) * rng.uniform(0.05, 1.0)
-                    rep = verify_factorization(rc, mode="point", point=list(z))
+                    rep = verify_point_factorization(rc, list(z))
                     worst = max(worst, rep.residual)
         assert worst < 1e-9
 
@@ -218,20 +221,20 @@ class TestFactorization:
         a = np.array([[0, 1 / np.sqrt(2)], [0, 0]], dtype=complex)
         b = np.array([[0, 1j / np.sqrt(2)], [0, 0]], dtype=complex)
         rc = validate([a, b])
-        rep = verify_factorization(rc, mode="truncated", fock=TruncatedFock(2, 4))
+        rep = verify_truncated_factorization(poisson_kernel(rc, TruncatedFock(2, 4)))
         assert rep.residual < 1e-10
 
     def test_truncated_mode_generic_within_budget(self):
         rng = np.random.default_rng(18)
         rc = random_contraction(rng, 2, 3, scale=1.01)
-        rep = verify_factorization(rc, mode="truncated", fock=TruncatedFock(2, 5))
+        rep = verify_truncated_factorization(poisson_kernel(rc, TruncatedFock(2, 5)))
         assert rep.residual <= rep.budget
         assert rep.residual < 1e-12  # telescopes exactly at truncation
 
     def test_constrained_truncated_two_path(self):
         rc = validate([np.diag([0.3, -0.2]), np.diag([0.1, 0.35])])
         cs = build_constrained_subspace(TruncatedFock(2, 5), commutator_generators(2))
-        rep = verify_factorization(rc, mode="truncated", cs=cs)
+        rep = verify_truncated_factorization(constrained_poisson_kernel(rc, cs))
         assert rep.residual < 1e-10
 
     def test_constrained_point_checks_membership(self):
@@ -240,32 +243,29 @@ class TestFactorization:
         rc = validate([np.diag([0.3, -0.2]), np.diag([0.1, 0.35])])
         cs = build_constrained_subspace(TruncatedFock(2, 3), commutator_generators(2))
         with pytest.raises(PreconditionError):
-            verify_factorization(rc, mode="point", point=[a, b], cs=cs)
+            verify_point_factorization(rc, [a, b], cs=cs)
 
     def test_point_mode_checks_membership_only_with_cs(self):
         # the same non-commuting matrix point passes without the ideal
         a = np.array([[0, 0.5], [0, 0]])
         b = np.array([[0.5, 0], [0, -0.5]])
         rc = validate([np.diag([0.3, -0.2]), np.diag([0.1, 0.35])])
-        assert verify_factorization(rc, mode="point", point=[a, b]).passed
+        assert verify_point_factorization(rc, [a, b]).passed
         cs = build_constrained_subspace(TruncatedFock(2, 3), commutator_generators(2))
         commuting = [np.diag([0.2, -0.1]), np.diag([0.3, 0.1j])]
-        assert verify_factorization(rc, mode="point", point=commuting, cs=cs).passed
+        assert verify_point_factorization(rc, commuting, cs=cs).passed
 
-    @pytest.mark.parametrize("ambients", ["both", "neither"])
-    def test_truncated_mode_needs_exactly_one_ambient(self, ambients):
+    def test_truncated_mode_needs_the_unit_radius_kernel(self):
         rc = validate([np.diag([0.3, -0.2]), np.diag([0.1, 0.35])])
-        fock = TruncatedFock(2, 3)
-        kwargs = {"fock": fock, "cs": build_constrained_subspace(fock, [])} if ambients == "both" else {}
-        with pytest.raises(InvalidParameterError, match="exactly one ambient"):
-            verify_factorization(rc, mode="truncated", **kwargs)
+        with pytest.raises(InvalidParameterError, match="r = 1"):
+            verify_truncated_factorization(poisson_kernel(rc, TruncatedFock(2, 3), r=0.9))
 
     @pytest.mark.parametrize("mode", ["constrained_point", "constrained_truncated"])
     def test_removed_mode_names_are_unknown(self, mode):
         rc = validate([np.diag([0.3, -0.2]), np.diag([0.1, 0.35])])
-        cs = build_constrained_subspace(TruncatedFock(2, 3), commutator_generators(2))
-        with pytest.raises(InvalidParameterError, match="unknown mode"):
-            verify_factorization(rc, mode=mode, point=[0.1, 0.2], cs=cs)
+        ctx = RunContext(n=2, trunc=3, generators=commutator_generators(2), rc=rc, tol=1e-9, seed=None)
+        with pytest.raises(InvalidParameterError, match="unknown factorize mode"):
+            task_factorize(ctx, {"mode": mode})
 
 
 class TestConstrainedCompression:
@@ -273,7 +273,7 @@ class TestConstrainedCompression:
         rc = validate([np.diag([0.3, -0.2 + 0.1j]), np.diag([0.1j, 0.35])])
         f = TruncatedFock(2, 4)
         cs = build_constrained_subspace(f, commutator_generators(2))
-        op = constrained_characteristic(rc, cs, f.max_degree)
+        op = characteristic_coefficients(rc, f.max_degree)
         constrained = assemble(op, cs=cs)
         standard = assemble(op, fock=f)
         lift_t = np.kron(cs.basis, np.eye(op.target_dim, dtype=complex))
@@ -286,7 +286,7 @@ class TestConstrainedCompression:
         rc = random_contraction(rng, 2, 2)
         f = TruncatedFock(2, 3)
         cs = build_constrained_subspace(f, [])
-        op = constrained_characteristic(rc, cs, 3)
+        op = characteristic_coefficients(rc, 3)
         assert np.allclose(assemble(op, cs=cs), assemble(characteristic_coefficients(rc, 3), fock=f))
 
 
@@ -330,7 +330,7 @@ class TestConstrainedMultiAnalyticity:
         rc = validate([np.diag([0.3, -0.2 + 0.1j]), np.diag([0.1j, 0.35])])
         f = TruncatedFock(2, 4)
         cs = build_constrained_subspace(f, commutator_generators(2))
-        op = constrained_characteristic(rc, cs, f.max_degree)
+        op = characteristic_coefficients(rc, f.max_degree)
         mat = assemble(op, cs=cs)
         b_ops = constrained_shifts(cs, "left")
         for b in b_ops:
@@ -342,7 +342,7 @@ class TestConstrainedMultiAnalyticity:
         rc = validate([np.diag([0.25, -0.15]), np.diag([0.1, 0.3])])
         f = TruncatedFock(2, 3)
         cs = build_constrained_subspace(f, commutator_generators(2))
-        op = constrained_characteristic(rc, cs, 3)
+        op = characteristic_coefficients(rc, 3)
         single = assemble(op, cs=cs)
         doubled = assemble(transformed(op, lambda beta, theta: np.kron(theta, np.eye(2))), cs=cs)
         assert doubled.shape == (2 * single.shape[0], 2 * single.shape[1])

@@ -74,6 +74,14 @@ class TestSerialize:
         with pytest.raises(InvalidParameterError):
             point_from_json(point, 2)
 
+    @pytest.mark.parametrize("term", [
+        {"word": [1], "re": float("inf")}, {"word": [1], "im": 10**400}, {"word": [1], "re": True},
+        {"word": [0], "re": 1.0}, {"word": [1.0], "re": 1.0}, [1],
+    ], ids=["re_inf", "im_beyond_float", "re_bool", "letter_zero", "letter_float", "term_not_an_object"])
+    def test_malformed_polynomial_term_rejected(self, term):
+        with pytest.raises(InvalidParameterError):
+            polynomial_from_json([term])
+
     def test_non_finite_q_rejected(self):
         with pytest.raises(InvalidParameterError):
             ideal_from_spec(2, {"kind": "q-commutative", "q": [[0, float("inf")], [0, 0]]})
@@ -198,6 +206,7 @@ class TestSubcommands:
         assert not out.exists()
 
     def test_wold_reuses_the_validated_tuple_and_its_purity(self, monkeypatch):
+        import fockbench.contractions as contractions
         import fockbench.dilation as dilation
 
         calls = {"validate": 0, "purity": 0}
@@ -210,9 +219,10 @@ class TestSubcommands:
 
         rc = validate([matrix_from_json(m) for m in nilpotent_pair_json()["T"]])
         monkeypatch.setattr(dilation, "validate", counting("validate", dilation.validate))
-        monkeypatch.setattr(dilation, "purity", counting("purity", dilation.purity))
+        monkeypatch.setattr(contractions, "purity", counting("purity", contractions.purity))
         ctx = RunContext(n=2, trunc=3, generators=[], rc=rc, tol=1e-9, seed=None)
         data = task_wold(ctx, {})["data"]
+        assert task_wold(ctx, {})["data"] == data
         assert calls == {"validate": 0, "purity": 1}
         assert data["is_shift"] is True
 
@@ -340,6 +350,58 @@ class TestScenario:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario))
         assert main(["scenario", "run", str(path)]) == 2
+
+
+    @pytest.mark.parametrize("ideal", [
+        "truncated(x)",
+        {"kind": "truncated", "m": "x"},
+        {"kind": "custom", "generators": [[{"word": [1, 2], "re": "abc"}]]},
+        [[{"word": 5, "re": 1.0}]],
+        [[{"word": "ab", "re": 1.0}]],
+        [[{"word": [1, 2], "re": "nan"}]],
+        [[{"word": [3], "re": 1.0}]],
+    ], ids=["shorthand_m", "kind_m", "re_not_a_number", "word_number", "word_string", "re_nan", "letter_beyond_n"])
+    def test_malformed_ideal_exits_2_before_any_report(self, tmp_path, capsys, ideal):
+        scenario = self.scenario_dict()
+        scenario["ideal"] = ideal
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "report.json"
+        assert main(["scenario", "run", str(path), "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ideal,constraint_checks,shift_bound", [("commutative", 1, 4), ("free", 0, 1)])
+    def test_one_kernel_constraint_check_and_purity_per_scenario(self, tmp_path, monkeypatch, ideal,
+                                                                 constraint_checks, shift_bound):
+        import fockbench.contractions as contractions
+        import fockbench.ideals as ideals
+        import fockbench.poisson as poisson
+
+        counts = {}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        # patch every fockbench namespace that binds each function
+        for home, name in ((poisson, "poisson_kernel"), (contractions, "check_constraints"),
+                           (contractions, "purity"), (ideals, "constrained_shifts")):
+            original, counts[name] = getattr(home, name), 0
+            for module in [m for key, m in sys.modules.items() if key.startswith("fockbench")]:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting(name, original))
+        scenario = self.scenario_dict()
+        scenario["ideal"] = ideal
+        scenario["tasks"] = [{"task": "shifts", "emit_matrices": False}, {"task": "factorize", "mode": "truncated"},
+                             {"task": "poisson"}, {"task": "wold"}, {"task": "dilate"}, {"task": "model"}]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        assert run_scenario(str(path))["summary"]["failed"] == 0
+        assert counts.pop("constrained_shifts") <= shift_bound
+        assert counts == {"poisson_kernel": 1, "check_constraints": constraint_checks, "purity": 1}
 
 
 class TestDeterminism:

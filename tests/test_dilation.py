@@ -8,9 +8,11 @@ from fockbench import (
     build_constrained_subspace,
     build_dilation,
     commutator_generators,
+    constrained_poisson_kernel,
     constrained_shifts,
     maximal_constrained_piece,
     model_space,
+    poisson_kernel,
     validate,
     verify_dilation,
     wold_decompose,
@@ -54,21 +56,21 @@ def commutative_cs(n, top):
 
 class TestBuildDilation:
     def test_pure_tuple_has_no_cuntz_block(self):
-        blocks = build_dilation(nilpotent_commuting_pair(), commutative_cs(2, 4))
+        blocks = build_dilation(constrained_poisson_kernel(nilpotent_commuting_pair(), commutative_cs(2, 4)))
         assert blocks.k_dim == 0
         assert blocks.isometry_defect < 1e-12
         assert blocks.cuntz_residual == 0.0
 
     def test_coisometric_tuple_is_all_cuntz(self):
         rc = validate([np.array([[1 / np.sqrt(2)]]), np.array([[1 / np.sqrt(2)]])])
-        blocks = build_dilation(rc, commutative_cs(2, 3))
+        blocks = build_dilation(constrained_poisson_kernel(rc, commutative_cs(2, 3)))
         assert blocks.k_dim == 1
         assert max(np.linalg.norm(z - t) for z, t in zip(blocks.z_ops, rc.matrices)) < 1e-12
         assert blocks.isometry_defect < 1e-12
 
     def test_mixed_tuple_splits_by_blocks(self):
         rc = mixed_pair()
-        blocks = build_dilation(rc, commutative_cs(2, 4))
+        blocks = build_dilation(constrained_poisson_kernel(rc, commutative_cs(2, 4)))
         assert blocks.k_dim == 1
         assert blocks.cuntz_residual < 1e-12
         assert max(blocks.constraint_residuals) < 1e-12
@@ -78,8 +80,8 @@ class TestBuildDilation:
         # (1 - 1e-3) x a coisometry is pure; a purity walk stopped at k_max
         # leaves Q ~ e^-20 I and would build a spurious Cuntz block of dim 6
         rc = validate(near_coisometry())
-        blocks = build_dilation(rc, free_cs(2, 2))
-        assert blocks.purity.method == "certified"
+        blocks = build_dilation(constrained_poisson_kernel(rc, free_cs(2, 2)))
+        assert rc.purity_limit().method == "certified"
         assert blocks.k_dim == 0 and blocks.cuntz_residual == 0.0
         assert blocks.isometry_defect <= blocks.isometry_budget
 
@@ -87,23 +89,23 @@ class TestBuildDilation:
         a = np.array([[0, 0.5], [0, 0]])
         b = np.array([[0.5, 0], [0, -0.5]])
         with pytest.raises(PreconditionError):
-            build_dilation(validate([a, b]), commutative_cs(2, 3))
+            build_dilation(constrained_poisson_kernel(validate([a, b]), commutative_cs(2, 3)))
 
 
 class TestVerifyDilation:
     def test_zero_scalar(self):
         rc = validate([np.zeros((1, 1))])
-        rep = verify_dilation(build_dilation(rc, free_cs(1, 4)))
+        rep = verify_dilation(build_dilation(constrained_poisson_kernel(rc, free_cs(1, 4))))
         assert rep.residual < 1e-13
 
     def test_coisometric(self):
         rc = validate([np.array([[1 / np.sqrt(2)]]), np.array([[1 / np.sqrt(2)]])])
-        rep = verify_dilation(build_dilation(rc, commutative_cs(2, 3)))
+        rep = verify_dilation(build_dilation(constrained_poisson_kernel(rc, commutative_cs(2, 3))))
         assert rep.residual < 1e-12
 
     def test_decayed_commuting_tuple(self):
         rc = validate([np.diag([0.22, -0.15]), np.diag([0.1, 0.2])])
-        rep = verify_dilation(build_dilation(rc, commutative_cs(2, 8)))
+        rep = verify_dilation(build_dilation(constrained_poisson_kernel(rc, commutative_cs(2, 8))))
         assert rep.residual <= rep.budget
         assert rep.residual < 1e-5  # top-slice mass decays like the purity tail
 
@@ -111,7 +113,7 @@ class TestVerifyDilation:
         rng = np.random.default_rng(42)
         rc = validate([np.diag(0.05 * (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)))
                        for _ in range(2)])
-        rep = verify_dilation(build_dilation(rc, commutative_cs(2, 8)))
+        rep = verify_dilation(build_dilation(constrained_poisson_kernel(rc, commutative_cs(2, 8))))
         assert rep.residual < 1e-9
 
 
@@ -227,7 +229,7 @@ class TestShiftMultiplicity:
 class TestModelSpace:
     def test_zero_scalar_models_on_constants(self):
         rc = validate([np.zeros((1, 1))])
-        res = model_space(rc, free_cs(1, 5))
+        res = model_space(constrained_poisson_kernel(rc, free_cs(1, 5)))
         assert res.basis.shape[1] == 1
         assert res.projection_residual < 1e-12
         assert res.equivalence_residual < 1e-12
@@ -237,23 +239,63 @@ class TestModelSpace:
     def test_scalar_contraction_model(self):
         t = 0.5
         rc = validate([np.array([[t]])])
-        res = model_space(rc, free_cs(1, 24))
+        res = model_space(constrained_poisson_kernel(rc, free_cs(1, 24)))
         assert res.basis.shape[1] == 1
         assert res.equivalence_residual < 1e-9
         assert abs(res.compressed[0][0, 0] - t) < 1e-6
 
     def test_commuting_nilpotent_pair(self):
         rc = nilpotent_commuting_pair()
-        res = model_space(rc, commutative_cs(2, 4))
+        kern = constrained_poisson_kernel(rc, commutative_cs(2, 4))
+        res = model_space(kern)
         assert res.basis.shape[1] == 2
         assert res.projection_residual < 1e-10
         assert res.equivalence_residual < 1e-10
         assert res.complement_residual < 1e-10
+        # the compressed model operators are T_i, carried by U = basis^* K
+        u = res.basis.conj().T @ kern.matrix
+        for b, t in zip(res.compressed, rc.matrices, strict=True):
+            assert np.linalg.norm(b - u @ t @ u.conj().T, 2) < 1e-10
 
     def test_non_pure_rejected(self):
         rc = validate([np.array([[1 / np.sqrt(2)]]), np.array([[1 / np.sqrt(2)]])])
         with pytest.raises(PreconditionError):
-            model_space(rc, commutative_cs(2, 3))
+            model_space(constrained_poisson_kernel(rc, commutative_cs(2, 3)))
+
+
+def pure_tuple(n, dim, seed):
+    rng = np.random.default_rng(seed)
+    mats = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for _ in range(n)]
+    return validate([0.6 * t / np.linalg.norm(np.hstack(mats), 2) for t in mats])
+
+
+@pytest.mark.parametrize("rc,top", [
+    (pure_tuple(1, 2, 1), 8),
+    (pure_tuple(2, 3, 2), 4),
+    (pure_tuple(3, 2, 3), 3),
+    (mixed_pair(), 4),
+], ids=["n1", "n2", "n3", "n2_cuntz_block"])
+def test_fock_kernel_equals_the_free_nj_kernel_bit_for_bit(rc, top):
+    fock = TruncatedFock(rc.n, top)
+    kernels = [poisson_kernel(rc, fock), constrained_poisson_kernel(rc, free_cs(rc.n, top))]
+    dilations = [build_dilation(k) for k in kernels]
+    for name in ("embedding", "k_basis", "isometry_defect", "isometry_budget", "cuntz_residual", "lsq_residual"):
+        assert np.array_equal(getattr(dilations[0], name), getattr(dilations[1], name)), name
+    assert all(np.array_equal(a, b) for a, b in zip(dilations[0].z_ops, dilations[1].z_ops, strict=True))
+    assert verify_dilation(dilations[0]) == verify_dilation(dilations[1])
+    if rc.purity_limit().is_pure:
+        models = [model_space(k) for k in kernels]
+        assert np.array_equal(models[0].basis, models[1].basis)
+        assert all(np.array_equal(a, b) for a, b in zip(models[0].compressed, models[1].compressed, strict=True))
+        for name in ("projection_residual", "projection_budget", "equivalence_residual", "equivalence_budget",
+                     "complement_residual"):
+            assert getattr(models[0], name) == getattr(models[1], name), name
+
+
+@pytest.mark.parametrize("check", [build_dilation, model_space])
+def test_dilation_and_model_need_the_unit_radius_kernel(check):
+    with pytest.raises(InvalidParameterError, match="r = 1"):
+        check(poisson_kernel(nilpotent_commuting_pair(), TruncatedFock(2, 3), r=0.5))
 
 
 class TestMaximalConstrainedPiece:

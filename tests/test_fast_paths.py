@@ -17,7 +17,11 @@ budget. The slice recursion for the constrained subspace computes a different
 orthonormal basis of the same space, so it is pinned basis-free, to 1e-12:
 equal slice dimensions, principal angles, and shifts unitarily similar to
 those of the dense complement of each ideal slice. The ideal slices
-themselves are a dense reference built here.
+themselves are a dense reference built here. The shift action on kernel rows
+(``shift_adjoints``) is pinned against the dense lift (S_i^* (x) I) x: bit for
+bit on the Fock space, where it is a gather, and under a computed rounding
+budget on N_J, where it is one product on a reshape instead of a Kronecker
+product.
 """
 
 import numpy as np
@@ -38,9 +42,11 @@ from fockbench import (
     commutator_generators,
     constrained_shifts,
     enumerate_words,
+    constrained_poisson_kernel,
     kernel_vector,
     poisson_kernel,
     q_commutator_generators,
+    shift_adjoints,
     validate,
     word_length_generators,
     word_operator,
@@ -499,3 +505,55 @@ def test_kernel_vector_matches_the_parent_recursion(n, top, gens, point):
     budget = 2 * (top + 1) * np.sqrt(cs.fock.dim) * EPS
     assert np.abs(got - ref).max() <= budget
     assert np.abs(ref - dense).max() <= budget
+
+
+def variety_tuple(n, gens):
+    """A scalar tuple on which every generator drawn by ``ideals()`` vanishes:
+    zero for the homogeneous ideals; T_1 = T_n = 1/2 for the custom one,
+    g_1^k - g_n^(k-1) / 2 with k <= 2."""
+    if all(g.is_homogeneous for g in gens):
+        return validate([np.zeros((1, 1))] * n)
+    return validate([np.array([[0.5 if i in (0, n - 1) else 0.0]]) for i in range(n)])
+
+
+def assert_shift_adjoints_match_dense(kern, x):
+    fock = kern.fock
+    ops = constrained_shifts(kern.cs, "left") if kern.cs is not None else [
+        dense_creation(fock, "left", i) for i in range(1, fock.n + 1)]
+    eye = np.eye(x.shape[0] // kern.ambient_dim)
+    for b, got in zip(ops, shift_adjoints(kern, x), strict=True):
+        dense = np.kron(b.conj().T, eye) @ x
+        if kern.cs is None:
+            assert np.array_equal(got, dense)
+        else:
+            # each entry sums at most dim N_J * d products on either path
+            bound = np.kron(np.abs(b).T, eye) @ np.abs(x)
+            assert np.all(np.abs(got - dense) <= 2 * (b.shape[0] * eye.shape[0] + 2) * EPS * bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ideals(), st.booleans(), st.integers(0, 2), st.integers(1, 3), st.integers(0, 2**31 - 1))
+def test_shift_adjoints_match_the_dense_lift(case, on_nj, d, cols, seed):
+    n, top, gens = case
+    rc = variety_tuple(n, gens)
+    fock = TruncatedFock(n, top)
+    kern = constrained_poisson_kernel(rc, build_constrained_subspace(fock, gens)) if on_nj else poisson_kernel(rc, fock)
+    rng = np.random.default_rng(seed)
+    shape = (kern.ambient_dim * d, cols)
+    assert_shift_adjoints_match_dense(kern, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    assert_shift_adjoints_match_dense(kern, kern.matrix)
+    assert all(np.array_equal(a, b) for a, b in zip(shift_adjoints(kern), shift_adjoints(kern, kern.matrix)))
+
+
+@pytest.mark.parametrize("rc,gens", [
+    (validate([np.array([[0.5, 0.2], [0.0, -0.3]])]), []),
+    (validate([np.diag([0.5, 0.5], 1)]), word_length_generators(1, 3)),
+    (coisometric_pair(), commutator_generators(2)),
+    (coisometric_pair(), []),
+    (validate([np.array([[0.5]]), np.array([[0.5]])]), [NON_HOMOGENEOUS]),
+], ids=["n1_free", "n1_truncated", "defect_rank0_commutative", "defect_rank0_free", "non_homogeneous"])
+def test_shift_adjoint_edge_cases(rc, gens):
+    fock = TruncatedFock(rc.n, 4)
+    for kern in (poisson_kernel(rc, fock), constrained_poisson_kernel(rc, build_constrained_subspace(fock, gens))):
+        assert_shift_adjoints_match_dense(kern, kern.matrix)
+        assert [a.shape for a in shift_adjoints(kern)] == [kern.matrix.shape] * rc.n

@@ -101,6 +101,26 @@ class TestPickMatrix:
         m = pick_matrix(PickProblem(n=2, points=pts, targets=targets))
         assert np.array_equal(m, m.conj().T)
 
+    def test_mirror_is_the_entrywise_loop_with_signed_zeros(self):
+        # the index copy of the lower triangle and the real diagonal repeat the
+        # per-entry loop they replaced bit for bit, signs of zero included
+        rng = np.random.default_rng(32)
+        pts = 0.25 * (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
+        pts[1] = [0.3, 0.0]
+        targets = [0.5 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) for _ in range(4)]
+        targets[2] = np.diag([0.25, -0.5])
+        prob = PickProblem(n=2, points=pts, targets=targets)
+        m = pick_matrix(prob)
+        ref = m.copy()
+        ref[np.tril_indices(8, -1)] = 7.0  # overwritten by the loop below
+        for p in range(8):
+            for q in range(p):
+                ref[p, q] = np.conj(ref[q, p])
+            ref[p, p] = ref[p, p].real
+        assert np.array_equal(m.view(float), ref.view(float))
+        assert np.array_equal(np.signbit(m.view(float)), np.signbit(ref.view(float)))
+        assert np.array_equal(pick_feasible(prob).matrix, m)
+
     def test_zero_targets_give_kernel_gram(self):
         rng = np.random.default_rng(31)
         pts = 0.3 * rng.standard_normal((3, 2))

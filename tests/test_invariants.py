@@ -317,7 +317,6 @@ class TestArveson:
     def test_symmetric_theta_matches_full_compression(self):
         # two-path check of the symmetric reference at a small degree
         from fockbench import assemble, build_constrained_subspace, commutator_generators
-        from fockbench import constrained_characteristic
 
         rc = validate([np.diag([0.3, -0.2]), np.diag([0.15, 0.25])])
         top = 3
@@ -325,7 +324,7 @@ class TestArveson:
         theta_sym = _symmetric_char_matrix(rc, sym)
         f = TruncatedFock(2, top)
         cs = build_constrained_subspace(f, commutator_generators(2))
-        theta_cs = assemble(constrained_characteristic(rc, cs, top), cs=cs)
+        theta_cs = assemble(characteristic_coefficients(rc, top), cs=cs)
         # both are the compression of the same operator; compare singular values
         sv1 = np.linalg.svd(theta_sym, compute_uv=False)
         sv2 = np.linalg.svd(theta_cs, compute_uv=False)

@@ -209,13 +209,13 @@ class TestPoissonTransform:
 class TestKernelGram:
     def test_pure_tuple_gram_close_to_identity(self):
         rc = nilpotent_commuting_pair()
-        rep = kernel_gram(rc, TruncatedFock(2, 4))
+        rep = kernel_gram(poisson_kernel(rc, TruncatedFock(2, 4)))
         assert rep.residual < 1e-12
         assert np.allclose(rep.gram, np.eye(2))
 
     def test_coisometric_gram_zero(self):
         rc = validate([np.array([[1 / np.sqrt(2)]]), np.array([[1 / np.sqrt(2)]])])
-        rep = kernel_gram(rc, TruncatedFock(2, 3))
+        rep = kernel_gram(poisson_kernel(rc, TruncatedFock(2, 3)))
         assert np.linalg.norm(rep.gram) < 1e-12
         assert rep.residual < 1e-12
 
@@ -224,5 +224,5 @@ class TestKernelGram:
         mats = [rng.standard_normal((3, 3)) for _ in range(2)]
         norm = np.linalg.norm(np.concatenate(mats, axis=1), 2)
         rc = validate([m / (norm * 1.01) for m in mats])
-        rep = kernel_gram(rc, TruncatedFock(2, 6))
+        rep = kernel_gram(poisson_kernel(rc, TruncatedFock(2, 6)))
         assert rep.residual <= rep.budget
