@@ -40,6 +40,7 @@ from .charfn import (
     MultiAnalyticOperator,
     assemble,
     characteristic_coefficients,
+    kernel_theta,
     point_evaluate,
     unitary_invariance_check,
     verify_point_factorization,

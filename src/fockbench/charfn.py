@@ -245,13 +245,13 @@ def verify_point_factorization(
     return FactorizationReport(residual, tol, residual <= tol)
 
 
-def verify_truncated_factorization(kernel: PoissonKernel) -> FactorizationReport:
+def verify_truncated_factorization(kernel: PoissonKernel, theta: np.ndarray) -> FactorizationReport:
     """Check I - Theta Theta^* = K K^* on the kernel's ambient, where the
-    identity telescopes exactly; the purity tail is the budget. On a
-    non-graded N_J the comparison is restricted to the buffer window."""
+    identity telescopes exactly; the purity tail is the budget. ``theta`` is
+    ``kernel_theta(kernel)``. On a non-graded N_J the comparison is restricted
+    to the buffer window."""
     kernel.require_unit_radius("the truncated factorization")
     cs = kernel.cs
-    theta = kernel_theta(kernel)
     ident = np.eye(theta.shape[0], dtype=complex)
     diff = ident - theta @ theta.conj().T - kernel.matrix @ kernel.matrix.conj().T
     if cs is not None and not cs.graded:

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from ._linalg import spectral_norm
-from .charfn import verify_point_factorization, verify_truncated_factorization
-from .contractions import RowContraction, validate
+from .charfn import kernel_theta, verify_point_factorization, verify_truncated_factorization
+from .contractions import RowContraction, check_count, validate
 from .dilation import (
     build_dilation,
     model_space,
@@ -54,6 +54,7 @@ class RunContext:
     _fock: TruncatedFock | None = field(default=None, repr=False)
     _cs: object = field(default=None, repr=False)
     _kernels: dict = field(default_factory=dict, repr=False)
+    _theta: np.ndarray | None = field(default=None, repr=False)
 
     def fock(self) -> TruncatedFock:
         if self._fock is None:
@@ -73,6 +74,12 @@ class RunContext:
             self._kernels[r] = (constrained_poisson_kernel(self.rc, self.cs(), r) if self.generators
                                 else poisson_kernel(self.rc, self.fock(), r))
         return self._kernels[r]
+
+    def theta(self) -> np.ndarray:
+        """Theta_T on the ambient of ``kernel()``, assembled once for every task."""
+        if self._theta is None:
+            self._theta = kernel_theta(self.kernel())
+        return self._theta
 
 
 def _check(name: str, value: float, bound: float) -> dict:
@@ -140,7 +147,7 @@ def task_factorize(ctx: RunContext, params: dict) -> dict:
         data["residuals"] = residuals
         checks.append(_check("point_factorization_max_residual", max(residuals), tol))
     elif mode == "truncated":
-        rep = verify_truncated_factorization(ctx.kernel())
+        rep = verify_truncated_factorization(ctx.kernel(), ctx.theta())
         data["residual"] = rep.residual
         data["budget"] = rep.budget
         checks.append(_check("truncated_factorization_residual", rep.residual, max(rep.budget, tol)))
@@ -153,6 +160,8 @@ def task_curvature(ctx: RunContext, params: dict) -> dict:
     rc = ctx.rc
     m_max = int(params.get("m_max", 6))
     method = params.get("method", "both")
+    if method not in ("phi", "theta", "both"):
+        raise InvalidParameterError(f"unknown curvature method {method!r}")
     checks = []
     data: dict = {}
     if method in ("phi", "both"):
@@ -164,8 +173,7 @@ def task_curvature(ctx: RunContext, params: dict) -> dict:
         erep = euler_phi(rc, m_max)
         data["euler_phi"] = {"m": erep.m_values, "sequence": erep.sequence, "ranks": erep.extras["ranks"]}
     if method in ("theta", "both"):
-        fock = TruncatedFock(ctx.n, m_max + 1)
-        rep = curvature_theta(rc, fock, m_max)
+        rep = curvature_theta(rc, m_max)
         data["theta"] = {
             "m": rep.m_values, "sequence": rep.sequence, "last": rep.last, "aitken": rep.aitken,
             "euler_sequence": rep.extras["euler_sequence"],
@@ -210,8 +218,7 @@ def task_pick(ctx: RunContext, params: dict) -> dict:
         member = variety_membership(z, ctx.generators, ctx.n)
         if not member.member:
             raise FockbenchError(f"point {z} is not in the variety of the ideal")
-    problem = PickProblem(n=ctx.n, points=np.array(points), targets=targets,
-                          generators=list(ctx.generators))
+    problem = PickProblem(n=ctx.n, points=np.array(points), targets=targets)
     res = pick_feasible(problem, tol)
     verdict = "feasible (marginal)" if (res.feasible and res.marginal) else (
         "feasible" if res.feasible else "infeasible")
@@ -265,7 +272,7 @@ def task_dilate(ctx: RunContext, params: dict) -> dict:
 
 
 def task_model(ctx: RunContext, params: dict) -> dict:
-    res = model_space(ctx.kernel())
+    res = model_space(ctx.kernel(), ctx.theta())
     checks = [
         _check("projection_residual", res.projection_residual, res.projection_budget),
         _check("complement_residual", res.complement_residual, res.projection_budget),
@@ -353,8 +360,8 @@ def load_scenario(path: str) -> dict:
 
 
 def context_from_scenario(scenario: dict, tol: float, seed: int | None) -> RunContext:
-    n = int(scenario["n"])
-    generators = ideal_from_spec(n, scenario.get("ideal"))
+    n, trunc = check_count("n", scenario["n"], 1), check_count("N", scenario["N"], 0)
+    generators = ideal_from_spec(n, scenario.get("ideal"), max_degree=trunc)
     rc = None
     if "T" in scenario:
         rc = validate([matrix_from_json(m) for m in scenario["T"]])
@@ -362,7 +369,7 @@ def context_from_scenario(scenario: dict, tol: float, seed: int | None) -> RunCo
             raise InvalidParameterError("tuple length disagrees with the scenario dimension")
     return RunContext(
         n=n,
-        trunc=int(scenario["N"]),
+        trunc=trunc,
         generators=generators,
         rc=rc,
         tol=tol,
@@ -546,7 +553,7 @@ def main(argv=None) -> int:
 
         if args.command == "shifts":
             ctx = RunContext(n=args.n, trunc=args.trunc,
-                             generators=ideal_from_spec(args.n, _ideal_arg(args, args.n)),
+                             generators=ideal_from_spec(args.n, _ideal_arg(args, args.n), max_degree=args.trunc),
                              rc=None, tol=args.tol, seed=args.seed)
             return _single_report("shifts", ctx, {"task": "shifts", "emit_matrices": not args.no_matrices}, args.out)
 
@@ -563,7 +570,7 @@ def main(argv=None) -> int:
             return _single_report("pick", ctx, spec, args.out)
 
         n, rc = _load_tuple(args.input)
-        ideal = ideal_from_spec(n, _ideal_arg(args, n)) if hasattr(args, "ideal") else []
+        ideal = ideal_from_spec(n, _ideal_arg(args, n), max_degree=args.trunc) if hasattr(args, "ideal") else []
         ctx = RunContext(n=n, trunc=args.trunc, generators=ideal, rc=rc, tol=args.tol, seed=args.seed)
         spec: dict = {"task": args.command}
         if args.command == "factorize":

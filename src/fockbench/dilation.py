@@ -19,7 +19,6 @@ from ._linalg import (
     spectral_norm,
     svd_positive,
 )
-from .charfn import kernel_theta
 from .contractions import PURITY_TOL, PurityResult, RowContraction, check_count, validate
 from .errors import InvalidParameterError, PreconditionError
 from .ideals import ConstrainedSubspace, NcPolynomial, evaluate_polynomial
@@ -191,10 +190,10 @@ class ModelSpaceResult:
     complement_residual: float
 
 
-def model_space(kernel: PoissonKernel) -> ModelSpaceResult:
+def model_space(kernel: PoissonKernel, theta: np.ndarray) -> ModelSpaceResult:
     """Model a pure tuple inside (kernel ambient) tensor (row defect) as the
-    complement of the range of its characteristic function, and compare it
-    with the range of K K^*.
+    complement of the range of its characteristic function ``theta``
+    (``kernel_theta(kernel)``), and compare it with the range of K K^*.
 
     The assembled characteristic function at truncation is a near-partial
     isometry whose singular values cluster at 0 and 1 with a gap controlled
@@ -205,7 +204,6 @@ def model_space(kernel: PoissonKernel) -> ModelSpaceResult:
     rc, top = kernel.rc, kernel.fock.max_degree
     if not rc.purity_limit().is_pure:
         raise PreconditionError("model space requires a pure row contraction")
-    theta = kernel_theta(kernel)
 
     u, s = svd_positive(theta)
     rank = int(np.count_nonzero(s > 0.5)) if s.size else 0

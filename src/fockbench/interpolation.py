@@ -5,7 +5,7 @@ Only feasibility is decided; no interpolant is synthesized."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -85,7 +85,6 @@ class PickProblem:
     n: int
     points: np.ndarray  # (k, n) complex
     targets: list[np.ndarray]
-    generators: list[NcPolynomial] = field(default_factory=list)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=complex).reshape(len(self.targets), -1)

@@ -7,7 +7,10 @@ its last value, and an Aitken extrapolation, and acceptance rests on exact
 anchors and cross-method agreement. The two methods are linked through the
 factorization of the characteristic function: the trace of the kernel square
 on a degree slice equals the trace of (I - Theta Theta^*) there, and the
-kernel-side quantity collapses to a CP-map trace increment.
+kernel-side quantity collapses to a CP-map trace increment. Theta is
+lower-triangular in degree, so the degree <= m part of I - Theta Theta^*
+needs Theta truncated at m only: one reader assembles it at m_max, on the
+Fock space or on N_J of the commutator ideal, for both curvature routes.
 """
 
 from __future__ import annotations
@@ -18,22 +21,20 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import aitken_extrapolate, matrix_rank, spectral_norm
+from ._linalg import aitken_extrapolate, matrix_rank
 from .charfn import assemble, characteristic_coefficients
 from .contractions import RowContraction, check_constraints
 from .errors import InvalidParameterError, PreconditionError
-from .ideals import build_constrained_subspace, commutator_generators
+from .ideals import NcPolynomial, build_constrained_subspace, commutator_generators
 from .words import TruncatedFock
 
 
 @dataclass
 class CurvatureReport:
-    method: str
     m_values: list[int]
     sequence: list[float]
     last: float
     aitken: float | None
-    budget: float
     extras: dict = field(default_factory=dict)
 
 
@@ -57,12 +58,10 @@ def curvature_phi(rc: RowContraction, m_max: int) -> CurvatureReport:
     ]
     increments = [(traces[m] - traces[m + 1]) / rc.n**m for m in range(1, m_max + 1)]
     return CurvatureReport(
-        method="phi_limit",
         m_values=list(range(1, m_max + 1)),
         sequence=seq,
         last=seq[-1],
         aitken=aitken_extrapolate(seq),
-        budget=0.0,
         extras={"kernel_slice_increments": increments, "traces": traces},
     )
 
@@ -77,76 +76,79 @@ def euler_phi(rc: RowContraction, m_max: int) -> CurvatureReport:
         ranks.append(matrix_rank(np.eye(rc.dim) - rc.orbit(m)))
     seq = [ranks[m - 1] / _geometric_denominator(rc.n, m) for m in range(1, m_max + 1)]
     return CurvatureReport(
-        method="phi_limit",
         m_values=list(range(1, m_max + 1)),
         sequence=seq,
         last=seq[-1],
         aitken=aitken_extrapolate(seq),
-        budget=0.0,
         extras={"ranks": ranks},
     )
 
 
-def curvature_theta(rc: RowContraction, fock: TruncatedFock, m_max: int, buffer: int = 1) -> CurvatureReport:
+def _theta_defect_by_degree(
+    rc: RowContraction, m_max: int, generators: Sequence[NcPolynomial] = ()
+) -> list[tuple[int, float, int]]:
+    """For m = 1..m_max: the dimension of the degree-m slice of (ambient
+    tensor row defect), trace[Theta Theta^*] on it, and the rank of the
+    principal degree <= m block of I - Theta Theta^*, with Theta assembled at
+    truncation m_max on the Fock space or, with generators, on N_J.
+
+    That rank equals the rank of the degree <= m columns: truncated Theta is
+    a contraction, so I - Theta Theta^* = K K^*, and with K_S the degree <= m
+    rows of K both blocks, K_S K_S^* and K K_S^*, have the rank of K_S."""
+    fock = TruncatedFock(rc.n, m_max)
+    op = characteristic_coefficients(rc, m_max)
+    if generators:
+        cs = build_constrained_subspace(fock, generators)
+        theta, degrees = assemble(op, cs=cs), cs.basis_degrees
+    else:
+        theta, degrees = assemble(op, fock=fock), fock.degrees
+    degrees = np.repeat(degrees, op.target_dim)
+    gram = theta @ theta.conj().T
+    out = []
+    for m in range(1, m_max + 1):
+        rows = degrees == m
+        slice_trace = float(np.trace(gram[np.ix_(rows, rows)]).real)
+        # The basis is ordered by degree: degree <= m is a leading block.
+        top = int(np.count_nonzero(degrees <= m))
+        out.append((int(np.count_nonzero(rows)), slice_trace, matrix_rank(np.eye(top) - gram[:top, :top])))
+    return out
+
+
+def curvature_theta(rc: RowContraction, m_max: int) -> CurvatureReport:
     """Curvature and Euler sequences from the assembled characteristic function.
 
     curvature(m) = rank(defect) - trace[Theta Theta^* (P_m tensor I)] / n^m;
     the cross-check field holds the gap to the CP-map route at matched m,
     which the factorization makes a machine-precision identity.
     """
-    if m_max > fock.max_degree - buffer:
-        raise InvalidParameterError("m_max exceeds the truncation degree minus the buffer")
-    op = characteristic_coefficients(rc, fock.max_degree)
-    theta = assemble(op, fock=fock)
-    tgt = op.target_dim
-    gram = theta @ theta.conj().T
-    resid_full = np.eye(gram.shape[0]) - gram
-
-    rank_defect = rc.defect_rank
-    seq = []
-    cross = []
-    euler_seq = []
-    euler_ranks = []
-    for m in range(1, m_max + 1):
-        rows = np.repeat(fock.degree_mask(m), tgt)
-        slice_trace = float(np.trace(gram[np.ix_(rows, rows)]).real)
-        seq.append(rank_defect - slice_trace / rc.n**m)
+    if m_max < 1:
+        raise InvalidParameterError("need m_max >= 1")
+    seq, cross, euler_ranks = [], [], []
+    for m, (slice_dim, slice_trace, rank) in enumerate(_theta_defect_by_degree(rc, m_max), start=1):
+        seq.append(rc.defect_rank - slice_trace / rc.n**m)
         # CP-map route to the same slice quantity.
-        slice_dim = rc.n**m * tgt
         phi_side = float(np.trace(rc.orbit(m) - rc.orbit(m + 1)).real)
         cross.append(abs((slice_dim - slice_trace) - phi_side) / rc.n**m)
-
-        le_rows = np.repeat(fock.degree_le_mask(m), tgt)
-        r = matrix_rank(resid_full[:, le_rows])
-        euler_ranks.append(r)
-        euler_seq.append(r / _geometric_denominator(rc.n, m))
-
+        euler_ranks.append(rank)
+    euler_seq = [r / _geometric_denominator(rc.n, m) for m, r in enumerate(euler_ranks, start=1)]
     return CurvatureReport(
-        method="theta_formula",
         m_values=list(range(1, m_max + 1)),
         sequence=seq,
         last=seq[-1],
         aitken=aitken_extrapolate(seq),
-        budget=spectral_norm(rc.orbit(fock.max_degree + 1)),
-        extras={
-            "cross_check_vs_phi": cross,
-            "euler_sequence": euler_seq,
-            "euler_ranks": euler_ranks,
-        },
+        extras={"cross_check_vs_phi": cross, "euler_sequence": euler_seq, "euler_ranks": euler_ranks},
     )
 
 
 @dataclass
 class ArvesonReport:
     boundary: dict  # r -> (estimate, mc_stderr)
-    qm_m_values: list[int]
     qm_sequence: list[float]
     euler_sequence: list[float]
     normalized_anchor: float
     deviations: dict
     seed: int
     mc_samples: int
-    r_values: tuple
 
 
 def _sphere_samples(n: int, count: int, seed_seq: np.random.SeedSequence) -> np.ndarray:
@@ -198,7 +200,6 @@ def arveson_curvature(
     per_shard = [mc_samples // MC_SHARDS] * MC_SHARDS
     per_shard[-1] += mc_samples - sum(per_shard)
     children = np.random.SeedSequence(seed).spawn(MC_SHARDS)
-    raw_means = {}
     for r in r_values:
         acc = []
         for child, count in zip(children, per_shard):
@@ -217,7 +218,6 @@ def arveson_curvature(
         est = float(integrand.mean())
         stderr = float(integrand.std(ddof=1) / np.sqrt(len(integrand)))
         boundary[float(r)] = (est, stderr)
-        raw_means[float(r)] = float(samples.mean())
 
     # Normalized anchor: the integrand divided by its free-module closed form;
     # for the scalar zero tuple this is the constant 1 and checks the measure.
@@ -225,18 +225,10 @@ def arveson_curvature(
     normalized_anchor = boundary[r_top][0] / (1.0 - r_top * r_top) / max(rc.defect_rank, 1)
 
     # (b), (c) on N_J of the commutator ideal.
-    cs = build_constrained_subspace(TruncatedFock(rc.n, m_max), commutator_generators(rc.n))
-    theta = assemble(characteristic_coefficients(rc, m_max), cs=cs)
-    tgt = rc.defect_rank
-    gram = theta @ theta.conj().T
-    resid_full = np.eye(gram.shape[0]) - gram
-    qm_seq = []
-    euler_seq = []
-    for m in range(1, m_max + 1):
-        rows = np.repeat(cs.basis_degrees == m, tgt)
-        slice_trace = float(np.trace(gram[np.ix_(rows, rows)]).real)
-        qm_seq.append(math.factorial(rc.n - 1) * (cs.slice_dims[m] * tgt - slice_trace) / m ** (rc.n - 1))
-        rank = matrix_rank(resid_full[:, np.repeat(cs.basis_degrees <= m, tgt)])
+    qm_seq, euler_seq = [], []
+    for m, (slice_dim, slice_trace, rank) in enumerate(
+            _theta_defect_by_degree(rc, m_max, commutator_generators(rc.n)), start=1):
+        qm_seq.append(math.factorial(rc.n - 1) * (slice_dim - slice_trace) / m ** (rc.n - 1))
         euler_seq.append(math.factorial(rc.n) * rank / m**rc.n)
 
     deviations = {
@@ -245,12 +237,10 @@ def arveson_curvature(
     }
     return ArvesonReport(
         boundary=boundary,
-        qm_m_values=list(range(1, m_max + 1)),
         qm_sequence=qm_seq,
         euler_sequence=euler_seq,
         normalized_anchor=normalized_anchor,
         deviations=deviations,
         seed=seed,
         mc_samples=mc_samples,
-        r_values=tuple(float(r) for r in r_values),
     )

@@ -92,14 +92,21 @@ def _custom_generators(n: int, obj) -> list[NcPolynomial]:
     return gens
 
 
-def ideal_from_spec(n: int, spec) -> list[NcPolynomial]:
+def _word_length(n: int, m: int, max_degree: int | None) -> list[NcPolynomial]:
+    if max_degree is not None and m > max_degree:
+        raise InvalidParameterError(f"truncated({m}) exceeds the truncation degree {max_degree}")
+    return word_length_generators(n, m)
+
+
+def ideal_from_spec(n: int, spec, max_degree: int | None = None) -> list[NcPolynomial]:
     """Resolve an ideal description to generators.
 
     Accepts the shorthand strings "free", "commutative", "truncated(m)",
     "q-commutative" (with a dict carrying the q matrix), or an explicit
     {"kind": ..., ...} / list-of-polynomials form. A malformed spec (an m that
     is not an integer >= 1, a bad term, a letter beyond n) raises
-    InvalidParameterError before any generator is used."""
+    InvalidParameterError before any generator is used, and so does
+    truncated(m) with m above ``max_degree``, before its n^m monomials exist."""
     if spec is None:
         return []
     if isinstance(spec, str):
@@ -110,7 +117,7 @@ def ideal_from_spec(n: int, spec) -> list[NcPolynomial]:
             return commutator_generators(n)
         if s.startswith("truncated(") and s.endswith(")"):
             m = s[len("truncated(") : -1].strip()
-            return word_length_generators(n, check_count("m", int(m) if m.isdecimal() else m, 1))
+            return _word_length(n, check_count("m", int(m) if m.isdecimal() else m, 1), max_degree)
         raise InvalidParameterError(f"unknown ideal shorthand {spec!r}")
     if isinstance(spec, list):
         return _custom_generators(n, spec)
@@ -121,7 +128,7 @@ def ideal_from_spec(n: int, spec) -> list[NcPolynomial]:
         if kind == "commutative":
             return commutator_generators(n)
         if kind == "truncated":
-            return word_length_generators(n, check_count("m", spec.get("m"), 1))
+            return _word_length(n, check_count("m", spec.get("m"), 1), max_degree)
         if kind == "q-commutative":
             q = spec["q"]
             q = matrix_from_json(q) if isinstance(q, dict) else _finite_array(q, complex, "q matrix")

@@ -131,9 +131,6 @@ class TruncatedFock:
             digits = digits * self.n + (x - 1)
         return self.slice_offsets[len(word)] + digits
 
-    def degree_mask(self, m: int) -> np.ndarray:
-        return self.degrees == m
-
     def degree_le_mask(self, m: int) -> np.ndarray:
         return self.degrees <= m
 

@@ -108,13 +108,15 @@ def test_criterion_02_truncated_factorization():
     ]
     for rc, degree, top in nilpotents:
         assert top >= degree
-        rep = fb.verify_truncated_factorization(fb.poisson_kernel(rc, fb.TruncatedFock(rc.n, top)))
+        kern = fb.poisson_kernel(rc, fb.TruncatedFock(rc.n, top))
+        rep = fb.verify_truncated_factorization(kern, fb.kernel_theta(kern))
         assert rep.residual <= 1e-10
 
     rng = np.random.default_rng(102)
     for _ in range(3):
         rc = random_tuple(rng, 2, 3, commuting=False, scale=1.02)
-        rep = fb.verify_truncated_factorization(fb.poisson_kernel(rc, fb.TruncatedFock(2, 5)))
+        kern = fb.poisson_kernel(rc, fb.TruncatedFock(2, 5))
+        rep = fb.verify_truncated_factorization(kern, fb.kernel_theta(kern))
         assert rep.residual <= rep.budget
     report("ACCEPTANCE 02 truncated-factorization (nilpotent exact, generic within budget): PASS")
 
@@ -258,7 +260,8 @@ def test_criterion_08_model_theorem():
     ]
     for rc, gens, n, top in cases:
         cs = fb.build_constrained_subspace(fb.TruncatedFock(n, top), gens)
-        res = fb.model_space(fb.constrained_poisson_kernel(rc, cs))
+        kern = fb.constrained_poisson_kernel(rc, cs)
+        res = fb.model_space(kern, fb.kernel_theta(kern))
         assert res.complement_residual <= res.projection_budget
         assert res.projection_residual <= res.projection_budget
         assert res.equivalence_residual <= 1e-9
@@ -282,7 +285,7 @@ def test_criterion_09_curvature_cross_method():
     ]
     assert len(examples) >= 10
     for rc in examples:
-        rep = fb.curvature_theta(rc, fb.TruncatedFock(rc.n, 5), 4)
+        rep = fb.curvature_theta(rc, 4)
         assert max(rep.extras["cross_check_vs_phi"]) <= 1e-8
 
     # trivial anchors, exact

@@ -12,6 +12,7 @@ from fockbench import (
     constrained_poisson_kernel,
     constrained_shifts,
     enumerate_words,
+    kernel_theta,
     point_evaluate,
     poisson_kernel,
     unitary_invariance_check,
@@ -22,6 +23,10 @@ from fockbench import (
 )
 from fockbench.cli import RunContext, task_factorize
 from fockbench.errors import InvalidParameterError, PreconditionError
+
+
+def truncated_factorization(kernel):
+    return verify_truncated_factorization(kernel, kernel_theta(kernel))
 
 
 def random_contraction(rng, n, dim, scale=1.05):
@@ -221,20 +226,20 @@ class TestFactorization:
         a = np.array([[0, 1 / np.sqrt(2)], [0, 0]], dtype=complex)
         b = np.array([[0, 1j / np.sqrt(2)], [0, 0]], dtype=complex)
         rc = validate([a, b])
-        rep = verify_truncated_factorization(poisson_kernel(rc, TruncatedFock(2, 4)))
+        rep = truncated_factorization(poisson_kernel(rc, TruncatedFock(2, 4)))
         assert rep.residual < 1e-10
 
     def test_truncated_mode_generic_within_budget(self):
         rng = np.random.default_rng(18)
         rc = random_contraction(rng, 2, 3, scale=1.01)
-        rep = verify_truncated_factorization(poisson_kernel(rc, TruncatedFock(2, 5)))
+        rep = truncated_factorization(poisson_kernel(rc, TruncatedFock(2, 5)))
         assert rep.residual <= rep.budget
         assert rep.residual < 1e-12  # telescopes exactly at truncation
 
     def test_constrained_truncated_two_path(self):
         rc = validate([np.diag([0.3, -0.2]), np.diag([0.1, 0.35])])
         cs = build_constrained_subspace(TruncatedFock(2, 5), commutator_generators(2))
-        rep = verify_truncated_factorization(constrained_poisson_kernel(rc, cs))
+        rep = truncated_factorization(constrained_poisson_kernel(rc, cs))
         assert rep.residual < 1e-10
 
     def test_constrained_point_checks_membership(self):
@@ -258,7 +263,7 @@ class TestFactorization:
     def test_truncated_mode_needs_the_unit_radius_kernel(self):
         rc = validate([np.diag([0.3, -0.2]), np.diag([0.1, 0.35])])
         with pytest.raises(InvalidParameterError, match="r = 1"):
-            verify_truncated_factorization(poisson_kernel(rc, TruncatedFock(2, 3), r=0.9))
+            truncated_factorization(poisson_kernel(rc, TruncatedFock(2, 3), r=0.9))
 
     @pytest.mark.parametrize("mode", ["constrained_point", "constrained_truncated"])
     def test_removed_mode_names_are_unknown(self, mode):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fockbench.cli import RunContext, main, run_scenario, task_pick, task_shifts, task_wold
+from fockbench.cli import RunContext, main, run_scenario, run_task, task_curvature, task_pick, task_shifts, task_wold
 from fockbench.contractions import validate
 from fockbench.errors import InvalidParameterError
 from fockbench.serialize import (
@@ -149,6 +149,14 @@ class TestSubcommands:
         report = json.loads(out.read_text())
         seq = report["tasks"][0]["data"]["phi"]["sequence"]
         assert all(abs(x) < 1e-12 for x in seq)
+
+    def test_unknown_curvature_method_fails_its_task(self):
+        rc = validate([np.eye(1) / np.sqrt(2)] * 2)
+        ctx = RunContext(n=2, trunc=3, generators=[], rc=rc, tol=1e-9, seed=None)
+        with pytest.raises(InvalidParameterError, match="unknown curvature method 'thetta'"):
+            task_curvature(ctx, {"method": "thetta", "m_max": 2})
+        report = run_task(ctx, {"task": "curvature", "method": "thetta"})
+        assert report["status"] == "fail" and report["error"].startswith("InvalidParameterError: ")
 
     def test_factorize_point_passes(self, rc_file, tmp_path):
         out = tmp_path / "fact.json"
@@ -374,6 +382,7 @@ class TestScenario:
     @pytest.mark.parametrize("ideal,constraint_checks,shift_bound", [("commutative", 1, 4), ("free", 0, 1)])
     def test_one_kernel_constraint_check_and_purity_per_scenario(self, tmp_path, monkeypatch, ideal,
                                                                  constraint_checks, shift_bound):
+        import fockbench.charfn as charfn
         import fockbench.contractions as contractions
         import fockbench.ideals as ideals
         import fockbench.poisson as poisson
@@ -388,7 +397,7 @@ class TestScenario:
 
         # patch every fockbench namespace that binds each function
         for home, name in ((poisson, "poisson_kernel"), (contractions, "check_constraints"),
-                           (contractions, "purity"), (ideals, "constrained_shifts")):
+                           (contractions, "purity"), (ideals, "constrained_shifts"), (charfn, "assemble")):
             original, counts[name] = getattr(home, name), 0
             for module in [m for key, m in sys.modules.items() if key.startswith("fockbench")]:
                 if getattr(module, name, None) is original:
@@ -401,7 +410,32 @@ class TestScenario:
         path.write_text(json.dumps(scenario))
         assert run_scenario(str(path))["summary"]["failed"] == 0
         assert counts.pop("constrained_shifts") <= shift_bound
-        assert counts == {"poisson_kernel": 1, "check_constraints": constraint_checks, "purity": 1}
+        assert counts == {"poisson_kernel": 1, "check_constraints": constraint_checks, "purity": 1, "assemble": 1}
+
+    @pytest.mark.parametrize("key,value", [("N", "abc"), ("N", -1), ("N", 4.5), ("n", 0), ("n", True)])
+    def test_malformed_scenario_sizes_exit_2(self, tmp_path, capsys, key, value):
+        scenario = self.scenario_dict()
+        scenario[key] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["scenario", "run", str(path)]) == 2
+        assert f"need an integer {key} >=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ideal", ["truncated(24)", {"kind": "truncated", "m": 24}], ids=["shorthand", "kind"])
+    def test_truncated_ideal_above_the_truncation_degree_exits_2_before_any_monomial(
+            self, tmp_path, capsys, monkeypatch, ideal):
+        import fockbench.serialize as serialize
+
+        calls = []
+        monkeypatch.setattr(serialize, "word_length_generators", lambda n, m: calls.append((n, m)) or [])
+        scenario = self.scenario_dict()
+        scenario["ideal"] = ideal
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["scenario", "run", str(path)]) == 2
+        assert main(["shifts", "--n", "2", "--N", "4", "--ideal", "truncated(24)"]) == 2
+        assert "exceeds the truncation degree 4" in capsys.readouterr().err
+        assert calls == []
 
 
 class TestDeterminism:
@@ -418,6 +452,27 @@ class TestDeterminism:
             assert proc.returncode == 0, proc.stderr.decode()
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_golden_scenario_imports_only_numpy_and_the_stdlib(self, tmp_path):
+        # numpy is the one declared dependency; numpy.random is in the baseline
+        # because it loads its cython runtime modules lazily, and a numpy
+        # submodule loaded later still counts as numpy.
+        script = (
+            "import json, sys\n"
+            "import numpy, numpy.random\n"
+            "before = set(sys.modules)\n"
+            "from fockbench.cli import main\n"
+            "code = main(['scenario', 'run', sys.argv[1], '--out', sys.argv[2]])\n"
+            "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+            "print(json.dumps([code, sorted(new - set(sys.stdlib_module_names) - {'fockbench', 'numpy'})]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(DATA / "golden_scenario.json"), str(tmp_path / "report.json")],
+            capture_output=True,
+            cwd=str(Path(__file__).parent.parent),
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert json.loads(proc.stdout) == [0, []]
 
     def test_golden_report_matches_stored(self, tmp_path):
         scenario_path = DATA / "golden_scenario.json"

@@ -10,6 +10,7 @@ from fockbench import (
     commutator_generators,
     constrained_poisson_kernel,
     constrained_shifts,
+    kernel_theta,
     maximal_constrained_piece,
     model_space,
     poisson_kernel,
@@ -18,6 +19,10 @@ from fockbench import (
     wold_decompose,
 )
 from fockbench.errors import InvalidParameterError, PreconditionError
+
+
+def model_of(kernel):
+    return model_space(kernel, kernel_theta(kernel))
 
 
 def nilpotent_commuting_pair():
@@ -229,7 +234,7 @@ class TestShiftMultiplicity:
 class TestModelSpace:
     def test_zero_scalar_models_on_constants(self):
         rc = validate([np.zeros((1, 1))])
-        res = model_space(constrained_poisson_kernel(rc, free_cs(1, 5)))
+        res = model_of(constrained_poisson_kernel(rc, free_cs(1, 5)))
         assert res.basis.shape[1] == 1
         assert res.projection_residual < 1e-12
         assert res.equivalence_residual < 1e-12
@@ -239,7 +244,7 @@ class TestModelSpace:
     def test_scalar_contraction_model(self):
         t = 0.5
         rc = validate([np.array([[t]])])
-        res = model_space(constrained_poisson_kernel(rc, free_cs(1, 24)))
+        res = model_of(constrained_poisson_kernel(rc, free_cs(1, 24)))
         assert res.basis.shape[1] == 1
         assert res.equivalence_residual < 1e-9
         assert abs(res.compressed[0][0, 0] - t) < 1e-6
@@ -247,7 +252,7 @@ class TestModelSpace:
     def test_commuting_nilpotent_pair(self):
         rc = nilpotent_commuting_pair()
         kern = constrained_poisson_kernel(rc, commutative_cs(2, 4))
-        res = model_space(kern)
+        res = model_of(kern)
         assert res.basis.shape[1] == 2
         assert res.projection_residual < 1e-10
         assert res.equivalence_residual < 1e-10
@@ -260,7 +265,7 @@ class TestModelSpace:
     def test_non_pure_rejected(self):
         rc = validate([np.array([[1 / np.sqrt(2)]]), np.array([[1 / np.sqrt(2)]])])
         with pytest.raises(PreconditionError):
-            model_space(constrained_poisson_kernel(rc, commutative_cs(2, 3)))
+            model_of(constrained_poisson_kernel(rc, commutative_cs(2, 3)))
 
 
 def pure_tuple(n, dim, seed):
@@ -284,7 +289,7 @@ def test_fock_kernel_equals_the_free_nj_kernel_bit_for_bit(rc, top):
     assert all(np.array_equal(a, b) for a, b in zip(dilations[0].z_ops, dilations[1].z_ops, strict=True))
     assert verify_dilation(dilations[0]) == verify_dilation(dilations[1])
     if rc.purity_limit().is_pure:
-        models = [model_space(k) for k in kernels]
+        models = [model_of(k) for k in kernels]
         assert np.array_equal(models[0].basis, models[1].basis)
         assert all(np.array_equal(a, b) for a, b in zip(models[0].compressed, models[1].compressed, strict=True))
         for name in ("projection_residual", "projection_budget", "equivalence_residual", "equivalence_budget",
@@ -292,7 +297,7 @@ def test_fock_kernel_equals_the_free_nj_kernel_bit_for_bit(rc, top):
             assert getattr(models[0], name) == getattr(models[1], name), name
 
 
-@pytest.mark.parametrize("check", [build_dilation, model_space])
+@pytest.mark.parametrize("check", [build_dilation, model_of], ids=["build_dilation", "model_space"])
 def test_dilation_and_model_need_the_unit_radius_kernel(check):
     with pytest.raises(InvalidParameterError, match="r = 1"):
         check(poisson_kernel(nilpotent_commuting_pair(), TruncatedFock(2, 3), r=0.5))

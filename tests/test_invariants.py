@@ -12,7 +12,10 @@ from fockbench import (
     TruncatedFock,
     Word,
     arveson_curvature,
+    assemble,
+    build_constrained_subspace,
     characteristic_coefficients,
+    commutator_generators,
     curvature_phi,
     enumerate_words,
     curvature_theta,
@@ -112,29 +115,29 @@ class TestCurvatureTheta:
             mats = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for _ in range(n)]
             norm = np.linalg.norm(np.concatenate(mats, axis=1), 2)
             rc = validate([m / (norm * 1.02) for m in mats])
-            rep = curvature_theta(rc, TruncatedFock(n, 5), 4)
+            rep = curvature_theta(rc, 4)
             assert max(rep.extras["cross_check_vs_phi"]) < 1e-8
 
     def test_coisometric_anchor(self):
-        rep = curvature_theta(coisometric_pair(), TruncatedFock(2, 4), 3)
+        rep = curvature_theta(coisometric_pair(), 3)
         assert all(x == 0.0 for x in rep.sequence)
 
     def test_theta_euler_ranks_shift_against_phi_ranks(self):
         # rank[(I - Theta Theta^*)(P_{<=m} tensor I)] telescopes to
         # rank[I - Phi^(m+1)(I)]: the two routes agree up to that index shift.
         rc = nilpotent_commuting_pair()
-        rep_t = curvature_theta(rc, TruncatedFock(2, 5), 4)
+        rep_t = curvature_theta(rc, 4)
         rep_p = euler_phi(rc, 5)
         assert rep_t.extras["euler_ranks"] == rep_p.extras["ranks"][1:5]
 
-    def test_truncation_window_enforced(self):
+    def test_rejects_bad_m_max(self):
         with pytest.raises(InvalidParameterError):
-            curvature_theta(coisometric_pair(), TruncatedFock(2, 3), 3)
+            curvature_theta(coisometric_pair(), 0)
 
 
 def test_curvature_routes_share_one_orbit(monkeypatch):
-    # phi needs Phi^m(I) up to m_max + 1 and the theta budget Phi^(m_max + 2)(I):
-    # read from one orbit, that is m_max + 2 CP steps in total.
+    # phi and the theta cross-check need Phi^m(I) up to m_max + 1: read from
+    # one orbit, that is m_max + 1 CP steps in total.
     import fockbench.contractions as contractions
 
     steps = []
@@ -149,8 +152,8 @@ def test_curvature_routes_share_one_orbit(monkeypatch):
     rc = nilpotent_commuting_pair()
     curvature_phi(rc, m_max)
     euler_phi(rc, m_max)
-    curvature_theta(rc, TruncatedFock(2, m_max + 1), m_max)
-    assert 0 < sum(steps) <= m_max + 2
+    curvature_theta(rc, m_max)
+    assert 0 < sum(steps) <= m_max + 1
 
 
 # --- the symmetric-truncation reference for arveson_curvature ---------------
@@ -316,8 +319,6 @@ class TestArveson:
 
     def test_symmetric_theta_matches_full_compression(self):
         # two-path check of the symmetric reference at a small degree
-        from fockbench import assemble, build_constrained_subspace, commutator_generators
-
         rc = validate([np.diag([0.3, -0.2]), np.diag([0.15, 0.25])])
         top = 3
         sym = SymmetricTruncation(2, top)
@@ -454,3 +455,67 @@ def test_arveson_walks_the_coefficients_once(monkeypatch):
     monkeypatch.setattr(invariants_mod, "characteristic_coefficients", counting)
     arveson_curvature(nilpotent_commuting_pair(), m_max=5, mc_samples=100, seed=1)
     assert calls == [5]
+
+
+# --- one reader of I - Theta Theta^*, against the full-column reading --------
+
+
+def column_reference(rc, m_max, generators):
+    """The reading the shared helper replaced: Theta at truncation m_max + 1,
+    slice traces from its Gram matrix, and Euler ranks of the degree <= m
+    column blocks of the whole I - Theta Theta^*."""
+    fock = TruncatedFock(rc.n, m_max + 1)
+    op = characteristic_coefficients(rc, m_max + 1)
+    if generators:
+        cs = build_constrained_subspace(fock, generators)
+        theta, degrees = assemble(op, cs=cs), cs.basis_degrees
+    else:
+        theta, degrees = assemble(op, fock=fock), fock.degrees
+    degrees = np.repeat(degrees, op.target_dim)
+    gram = theta @ theta.conj().T
+    resid_full = np.eye(gram.shape[0]) - gram
+    traces, ranks = [], []
+    for m in range(1, m_max + 1):
+        rows = degrees == m
+        traces.append(float(np.trace(gram[np.ix_(rows, rows)]).real))
+        ranks.append(matrix_rank(resid_full[:, degrees <= m]))
+    return traces, ranks
+
+
+@st.composite
+def general_tuples(draw):
+    n = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 3))
+    mats = [np.array(draw(st.lists(_entries, min_size=dim * dim, max_size=dim * dim))).reshape(dim, dim)
+            for _ in range(n)]
+    return _scaled(mats, draw(st.floats(0.3, 0.99)))
+
+
+@st.composite
+def commuting_tuples(draw):
+    """S D_i S^-1 with diagonal D_i and a unipotent upper-triangular S:
+    commuting, and non-normal when S is not diagonal."""
+    n = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 3))
+    s = np.eye(dim, dtype=complex)
+    s[np.triu_indices(dim, 1)] = draw(st.lists(_entries, min_size=dim * (dim - 1) // 2,
+                                               max_size=dim * (dim - 1) // 2))
+    s_inv = np.linalg.inv(s)
+    mats = [s @ np.diag(draw(st.lists(_entries, min_size=dim, max_size=dim))) @ s_inv for _ in range(n)]
+    return _scaled(mats, draw(st.floats(0.3, 0.99)))
+
+
+# N_J of the commutator ideal needs truncation degree >= 2, its generators' degree.
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(
+    st.tuples(general_tuples(), st.just(False), st.integers(1, 4)),
+    st.tuples(commuting_tuples(), st.just(True), st.integers(2, 4)),
+))
+def test_principal_block_ranks_equal_the_column_block_ranks(case):
+    rc, on_nj, m_max = case
+    generators = commutator_generators(rc.n) if on_nj else []
+    traces, ranks = column_reference(rc, m_max, generators)
+    got = invariants_mod._theta_defect_by_degree(rc, m_max, generators)
+    assert [rank for _, _, rank in got] == ranks
+    for (slice_dim, trace, _), ref in zip(got, traces, strict=True):
+        assert abs(trace - ref) <= 1e-12 * max(1, slice_dim)
