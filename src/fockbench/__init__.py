@@ -42,6 +42,7 @@ from .charfn import (
     characteristic_coefficients,
     kernel_theta,
     point_evaluate,
+    theta_gram,
     unitary_invariance_check,
     verify_point_factorization,
     verify_truncated_factorization,

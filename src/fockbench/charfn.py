@@ -14,8 +14,11 @@ form of I - Theta Theta^* = K K^*. ``assemble`` places coefficient beta at
 ambient blocks (mu * reverse(beta), mu), matching the action of right
 creation products, one degree pair at a time: the degree-k slice of the
 stored array is the block from degree m to m + k of every ambient,
-compressed to the slice bases of a constrained one. A dedicated convention
-test pins point evaluation against partial sums.
+compressed to the slice bases of a constrained one. On the Fock space
+``theta_gram`` forms Theta Theta^* from the same slices without assembling
+Theta: block (a, b) is sum_{c <= min(a, b)} I_{n^c} (x) Theta_{a-c}
+Theta_{b-c}^*, and the truncated factorization takes that product. A
+dedicated convention test pins point evaluation against partial sums.
 """
 
 from __future__ import annotations
@@ -111,7 +114,7 @@ def assemble(
     n, top, src, tgt = ambient.n, ambient.max_degree, op.source_dim, op.target_dim
     if cs is not None and not cs.graded:
         return _assemble_word_products(op, cs)
-    thetas = [op.coefficients[ambient.slice_range(k)].reshape(n**k * tgt, src) for k in range(top + 1)]
+    thetas = _degree_slices(op, ambient)
 
     if cs is None:
         out = np.zeros((fock.dim * tgt, fock.dim * src), dtype=complex)
@@ -140,6 +143,44 @@ def assemble(
             out4[off[m + k] : off[m + k + 1], :, off[m] : off[m + 1], :] = (
                 z.reshape(d_t, tgt, src, d_s).transpose(0, 1, 3, 2)
             )
+    return out
+
+
+def _degree_slices(op: MultiAnalyticOperator, ambient: TruncatedFock) -> list[np.ndarray]:
+    """Theta_k for k = 0..N: the degree-k coefficients stacked in the order of
+    the reversed words, as an (n^k target, source) matrix."""
+    n, tgt, src = ambient.n, op.target_dim, op.source_dim
+    return [op.coefficients[ambient.slice_range(k)].reshape(n**k * tgt, src)
+            for k in range(ambient.max_degree + 1)]
+
+
+def theta_gram(op: MultiAnalyticOperator, fock: TruncatedFock) -> np.ndarray:
+    """Theta Theta^* on (truncated Fock space tensor target), from the
+    coefficients and without assembling Theta.
+
+    Theta's block from degree c to degree c + k is I_{n^c} (x) Theta_k, so
+    block (a, b) of the product, b <= a, is
+    sum_{c <= b} I_{n^c} (x) (Theta_{a-c} Theta_{b-c}^*). Each product of two
+    coefficient slices is formed once and written into every block it
+    reaches through the strided view ``assemble`` uses; the blocks above the
+    diagonal are the conjugate transposes of those below it.
+    """
+    if op.max_degree < fock.max_degree:
+        raise InvalidParameterError("coefficients do not cover the ambient truncation degree")
+    n, top, tgt = fock.n, fock.max_degree, op.target_dim
+    thetas = _degree_slices(op, fock)
+    off = [o * tgt for o in fock.slice_offsets]
+    out = np.zeros((fock.dim * tgt, fock.dim * tgt), dtype=complex)
+    for i in range(top + 1):
+        for j in range(i + 1):
+            prod = thetas[i] @ thetas[j].conj().T
+            for c in range(top - i + 1):
+                a, b, mu = i + c, j + c, np.arange(n**c)
+                block = out[off[a] : off[a + 1], off[b] : off[b + 1]]
+                block.reshape(n**c, n**i * tgt, n**c, n**j * tgt)[mu, :, mu, :] += prod
+    for a in range(top + 1):
+        for b in range(a):
+            out[off[b] : off[b + 1], off[a] : off[a + 1]] = out[off[a] : off[a + 1], off[b] : off[b + 1]].conj().T
     return out
 
 
@@ -245,19 +286,21 @@ def verify_point_factorization(
     return FactorizationReport(residual, tol, residual <= tol)
 
 
-def verify_truncated_factorization(kernel: PoissonKernel, theta: np.ndarray) -> FactorizationReport:
+def verify_truncated_factorization(kernel: PoissonKernel, gram: np.ndarray) -> FactorizationReport:
     """Check I - Theta Theta^* = K K^* on the kernel's ambient, where the
-    identity telescopes exactly; the purity tail is the budget. ``theta`` is
-    ``kernel_theta(kernel)``. On a non-graded N_J the comparison is restricted
-    to the buffer window."""
+    identity telescopes exactly; the purity tail is the budget. ``gram`` is
+    Theta Theta^* on that ambient (``theta_gram`` on the Fock space). The
+    residual is the Frobenius norm, which bounds the spectral norm from
+    above. On a non-graded N_J the comparison is restricted to the buffer
+    window."""
     kernel.require_unit_radius("the truncated factorization")
     cs = kernel.cs
-    ident = np.eye(theta.shape[0], dtype=complex)
-    diff = ident - theta @ theta.conj().T - kernel.matrix @ kernel.matrix.conj().T
+    diff = gram + kernel.matrix @ kernel.matrix.conj().T
+    diff[np.diag_indices_from(diff)] -= 1.0
     if cs is not None and not cs.graded:
         mask = np.repeat(cs.degree_window_mask(cs.buffer_window), max(kernel.defect_dim, 1)).astype(float)
         diff = diff * mask[:, None] * mask[None, :]
-    residual = spectral_norm(diff)
+    residual = float(np.linalg.norm(diff))
     budget = spectral_norm(kernel.rc.orbit(kernel.fock.max_degree + 1)) + 1e-10
     return FactorizationReport(residual, budget, residual <= budget)
 

@@ -18,7 +18,13 @@ import numpy as np
 
 from . import __version__
 from ._linalg import spectral_norm
-from .charfn import kernel_theta, verify_point_factorization, verify_truncated_factorization
+from .charfn import (
+    characteristic_coefficients,
+    kernel_theta,
+    theta_gram,
+    verify_point_factorization,
+    verify_truncated_factorization,
+)
 from .contractions import RowContraction, check_count, validate
 from .dilation import (
     build_dilation,
@@ -55,6 +61,7 @@ class RunContext:
     _cs: object = field(default=None, repr=False)
     _kernels: dict = field(default_factory=dict, repr=False)
     _theta: np.ndarray | None = field(default=None, repr=False)
+    _theta_gram: np.ndarray | None = field(default=None, repr=False)
 
     def fock(self) -> TruncatedFock:
         if self._fock is None:
@@ -80,6 +87,18 @@ class RunContext:
         if self._theta is None:
             self._theta = kernel_theta(self.kernel())
         return self._theta
+
+    def theta_gram(self) -> np.ndarray:
+        """Theta_T Theta_T^* on the ambient of ``kernel()``, formed once: from
+        the coefficients on the Fock space, so Theta is never assembled there,
+        and from ``theta()`` on N_J."""
+        if self._theta_gram is None:
+            if self.generators:
+                theta = self.theta()
+                self._theta_gram = theta @ theta.conj().T
+            else:
+                self._theta_gram = theta_gram(characteristic_coefficients(self.rc, self.trunc), self.fock())
+        return self._theta_gram
 
 
 def _check(name: str, value: float, bound: float) -> dict:
@@ -147,7 +166,7 @@ def task_factorize(ctx: RunContext, params: dict) -> dict:
         data["residuals"] = residuals
         checks.append(_check("point_factorization_max_residual", max(residuals), tol))
     elif mode == "truncated":
-        rep = verify_truncated_factorization(ctx.kernel(), ctx.theta())
+        rep = verify_truncated_factorization(ctx.kernel(), ctx.theta_gram())
         data["residual"] = rep.residual
         data["budget"] = rep.budget
         checks.append(_check("truncated_factorization_residual", rep.residual, max(rep.budget, tol)))

@@ -9,8 +9,11 @@ factorization of the characteristic function: the trace of the kernel square
 on a degree slice equals the trace of (I - Theta Theta^*) there, and the
 kernel-side quantity collapses to a CP-map trace increment. Theta is
 lower-triangular in degree, so the degree <= m part of I - Theta Theta^*
-needs Theta truncated at m only: one reader assembles it at m_max, on the
-Fock space or on N_J of the commutator ideal, for both curvature routes.
+needs Theta truncated at m only. One reader serves both curvature routes: on
+the Fock space it forms Theta Theta^* from the coefficients (``theta_gram``)
+at truncation m_max, on N_J of the commutator ideal it assembles Theta at
+m_max or at the commutators' degree 2 if that is higher, and it takes each
+Euler rank from the eigenvalues of a principal block of I - Theta Theta^*.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import aitken_extrapolate, matrix_rank
-from .charfn import assemble, characteristic_coefficients
+from ._linalg import aitken_extrapolate, herm_part, matrix_rank, numerical_rank
+from .charfn import assemble, characteristic_coefficients, theta_gram
 from .contractions import RowContraction, check_constraints
 from .errors import InvalidParameterError, PreconditionError
 from .ideals import NcPolynomial, build_constrained_subspace, commutator_generators
@@ -89,28 +92,37 @@ def _theta_defect_by_degree(
 ) -> list[tuple[int, float, int]]:
     """For m = 1..m_max: the dimension of the degree-m slice of (ambient
     tensor row defect), trace[Theta Theta^*] on it, and the rank of the
-    principal degree <= m block of I - Theta Theta^*, with Theta assembled at
-    truncation m_max on the Fock space or, with generators, on N_J.
+    principal degree <= m block of I - Theta Theta^*. On the Fock space
+    Theta Theta^* comes from the coefficients (``theta_gram``) at truncation
+    m_max; with generators Theta is assembled on N_J at truncation m_max, or
+    at the top generator degree if that is higher.
 
-    That rank equals the rank of the degree <= m columns: truncated Theta is
-    a contraction, so I - Theta Theta^* = K K^*, and with K_S the degree <= m
-    rows of K both blocks, K_S K_S^* and K K_S^*, have the rank of K_S."""
-    fock = TruncatedFock(rc.n, m_max)
-    op = characteristic_coefficients(rc, m_max)
+    Theta is lower-triangular in degree, so these degree <= m quantities are
+    the same at every truncation >= m. The rank equals the rank of the
+    degree <= m columns: truncated Theta is a contraction, so
+    I - Theta Theta^* = K K^*, and with K_S the degree <= m rows of K both
+    blocks, K_S K_S^* and K K_S^*, have the rank of K_S. The principal block
+    is Hermitian and positive semidefinite, so its singular values are the
+    absolute values of its eigenvalues."""
+    top = max([m_max, *(p.degree for p in generators)])
+    fock = TruncatedFock(rc.n, top)
+    op = characteristic_coefficients(rc, top)
     if generators:
         cs = build_constrained_subspace(fock, generators)
         theta, degrees = assemble(op, cs=cs), cs.basis_degrees
+        gram = theta @ theta.conj().T
     else:
-        theta, degrees = assemble(op, fock=fock), fock.degrees
+        gram, degrees = theta_gram(op, fock), fock.degrees
     degrees = np.repeat(degrees, op.target_dim)
-    gram = theta @ theta.conj().T
+    diagonal = gram.diagonal()
     out = []
     for m in range(1, m_max + 1):
         rows = degrees == m
-        slice_trace = float(np.trace(gram[np.ix_(rows, rows)]).real)
+        slice_trace = float(diagonal[rows].sum().real)
         # The basis is ordered by degree: degree <= m is a leading block.
-        top = int(np.count_nonzero(degrees <= m))
-        out.append((int(np.count_nonzero(rows)), slice_trace, matrix_rank(np.eye(top) - gram[:top, :top])))
+        lead = int(np.count_nonzero(degrees <= m))
+        eigs = np.linalg.eigvalsh(herm_part(np.eye(lead) - gram[:lead, :lead]))
+        out.append((int(np.count_nonzero(rows)), slice_trace, numerical_rank(np.abs(eigs))))
     return out
 
 

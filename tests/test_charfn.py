@@ -15,6 +15,7 @@ from fockbench import (
     kernel_theta,
     point_evaluate,
     poisson_kernel,
+    theta_gram,
     unitary_invariance_check,
     validate,
     verify_point_factorization,
@@ -26,7 +27,14 @@ from fockbench.errors import InvalidParameterError, PreconditionError
 
 
 def truncated_factorization(kernel):
-    return verify_truncated_factorization(kernel, kernel_theta(kernel))
+    """The check on Theta Theta^* as the scenario runner forms it: from the
+    coefficients on the Fock space, from the assembled Theta on N_J."""
+    if kernel.cs is None:
+        gram = theta_gram(characteristic_coefficients(kernel.rc, kernel.fock.max_degree), kernel.fock)
+    else:
+        theta = kernel_theta(kernel)
+        gram = theta @ theta.conj().T
+    return verify_truncated_factorization(kernel, gram)
 
 
 def random_contraction(rng, n, dim, scale=1.05):
@@ -235,6 +243,16 @@ class TestFactorization:
         rep = truncated_factorization(poisson_kernel(rc, TruncatedFock(2, 5)))
         assert rep.residual <= rep.budget
         assert rep.residual < 1e-12  # telescopes exactly at truncation
+
+    @pytest.mark.parametrize("word_index", [0, 1, 6])
+    def test_truncated_residual_reads_a_perturbed_coefficient(self, word_index):
+        rng = np.random.default_rng(18)
+        rc = random_contraction(rng, 2, 3, scale=1.01)
+        kernel = poisson_kernel(rc, TruncatedFock(2, 4))
+        op = characteristic_coefficients(rc, 4)
+        assert verify_truncated_factorization(kernel, theta_gram(op, kernel.fock)).residual < 1e-12
+        op.coefficients[word_index, 0, 0] += 1e-6
+        assert verify_truncated_factorization(kernel, theta_gram(op, kernel.fock)).residual > 1e-7
 
     def test_constrained_truncated_two_path(self):
         rc = validate([np.diag([0.3, -0.2]), np.diag([0.1, 0.35])])

@@ -379,9 +379,10 @@ class TestScenario:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("ideal,constraint_checks,shift_bound", [("commutative", 1, 4), ("free", 0, 1)])
-    def test_one_kernel_constraint_check_and_purity_per_scenario(self, tmp_path, monkeypatch, ideal,
-                                                                 constraint_checks, shift_bound):
+    def count_calls(self, tmp_path, monkeypatch, ideal, tasks):
+        """Run a scenario with these tasks and count the calls of the kernel
+        constructor, the constraint check, purity, the constrained shifts and
+        Theta's assembly."""
         import fockbench.charfn as charfn
         import fockbench.contractions as contractions
         import fockbench.ideals as ideals
@@ -404,13 +405,28 @@ class TestScenario:
                     monkeypatch.setattr(module, name, counting(name, original))
         scenario = self.scenario_dict()
         scenario["ideal"] = ideal
-        scenario["tasks"] = [{"task": "shifts", "emit_matrices": False}, {"task": "factorize", "mode": "truncated"},
-                             {"task": "poisson"}, {"task": "wold"}, {"task": "dilate"}, {"task": "model"}]
+        scenario["tasks"] = tasks
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario))
         assert run_scenario(str(path))["summary"]["failed"] == 0
+        return counts
+
+    @pytest.mark.parametrize("ideal,constraint_checks,shift_bound", [("commutative", 1, 4), ("free", 0, 1)])
+    def test_one_kernel_constraint_check_and_purity_per_scenario(self, tmp_path, monkeypatch, ideal,
+                                                                 constraint_checks, shift_bound):
+        counts = self.count_calls(tmp_path, monkeypatch, ideal, [
+            {"task": "shifts", "emit_matrices": False}, {"task": "factorize", "mode": "truncated"},
+            {"task": "poisson"}, {"task": "wold"}, {"task": "dilate"}, {"task": "model"}])
         assert counts.pop("constrained_shifts") <= shift_bound
         assert counts == {"poisson_kernel": 1, "check_constraints": constraint_checks, "purity": 1, "assemble": 1}
+
+    def test_free_factorize_and_curvature_never_assemble_theta(self, tmp_path, monkeypatch):
+        """On the Fock space the truncated factorization and the theta
+        curvature read Theta Theta^* from the coefficients."""
+        counts = self.count_calls(tmp_path, monkeypatch, "free", [
+            {"task": "factorize", "mode": "truncated"}, {"task": "curvature", "method": "theta", "m_max": 3}])
+        assert counts == {"poisson_kernel": 1, "check_constraints": 0, "purity": 0, "constrained_shifts": 0,
+                          "assemble": 0}
 
     @pytest.mark.parametrize("key,value", [("N", "abc"), ("N", -1), ("N", 4.5), ("n", 0), ("n", True)])
     def test_malformed_scenario_sizes_exit_2(self, tmp_path, capsys, key, value):

@@ -21,7 +21,10 @@ themselves are a dense reference built here. The shift action on kernel rows
 (``shift_adjoints``) is pinned against the dense lift (S_i^* (x) I) x: bit for
 bit on the Fock space, where it is a gather, and under a computed rounding
 budget on N_J, where it is one product on a reshape instead of a Kronecker
-product.
+product. Theta Theta^* read from the coefficient slices (``theta_gram``) sums
+the same products as the dense product of the assembled Theta in another
+order, so it is pinned under a computed rounding budget, on tuples whose
+defects are zero too.
 """
 
 import numpy as np
@@ -47,6 +50,7 @@ from fockbench import (
     poisson_kernel,
     q_commutator_generators,
     shift_adjoints,
+    theta_gram,
     validate,
     word_length_generators,
     word_operator,
@@ -486,6 +490,64 @@ def test_theta_coefficients_match_the_extend_recursion(n, top, dim, seed):
 @pytest.mark.parametrize("rc", WALK_TUPLES)
 def test_theta_coefficient_edge_cases(rc):
     assert_coefficients_match_references(rc, 4)
+
+
+def gram_budget(op, fock):
+    """Rounding budget between ``theta_gram`` and the dense product of the
+    assembled Theta. An entry of either sums at most (N + 1) source nonzero
+    products, each at most M^2 with M the largest coefficient entry; the
+    dense product reaches it through an inner dimension of dim(Fock) source,
+    the structured one through source plus N + 1 partial sums, and a complex
+    product rounds a few times more than a real one."""
+    top, src = fock.max_degree, op.source_dim
+    biggest = np.abs(op.coefficients).max(initial=0.0)
+    return 4 * (fock.dim * src + top + 1) * EPS * (top + 1) * src * biggest**2
+
+
+def assert_gram_matches_dense(rc, top):
+    op = characteristic_coefficients(rc, top)
+    fock = TruncatedFock(rc.n, top)
+    theta = assemble(op, fock=fock)
+    dense = theta @ theta.conj().T
+    fast = theta_gram(op, fock)
+    assert fast.shape == dense.shape == (fock.dim * op.target_dim,) * 2
+    assert np.abs(fast - dense).max(initial=0.0) <= gram_budget(op, fock)
+
+
+def coisometric_tuple(n, dim, seed):
+    """Rows of [T_1 ... T_n] orthonormal: the row defect, Theta's target, is 0."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n * dim, dim)) + 1j * rng.standard_normal((n * dim, dim)))
+    row = q.conj().T
+    return validate([row[:, i * dim : (i + 1) * dim] for i in range(n)])
+
+
+def unitary_tuple(dim, seed):
+    """One unitary: both defects, Theta's target and source, are 0."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return validate([q])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["random", "coisometric", "unitary"]), st.integers(1, 3), st.integers(1, 3),
+       st.integers(1, 4), st.integers(0, 2**31 - 1))
+def test_theta_gram_matches_the_dense_product(kind, n, dim, top, seed):
+    if kind == "random":
+        rc = random_tuple(n, dim, seed)
+    elif kind == "coisometric":
+        rc = coisometric_tuple(n, dim, seed)
+    else:
+        rc = unitary_tuple(dim, seed)
+    assert_gram_matches_dense(rc, top)
+
+
+@pytest.mark.parametrize("rc", [*WALK_TUPLES, pytest.param(unitary_tuple(2, 0), id="source_dim0")])
+def test_theta_gram_edge_cases(rc):
+    op = characteristic_coefficients(rc, 4)
+    if rc.n == 1 and rc.defect_rank == 0:
+        assert op.source_dim == 0 and op.target_dim == 0
+    assert_gram_matches_dense(rc, 4)
 
 
 @pytest.mark.parametrize("n,top,gens,point", [

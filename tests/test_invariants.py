@@ -444,6 +444,15 @@ def test_pruned_walk_dropped_only_exact_zeros_on_the_nilpotent_pair():
     assert np.array_equal(_symmetric_char_matrix(rc, sym), expected)
 
 
+@pytest.mark.parametrize("rc", [nilpotent_commuting_pair(), validate([np.diag([0.3, 0.1]), np.diag([0.2, 0.4])])],
+                         ids=["nilpotent_pair", "diagonal_pair"])
+def test_arveson_m_max_1_is_the_first_entry_of_m_max_2(rc):
+    one = arveson_curvature(rc, m_max=1, mc_samples=100, seed=1)
+    two = arveson_curvature(rc, m_max=2, mc_samples=100, seed=1)
+    assert one.qm_sequence == two.qm_sequence[:1]
+    assert one.euler_sequence == two.euler_sequence[:1]
+
+
 def test_arveson_walks_the_coefficients_once(monkeypatch):
     calls = []
     original = invariants_mod.characteristic_coefficients
@@ -505,11 +514,11 @@ def commuting_tuples(draw):
     return _scaled(mats, draw(st.floats(0.3, 0.99)))
 
 
-# N_J of the commutator ideal needs truncation degree >= 2, its generators' degree.
+# m_max = 1 on N_J reads degree 1 of Theta assembled at the commutators' degree 2.
 @settings(max_examples=30, deadline=None)
 @given(st.one_of(
     st.tuples(general_tuples(), st.just(False), st.integers(1, 4)),
-    st.tuples(commuting_tuples(), st.just(True), st.integers(2, 4)),
+    st.tuples(commuting_tuples(), st.just(True), st.integers(1, 4)),
 ))
 def test_principal_block_ranks_equal_the_column_block_ranks(case):
     rc, on_nj, m_max = case
