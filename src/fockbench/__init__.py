@@ -40,7 +40,7 @@ from .charfn import (
     MultiAnalyticOperator,
     assemble,
     characteristic_coefficients,
-    kernel_theta,
+    kernel_theta_gram,
     point_evaluate,
     theta_gram,
     unitary_invariance_check,

@@ -14,11 +14,13 @@ form of I - Theta Theta^* = K K^*. ``assemble`` places coefficient beta at
 ambient blocks (mu * reverse(beta), mu), matching the action of right
 creation products, one degree pair at a time: the degree-k slice of the
 stored array is the block from degree m to m + k of every ambient,
-compressed to the slice bases of a constrained one. On the Fock space
-``theta_gram`` forms Theta Theta^* from the same slices without assembling
-Theta: block (a, b) is sum_{c <= min(a, b)} I_{n^c} (x) Theta_{a-c}
-Theta_{b-c}^*, and the truncated factorization takes that product. A
-dedicated convention test pins point evaluation against partial sums.
+compressed to the slice bases of a constrained one. ``theta_gram`` is the
+one place Theta Theta^* is formed, and every identity that reads it (the
+truncated factorization, the model space, curvature and Euler) takes that
+product: on the Fock space it comes from the same slices without assembling
+Theta, block (a, b) being sum_{c <= min(a, b)} I_{n^c} (x) Theta_{a-c}
+Theta_{b-c}^*; on N_J from the assembled Theta. A dedicated convention test
+pins point evaluation against partial sums.
 """
 
 from __future__ import annotations
@@ -28,12 +30,14 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import spectral_norm
+from ._linalg import herm_part, spectral_norm
 from .contractions import RowContraction, check_constraints, spectral_radius, validate
 from .errors import InvalidParameterError, PreconditionError
 from .ideals import ConstrainedSubspace, constrained_shifts
 from .poisson import PoissonKernel
 from .words import TruncatedFock, Word, word_products
+
+EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -154,10 +158,17 @@ def _degree_slices(op: MultiAnalyticOperator, ambient: TruncatedFock) -> list[np
             for k in range(ambient.max_degree + 1)]
 
 
-def theta_gram(op: MultiAnalyticOperator, fock: TruncatedFock) -> np.ndarray:
-    """Theta Theta^* on (truncated Fock space tensor target), from the
-    coefficients and without assembling Theta.
+def theta_gram(
+    op: MultiAnalyticOperator,
+    fock: TruncatedFock | None = None,
+    cs: ConstrainedSubspace | None = None,
+) -> np.ndarray:
+    """Theta Theta^* on (ambient tensor target), for exactly one ambient as in
+    ``assemble``.
 
+    On N_J with generators it is the product of the assembled Theta with its
+    adjoint. On the Fock space, and on N_J without generators, whose basis is
+    the identity, it comes from the coefficients without assembling Theta:
     Theta's block from degree c to degree c + k is I_{n^c} (x) Theta_k, so
     block (a, b) of the product, b <= a, is
     sum_{c <= b} I_{n^c} (x) (Theta_{a-c} Theta_{b-c}^*). Each product of two
@@ -165,6 +176,12 @@ def theta_gram(op: MultiAnalyticOperator, fock: TruncatedFock) -> np.ndarray:
     reaches through the strided view ``assemble`` uses; the blocks above the
     diagonal are the conjugate transposes of those below it.
     """
+    if (fock is None) == (cs is None):
+        raise InvalidParameterError("pass exactly one ambient: fock or cs")
+    if cs is not None and cs.generators:
+        theta = assemble(op, cs=cs)
+        return theta @ theta.conj().T
+    fock = fock if cs is None else cs.fock
     if op.max_degree < fock.max_degree:
         raise InvalidParameterError("coefficients do not cover the ambient truncation degree")
     n, top, tgt = fock.n, fock.max_degree, op.target_dim
@@ -239,13 +256,11 @@ def point_evaluate(rc: RowContraction, point: Sequence) -> np.ndarray:
     )
 
 
-def kernel_theta(kernel: PoissonKernel) -> np.ndarray:
-    """Theta_T of the kernel's tuple assembled on the kernel's ambient, the
+def kernel_theta_gram(kernel: PoissonKernel) -> np.ndarray:
+    """Theta_T Theta_T^* of the kernel's tuple on the kernel's ambient, the
     Fock space or N_J, truncated at the kernel's degree."""
     op = characteristic_coefficients(kernel.rc, kernel.fock.max_degree)
-    if kernel.cs is None:
-        return assemble(op, fock=kernel.fock)
-    return assemble(op, cs=kernel.cs)
+    return theta_gram(op, fock=kernel.fock if kernel.cs is None else None, cs=kernel.cs)
 
 
 @dataclass
@@ -288,11 +303,11 @@ def verify_point_factorization(
 
 def verify_truncated_factorization(kernel: PoissonKernel, gram: np.ndarray) -> FactorizationReport:
     """Check I - Theta Theta^* = K K^* on the kernel's ambient, where the
-    identity telescopes exactly; the purity tail is the budget. ``gram`` is
-    Theta Theta^* on that ambient (``theta_gram`` on the Fock space). The
-    residual is the Frobenius norm, which bounds the spectral norm from
-    above. On a non-graded N_J the comparison is restricted to the buffer
-    window."""
+    identity telescopes exactly. ``gram`` is Theta Theta^* on that ambient
+    (``kernel_theta_gram``). The residual is the Frobenius norm, which bounds
+    the spectral norm from above. The budget is ``_factorization_budget``, or
+    the purity tail ||Phi^(N+1)(I)|| + 1e-10 if that is smaller. On a
+    non-graded N_J the comparison is restricted to the buffer window."""
     kernel.require_unit_radius("the truncated factorization")
     cs = kernel.cs
     diff = gram + kernel.matrix @ kernel.matrix.conj().T
@@ -301,8 +316,43 @@ def verify_truncated_factorization(kernel: PoissonKernel, gram: np.ndarray) -> F
         mask = np.repeat(cs.degree_window_mask(cs.buffer_window), max(kernel.defect_dim, 1)).astype(float)
         diff = diff * mask[:, None] * mask[None, :]
     residual = float(np.linalg.norm(diff))
-    budget = spectral_norm(kernel.rc.orbit(kernel.fock.max_degree + 1)) + 1e-10
+    tail = spectral_norm(kernel.rc.orbit(kernel.fock.max_degree + 1)) + 1e-10
+    budget = min(_factorization_budget(kernel), tail)
     return FactorizationReport(residual, budget, residual <= budget)
+
+
+def _factorization_budget(kernel: PoissonKernel) -> float:
+    """Rounding budget of ||Theta Theta^* + K K^* - I||_F at the kernel's
+    truncation.
+
+    For the computed tuple and defect roots the identity telescopes to zero,
+    pure tuple or not, so what is left is rounding and what the defect rank
+    cutoffs discard:
+    - an entry of Theta Theta^* + K K^* sums at most
+      L = (N + 1)(source + n dim) + dim(Fock) products of entries bounded by
+      one (blocks of the contractions Theta and K, basis entries of N_J), and
+      each factor is a word product of at most N + 1 matrices, so the entry
+      is off by at most 4 (N + 2) L eps, 4 for complex arithmetic, and the
+      Frobenius norm by the row count times that;
+    - the root of a defect eigenvalue lambda moves by eps / (2 sqrt(lambda))
+      when lambda moves by eps, and Theta pairs the row root with the column
+      root, so that rounding is scaled by 1 + 1 / sqrt(lambda_min), with
+      lambda_min the smallest eigenvalue either rank cutoff keeps;
+    - a column-defect direction the cutoff drops leaves Theta's source (this
+      assumes the row cutoff drops its image under T too), which leaves the
+      positive matrix Theta (I - P) Theta^* in the residual; its trace, which
+      bounds its Frobenius norm, is at most dim(ambient) times the dropped
+      trace of D_*^2.
+    """
+    rc, fock = kernel.rc, kernel.fock
+    pairs = ((rc.delta, rc.defect_basis), (rc.delta_star, rc.defect_star_basis))
+    root_min = min((float(np.linalg.eigvalsh(herm_part(e.conj().T @ root @ e))[0]) for root, e in pairs if e.size),
+                   default=1.0)
+    e_s = rc.defect_star_basis
+    dropped = float(np.linalg.norm(rc.delta_star - e_s @ (e_s.conj().T @ rc.delta_star))) ** 2
+    terms = (fock.max_degree + 1) * (e_s.shape[1] + rc.n * rc.dim) + fock.dim
+    rounding = 4 * (fock.max_degree + 2) * terms * kernel.matrix.shape[0] * EPS
+    return rounding * (1.0 + 1.0 / max(root_min, EPS)) + kernel.ambient_dim * dropped
 
 
 def unitary_invariance_check(rc: RowContraction, u: np.ndarray, max_degree: int = 6) -> float:

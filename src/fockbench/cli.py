@@ -18,13 +18,7 @@ import numpy as np
 
 from . import __version__
 from ._linalg import spectral_norm
-from .charfn import (
-    characteristic_coefficients,
-    kernel_theta,
-    theta_gram,
-    verify_point_factorization,
-    verify_truncated_factorization,
-)
+from .charfn import kernel_theta_gram, verify_point_factorization, verify_truncated_factorization
 from .contractions import RowContraction, check_count, validate
 from .dilation import (
     build_dilation,
@@ -60,7 +54,6 @@ class RunContext:
     _fock: TruncatedFock | None = field(default=None, repr=False)
     _cs: object = field(default=None, repr=False)
     _kernels: dict = field(default_factory=dict, repr=False)
-    _theta: np.ndarray | None = field(default=None, repr=False)
     _theta_gram: np.ndarray | None = field(default=None, repr=False)
 
     def fock(self) -> TruncatedFock:
@@ -82,22 +75,11 @@ class RunContext:
                                 else poisson_kernel(self.rc, self.fock(), r))
         return self._kernels[r]
 
-    def theta(self) -> np.ndarray:
-        """Theta_T on the ambient of ``kernel()``, assembled once for every task."""
-        if self._theta is None:
-            self._theta = kernel_theta(self.kernel())
-        return self._theta
-
     def theta_gram(self) -> np.ndarray:
-        """Theta_T Theta_T^* on the ambient of ``kernel()``, formed once: from
-        the coefficients on the Fock space, so Theta is never assembled there,
-        and from ``theta()`` on N_J."""
+        """Theta_T Theta_T^* on the ambient of ``kernel()``, formed once for
+        every task that reads it."""
         if self._theta_gram is None:
-            if self.generators:
-                theta = self.theta()
-                self._theta_gram = theta @ theta.conj().T
-            else:
-                self._theta_gram = theta_gram(characteristic_coefficients(self.rc, self.trunc), self.fock())
+            self._theta_gram = kernel_theta_gram(self.kernel())
         return self._theta_gram
 
 
@@ -285,19 +267,25 @@ def task_dilate(ctx: RunContext, params: dict) -> dict:
         "dilation_index": ctx.rc.defect_rank,
         "defect_rank": ctx.rc.defect_rank,
         "kernel_isometry_defect": blocks.kernel.isometry_defect,
+        "intertwining_full_residual": rep.full_residual,
         "purity": _purity(ctx.rc),
     }
     return {"checks": checks, "data": data}
 
 
 def task_model(ctx: RunContext, params: dict) -> dict:
-    res = model_space(ctx.kernel(), ctx.theta())
+    res = model_space(ctx.kernel(), ctx.theta_gram())
     checks = [
         _check("projection_residual", res.projection_residual, res.projection_budget),
         _check("complement_residual", res.complement_residual, res.projection_budget),
         _check("equivalence_residual", res.equivalence_residual, res.equivalence_budget),
     ]
-    data = {"model_dim": int(res.basis.shape[1]), "purity": _purity(ctx.rc)}
+    largest_in_model, smallest_in_range = res.split
+    data = {
+        "model_dim": int(res.basis.shape[1]),
+        "split": {"largest_in_model": largest_in_model, "smallest_in_range": smallest_in_range},
+        "purity": _purity(ctx.rc),
+    }
     return {"checks": checks, "data": data}
 
 

@@ -1,5 +1,8 @@
 """Dilation blocks, Wold decompositions (with the shift multiplicity), model
-spaces, and maximal constrained pieces."""
+spaces, and maximal constrained pieces.
+
+The model space reads Theta Theta^* (``charfn.kernel_theta_gram``), the same
+product the truncated factorization checks, and never Theta itself."""
 
 from __future__ import annotations
 
@@ -12,12 +15,12 @@ from ._linalg import (
     RANK_RTOL,
     complement_basis,
     eigh_descending,
+    herm_part,
     herm_sqrt_psd,
     matrix_rank,
     principal_angles,
     range_basis,
     spectral_norm,
-    svd_positive,
 )
 from .contractions import PURITY_TOL, PurityResult, RowContraction, check_count, validate
 from .errors import InvalidParameterError, PreconditionError
@@ -105,27 +108,28 @@ def build_dilation(kernel: PoissonKernel) -> DilationBlocks:
 class DilationReport:
     residual: float
     budget: float
+    full_residual: float
 
 
 def verify_dilation(blocks: DilationBlocks) -> DilationReport:
     """Residual of V T_i^* = (block-diagonal dilation)_i^* V.
 
-    The kernel block of the identity is exact except for the top ambient
-    degree slice; the reported budget combines that slice's mass with the
-    least-squares residual of the Cuntz block."""
+    The kernel block of the identity is exact on the kernel's interior rows
+    (``PoissonKernel.interior_rows``) and the Cuntz block is off by the
+    least-squares residual, so the residual reads those rows and the Cuntz
+    rows, against the least-squares residual plus 1e-10. The residual over
+    every row, top slice included, is reported as ``full_residual``."""
     rc = blocks.kernel.rc
     kdim = blocks.k_dim
-    residual = 0.0
+    rows = np.concatenate([blocks.kernel.interior_rows(), np.ones(kdim, dtype=bool)])
+    residual = full = 0.0
     for i, (t, top) in enumerate(zip(rc.matrices, shift_adjoints(blocks.kernel))):
         lhs = blocks.embedding @ t.conj().T
         bot = blocks.z_ops[i].conj().T @ blocks.embedding[-kdim:, :] if kdim else np.zeros((0, rc.dim))
-        rhs = np.concatenate([top, bot], axis=0)
-        residual = max(residual, spectral_norm(lhs - rhs))
-    n_deg = blocks.kernel.fock.max_degree
-    slice_mass = spectral_norm(rc.orbit(n_deg) - rc.orbit(n_deg + 1))
-    t_norm = max(spectral_norm(t) for t in rc.matrices)
-    budget = float(np.sqrt(max(slice_mass, 0.0))) * t_norm + blocks.lsq_residual + 1e-10
-    return DilationReport(residual=residual, budget=budget)
+        diff = lhs - np.concatenate([top, bot], axis=0)
+        residual = max(residual, spectral_norm(diff[rows]))
+        full = max(full, spectral_norm(diff))
+    return DilationReport(residual=residual, budget=blocks.lsq_residual + 1e-10, full_residual=full)
 
 
 @dataclass
@@ -188,35 +192,37 @@ class ModelSpaceResult:
     equivalence_residual: float
     equivalence_budget: float
     complement_residual: float
+    split: tuple[float | None, float | None]
 
 
-def model_space(kernel: PoissonKernel, theta: np.ndarray) -> ModelSpaceResult:
+def model_space(kernel: PoissonKernel, gram: np.ndarray) -> ModelSpaceResult:
     """Model a pure tuple inside (kernel ambient) tensor (row defect) as the
-    complement of the range of its characteristic function ``theta``
-    (``kernel_theta(kernel)``), and compare it with the range of K K^*.
+    complement of the range of its characteristic function, read from
+    ``gram`` = Theta Theta^* on that ambient (``kernel_theta_gram(kernel)``),
+    and compare it with the range of K K^*.
 
-    The assembled characteristic function at truncation is a near-partial
-    isometry whose singular values cluster at 0 and 1 with a gap controlled
-    by the purity tail, so the range split uses the half gap rather than the
-    global relative cutoff. One shift action on [K | basis] gives both the
+    At truncation Theta is a near-partial isometry whose singular values
+    cluster at 0 and 1 with a gap controlled by the purity tail, so the model
+    basis is the eigenvectors of Theta Theta^* with eigenvalue at most 1/4,
+    the half gap squared, rather than a global relative cutoff. ``split`` is
+    (largest eigenvalue counted into the model, smallest counted out), None
+    where a side is empty. One shift action on [K | basis] gives both the
     compressed model operators and the kernel side of the equivalence."""
     kernel.require_unit_radius("the model space")
     rc, top = kernel.rc, kernel.fock.max_degree
     if not rc.purity_limit().is_pure:
         raise PreconditionError("model space requires a pure row contraction")
 
-    u, s = svd_positive(theta)
-    rank = int(np.count_nonzero(s > 0.5)) if s.size else 0
-    basis = u[:, rank:]
+    vals, vecs = np.linalg.eigh(herm_part(gram))
+    rank = int(np.count_nonzero(vals <= 0.25))
+    basis = vecs[:, :rank]
+    split = (float(vals[rank - 1]) if rank else None, float(vals[rank]) if rank < vals.size else None)
 
     p_model = basis @ basis.conj().T
     k = kernel.matrix
     projection_residual = spectral_norm(p_model - k @ k.conj().T)
     projection_budget = 3.0 * spectral_norm(rc.orbit(top + 1)) + 1e-9
-
-    complement_residual = spectral_norm(
-        p_model + theta @ theta.conj().T - np.eye(theta.shape[0], dtype=complex)
-    )
+    complement_residual = spectral_norm(p_model + gram - np.eye(gram.shape[0], dtype=complex))
 
     equivalence_residual = 0.0
     compressed = []
@@ -233,6 +239,7 @@ def model_space(kernel: PoissonKernel, theta: np.ndarray) -> ModelSpaceResult:
         equivalence_residual=equivalence_residual,
         equivalence_budget=equivalence_budget,
         complement_residual=complement_residual,
+        split=split,
     )
 
 

@@ -9,11 +9,11 @@ factorization of the characteristic function: the trace of the kernel square
 on a degree slice equals the trace of (I - Theta Theta^*) there, and the
 kernel-side quantity collapses to a CP-map trace increment. Theta is
 lower-triangular in degree, so the degree <= m part of I - Theta Theta^*
-needs Theta truncated at m only. One reader serves both curvature routes: on
-the Fock space it forms Theta Theta^* from the coefficients (``theta_gram``)
-at truncation m_max, on N_J of the commutator ideal it assembles Theta at
-m_max or at the commutators' degree 2 if that is higher, and it takes each
-Euler rank from the eigenvalues of a principal block of I - Theta Theta^*.
+needs Theta truncated at m only. One reader serves both curvature routes: it
+takes Theta Theta^* from ``theta_gram`` at truncation m_max, on the Fock space
+or on N_J of the commutator ideal (there at the commutators' degree 2 if that
+is higher), and it takes each Euler rank from the eigenvalues of a principal
+block of I - Theta Theta^*.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from ._linalg import aitken_extrapolate, herm_part, matrix_rank, numerical_rank
-from .charfn import assemble, characteristic_coefficients, theta_gram
+from .charfn import characteristic_coefficients, theta_gram
 from .contractions import RowContraction, check_constraints
 from .errors import InvalidParameterError, PreconditionError
 from .ideals import NcPolynomial, build_constrained_subspace, commutator_generators
@@ -92,10 +92,10 @@ def _theta_defect_by_degree(
 ) -> list[tuple[int, float, int]]:
     """For m = 1..m_max: the dimension of the degree-m slice of (ambient
     tensor row defect), trace[Theta Theta^*] on it, and the rank of the
-    principal degree <= m block of I - Theta Theta^*. On the Fock space
-    Theta Theta^* comes from the coefficients (``theta_gram``) at truncation
-    m_max; with generators Theta is assembled on N_J at truncation m_max, or
-    at the top generator degree if that is higher.
+    principal degree <= m block of I - Theta Theta^*, from one
+    ``theta_gram`` at truncation m_max (at the top generator degree if that is
+    higher) on the Fock space, or on N_J with generators; the two ambients
+    differ only in the degree of each basis vector.
 
     Theta is lower-triangular in degree, so these degree <= m quantities are
     the same at every truncation >= m. The rank equals the rank of the
@@ -107,13 +107,9 @@ def _theta_defect_by_degree(
     top = max([m_max, *(p.degree for p in generators)])
     fock = TruncatedFock(rc.n, top)
     op = characteristic_coefficients(rc, top)
-    if generators:
-        cs = build_constrained_subspace(fock, generators)
-        theta, degrees = assemble(op, cs=cs), cs.basis_degrees
-        gram = theta @ theta.conj().T
-    else:
-        gram, degrees = theta_gram(op, fock), fock.degrees
-    degrees = np.repeat(degrees, op.target_dim)
+    cs = build_constrained_subspace(fock, generators) if generators else None
+    gram = theta_gram(op, fock=fock if cs is None else None, cs=cs)
+    degrees = np.repeat(fock.degrees if cs is None else cs.basis_degrees, op.target_dim)
     diagonal = gram.diagonal()
     out = []
     for m in range(1, m_max + 1):

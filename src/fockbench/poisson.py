@@ -53,6 +53,13 @@ class PoissonKernel:
     def gram(self) -> np.ndarray:
         return self.matrix.conj().T @ self.matrix
 
+    def interior_rows(self) -> np.ndarray:
+        """Mask of the kernel rows of ambient degree <= N - 1, where the shift
+        intertwining is exact: the top slice cannot receive weight from words
+        of length N + 1."""
+        degrees = self.fock.degrees if self.cs is None else self.cs.basis_degrees
+        return np.repeat(degrees <= self.fock.max_degree - 1, self.defect_dim)
+
     def require_unit_radius(self, what: str) -> None:
         """InvalidParameterError unless r = 1, where K K^* = I - Theta Theta^*."""
         if self.r != 1.0:
@@ -158,14 +165,12 @@ def shift_adjoints(kernel: PoissonKernel, x: np.ndarray | None = None) -> list[n
 def intertwining_check(kernel: PoissonKernel) -> IntertwiningReport:
     """Residual of K (r T_i^*) = (shift_i^* tensor I) K over all generators.
 
-    The identity is exact on rows of ambient degree <= N-1; the top slice
-    cannot receive weight from words of length N+1, so those rows are
-    excluded from the headline residual and their mass is reported as the
-    budget of the unwindowed residual.
+    The identity is exact on the interior rows (``interior_rows``), so the
+    top-slice rows are excluded from the headline residual and their mass is
+    reported as the budget of the unwindowed residual.
     """
     rc, fock, r = kernel.rc, kernel.fock, kernel.r
-    degrees = fock.degrees if kernel.cs is None else kernel.cs.basis_degrees
-    row_mask = np.repeat(degrees <= fock.max_degree - 1, kernel.defect_dim)
+    row_mask = kernel.interior_rows()
 
     diffs = [kernel.matrix @ (r * t.conj().T) - moved for t, moved in zip(rc.matrices, shift_adjoints(kernel))]
     per = [spectral_norm(diff[row_mask, :]) for diff in diffs]

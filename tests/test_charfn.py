@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockbench import (
     MultiAnalyticOperator,
@@ -12,7 +14,7 @@ from fockbench import (
     constrained_poisson_kernel,
     constrained_shifts,
     enumerate_words,
-    kernel_theta,
+    kernel_theta_gram,
     point_evaluate,
     poisson_kernel,
     theta_gram,
@@ -27,14 +29,8 @@ from fockbench.errors import InvalidParameterError, PreconditionError
 
 
 def truncated_factorization(kernel):
-    """The check on Theta Theta^* as the scenario runner forms it: from the
-    coefficients on the Fock space, from the assembled Theta on N_J."""
-    if kernel.cs is None:
-        gram = theta_gram(characteristic_coefficients(kernel.rc, kernel.fock.max_degree), kernel.fock)
-    else:
-        theta = kernel_theta(kernel)
-        gram = theta @ theta.conj().T
-    return verify_truncated_factorization(kernel, gram)
+    """The check on Theta Theta^* as the scenario runner forms it."""
+    return verify_truncated_factorization(kernel, kernel_theta_gram(kernel))
 
 
 def random_contraction(rng, n, dim, scale=1.05):
@@ -250,9 +246,49 @@ class TestFactorization:
         rc = random_contraction(rng, 2, 3, scale=1.01)
         kernel = poisson_kernel(rc, TruncatedFock(2, 4))
         op = characteristic_coefficients(rc, 4)
-        assert verify_truncated_factorization(kernel, theta_gram(op, kernel.fock)).residual < 1e-12
+        rep = verify_truncated_factorization(kernel, theta_gram(op, kernel.fock))
+        assert rep.residual < 1e-12 and rep.passed
         op.coefficients[word_index, 0, 0] += 1e-6
-        assert verify_truncated_factorization(kernel, theta_gram(op, kernel.fock)).residual > 1e-7
+        rep = verify_truncated_factorization(kernel, theta_gram(op, kernel.fock))
+        assert rep.residual > 1e-7
+        assert not rep.passed
+
+    def test_truncated_check_fails_on_a_constant_coefficient_off_by_a_percent(self):
+        """The purity tail, 0.083 here, would pass this residual of 0.048."""
+        rng = np.random.default_rng(18)
+        rc = random_contraction(rng, 2, 3, scale=1.01)
+        kernel = poisson_kernel(rc, TruncatedFock(2, 4))
+        op = characteristic_coefficients(rc, 4)
+        op.coefficients[0, 0, 0] += 1e-2
+        rep = verify_truncated_factorization(kernel, theta_gram(op, kernel.fock))
+        assert np.linalg.norm(rc.orbit(5), 2) > rep.residual > 1e-2
+        assert not rep.passed
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["fock", "commutative"]), st.sampled_from([0.5, 1.0 - 1e-4, 1.0 - 1e-8, 1.0]),
+           st.integers(1, 3), st.integers(1, 3), st.integers(2, 4), st.integers(0, 2**31 - 1))
+    def test_truncated_budget_holds_at_rounding_level(self, ambient, top_singular, n, dim, top, seed):
+        """The rounding budget holds on tuples pure or not, with defects near
+        zero, and it is never looser than the purity tail."""
+        rng = np.random.default_rng(seed)
+        fock = TruncatedFock(n if ambient == "fock" else max(n, 2), top)
+        if ambient == "fock":
+            row = rng.standard_normal((dim, n * dim)) + 1j * rng.standard_normal((dim, n * dim))
+            u, s, vh = np.linalg.svd(row, full_matrices=False)
+            s = np.sort(rng.uniform(0.0, 0.9, dim))[::-1]
+            s[0] = top_singular
+            row = (u * s) @ vh
+            kernel = poisson_kernel(validate([row[:, i * dim : (i + 1) * dim] for i in range(n)]), fock)
+        else:
+            q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+            z = rng.standard_normal((fock.n, dim)) + 1j * rng.standard_normal((fock.n, dim))
+            z *= rng.uniform(0.0, 0.9, dim) / np.linalg.norm(z, axis=0)
+            z[:, 0] *= top_singular / np.linalg.norm(z[:, 0])
+            rc = validate([q @ np.diag(zi) @ q.conj().T for zi in z])
+            kernel = constrained_poisson_kernel(rc, build_constrained_subspace(fock, commutator_generators(fock.n)))
+        rep = truncated_factorization(kernel)
+        assert rep.passed
+        assert rep.budget <= np.linalg.norm(kernel.rc.orbit(top + 1), 2) + 1e-10
 
     def test_constrained_truncated_two_path(self):
         rc = validate([np.diag([0.3, -0.2]), np.diag([0.1, 0.35])])

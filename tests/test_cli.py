@@ -411,21 +411,26 @@ class TestScenario:
         assert run_scenario(str(path))["summary"]["failed"] == 0
         return counts
 
-    @pytest.mark.parametrize("ideal,constraint_checks,shift_bound", [("commutative", 1, 4), ("free", 0, 1)])
+    @pytest.mark.parametrize("ideal,constraint_checks,shift_bound,assembles",
+                             [("commutative", 1, 4, 1), ("free", 0, 1, 0)], ids=["commutative-1-4", "free-0-1"])
     def test_one_kernel_constraint_check_and_purity_per_scenario(self, tmp_path, monkeypatch, ideal,
-                                                                 constraint_checks, shift_bound):
+                                                                 constraint_checks, shift_bound, assembles):
+        """factorize and model read one Theta Theta^*: on N_J from one
+        assembled Theta, on the Fock space from the coefficients."""
         counts = self.count_calls(tmp_path, monkeypatch, ideal, [
             {"task": "shifts", "emit_matrices": False}, {"task": "factorize", "mode": "truncated"},
             {"task": "poisson"}, {"task": "wold"}, {"task": "dilate"}, {"task": "model"}])
         assert counts.pop("constrained_shifts") <= shift_bound
-        assert counts == {"poisson_kernel": 1, "check_constraints": constraint_checks, "purity": 1, "assemble": 1}
+        assert counts == {"poisson_kernel": 1, "check_constraints": constraint_checks, "purity": 1,
+                          "assemble": assembles}
 
     def test_free_factorize_and_curvature_never_assemble_theta(self, tmp_path, monkeypatch):
-        """On the Fock space the truncated factorization and the theta
-        curvature read Theta Theta^* from the coefficients."""
+        """On the Fock space the truncated factorization, the model space and
+        the theta curvature read Theta Theta^* from the coefficients."""
         counts = self.count_calls(tmp_path, monkeypatch, "free", [
-            {"task": "factorize", "mode": "truncated"}, {"task": "curvature", "method": "theta", "m_max": 3}])
-        assert counts == {"poisson_kernel": 1, "check_constraints": 0, "purity": 0, "constrained_shifts": 0,
+            {"task": "factorize", "mode": "truncated"}, {"task": "model"},
+            {"task": "curvature", "method": "theta", "m_max": 3}])
+        assert counts == {"poisson_kernel": 1, "check_constraints": 0, "purity": 1, "constrained_shifts": 0,
                           "assemble": 0}
 
     @pytest.mark.parametrize("key,value", [("N", "abc"), ("N", -1), ("N", 4.5), ("n", 0), ("n", True)])

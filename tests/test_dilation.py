@@ -10,7 +10,7 @@ from fockbench import (
     commutator_generators,
     constrained_poisson_kernel,
     constrained_shifts,
-    kernel_theta,
+    kernel_theta_gram,
     maximal_constrained_piece,
     model_space,
     poisson_kernel,
@@ -22,7 +22,7 @@ from fockbench.errors import InvalidParameterError, PreconditionError
 
 
 def model_of(kernel):
-    return model_space(kernel, kernel_theta(kernel))
+    return model_space(kernel, kernel_theta_gram(kernel))
 
 
 def nilpotent_commuting_pair():
@@ -113,6 +113,23 @@ class TestVerifyDilation:
         rep = verify_dilation(build_dilation(constrained_poisson_kernel(rc, commutative_cs(2, 8))))
         assert rep.residual <= rep.budget
         assert rep.residual < 1e-5  # top-slice mass decays like the purity tail
+
+    def test_residual_reads_the_exact_window_and_reports_the_full_one(self):
+        rc = validate([np.diag([0.5, -0.4]), np.diag([0.3, 0.6])])
+        blocks = build_dilation(constrained_poisson_kernel(rc, commutative_cs(2, 3)))
+        rep = verify_dilation(blocks)
+        assert rep.budget == blocks.lsq_residual + 1e-10
+        assert rep.residual < 1e-14
+        assert rep.full_residual > 1e-2  # the top slice, which words of length N + 1 would fill
+
+    @pytest.mark.parametrize("row", [0, 3], ids=["vacuum", "degree1"])
+    def test_perturbed_embedding_fails(self, row):
+        rc = validate([np.array([[0.3, 0.2], [0.1, -0.4]]), np.array([[0.1, -0.3], [0.2, 0.2]])])
+        blocks = build_dilation(poisson_kernel(rc, TruncatedFock(2, 3)))
+        assert verify_dilation(blocks).residual <= verify_dilation(blocks).budget
+        blocks.embedding[row] += 1e-8
+        rep = verify_dilation(blocks)
+        assert rep.residual > rep.budget
 
     def test_random_commuting_tuple_beyond_decay(self):
         rng = np.random.default_rng(42)
@@ -261,6 +278,22 @@ class TestModelSpace:
         u = res.basis.conj().T @ kern.matrix
         for b, t in zip(res.compressed, rc.matrices, strict=True):
             assert np.linalg.norm(b - u @ t @ u.conj().T, 2) < 1e-10
+
+    def test_split_brackets_the_quarter(self):
+        res = model_of(constrained_poisson_kernel(nilpotent_commuting_pair(), commutative_cs(2, 4)))
+        largest_in_model, smallest_in_range = res.split
+        assert abs(largest_in_model) < 1e-12
+        assert abs(smallest_in_range - 1.0) < 1e-12
+
+    def test_split_with_an_empty_model_side(self):
+        """At N = 1 both singular values of the scalar 0.9's Theta exceed 1/2,
+        so nothing is counted into the model and that side reads None."""
+        kern = poisson_kernel(validate([np.array([[0.9]])]), TruncatedFock(1, 1))
+        gram = kernel_theta_gram(kern)
+        res = model_space(kern, gram)
+        assert res.basis.shape == (2, 0)
+        assert res.split == (None, np.linalg.eigvalsh(gram)[0])
+        assert res.split[1] > 0.25
 
     def test_non_pure_rejected(self):
         rc = validate([np.array([[1 / np.sqrt(2)]]), np.array([[1 / np.sqrt(2)]])])

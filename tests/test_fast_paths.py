@@ -24,7 +24,11 @@ budget on N_J, where it is one product on a reshape instead of a Kronecker
 product. Theta Theta^* read from the coefficient slices (``theta_gram``) sums
 the same products as the dense product of the assembled Theta in another
 order, so it is pinned under a computed rounding budget, on tuples whose
-defects are zero too.
+defects are zero too; on N_J it is the product of the assembled Theta, bit
+for bit. The model space splits the eigenvalues of Theta Theta^* at 1/4
+instead of Theta's singular values at 1/2, so it is pinned against that SVD,
+kept here as a reference: the same model dimension, and projectors within a
+computed rounding budget over the eigenvalue gap.
 """
 
 import numpy as np
@@ -46,7 +50,9 @@ from fockbench import (
     constrained_shifts,
     enumerate_words,
     constrained_poisson_kernel,
+    kernel_theta_gram,
     kernel_vector,
+    model_space,
     poisson_kernel,
     q_commutator_generators,
     shift_adjoints,
@@ -55,7 +61,8 @@ from fockbench import (
     word_length_generators,
     word_operator,
 )
-from fockbench._linalg import complement_basis, principal_angles
+from fockbench._linalg import complement_basis, principal_angles, svd_positive
+from fockbench.errors import InvalidParameterError, PreconditionError
 from fockbench.ideals import _generator_matrix, _ideal_columns, ideal_orthogonality
 from fockbench.poisson import _radial_defect
 from fockbench.words import word_products
@@ -548,6 +555,87 @@ def test_theta_gram_edge_cases(rc):
     if rc.n == 1 and rc.defect_rank == 0:
         assert op.source_dim == 0 and op.target_dim == 0
     assert_gram_matches_dense(rc, 4)
+
+
+@pytest.mark.parametrize("gens", [
+    commutator_generators(2), q_commutator_generators(np.array([[1.0, 0.5], [0.0, 1.0]])),
+    word_length_generators(2, 3), [NON_HOMOGENEOUS], [],
+], ids=["commutative", "q_commutative", "truncated", "non_homogeneous", "free"])
+def test_theta_gram_on_nj_is_the_product_of_the_assembled_theta(gens):
+    op = characteristic_coefficients(random_tuple(2, 2, 5), 4)
+    fock = TruncatedFock(2, 4)
+    cs = build_constrained_subspace(fock, gens)
+    theta = assemble(op, cs=cs)
+    assert np.array_equal(theta_gram(op, cs=cs), theta @ theta.conj().T if gens else theta_gram(op, fock=fock))
+
+
+def test_theta_gram_takes_exactly_one_ambient():
+    op = characteristic_coefficients(random_tuple(2, 2, 5), 3)
+    fock = TruncatedFock(2, 3)
+    for kwargs in ({}, {"fock": fock, "cs": build_constrained_subspace(fock, [])}):
+        with pytest.raises(InvalidParameterError, match="exactly one ambient"):
+            theta_gram(op, **kwargs)
+
+
+def svd_model_basis(theta):
+    """The model basis as read from the assembled Theta before the Gram
+    route: the left singular vectors with singular value at most 1/2."""
+    u, s = svd_positive(theta)
+    return u[:, int(np.count_nonzero(s > 0.5)) :]
+
+
+def model_budget(kern, op, gap):
+    """Rounding budget between the model projectors of the two routes. Each
+    route is exact for a matrix within E of Theta Theta^*: the rounding of
+    forming the Gram, at most ``gram_budget`` per entry with every coefficient
+    entry at most one (on N_J the inner dimension is dim(N_J) source too),
+    plus the backward error of ``eigh`` or of the SVD, a few rows eps per
+    entry. ||E|| is at most rows times its largest entry, and by the
+    Davis-Kahan sin theta theorem the projectors onto the eigenvalues below
+    1/4 differ by at most 2 ||E|| / gap, with gap the distance between the
+    eigenvalues on the two sides of 1/4."""
+    top, src, rows = kern.fock.max_degree, op.source_dim, kern.matrix.shape[0]
+    entry = 4 * (kern.ambient_dim * src + top + 1) * EPS * (top + 1) * max(src, 1) + 4 * rows * EPS
+    return 2 * rows * entry / gap
+
+
+def commuting_tuple(n, dim, seed, row_norm):
+    """A normal commuting tuple, one unitary diagonalizing every matrix, whose
+    eigenvalue columns all have norm row_norm (coisometric at 1)."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    z = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    z *= row_norm / np.linalg.norm(z, axis=0)
+    return validate([q @ np.diag(zi) @ q.conj().T for zi in z])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["fock", "commutative"]), st.sampled_from([0.5, 0.9, 1.0]), st.integers(1, 3),
+       st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**31 - 1))
+def test_model_space_matches_the_svd_of_theta(ambient, row_norm, n, dim, top, seed):
+    fock = TruncatedFock(max(n, 2), max(top, 2)) if ambient == "commutative" else TruncatedFock(n, top)
+    if ambient == "fock":
+        rc = coisometric_tuple(n, dim, seed) if row_norm == 1.0 else random_tuple(n, dim, seed, row_norm)
+        kern = poisson_kernel(rc, fock)
+    else:
+        rc = commuting_tuple(fock.n, dim, seed, row_norm)
+        kern = constrained_poisson_kernel(rc, build_constrained_subspace(fock, commutator_generators(fock.n)))
+    op = characteristic_coefficients(rc, fock.max_degree)
+    ref = svd_model_basis(assemble(op, fock=fock) if kern.cs is None else assemble(op, cs=kern.cs))
+    gram = kernel_theta_gram(kern)
+    if row_norm == 1.0:
+        assert op.target_dim == 0 and gram.shape == (0, 0) and ref.shape == (0, 0)
+        with pytest.raises(PreconditionError, match="pure"):
+            model_space(kern, gram)
+        return
+    res = model_space(kern, gram)
+    largest_in_model, smallest_in_range = res.split
+    assert res.basis.shape == ref.shape
+    assert largest_in_model is None or largest_in_model <= 0.25
+    assert smallest_in_range is None or smallest_in_range > 0.25
+    gap = (1.0 if smallest_in_range is None else smallest_in_range) - (largest_in_model or 0.0)
+    diff = res.basis @ res.basis.conj().T - ref @ ref.conj().T
+    assert np.linalg.norm(diff, 2) <= model_budget(kern, op, gap)
 
 
 @pytest.mark.parametrize("n,top,gens,point", [
