@@ -31,7 +31,6 @@ from .poisson import (
     PoissonKernel,
     constrained_poisson_kernel,
     intertwining_check,
-    kernel_gram,
     poisson_kernel,
     poisson_transform,
     shift_adjoints,
@@ -53,7 +52,6 @@ from .dilation import (
     build_dilation,
     maximal_constrained_piece,
     model_space,
-    verify_dilation,
     wold_decompose,
 )
 from .invariants import (

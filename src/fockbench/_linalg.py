@@ -1,7 +1,7 @@
 """Dense complex linear-algebra helpers: rank decisions, PSD roots, spans.
 
-All rank decisions in the package go through ``numerical_rank`` so the
-singular-value cutoff (sigma > RANK_RTOL * sigma_max) is applied uniformly.
+Rank decisions on spans go through ``numerical_rank`` (sigma > RANK_RTOL *
+sigma_max); defects are cut at RANK_RTOL itself (``defect_root_and_basis``).
 """
 
 from __future__ import annotations
@@ -46,14 +46,14 @@ def herm_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def herm_sqrt_psd(a: np.ndarray, clamp: float = 1e-12) -> np.ndarray:
+def herm_sqrt_psd(a: np.ndarray) -> np.ndarray:
     """Hermitian square root of a PSD matrix.
 
-    Eigenvalues in [-clamp, 0) are treated as floating noise and clamped to
+    Eigenvalues in [-1e-10, 0) are treated as floating noise and clamped to
     zero; anything more negative raises ValueError.
     """
     vals, vecs = np.linalg.eigh(herm_part(np.asarray(a, dtype=complex)))
-    if vals.size and float(vals.min()) < -clamp:
+    if vals.size and float(vals.min()) < -1e-10:
         raise ValueError(f"matrix is not PSD: min eigenvalue {vals.min():.3e}")
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
@@ -65,40 +65,40 @@ def eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[order], vecs[:, order]
 
 
-def numerical_rank(singular_values: np.ndarray, rtol: float = RANK_RTOL, atol: float = 1e-12) -> int:
-    """Count singular values above the relative cutoff.
+def numerical_rank(singular_values: np.ndarray) -> int:
+    """Count singular values above RANK_RTOL * sigma_max and above 1e-12.
 
     The absolute floor handles all-noise spectra (e.g. defects of coisometric
     tuples), where a purely relative rule would count machine eps as rank."""
     s = np.asarray(singular_values, dtype=float)
     if s.size == 0 or s.max() <= 0.0:
         return 0
-    return int(np.count_nonzero(s > max(rtol * s.max(), atol)))
+    return int(np.count_nonzero(s > max(RANK_RTOL * s.max(), 1e-12)))
 
 
-def matrix_rank(a: np.ndarray, rtol: float = RANK_RTOL) -> int:
+def matrix_rank(a: np.ndarray) -> int:
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
         return 0
-    return numerical_rank(svdvals(a), rtol)
+    return numerical_rank(svdvals(a))
 
 
-def range_basis(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+def range_basis(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span, deterministic given the input."""
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
         return np.zeros((a.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return u[:, : numerical_rank(s, rtol)]
+    return u[:, : numerical_rank(s)]
 
 
-def complement_basis(a: np.ndarray, ambient_dim: int, rtol: float = RANK_RTOL) -> np.ndarray:
+def complement_basis(a: np.ndarray, ambient_dim: int) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of the column span."""
     a = np.asarray(a, dtype=complex)
     if a.size == 0 or a.shape[1] == 0:
         return np.eye(ambient_dim, dtype=complex)
     u, s = svd_positive(a)
-    return u[:, numerical_rank(s, rtol):]
+    return u[:, numerical_rank(s):]
 
 
 def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:

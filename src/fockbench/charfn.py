@@ -338,11 +338,10 @@ def _factorization_budget(kernel: PoissonKernel) -> float:
       when lambda moves by eps, and Theta pairs the row root with the column
       root, so that rounding is scaled by 1 + 1 / sqrt(lambda_min), with
       lambda_min the smallest eigenvalue either rank cutoff keeps;
-    - a column-defect direction the cutoff drops leaves Theta's source (this
-      assumes the row cutoff drops its image under T too), which leaves the
-      positive matrix Theta (I - P) Theta^* in the residual; its trace, which
-      bounds its Frobenius norm, is at most dim(ambient) times the dropped
-      trace of D_*^2.
+    - a column-defect direction the cutoff drops leaves Theta's source, which
+      leaves the positive matrix Theta (I - P) Theta^* in the residual; its
+      trace, which bounds its Frobenius norm, is at most dim(ambient) times
+      the dropped trace of D_*^2.
     """
     rc, fock = kernel.rc, kernel.fock
     pairs = ((rc.delta, rc.defect_basis), (rc.delta_star, rc.defect_star_basis))

@@ -69,22 +69,23 @@ class RowContraction:
         return sum(t @ t.conj().T for t in self.matrices)
 
 
-def defect_root_and_basis(psd: np.ndarray, clamp: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def defect_root_and_basis(psd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Square root of a PSD defect together with an orthonormal range basis.
 
     The rank cutoff is applied to the eigenvalues of the squared defect,
     where floating noise sits at machine scale; cutting on the root itself
-    would admit sqrt(eps)-sized noise directions. An absolute floor guards
-    the case where every eigenvalue is noise (coisometric tuples)."""
+    would admit sqrt(eps)-sized noise directions. Both defects are cut at
+    RANK_RTOL on the contraction scale 1: the non-unit spectra of I - T T^*
+    and I - T^* T coincide, so one absolute cutoff gives consistent ranks,
+    and an all-noise spectrum (coisometric tuples) keeps nothing. Eigenvalues
+    in [-1e-12, 0) are clamped to zero; anything more negative raises
+    ValueError."""
     vals, vecs = eigh_descending(psd)
-    if vals.size and float(vals.min()) < -clamp:
+    if vals.size and float(vals.min()) < -1e-12:
         raise ValueError(f"defect is not PSD: min eigenvalue {vals.min():.3e}")
     vals = np.clip(vals, 0.0, None)
     root = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    if vals.size == 0 or vals.max() <= 0:
-        return root, np.zeros((psd.shape[0], 0), dtype=complex)
-    keep = vals > max(RANK_RTOL * vals.max(), 1e-12)
-    return root, vecs[:, keep]
+    return root, vecs[:, vals > RANK_RTOL]
 
 
 def _square_tuple(matrices: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -157,13 +158,14 @@ class PurityResult:
     converged: bool
     method: str
 
-    def unit_eigenspace(self, tol: float = 1e-8) -> np.ndarray:
-        """Directions the CP iteration leaves untouched (limit eigenvalue one).
+    def unit_eigenspace(self) -> np.ndarray:
+        """Directions the CP iteration leaves untouched (limit eigenvalue
+        within 1e-8 of one).
 
         Purely diagnostic: vectors here are the obstruction to complete
         non-coisometry; no further semantics is attached."""
         vals, vecs = eigh_descending(self.q_limit)
-        return vecs[:, vals >= 1.0 - tol]
+        return vecs[:, vals >= 1.0 - 1e-8]
 
 
 # Margin below one that an upper Collatz-Wielandt bound on rho(Phi) must clear

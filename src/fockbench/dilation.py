@@ -31,14 +31,18 @@ from .poisson import PoissonKernel, shift_adjoints
 @dataclass
 class DilationBlocks:
     """Dilation data: the kernel block, the Cuntz block, and the isometric
-    embedding V = [K; Y] between them."""
+    embedding V = [K; Y] between them.
+
+    ``isometry_defect`` is |V^*V - (I - Phi^(N+1)(I) + Q)|, the truncated
+    form of V^*V = I: K^*K = I - Phi^(N+1)(I) and Y^*Y = Q. ``lsq_residual``
+    is the residual of the Cuntz rows of V T_i^* = (dilation)_i^* V; its
+    kernel rows are the Poisson intertwining (``intertwining_check``)."""
 
     kernel: PoissonKernel
     k_basis: np.ndarray
     z_ops: list[np.ndarray]
     embedding: np.ndarray
     isometry_defect: float
-    isometry_budget: float
     cuntz_residual: float
     constraint_residuals: list[float]
     lsq_residual: float
@@ -60,7 +64,7 @@ def build_dilation(kernel: PoissonKernel) -> DilationBlocks:
     rc = kernel.rc
     generators = [] if kernel.cs is None else kernel.cs.generators
     q = rc.purity_limit().q_limit
-    y = herm_sqrt_psd(q, clamp=1e-10)
+    y = herm_sqrt_psd(q)
     # Directions with q-eigenvalue at the iteration-error level are
     # indistinguishable from zero; an absolute cutoff keeps pure tuples from
     # acquiring a noise Cuntz block.
@@ -87,49 +91,17 @@ def build_dilation(kernel: PoissonKernel) -> DilationBlocks:
         constraint_res = [0.0 for _ in generators]
 
     embedding = np.concatenate([kernel.matrix, y_hat], axis=0)
-    gram = embedding.conj().T @ embedding
-    defect = spectral_norm(gram - np.eye(rc.dim))
-    n_top = kernel.fock.max_degree + 1
-    budget = spectral_norm(rc.orbit(n_top) - q) + 1e-10
+    exact = np.eye(rc.dim) - rc.orbit(kernel.fock.max_degree + 1) + q
     return DilationBlocks(
         kernel=kernel,
         k_basis=k_basis,
         z_ops=z_ops,
         embedding=embedding,
-        isometry_defect=defect,
-        isometry_budget=budget,
+        isometry_defect=spectral_norm(embedding.conj().T @ embedding - exact),
         cuntz_residual=cuntz,
         constraint_residuals=constraint_res,
         lsq_residual=lsq_res,
     )
-
-
-@dataclass
-class DilationReport:
-    residual: float
-    budget: float
-    full_residual: float
-
-
-def verify_dilation(blocks: DilationBlocks) -> DilationReport:
-    """Residual of V T_i^* = (block-diagonal dilation)_i^* V.
-
-    The kernel block of the identity is exact on the kernel's interior rows
-    (``PoissonKernel.interior_rows``) and the Cuntz block is off by the
-    least-squares residual, so the residual reads those rows and the Cuntz
-    rows, against the least-squares residual plus 1e-10. The residual over
-    every row, top slice included, is reported as ``full_residual``."""
-    rc = blocks.kernel.rc
-    kdim = blocks.k_dim
-    rows = np.concatenate([blocks.kernel.interior_rows(), np.ones(kdim, dtype=bool)])
-    residual = full = 0.0
-    for i, (t, top) in enumerate(zip(rc.matrices, shift_adjoints(blocks.kernel))):
-        lhs = blocks.embedding @ t.conj().T
-        bot = blocks.z_ops[i].conj().T @ blocks.embedding[-kdim:, :] if kdim else np.zeros((0, rc.dim))
-        diff = lhs - np.concatenate([top, bot], axis=0)
-        residual = max(residual, spectral_norm(diff[rows]))
-        full = max(full, spectral_norm(diff))
-    return DilationReport(residual=residual, budget=blocks.lsq_residual + 1e-10, full_residual=full)
 
 
 @dataclass
@@ -188,9 +160,7 @@ class ModelSpaceResult:
     basis: np.ndarray
     compressed: list[np.ndarray]
     projection_residual: float
-    projection_budget: float
     equivalence_residual: float
-    equivalence_budget: float
     complement_residual: float
     split: tuple[float | None, float | None]
 
@@ -199,17 +169,26 @@ def model_space(kernel: PoissonKernel, gram: np.ndarray) -> ModelSpaceResult:
     """Model a pure tuple inside (kernel ambient) tensor (row defect) as the
     complement of the range of its characteristic function, read from
     ``gram`` = Theta Theta^* on that ambient (``kernel_theta_gram(kernel)``),
-    and compare it with the range of K K^*.
+    and compare it with the range of K.
 
-    At truncation Theta is a near-partial isometry whose singular values
-    cluster at 0 and 1 with a gap controlled by the purity tail, so the model
-    basis is the eigenvectors of Theta Theta^* with eigenvalue at most 1/4,
-    the half gap squared, rather than a global relative cutoff. ``split`` is
-    (largest eigenvalue counted into the model, smallest counted out), None
-    where a side is empty. One shift action on [K | basis] gives both the
-    compressed model operators and the kernel side of the equivalence."""
+    At truncation I - Theta Theta^* = K K^*, so Theta Theta^* is the identity
+    off the range of K and has the eigenvalues of Phi^(N+1)(I) on it. The
+    model basis B is the eigenvectors of Theta Theta^* with eigenvalue at
+    most 1/4 (Theta's singular values split at 1/2, squared), and the three
+    checks are the exact truncated identities:
+    - ``projection_residual`` = |K - B B^* K|: the range of K lies in the
+      model space;
+    - ``complement_residual`` = max |1 - lambda| over the eigenvalues of
+      Theta Theta^* outside the model: Theta Theta^* = I there;
+    - ``equivalence_residual`` = max_i |K^* (B_i (x) I) K - T_i (I - Phi^N(I))|,
+      with B_i the ambient's shift, since K^* (B_i (x) I) K telescopes to
+      T_i (I - Phi^N(I)).
+    ``split`` is (largest eigenvalue counted into the model, smallest counted
+    out), None where a side is empty. One shift action on [K | B] gives both
+    the compressed model operators and the kernel side of the equivalence;
+    every check reads thin products, none a matrix of (ambient dim)^2."""
     kernel.require_unit_radius("the model space")
-    rc, top = kernel.rc, kernel.fock.max_degree
+    rc = kernel.rc
     if not rc.purity_limit().is_pure:
         raise PreconditionError("model space requires a pure row contraction")
 
@@ -218,26 +197,23 @@ def model_space(kernel: PoissonKernel, gram: np.ndarray) -> ModelSpaceResult:
     basis = vecs[:, :rank]
     split = (float(vals[rank - 1]) if rank else None, float(vals[rank]) if rank < vals.size else None)
 
-    p_model = basis @ basis.conj().T
     k = kernel.matrix
-    projection_residual = spectral_norm(p_model - k @ k.conj().T)
-    projection_budget = 3.0 * spectral_norm(rc.orbit(top + 1)) + 1e-9
-    complement_residual = spectral_norm(p_model + gram - np.eye(gram.shape[0], dtype=complex))
+    projection_residual = spectral_norm(k - basis @ (basis.conj().T @ k))
+    complement_residual = float(np.abs(1.0 - vals[rank:]).max(initial=0.0))
 
     equivalence_residual = 0.0
     compressed = []
+    interior_gram = np.eye(rc.dim) - rc.orbit(kernel.fock.max_degree)
     for t, moved in zip(rc.matrices, shift_adjoints(kernel, np.concatenate([k, basis], axis=1))):
         compressed.append(moved[:, k.shape[1] :].conj().T @ basis)
-        equivalence_residual = max(equivalence_residual, spectral_norm(moved[:, : k.shape[1]].conj().T @ k - t))
-    equivalence_budget = spectral_norm(rc.orbit(top)) + 1e-9
+        kernel_side = moved[:, : k.shape[1]].conj().T @ k
+        equivalence_residual = max(equivalence_residual, spectral_norm(kernel_side - t @ interior_gram))
 
     return ModelSpaceResult(
         basis=basis,
         compressed=compressed,
         projection_residual=projection_residual,
-        projection_budget=projection_budget,
         equivalence_residual=equivalence_residual,
-        equivalence_budget=equivalence_budget,
         complement_residual=complement_residual,
         split=split,
     )

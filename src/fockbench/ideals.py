@@ -152,11 +152,11 @@ class ConstrainedSubspace:
             return self.fock.max_degree
         return self.fock.max_degree - self.max_generator_degree
 
-    def contains_vacuum(self, tol: float = 1e-10) -> bool:
-        """Whether |P e_0 - e_0| <= tol, with P e_0 = Q (row 0 of Q)^*."""
+    def contains_vacuum(self) -> bool:
+        """Whether |P e_0 - e_0| <= 1e-10, with P e_0 = Q (row 0 of Q)^*."""
         residual = self.basis @ self.basis[0].conj()
         residual[0] -= 1.0
-        return spectral_norm(residual) <= tol
+        return spectral_norm(residual) <= 1e-10
 
     def vacuum_vector(self) -> np.ndarray:
         """Coordinates of the vacuum in the subspace basis; requires 1 in N_J."""

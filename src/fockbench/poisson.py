@@ -1,10 +1,10 @@
 """Poisson kernels on the truncated Fock space, their constrained
-compressions, and the associated transform and Gram identities.
+compressions, the intertwining identity and the Poisson transform.
 
 The truncated kernel of a tuple stacks, per basis word alpha, the block
 r^|alpha| (defect root) T_alpha^* expressed in defect coordinates. Its Gram
-matrix telescopes exactly to I - r^(2(N+1)) Phi^(N+1)(I), so every isometry
-statement comes with a computable truncation budget.
+matrix telescopes exactly to I - r^(2(N+1)) Phi^(N+1)(I), so the isometry
+statement is checked against that exact value.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ class PoissonKernel:
 
     ``matrix`` maps the underlying space into (ambient basis) tensor (defect
     coordinates); for the constrained flavor the ambient is the constrained
-    subspace basis and ``cs`` is set. Every check of the kernel (Gram,
-    intertwining, truncated factorization, dilation, model space) takes the
+    subspace basis and ``cs`` is set. Every check of the kernel
+    (intertwining, truncated factorization, dilation, model space) takes the
     kernel itself and reads the tuple, the ambient and r from it.
     """
 
@@ -49,9 +49,6 @@ class PoissonKernel:
     @property
     def ambient_dim(self) -> int:
         return self.fock.dim if self.cs is None else self.cs.dim
-
-    def gram(self) -> np.ndarray:
-        return self.matrix.conj().T @ self.matrix
 
     def interior_rows(self) -> np.ndarray:
         """Mask of the kernel rows of ambient degree <= N - 1, where the shift
@@ -78,9 +75,9 @@ def poisson_kernel(rc: RowContraction, fock: TruncatedFock, r: float = 1.0) -> P
     The row blocks are one word walk: block alpha is (reduced defect root)
     T_alpha^*, built from its parent by one product with T_i^*, and the
     degree-m slice is scaled by r^m. The reported isometry defect is measured
-    against the exact truncated Gram I - r^(2(N+1)) Phi^(N+1)(I), so it is
-    floating noise by construction; the tail budget bounds the distance from
-    the untruncated Gram.
+    against the exact truncated Gram I - r^(2(N+1)) Phi^(N+1)(I), so it sits
+    at rounding level for a correct kernel; ``tail_budget`` is the norm of
+    the tail r^(2(N+1)) Phi^(N+1)(I), reported as data.
     """
     if not 0.0 < r <= 1.0:
         raise InvalidParameterError(f"radial parameter must lie in (0, 1], got {r}")
@@ -237,20 +234,3 @@ def poisson_transform(
         target=target,
     )
 
-
-@dataclass
-class GramReport:
-    gram: np.ndarray
-    residual: float
-    budget: float
-
-
-def kernel_gram(kernel: PoissonKernel) -> GramReport:
-    """K^*K compared against I minus the tuple's purity limit, with the tail
-    budget ||r^(2(N+1)) Phi^(N+1)(I) - Q|| attached."""
-    rc, top = kernel.rc, kernel.fock.max_degree + 1
-    gram = kernel.gram()
-    q = rc.purity_limit().q_limit
-    residual = spectral_norm(gram - (np.eye(rc.dim) - q))
-    budget = spectral_norm((kernel.r ** (2 * top)) * rc.orbit(top) - q) + 1e-12
-    return GramReport(gram=gram, residual=residual, budget=budget)

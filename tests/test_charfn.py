@@ -264,6 +264,21 @@ class TestFactorization:
         assert np.linalg.norm(rc.orbit(5), 2) > rep.residual > 1e-2
         assert not rep.passed
 
+    def test_one_defect_cutoff_keeps_the_ranks_consistent(self):
+        """Row singular values sqrt(1 - 1e-10), sqrt(1 - 1e-3) twice: the
+        defect eigenvalue 1e-10 lies below the cutoff 1e-9 for both defects.
+        A cutoff relative to each defect's largest eigenvalue kept it in the
+        row defect (largest 1e-3) and dropped it from the column defect
+        (largest 1), ranks (3, 5), and the residual read 5.57."""
+        rng = np.random.default_rng(0)
+        u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        v, _ = np.linalg.qr(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
+        row = (u * np.sqrt([1 - 1e-10, 1 - 1e-3, 1 - 1e-3])) @ v.conj().T
+        rc = validate([row[:, :3], row[:, 3:]])
+        assert (rc.defect_rank, rc.defect_star_rank) == (2, 5)
+        rep = truncated_factorization(poisson_kernel(rc, TruncatedFock(2, 4)))
+        assert rep.passed and rep.residual < 1e-11
+
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(["fock", "commutative"]), st.sampled_from([0.5, 1.0 - 1e-4, 1.0 - 1e-8, 1.0]),
            st.integers(1, 3), st.integers(1, 3), st.integers(2, 4), st.integers(0, 2**31 - 1))

@@ -508,3 +508,15 @@ class TestDeterminism:
         out = tmp_path / "report.json"
         assert main(["scenario", "run", str(DATA / "golden_qcomm_scenario.json"), "--out", str(out)]) == 0
         assert out.read_bytes() == (DATA / "golden_qcomm_report.json").read_bytes()
+
+    def test_golden_check_bounds_are_constants_not_tail_budgets(self):
+        """Every check of both stored reports compares with a bound of at most
+        1e-8, except the Monte-Carlo estimate ``boundary_vs_qm``; a bound
+        sized by the purity tail (0.069 to 0.21 on the q-commuting golden)
+        would pass whatever the code computes."""
+        for name in ("golden_report.json", "golden_qcomm_report.json"):
+            report = json.loads((DATA / name).read_text())
+            checks = [check for task in report["tasks"] for check in task["checks"]]
+            assert checks
+            loose = [(c["name"], c["bound"]) for c in checks if c["bound"] > 1e-8 and c["name"] != "boundary_vs_qm"]
+            assert loose == [], name

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,19 +11,35 @@ from fockbench import (
     commutator_generators,
     constrained_poisson_kernel,
     constrained_shifts,
+    intertwining_check,
     kernel_theta_gram,
     maximal_constrained_piece,
     model_space,
     poisson_kernel,
+    q_commutator_generators,
+    shift_adjoints,
     validate,
-    verify_dilation,
     wold_decompose,
 )
+from fockbench._linalg import spectral_norm
+from fockbench.cli import RunContext, task_model
 from fockbench.errors import InvalidParameterError, PreconditionError
 
 
 def model_of(kernel):
     return model_space(kernel, kernel_theta_gram(kernel))
+
+
+def dilation_intertwining(blocks):
+    """The dilate task's intertwining value: the kernel rows of
+    V T_i^* = (dilation)_i^* V are the Poisson intertwining, and the Cuntz
+    rows are off by the least-squares residual."""
+    return max(intertwining_check(blocks.kernel).residual, blocks.lsq_residual)
+
+
+def decaying_pair():
+    """A pure commuting pair whose purity tail at N = 3 is 0.073."""
+    return validate([np.diag([0.5, -0.4]), np.diag([0.3, 0.6])])
 
 
 def nilpotent_commuting_pair():
@@ -88,7 +105,7 @@ class TestBuildDilation:
         blocks = build_dilation(constrained_poisson_kernel(rc, free_cs(2, 2)))
         assert rc.purity_limit().method == "certified"
         assert blocks.k_dim == 0 and blocks.cuntz_residual == 0.0
-        assert blocks.isometry_defect <= blocks.isometry_budget
+        assert blocks.isometry_defect <= 1e-10
 
     def test_constraint_violation_rejected(self):
         a = np.array([[0, 0.5], [0, 0]])
@@ -98,45 +115,77 @@ class TestBuildDilation:
 
 
 class TestVerifyDilation:
+    """The dilate task's checks: V^*V against I - Phi^(N+1)(I) + Q, and the
+    intertwining on the kernel's interior rows and the Cuntz rows."""
+
     def test_zero_scalar(self):
         rc = validate([np.zeros((1, 1))])
-        rep = verify_dilation(build_dilation(constrained_poisson_kernel(rc, free_cs(1, 4))))
-        assert rep.residual < 1e-13
+        assert dilation_intertwining(build_dilation(constrained_poisson_kernel(rc, free_cs(1, 4)))) < 1e-13
 
     def test_coisometric(self):
         rc = validate([np.array([[1 / np.sqrt(2)]]), np.array([[1 / np.sqrt(2)]])])
-        rep = verify_dilation(build_dilation(constrained_poisson_kernel(rc, commutative_cs(2, 3))))
-        assert rep.residual < 1e-12
+        assert dilation_intertwining(build_dilation(constrained_poisson_kernel(rc, commutative_cs(2, 3)))) < 1e-12
 
     def test_decayed_commuting_tuple(self):
         rc = validate([np.diag([0.22, -0.15]), np.diag([0.1, 0.2])])
-        rep = verify_dilation(build_dilation(constrained_poisson_kernel(rc, commutative_cs(2, 8))))
-        assert rep.residual <= rep.budget
-        assert rep.residual < 1e-5  # top-slice mass decays like the purity tail
+        blocks = build_dilation(constrained_poisson_kernel(rc, commutative_cs(2, 8)))
+        assert dilation_intertwining(blocks) <= 1e-10
+        assert blocks.isometry_defect <= 1e-10
 
     def test_residual_reads_the_exact_window_and_reports_the_full_one(self):
-        rc = validate([np.diag([0.5, -0.4]), np.diag([0.3, 0.6])])
-        blocks = build_dilation(constrained_poisson_kernel(rc, commutative_cs(2, 3)))
-        rep = verify_dilation(blocks)
-        assert rep.budget == blocks.lsq_residual + 1e-10
-        assert rep.residual < 1e-14
-        assert rep.full_residual > 1e-2  # the top slice, which words of length N + 1 would fill
+        blocks = build_dilation(constrained_poisson_kernel(decaying_pair(), commutative_cs(2, 3)))
+        inter = intertwining_check(blocks.kernel)
+        assert blocks.k_dim == 0 and blocks.lsq_residual == 0.0
+        assert dilation_intertwining(blocks) == inter.residual < 1e-14
+        assert inter.full_residual > 1e-2  # the top slice, which words of length N + 1 would fill
 
     @pytest.mark.parametrize("row", [0, 3], ids=["vacuum", "degree1"])
     def test_perturbed_embedding_fails(self, row):
+        """The kernel rows of V are the kernel itself: a kernel row off by
+        1e-8 fails the intertwining."""
         rc = validate([np.array([[0.3, 0.2], [0.1, -0.4]]), np.array([[0.1, -0.3], [0.2, 0.2]])])
-        blocks = build_dilation(poisson_kernel(rc, TruncatedFock(2, 3)))
-        assert verify_dilation(blocks).residual <= verify_dilation(blocks).budget
-        blocks.embedding[row] += 1e-8
-        rep = verify_dilation(blocks)
-        assert rep.residual > rep.budget
+        kernel = poisson_kernel(rc, TruncatedFock(2, 3))
+        assert dilation_intertwining(build_dilation(kernel)) <= 1e-10
+        kernel.matrix[row] += 1e-8
+        assert dilation_intertwining(build_dilation(kernel)) > 1e-10
 
     def test_random_commuting_tuple_beyond_decay(self):
         rng = np.random.default_rng(42)
         rc = validate([np.diag(0.05 * (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)))
                        for _ in range(2)])
-        rep = verify_dilation(build_dilation(constrained_poisson_kernel(rc, commutative_cs(2, 8))))
-        assert rep.residual < 1e-9
+        assert dilation_intertwining(build_dilation(constrained_poisson_kernel(rc, commutative_cs(2, 8)))) < 1e-9
+
+    def test_embedding_off_by_1e9_fails_where_the_tail_budget_passed_it(self):
+        """V scaled by 1 + 1e-9 on a tuple with tail 0.073: |V^*V - I| stays
+        within the removed budget |Phi^4(I) - Q| + 1e-10, while V^*V misses
+        its exact value I - Phi^4(I) + Q by 2e-9."""
+        kernel = constrained_poisson_kernel(decaying_pair(), commutative_cs(2, 3))
+        rc, tail = kernel.rc, kernel.rc.orbit(4)
+        assert spectral_norm(tail) > 1e-3
+        assert build_dilation(kernel).isometry_defect <= 1e-10
+        blocks = build_dilation(replace(kernel, matrix=kernel.matrix * (1 + 1e-9)))
+        v = blocks.embedding
+        assert spectral_norm(v.conj().T @ v - np.eye(rc.dim)) <= spectral_norm(tail - rc.purity_limit().q_limit) + 1e-10
+        assert blocks.isometry_defect > 1e-10
+
+    def test_purity_limit_off_by_1e9_fails_where_the_lsq_budget_passed_it(self):
+        """A purity limit off by 1e-9 on the mixed pair (tail 1) leaves the
+        Cuntz rows a least-squares residual of 1e-9. The removed check
+        compared the stacked residual, at most the kernel rows' residual plus
+        that one, with the least-squares residual plus 1e-10, so it passed."""
+        rc = mixed_pair()
+        pur = rc.purity_limit()
+        kernel = constrained_poisson_kernel(rc, commutative_cs(2, 4))
+        assert spectral_norm(rc.orbit(5)) > 1e-3
+        assert dilation_intertwining(build_dilation(kernel)) <= 1e-10
+        q = pur.q_limit.copy()
+        q[1, 2] += 1e-9
+        q[2, 1] += 1e-9
+        rc._purity = replace(pur, q_limit=q)
+        blocks = build_dilation(kernel)
+        assert intertwining_check(kernel).residual <= 1e-10
+        assert blocks.lsq_residual > 1e-10
+        assert dilation_intertwining(blocks) > 1e-10
 
 
 class TestDilationIndex:
@@ -300,6 +349,66 @@ class TestModelSpace:
         with pytest.raises(PreconditionError):
             model_of(constrained_poisson_kernel(rc, commutative_cs(2, 3)))
 
+    @pytest.mark.parametrize("case", ["scalar_0.9_N1", "q_commuting_N5"])
+    def test_model_task_fails_where_the_split_misses_a_kernel_direction(self, case):
+        """Where Phi^(N+1)(I) has an eigenvalue above 1/4, the split counts a
+        direction of the range of K out of the model: the scalar 0.9 at N = 1
+        (model dimension 0 of 1) and an unscaled q-commuting pair at N = 5 (1
+        of 2). The range of K then leaves the model and Theta Theta^* is not
+        the identity outside it, so both checks fail; the tail budgets
+        passed them."""
+        if case == "scalar_0.9_N1":
+            rc, trunc, gens = validate([np.array([[0.9]])]), 1, []
+        else:
+            q = 0.5 + 0.25j
+            s = 1.0 / np.sqrt(1.0 + abs(q) ** 2)
+            rc = validate([s * np.array([[0.0, 1.0], [0.0, 0.0]]), s * np.diag([q, 1.0])])
+            trunc, gens = 5, q_commutator_generators(np.array([[1.0, q], [0.0, 1.0]]))
+        ctx = RunContext(n=rc.n, trunc=trunc, generators=gens, rc=rc, tol=1e-9, seed=None)
+        report = task_model(ctx, {})
+        assert report["data"]["model_dim"] == rc.dim - 1
+        verdicts = {c["name"]: c["pass"] for c in report["checks"]}
+        assert verdicts["projection_residual"] is False and verdicts["complement_residual"] is False
+
+    @pytest.mark.parametrize("mutation", ["kernel_column_off_the_model", "gram_minus_1e9", "kernel_scaled"])
+    def test_a_1e9_mutation_fails_where_the_tail_budgets_passed_it(self, mutation):
+        """On a pure pair with tail |Phi^4(I)| = 0.073: a kernel column moved
+        1e-9 off the model, Theta Theta^* shifted by -1e-9 I, and the kernel
+        scaled by 1 + 1e-9 each stay within the removed tail budgets, and
+        fail the projection, complement and equivalence identities in turn."""
+        kern = constrained_poisson_kernel(decaying_pair(), commutative_cs(2, 3))
+        rc, gram = kern.rc, kernel_theta_gram(kern)
+        tail = spectral_norm(rc.orbit(4))
+        assert tail > 1e-3
+        res = model_space(kern, gram)
+        assert res.basis.shape[1] == rc.dim
+        assert max(res.projection_residual, res.complement_residual, res.equivalence_residual) <= 1e-10
+
+        if mutation == "kernel_column_off_the_model":
+            off_model = np.zeros_like(kern.matrix)
+            off_model[:, 0] = np.linalg.eigh(gram)[1][:, -1]
+            kern = replace(kern, matrix=kern.matrix + 1e-9 * off_model)
+        elif mutation == "gram_minus_1e9":
+            gram = gram - 1e-9 * np.eye(gram.shape[0])
+        else:
+            kern = replace(kern, matrix=kern.matrix * (1 + 1e-9))
+        res = model_space(kern, gram)
+
+        # the removed checks: |P - K K^*| and |P + Theta Theta^* - I| against
+        # 3 |Phi^4(I)| + 1e-9, and |K^* (B_i (x) I) K - T_i| against
+        # |Phi^3(I)| + 1e-9
+        p, k = res.basis @ res.basis.conj().T, kern.matrix
+        assert spectral_norm(p - k @ k.conj().T) <= 3 * tail + 1e-9
+        assert spectral_norm(p + gram - np.eye(gram.shape[0])) <= 3 * tail + 1e-9
+        equivalence = max(spectral_norm(moved.conj().T @ k - t) for t, moved in zip(rc.matrices, shift_adjoints(kern)))
+        assert equivalence <= spectral_norm(rc.orbit(3)) + 1e-9
+
+        failed = {
+            "kernel_column_off_the_model": res.projection_residual,
+            "gram_minus_1e9": res.complement_residual,
+            "kernel_scaled": res.equivalence_residual,
+        }[mutation]
+        assert failed > 1e-10
 
 def pure_tuple(n, dim, seed):
     rng = np.random.default_rng(seed)
@@ -317,16 +426,15 @@ def test_fock_kernel_equals_the_free_nj_kernel_bit_for_bit(rc, top):
     fock = TruncatedFock(rc.n, top)
     kernels = [poisson_kernel(rc, fock), constrained_poisson_kernel(rc, free_cs(rc.n, top))]
     dilations = [build_dilation(k) for k in kernels]
-    for name in ("embedding", "k_basis", "isometry_defect", "isometry_budget", "cuntz_residual", "lsq_residual"):
+    for name in ("embedding", "k_basis", "isometry_defect", "cuntz_residual", "lsq_residual"):
         assert np.array_equal(getattr(dilations[0], name), getattr(dilations[1], name)), name
     assert all(np.array_equal(a, b) for a, b in zip(dilations[0].z_ops, dilations[1].z_ops, strict=True))
-    assert verify_dilation(dilations[0]) == verify_dilation(dilations[1])
+    assert intertwining_check(kernels[0]) == intertwining_check(kernels[1])
     if rc.purity_limit().is_pure:
         models = [model_of(k) for k in kernels]
         assert np.array_equal(models[0].basis, models[1].basis)
         assert all(np.array_equal(a, b) for a, b in zip(models[0].compressed, models[1].compressed, strict=True))
-        for name in ("projection_residual", "projection_budget", "equivalence_residual", "equivalence_budget",
-                     "complement_residual"):
+        for name in ("projection_residual", "equivalence_residual", "complement_residual"):
             assert getattr(models[0], name) == getattr(models[1], name), name
 
 

@@ -10,7 +10,6 @@ from fockbench import (
     constrained_shifts,
     cp_apply,
     intertwining_check,
-    kernel_gram,
     poisson_kernel,
     poisson_transform,
     validate,
@@ -33,6 +32,10 @@ def random_pair(seed, dim=3, slack=1.02):
     return validate([m / (norm * slack) for m in mats])
 
 
+def gram(kern):
+    return kern.matrix.conj().T @ kern.matrix
+
+
 def nilpotent_commuting_pair():
     a = np.array([[0, 1 / np.sqrt(2)], [0, 0]], dtype=complex)
     b = np.array([[0, 1j / np.sqrt(2)], [0, 0]], dtype=complex)
@@ -47,7 +50,7 @@ def test_zero_tuple_kernel_is_vacuum_embedding():
     expected[0, 0] = 1.0
     assert np.allclose(kern.matrix, expected)
     assert kern.isometry_defect < 1e-14
-    assert np.allclose(kern.gram(), np.eye(1))
+    assert np.allclose(gram(kern), np.eye(1))
 
 
 def test_coisometric_kernel_is_zero():
@@ -62,7 +65,7 @@ def test_nilpotent_kernel_exactly_isometric():
     rc = nilpotent_commuting_pair()
     f = TruncatedFock(2, 4)
     kern = poisson_kernel(rc, f)
-    assert np.linalg.norm(kern.gram() - np.eye(2), 2) < 1e-14
+    assert np.linalg.norm(gram(kern) - np.eye(2), 2) < 1e-14
     assert kern.tail_budget == 0.0
 
 
@@ -73,7 +76,7 @@ def test_radial_gram_matches_geometric_sum():
     f = TruncatedFock(1, n_top)
     kern = poisson_kernel(rc, f, r=1.0)
     expected = 1.0 - t ** (2 * (n_top + 1))
-    assert abs(kern.gram()[0, 0].real - expected) < 1e-14
+    assert abs(gram(kern)[0, 0].real - expected) < 1e-14
 
 
 def test_kernel_rejects_bad_radius():
@@ -207,22 +210,28 @@ class TestPoissonTransform:
 
 
 class TestKernelGram:
+    """K^*K against its exact truncated value I - Phi^(N+1)(I), to the 1e-12
+    the poisson task checks; the distance from I - Q is the purity tail."""
+
     def test_pure_tuple_gram_close_to_identity(self):
-        rc = nilpotent_commuting_pair()
-        rep = kernel_gram(poisson_kernel(rc, TruncatedFock(2, 4)))
-        assert rep.residual < 1e-12
-        assert np.allclose(rep.gram, np.eye(2))
+        kern = poisson_kernel(nilpotent_commuting_pair(), TruncatedFock(2, 4))
+        assert kern.isometry_defect < 1e-12
+        assert np.allclose(gram(kern), np.eye(2))
 
     def test_coisometric_gram_zero(self):
         rc = validate([np.array([[1 / np.sqrt(2)]]), np.array([[1 / np.sqrt(2)]])])
-        rep = kernel_gram(poisson_kernel(rc, TruncatedFock(2, 3)))
-        assert np.linalg.norm(rep.gram) < 1e-12
-        assert rep.residual < 1e-12
+        kern = poisson_kernel(rc, TruncatedFock(2, 3))
+        assert np.linalg.norm(gram(kern)) < 1e-12
+        assert kern.isometry_defect < 1e-12
 
     def test_generic_contraction_within_budget(self):
         rng = np.random.default_rng(8)
         mats = [rng.standard_normal((3, 3)) for _ in range(2)]
         norm = np.linalg.norm(np.concatenate(mats, axis=1), 2)
         rc = validate([m / (norm * 1.01) for m in mats])
-        rep = kernel_gram(poisson_kernel(rc, TruncatedFock(2, 6)))
-        assert rep.residual <= rep.budget
+        kern = poisson_kernel(rc, TruncatedFock(2, 6))
+        assert kern.isometry_defect <= 1e-12
+        q = rc.purity_limit().q_limit
+        tail = spectral_norm(rc.orbit(7) - q)
+        assert tail > 1e-3
+        assert spectral_norm(gram(kern) - (np.eye(3) - q)) <= tail + 1e-12
