@@ -1,7 +1,8 @@
 """Scenario-driven command line producing deterministic JSON reports.
 
-Every subcommand is a thin wrapper over one library operation; ``scenario
-run`` executes a task list from a JSON file. Reports are self-contained
+``scenario run`` executes a task list from a JSON file; every other
+subcommand runs a one-task scenario built from its flags, through the same
+checks, and its report echoes that scenario. Reports are self-contained
 (matrices embedded), schema-tagged, and byte-stable across runs for fixed
 seeds. Exit codes: 0 all tasks passed, 1 at least one task failed, 2 for
 usage or parse errors.
@@ -41,7 +42,7 @@ SCHEMA = "fockbench-report/1"
 @dataclass
 class RunContext:
     n: int
-    trunc: int
+    trunc: int | None
     generators: list[NcPolynomial]
     rc: RowContraction | None
     tol: float
@@ -119,12 +120,12 @@ def task_shifts(ctx: RunContext, params: dict) -> dict:
 def task_factorize(ctx: RunContext, params: dict) -> dict:
     rc = ctx.rc
     mode = params.get("mode", "point")
-    tol = float(params.get("tol", ctx.tol))
     checks = []
     data: dict = {"mode": mode}
     if mode == "point":
+        tol = float(params.get("tol", ctx.tol))
         points = [point_from_json(p, ctx.n) for p in params.get("points", [])]
-        count = int(params.get("random_points", 0))
+        count = check_count("random_points", params.get("random_points", 0), 0)
         if count:
             seed = params.get("seed", ctx.seed)
             if seed is None:
@@ -146,7 +147,7 @@ def task_factorize(ctx: RunContext, params: dict) -> dict:
         rep = verify_truncated_factorization(ctx.kernel(), ctx.theta_gram())
         data["residual"] = rep.residual
         data["budget"] = rep.budget
-        checks.append(_check("truncated_factorization_residual", rep.residual, max(rep.budget, tol)))
+        checks.append(_check("truncated_factorization_residual", rep.residual, rep.budget))
     else:
         raise InvalidParameterError(f"unknown factorize mode {mode!r}")
     return {"checks": checks, "data": data}
@@ -154,7 +155,7 @@ def task_factorize(ctx: RunContext, params: dict) -> dict:
 
 def task_curvature(ctx: RunContext, params: dict) -> dict:
     rc = ctx.rc
-    m_max = int(params.get("m_max", 6))
+    m_max = check_count("m_max", params.get("m_max", 6), 1)
     method = params.get("method", "both")
     if method not in ("phi", "theta", "both"):
         raise InvalidParameterError(f"unknown curvature method {method!r}")
@@ -185,8 +186,8 @@ def task_arveson(ctx: RunContext, params: dict) -> dict:
         raise InvalidParameterError("arveson needs a seed")
     rep = arveson_curvature(
         rc,
-        m_max=int(params.get("m_max", 8)),
-        mc_samples=int(params.get("mc_samples", 100_000)),
+        m_max=check_count("m_max", params.get("m_max", 8), 1),
+        mc_samples=check_count("mc_samples", params.get("mc_samples", 100_000), 2),
         seed=int(seed),
         r_values=tuple(params.get("r_values", (0.9, 0.99, 0.999))),
     )
@@ -330,6 +331,7 @@ def run_task(ctx: RunContext, spec: dict) -> dict:
 
 
 TUPLE_TASKS = {"factorize", "curvature", "arveson", "wold", "dilate", "model", "poisson"}
+TRUNCATION_TASKS = {"shifts", "factorize", "dilate", "model", "poisson"}
 
 
 def _reject_constant(name: str):
@@ -341,26 +343,42 @@ def _strict_json(text: str):
     return json.loads(text, parse_constant=_reject_constant)
 
 
-def load_scenario(path: str) -> dict:
+def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    scenario = _strict_json(text)
-    for key in ("n", "N", "tasks"):
+        return _strict_json(fh.read())
+
+
+def check_scenario(scenario: dict) -> dict:
+    """Reject a scenario that lacks what its tasks read: ``n`` and a list of
+    task objects always, ``T`` for a task on the tuple, ``N`` for a task on the
+    truncation, and points and targets for ``pick``."""
+    if not isinstance(scenario, dict):
+        raise InvalidParameterError("a scenario is a JSON object")
+    for key in ("n", "tasks"):
         if key not in scenario:
             raise InvalidParameterError(f"scenario is missing required key {key!r}")
+    if not (isinstance(scenario["tasks"], list) and all(isinstance(t, dict) for t in scenario["tasks"])):
+        raise InvalidParameterError("scenario key 'tasks' must be a list of objects")
     for t in scenario["tasks"]:
         name = t.get("task")
         if name not in TASKS:
             raise InvalidParameterError(f"scenario names an unknown task {name!r}")
         if name in TUPLE_TASKS and "T" not in scenario:
             raise InvalidParameterError(f"task {name!r} needs a row contraction (scenario key 'T')")
+        if name in TRUNCATION_TASKS and "N" not in scenario:
+            raise InvalidParameterError(f"task {name!r} needs a truncation degree (scenario key 'N')")
         if name == "pick" and not ("points" in t and "targets" in t):
             raise InvalidParameterError("pick task needs 'points' and 'targets'")
     return scenario
 
 
+def load_scenario(path: str) -> dict:
+    return check_scenario(_load_json(path))
+
+
 def context_from_scenario(scenario: dict, tol: float, seed: int | None) -> RunContext:
-    n, trunc = check_count("n", scenario["n"], 1), check_count("N", scenario["N"], 0)
+    n = check_count("n", scenario["n"], 1)
+    trunc = check_count("N", scenario["N"], 0) if "N" in scenario else None
     generators = ideal_from_spec(n, scenario.get("ideal"), max_degree=trunc)
     rc = None
     if "T" in scenario:
@@ -377,8 +395,10 @@ def context_from_scenario(scenario: dict, tol: float, seed: int | None) -> RunCo
     )
 
 
-def run_scenario(path: str, tol: float = 1e-9, seed: int | None = None) -> dict:
-    scenario = load_scenario(path)
+def run_scenario(scenario: str | dict, tol: float = 1e-9, seed: int | None = None) -> dict:
+    """Run a scenario, given as a dict or as the path of its JSON file, and
+    return the report that echoes it."""
+    scenario = load_scenario(scenario) if isinstance(scenario, str) else check_scenario(scenario)
     ctx = context_from_scenario(scenario, tol, seed)
     results = [run_task(ctx, t) for t in scenario["tasks"]]
     failed = sum(1 for r in results if r["status"] != "pass")
@@ -392,16 +412,6 @@ def run_scenario(path: str, tol: float = 1e-9, seed: int | None = None) -> dict:
 
 
 # --- argument handling -----------------------------------------------------
-
-
-def _load_tuple(path: str) -> tuple[int, RowContraction]:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = _strict_json(fh.read())
-    rc = validate([matrix_from_json(m) for m in obj["T"]])
-    n = int(obj.get("n", rc.n))
-    if n != rc.n:
-        raise InvalidParameterError("tuple length disagrees with declared n")
-    return n, rc
 
 
 def _finite_float(text: str) -> float:
@@ -435,24 +445,24 @@ def _finite_complex(text: str) -> complex:
     return value
 
 
-def _parse_points(text: str, n: int) -> list[np.ndarray]:
+def _parse_points(text: str, n: int) -> list[list[list[float]]]:
+    """``--points`` as JSON points: n = 1 'z1,z2,...', n > 1 'a,b;c,d;...'."""
     points = []
     chunks = text.split(";") if n > 1 else text.split(",")
     for chunk in chunks:
         coords = chunk.split(",") if n > 1 else [chunk]
         if len(coords) != n:
             raise InvalidParameterError(f"point {chunk!r} does not have {n} coordinates")
-        points.append(np.array([_finite_complex(c) for c in coords]))
+        points.append([[v.real, v.imag] for v in map(_finite_complex, coords)])
     return points
 
 
 def _parse_targets(args) -> list:
     if args.targets_file:
-        with open(args.targets_file, "r", encoding="utf-8") as fh:
-            return [matrix_from_json(m) for m in _strict_json(fh.read())]
+        return [matrix_to_json(matrix_from_json(m)) for m in _load_json(args.targets_file)]
     if args.targets is None:
         raise InvalidParameterError("pick needs --targets or --targets-file")
-    return [np.atleast_2d(_finite_complex(t)) for t in args.targets.split(",")]
+    return [matrix_to_json(np.atleast_2d(_finite_complex(t))) for t in args.targets.split(",")]
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -464,13 +474,11 @@ def _emit(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _single_report(name: str, ctx: RunContext, spec: dict, out: str | None) -> int:
-    result = run_task(ctx, spec)
-    report = {"schema": SCHEMA, "version": __version__, "command": name, "tasks": [result],
-              "summary": {"total": 1, "passed": int(result["status"] == "pass"),
-                          "failed": int(result["status"] != "pass")}}
-    _emit(report, out)
-    return 0 if result["status"] == "pass" else 1
+def _task_flags(p: argparse.ArgumentParser, *flags: tuple[str, dict]) -> None:
+    """Add the flags that go into the subcommand's task spec. Each defaults to
+    None and an unset one is left out of the spec, so the task handler's
+    default is the only default."""
+    p.set_defaults(task_keys=[p.add_argument(flag, default=None, **kw).dest for flag, kw in flags])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -488,31 +496,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True, dest="trunc")
     p.add_argument("--ideal", default="free")
     p.add_argument("--q", default=None, help="JSON q matrix for the q-commutative ideal")
-    p.add_argument("--no-matrices", action="store_true")
+    _task_flags(p, ("--no-matrices", {"action": "store_false", "dest": "emit_matrices"}))
 
-    for name, needs_ideal in (("factorize", True), ("curvature", False), ("arveson", False),
-                              ("wold", False), ("dilate", True), ("model", True), ("poisson", True)):
+    for name, flags in {
+        "factorize": [("--mode", {"choices": ["point", "truncated"]}), ("--points", {}),
+                      ("--random-points", {"type": int})],
+        "curvature": [("--m-max", {"type": int}), ("--method", {"choices": ["phi", "theta", "both"]})],
+        "arveson": [("--m-max", {"type": int}), ("--mc-samples", {"type": int}),
+                    ("--r-list", {"type": _radii, "dest": "r_values"})],
+        "wold": [("--k-max", {"type": int})],
+        "dilate": [],
+        "model": [],
+        "poisson": [("--r", {"type": _finite_float})],
+    }.items():
         p = sub.add_parser(name, parents=[common])
         p.add_argument("--input", required=True, help="JSON file with {n, T: [matrices]}")
-        if needs_ideal:
+        if name not in ("curvature", "arveson", "wold"):
             p.add_argument("--ideal", default="free")
             p.add_argument("--q", default=None)
         p.add_argument("--N", type=int, default=6, dest="trunc")
-        if name == "factorize":
-            p.add_argument("--mode", choices=["point", "truncated"], default="point")
-            p.add_argument("--points", default=None)
-            p.add_argument("--random-points", type=int, default=0)
-        if name == "curvature":
-            p.add_argument("--m-max", type=int, default=6)
-            p.add_argument("--method", choices=["phi", "theta", "both"], default="both")
-        if name == "arveson":
-            p.add_argument("--m-max", type=int, default=8)
-            p.add_argument("--mc-samples", type=int, default=100_000)
-            p.add_argument("--r-list", type=_radii, default="0.9,0.99,0.999")
-        if name == "wold":
-            p.add_argument("--k-max", type=int, default=None)
-        if name == "poisson":
-            p.add_argument("--r", type=_finite_float, default=1.0)
+        _task_flags(p, *flags)
 
     p = sub.add_parser("pick", parents=[common], help="Pick-matrix feasibility test")
     p.add_argument("--n", type=int, required=True)
@@ -528,13 +531,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _ideal_arg(args, n: int):
+def _ideal_arg(args):
     spec = getattr(args, "ideal", "free")
     if spec == "q-commutative":
-        if getattr(args, "q", None) is None:
+        if args.q is None:
             raise InvalidParameterError("q-commutative ideal needs --q")
         return {"kind": "q-commutative", "q": _strict_json(args.q)}
     return spec
+
+
+def _scenario_from_args(args) -> dict:
+    """The one-task scenario of a subcommand: n and T from ``--input`` (n from
+    ``--n`` for shifts and pick), N from ``--N`` except for pick, which reads
+    no truncation, the ideal, and one task carrying the flags the user set."""
+    if args.command in ("shifts", "pick"):
+        scenario: dict = {"n": args.n}
+    else:
+        tup = _load_json(args.input)
+        if not (isinstance(tup, dict) and isinstance(tup.get("T"), list)):
+            raise InvalidParameterError("--input needs a JSON object with a list of matrices 'T'")
+        scenario = {"n": tup.get("n", len(tup["T"])), "T": tup["T"]}
+    if args.command != "pick":
+        scenario["N"] = args.trunc
+    scenario["ideal"] = _ideal_arg(args)
+    if args.seed is not None:
+        scenario["seed"] = args.seed
+    task = {"task": args.command}
+    task.update((key, getattr(args, key)) for key in getattr(args, "task_keys", ()) if getattr(args, key) is not None)
+    if args.command == "pick":
+        task.update(points=args.points, targets=_parse_targets(args), tol=args.tol)
+    if "points" in task:
+        task["points"] = _parse_points(task["points"], check_count("n", scenario["n"], 1))
+    scenario["tasks"] = [task]
+    return scenario
 
 
 def main(argv=None) -> int:
@@ -545,54 +574,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        if args.command == "scenario":
-            report = run_scenario(args.path, tol=args.tol, seed=args.seed)
-            _emit(report, args.out)
-            return 0 if report["summary"]["failed"] == 0 else 1
-
-        if args.command == "shifts":
-            ctx = RunContext(n=args.n, trunc=args.trunc,
-                             generators=ideal_from_spec(args.n, _ideal_arg(args, args.n), max_degree=args.trunc),
-                             rc=None, tol=args.tol, seed=args.seed)
-            return _single_report("shifts", ctx, {"task": "shifts", "emit_matrices": not args.no_matrices}, args.out)
-
-        if args.command == "pick":
-            points = _parse_points(args.points, args.n)
-            targets = _parse_targets(args)
-            ctx = RunContext(n=args.n, trunc=max(2, args.n),
-                             generators=ideal_from_spec(args.n, _ideal_arg(args, args.n)),
-                             rc=None, tol=args.tol, seed=args.seed)
-            spec = {"task": "pick",
-                    "points": [[[float(v.real), float(v.imag)] for v in z] for z in points],
-                    "targets": [matrix_to_json(np.atleast_2d(t)) for t in targets],
-                    "tol": args.tol}
-            return _single_report("pick", ctx, spec, args.out)
-
-        n, rc = _load_tuple(args.input)
-        ideal = ideal_from_spec(n, _ideal_arg(args, n), max_degree=args.trunc) if hasattr(args, "ideal") else []
-        ctx = RunContext(n=n, trunc=args.trunc, generators=ideal, rc=rc, tol=args.tol, seed=args.seed)
-        spec: dict = {"task": args.command}
-        if args.command == "factorize":
-            spec["mode"] = args.mode
-            if args.points:
-                spec["points"] = [[[float(v.real), float(v.imag)] for v in z]
-                                  for z in _parse_points(args.points, n)]
-            if args.random_points:
-                spec["random_points"] = args.random_points
-        elif args.command == "curvature":
-            spec["m_max"] = args.m_max
-            spec["method"] = args.method
-        elif args.command == "arveson":
-            spec["m_max"] = args.m_max
-            spec["mc_samples"] = args.mc_samples
-            spec["r_values"] = args.r_list
-            spec["seed"] = args.seed
-        elif args.command == "wold":
-            spec["k_max"] = args.k_max
-        elif args.command == "poisson":
-            spec["r"] = args.r
-        return _single_report(args.command, ctx, spec, args.out)
-
+        scenario = args.path if args.command == "scenario" else _scenario_from_args(args)
+        report = run_scenario(scenario, tol=args.tol, seed=args.seed)
+        _emit(report, args.out)
+        return 0 if report["summary"]["failed"] == 0 else 1
     except json.JSONDecodeError as exc:
         print(f"error: cannot parse JSON at line {exc.lineno} column {exc.colno}: {exc.msg}", file=sys.stderr)
         return 2

@@ -172,10 +172,11 @@ def model_space(kernel: PoissonKernel, gram: np.ndarray) -> ModelSpaceResult:
     and compare it with the range of K.
 
     At truncation I - Theta Theta^* = K K^*, so Theta Theta^* is the identity
-    off the range of K and has the eigenvalues of Phi^(N+1)(I) on it. The
-    model basis B is the eigenvectors of Theta Theta^* with eigenvalue at
-    most 1/4 (Theta's singular values split at 1/2, squared), and the three
-    checks are the exact truncated identities:
+    off the range of K and has the eigenvalues of Phi^(N+1)(I) on it, which
+    lie below 1 but may exceed any fixed split at a shallow N. The model
+    basis B is therefore the rank K eigenvectors of Theta Theta^* with the
+    smallest eigenvalues, and the three checks are the exact truncated
+    identities:
     - ``projection_residual`` = |K - B B^* K|: the range of K lies in the
       model space;
     - ``complement_residual`` = max |1 - lambda| over the eigenvalues of
@@ -193,7 +194,7 @@ def model_space(kernel: PoissonKernel, gram: np.ndarray) -> ModelSpaceResult:
         raise PreconditionError("model space requires a pure row contraction")
 
     vals, vecs = np.linalg.eigh(herm_part(gram))
-    rank = int(np.count_nonzero(vals <= 0.25))
+    rank = matrix_rank(kernel.matrix)
     basis = vecs[:, :rank]
     split = (float(vals[rank - 1]) if rank else None, float(vals[rank]) if rank < vals.size else None)
 

@@ -250,7 +250,8 @@ def test_criterion_07_wold_two_path():
 
 def test_criterion_08_model_theorem():
     q_rc, q = q_commuting_pair()
-    # scaled so that |Phi^(N+1)(I)| stays below the 1/4 split at this depth
+    # a q-commuting pair scaled by 1/4; the unscaled pair is a model-task test
+    # in tests/test_dilation.py
     q_scaled = fb.validate([0.25 * m for m in q_rc.matrices])
     cases = [
         (fb.validate([np.zeros((1, 1))]), [], 1, 6),

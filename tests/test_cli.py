@@ -158,6 +158,23 @@ class TestSubcommands:
         report = run_task(ctx, {"task": "curvature", "method": "thetta"})
         assert report["status"] == "fail" and report["error"].startswith("InvalidParameterError: ")
 
+    def test_subcommand_report_echoes_its_scenario(self, rc_file, tmp_path):
+        out = tmp_path / "poisson.json"
+        assert main(["poisson", "--input", rc_file, "--ideal", "commutative", "--N", "3", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["scenario"] == dict(nilpotent_pair_json(), N=3, ideal="commutative",
+                                          tasks=[{"task": "poisson"}])
+        assert report["tasks"][0]["params"] == {}
+
+    def test_pick_reads_no_truncation(self, tmp_path):
+        """pick sends no N, so a word-length ideal of any degree is a variety
+        to test membership in, not a truncation to exceed."""
+        out = tmp_path / "pick.json"
+        argv = ["pick", "--n", "2", "--points", "0,0", "--targets", "0", "--ideal", "truncated(3)", "--out", str(out)]
+        assert main(argv) == 0
+        scenario = json.loads(out.read_text())["scenario"]
+        assert "N" not in scenario and scenario["n"] == 2 and scenario["ideal"] == "truncated(3)"
+
     def test_factorize_point_passes(self, rc_file, tmp_path):
         out = tmp_path / "fact.json"
         code = main([
@@ -286,7 +303,14 @@ class TestScenario:
          "ValueError: "),
         ({"task": "wold", "k_max": -1}, "InvalidParameterError: "),
         ({"task": "arveson", "m_max": 2, "mc_samples": 100, "r_values": [0.9, 1.0]}, "InvalidParameterError: "),
-    ], ids=["mc_samples_zero", "tol_not_a_number", "wold_negative_k_max", "arveson_radius_one"])
+        ({"task": "curvature", "m_max": 3.9}, "InvalidParameterError: "),
+        ({"task": "curvature", "m_max": True}, "InvalidParameterError: "),
+        ({"task": "arveson", "m_max": 2.5, "mc_samples": 100}, "InvalidParameterError: "),
+        ({"task": "arveson", "m_max": 2, "mc_samples": "300"}, "InvalidParameterError: "),
+        ({"task": "factorize", "mode": "point", "random_points": 2.5}, "InvalidParameterError: "),
+    ], ids=["mc_samples_zero", "tol_not_a_number", "wold_negative_k_max", "arveson_radius_one",
+            "curvature_m_max_float", "curvature_m_max_bool", "arveson_m_max_float", "mc_samples_string",
+            "random_points_float"])
     def test_raising_task_is_recorded_and_the_rest_run(self, tmp_path, bad_task, error_prefix):
         scenario = self.scenario_dict()
         scenario["tasks"] = [bad_task, {"task": "curvature", "m_max": 2}]
@@ -345,12 +369,38 @@ class TestScenario:
         path.write_text(json.dumps(scenario))
         assert main(["scenario", "run", str(path)]) == 2
 
+    @pytest.mark.parametrize("task,code", [({"task": "curvature", "m_max": 2}, 0), ({"task": "model"}, 2)],
+                             ids=["curvature_runs", "model_exits_2"])
+    def test_scenario_needs_N_only_for_a_task_on_the_truncation(self, tmp_path, capsys, task, code):
+        scenario = self.scenario_dict()
+        del scenario["N"]
+        scenario["tasks"] = [task]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["scenario", "run", str(path), "--out", str(tmp_path / "report.json")]) == code
+        assert ("scenario key 'N'" in capsys.readouterr().err) == (code == 2)
+
     def test_pick_task_without_targets_exits_2(self, tmp_path):
         scenario = {"name": "x", "n": 1, "N": 2,
                     "tasks": [{"task": "pick", "points": [[[0.0, 0.0]]]}]}
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario))
         assert main(["scenario", "run", str(path)]) == 2
+
+    @pytest.mark.parametrize("argv,text", [
+        (["scenario", "run", "FILE"], "5"),
+        (["scenario", "run", "FILE"], '{"n": 1, "N": 2, "tasks": 5}'),
+        (["scenario", "run", "FILE"], '{"n": 1, "N": 2, "tasks": [1]}'),
+        (["wold", "--input", "FILE"], "[1, 2]"),
+        (["wold", "--input", "FILE"], '{"n": 1, "T": 5}'),
+    ], ids=["scenario_number", "tasks_number", "task_number", "input_list", "input_T_number"])
+    def test_malformed_json_shape_exits_2_before_any_report(self, tmp_path, capsys, argv, text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        out = tmp_path / "report.json"
+        assert main([str(path) if a == "FILE" else a for a in argv] + ["--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_task_exits_2(self, tmp_path):
         scenario = self.scenario_dict()
@@ -442,6 +492,32 @@ class TestScenario:
         assert main(["scenario", "run", str(path)]) == 2
         assert f"need an integer {key} >=" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["shifts", "--n", "0", "--N", "3"], "need an integer n >= 1"),
+        (["shifts", "--n", "2", "--N", "-1"], "need an integer N >= 0"),
+        (["factorize", "--input", "RC", "--N", "-1", "--mode", "truncated"], "need an integer N >= 0"),
+        (["poisson", "--input", "RC", "--N", "-2"], "need an integer N >= 0"),
+        (["wold", "--input", "RC3"], "tuple length disagrees"),
+    ], ids=["shifts_n", "shifts_N", "factorize_N", "poisson_N", "wold_n_mismatch"])
+    def test_malformed_subcommand_sizes_exit_2_before_any_report(self, tmp_path, capsys, monkeypatch, argv, message):
+        """A subcommand's flags go through the scenario checks: a bad size
+        exits 2 before the tuple is validated, and a tuple whose length
+        disagrees with its declared n exits 2 too."""
+        import fockbench.cli as cli
+
+        rc3 = tmp_path / "rc3.json"
+        rc3.write_text(json.dumps(dict(nilpotent_pair_json(), n=3)))
+        rc2 = tmp_path / "rc.json"
+        rc2.write_text(json.dumps(nilpotent_pair_json()))
+        validated = []
+        monkeypatch.setattr(cli, "validate", lambda mats: validated.append(mats) or validate(mats))
+        out = tmp_path / "report.json"
+        argv = [{"RC": str(rc2), "RC3": str(rc3)}.get(a, a) for a in argv]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        assert len(validated) == int(str(rc3) in argv)
+
     @pytest.mark.parametrize("ideal", ["truncated(24)", {"kind": "truncated", "m": 24}], ids=["shorthand", "kind"])
     def test_truncated_ideal_above_the_truncation_degree_exits_2_before_any_monomial(
             self, tmp_path, capsys, monkeypatch, ideal):
@@ -520,3 +596,77 @@ class TestDeterminism:
             assert checks
             loose = [(c["name"], c["bound"]) for c in checks if c["bound"] > 1e-8 and c["name"] != "boundary_vs_qm"]
             assert loose == [], name
+
+
+DOCS = Path(__file__).parent.parent / "docs"
+
+SUBCOMMAND_ARGV = {
+    "shifts": ["--n", "2", "--N", "2"],
+    "factorize": ["--input", "RC", "--points", "0.1,0.2"],
+    "curvature": ["--input", "RC", "--m-max", "2"],
+    "arveson": ["--input", "RC", "--m-max", "2", "--mc-samples", "100", "--seed", "1"],
+    "pick": ["--n", "1", "--points", "0,0.5", "--targets", "0,0.5"],
+    "wold": ["--input", "RC"],
+    "dilate": ["--input", "RC", "--N", "3"],
+    "model": ["--input", "RC", "--N", "3"],
+    "poisson": ["--input", "RC", "--N", "3"],
+}
+
+
+def load_schema(name):
+    return json.loads((DOCS / name).read_text())
+
+
+def missing_required(schema, value, root, path="$"):
+    """Yield the path of every key the schema requires that the value lacks,
+    following properties, items and references ("file#/pointer", within
+    ``root`` or to a schema file in docs/)."""
+    if "$ref" in schema:
+        name, _, pointer = schema["$ref"].partition("#")
+        root = load_schema(name) if name else root
+        target = root
+        for part in filter(None, pointer.split("/")):
+            target = target[part]
+        yield from missing_required(target, value, root, path)
+    if isinstance(value, dict):
+        yield from (f"{path}.{key}" for key in schema.get("required", []) if key not in value)
+        for key, sub in schema.get("properties", {}).items():
+            if key in value:
+                yield from missing_required(sub, value[key], root, f"{path}.{key}")
+    elif isinstance(value, list) and "items" in schema:
+        for idx, item in enumerate(value):
+            yield from missing_required(schema["items"], item, root, f"{path}[{idx}]")
+
+
+def missing_report_keys(report):
+    schema = load_schema("report.schema.json")
+    return list(missing_required(schema, report, schema))
+
+
+class TestSchemas:
+    """The schemas in docs/ agree with the CLI, read with the stdlib only."""
+
+    def test_task_lists_match_the_cli(self):
+        from fockbench.cli import TASKS, TRUNCATION_TASKS, TUPLE_TASKS
+
+        scenario = load_schema("scenario.schema.json")
+        assert scenario["properties"]["tasks"]["items"]["properties"]["task"]["enum"] == list(TASKS)
+        assert list(SUBCOMMAND_ARGV) == list(TASKS)
+        conditional = {rule["then"]["required"][0]: rule["if"]["properties"]["tasks"]["contains"]
+                       for rule in scenario["allOf"]}
+        assert set(conditional["N"]["properties"]["task"]["enum"]) == TRUNCATION_TASKS
+        assert set(conditional["T"]["properties"]["task"]["enum"]) == TUPLE_TASKS
+
+    @pytest.mark.parametrize("name", ["golden_report.json", "golden_qcomm_report.json"])
+    def test_golden_reports_carry_every_required_key(self, name):
+        report = json.loads((DATA / name).read_text())
+        assert missing_report_keys(report) == []
+
+    @pytest.mark.parametrize("command", list(SUBCOMMAND_ARGV))
+    def test_subcommand_reports_carry_every_required_key(self, rc_file, tmp_path, command):
+        out = tmp_path / "report.json"
+        argv = [command] + [rc_file if a == "RC" else a for a in SUBCOMMAND_ARGV[command]]
+        assert main(argv + ["--out", str(out)]) in (0, 1)
+        report = json.loads(out.read_text())
+        assert missing_report_keys(report) == []
+        assert report["scenario"]["tasks"][0]["task"] == command

@@ -334,15 +334,17 @@ class TestModelSpace:
         assert abs(largest_in_model) < 1e-12
         assert abs(smallest_in_range - 1.0) < 1e-12
 
-    def test_split_with_an_empty_model_side(self):
-        """At N = 1 both singular values of the scalar 0.9's Theta exceed 1/2,
-        so nothing is counted into the model and that side reads None."""
+    def test_split_counts_the_rank_of_k_past_a_quarter(self):
+        """At N = 1 the scalar 0.9's Theta Theta^* has the eigenvalue
+        Phi^2(I) = 0.9^4 > 1/4 on the range of K and 1 off it: the split
+        counts rank K = 1 direction into the model, and every model identity
+        holds to rounding."""
         kern = poisson_kernel(validate([np.array([[0.9]])]), TruncatedFock(1, 1))
-        gram = kernel_theta_gram(kern)
-        res = model_space(kern, gram)
-        assert res.basis.shape == (2, 0)
-        assert res.split == (None, np.linalg.eigvalsh(gram)[0])
-        assert res.split[1] > 0.25
+        res = model_space(kern, kernel_theta_gram(kern))
+        assert res.basis.shape == (2, 1)
+        largest_in_model, smallest_in_range = res.split
+        assert abs(largest_in_model - 0.9**4) < 1e-12 and abs(smallest_in_range - 1.0) < 1e-12
+        assert max(res.projection_residual, res.complement_residual, res.equivalence_residual) <= 1e-15
 
     def test_non_pure_rejected(self):
         rc = validate([np.array([[1 / np.sqrt(2)]]), np.array([[1 / np.sqrt(2)]])])
@@ -350,13 +352,12 @@ class TestModelSpace:
             model_of(constrained_poisson_kernel(rc, commutative_cs(2, 3)))
 
     @pytest.mark.parametrize("case", ["scalar_0.9_N1", "q_commuting_N5"])
-    def test_model_task_fails_where_the_split_misses_a_kernel_direction(self, case):
-        """Where Phi^(N+1)(I) has an eigenvalue above 1/4, the split counts a
-        direction of the range of K out of the model: the scalar 0.9 at N = 1
-        (model dimension 0 of 1) and an unscaled q-commuting pair at N = 5 (1
-        of 2). The range of K then leaves the model and Theta Theta^* is not
-        the identity outside it, so both checks fail; the tail budgets
-        passed them."""
+    def test_model_passes_with_a_tail_above_a_quarter(self, case):
+        """Where Phi^(N+1)(I) has an eigenvalue above 1/4, a split of
+        Theta Theta^* at 1/4 counted a direction of the range of K out of the
+        model: the scalar 0.9 at N = 1 (model dimension 0 of 1) and an unscaled
+        q-commuting pair at N = 5 (1 of 2). Split by the rank of K, the model
+        has every direction and the model task passes."""
         if case == "scalar_0.9_N1":
             rc, trunc, gens = validate([np.array([[0.9]])]), 1, []
         else:
@@ -366,9 +367,9 @@ class TestModelSpace:
             trunc, gens = 5, q_commutator_generators(np.array([[1.0, q], [0.0, 1.0]]))
         ctx = RunContext(n=rc.n, trunc=trunc, generators=gens, rc=rc, tol=1e-9, seed=None)
         report = task_model(ctx, {})
-        assert report["data"]["model_dim"] == rc.dim - 1
-        verdicts = {c["name"]: c["pass"] for c in report["checks"]}
-        assert verdicts["projection_residual"] is False and verdicts["complement_residual"] is False
+        assert report["data"]["model_dim"] == rc.dim
+        assert report["data"]["split"]["largest_in_model"] > 0.25
+        assert all(c["pass"] for c in report["checks"])
 
     @pytest.mark.parametrize("mutation", ["kernel_column_off_the_model", "gram_minus_1e9", "kernel_scaled"])
     def test_a_1e9_mutation_fails_where_the_tail_budgets_passed_it(self, mutation):

@@ -25,9 +25,10 @@ product. Theta Theta^* read from the coefficient slices (``theta_gram``) sums
 the same products as the dense product of the assembled Theta in another
 order, so it is pinned under a computed rounding budget, on tuples whose
 defects are zero too; on N_J it is the product of the assembled Theta, bit
-for bit. The model space splits the eigenvalues of Theta Theta^* at 1/4
-instead of Theta's singular values at 1/2, so it is pinned against that SVD,
-kept here as a reference: the same model dimension, and projectors within a
+for bit. The model space is the eigenvectors of the rank K smallest
+eigenvalues of Theta Theta^* instead of the left singular vectors of as many
+smallest singular values of Theta, so it is pinned against that SVD, kept
+here as a reference: the same model dimension, and projectors within a
 computed rounding budget over the eigenvalue gap.
 """
 
@@ -577,11 +578,12 @@ def test_theta_gram_takes_exactly_one_ambient():
             theta_gram(op, **kwargs)
 
 
-def svd_model_basis(theta):
+def svd_model_basis(theta, count):
     """The model basis as read from the assembled Theta before the Gram
-    route: the left singular vectors with singular value at most 1/2."""
-    u, s = svd_positive(theta)
-    return u[:, int(np.count_nonzero(s > 0.5)) :]
+    route: the left singular vectors of its ``count`` smallest singular
+    values, the zero ones of a tall Theta included."""
+    u, _ = svd_positive(theta)
+    return u[:, u.shape[1] - count :]
 
 
 def model_budget(kern, op, gap):
@@ -591,9 +593,9 @@ def model_budget(kern, op, gap):
     entry at most one (on N_J the inner dimension is dim(N_J) source too),
     plus the backward error of ``eigh`` or of the SVD, a few rows eps per
     entry. ||E|| is at most rows times its largest entry, and by the
-    Davis-Kahan sin theta theorem the projectors onto the eigenvalues below
-    1/4 differ by at most 2 ||E|| / gap, with gap the distance between the
-    eigenvalues on the two sides of 1/4."""
+    Davis-Kahan sin theta theorem the projectors onto the dim smallest
+    eigenvalues differ by at most 2 ||E|| / gap, with gap the distance between
+    the eigenvalues on the two sides of the split."""
     top, src, rows = kern.fock.max_degree, op.source_dim, kern.matrix.shape[0]
     entry = 4 * (kern.ambient_dim * src + top + 1) * EPS * (top + 1) * max(src, 1) + 4 * rows * EPS
     return 2 * rows * entry / gap
@@ -621,19 +623,22 @@ def test_model_space_matches_the_svd_of_theta(ambient, row_norm, n, dim, top, se
         rc = commuting_tuple(fock.n, dim, seed, row_norm)
         kern = constrained_poisson_kernel(rc, build_constrained_subspace(fock, commutator_generators(fock.n)))
     op = characteristic_coefficients(rc, fock.max_degree)
-    ref = svd_model_basis(assemble(op, fock=fock) if kern.cs is None else assemble(op, cs=kern.cs))
+    theta = assemble(op, fock=fock) if kern.cs is None else assemble(op, cs=kern.cs)
     gram = kernel_theta_gram(kern)
     if row_norm == 1.0:
-        assert op.target_dim == 0 and gram.shape == (0, 0) and ref.shape == (0, 0)
+        assert op.target_dim == 0 and gram.shape == (0, 0) and theta.shape[0] == 0
         with pytest.raises(PreconditionError, match="pure"):
             model_space(kern, gram)
         return
+    # K^*K = I - Phi^(N+1)(I) >= (1 - row_norm^2) I, so the model has dim
+    # directions, on which Theta Theta^* has the eigenvalues of Phi^(N+1)(I)
+    ref = svd_model_basis(theta, rc.dim)
     res = model_space(kern, gram)
     largest_in_model, smallest_in_range = res.split
     assert res.basis.shape == ref.shape
-    assert largest_in_model is None or largest_in_model <= 0.25
-    assert smallest_in_range is None or smallest_in_range > 0.25
-    gap = (1.0 if smallest_in_range is None else smallest_in_range) - (largest_in_model or 0.0)
+    assert largest_in_model <= row_norm ** (2 * (fock.max_degree + 1)) + 1e-12
+    assert smallest_in_range is None or smallest_in_range >= 1.0 - 1e-10
+    gap = (1.0 if smallest_in_range is None else smallest_in_range) - largest_in_model
     diff = res.basis @ res.basis.conj().T - ref @ ref.conj().T
     assert np.linalg.norm(diff, 2) <= model_budget(kern, op, gap)
 
