@@ -13,7 +13,6 @@ from .ideals import (
     build_constrained_subspace,
     commutator_generators,
     constrained_shifts,
-    cyclic_span_check,
     evaluate_polynomial,
     q_commutator_generators,
     word_length_generators,
@@ -32,7 +31,6 @@ from .poisson import (
     constrained_poisson_kernel,
     intertwining_check,
     poisson_kernel,
-    poisson_transform,
     shift_adjoints,
 )
 from .charfn import (
@@ -50,7 +48,6 @@ from .dilation import (
     DilationBlocks,
     WoldSplit,
     build_dilation,
-    maximal_constrained_piece,
     model_space,
     wold_decompose,
 )
@@ -65,7 +62,6 @@ from .invariants import (
 from .interpolation import (
     FeasibilityResult,
     PickProblem,
-    kernel_vector,
     pick_feasible,
     pick_matrix,
     variety_membership,

@@ -60,10 +60,6 @@ class RowContraction:
     def defect_rank(self) -> int:
         return self.defect_basis.shape[1]
 
-    @property
-    def defect_star_rank(self) -> int:
-        return self.defect_star_basis.shape[1]
-
     def row_gram(self) -> np.ndarray:
         """Sum of T_i T_i*."""
         return sum(t @ t.conj().T for t in self.matrices)
@@ -157,15 +153,6 @@ class PurityResult:
     k_used: int
     converged: bool
     method: str
-
-    def unit_eigenspace(self) -> np.ndarray:
-        """Directions the CP iteration leaves untouched (limit eigenvalue
-        within 1e-8 of one).
-
-        Purely diagnostic: vectors here are the obstruction to complete
-        non-coisometry; no further semantics is attached."""
-        vals, vecs = eigh_descending(self.q_limit)
-        return vecs[:, vals >= 1.0 - 1e-8]
 
 
 # Margin below one that an upper Collatz-Wielandt bound on rho(Phi) must clear

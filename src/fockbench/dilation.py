@@ -1,5 +1,5 @@
-"""Dilation blocks, Wold decompositions (with the shift multiplicity), model
-spaces, and maximal constrained pieces.
+"""Dilation blocks, Wold decompositions (with the shift multiplicity), and
+model spaces.
 
 The model space reads Theta Theta^* (``charfn.kernel_theta_gram``), the same
 product the truncated factorization checks, and never Theta itself."""
@@ -22,9 +22,9 @@ from ._linalg import (
     range_basis,
     spectral_norm,
 )
-from .contractions import PURITY_TOL, PurityResult, RowContraction, check_count, validate
-from .errors import InvalidParameterError, PreconditionError
-from .ideals import ConstrainedSubspace, NcPolynomial, evaluate_polynomial
+from .contractions import PURITY_TOL, PurityResult, RowContraction, check_count
+from .errors import PreconditionError
+from .ideals import evaluate_polynomial
 from .poisson import PoissonKernel, shift_adjoints
 
 
@@ -116,7 +116,7 @@ class WoldSplit:
     purity: PurityResult
 
 
-def wold_decompose(matrices: Sequence[np.ndarray] | RowContraction, k_max: int | None = None) -> WoldSplit:
+def wold_decompose(rc: RowContraction, k_max: int | None = None) -> WoldSplit:
     """Split a row contraction into its shift part and its residual part.
 
     The shift part is computed two ways: as the span of word translates of
@@ -124,9 +124,7 @@ def wold_decompose(matrices: Sequence[np.ndarray] | RowContraction, k_max: int |
     principal angles between the two are reported, not assumed zero. The
     idempotency of the defect is likewise reported only. ``k_max`` (default
     dim) bounds the word length of the translates; InvalidParameterError
-    unless it is an integer >= 0. A RowContraction is taken as validated;
-    raw matrices are validated with tolerance 1e-8."""
-    rc = matrices if isinstance(matrices, RowContraction) else validate(matrices, tol=1e-8)
+    unless it is an integer >= 0."""
     dim = rc.dim
     k_max = dim if k_max is None else check_count("k_max", k_max, 0)
     q = np.eye(dim, dtype=complex) - rc.row_gram()
@@ -218,44 +216,6 @@ def model_space(kernel: PoissonKernel, gram: np.ndarray) -> ModelSpaceResult:
         complement_residual=complement_residual,
         split=split,
     )
-
-
-def maximal_constrained_piece(
-    matrices: Sequence[np.ndarray],
-    polys: Sequence[NcPolynomial],
-    k_max: int | None = None,
-    cs: ConstrainedSubspace | None = None,
-) -> tuple[np.ndarray, dict]:
-    """Orthogonal complement of the span of all word translates of the
-    generator ranges; the largest co-invariant piece on which the compressed
-    tuple satisfies the constraints.
-
-    When ``cs`` is passed (meaningful for the truncated creation tuple of the
-    same ideal), the diagnostics report principal angles against its basis on
-    the certified degree window."""
-    polys = [p for p in polys if p.terms]
-    if not polys:
-        raise InvalidParameterError("need at least one nonzero polynomial")
-    mats = [np.asarray(t, dtype=complex) for t in matrices]
-    dim = mats[0].shape[0]
-    if k_max is None:
-        k_max = dim
-    seeds = [evaluate_polynomial(p, mats) for p in polys]
-    span = _word_translate_span(seeds, mats, k_max)
-    basis = complement_basis(span, dim)
-    compressed = [basis.conj().T @ t @ basis for t in mats]
-    residuals = [spectral_norm(evaluate_polynomial(p, compressed)) for p in polys]
-    diagnostics = {"span_rank": span.shape[1], "compressed_residuals": residuals}
-    if cs is not None:
-        if cs.fock.dim != dim:
-            raise InvalidParameterError("comparison subspace lives on a different ambient space")
-        window = cs.fock.degree_le_mask(cs.buffer_window)
-        mask = window.astype(float)[:, None]
-        angles = principal_angles(basis * mask, cs.basis * mask)
-        diagnostics["window_degree"] = cs.buffer_window
-        diagnostics["cs_principal_angles"] = angles
-        diagnostics["cs_max_angle"] = float(angles.max(initial=0.0))
-    return basis, diagnostics
 
 
 def _word_translate_span(seeds: Sequence[np.ndarray], mats: Sequence[np.ndarray], k_max: int) -> np.ndarray:

@@ -25,9 +25,5 @@ class OutOfBallError(PreconditionError):
     """A point lies outside the open unit ball."""
 
 
-class RejectedInputError(PreconditionError):
-    """Structured input failed a verified structural check (e.g. co-invariance)."""
-
-
 class DegenerateInputError(InvalidParameterError):
     """Input is degenerate (e.g. coincident interpolation nodes)."""

@@ -13,8 +13,8 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from ._linalg import complement_basis, numerical_rank, range_basis, spectral_norm, svd_positive
-from .errors import InvalidParameterError, PreconditionError, RejectedInputError
+from ._linalg import complement_basis, numerical_rank, spectral_norm, svd_positive
+from .errors import InvalidParameterError, PreconditionError
 from .words import TruncatedFock, Word, enumerate_words, word_operator
 
 
@@ -122,9 +122,9 @@ class ConstrainedSubspace:
     ``slice_rank_gaps`` holds, per slice, the (largest singular value counted
     as zero, smallest counted as nonzero) of the rank decisions that fixed
     that slice's dimension, with None where a side is empty; it is empty, like
-    ``slice_dims``, for non-homogeneous generators. ``truncation_warning`` is
-    set for non-homogeneous generators, where the truncated ideal span may
-    undershoot the true one and downstream checks restrict to a buffer window.
+    ``slice_dims``, for non-homogeneous generators. For those ``graded`` is
+    false: the truncated ideal span may undershoot the true one, so
+    downstream checks restrict to ``buffer_window``.
     The projection onto N_J is ``basis @ basis^*``; it is never stored.
     """
 
@@ -135,7 +135,6 @@ class ConstrainedSubspace:
     basis_degrees: np.ndarray
     slice_dims: list[int]
     slice_rank_gaps: list[tuple[float | None, float | None]]
-    truncation_warning: str | None = None
 
     @property
     def dim(self) -> int:
@@ -282,7 +281,6 @@ def build_constrained_subspace(fock: TruncatedFock, generators: Sequence[NcPolyn
             basis[fock.slice_range(m), col : col + block.shape[1]] = block
         degrees = np.repeat(np.arange(fock.max_degree + 1), slice_dims)
         graded = True
-        warning = None
     else:
         mat = np.stack([vec for _, vec in _ideal_columns(fock, gens)], axis=1)
         basis = complement_basis(mat, fock.dim)
@@ -295,10 +293,6 @@ def build_constrained_subspace(fock: TruncatedFock, generators: Sequence[NcPolyn
             degrees.append(int(fock.degrees[mass].max()) if mass.any() else 0)
         slice_dims = []
         gaps = []
-        warning = (
-            "non-homogeneous generators: the truncated ideal span may undershoot the "
-            f"true one; identities are trusted only up to degree {fock.max_degree - max(g.degree for g in gens)}"
-        )
 
     return ConstrainedSubspace(
         fock=fock,
@@ -308,7 +302,6 @@ def build_constrained_subspace(fock: TruncatedFock, generators: Sequence[NcPolyn
         basis_degrees=np.array(degrees, dtype=int),
         slice_dims=slice_dims,
         slice_rank_gaps=gaps,
-        truncation_warning=warning,
     )
 
 
@@ -360,94 +353,3 @@ def constrained_shifts(cs: ConstrainedSubspace, side: Literal["left", "right"]) 
         out.append(g @ cs.basis)
     return out
 
-
-@dataclass
-class CyclicSpanResult:
-    e_basis: np.ndarray
-    e_dim: int
-    span_dim: int
-    window_degree: int
-    window_residual: float
-    verdict: bool
-    cyclic: bool
-    co_invariance_residuals: list[float]
-
-
-def cyclic_span_check(
-    cs: ConstrainedSubspace,
-    d_dim: int,
-    m_basis: np.ndarray,
-    tol: float = 1e-8,
-) -> CyclicSpanResult:
-    """Check the cyclic-span characterization for a co-invariant subspace.
-
-    Given M inside (constrained subspace) tensor C^d, co-invariant under the
-    tupled shifts, the span of all shift-word translates of M must equal the
-    constrained subspace tensored with the vacuum compression E of M. The
-    comparison is restricted to the degree window the truncation can certify.
-    """
-    left = constrained_shifts(cs, "left")
-    nj_dim = cs.dim
-    m = np.asarray(m_basis, dtype=complex).reshape(nj_dim * d_dim, -1)
-    m = range_basis(m)
-    if m.shape[1] == 0:
-        return CyclicSpanResult(
-            e_basis=np.zeros((d_dim, 0), dtype=complex),
-            e_dim=0,
-            span_dim=0,
-            window_degree=cs.buffer_window,
-            window_residual=0.0,
-            verdict=True,
-            cyclic=(d_dim == 0),
-            co_invariance_residuals=[0.0] * cs.fock.n,
-        )
-
-    eye_d = np.eye(d_dim, dtype=complex)
-    p_m = m @ m.conj().T
-    co_res = []
-    for i, b in enumerate(left, start=1):
-        moved = np.kron(b.conj().T, eye_d) @ m
-        res = spectral_norm(moved - p_m @ moved)
-        co_res.append(res)
-        if res > tol:
-            raise RejectedInputError(
-                f"subspace is not co-invariant under shift {i}: residual {res:.3e} > {tol:.1e}"
-            )
-
-    v0 = cs.vacuum_vector()
-    # Vacuum compression of M: contract the subspace leg against the vacuum.
-    m_tensor = m.reshape(nj_dim, d_dim, m.shape[1])
-    e_cols = np.einsum("i,idk->dk", v0.conj(), m_tensor)
-    e_basis = range_basis(e_cols)
-
-    # Span of all word translates up to the truncation degree.
-    span_cols = [m]
-    level = m
-    for _ in range(cs.fock.max_degree):
-        level = np.concatenate([np.kron(b, eye_d) @ level for b in left], axis=1)
-        if spectral_norm(level) < 1e-14:
-            break
-        span_cols.append(level)
-    y_basis = range_basis(np.concatenate(span_cols, axis=1))
-
-    # Degree content of M decides the certifiable window.
-    col_norms = np.linalg.norm(m_tensor, axis=(1, 2))
-    deg_m = int(cs.basis_degrees[col_norms > 1e-12 * max(col_norms.max(), 1e-300)].max(initial=0))
-    window_degree = min(cs.buffer_window, cs.fock.max_degree - deg_m)
-    mask = np.repeat(cs.degree_window_mask(window_degree), d_dim).astype(float)
-
-    p_y = y_basis @ y_basis.conj().T
-    p_ne = np.kron(np.eye(nj_dim, dtype=complex), e_basis @ e_basis.conj().T)
-    diff = (p_y - p_ne) * mask[:, None] * mask[None, :]
-    window_residual = spectral_norm(diff)
-
-    return CyclicSpanResult(
-        e_basis=e_basis,
-        e_dim=e_basis.shape[1],
-        span_dim=y_basis.shape[1],
-        window_degree=window_degree,
-        window_residual=window_residual,
-        verdict=window_residual <= tol,
-        cyclic=e_basis.shape[1] == d_dim,
-        co_invariance_residuals=co_res,
-    )

@@ -1,5 +1,5 @@
-"""Constrained Nevanlinna-Pick feasibility: variety membership, kernel
-eigenvectors, and the Pick-matrix positivity test.
+"""Constrained Nevanlinna-Pick feasibility: variety membership and the
+Pick-matrix positivity test.
 
 Only feasibility is decided; no interpolant is synthesized."""
 
@@ -10,9 +10,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidParameterError, OutOfBallError, PreconditionError
-from .ideals import ConstrainedSubspace, NcPolynomial, constrained_shifts
-from .words import word_products
+from .errors import DegenerateInputError, InvalidParameterError, OutOfBallError
+from .ideals import NcPolynomial
 
 
 def _as_point(point, n: int) -> np.ndarray:
@@ -38,44 +37,6 @@ def variety_membership(
         raise OutOfBallError(f"|point| = {np.linalg.norm(z):.6f} >= 1")
     residuals = [abs(p.evaluate_scalar(z)) for p in generators]
     return MembershipResult(member=all(r <= tol for r in residuals), residuals=residuals)
-
-
-@dataclass
-class KernelVectorResult:
-    vector: np.ndarray  # in constrained-subspace coordinates
-    eigen_residual: float
-    tail_bound: float
-    norm: float
-
-
-def kernel_vector(cs: ConstrainedSubspace, point) -> KernelVectorResult:
-    """Truncated kernel vector of a variety point, projected into the
-    constrained subspace; joint eigenvector of the adjoint shifts up to a
-    |point|^N tail that is reported alongside."""
-    n = cs.fock.n
-    z = _as_point(point, n)
-    member = variety_membership(z, cs.generators, n)
-    if not member.member:
-        raise PreconditionError(
-            f"point is not in the variety: residuals {['%.2e' % r for r in member.residuals]}"
-        )
-    # Entry alpha is conj(z)^alpha, one word walk over the scalars conj(z_i).
-    vec = word_products(np.ones(1, dtype=complex), np.conj(z).reshape(n, 1, 1), cs.fock.max_degree)
-    coords = cs.basis.conj().T @ vec[:, 0]
-    norm = float(np.linalg.norm(coords))
-
-    b_ops = constrained_shifts(cs, "left")
-    resid = 0.0
-    for i, b in enumerate(b_ops):
-        resid = max(resid, float(np.linalg.norm(b.conj().T @ coords - np.conj(z[i]) * coords)))
-    point_norm = float(np.linalg.norm(z))
-    tail = point_norm ** cs.fock.max_degree * max(point_norm, 1e-300)
-    return KernelVectorResult(
-        vector=coords,
-        eigen_residual=resid / max(norm, 1e-300),
-        tail_bound=tail,
-        norm=norm,
-    )
 
 
 @dataclass

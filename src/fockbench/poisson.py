@@ -1,5 +1,5 @@
 """Poisson kernels on the truncated Fock space, their constrained
-compressions, the intertwining identity and the Poisson transform.
+compressions, the shift action on kernel rows and the intertwining identity.
 
 The truncated kernel of a tuple stacks, per basis word alpha, the block
 r^|alpha| (defect root) T_alpha^* expressed in defect coordinates. Its Gram
@@ -10,7 +10,6 @@ statement is checked against that exact value.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from ._linalg import spectral_norm
 from .contractions import RowContraction, check_constraints, defect_root_and_basis
 from .errors import InvalidParameterError, PreconditionError
 from .ideals import ConstrainedSubspace, constrained_shifts
-from .words import TruncatedFock, Word, word_operator, word_products
+from .words import TruncatedFock, word_products
 
 
 @dataclass
@@ -182,55 +181,5 @@ def intertwining_check(kernel: PoissonKernel) -> IntertwiningReport:
         per_generator=per,
         full_residual=max(full, default=0.0),
         top_slice_budget=budget,
-    )
-
-
-@dataclass
-class PoissonTransformResult:
-    r_values: tuple[float, ...]
-    values: list[np.ndarray]
-    deviations: list[float]
-    target: np.ndarray
-
-
-def poisson_transform(
-    rc: RowContraction,
-    fock: TruncatedFock,
-    alpha: Word,
-    beta: Word,
-    r_values: Sequence[float] = (0.9, 0.99, 0.999),
-) -> PoissonTransformResult:
-    """Evaluate K_r^* (S_alpha S_beta^* tensor I) K_r along a radial sequence
-    and report the deviation from T_alpha T_beta^*.
-
-    S_alpha S_beta^* takes e_{beta nu} to e_{alpha nu} for |nu| <= N -
-    max(|alpha|, |beta|) and kills every other basis vector, so the product
-    is the sum over those nu of K_{alpha nu}^* K_{beta nu}, with K_w the row
-    block of word w. The indices of word*nu compose the left child maps, last
-    letter first. No extrapolated ground truth is claimed; the trajectory
-    itself is the result."""
-    if len(alpha) > fock.max_degree or len(beta) > fock.max_degree:
-        raise InvalidParameterError("word length exceeds the truncation degree")
-    count = fock.slice_offsets[fock.max_degree - max(len(alpha), len(beta)) + 1]
-    rows_a, rows_b = np.arange(count), np.arange(count)
-    for letter in reversed(alpha.letters):
-        rows_a = fock.child_map("left", letter)[1][rows_a]
-    for letter in reversed(beta.letters):
-        rows_b = fock.child_map("left", letter)[1][rows_b]
-    target = word_operator(rc.matrices, alpha) @ word_operator(rc.matrices, beta).conj().T
-
-    values = []
-    deviations = []
-    for r in r_values:
-        kern = poisson_kernel(rc, fock, float(r))
-        blocks = kern.matrix.reshape(fock.dim, kern.defect_dim, rc.dim)
-        val = blocks[rows_a].reshape(-1, rc.dim).conj().T @ blocks[rows_b].reshape(-1, rc.dim)
-        values.append(val)
-        deviations.append(spectral_norm(val - target))
-    return PoissonTransformResult(
-        r_values=tuple(float(r) for r in r_values),
-        values=values,
-        deviations=deviations,
-        target=target,
     )
 

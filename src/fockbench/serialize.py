@@ -54,14 +54,6 @@ def _finite_array(obj, dtype, what: str) -> np.ndarray:
     return arr
 
 
-def polynomial_to_json(p: NcPolynomial) -> list[dict]:
-    terms = sorted(p.terms.items(), key=lambda t: (len(t[0]), t[0].letters))
-    return [
-        {"word": list(w.letters), "re": float(c.real), "im": float(c.imag)}
-        for w, c in terms
-    ]
-
-
 def _real(value, what: str) -> float:
     """A finite JSON number: an int or a float, not a bool or a string."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:

@@ -8,8 +8,8 @@ lexicographically, so every vector and every operator the package reports
 has a reproducible basis. That order is index arithmetic: word
 g_{a_1} ... g_{a_m} sits at the slice offset of degree m plus its letters
 read as the base-n digits a_1 - 1, ..., a_m - 1, so ``TruncatedFock`` stores
-no word and ``Word`` appears only at the boundary (polynomial terms,
-Poisson-transform arguments, ``word_operator``).
+no word and ``Word`` appears only at the boundary (polynomial terms and
+``word_operator``).
 
 ``word_products`` walks the words degree by degree: the block of g_i b is
 the block of b times op_i, so the block of alpha = g_{a_1} ... g_{a_m} is
@@ -131,9 +131,6 @@ class TruncatedFock:
             digits = digits * self.n + (x - 1)
         return self.slice_offsets[len(word)] + digits
 
-    def degree_le_mask(self, m: int) -> np.ndarray:
-        return self.degrees <= m
-
     def child_map(self, side: Literal["left", "right"], i: int) -> tuple[np.ndarray, np.ndarray]:
         """Index arrays (src, dst) with e_src -> e_dst under left (e_a -> e_{g_i a})
         or right (e_a -> e_{a g_i}) creation by g_i.
@@ -152,14 +149,6 @@ class TruncatedFock:
             child = (i - 1) * self.n**m + j if side == "left" else j * self.n + (i - 1)
             dst[self.slice_offsets[m] : self.slice_offsets[m + 1]] = self.slice_offsets[m + 1] + child
         return src, dst
-
-    def basis_vector(self, word: Word) -> np.ndarray:
-        idx = self.word_index(word)
-        if idx is None:
-            raise InvalidParameterError(f"word {word} is not a basis word of {self}")
-        e = np.zeros(self.dim, dtype=complex)
-        e[idx] = 1.0
-        return e
 
     def __repr__(self) -> str:
         return f"TruncatedFock(n={self.n}, max_degree={self.max_degree}, dim={self.dim})"

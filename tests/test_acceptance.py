@@ -238,7 +238,7 @@ def test_criterion_07_wold_two_path():
     ]) for si, zi in zip(s, z)])
 
     for mats in families:
-        split = fb.wold_decompose(mats)
+        split = fb.wold_decompose(fb.validate(mats))
         assert split.two_path_dim_match
         assert split.two_path_angles.max(initial=0.0) <= 1e-8
         defect = np.eye(mats[0].shape[0]) - sum(m @ m.conj().T for m in mats)

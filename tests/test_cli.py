@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import subprocess
@@ -16,7 +17,6 @@ from fockbench.serialize import (
     matrix_to_json,
     point_from_json,
     polynomial_from_json,
-    polynomial_to_json,
 )
 from fockbench.ideals import NcPolynomial, _generator_matrix, commutator_generators
 from fockbench.words import Word
@@ -45,7 +45,8 @@ class TestSerialize:
 
     def test_polynomial_roundtrip(self):
         p = NcPolynomial({Word((1, 2)): 1.0, Word((2, 1)): -1.0 + 0.5j})
-        q = polynomial_from_json(polynomial_to_json(p))
+        terms = [{"word": list(w.letters), "re": c.real, "im": c.imag} for w, c in p.terms.items()]
+        q = polynomial_from_json(json.loads(json.dumps(terms)))
         assert q.terms == p.terms
 
     def test_ideal_shorthands(self):
@@ -139,6 +140,58 @@ class TestSubcommands:
         assert not checks[failing]["pass"]
         assert all(c["pass"] for name, c in checks.items() if name != failing)
 
+    def test_defect_check_fails_on_shrunk_shifts(self, monkeypatch):
+        """Left shifts scaled by 1 - 5e-10 move I - sum B_i B_i^* off the
+        vacuum projection by about 1e-9, ten times the bound; the basis checks
+        do not read the shifts and still pass."""
+        import fockbench.cli as cli
+
+        ctx = RunContext(n=2, trunc=4, generators=commutator_generators(2), rc=None, tol=1e-8, seed=None)
+        assert all(c["pass"] for c in task_shifts(ctx, {"emit_matrices": False})["checks"])
+        shifts = cli.constrained_shifts
+        monkeypatch.setattr(cli, "constrained_shifts", lambda cs, side: [(1 - 5e-10) * b for b in shifts(cs, side)])
+        checks = {c["name"]: c for c in task_shifts(ctx, {"emit_matrices": False})["checks"]}
+        assert not checks["defect_is_vacuum_projection"]["pass"]
+        assert checks["basis_orthonormal"]["pass"] and checks["ideal_orthogonality"]["pass"]
+
+    def test_wold_angle_check_fails_on_a_rotated_purity_limit(self):
+        """A Jordan block plus a unitary scalar: the purity limit is the
+        projection onto the unitary direction. Rotated by 1e-7 radians, ten
+        times the bound, towards the Jordan block, its null space leaves the
+        word-translate span of the defect by that angle."""
+        v = np.zeros((4, 4), dtype=complex)
+        v[0, 1] = v[1, 2] = 1.0
+        v[3, 3] = np.exp(0.9j)
+        rc = validate([v])
+        ctx = RunContext(n=1, trunc=3, generators=[], rc=rc, tol=1e-9, seed=None)
+        assert all(c["pass"] for c in task_wold(ctx, {})["checks"])
+        c, s = np.cos(1e-7), np.sin(1e-7)
+        u = np.eye(4, dtype=complex)
+        u[np.ix_([0, 3], [0, 3])] = [[c, -s], [s, c]]
+        pur = rc.purity_limit()
+        rc._purity = dataclasses.replace(pur, q_limit=u @ pur.q_limit @ u.conj().T)
+        checks = {c["name"]: c for c in task_wold(ctx, {})["checks"]}
+        assert not checks["two_path_max_angle"]["pass"]
+        assert checks["two_path_dim_mismatch"]["pass"]
+
+    def test_cross_method_check_fails_on_a_shifted_theta_gram(self, monkeypatch):
+        """1e-7 I added to the Theta Theta^* that the theta route reads, ten
+        times the bound, moves each slice trace away from the CP-map route."""
+        import fockbench.invariants as invariants
+
+        rc = validate([np.diag([0.3, -0.1]), np.diag([0.2, 0.4])])
+        ctx = RunContext(n=2, trunc=None, generators=[], rc=rc, tol=1e-9, seed=None)
+        assert all(c["pass"] for c in task_curvature(ctx, {"method": "theta", "m_max": 4})["checks"])
+        theta_gram = invariants.theta_gram
+
+        def shifted(*args, **kwargs):
+            gram = theta_gram(*args, **kwargs)
+            return gram + 1e-7 * np.eye(len(gram))
+
+        monkeypatch.setattr(invariants, "theta_gram", shifted)
+        checks = task_curvature(ctx, {"method": "theta", "m_max": 4})["checks"]
+        assert [c["name"] for c in checks] == ["cross_method_gap"] and not checks[0]["pass"]
+
     def test_curvature_coisometric_all_zero(self, tmp_path):
         rc = {"n": 2, "T": [matrix_to_json(np.eye(1) / np.sqrt(2))] * 2}
         path = tmp_path / "rc.json"
@@ -231,24 +284,23 @@ class TestSubcommands:
         assert not out.exists()
 
     def test_wold_reuses_the_validated_tuple_and_its_purity(self, monkeypatch):
+        # wold_decompose takes only a RowContraction, so it cannot validate
+        # again; its purity limit is the tuple's cached one
         import fockbench.contractions as contractions
-        import fockbench.dilation as dilation
 
-        calls = {"validate": 0, "purity": 0}
+        calls = {"purity": 0}
+        purity = contractions.purity
 
-        def counting(name, func):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return func(*args, **kwargs)
-            return wrapper
+        def counting(*args, **kwargs):
+            calls["purity"] += 1
+            return purity(*args, **kwargs)
 
+        monkeypatch.setattr(contractions, "purity", counting)
         rc = validate([matrix_from_json(m) for m in nilpotent_pair_json()["T"]])
-        monkeypatch.setattr(dilation, "validate", counting("validate", dilation.validate))
-        monkeypatch.setattr(contractions, "purity", counting("purity", contractions.purity))
         ctx = RunContext(n=2, trunc=3, generators=[], rc=rc, tol=1e-9, seed=None)
         data = task_wold(ctx, {})["data"]
         assert task_wold(ctx, {})["data"] == data
-        assert calls == {"validate": 0, "purity": 1}
+        assert calls == {"purity": 1}
         assert data["is_shift"] is True
 
 
@@ -670,3 +722,53 @@ class TestSchemas:
         report = json.loads(out.read_text())
         assert missing_report_keys(report) == []
         assert report["scenario"]["tasks"][0]["task"] == command
+
+
+# Public module-level names that no task reaches, each with the reason it stays.
+UNREACHED_ALLOWED = {
+    ("charfn", "unitary_invariance_check"):
+        "acceptance criterion 12 reads it until Theta decides unitary equivalence (ROADMAP item 4)",
+}
+
+
+def package_definitions(package: Path):
+    """The module-level definitions (functions, classes, assigned names) of
+    each module of the package, keyed by (module, name), and each module's
+    relative imports as local name -> (module, name)."""
+    defs, imports = {}, {}
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        mod = path.stem
+        imports[mod] = {}
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[mod, node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defs.update(((mod, t.id), node) for t in targets if isinstance(t, ast.Name))
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                imports[mod].update((a.asname or a.name, (node.module, a.name)) for a in node.names)
+    return defs, imports
+
+
+def test_every_public_name_is_reached_by_a_task():
+    """Start from the module-level definitions of ``cli`` (the handlers in
+    ``cli.TASKS`` among them) and follow name references through the
+    package's module-level definitions, private ones included. Every public
+    name is reached, or listed in UNREACHED_ALLOWED with its reason."""
+    import fockbench.cli
+
+    defs, imports = package_definitions(Path(fockbench.cli.__file__).parent)
+    todo = [key for key in defs if key[0] == "cli"]
+    reached = set(todo)
+    while todo:
+        mod, name = todo.pop()
+        for node in ast.walk(defs[mod, name]):
+            if isinstance(node, ast.Name):
+                target = (mod, node.id) if (mod, node.id) in defs else imports[mod].get(node.id)
+                if target in defs and target not in reached:
+                    reached.add(target)
+                    todo.append(target)
+    unreached = {key for key in defs if not key[1].startswith("_")} - reached
+    assert sorted(unreached) == sorted(UNREACHED_ALLOWED)

@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 from fockbench import (
+    NcPolynomial,
     TruncatedFock,
     build_constrained_subspace,
     build_dilation,
     commutator_generators,
     constrained_poisson_kernel,
     constrained_shifts,
+    evaluate_polynomial,
     intertwining_check,
     kernel_theta_gram,
-    maximal_constrained_piece,
     model_space,
     poisson_kernel,
     q_commutator_generators,
@@ -21,8 +22,9 @@ from fockbench import (
     validate,
     wold_decompose,
 )
-from fockbench._linalg import spectral_norm
+from fockbench._linalg import complement_basis, principal_angles, spectral_norm
 from fockbench.cli import RunContext, task_model
+from fockbench.dilation import _word_translate_span
 from fockbench.errors import InvalidParameterError, PreconditionError
 
 
@@ -203,7 +205,7 @@ class TestDilationIndex:
 
 class TestWold:
     def test_unitary_scalar(self):
-        split = wold_decompose([np.array([[np.exp(0.4j)]])])
+        split = wold_decompose(validate([np.array([[np.exp(0.4j)]])]))
         assert split.multiplicity == 0
         assert split.k0_basis.shape[1] == 0
         assert split.k1_basis.shape[1] == 1
@@ -211,7 +213,7 @@ class TestWold:
     def test_jordan_shift(self):
         jordan = np.zeros((4, 4))
         jordan[0, 1] = jordan[1, 2] = jordan[2, 3] = 1.0
-        split = wold_decompose([jordan])
+        split = wold_decompose(validate([jordan]))
         assert split.multiplicity == 1
         assert split.k0_basis.shape[1] == 4
         assert split.idempotency_defect < 1e-14
@@ -223,7 +225,7 @@ class TestWold:
             [jordan, np.zeros((3, 1))],
             [np.zeros((1, 3)), np.array([[np.exp(0.9j)]])],
         ])
-        split = wold_decompose([v])
+        split = wold_decompose(validate([v]))
         assert split.multiplicity == 1
         assert split.k0_basis.shape[1] == 3
         assert split.two_path_dim_match
@@ -234,22 +236,22 @@ class TestWold:
         assert np.linalg.norm(proj - expected, 2) < 1e-10
 
     def test_near_coisometric_tuple_is_all_shift(self):
-        split = wold_decompose(near_coisometry())
+        split = wold_decompose(validate(near_coisometry()))
         assert split.purity.method == "certified"
         assert split.k0_basis.shape[1] == 6 and split.two_path_dim_match
 
     @pytest.mark.parametrize("k_max", [-1, 2.0, True, "3"])
     def test_rejects_bad_k_max(self, k_max):
         with pytest.raises(InvalidParameterError):
-            wold_decompose([np.array([[0.5]])], k_max=k_max)
+            wold_decompose(validate([np.array([[0.5]])]), k_max=k_max)
 
     def test_zero_k_max_spans_the_defect_range_only(self):
         jordan = np.diag([1.0, 1.0, 1.0], 1)
-        assert wold_decompose([jordan], k_max=0).k0_basis.shape[1] == 1
-        assert wold_decompose([jordan]).k0_basis.shape[1] == 4
+        assert wold_decompose(validate([jordan]), k_max=0).k0_basis.shape[1] == 1
+        assert wold_decompose(validate([jordan])).k0_basis.shape[1] == 4
 
     def test_strict_scalar_contraction_is_all_shift(self):
-        split = wold_decompose([np.array([[0.5]])])
+        split = wold_decompose(validate([np.array([[0.5]])]))
         assert split.multiplicity == 1
         assert split.k0_basis.shape[1] == 1
         assert split.k1_basis.shape[1] == 0
@@ -264,7 +266,7 @@ class TestWold:
             [si, np.zeros((f.dim, 1))],
             [np.zeros((1, f.dim)), zi],
         ]) for si, zi in zip(s, z)]
-        split = wold_decompose(v)
+        split = wold_decompose(validate(v))
         assert split.k0_basis.shape[1] == f.dim
         assert split.k1_basis.shape[1] == 1
         assert split.idempotency_defect < 1e-14
@@ -280,19 +282,19 @@ class TestShiftMultiplicity:
         left = constrained_shifts(cs, "left")
         for mult in (1, 2, 3):
             eye = np.eye(mult, dtype=complex)
-            split = wold_decompose([np.kron(b, eye) for b in left])
+            split = wold_decompose(validate([np.kron(b, eye) for b in left]))
             assert split.multiplicity == mult
             assert split.purity.is_pure
 
     def test_unitary_is_not_a_shift(self):
-        split = wold_decompose([np.array([[np.exp(0.2j)]])])
+        split = wold_decompose(validate([np.array([[np.exp(0.2j)]])]))
         assert split.multiplicity == 0
         assert not split.purity.is_pure
 
     def test_jordan_shift(self):
         jordan = np.zeros((3, 3))
         jordan[0, 1] = jordan[1, 2] = 1.0
-        split = wold_decompose([jordan])
+        split = wold_decompose(validate([jordan]))
         assert split.multiplicity == 1
         assert split.purity.is_pure
 
@@ -446,35 +448,39 @@ def test_dilation_and_model_need_the_unit_radius_kernel(check):
 
 
 class TestMaximalConstrainedPiece:
+    """The maximal constrained piece of a tuple is the complement of the span
+    of the word translates of the generator ranges; for the truncated
+    creation tuple it is N_J. The piece is formed here, as an oracle, and
+    checked first on tuples whose piece is known."""
+
+    @staticmethod
+    def piece(mats, gens, k_max):
+        span = _word_translate_span([evaluate_polynomial(p, mats) for p in gens], mats, k_max)
+        return complement_basis(span, mats[0].shape[0])
+
     def test_commutators_on_truncated_creation_recover_symmetric_space(self):
         f = TruncatedFock(2, 4)
         s = constrained_shifts(build_constrained_subspace(f, []), "left")
-        cs = build_constrained_subspace(f, commutator_generators(2))
-        basis, diag = maximal_constrained_piece(s, commutator_generators(2), k_max=f.max_degree, cs=cs)
+        gens = commutator_generators(2)
+        basis = self.piece(s, gens, f.max_degree)
+        cs = build_constrained_subspace(f, gens)
         # spans coincide exactly in the graded case
         gap = basis @ basis.conj().T - cs.basis @ cs.basis.conj().T
         assert np.linalg.norm(gap, 2) < 1e-10
-        assert max(diag["compressed_residuals"]) < 1e-10
-        assert diag["cs_max_angle"] < 1e-8
+        compressed = [basis.conj().T @ t @ basis for t in s]
+        assert max(spectral_norm(evaluate_polynomial(p, compressed)) for p in gens) < 1e-10
+        assert principal_angles(basis, cs.basis).max() < 1e-8
 
     def test_commuting_tuple_is_its_own_piece(self):
-        rc = validate([np.diag([0.2, 0.3]), np.diag([0.4, 0.1])])
-        basis, diag = maximal_constrained_piece(list(rc.matrices), commutator_generators(2))
-        assert basis.shape[1] == 2
-        assert max(diag["compressed_residuals"]) < 1e-12
+        mats = [np.diag([0.2, 0.3]), np.diag([0.4, 0.1])]
+        assert self.piece(mats, commutator_generators(2), 2).shape[1] == 2
 
     def test_single_generator_range_complement(self):
         t = np.array([[0.0, 0.5], [0.0, 0.0]])
-        from fockbench import NcPolynomial
-
-        basis, diag = maximal_constrained_piece([t], [NcPolynomial.monomial([1])])
+        basis = self.piece([t], [NcPolynomial.monomial([1])], 2)
         # complement of span{T_alpha T e_j} = complement of range(T) = kernel of T^*
         assert basis.shape[1] == 1
         assert np.linalg.norm(t.conj().T @ basis) < 1e-12
-
-    def test_rejects_empty_generators(self):
-        with pytest.raises(InvalidParameterError):
-            maximal_constrained_piece([np.zeros((2, 2))], [])
 
 
 class TestWoldPartialSumIdentities:
@@ -489,7 +495,7 @@ class TestWoldPartialSumIdentities:
             [si, np.zeros((f.dim, 1))],
             [np.zeros((1, f.dim)), zi],
         ]) for si, zi in zip(s, z)]
-        split = wold_decompose(v)
+        split = wold_decompose(validate(v))
         dim = v[0].shape[0]
         q = split.q
         # direct word sum of V_alpha Q V_alpha^* up to the nilpotency depth
@@ -516,7 +522,7 @@ class TestWoldPartialSumIdentities:
             [jordan, np.zeros((3, 1))],
             [np.zeros((1, 3)), np.array([[np.exp(0.7j)]])],
         ])]
-        split = wold_decompose(v)
+        split = wold_decompose(validate(v))
         # Q is a projection here; its range is the joint kernel of the adjoints
         from fockbench._linalg import range_basis
 

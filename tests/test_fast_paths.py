@@ -9,8 +9,7 @@ references, and each reference against the dense ``word_operator`` of every
 word: bit for bit where the walk associates the products the same way (the
 walk itself and the Θ coefficients), under a computed rounding budget where
 it does not (the Poisson kernel, whose old recursion multiplied the adjoints
-before the defect root, and the kernel vector, whose scalar products now run
-from the last letter). The graded constrained assembly compresses each Fock
+before the defect root). The graded constrained assembly compresses each Fock
 block to the slice bases by two products, a different association than the
 word products of compressed shifts, so it is pinned under a computed rounding
 budget. The slice recursion for the constrained subspace computes a different
@@ -52,7 +51,6 @@ from fockbench import (
     enumerate_words,
     constrained_poisson_kernel,
     kernel_theta_gram,
-    kernel_vector,
     model_space,
     poisson_kernel,
     q_commutator_generators,
@@ -139,17 +137,6 @@ def extend_coefficients(rc, top):
 
     extend((), e_t.conj().T @ rc.delta)
     return coeffs, blocks
-
-
-def recursive_kernel_vector(cs, z):
-    """The former kernel-vector recursion: entry alpha is its parent's entry
-    times conj(z) of the last letter."""
-    words = enumerate_words(cs.fock.n, cs.fock.max_degree)
-    vec = np.zeros(cs.fock.dim, dtype=complex)
-    vec[0] = 1.0
-    for idx, w in enumerate(words[1:], start=1):
-        vec[idx] = vec[cs.fock.word_index(Word(w.letters[:-1]))] * np.conj(z[w.letters[-1] - 1])
-    return cs.basis.conj().T @ vec
 
 
 def dense_assemble(op, cs):
@@ -641,25 +628,6 @@ def test_model_space_matches_the_svd_of_theta(ambient, row_norm, n, dim, top, se
     gap = (1.0 if smallest_in_range is None else smallest_in_range) - largest_in_model
     diff = res.basis @ res.basis.conj().T - ref @ ref.conj().T
     assert np.linalg.norm(diff, 2) <= model_budget(kern, op, gap)
-
-
-@pytest.mark.parametrize("n,top,gens,point", [
-    (1, 6, [], [0.6]),
-    (2, 5, [], [0.3 - 0.2j, 0.5]),
-    (3, 4, commutator_generators(3), [0.2, -0.3j, 0.4]),
-    (2, 5, [NON_HOMOGENEOUS], [0.3, 0.18]),
-], ids=["n1", "free", "commutative", "non_homogeneous"])
-def test_kernel_vector_matches_the_parent_recursion(n, top, gens, point):
-    cs = build_constrained_subspace(TruncatedFock(n, top), gens)
-    z = np.asarray(point, dtype=complex)
-    got = kernel_vector(cs, z).vector
-    ref = recursive_kernel_vector(cs, z)
-    dense = cs.basis.conj().T @ np.array(
-        [np.prod(np.conj(z)[np.array(w.letters, dtype=int) - 1]) for w in enumerate_words(n, top)]
-    )
-    budget = 2 * (top + 1) * np.sqrt(cs.fock.dim) * EPS
-    assert np.abs(got - ref).max() <= budget
-    assert np.abs(ref - dense).max() <= budget
 
 
 def variety_tuple(n, gens):

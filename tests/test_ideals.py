@@ -12,12 +12,11 @@ from fockbench import (
     build_constrained_subspace,
     commutator_generators,
     constrained_shifts,
-    cyclic_span_check,
     evaluate_polynomial,
     q_commutator_generators,
     word_length_generators,
 )
-from fockbench.errors import InvalidParameterError, PreconditionError, RejectedInputError
+from fockbench.errors import InvalidParameterError, PreconditionError
 
 
 def multiset_slice_dimension(n: int, m: int) -> int:
@@ -125,8 +124,13 @@ class TestBuildConstrainedSubspace:
         p = NcPolynomial({Word((1,)): 1.0, Word((1, 2)): 1.0})
         cs = build_constrained_subspace(f, [p])
         assert not cs.graded
-        assert cs.truncation_warning is not None
         assert cs.buffer_window == 2
+
+    def test_vacuum_compression_requires_vacuum(self):
+        f = TruncatedFock(2, 3)
+        cs = build_constrained_subspace(f, [NcPolynomial({Word(()): 1.0, Word((1,)): 1.0})])
+        with pytest.raises(PreconditionError):
+            cs.vacuum_vector()
 
     def test_generator_degree_beyond_truncation_rejected(self):
         f = TruncatedFock(2, 1)
@@ -176,78 +180,3 @@ class TestConstrainedShifts:
         window = cs.degree_window_mask(1)
         comm = (left[0] @ left[1] - left[1] @ left[0])[:, window]
         assert np.linalg.norm(comm, 2) < 1e-12
-
-
-class TestCyclicSpanCheck:
-    def test_full_space_is_cyclic(self):
-        f = TruncatedFock(2, 3)
-        cs = build_constrained_subspace(f, commutator_generators(2))
-        d = 2
-        m = np.eye(cs.dim * d, dtype=complex)
-        res = cyclic_span_check(cs, d, m)
-        assert res.cyclic and res.verdict
-        assert res.e_dim == d
-
-    def test_zero_subspace_is_degenerate(self):
-        f = TruncatedFock(2, 3)
-        cs = build_constrained_subspace(f, commutator_generators(2))
-        res = cyclic_span_check(cs, 2, np.zeros((cs.dim * 2, 0)))
-        assert res.e_dim == 0 and res.span_dim == 0 and res.verdict
-
-    def test_kernel_vector_span_has_one_dimensional_compression(self):
-        from fockbench import kernel_vector
-
-        f = TruncatedFock(2, 8)
-        cs = build_constrained_subspace(f, commutator_generators(2))
-        z = kernel_vector(cs, [0.08, 0.04])
-        res = cyclic_span_check(cs, 1, z.vector.reshape(-1, 1))
-        assert res.e_dim == 1
-        assert res.verdict
-
-    def test_non_coinvariant_input_rejected(self):
-        f = TruncatedFock(2, 3)
-        cs = build_constrained_subspace(f, commutator_generators(2))
-        # A random vector with top-degree content is not co-invariant.
-        rng = np.random.default_rng(5)
-        v = rng.standard_normal(cs.dim) + 1j * rng.standard_normal(cs.dim)
-        with pytest.raises(RejectedInputError):
-            cyclic_span_check(cs, 1, v.reshape(-1, 1))
-
-    def test_vacuum_compression_requires_vacuum(self):
-        f = TruncatedFock(2, 3)
-        cs = build_constrained_subspace(f, [NcPolynomial({Word(()): 1.0, Word((1,)): 1.0})])
-        with pytest.raises(PreconditionError):
-            cs.vacuum_vector()
-
-
-def test_cyclicity_matches_perp_intersection():
-    # a co-invariant subspace is cyclic exactly when its orthocomplement
-    # meets the vacuum slice trivially
-    from fockbench import build_constrained_subspace, commutator_generators, cyclic_span_check
-    from fockbench.words import TruncatedFock
-
-    f = TruncatedFock(2, 4)
-    cs = build_constrained_subspace(f, commutator_generators(2))
-    d = 2
-    v0 = cs.vacuum_vector()
-
-    def perp_meets_vacuum(m_basis):
-        # basis of the vacuum slice inside the tensor space
-        slice_cols = np.kron(v0.reshape(-1, 1), np.eye(d, dtype=complex))
-        p_m = m_basis @ m_basis.conj().T
-        inside = slice_cols - p_m @ slice_cols
-        return np.linalg.svd(inside, compute_uv=False).max() > 1e-8
-
-    # full space: cyclic, orthocomplement trivial
-    full = np.eye(cs.dim * d, dtype=complex)
-    res = cyclic_span_check(cs, d, full)
-    assert res.cyclic and not perp_meets_vacuum(full)
-
-    # a reducing subspace with a proper multiplicity leg is co-invariant and
-    # not cyclic; its orthocomplement contains the dropped vacuum directions
-    m_basis = np.kron(np.eye(cs.dim, dtype=complex), np.array([[1.0], [0.0]]))
-    res = cyclic_span_check(cs, d, m_basis)
-    assert not res.cyclic
-    assert res.e_dim == 1
-    assert res.verdict  # span equals (subspace) tensor E exactly
-    assert perp_meets_vacuum(m_basis)

@@ -11,7 +11,7 @@ from fockbench import (
     cp_apply,
     intertwining_check,
     poisson_kernel,
-    poisson_transform,
+    shift_adjoints,
     validate,
     word_operator,
 )
@@ -164,49 +164,57 @@ class TestIntertwining:
 
 
 class TestPoissonTransform:
+    """K_r^* (S_alpha S_beta^* (x) I) K_r, read through ``shift_adjoints``. The
+    sum over nu of K_{alpha nu}^* K_{beta nu} telescopes to
+    r^(|alpha| + |beta|) T_alpha (I - r^(2(M+1)) Phi^(M+1)(I)) T_beta^*, with
+    M = N - max(|alpha|, |beta|)."""
+
+    @staticmethod
+    def transform(kern, alpha, beta):
+        def lowered(word):
+            # (S_word^* (x) I) K: S_word^* applies the first letter first
+            x = kern.matrix
+            for letter in word.letters:
+                x = shift_adjoints(kern, x)[letter - 1]
+            return x
+
+        return lowered(alpha).conj().T @ lowered(beta)
+
+    @staticmethod
+    def exact(kern, alpha, beta):
+        rc, r = kern.rc, kern.r
+        top = kern.fock.max_degree - max(len(alpha), len(beta)) + 1
+        middle = np.eye(rc.dim) - r ** (2 * top) * rc.orbit(top)
+        outer = word_operator(rc.matrices, alpha) @ middle @ word_operator(rc.matrices, beta).conj().T
+        return r ** (len(alpha) + len(beta)) * outer
+
     @pytest.mark.parametrize("alpha,beta", [((), ()), ((1,), ()), ((), (2, 1)), ((1, 2), (2,)), ((2, 1, 1), (1,)),
                                             ((1, 2, 2, 1), ())])
     def test_matches_the_dense_word_operators(self, alpha, beta):
         rc, f = random_pair(22, dim=2), TruncatedFock(2, 4)
         s = left_creation(f)
         alpha, beta = Word(alpha), Word(beta)
-        res = poisson_transform(rc, f, alpha, beta, r_values=(0.9, 1.0))
         mid = word_operator(s, alpha) @ word_operator(s, beta).conj().T
-        for r, val in zip(res.r_values, res.values):
+        for r in (0.9, 1.0):
             kern = poisson_kernel(rc, f, r)
+            val = self.transform(kern, alpha, beta)
             dense = kern.matrix.conj().T @ np.kron(mid, np.eye(kern.defect_dim)) @ kern.matrix
             assert np.abs(val - dense).max() <= 1e-14
-
-
-    def test_unitality(self):
-        rng = np.random.default_rng(4)
-        mats = [rng.standard_normal((2, 2)) for _ in range(2)]
-        norm = np.linalg.norm(np.concatenate(mats, axis=1), 2)
-        rc = validate([m / (norm * 1.05) for m in mats])
-        res = poisson_transform(rc, TruncatedFock(2, 5), Word(()), Word(()))
-        tail = np.linalg.norm(cp_apply(rc, np.eye(2), 6), 2)
-        assert res.deviations[-1] <= tail + 1e-12
-        assert np.allclose(res.target, np.eye(2))
+            assert np.abs(val - self.exact(kern, alpha, beta)).max() <= 1e-14
 
     def test_scalar_single_letter(self):
         t = 0.5
-        rc = validate([np.array([[t]])])
-        res = poisson_transform(rc, TruncatedFock(1, 30), Word((1,)), Word(()))
+        rc, f = validate([np.array([[t]])]), TruncatedFock(1, 30)
         # value at radial r is r * t * (1 - r^(2(N+1)) t^(2(N+1)))
-        for r, val in zip(res.r_values, res.values):
-            expected = r * t * (1.0 - r ** 62 * t ** 62)
-            assert abs(val[0, 0] - expected) < 1e-12
-        assert res.deviations[-1] < 2e-3
+        for r in (0.9, 0.99, 0.999):
+            val = self.transform(poisson_kernel(rc, f, r), Word((1,)), Word(()))
+            assert abs(val[0, 0] - r * t * (1.0 - r ** 62 * t ** 62)) < 1e-12
+        assert abs(val[0, 0] - t) < 2e-3
 
     def test_pure_tuple_at_unit_radius(self):
         rc = nilpotent_commuting_pair()
-        res = poisson_transform(rc, TruncatedFock(2, 4), Word((1,)), Word((2,)), r_values=(1.0,))
-        assert res.deviations[0] < 1e-12
-
-    def test_rejects_long_words(self):
-        rc = nilpotent_commuting_pair()
-        with pytest.raises(InvalidParameterError):
-            poisson_transform(rc, TruncatedFock(2, 2), Word((1, 1, 1)), Word(()))
+        val = self.transform(poisson_kernel(rc, TruncatedFock(2, 4)), Word((1,)), Word((2,)))
+        assert np.abs(val - rc.matrices[0] @ rc.matrices[1].conj().T).max() < 1e-12
 
 
 class TestKernelGram:
