@@ -267,7 +267,6 @@ def kernel_theta_gram(kernel: PoissonKernel) -> np.ndarray:
 class FactorizationReport:
     residual: float
     budget: float
-    passed: bool
 
 
 def verify_point_factorization(
@@ -298,7 +297,7 @@ def verify_point_factorization(
     rhs = lift.conj().T @ rhs_full @ lift
     lhs = np.eye(theta.shape[0], dtype=complex) - theta @ theta.conj().T
     residual = spectral_norm(lhs - rhs)
-    return FactorizationReport(residual, tol, residual <= tol)
+    return FactorizationReport(residual, tol)
 
 
 def verify_truncated_factorization(kernel: PoissonKernel, gram: np.ndarray) -> FactorizationReport:
@@ -318,7 +317,7 @@ def verify_truncated_factorization(kernel: PoissonKernel, gram: np.ndarray) -> F
     residual = float(np.linalg.norm(diff))
     tail = spectral_norm(kernel.rc.orbit(kernel.fock.max_degree + 1)) + 1e-10
     budget = min(_factorization_budget(kernel), tail)
-    return FactorizationReport(residual, budget, residual <= budget)
+    return FactorizationReport(residual, budget)
 
 
 def _factorization_budget(kernel: PoissonKernel) -> float:

@@ -33,6 +33,7 @@ from .serialize import (
     matrix_from_json,
     matrix_to_json,
     point_from_json,
+    word_length_degree,
 )
 from .words import TruncatedFock
 
@@ -212,8 +213,7 @@ def task_pick(ctx: RunContext, params: dict) -> dict:
         raise InvalidParameterError("pick targets must be finite")
     tol = float(params.get("tol", 1e-9))
     for z in points:
-        member = variety_membership(z, ctx.generators, ctx.n)
-        if not member.member:
+        if not variety_membership(z, ctx.generators, ctx.n):
             raise FockbenchError(f"point {z} is not in the variety of the ideal")
     problem = PickProblem(n=ctx.n, points=np.array(points), targets=targets)
     res = pick_feasible(problem, tol)
@@ -225,11 +225,10 @@ def task_pick(ctx: RunContext, params: dict) -> dict:
         "marginal": res.marginal,
         "lambda_min": res.lambda_min,
         "lambda_max": res.lambda_max,
-        "pick_matrix": matrix_to_json(res.matrix),
     }
     if res.certificate is not None:
         data["certificate"] = matrix_to_json(res.certificate.reshape(-1, 1))
-    return {"checks": [], "data": data}
+    return {"checks": [_check("lambda_min_residual", res.residual, 1e-12)], "data": data}
 
 
 def task_wold(ctx: RunContext, params: dict) -> dict:
@@ -376,10 +375,21 @@ def load_scenario(path: str) -> dict:
     return check_scenario(_load_json(path))
 
 
+def _generators(n: int, spec, trunc: int | None) -> list[NcPolynomial]:
+    """The scenario ideal's generators. Without N only ``pick`` reads them,
+    for its zero-set test, so truncated(m) gives the n powers g_i^m in place
+    of its n^m words of length m: at a scalar point both families vanish
+    only at the origin and have the same largest residual, max_i |z_i|^m."""
+    m = word_length_degree(spec)
+    if trunc is None and m is not None:
+        return [NcPolynomial.monomial([i] * m) for i in range(1, n + 1)]
+    return ideal_from_spec(n, spec, max_degree=trunc)
+
+
 def context_from_scenario(scenario: dict, tol: float, seed: int | None) -> RunContext:
     n = check_count("n", scenario["n"], 1)
     trunc = check_count("N", scenario["N"], 0) if "N" in scenario else None
-    generators = ideal_from_spec(n, scenario.get("ideal"), max_degree=trunc)
+    generators = _generators(n, scenario.get("ideal"), trunc)
     rc = None
     if "T" in scenario:
         rc = validate([matrix_from_json(m) for m in scenario["T"]])

@@ -21,22 +21,13 @@ def _as_point(point, n: int) -> np.ndarray:
     return z
 
 
-@dataclass
-class MembershipResult:
-    member: bool
-    residuals: list[float]
-
-
-def variety_membership(
-    point, generators: Sequence[NcPolynomial], n: int, tol: float = 1e-10
-) -> MembershipResult:
-    """A ball point belongs to the zero set when every generator vanishes at
-    the scalar commuting evaluation."""
+def variety_membership(point, generators: Sequence[NcPolynomial], n: int, tol: float = 1e-10) -> bool:
+    """A ball point belongs to the zero set when every generator vanishes,
+    to within ``tol``, at the scalar commuting evaluation."""
     z = _as_point(point, n)
     if np.linalg.norm(z) >= 1.0:
         raise OutOfBallError(f"|point| = {np.linalg.norm(z):.6f} >= 1")
-    residuals = [abs(p.evaluate_scalar(z)) for p in generators]
-    return MembershipResult(member=all(r <= tol for r in residuals), residuals=residuals)
+    return all(abs(p.evaluate_scalar(z)) <= tol for p in generators)
 
 
 @dataclass
@@ -54,10 +45,11 @@ class PickProblem:
         norms = np.linalg.norm(pts, axis=1)
         if np.any(norms >= 1.0):
             raise OutOfBallError("all points must lie strictly inside the unit ball")
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if np.linalg.norm(pts[i] - pts[j]) <= 1e-12:
-                    raise DegenerateInputError(f"points {i} and {j} coincide")
+        distances = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+        coincident = np.argwhere(np.triu(distances <= 1e-12, 1))
+        if coincident.size:
+            i, j = coincident[0]
+            raise DegenerateInputError(f"points {i} and {j} coincide")
         targets = [np.atleast_2d(np.asarray(a, dtype=complex)) for a in self.targets]
         d = targets[0].shape[0]
         for a in targets:
@@ -78,16 +70,19 @@ class PickProblem:
 def pick_matrix(problem: PickProblem) -> np.ndarray:
     """Block Hermitian matrix with (i, j) block (I - A_i A_j^*) / (1 - <p_i, p_j>).
 
-    The strict lower triangle is one index copy of the conjugated strict upper
-    triangle and the diagonal is made real, so Hermiticity is bitwise.
+    One broadcast: the k x k Gram of the points divides the k x k stack of
+    products A_i A_j^*, each the same d x d product the per-block formula
+    takes. The strict lower triangle is one index copy of the conjugated
+    strict upper triangle and the diagonal is made real, so Hermiticity is
+    bitwise.
     """
     k, d = problem.k, problem.target_dim
-    out = np.zeros((k * d, k * d), dtype=complex)
-    for i in range(k):
-        for j in range(i, k):
-            inner = np.sum(problem.points[i] * np.conj(problem.points[j]))
-            block = (np.eye(d) - problem.targets[i] @ problem.targets[j].conj().T) / (1.0 - inner)
-            out[i * d : (i + 1) * d, j * d : (j + 1) * d] = block
+    pts = problem.points
+    inner = (pts[:, None, :] * pts.conj()[None, :, :]).sum(axis=-1)
+    targets = np.stack(problem.targets)
+    products = targets[:, None] @ targets.conj().transpose(0, 2, 1)[None, :]
+    blocks = (np.eye(d) - products) / (1.0 - inner)[:, :, None, None]
+    out = blocks.transpose(0, 2, 1, 3).reshape(k * d, k * d)
     lower = np.tril_indices(k * d, -1)
     out[lower] = out.T[lower].conj()
     diag = np.diag_indices(k * d)
@@ -97,28 +92,32 @@ def pick_matrix(problem: PickProblem) -> np.ndarray:
 
 @dataclass
 class FeasibilityResult:
-    matrix: np.ndarray  # the Pick matrix the verdict was read from
     feasible: bool
     marginal: bool
     lambda_min: float
     lambda_max: float
+    residual: float  # |P v - lambda_min v| / max(1, lambda_max) for the unit eigenvector v
     certificate: np.ndarray | None
 
 
 def pick_feasible(problem: PickProblem, tol: float = 1e-9) -> FeasibilityResult:
     """Interpolation is feasible exactly when the Pick matrix is PSD; within
-    the declared tolerance band the verdict is feasible (marginal)."""
+    the declared tolerance band the verdict is feasible (marginal). The
+    eigenpair the verdict is read from is certified by its residual, scaled
+    like the band; for an infeasible verdict its vector is the certificate."""
     m = pick_matrix(problem)
     vals, vecs = np.linalg.eigh(m)
     lam_min = float(vals[0])
     lam_max = float(vals[-1])
-    band = tol * max(1.0, lam_max)
+    v = vecs[:, 0]
+    scale = max(1.0, lam_max)
+    band = tol * scale
     feasible = lam_min >= -band
     return FeasibilityResult(
-        matrix=m,
         feasible=feasible,
         marginal=abs(lam_min) <= band,
         lambda_min=lam_min,
         lambda_max=lam_max,
-        certificate=None if feasible else vecs[:, 0],
+        residual=float(np.linalg.norm(m @ v - lam_min * v)) / scale,
+        certificate=None if feasible else v,
     )

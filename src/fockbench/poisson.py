@@ -132,9 +132,7 @@ def constrained_poisson_kernel(rc: RowContraction, cs: ConstrainedSubspace, r: f
 @dataclass
 class IntertwiningReport:
     residual: float
-    per_generator: list[float]
     full_residual: float
-    top_slice_budget: float
 
 
 def shift_adjoints(kernel: PoissonKernel, x: np.ndarray | None = None) -> list[np.ndarray]:
@@ -162,24 +160,13 @@ def intertwining_check(kernel: PoissonKernel) -> IntertwiningReport:
     """Residual of K (r T_i^*) = (shift_i^* tensor I) K over all generators.
 
     The identity is exact on the interior rows (``interior_rows``), so the
-    top-slice rows are excluded from the headline residual and their mass is
-    reported as the budget of the unwindowed residual.
+    top-slice rows are excluded from the headline residual; the residual over
+    all rows is reported beside it.
     """
-    rc, fock, r = kernel.rc, kernel.fock, kernel.r
+    rc, r = kernel.rc, kernel.r
     row_mask = kernel.interior_rows()
-
     diffs = [kernel.matrix @ (r * t.conj().T) - moved for t, moved in zip(rc.matrices, shift_adjoints(kernel))]
-    per = [spectral_norm(diff[row_mask, :]) for diff in diffs]
-    full = [spectral_norm(diff) for diff in diffs]
-    # Top-slice mass of the kernel, Phi^N(I - r^2 Phi(I)), from the cached
-    # orbit, times the shifted generator norm.
-    top = rc.orbit(fock.max_degree) - (r * r) * rc.orbit(fock.max_degree + 1)
-    t_norm = max(spectral_norm(t) for t in rc.matrices)
-    budget = (r ** (fock.max_degree + 1)) * float(np.sqrt(max(spectral_norm(top), 0.0))) * t_norm + 1e-12
     return IntertwiningReport(
-        residual=max(per, default=0.0),
-        per_generator=per,
-        full_residual=max(full, default=0.0),
-        top_slice_budget=budget,
+        residual=max((spectral_norm(diff[row_mask, :]) for diff in diffs), default=0.0),
+        full_residual=max((spectral_norm(diff) for diff in diffs), default=0.0),
     )
-

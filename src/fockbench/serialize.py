@@ -84,10 +84,19 @@ def _custom_generators(n: int, obj) -> list[NcPolynomial]:
     return gens
 
 
-def _word_length(n: int, m: int, max_degree: int | None) -> list[NcPolynomial]:
-    if max_degree is not None and m > max_degree:
-        raise InvalidParameterError(f"truncated({m}) exceeds the truncation degree {max_degree}")
-    return word_length_generators(n, m)
+def word_length_degree(spec) -> int | None:
+    """m for the word-length ideal, given as "truncated(m)" or as
+    {"kind": "truncated", "m": m}; None for every other spec. An m that is
+    not an integer >= 1 raises InvalidParameterError."""
+    if isinstance(spec, str):
+        s = spec.strip().lower()
+        if not (s.startswith("truncated(") and s.endswith(")")):
+            return None
+        m = s[len("truncated(") : -1].strip()
+        return check_count("m", int(m) if m.isdecimal() else m, 1)
+    if isinstance(spec, dict) and str(spec.get("kind", "")).lower() == "truncated":
+        return check_count("m", spec.get("m"), 1)
+    return None
 
 
 def ideal_from_spec(n: int, spec, max_degree: int | None = None) -> list[NcPolynomial]:
@@ -101,15 +110,17 @@ def ideal_from_spec(n: int, spec, max_degree: int | None = None) -> list[NcPolyn
     truncated(m) with m above ``max_degree``, before its n^m monomials exist."""
     if spec is None:
         return []
+    m = word_length_degree(spec)
+    if m is not None:
+        if max_degree is not None and m > max_degree:
+            raise InvalidParameterError(f"truncated({m}) exceeds the truncation degree {max_degree}")
+        return word_length_generators(n, m)
     if isinstance(spec, str):
         s = spec.strip().lower()
         if s == "free":
             return []
         if s == "commutative":
             return commutator_generators(n)
-        if s.startswith("truncated(") and s.endswith(")"):
-            m = s[len("truncated(") : -1].strip()
-            return _word_length(n, check_count("m", int(m) if m.isdecimal() else m, 1), max_degree)
         raise InvalidParameterError(f"unknown ideal shorthand {spec!r}")
     if isinstance(spec, list):
         return _custom_generators(n, spec)
@@ -119,8 +130,6 @@ def ideal_from_spec(n: int, spec, max_degree: int | None = None) -> list[NcPolyn
             return []
         if kind == "commutative":
             return commutator_generators(n)
-        if kind == "truncated":
-            return _word_length(n, check_count("m", spec.get("m"), 1), max_degree)
         if kind == "q-commutative":
             q = spec["q"]
             q = matrix_from_json(q) if isinstance(q, dict) else _finite_array(q, complex, "q matrix")

@@ -247,11 +247,11 @@ class TestFactorization:
         kernel = poisson_kernel(rc, TruncatedFock(2, 4))
         op = characteristic_coefficients(rc, 4)
         rep = verify_truncated_factorization(kernel, theta_gram(op, kernel.fock))
-        assert rep.residual < 1e-12 and rep.passed
+        assert rep.residual < 1e-12 and rep.residual <= rep.budget
         op.coefficients[word_index, 0, 0] += 1e-6
         rep = verify_truncated_factorization(kernel, theta_gram(op, kernel.fock))
         assert rep.residual > 1e-7
-        assert not rep.passed
+        assert rep.residual > rep.budget
 
     def test_truncated_check_fails_on_a_constant_coefficient_off_by_a_percent(self):
         """The purity tail, 0.083 here, would pass this residual of 0.048."""
@@ -262,7 +262,7 @@ class TestFactorization:
         op.coefficients[0, 0, 0] += 1e-2
         rep = verify_truncated_factorization(kernel, theta_gram(op, kernel.fock))
         assert np.linalg.norm(rc.orbit(5), 2) > rep.residual > 1e-2
-        assert not rep.passed
+        assert rep.residual > rep.budget
 
     def test_one_defect_cutoff_keeps_the_ranks_consistent(self):
         """Row singular values sqrt(1 - 1e-10), sqrt(1 - 1e-3) twice: the
@@ -277,7 +277,7 @@ class TestFactorization:
         rc = validate([row[:, :3], row[:, 3:]])
         assert (rc.defect_rank, rc.defect_star_basis.shape[1]) == (2, 5)
         rep = truncated_factorization(poisson_kernel(rc, TruncatedFock(2, 4)))
-        assert rep.passed and rep.residual < 1e-11
+        assert rep.residual <= rep.budget and rep.residual < 1e-11
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(["fock", "commutative"]), st.sampled_from([0.5, 1.0 - 1e-4, 1.0 - 1e-8, 1.0]),
@@ -302,7 +302,7 @@ class TestFactorization:
             rc = validate([q @ np.diag(zi) @ q.conj().T for zi in z])
             kernel = constrained_poisson_kernel(rc, build_constrained_subspace(fock, commutator_generators(fock.n)))
         rep = truncated_factorization(kernel)
-        assert rep.passed
+        assert rep.residual <= rep.budget
         assert rep.budget <= np.linalg.norm(kernel.rc.orbit(top + 1), 2) + 1e-10
 
     def test_constrained_truncated_two_path(self):
@@ -324,10 +324,12 @@ class TestFactorization:
         a = np.array([[0, 0.5], [0, 0]])
         b = np.array([[0.5, 0], [0, -0.5]])
         rc = validate([np.diag([0.3, -0.2]), np.diag([0.1, 0.35])])
-        assert verify_point_factorization(rc, [a, b]).passed
+        rep = verify_point_factorization(rc, [a, b])
+        assert rep.residual <= rep.budget
         cs = build_constrained_subspace(TruncatedFock(2, 3), commutator_generators(2))
         commuting = [np.diag([0.2, -0.1]), np.diag([0.3, 0.1j])]
-        assert verify_point_factorization(rc, commuting, cs=cs).passed
+        rep = verify_point_factorization(rc, commuting, cs=cs)
+        assert rep.residual <= rep.budget
 
     def test_truncated_mode_needs_the_unit_radius_kernel(self):
         rc = validate([np.diag([0.3, -0.2]), np.diag([0.1, 0.35])])

@@ -102,6 +102,32 @@ class TestSubcommands:
         report = json.loads(out.read_text())
         assert report["tasks"][0]["data"]["verdict"] == "feasible (marginal)"
 
+    @pytest.mark.parametrize("targets", [[[0.0, 0.0], [0.2, 0.0]], [[0.0, 0.0], [0.9, 0.0]]],
+                             ids=["feasible", "infeasible"])
+    def test_pick_check_fails_on_a_shifted_lambda_min(self, monkeypatch, targets):
+        """lambda_min off by 1e-9 max(1, lambda_max), on the golden points with
+        a feasible and an infeasible target, fails lambda_min_residual."""
+        import fockbench.interpolation as interpolation
+
+        ctx = RunContext(n=2, trunc=None, generators=[], rc=None, tol=1e-9, seed=None)
+        params = {"points": [[[0.0, 0.0], [0.0, 0.0]], [[0.3, 0.0], [0.1, 0.0]]], "targets": targets}
+        clean = task_pick(ctx, params)
+        assert [c["name"] for c in clean["checks"]] == ["lambda_min_residual"]
+        assert clean["checks"][0]["value"] < 1e-15 and clean["checks"][0]["pass"]
+        assert ("certificate" in clean["data"]) == (clean["data"]["verdict"] == "infeasible")
+
+        eigh = np.linalg.eigh
+
+        def shifted(m):
+            vals, vecs = eigh(m)
+            vals[0] += 1e-9 * max(1.0, vals[-1])
+            return vals, vecs
+
+        monkeypatch.setattr(interpolation.np.linalg, "eigh", shifted)
+        check = task_pick(ctx, params)["checks"][0]
+        assert check["value"] == pytest.approx(1e-9, rel=1e-6)
+        assert not check["pass"]
+
     def test_shifts_commutative_dims(self, tmp_path):
         out = tmp_path / "shifts.json"
         code = main(["shifts", "--n", "2", "--N", "3", "--ideal", "commutative", "--out", str(out)])
@@ -227,6 +253,50 @@ class TestSubcommands:
         assert main(argv) == 0
         scenario = json.loads(out.read_text())["scenario"]
         assert "N" not in scenario and scenario["n"] == 2 and scenario["ideal"] == "truncated(3)"
+
+    @pytest.mark.parametrize("ideal", ["truncated(24)", {"kind": "truncated", "m": 24}], ids=["shorthand", "kind"])
+    def test_pick_decides_a_word_length_ideal_from_its_degree(self, tmp_path, monkeypatch, ideal):
+        """Without N, truncated(m) is tested by the n powers g_i^m: none of
+        its n^m words is built. The origin passes; (0.5, 0), whose largest
+        word residual 0.5^24 = 6e-8 exceeds the tolerance 1e-10, does not."""
+        import fockbench.serialize as serialize
+
+        monkeypatch.setattr(serialize, "word_length_generators", lambda n, m: pytest.fail("built n^m words"))
+        scenario = {"n": 2, "ideal": ideal, "tasks": [
+            {"task": "pick", "points": [[[0.0, 0.0], [0.0, 0.0]]], "targets": [[0.3, 0.0]]},
+            {"task": "pick", "points": [[[0.5, 0.0], [0.0, 0.0]]], "targets": [[0.3, 0.0]]}]}
+        origin, off = run_scenario(scenario)["tasks"]
+        assert origin["status"] == "pass" and origin["data"]["verdict"] == "feasible"
+        assert off["status"] == "fail" and "is not in the variety of the ideal" in off["error"]
+        out = tmp_path / "pick.json"
+        assert main(["pick", "--n", "2", "--points", "0,0", "--targets", "0", "--ideal", "truncated(24)",
+                     "--out", str(out)]) == 0
+        assert main(["pick", "--n", "2", "--points", "0.1,0", "--targets", "0", "--ideal", "truncated(3)",
+                     "--out", str(out)]) == 1
+        assert "is not in the variety of the ideal" in json.loads(out.read_text())["tasks"][0]["error"]
+
+    @pytest.mark.parametrize("point", [[0.1, 0.0], [0.0, 0.02j], [1e-4, -1e-4], [0.0, 0.0]])
+    def test_word_length_powers_give_the_verdict_of_every_word(self, point):
+        """The n powers g_i^m and all n^m words of length m decide membership
+        alike, at the default tolerance and at the largest word residual."""
+        from fockbench.cli import _generators
+        from fockbench.interpolation import variety_membership
+
+        for m in (1, 2, 3, 5):
+            words = ideal_from_spec(2, f"truncated({m})", max_degree=m)
+            powers = _generators(2, f"truncated({m})", None)
+            assert len(powers) == 2
+            worst = max(abs(p.evaluate_scalar(point)) for p in words)
+            assert worst == max(abs(p.evaluate_scalar(point)) for p in powers)
+            for tol in (1e-10, worst):
+                assert variety_membership(point, powers, 2, tol) == variety_membership(point, words, 2, tol)
+
+    def test_scenarios_with_n_keep_every_word_of_a_word_length_ideal(self):
+        from fockbench.cli import context_from_scenario
+
+        ctx = context_from_scenario({"n": 2, "N": 4, "ideal": "truncated(3)", "tasks": []}, 1e-9, None)
+        assert [p.terms for p in ctx.generators] == [p.terms for p in ideal_from_spec(2, "truncated(3)")]
+        assert len(ctx.generators) == 8
 
     def test_factorize_point_passes(self, rc_file, tmp_path):
         out = tmp_path / "fact.json"
@@ -714,6 +784,21 @@ class TestSchemas:
         report = json.loads((DATA / name).read_text())
         assert missing_report_keys(report) == []
 
+    @pytest.mark.parametrize("targets", ["0,0.2", "0,0.9"], ids=["feasible", "infeasible"])
+    def test_pick_data_and_checks_are_the_ones_the_schema_describes(self, tmp_path, targets):
+        (rule,) = load_schema("report.schema.json")["properties"]["tasks"]["items"]["allOf"]
+        assert rule["if"]["properties"]["task"] == {"const": "pick"}
+        data_schema, checks_schema = rule["then"]["properties"]["data"], rule["then"]["properties"]["checks"]
+        out = tmp_path / "pick.json"
+        assert main(["pick", "--n", "1", "--points", "0,0.5", "--targets", targets, "--out", str(out)]) == 0
+        golden = json.loads((DATA / "golden_report.json").read_text())["tasks"][9]
+        for task in (json.loads(out.read_text())["tasks"][0], golden):
+            assert task["task"] == "pick"
+            assert set(data_schema["required"]) <= set(task["data"]) <= set(data_schema["properties"])
+            assert task["data"]["verdict"] in data_schema["properties"]["verdict"]["enum"]
+            assert ("certificate" in task["data"]) == (task["data"]["verdict"] == "infeasible")
+            assert [c["name"] for c in task["checks"]] == checks_schema["items"]["properties"]["name"]["enum"]
+
     @pytest.mark.parametrize("command", list(SUBCOMMAND_ARGV))
     def test_subcommand_reports_carry_every_required_key(self, rc_file, tmp_path, command):
         out = tmp_path / "report.json"
@@ -772,3 +857,39 @@ def test_every_public_name_is_reached_by_a_task():
                     todo.append(target)
     unreached = {key for key in defs if not key[1].startswith("_")} - reached
     assert sorted(unreached) == sorted(UNREACHED_ALLOWED)
+
+
+# Dataclass fields that no code in src/ reads, each with the reason it stays.
+UNREAD_FIELDS_ALLOWED = {
+    ("dilation", "DilationBlocks", "z_ops"):
+        "the Cuntz generators of the dilation, its operator content; the report carries their checks",
+    ("dilation", "DilationBlocks", "embedding"):
+        "the isometry V = [K; Y] the dilation is built from; the report carries its isometry defect",
+    ("dilation", "ModelSpaceResult", "compressed"):
+        "the model tuple, the shifts compressed to the model space, which the model theorem is about",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    names = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in names)
+
+
+def test_every_dataclass_field_is_read():
+    """Every annotated field of a dataclass in the package is read as an
+    attribute (``x.field``) somewhere in the package, or is listed in
+    UNREAD_FIELDS_ALLOWED with its reason. Reads are matched by name, so a
+    field counts as read when any attribute of that name is."""
+    import fockbench.cli
+
+    fields, reads = set(), set()
+    for path in sorted(Path(fockbench.cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields.update((path.stem, node.name, st.target.id) for st in node.body
+                              if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+    assert fields
+    unread = {key for key in fields if key[2] not in reads}
+    assert sorted(unread) == sorted(UNREAD_FIELDS_ALLOWED)

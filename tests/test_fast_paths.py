@@ -28,7 +28,11 @@ for bit. The model space is the eigenvectors of the rank K smallest
 eigenvalues of Theta Theta^* instead of the left singular vectors of as many
 smallest singular values of Theta, so it is pinned against that SVD, kept
 here as a reference: the same model dimension, and projectors within a
-computed rounding budget over the eigenvalue gap.
+computed rounding budget over the eigenvalue gap. The Pick matrix is one
+broadcast over a k x k stack of target products instead of a loop over its
+blocks, pinned against that loop, kept here as a reference, entrywise within
+4 eps of its largest entry and Hermitian bit for bit; the pairwise-distance
+test for coincident points is pinned against the pair loop it replaced.
 """
 
 import numpy as np
@@ -41,6 +45,7 @@ import fockbench.ideals as ideals_mod
 from fockbench import (
     IDENTITY_WORD,
     NcPolynomial,
+    PickProblem,
     TruncatedFock,
     Word,
     assemble,
@@ -52,6 +57,7 @@ from fockbench import (
     constrained_poisson_kernel,
     kernel_theta_gram,
     model_space,
+    pick_matrix,
     poisson_kernel,
     q_commutator_generators,
     shift_adjoints,
@@ -61,7 +67,7 @@ from fockbench import (
     word_operator,
 )
 from fockbench._linalg import complement_basis, principal_angles, svd_positive
-from fockbench.errors import InvalidParameterError, PreconditionError
+from fockbench.errors import DegenerateInputError, InvalidParameterError, PreconditionError
 from fockbench.ideals import _generator_matrix, _ideal_columns, ideal_orthogonality
 from fockbench.poisson import _radial_defect
 from fockbench.words import word_products
@@ -680,3 +686,67 @@ def test_shift_adjoint_edge_cases(rc, gens):
     for kern in (poisson_kernel(rc, fock), constrained_poisson_kernel(rc, build_constrained_subspace(fock, gens))):
         assert_shift_adjoints_match_dense(kern, kern.matrix)
         assert [a.shape for a in shift_adjoints(kern)] == [kern.matrix.shape] * rc.n
+
+
+def loop_pick_matrix(problem):
+    """The per-block Pick assembly: block (i, j) for j >= i, then the mirror."""
+    k, d = problem.k, problem.target_dim
+    out = np.zeros((k * d, k * d), dtype=complex)
+    for i in range(k):
+        for j in range(i, k):
+            inner = np.sum(problem.points[i] * np.conj(problem.points[j]))
+            block = (np.eye(d) - problem.targets[i] @ problem.targets[j].conj().T) / (1.0 - inner)
+            out[i * d : (i + 1) * d, j * d : (j + 1) * d] = block
+    lower = np.tril_indices(k * d, -1)
+    out[lower] = out.T[lower].conj()
+    diag = np.diag_indices(k * d)
+    out[diag] = out[diag].real
+    return out
+
+
+def ball_points(rng, k, n, radius=0.95):
+    z = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+    return z * (rng.uniform(0.0, radius, (k, 1)) / np.linalg.norm(z, axis=1, keepdims=True))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 3), st.sampled_from([1, 3]), st.sampled_from([0.5, 1.0, 2.0]),
+       st.integers(0, 2**31 - 1))
+def test_pick_matrix_matches_the_per_block_loop(k, n, d, target_norm, seed):
+    rng = np.random.default_rng(seed)
+    targets = [target_norm * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / (2 * d)
+               for _ in range(k)]
+    problem = PickProblem(n=n, points=ball_points(rng, k, n), targets=targets)
+    got, ref = pick_matrix(problem), loop_pick_matrix(problem)
+    assert np.array_equal(got, got.conj().T)
+    assert np.all(np.abs(got - ref) <= 4 * EPS * np.abs(ref).max())
+
+
+def first_coincident_pair(points):
+    """The pair loop the coincident-point test replaced: the first (i, j),
+    i < j, with |p_i - p_j| <= 1e-12, or None."""
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if np.linalg.norm(points[i] - points[j]) <= 1e-12:
+                return i, j
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 3), st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7),
+       st.sampled_from([0.0, 1e-13, 5e-13, 3e-12, 1e-6])), max_size=3), st.integers(0, 2**31 - 1))
+def test_coincident_points_are_rejected_as_by_the_pair_loop(k, n, copies, seed):
+    """Points j copied from point i and moved by an offset below, near or
+    above the 1e-12 threshold: the same inputs are rejected, naming the same
+    first pair."""
+    rng = np.random.default_rng(seed)
+    points = ball_points(rng, k, n, radius=0.9)
+    for src, dst, offset in copies:
+        if src % k != dst % k:
+            points[dst % k] = points[src % k] + offset
+    expected = first_coincident_pair(points)
+    if expected is None:
+        PickProblem(n=n, points=points, targets=[np.eye(1)] * k)
+    else:
+        with pytest.raises(DegenerateInputError, match=f"points {expected[0]} and {expected[1]} coincide"):
+            PickProblem(n=n, points=points, targets=[np.eye(1)] * k)

@@ -36,22 +36,21 @@ def schwarz_problem(t):
 class TestVarietyMembership:
     def test_commutators_vanish_at_every_scalar_point(self):
         gens = commutator_generators(3)
-        res = variety_membership([0.1, 0.2j, -0.3], gens, 3)
-        assert res.member
-        assert max(res.residuals) == 0.0
+        # every residual is exactly zero: the point passes at tolerance 0
+        assert variety_membership([0.1, 0.2j, -0.3], gens, 3, tol=0.0)
 
     def test_coordinate_generator_cuts_a_hyperplane(self):
         gen = [NcPolynomial({Word((1,)): 1.0})]
-        assert variety_membership([0.0, 0.4], gen, 2).member
-        assert not variety_membership([0.2, 0.4], gen, 2).member
+        assert variety_membership([0.0, 0.4], gen, 2)
+        assert not variety_membership([0.2, 0.4], gen, 2)
 
     def test_q_commutator_zero_set(self):
         q = 0.5
         gens = q_commutator_generators(np.array([[1.0, q], [0.0, 1.0]]))
         # lambda_2 lambda_1 (1 - q) = 0 characterizes membership
-        assert variety_membership([0.0, 0.3], gens, 2).member
-        assert variety_membership([0.3, 0.0], gens, 2).member
-        assert not variety_membership([0.3, 0.3], gens, 2).member
+        assert variety_membership([0.0, 0.3], gens, 2)
+        assert variety_membership([0.3, 0.0], gens, 2)
+        assert not variety_membership([0.3, 0.3], gens, 2)
 
     def test_rejects_boundary_points(self):
         with pytest.raises(OutOfBallError):
@@ -128,7 +127,12 @@ class TestPickMatrix:
             ref[p, p] = ref[p, p].real
         assert np.array_equal(m.view(float), ref.view(float))
         assert np.array_equal(np.signbit(m.view(float)), np.signbit(ref.view(float)))
-        assert np.array_equal(pick_feasible(prob).matrix, m)
+        # the verdict is read from this matrix: the reported spectrum ends are
+        # its extreme eigenvalues, to within the rounding of two eigensolvers
+        vals = np.linalg.eigvalsh(m)
+        res = pick_feasible(prob)
+        scale = 64 * np.finfo(float).eps * max(1.0, vals[-1])
+        assert abs(res.lambda_min - vals[0]) <= scale and abs(res.lambda_max - vals[-1]) <= scale
 
     def test_zero_targets_give_kernel_gram(self):
         rng = np.random.default_rng(31)
