@@ -31,9 +31,9 @@ from typing import Sequence
 import numpy as np
 
 from ._linalg import herm_part, spectral_norm
-from .contractions import RowContraction, check_constraints, spectral_radius, validate
+from .contractions import RowContraction, spectral_radius, validate
 from .errors import InvalidParameterError, PreconditionError
-from .ideals import ConstrainedSubspace, constrained_shifts
+from .ideals import ConstrainedSubspace, constrained_shifts, evaluate_polynomial
 from .poisson import PoissonKernel
 from .words import TruncatedFock, Word, word_products
 
@@ -278,12 +278,11 @@ def verify_point_factorization(
     """Check I - Theta(X) Theta(X)^* against the Poisson-kernel square at a
     strict point X, scalar or matrix, in the closed resolvent form; this is
     truncation-free. With ``cs`` the point must also satisfy the ideal
-    generators."""
+    generators, evaluated on its matrices; the one boundary rule, joint
+    spectral radius below one, is ``point_evaluate``'s."""
     xs = _lifted_point(point)
-    if cs is not None and (xs[0].shape[0] > 1 or len(cs.generators) > 0):
-        pt_rc = validate(xs, tol=1e-8)
-        if max(check_constraints(pt_rc, cs.generators), default=0.0) > 1e-8:
-            raise PreconditionError("point violates the ideal generators")
+    if cs is not None and max((spectral_norm(evaluate_polynomial(p, xs)) for p in cs.generators), default=0.0) > 1e-8:
+        raise PreconditionError("point violates the ideal generators")
     theta = point_evaluate(rc, point)
     k = xs[0].shape[0]
     d = rc.dim

@@ -3,6 +3,7 @@ completely positive map, purity, and spectral radius."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -44,6 +45,14 @@ class RowContraction:
             nxt.flags.writeable = False
             self._orbit.append(nxt)
         return self._orbit[k]
+
+    def walk_orbit(self) -> Iterator[np.ndarray]:
+        """Phi^k(I) for k = 0, 1, ...: the cached powers, then one local
+        iterate that is not cached, so a long walk does not grow the cache."""
+        x = self.orbit(0)
+        for k in itertools.count(1):
+            yield x
+            x = self._orbit[k] if k < len(self._orbit) else cp_apply(self, x)
 
     def purity_limit(self) -> PurityResult:
         """``purity(self, PURITY_TOL)``, decided once per tuple; Q is read-only."""

@@ -22,12 +22,16 @@ def _as_point(point, n: int) -> np.ndarray:
 
 
 def variety_membership(point, generators: Sequence[NcPolynomial], n: int, tol: float = 1e-10) -> bool:
-    """A ball point belongs to the zero set when every generator vanishes,
-    to within ``tol``, at the scalar commuting evaluation."""
+    """A ball point z is in the zero set when every generator p vanishes at
+    the scalar commuting evaluation relative to the size of its terms,
+    |p(z)| <= tol * sum_w |c_w| |z|^|w|, so that small terms of high degree
+    (0.1^24 under truncated(24)) do not pass for zero."""
     z = _as_point(point, n)
-    if np.linalg.norm(z) >= 1.0:
-        raise OutOfBallError(f"|point| = {np.linalg.norm(z):.6f} >= 1")
-    return all(abs(p.evaluate_scalar(z)) <= tol for p in generators)
+    norm = float(np.linalg.norm(z))
+    if norm >= 1.0:
+        raise OutOfBallError(f"|point| = {norm:.6f} >= 1")
+    return all(abs(p.evaluate_scalar(z)) <= tol * sum(abs(c) * norm ** len(w) for w, c in p.terms.items())
+               for p in generators)
 
 
 @dataclass

@@ -150,36 +150,56 @@ def curvature_theta(rc: RowContraction, m_max: int) -> CurvatureReport:
 
 @dataclass
 class ArvesonReport:
-    boundary: dict  # r -> (estimate, mc_stderr)
+    boundary: dict  # r -> (value, tail_bound)
+    orbit_steps: int
     qm_sequence: list[float]
     euler_sequence: list[float]
-    normalized_anchor: float
+    slice_trace_gap: float
     deviations: dict
-    seed: int
-    mc_samples: int
 
 
-def _sphere_samples(n: int, count: int, seed_seq: np.random.SeedSequence) -> np.ndarray:
-    rng = np.random.default_rng(seed_seq)
-    g = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
+# Stopping rule of the boundary series; the step cap is the one ``purity`` uses.
+BOUNDARY_TAIL_TOL = 1e-15
+BOUNDARY_MAX_STEPS = 10_000
 
 
-# Seed streams of the Monte-Carlo boundary integral; a seed draws fixed samples.
-MC_SHARDS = 8
+def _boundary_series(rc: RowContraction, r_values: Sequence[float]) -> tuple[dict, int]:
+    """Arveson's boundary integral at each radius r as its exact series, with
+    the tail bound, and the number M of CP steps walked. For a commuting tuple
+    the resolvent in the integrand expands in multi-indices, and on the sphere
+    int z^a conj(z^b) d sigma = delta_ab a! (n-1)! / (n-1+|a|)!, which leaves
+    (1 - r^2) sum_m r^(2m) (t_m - t_{m+1}) / C(n-1+m, m), t_m = trace Phi^m(I).
+    The first M terms are summed; the terms are non-negative and telescope,
+    so the rest is at most (1 - r^2) r^(2M) t_M. The walk stops once that is at
+    most BOUNDARY_TAIL_TOL at every radius, or after BOUNDARY_MAX_STEPS steps;
+    it reads ``walk_orbit``, so it grows no cache."""
+    radii = np.array(r_values, dtype=float)
+    scale = 1.0 - radii * radii
+    walk = rc.walk_orbit()
+    traces = [float(np.trace(next(walk)).real)]
+    while (len(traces) <= BOUNDARY_MAX_STEPS
+           and float((scale * radii ** (2 * len(traces) - 2)).max()) * traces[-1] > BOUNDARY_TAIL_TOL):
+        traces.append(float(np.trace(next(walk)).real))
+    steps = len(traces) - 1
+    t = np.array(traces)
+    m = np.arange(steps)
+    # 1 / C(n-1+m, m) from the ratios m / (n-1+m): it underflows, never overflows.
+    inverse_binomials = np.cumprod(np.concatenate(([1.0], m[1:] / (rc.n - 1.0 + m[1:]))))[:steps]
+    values = scale * (radii[:, None] ** (2 * m) @ ((t[:-1] - t[1:]) * inverse_binomials))
+    tails = scale * radii ** (2 * steps) * traces[-1]
+    boundary = {float(r): (float(v), float(b)) for r, v, b in zip(radii, values, tails)}
+    return boundary, steps
 
 
 def arveson_curvature(
     rc: RowContraction,
     m_max: int = 8,
-    mc_samples: int = 100_000,
-    seed: int | None = None,
     r_values: Sequence[float] = (0.9, 0.99, 0.999),
 ) -> ArvesonReport:
     """Commutative curvature and Euler estimates, three ways.
 
-    (a) seeded Monte-Carlo boundary integral of the closed-form integrand
-        (1 - r^2) trace[defect-root resolvent pair], per radial parameter;
+    (a) the boundary integral of (1 - r^2) trace[defect-root resolvent pair]
+        per radial parameter, as the exact orbit series ``_boundary_series``;
     (b) the slice-trace formula (n-1)! trace[(I - Theta Theta^*)(Q_m tensor I)]
         / m^(n-1) (the n^m printed in the source normalization degenerates;
         the proof's m^(n-1) is used);
@@ -187,15 +207,14 @@ def arveson_curvature(
 
     (b) and (c) read the constrained characteristic function on N_J of the
     commutator ideal, the symmetric tensors, up to degree m_max; Q_m is the
-    projection onto its degree-m slice. Mutual deviations are reported; no
-    scalar limit is claimed. Radial parameters must lie in (0, 1).
+    projection onto its degree-m slice. The Poisson kernel of a commuting
+    tuple has range in N_J tensor D, so the slice trace of I - Theta Theta^*
+    is trace[Phi^m(I) - Phi^(m+1)(I)] exactly; ``slice_trace_gap`` is the
+    largest gap. Mutual deviations are reported; no scalar limit is claimed.
+    Radial parameters must lie in (0, 1).
     """
-    if seed is None:
-        raise InvalidParameterError("a seed is required for reproducible sampling")
     if m_max < 1:
         raise InvalidParameterError(f"need m_max >= 1, got {m_max}")
-    if mc_samples < 2:
-        raise InvalidParameterError(f"need mc_samples >= 2 for a standard error, got {mc_samples}")
     if not r_values:
         raise InvalidParameterError("need at least one radial parameter")
     if not all(0.0 < r < 1.0 for r in r_values):
@@ -203,52 +222,25 @@ def arveson_curvature(
     if max(check_constraints(rc, commutator_generators(rc.n)), default=0.0) > 1e-10:
         raise PreconditionError("tuple is not commuting to 1e-10")
 
-    # (a) Monte-Carlo boundary integral, sharded deterministically.
-    boundary: dict[float, tuple[float, float]] = {}
-    per_shard = [mc_samples // MC_SHARDS] * MC_SHARDS
-    per_shard[-1] += mc_samples - sum(per_shard)
-    children = np.random.SeedSequence(seed).spawn(MC_SHARDS)
-    for r in r_values:
-        acc = []
-        for child, count in zip(children, per_shard):
-            if count == 0:
-                continue
-            xi = _sphere_samples(rc.n, count, child)
-            z = r * xi
-            a = np.eye(rc.dim)[None, :, :] - sum(
-                z[:, i, None, None] * rc.matrices[i].conj().T[None, :, :] for i in range(rc.n)
-            )
-            # trace[delta R R^* delta] = ||A^{-dagger} delta||_F^2 per sample
-            y = np.linalg.solve(np.conj(np.transpose(a, (0, 2, 1))), np.broadcast_to(rc.delta, a.shape).copy())
-            acc.append(np.sum(np.abs(y) ** 2, axis=(1, 2)))
-        samples = np.concatenate(acc)
-        integrand = (1.0 - r * r) * samples
-        est = float(integrand.mean())
-        stderr = float(integrand.std(ddof=1) / np.sqrt(len(integrand)))
-        boundary[float(r)] = (est, stderr)
-
-    # Normalized anchor: the integrand divided by its free-module closed form;
-    # for the scalar zero tuple this is the constant 1 and checks the measure.
-    r_top = float(r_values[-1])
-    normalized_anchor = boundary[r_top][0] / (1.0 - r_top * r_top) / max(rc.defect_rank, 1)
-
     # (b), (c) on N_J of the commutator ideal.
-    qm_seq, euler_seq = [], []
+    qm_seq, euler_seq, gaps = [], [], []
     for m, (slice_dim, slice_trace, rank) in enumerate(
             _theta_defect_by_degree(rc, m_max, commutator_generators(rc.n)), start=1):
         qm_seq.append(math.factorial(rc.n - 1) * (slice_dim - slice_trace) / m ** (rc.n - 1))
         euler_seq.append(math.factorial(rc.n) * rank / m**rc.n)
+        gaps.append(abs(slice_dim - slice_trace - float(np.trace(rc.orbit(m) - rc.orbit(m + 1)).real)))
 
+    # (a) after (b), so the series reads the orbit powers they cached.
+    boundary, steps = _boundary_series(rc, r_values)
     deviations = {
-        "boundary_vs_qm": abs(boundary[r_top][0] - (qm_seq[-1] if qm_seq else 0.0)),
-        "boundary_r_spread": max(boundary[r][0] for r in boundary) - min(boundary[r][0] for r in boundary),
+        "boundary_vs_qm": abs(boundary[float(r_values[-1])][0] - qm_seq[-1]),
+        "boundary_r_spread": max(v for v, _ in boundary.values()) - min(v for v, _ in boundary.values()),
     }
     return ArvesonReport(
         boundary=boundary,
+        orbit_steps=steps,
         qm_sequence=qm_seq,
         euler_sequence=euler_seq,
-        normalized_anchor=normalized_anchor,
+        slice_trace_gap=max(gaps),
         deviations=deviations,
-        seed=seed,
-        mc_samples=mc_samples,
     )

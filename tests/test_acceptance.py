@@ -299,21 +299,16 @@ def test_criterion_09_curvature_cross_method():
 
 
 def test_criterion_10_arveson_cross_method():
-    rep = fb.arveson_curvature(
-        nilpotent_commuting_pair(), m_max=12, mc_samples=100_000, seed=20260808,
-    )
+    rep = fb.arveson_curvature(nilpotent_commuting_pair(), m_max=12)
     assert rep.deviations["boundary_vs_qm"] <= 2e-2
+    assert rep.slice_trace_gap <= 1e-10
     # scalar anchor: the integrand of the zero module is exactly (1 - r^2)
-    # times the free-module form, so its normalized boundary integral is 1
-    anchor = fb.arveson_curvature(
-        fb.validate([np.zeros((1, 1))]), m_max=6, mc_samples=100_000, seed=20260808,
-    )
-    assert abs(anchor.normalized_anchor - 1.0) <= 1e-3
-    for r, (est, _) in anchor.boundary.items():
-        assert abs(est - (1.0 - r * r)) < 1e-12
+    anchor = fb.arveson_curvature(fb.validate([np.zeros((1, 1))]), m_max=6)
+    for r, (value, tail) in anchor.boundary.items():
+        assert abs(value - (1.0 - r * r)) <= 1e-15 and tail == 0.0
     report(
         "ACCEPTANCE 10 arveson-cross-method (|boundary - qm| = "
-        f"{rep.deviations['boundary_vs_qm']:.3e} <= 2e-2, scalar anchor 1 within 1e-3): PASS"
+        f"{rep.deviations['boundary_vs_qm']:.3e} <= 2e-2, scalar anchor 1 - r^2 within 1e-15): PASS"
     )
 
 

@@ -331,6 +331,17 @@ class TestFactorization:
         rep = verify_point_factorization(rc, commuting, cs=cs)
         assert rep.residual <= rep.budget
 
+    def test_nilpotent_matrix_point_needs_only_a_spectral_radius_below_one(self):
+        """([[0, 1.5], [0, 0]], 0) has row norm 1.5 but joint spectral radius
+        0, and its matrices commute: it passes on N_J of the commutator ideal
+        as on the free ideal, at rounding level."""
+        rc = validate([np.diag([0.3, -0.1]), np.diag([0.2, 0.4])])
+        point = [np.array([[0.0, 1.5], [0.0, 0.0]]), np.zeros((2, 2))]
+        cs = build_constrained_subspace(TruncatedFock(2, 3), commutator_generators(2))
+        free = verify_point_factorization(rc, point)
+        rep = verify_point_factorization(rc, point, cs=cs)
+        assert rep.residual == free.residual <= 1e-14
+
     def test_truncated_mode_needs_the_unit_radius_kernel(self):
         rc = validate([np.diag([0.3, -0.2]), np.diag([0.1, 0.35])])
         with pytest.raises(InvalidParameterError, match="r = 1"):

@@ -8,7 +8,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fockbench.cli import RunContext, main, run_scenario, run_task, task_curvature, task_pick, task_shifts, task_wold
+from fockbench.cli import (
+    RunContext,
+    build_parser,
+    main,
+    run_scenario,
+    run_task,
+    task_arveson,
+    task_curvature,
+    task_pick,
+    task_shifts,
+    task_wold,
+)
 from fockbench.contractions import validate
 from fockbench.errors import InvalidParameterError
 from fockbench.serialize import (
@@ -218,6 +229,64 @@ class TestSubcommands:
         checks = task_curvature(ctx, {"method": "theta", "m_max": 4})["checks"]
         assert [c["name"] for c in checks] == ["cross_method_gap"] and not checks[0]["pass"]
 
+    def test_slice_trace_check_fails_on_a_slice_trace_off_by_1e_9(self, monkeypatch):
+        """For a commuting tuple each slice trace of I - Theta Theta^* on N_J
+        is the CP orbit increment exactly; one slice trace moved by 1e-9, ten
+        times the bound, fails ``slice_trace_vs_orbit``."""
+        import fockbench.invariants as invariants
+
+        rc = validate([np.diag([0.3, -0.1]), np.diag([0.2, 0.4])])
+        ctx = RunContext(n=2, trunc=None, generators=[], rc=rc, tol=1e-9, seed=None)
+        check = task_arveson(ctx, {"m_max": 3})["checks"][1]
+        assert check["name"] == "slice_trace_vs_orbit" and check["pass"] and check["value"] <= 1e-13
+        by_degree = invariants._theta_defect_by_degree
+
+        def moved(*args, **kwargs):
+            first, (slice_dim, trace, rank), *rest = by_degree(*args, **kwargs)
+            return [first, (slice_dim, trace + 1e-9, rank), *rest]
+
+        monkeypatch.setattr(invariants, "_theta_defect_by_degree", moved)
+        check = task_arveson(ctx, {"m_max": 3})["checks"][1]
+        assert check["name"] == "slice_trace_vs_orbit" and not check["pass"]
+        assert abs(check["value"] - 1e-9) < 1e-12
+
+    def test_arveson_task_carrying_mc_samples_runs_and_passes(self):
+        """Scenarios written for the former Monte-Carlo route still run (the
+        benchmark's generator writes mc_samples): the key is echoed and read
+        by nothing."""
+        s = np.array([[1.0, 0.3, -0.2j], [0.0, 1.0, 0.4], [0.0, 0.0, 1.0]])
+        mats = [0.5 * s @ np.diag(d) @ np.linalg.inv(s) for d in ([0.3, -0.5j, 0.1], [0.2j, 0.1, -0.4])]
+        scenario = {"n": 2, "N": 2, "seed": 3, "ideal": "free", "T": [matrix_to_json(m) for m in mats],
+                    "tasks": [{"task": "arveson", "m_max": 8, "mc_samples": 20_000}]}
+        (task,) = run_scenario(scenario)["tasks"]
+        assert task["status"] == "pass" and task["params"]["mc_samples"] == 20_000
+        assert "mc_samples" not in task["data"] and task["data"]["orbit_steps"] > 0
+
+    def test_one_parser_serves_consecutive_calls(self, rc_file, tmp_path):
+        """``main`` builds its parser once per process; calls with different
+        subcommands in a row write the bytes that fresh parsers write."""
+        runs = [
+            ["shifts", "--n", "2", "--N", "2"],
+            ["arveson", "--input", rc_file, "--m-max", "2"],
+            ["pick", "--n", "1", "--points", "0,0.5", "--targets", "0,0.5"],
+            ["curvature", "--input", rc_file, "--m-max", "2"],
+            ["scenario", "run", str(DATA / "golden_scenario.json")],
+            ["shifts", "--n", "1", "--N", "3", "--no-matrices"],
+        ]
+
+        def report_bytes(k, argv):
+            out = tmp_path / f"{k}.json"
+            assert main(argv + ["--out", str(out)]) == 0
+            return out.read_bytes()
+
+        shared = [report_bytes(k, argv) for k, argv in enumerate(runs)]
+        assert build_parser() is build_parser()
+        fresh = []
+        for k, argv in enumerate(runs):
+            build_parser.cache_clear()
+            fresh.append(report_bytes(k, argv))
+        assert shared == fresh
+
     def test_curvature_coisometric_all_zero(self, tmp_path):
         rc = {"n": 2, "T": [matrix_to_json(np.eye(1) / np.sqrt(2))] * 2}
         path = tmp_path / "rc.json"
@@ -258,7 +327,8 @@ class TestSubcommands:
     def test_pick_decides_a_word_length_ideal_from_its_degree(self, tmp_path, monkeypatch, ideal):
         """Without N, truncated(m) is tested by the n powers g_i^m: none of
         its n^m words is built. The origin passes; (0.5, 0), whose largest
-        word residual 0.5^24 = 6e-8 exceeds the tolerance 1e-10, does not."""
+        word residual 0.5^24 = 6e-8 exceeds 1e-10 times its term size 0.5^24,
+        does not."""
         import fockbench.serialize as serialize
 
         monkeypatch.setattr(serialize, "word_length_generators", lambda n, m: pytest.fail("built n^m words"))
@@ -334,7 +404,7 @@ class TestSubcommands:
             ["pick", "--n", "1", "--points", "0,nan", "--targets", "0,0.5"],
             ["factorize", "--input", "RC", "--points", "0.1,0.2;0,-inf"],
             ["pick", "--n", "1", "--points", "0,0.5", "--targets", "0,-inf"],
-            ["arveson", "--input", "RC", "--seed", "1", "--r-list", "0.9,nan"],
+            ["arveson", "--input", "RC", "--r-list", "0.9,nan"],
         ],
         ids=["tol", "r", "pick_points", "factorize_points", "targets", "r_list"],
     )
@@ -348,7 +418,7 @@ class TestSubcommands:
     @pytest.mark.parametrize("radii", ["1.0", "0.9,1.5", "-0.5", "0"])
     def test_r_list_outside_the_unit_interval_exits_2(self, rc_file, tmp_path, capsys, radii):
         out = tmp_path / "report.json"
-        argv = ["arveson", "--input", rc_file, "--seed", "1", "--r-list", radii, "--out", str(out)]
+        argv = ["arveson", "--input", rc_file, "--r-list", radii, "--out", str(out)]
         assert main(argv) == 2
         assert "(0, 1)" in capsys.readouterr().err
         assert not out.exists()
@@ -420,19 +490,16 @@ class TestScenario:
         assert [t["status"] for t in report["tasks"]] == ["fail", "pass"]
 
     @pytest.mark.parametrize("bad_task, error_prefix", [
-        ({"task": "arveson", "m_max": 2, "mc_samples": 0}, "InvalidParameterError: "),
         ({"task": "factorize", "mode": "point", "points": [[[0.1, 0.0], [0.2, 0.0]]], "tol": "abc"},
          "ValueError: "),
         ({"task": "wold", "k_max": -1}, "InvalidParameterError: "),
-        ({"task": "arveson", "m_max": 2, "mc_samples": 100, "r_values": [0.9, 1.0]}, "InvalidParameterError: "),
+        ({"task": "arveson", "m_max": 2, "r_values": [0.9, 1.0]}, "InvalidParameterError: "),
         ({"task": "curvature", "m_max": 3.9}, "InvalidParameterError: "),
         ({"task": "curvature", "m_max": True}, "InvalidParameterError: "),
-        ({"task": "arveson", "m_max": 2.5, "mc_samples": 100}, "InvalidParameterError: "),
-        ({"task": "arveson", "m_max": 2, "mc_samples": "300"}, "InvalidParameterError: "),
+        ({"task": "arveson", "m_max": 2.5}, "InvalidParameterError: "),
         ({"task": "factorize", "mode": "point", "random_points": 2.5}, "InvalidParameterError: "),
-    ], ids=["mc_samples_zero", "tol_not_a_number", "wold_negative_k_max", "arveson_radius_one",
-            "curvature_m_max_float", "curvature_m_max_bool", "arveson_m_max_float", "mc_samples_string",
-            "random_points_float"])
+    ], ids=["tol_not_a_number", "wold_negative_k_max", "arveson_radius_one",
+            "curvature_m_max_float", "curvature_m_max_bool", "arveson_m_max_float", "random_points_float"])
     def test_raising_task_is_recorded_and_the_rest_run(self, tmp_path, bad_task, error_prefix):
         scenario = self.scenario_dict()
         scenario["tasks"] = [bad_task, {"task": "curvature", "m_max": 2}]
@@ -709,7 +776,8 @@ class TestDeterminism:
 
     def test_golden_check_bounds_are_constants_not_tail_budgets(self):
         """Every check of both stored reports compares with a bound of at most
-        1e-8, except the Monte-Carlo estimate ``boundary_vs_qm``; a bound
+        1e-8, except ``boundary_vs_qm``, the gap between two routes to the
+        curvature at a finite radius and a finite m; a bound
         sized by the purity tail (0.069 to 0.21 on the q-commuting golden)
         would pass whatever the code computes."""
         for name in ("golden_report.json", "golden_qcomm_report.json"):
@@ -726,7 +794,7 @@ SUBCOMMAND_ARGV = {
     "shifts": ["--n", "2", "--N", "2"],
     "factorize": ["--input", "RC", "--points", "0.1,0.2"],
     "curvature": ["--input", "RC", "--m-max", "2"],
-    "arveson": ["--input", "RC", "--m-max", "2", "--mc-samples", "100", "--seed", "1"],
+    "arveson": ["--input", "RC", "--m-max", "2"],
     "pick": ["--n", "1", "--points", "0,0.5", "--targets", "0,0.5"],
     "wold": ["--input", "RC"],
     "dilate": ["--input", "RC", "--N", "3"],
@@ -765,6 +833,13 @@ def missing_report_keys(report):
     return list(missing_required(schema, report, schema))
 
 
+def task_rule(name):
+    """The report schema's rule for the data and checks of one task."""
+    rules = load_schema("report.schema.json")["properties"]["tasks"]["items"]["allOf"]
+    (rule,) = [r for r in rules if r["if"]["properties"]["task"] == {"const": name}]
+    return rule
+
+
 class TestSchemas:
     """The schemas in docs/ agree with the CLI, read with the stdlib only."""
 
@@ -786,8 +861,7 @@ class TestSchemas:
 
     @pytest.mark.parametrize("targets", ["0,0.2", "0,0.9"], ids=["feasible", "infeasible"])
     def test_pick_data_and_checks_are_the_ones_the_schema_describes(self, tmp_path, targets):
-        (rule,) = load_schema("report.schema.json")["properties"]["tasks"]["items"]["allOf"]
-        assert rule["if"]["properties"]["task"] == {"const": "pick"}
+        rule = task_rule("pick")
         data_schema, checks_schema = rule["then"]["properties"]["data"], rule["then"]["properties"]["checks"]
         out = tmp_path / "pick.json"
         assert main(["pick", "--n", "1", "--points", "0,0.5", "--targets", targets, "--out", str(out)]) == 0
@@ -797,6 +871,20 @@ class TestSchemas:
             assert set(data_schema["required"]) <= set(task["data"]) <= set(data_schema["properties"])
             assert task["data"]["verdict"] in data_schema["properties"]["verdict"]["enum"]
             assert ("certificate" in task["data"]) == (task["data"]["verdict"] == "infeasible")
+            assert [c["name"] for c in task["checks"]] == checks_schema["items"]["properties"]["name"]["enum"]
+
+    def test_arveson_data_and_checks_are_the_ones_the_schema_describes(self, rc_file, tmp_path):
+        rule = task_rule("arveson")
+        data_schema, checks_schema = rule["then"]["properties"]["data"], rule["then"]["properties"]["checks"]
+        entry = data_schema["properties"]["boundary"]["additionalProperties"]
+        out = tmp_path / "arveson.json"
+        assert main(["arveson", "--input", rc_file, "--m-max", "3", "--out", str(out)]) == 0
+        golden = json.loads((DATA / "golden_report.json").read_text())["tasks"][5]
+        for task in (json.loads(out.read_text())["tasks"][0], golden):
+            assert task["task"] == "arveson"
+            assert set(data_schema["required"]) == set(task["data"]) == set(data_schema["properties"])
+            assert all(set(value) == set(entry["required"]) for value in task["data"]["boundary"].values())
+            assert set(task["data"]["deviations"]) == set(data_schema["properties"]["deviations"]["required"])
             assert [c["name"] for c in task["checks"]] == checks_schema["items"]["properties"]["name"]["enum"]
 
     @pytest.mark.parametrize("command", list(SUBCOMMAND_ARGV))

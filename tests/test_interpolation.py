@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from fockbench import (
     variety_membership,
 )
 from fockbench.errors import DegenerateInputError, OutOfBallError
+from fockbench.serialize import ideal_from_spec, point_from_json
 from fockbench.words import Word, word_products
 
 
@@ -55,6 +59,32 @@ class TestVarietyMembership:
     def test_rejects_boundary_points(self):
         with pytest.raises(OutOfBallError):
             variety_membership([1.0, 0.0], [], 2)
+
+    def test_high_degree_generators_scale_with_their_terms(self):
+        # truncated(24) as the pick task tests it without N: the powers g_i^24.
+        # The variety is the origin; 0.1^24 = 1e-24 lies below the absolute
+        # 1e-10, not below 1e-10 times the size 0.1^24 of the term.
+        gens = [NcPolynomial.monomial([i] * 24) for i in (1, 2)]
+        assert not variety_membership([0.1, 0.0], gens, 2)
+        assert not variety_membership([0.3, 0.0], gens, 2)
+        assert variety_membership([0.0, 0.0], gens, 2)
+
+    def test_golden_and_q_commutative_points_keep_their_verdicts(self):
+        """The verdicts of the absolute rule, max |p(z)| <= 1e-10, on the
+        golden scenario's pick points and on q-commutative zero sets."""
+        def absolute_rule(z, gens):
+            return all(abs(p.evaluate_scalar(z)) <= 1e-10 for p in gens)
+
+        golden = json.loads((Path(__file__).parent / "data" / "golden_scenario.json").read_text())
+        gens = ideal_from_spec(2, golden["ideal"])
+        (pick,) = [t for t in golden["tasks"] if t["task"] == "pick"]
+        cases = [(point_from_json(z, 2), gens) for z in pick["points"]]
+        for q in (0.5, 0.48 + 0.36j, -1.0):
+            q_gens = q_commutator_generators(np.array([[1.0, q], [0.0, 1.0]]))
+            cases += [(z, q_gens) for z in ([0.0, 0.3], [0.3, 0.0], [0.3, 0.3], [0.0, 0.0], [1e-6, 0.5j])]
+        assert all(absolute_rule(*case) for case in cases[:2])
+        for z, gens in cases:
+            assert variety_membership(z, gens, 2) == absolute_rule(z, gens)
 
 
 class TestKernelVector:

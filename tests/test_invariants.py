@@ -276,46 +276,72 @@ class TestSymmetricTruncation:
 
 
 class TestArveson:
-    def test_requires_seed_and_commutativity(self):
-        rc = nilpotent_commuting_pair()
-        with pytest.raises(InvalidParameterError):
-            arveson_curvature(rc, seed=None)
+    def test_requires_commutativity(self):
         a = np.array([[0, 0.5], [0, 0]])
         b = np.array([[0.5, 0], [0, -0.5]])
         with pytest.raises(PreconditionError):
-            arveson_curvature(validate([a, b]), seed=1)
+            arveson_curvature(validate([a, b]))
 
     @pytest.mark.parametrize("sizes", [
-        {"mc_samples": 0}, {"mc_samples": 1}, {"m_max": 0}, {"r_values": ()},
+        {"m_max": -1}, {"r_values": (0.9, float("nan"))}, {"m_max": 0}, {"r_values": ()},
         {"r_values": (1.0,)}, {"r_values": (0.9, 1.5)}, {"r_values": (-0.5,)}, {"r_values": (0.0,)},
     ])
     def test_rejects_bad_sizes(self, sizes):
         with pytest.raises(InvalidParameterError):
-            arveson_curvature(nilpotent_commuting_pair(), seed=1, **{"m_max": 2, "mc_samples": 100, **sizes})
+            arveson_curvature(nilpotent_commuting_pair(), **{"m_max": 2, **sizes})
 
     def test_coisometric_estimates_vanish(self):
-        rep = arveson_curvature(coisometric_pair(), m_max=4, mc_samples=2000, seed=3)
-        assert all(abs(est) < 1e-12 for est, _ in rep.boundary.values())
+        rep = arveson_curvature(coisometric_pair(), m_max=4)
+        assert all(abs(value) < 1e-12 for value, _ in rep.boundary.values())
         assert all(abs(x) < 1e-12 for x in rep.qm_sequence)
 
     def test_scalar_zero_normalized_anchor_and_trajectory(self):
         rc = validate([np.zeros((1, 1))])
-        rep = arveson_curvature(rc, m_max=4, mc_samples=5000, seed=11)
-        # integrand is exactly (1 - r^2): the Szego-normalized anchor is 1
-        assert abs(rep.normalized_anchor - 1.0) < 1e-12
-        for r, (est, _) in rep.boundary.items():
-            assert abs(est - (1.0 - r * r)) < 1e-12
+        rep = arveson_curvature(rc, m_max=4)
+        # the integrand is exactly (1 - r^2), so the Szego-normalized anchor is
+        # 1; Phi(I) = 0 ends the series after one step with no tail
+        assert rep.orbit_steps == 1
+        for r, (value, tail) in rep.boundary.items():
+            assert abs(value / (1.0 - r * r) / rc.defect_rank - 1.0) < 1e-12
+            assert abs(value - (1.0 - r * r)) < 1e-15 and tail == 0.0
 
-    def test_seeded_reproducibility(self):
+    def test_exact_series_is_reproducible(self):
         rc = validate([np.diag([0.4, 0.1]), np.diag([0.1, 0.3])])
-        rep1 = arveson_curvature(rc, m_max=4, mc_samples=4000, seed=7)
-        rep2 = arveson_curvature(rc, m_max=4, mc_samples=4000, seed=7)
+        rep1 = arveson_curvature(rc, m_max=4)
+        rep2 = arveson_curvature(rc, m_max=4)
         assert rep1.boundary == rep2.boundary
         assert rep1.qm_sequence == rep2.qm_sequence
 
     def test_nilpotent_pair_methods_agree(self):
-        rep = arveson_curvature(nilpotent_commuting_pair(), m_max=6, mc_samples=20000, seed=5)
+        rep = arveson_curvature(nilpotent_commuting_pair(), m_max=6)
         assert rep.deviations["boundary_vs_qm"] < 2e-2
+
+    def test_non_pure_pair_stops_at_the_cap_and_grows_no_cache(self):
+        """The coisometric pair has trace Phi^m(I) = 1 for every m, so at
+        r = 0.999 the tail bound 0.002 * 0.998^M stays above 1e-15 until the
+        step cap; the walk beyond the powers the slice check cached is local."""
+        rc, m_max = coisometric_pair(), 4
+        rep = arveson_curvature(rc, m_max=m_max, r_values=(0.999,))
+        _, tail = rep.boundary[0.999]
+        assert rep.orbit_steps == invariants_mod.BOUNDARY_MAX_STEPS == 10_000 and tail > 1e-15
+        assert len(rc._orbit) <= m_max + 2
+
+    @pytest.mark.parametrize("rc", [
+        validate([np.diag([0.4, 0.1]), np.diag([0.1, 0.3])]),
+        validate([np.diag([0.3, -0.2 + 0.1j, 0.05]), np.diag([0.1j, 0.35, -0.2]), np.diag([0.2, 0.1, 0.4j])]),
+    ], ids=["diagonal_pair", "diagonal_triple"])
+    def test_series_is_within_its_tail_bound_of_the_long_sum(self, rc):
+        """The reported value plus its tail bound brackets the sum of the
+        first 400 terms, formed term by term with exact binomials."""
+        traces = [float(np.trace(rc.orbit(m)).real) for m in range(401)]
+        rep = arveson_curvature(rc, m_max=2)
+        assert rep.orbit_steps < 400
+        for r, (value, tail) in rep.boundary.items():
+            long_sum = (1 - r * r) * sum(r ** (2 * m) * (traces[m] - traces[m + 1]) / math.comb(rc.n - 1 + m, m)
+                                         for m in range(400))
+            assert tail <= 1e-15
+            assert value - 1e-15 <= long_sum <= value + tail + 1e-15
+
 
     def test_symmetric_theta_matches_full_compression(self):
         # two-path check of the symmetric reference at a small degree
@@ -341,7 +367,7 @@ class TestArveson:
     (validate([np.zeros((1, 1))]), 4),
 ], ids=["diagonal_pair", "diagonal_triple", "nilpotent_pair", "coisometric_pair", "n1_jordan", "n1_zero"])
 def test_arveson_matches_the_symmetric_reference(rc, m_max):
-    rep = arveson_curvature(rc, m_max=m_max, mc_samples=100, seed=1)
+    rep = arveson_curvature(rc, m_max=m_max)
     qm_ref, euler_ref = symmetric_reference_sequences(rc, m_max)
     assert rep.euler_sequence == euler_ref
     for got, ref in zip(rep.qm_sequence, qm_ref, strict=True):
@@ -447,8 +473,8 @@ def test_pruned_walk_dropped_only_exact_zeros_on_the_nilpotent_pair():
 @pytest.mark.parametrize("rc", [nilpotent_commuting_pair(), validate([np.diag([0.3, 0.1]), np.diag([0.2, 0.4])])],
                          ids=["nilpotent_pair", "diagonal_pair"])
 def test_arveson_m_max_1_is_the_first_entry_of_m_max_2(rc):
-    one = arveson_curvature(rc, m_max=1, mc_samples=100, seed=1)
-    two = arveson_curvature(rc, m_max=2, mc_samples=100, seed=1)
+    one = arveson_curvature(rc, m_max=1)
+    two = arveson_curvature(rc, m_max=2)
     assert one.qm_sequence == two.qm_sequence[:1]
     assert one.euler_sequence == two.euler_sequence[:1]
 
@@ -462,7 +488,7 @@ def test_arveson_walks_the_coefficients_once(monkeypatch):
         return original(rc, max_degree)
 
     monkeypatch.setattr(invariants_mod, "characteristic_coefficients", counting)
-    arveson_curvature(nilpotent_commuting_pair(), m_max=5, mc_samples=100, seed=1)
+    arveson_curvature(nilpotent_commuting_pair(), m_max=5)
     assert calls == [5]
 
 
@@ -528,3 +554,31 @@ def test_principal_block_ranks_equal_the_column_block_ranks(case):
     assert [rank for _, _, rank in got] == ranks
     for (slice_dim, trace, _), ref in zip(got, traces, strict=True):
         assert abs(trace - ref) <= 1e-12 * max(1, slice_dim)
+
+
+# --- the Monte-Carlo boundary integral, kept as the oracle of the series ------
+
+
+def monte_carlo_boundary(rc, r, samples, seed):
+    """The estimator the exact series replaced: the mean over uniform sphere
+    samples xi of (1 - r^2) |(I - r sum conj(xi_i) T_i)^{-1} Delta|_F^2, and
+    its standard error."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((samples, rc.n)) + 1j * rng.standard_normal((samples, rc.n))
+    z = r * g / np.linalg.norm(g, axis=1, keepdims=True)
+    a = np.eye(rc.dim) - np.einsum("si,ijk->sjk", z.conj(), np.stack(rc.matrices))
+    y = np.linalg.solve(a, np.broadcast_to(rc.delta, a.shape))
+    integrand = (1.0 - r * r) * np.sum(np.abs(y) ** 2, axis=(1, 2))
+    return float(integrand.mean()), float(integrand.std(ddof=1) / np.sqrt(samples))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(diagonal_tuples(), commuting_tuples()), st.sampled_from([0.5, 0.9, 0.99]))
+def test_boundary_series_matches_the_monte_carlo_oracle(rc, r):
+    """Diagonal and non-normal commuting tuples: the series is within four
+    standard errors of 4000 sphere samples (a constant integrand, as for the
+    zero tuple, has standard error 0 and is met to rounding)."""
+    value, tail = arveson_curvature(rc, m_max=1, r_values=(r,)).boundary[r]
+    estimate, stderr = monte_carlo_boundary(rc, r, 4000, seed=0)
+    assert tail <= 1e-15
+    assert abs(value - estimate) <= 4.0 * stderr + 1e-12
