@@ -38,10 +38,9 @@ from .charfn import (
     assemble,
     characteristic_coefficients,
     kernel_theta_gram,
-    point_evaluate,
+    point_factorization,
     theta_gram,
     unitary_invariance_check,
-    verify_point_factorization,
     verify_truncated_factorization,
 )
 from .dilation import (

@@ -212,48 +212,78 @@ def _assemble_word_products(op: MultiAnalyticOperator, cs: ConstrainedSubspace) 
     return out
 
 
-def _lifted_point(point) -> list[np.ndarray]:
-    mats = []
-    for x in point:
-        arr = np.asarray(x, dtype=complex)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        mats.append(arr)
+def _lifted_point(point, n: int) -> list[np.ndarray]:
+    """The point's n entries as finite k x k matrices, a scalar as 1 x 1."""
+    mats = [np.atleast_2d(np.asarray(x, dtype=complex)) for x in point]
     k = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (k, k):
-            raise InvalidParameterError("point entries must be equal-sized square matrices or scalars")
+    if len(mats) != n or any(m.shape != (k, k) or not np.isfinite(m).all() for m in mats):
+        raise InvalidParameterError(f"a point needs {n} finite scalars or equal-sized square matrices")
     return mats
 
 
-def point_evaluate(rc: RowContraction, point: Sequence) -> np.ndarray:
-    """Evaluate the characteristic function at a strict point.
+def _kron(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x (x) m; a 1 x 1 x scales m, the products np.kron forms."""
+    return x[0, 0] * m if x.shape == (1, 1) else np.kron(x, m)
 
-    The point is a tuple of scalars (a point of the unit ball) or of square
-    matrices forming a row contraction with joint spectral radius below one;
-    evaluation is a direct solve, no series."""
-    xs = _lifted_point(point)
-    if len(xs) != rc.n:
-        raise InvalidParameterError(f"point has {len(xs)} entries, tuple has {rc.n}")
-    if spectral_radius(xs) >= 1.0:
-        raise PreconditionError("point has joint spectral radius >= 1")
-    k = xs[0].shape[0]
+
+class _PointLifts:
+    """The tuple's constants lifted to points of size k, I_k (x) M; at k = 1
+    the constants themselves."""
+
+    def __init__(self, rc: RowContraction, row: np.ndarray, k: int):
+        lift = (lambda m: m) if k == 1 else (lambda m: np.kron(np.eye(k, dtype=complex), m))
+        self.eye, self.eye_defect = np.eye(k * rc.dim, dtype=complex), np.eye(k * rc.defect_rank, dtype=complex)
+        self.neg_row, self.delta, self.delta_star = -lift(row), lift(rc.delta), lift(rc.delta_star)
+        self.basis, self.star_basis = lift(rc.defect_basis), lift(rc.defect_star_basis)
+        self.basis_adj = self.basis.conj().T
+
+
+def _theta_at(lifts: _PointLifts, xs: list[np.ndarray], selectors: list[np.ndarray], a: np.ndarray) -> np.ndarray:
+    """Theta(X) from a = I - sum X_i (x) T_i^*. X-hat maps (point space tensor
+    n-fold column space) to (point space tensor row space); block i of the
+    column space is hit by X_i."""
+    xhat = sum(_kron(x, s) for x, s in zip(xs, selectors))
+    mid = np.linalg.solve(a, xhat @ lifts.delta_star)
+    return lifts.basis_adj @ (lifts.neg_row + lifts.delta @ mid) @ lifts.star_basis
+
+
+def point_factorization(
+    rc: RowContraction,
+    points: Sequence[Sequence],
+    cs: ConstrainedSubspace | None = None,
+) -> tuple[list[np.ndarray], list[float]]:
+    """Theta(X) at each strict point X, scalar or matrix, and the residual of
+    I - Theta(X) Theta(X)^* against the Poisson-kernel square there, in the
+    closed resolvent form; this is truncation-free. The boundary rule is joint
+    spectral radius below one, ||z||_2 < 1 at a scalar point; with ``cs`` the
+    point's matrices must also satisfy the ideal generators to 1e-8. The
+    tuple's constants are formed once per call and point size, and
+    I - sum X_i (x) T_i^* once per point for both solves."""
     d = rc.dim
-    eye_k = np.eye(k, dtype=complex)
-    a = np.eye(k * d, dtype=complex) - sum(np.kron(x, t.conj().T) for x, t in zip(xs, rc.matrices))
-    # X-hat maps (point space tensor n-fold column space) to (point space
-    # tensor row space); block i of the column space is hit by X_i.
-    sel = [np.zeros((d, rc.n * d), dtype=complex) for _ in range(rc.n)]
-    for i in range(rc.n):
-        sel[i][:, i * d : (i + 1) * d] = np.eye(d)
-    xhat = sum(np.kron(x, s) for x, s in zip(xs, sel))
-    mid = np.linalg.solve(a, xhat @ np.kron(eye_k, rc.delta_star))
-    full = -np.kron(eye_k, rc.row_matrix) + np.kron(eye_k, rc.delta) @ mid
-    return (
-        np.kron(eye_k, rc.defect_basis).conj().T
-        @ full
-        @ np.kron(eye_k, rc.defect_star_basis)
-    )
+    adjoints, eye_d = [t.conj().T for t in rc.matrices], np.eye(d)
+    selectors = [np.zeros((d, rc.n * d), dtype=complex) for _ in range(rc.n)]
+    for i, s in enumerate(selectors):
+        s[:, i * d : (i + 1) * d] = eye_d
+    row, by_size = rc.row_matrix, {}
+    thetas, residuals = [], []
+    for point in points:
+        xs = _lifted_point(point, rc.n)
+        if cs is not None and max((spectral_norm(evaluate_polynomial(p, xs)) for p in cs.generators),
+                                  default=0.0) > 1e-8:
+            raise PreconditionError("point violates the ideal generators")
+        k = xs[0].shape[0]
+        if (np.linalg.norm([x[0, 0] for x in xs]) if k == 1 else spectral_radius(xs)) >= 1.0:
+            raise PreconditionError("point has joint spectral radius >= 1")
+        lifts = by_size[k] if k in by_size else by_size.setdefault(k, _PointLifts(rc, row, k))
+        a = lifts.eye - sum(_kron(x, t) for x, t in zip(xs, adjoints))
+        theta = _theta_at(lifts, xs, selectors, a)
+        # c = (I - T X*)^{-1} (I tensor delta); RHS = c^* (I - X X^* tensor I) c.
+        c = np.linalg.solve(a.conj().T, lifts.delta)
+        gram_x = sum(x @ x.conj().T for x in xs)
+        rhs = lifts.basis_adj @ (c.conj().T @ (lifts.eye - _kron(gram_x, eye_d)) @ c) @ lifts.basis
+        thetas.append(theta)
+        residuals.append(spectral_norm(lifts.eye_defect - theta @ theta.conj().T - rhs))
+    return thetas, residuals
 
 
 def kernel_theta_gram(kernel: PoissonKernel) -> np.ndarray:
@@ -267,36 +297,6 @@ def kernel_theta_gram(kernel: PoissonKernel) -> np.ndarray:
 class FactorizationReport:
     residual: float
     budget: float
-
-
-def verify_point_factorization(
-    rc: RowContraction,
-    point: Sequence,
-    cs: ConstrainedSubspace | None = None,
-    tol: float = 1e-9,
-) -> FactorizationReport:
-    """Check I - Theta(X) Theta(X)^* against the Poisson-kernel square at a
-    strict point X, scalar or matrix, in the closed resolvent form; this is
-    truncation-free. With ``cs`` the point must also satisfy the ideal
-    generators, evaluated on its matrices; the one boundary rule, joint
-    spectral radius below one, is ``point_evaluate``'s."""
-    xs = _lifted_point(point)
-    if cs is not None and max((spectral_norm(evaluate_polynomial(p, xs)) for p in cs.generators), default=0.0) > 1e-8:
-        raise PreconditionError("point violates the ideal generators")
-    theta = point_evaluate(rc, point)
-    k = xs[0].shape[0]
-    d = rc.dim
-    eye_k = np.eye(k, dtype=complex)
-    a = np.eye(k * d, dtype=complex) - sum(np.kron(x, t.conj().T) for x, t in zip(xs, rc.matrices))
-    gram_x = sum(x @ x.conj().T for x in xs)
-    # c = (I - T X*)^{-1} (I tensor delta); RHS = c^* (I - X X^* tensor I) c.
-    c = np.linalg.solve(a.conj().T, np.kron(eye_k, rc.delta))
-    rhs_full = c.conj().T @ (np.eye(k * d, dtype=complex) - np.kron(gram_x, np.eye(d))) @ c
-    lift = np.kron(eye_k, rc.defect_basis)
-    rhs = lift.conj().T @ rhs_full @ lift
-    lhs = np.eye(theta.shape[0], dtype=complex) - theta @ theta.conj().T
-    residual = spectral_norm(lhs - rhs)
-    return FactorizationReport(residual, tol)
 
 
 def verify_truncated_factorization(kernel: PoissonKernel, gram: np.ndarray) -> FactorizationReport:

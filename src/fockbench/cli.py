@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from ._linalg import spectral_norm
-from .charfn import kernel_theta_gram, verify_point_factorization, verify_truncated_factorization
+from .charfn import kernel_theta_gram, point_factorization, verify_truncated_factorization
 from .contractions import RowContraction, check_count, validate
 from .dilation import build_dilation, model_space, wold_decompose
 from .errors import FockbenchError, InvalidParameterError
@@ -138,10 +138,7 @@ def task_factorize(ctx: RunContext, params: dict) -> dict:
                 points.append(0.8 * z / max(np.linalg.norm(z), 1e-12) * rng.uniform(0.1, 1.0))
         if not points:
             raise InvalidParameterError("point mode needs points")
-        residuals = []
-        cs = ctx.cs() if ctx.generators else None
-        for z in points:
-            residuals.append(verify_point_factorization(rc, list(z), cs=cs, tol=tol).residual)
+        _, residuals = point_factorization(rc, points, cs=ctx.cs() if ctx.generators else None)
         data["points"] = [[complex_to_json(v) for v in z] for z in points]
         data["residuals"] = residuals
         checks.append(_check("point_factorization_max_residual", max(residuals), tol))

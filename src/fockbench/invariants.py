@@ -26,7 +26,7 @@ import numpy as np
 
 from ._linalg import aitken_extrapolate, herm_part, matrix_rank, numerical_rank
 from .charfn import characteristic_coefficients, theta_gram
-from .contractions import RowContraction, check_constraints
+from .contractions import PURITY_TOL, RowContraction, check_constraints
 from .errors import InvalidParameterError, PreconditionError
 from .ideals import NcPolynomial, build_constrained_subspace, commutator_generators
 from .words import TruncatedFock
@@ -169,16 +169,20 @@ def _boundary_series(rc: RowContraction, r_values: Sequence[float]) -> tuple[dic
     the resolvent in the integrand expands in multi-indices, and on the sphere
     int z^a conj(z^b) d sigma = delta_ab a! (n-1)! / (n-1+|a|)!, which leaves
     (1 - r^2) sum_m r^(2m) (t_m - t_{m+1}) / C(n-1+m, m), t_m = trace Phi^m(I).
-    The first M terms are summed; the terms are non-negative and telescope,
-    so the rest is at most (1 - r^2) r^(2M) t_M. The walk stops once that is at
-    most BOUNDARY_TAIL_TOL at every radius, or after BOUNDARY_MAX_STEPS steps;
-    it reads ``walk_orbit``, so it grows no cache."""
+    The first M terms are summed; the rest is non-negative and telescopes, so
+    it is at most (1 - r^2) r^(2M) (t_M - trace Q), Q = lim Phi^k(I): 0 on a
+    pure tuple, else the converged ``purity_limit()`` less dim PURITY_TOL, its
+    error (t_M if it did not converge). The walk stops once that is at most
+    BOUNDARY_TAIL_TOL at every radius, or after BOUNDARY_MAX_STEPS steps; it
+    reads ``walk_orbit``, so it grows no cache."""
     radii = np.array(r_values, dtype=float)
     scale = 1.0 - radii * radii
+    pur = rc.purity_limit()
+    floor = float(np.trace(pur.q_limit).real) - rc.dim * PURITY_TOL if pur.converged and not pur.is_pure else 0.0
     walk = rc.walk_orbit()
     traces = [float(np.trace(next(walk)).real)]
     while (len(traces) <= BOUNDARY_MAX_STEPS
-           and float((scale * radii ** (2 * len(traces) - 2)).max()) * traces[-1] > BOUNDARY_TAIL_TOL):
+           and float((scale * radii ** (2 * len(traces) - 2)).max()) * (traces[-1] - floor) > BOUNDARY_TAIL_TOL):
         traces.append(float(np.trace(next(walk)).real))
     steps = len(traces) - 1
     t = np.array(traces)
@@ -186,7 +190,7 @@ def _boundary_series(rc: RowContraction, r_values: Sequence[float]) -> tuple[dic
     # 1 / C(n-1+m, m) from the ratios m / (n-1+m): it underflows, never overflows.
     inverse_binomials = np.cumprod(np.concatenate(([1.0], m[1:] / (rc.n - 1.0 + m[1:]))))[:steps]
     values = scale * (radii[:, None] ** (2 * m) @ ((t[:-1] - t[1:]) * inverse_binomials))
-    tails = scale * radii ** (2 * steps) * traces[-1]
+    tails = scale * radii ** (2 * steps) * (traces[-1] - floor)
     boundary = {float(r): (float(v), float(b)) for r, v, b in zip(radii, values, tails)}
     return boundary, steps
 

@@ -76,15 +76,12 @@ def test_criterion_01_point_factorization():
             for dim in (2, 3, 4, 4, 5, 5, 3, 2, 4):
                 rc = random_tuple(rng, n, dim, commuting)
                 count_rc += 1
-                for j in range(20):
-                    if j < 18:
-                        point = list(random_ball_point(rng, n))
-                    else:
-                        mats = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(n)]
-                        norm = np.linalg.norm(np.concatenate(mats, axis=1), 2)
-                        point = [m / (norm * 1.3) for m in mats]
-                    rep = fb.verify_point_factorization(rc, point)
-                    worst = max(worst, rep.residual)
+                points = [list(random_ball_point(rng, n)) for _ in range(18)]
+                for _ in range(2):
+                    mats = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(n)]
+                    norm = np.linalg.norm(np.concatenate(mats, axis=1), 2)
+                    points.append([m / (norm * 1.3) for m in mats])
+                worst = max(worst, *fb.point_factorization(rc, points)[1])
     elapsed = time.monotonic() - start
     assert count_rc >= 50
     assert worst <= 1e-9

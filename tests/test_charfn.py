@@ -14,16 +14,18 @@ from fockbench import (
     constrained_poisson_kernel,
     constrained_shifts,
     enumerate_words,
+    evaluate_polynomial,
     kernel_theta_gram,
-    point_evaluate,
+    point_factorization,
     poisson_kernel,
+    spectral_radius,
     theta_gram,
     unitary_invariance_check,
     validate,
-    verify_point_factorization,
     verify_truncated_factorization,
     word_operator,
 )
+from fockbench._linalg import spectral_norm
 from fockbench.cli import RunContext, task_factorize
 from fockbench.errors import InvalidParameterError, PreconditionError
 
@@ -62,6 +64,46 @@ def random_commuting_contraction(rng, n, dim, scale=1.05):
     diags = [np.diag(rng.uniform(-1, 1, dim) + 1j * rng.uniform(-1, 1, dim)) for _ in range(n)]
     norm = np.linalg.norm(np.concatenate(diags, axis=1), 2)
     return validate([d / (norm * scale) for d in diags])
+
+
+def theta_at(rc, point, cs=None):
+    return point_factorization(rc, [point], cs=cs)[0][0]
+
+
+def point_residual(rc, point, cs=None):
+    return point_factorization(rc, [point], cs=cs)[1][0]
+
+
+def oracle_point_factorization(rc, point, cs=None):
+    """Theta(X) and the factorization residual at one point, evaluated on
+    its own: every lift through np.kron, I - sum X_i (x) T_i^* formed for each
+    of the two solves, and the boundary rule ``spectral_radius`` at scalar
+    points too. ``point_factorization`` must match it bit for bit."""
+    xs = [np.asarray(x, dtype=complex).reshape(1, 1) if np.ndim(x) == 0 else np.asarray(x, dtype=complex)
+          for x in point]
+    if cs is not None and max((spectral_norm(evaluate_polynomial(p, xs)) for p in cs.generators),
+                              default=0.0) > 1e-8:
+        raise PreconditionError("point violates the ideal generators")
+    if spectral_radius(xs) >= 1.0:
+        raise PreconditionError("point has joint spectral radius >= 1")
+    k, d = xs[0].shape[0], rc.dim
+    eye_k = np.eye(k, dtype=complex)
+    a = np.eye(k * d, dtype=complex) - sum(np.kron(x, t.conj().T) for x, t in zip(xs, rc.matrices))
+    sel = [np.zeros((d, rc.n * d), dtype=complex) for _ in range(rc.n)]
+    for i in range(rc.n):
+        sel[i][:, i * d : (i + 1) * d] = np.eye(d)
+    xhat = sum(np.kron(x, s) for x, s in zip(xs, sel))
+    mid = np.linalg.solve(a, xhat @ np.kron(eye_k, rc.delta_star))
+    full = -np.kron(eye_k, rc.row_matrix) + np.kron(eye_k, rc.delta) @ mid
+    theta = np.kron(eye_k, rc.defect_basis).conj().T @ full @ np.kron(eye_k, rc.defect_star_basis)
+    a = np.eye(k * d, dtype=complex) - sum(np.kron(x, t.conj().T) for x, t in zip(xs, rc.matrices))
+    gram_x = sum(x @ x.conj().T for x in xs)
+    c = np.linalg.solve(a.conj().T, np.kron(eye_k, rc.delta))
+    rhs_full = c.conj().T @ (np.eye(k * d, dtype=complex) - np.kron(gram_x, np.eye(d))) @ c
+    lift = np.kron(eye_k, rc.defect_basis)
+    rhs = lift.conj().T @ rhs_full @ lift
+    lhs = np.eye(theta.shape[0], dtype=complex) - theta @ theta.conj().T
+    return theta, spectral_norm(lhs - rhs)
 
 
 class TestCoefficients:
@@ -155,7 +197,7 @@ class TestPointEvaluate:
     def test_zero_point_gives_negative_compression(self):
         rng = np.random.default_rng(14)
         rc = random_contraction(rng, 2, 3)
-        theta = point_evaluate(rc, [0.0, 0.0])
+        theta = theta_at(rc, [0.0, 0.0])
         expected = -(rc.defect_basis.conj().T @ rc.row_matrix @ rc.defect_star_basis)
         assert np.allclose(theta, expected)
 
@@ -163,7 +205,7 @@ class TestPointEvaluate:
         t = 0.3 + 0.4j
         rc = validate([np.array([[t]])])
         for z in (0.2, -0.5j, 0.3 + 0.3j):
-            got = point_evaluate(rc, [z])[0, 0]
+            got = theta_at(rc, [z])[0, 0]
             assert abs(got - (z - t) / (1 - np.conj(t) * z)) < 1e-13
 
     def test_partial_sums_converge_with_matrix_point(self):
@@ -175,7 +217,7 @@ class TestPointEvaluate:
         xs = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(2)]
         norm = np.linalg.norm(np.concatenate(xs, axis=1), 2)
         xs = [x / (norm * 3.0) for x in xs]
-        direct = point_evaluate(rc, xs)
+        direct = theta_at(rc, xs)
         max_deg = 12
         op = characteristic_coefficients(rc, max_deg)
         k = xs[0].shape[0]
@@ -195,22 +237,21 @@ class TestPointEvaluate:
         for _ in range(10):
             z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             z = 0.9 * z / np.linalg.norm(z) * rng.uniform(0.1, 1.0)
-            theta = point_evaluate(rc, list(z))
+            theta = theta_at(rc, list(z))
             gap = np.eye(theta.shape[0]) - theta @ theta.conj().T
             assert np.linalg.eigvalsh(gap).min() > -1e-9
 
     def test_rejects_expansive_points(self):
         rc = validate([np.array([[0.4]])])
         with pytest.raises(PreconditionError):
-            point_evaluate(rc, [1.0])
+            theta_at(rc, [1.0])
 
 
 class TestFactorization:
     def test_scalar_anchor_at_half(self):
         rc = validate([np.zeros((1, 1))])
-        rep = verify_point_factorization(rc, [0.5])
-        assert rep.residual < 1e-15
-        theta = point_evaluate(rc, [0.5])
+        assert point_residual(rc, [0.5]) < 1e-15
+        theta = theta_at(rc, [0.5])
         assert abs((1 - abs(theta[0, 0]) ** 2) - 0.75) < 1e-14
 
     def test_random_points_commuting_and_not(self):
@@ -222,8 +263,7 @@ class TestFactorization:
                 for _ in range(5):
                     z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                     z = 0.9 * z / np.linalg.norm(z) * rng.uniform(0.05, 1.0)
-                    rep = verify_point_factorization(rc, list(z))
-                    worst = max(worst, rep.residual)
+                    worst = max(worst, point_residual(rc, list(z)))
         assert worst < 1e-9
 
     def test_truncated_mode_is_exact_for_nilpotent(self):
@@ -317,19 +357,17 @@ class TestFactorization:
         rc = validate([np.diag([0.3, -0.2]), np.diag([0.1, 0.35])])
         cs = build_constrained_subspace(TruncatedFock(2, 3), commutator_generators(2))
         with pytest.raises(PreconditionError):
-            verify_point_factorization(rc, [a, b], cs=cs)
+            point_factorization(rc, [[a, b]], cs=cs)
 
     def test_point_mode_checks_membership_only_with_cs(self):
         # the same non-commuting matrix point passes without the ideal
         a = np.array([[0, 0.5], [0, 0]])
         b = np.array([[0.5, 0], [0, -0.5]])
         rc = validate([np.diag([0.3, -0.2]), np.diag([0.1, 0.35])])
-        rep = verify_point_factorization(rc, [a, b])
-        assert rep.residual <= rep.budget
+        assert point_residual(rc, [a, b]) <= 1e-9
         cs = build_constrained_subspace(TruncatedFock(2, 3), commutator_generators(2))
         commuting = [np.diag([0.2, -0.1]), np.diag([0.3, 0.1j])]
-        rep = verify_point_factorization(rc, commuting, cs=cs)
-        assert rep.residual <= rep.budget
+        assert point_residual(rc, commuting, cs=cs) <= 1e-9
 
     def test_nilpotent_matrix_point_needs_only_a_spectral_radius_below_one(self):
         """([[0, 1.5], [0, 0]], 0) has row norm 1.5 but joint spectral radius
@@ -338,9 +376,7 @@ class TestFactorization:
         rc = validate([np.diag([0.3, -0.1]), np.diag([0.2, 0.4])])
         point = [np.array([[0.0, 1.5], [0.0, 0.0]]), np.zeros((2, 2))]
         cs = build_constrained_subspace(TruncatedFock(2, 3), commutator_generators(2))
-        free = verify_point_factorization(rc, point)
-        rep = verify_point_factorization(rc, point, cs=cs)
-        assert rep.residual == free.residual <= 1e-14
+        assert point_residual(rc, point, cs=cs) == point_residual(rc, point) <= 1e-14
 
     def test_truncated_mode_needs_the_unit_radius_kernel(self):
         rc = validate([np.diag([0.3, -0.2]), np.diag([0.1, 0.35])])
@@ -353,6 +389,59 @@ class TestFactorization:
         ctx = RunContext(n=2, trunc=3, generators=commutator_generators(2), rc=rc, tol=1e-9, seed=None)
         with pytest.raises(InvalidParameterError, match="unknown factorize mode"):
             task_factorize(ctx, {"mode": mode})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["free", "commutative"]), st.integers(1, 3), st.integers(1, 8), st.integers(0, 2**31 - 1))
+def test_per_call_factorization_is_the_per_point_oracle_bit_for_bit(ideal, n, dim, seed):
+    """One call over scalar and 2 x 2 points (the origin, strict points and
+    points at norm 1 - 1e-9), on the free ideal and on N_J of the commutator
+    ideal: each Theta(X) and residual equals the oracle's exactly."""
+    rng = np.random.default_rng(seed)
+    cs = None
+    if ideal == "commutative":
+        n = max(n, 2)
+        rc = random_commuting_contraction(rng, n, dim)
+        cs = build_constrained_subspace(TruncatedFock(n, 2), commutator_generators(n))
+    else:
+        rc = random_contraction(rng, n, dim)
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    z /= np.linalg.norm(z)
+    if ideal == "commutative":
+        # polynomials in one matrix commute
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        c = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        mats = [ci[0] * np.eye(2) + ci[1] * a for ci in c]
+    else:
+        mats = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(n)]
+    mats = [m / np.linalg.norm(np.concatenate(mats, axis=1), 2) for m in mats]
+    points = [np.zeros(n, dtype=complex), (1 - 1e-9) * z, rng.uniform(0.05, 0.9) * z,
+              [np.zeros((2, 2))] * n, [(1 - 1e-9) * m for m in mats], [0.5 * m for m in mats]]
+    thetas, residuals = point_factorization(rc, points, cs=cs)
+    for point, theta, residual in zip(points, thetas, residuals):
+        want_theta, want_residual = oracle_point_factorization(rc, point, cs)
+        assert np.array_equal(theta, want_theta) and np.array_equal(residual, want_residual)
+        assert residual <= 1e-9
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.floats(0.0, 2.0), st.integers(0, 2**31 - 1))
+def test_scalar_boundary_rule_is_the_radius_of_a_one_by_one_tuple(n, radius, seed):
+    """||z||_2 is the joint spectral radius of the 1 x 1 tuple z to rounding,
+    and the scalar rule rejects exactly the points spectral_radius does away
+    from the sphere."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    z *= radius / np.linalg.norm(z)
+    norm, jsr = np.linalg.norm(z), spectral_radius([np.array([[v]]) for v in z])
+    assert abs(norm - jsr) <= 4 * np.finfo(float).eps * max(norm, 1.0)
+    if abs(norm - 1.0) > 1e-12:
+        rc = validate([np.full((1, 1), 0.1)] * n)
+        if jsr < 1.0:
+            assert point_residual(rc, z) < 1e-12
+        else:
+            with pytest.raises(PreconditionError, match="spectral radius"):
+                point_factorization(rc, [z])
 
 
 class TestConstrainedCompression:

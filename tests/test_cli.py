@@ -16,6 +16,7 @@ from fockbench.cli import (
     run_task,
     task_arveson,
     task_curvature,
+    task_factorize,
     task_pick,
     task_shifts,
     task_wold,
@@ -249,6 +250,31 @@ class TestSubcommands:
         check = task_arveson(ctx, {"m_max": 3})["checks"][1]
         assert check["name"] == "slice_trace_vs_orbit" and not check["pass"]
         assert abs(check["value"] - 1e-9) < 1e-12
+
+    def test_point_check_fails_on_one_theta_of_30_off_by_1e_8(self, monkeypatch):
+        """The per-call point factorization still checks every point: Theta at
+        the 17th of 30 random points moved by 1e-8 reads about 1e-8 in
+        ``point_factorization_max_residual`` and fails it."""
+        import fockbench.charfn as charfn
+
+        rng = np.random.default_rng(3)
+        mats = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2)]
+        rc = validate([0.9 * t / np.linalg.norm(np.hstack(mats), 2) for t in mats])
+        ctx = RunContext(n=2, trunc=None, generators=[], rc=rc, tol=1e-9, seed=7)
+        params = {"mode": "point", "random_points": 30}
+        check = task_factorize(ctx, params)["checks"][0]
+        assert check["name"] == "point_factorization_max_residual" and check["pass"] and check["value"] < 1e-13
+        theta_at, calls = charfn._theta_at, []
+
+        def moved(*args):
+            calls.append(None)
+            theta = theta_at(*args)
+            return theta + 1e-8 if len(calls) == 17 else theta
+
+        monkeypatch.setattr(charfn, "_theta_at", moved)
+        check = task_factorize(ctx, params)["checks"][0]
+        assert len(calls) == 30 and not check["pass"]
+        assert 1e-9 < check["value"] < 1e-7
 
     def test_arveson_task_carrying_mc_samples_runs_and_passes(self):
         """Scenarios written for the former Monte-Carlo route still run (the

@@ -41,6 +41,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fockbench.charfn as charfn_mod
+import fockbench.contractions as contractions_mod
 import fockbench.ideals as ideals_mod
 from fockbench import (
     IDENTITY_WORD,
@@ -67,6 +68,7 @@ from fockbench import (
     word_operator,
 )
 from fockbench._linalg import complement_basis, principal_angles, svd_positive
+from fockbench.cli import RunContext, task_factorize
 from fockbench.errors import DegenerateInputError, InvalidParameterError, PreconditionError
 from fockbench.ideals import _generator_matrix, _ideal_columns, ideal_orthogonality
 from fockbench.poisson import _radial_defect
@@ -402,6 +404,34 @@ def test_graded_paths_skip_dense_builders(monkeypatch):
         assemble(random_coefficients(n, 4, 0), cs=cs)
     with pytest.raises(AssertionError):
         build_constrained_subspace(TruncatedFock(2, 3), [NcPolynomial({Word((1, 2)): 1.0, Word((1,)): 1.0})])
+
+
+def test_point_factorization_forms_the_tuple_constants_once(monkeypatch):
+    """A factorize task at 30 scalar points reads the row matrix once and
+    never runs spectral_radius (a scalar point's radius is ||z||_2), and it
+    makes as many np.kron calls as at 60 points."""
+    calls = {"spectral_radius": 0, "row_matrix": 0, "kron": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(charfn_mod, "spectral_radius", counted("spectral_radius", charfn_mod.spectral_radius))
+    monkeypatch.setattr(contractions_mod.RowContraction, "row_matrix",
+                        property(counted("row_matrix", contractions_mod.RowContraction.row_matrix.fget)))
+    monkeypatch.setattr(np, "kron", counted("kron", np.kron))
+    rc = random_tuple(2, 6, 3)
+    krons = []
+    for count in (30, 60):
+        calls.update(spectral_radius=0, row_matrix=0, kron=0)
+        ctx = RunContext(n=2, trunc=None, generators=[], rc=rc, tol=1e-9, seed=5)
+        out = task_factorize(ctx, {"mode": "point", "random_points": count})
+        assert len(out["data"]["residuals"]) == count and out["checks"][0]["pass"]
+        assert calls["spectral_radius"] == 0 and calls["row_matrix"] == 1
+        krons.append(calls["kron"])
+    assert krons[0] == krons[1]
 
 
 def random_tuple(n, dim, seed, row_norm=0.9):

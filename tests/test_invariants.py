@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import fockbench.invariants as invariants_mod
 from fockbench import (
     IDENTITY_WORD,
+    PurityResult,
     TruncatedFock,
     Word,
     arveson_curvature,
@@ -317,14 +318,34 @@ class TestArveson:
         assert rep.deviations["boundary_vs_qm"] < 2e-2
 
     def test_non_pure_pair_stops_at_the_cap_and_grows_no_cache(self):
-        """The coisometric pair has trace Phi^m(I) = 1 for every m, so at
-        r = 0.999 the tail bound 0.002 * 0.998^M stays above 1e-15 until the
-        step cap; the walk beyond the powers the slice check cached is local."""
+        """Without a converged purity limit the series bounds its tail by t_M:
+        the coisometric pair has trace Phi^m(I) = 1 for every m, so at
+        r = 0.999 the bound 0.002 * 0.998^M stays above 1e-15 until the step
+        cap; the walk beyond the powers the slice check cached is local."""
         rc, m_max = coisometric_pair(), 4
+        rc._purity = PurityResult(np.eye(1, dtype=complex), False, 10_000, False, "walk")
         rep = arveson_curvature(rc, m_max=m_max, r_values=(0.999,))
         _, tail = rep.boundary[0.999]
         assert rep.orbit_steps == invariants_mod.BOUNDARY_MAX_STEPS == 10_000 and tail > 1e-15
         assert len(rc._orbit) <= m_max + 2
+
+    @pytest.mark.parametrize("mats", [
+        [np.array([[0.6]]), np.array([[0.8]])],
+        [np.diag([0.6, 0.3]), np.diag([0.8, 0.4])],
+    ], ids=["scalar_pair", "diagonal_pair"])
+    def test_non_pure_tuples_stop_at_their_purity_limit(self, mats):
+        """A tuple with a coisometric part walks only until t_M reaches
+        trace Q, and every bound is at most 1e-15. The capped walk sums the
+        same non-negative terms and more, so its value exceeds this one by at
+        most this one's bound."""
+        rep = arveson_curvature(validate(mats), m_max=2)
+        capped_rc = validate(mats)
+        capped_rc._purity = PurityResult(np.zeros((capped_rc.dim,) * 2, dtype=complex), False, 1, False, "walk")
+        capped = arveson_curvature(capped_rc, m_max=2)
+        assert rep.orbit_steps <= 100 and capped.orbit_steps == invariants_mod.BOUNDARY_MAX_STEPS
+        for r, (value, tail) in rep.boundary.items():
+            assert tail <= 1e-15
+            assert -1e-15 <= capped.boundary[r][0] - value <= tail + 1e-15
 
     @pytest.mark.parametrize("rc", [
         validate([np.diag([0.4, 0.1]), np.diag([0.1, 0.3])]),
