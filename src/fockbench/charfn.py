@@ -15,12 +15,13 @@ ambient blocks (mu * reverse(beta), mu), matching the action of right
 creation products, one degree pair at a time: the degree-k slice of the
 stored array is the block from degree m to m + k of every ambient,
 compressed to the slice bases of a constrained one. ``theta_gram`` is the
-one place Theta Theta^* is formed, and every identity that reads it (the
-truncated factorization, the model space, curvature and Euler) takes that
-product: on the Fock space it comes from the same slices without assembling
-Theta, block (a, b) being sum_{c <= min(a, b)} I_{n^c} (x) Theta_{a-c}
-Theta_{b-c}^*; on N_J from the assembled Theta. A dedicated convention test
-pins point evaluation against partial sums.
+one place Theta Theta^* is formed, for the two identities that read all of
+it (the truncated factorization and the model space): on the Fock space it
+comes from the same slices without assembling Theta, block (a, b) being
+Theta_a Theta_b^* + I_n (x) block (a-1, b-1); on N_J from the assembled
+Theta. Curvature and Euler never form it: they read the slices
+(``degree_slices``) through ``invariants``. A dedicated convention test pins
+point evaluation against partial sums.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def assemble(
     n, top, src, tgt = ambient.n, ambient.max_degree, op.source_dim, op.target_dim
     if cs is not None and not cs.graded:
         return _assemble_word_products(op, cs)
-    thetas = _degree_slices(op, ambient)
+    thetas = degree_slices(op, ambient)
 
     if cs is None:
         out = np.zeros((fock.dim * tgt, fock.dim * src), dtype=complex)
@@ -150,7 +151,7 @@ def assemble(
     return out
 
 
-def _degree_slices(op: MultiAnalyticOperator, ambient: TruncatedFock) -> list[np.ndarray]:
+def degree_slices(op: MultiAnalyticOperator, ambient: TruncatedFock) -> list[np.ndarray]:
     """Theta_k for k = 0..N: the degree-k coefficients stacked in the order of
     the reversed words, as an (n^k target, source) matrix."""
     n, tgt, src = ambient.n, op.target_dim, op.source_dim
@@ -171,10 +172,11 @@ def theta_gram(
     the identity, it comes from the coefficients without assembling Theta:
     Theta's block from degree c to degree c + k is I_{n^c} (x) Theta_k, so
     block (a, b) of the product, b <= a, is
-    sum_{c <= b} I_{n^c} (x) (Theta_{a-c} Theta_{b-c}^*). Each product of two
-    coefficient slices is formed once and written into every block it
-    reaches through the strided view ``assemble`` uses; the blocks above the
-    diagonal are the conjugate transposes of those below it.
+    sum_{c <= b} I_{n^c} (x) (Theta_{a-c} Theta_{b-c}^*), that is
+    Theta_a Theta_b^* + I_n (x) block (a-1, b-1). Each block is written once
+    as the product of two coefficient slices, and block (a-1, b-1) is added
+    onto its n diagonal sub-blocks; the blocks above the diagonal are the
+    conjugate transposes of those below it.
     """
     if (fock is None) == (cs is None):
         raise InvalidParameterError("pass exactly one ambient: fock or cs")
@@ -185,19 +187,20 @@ def theta_gram(
     if op.max_degree < fock.max_degree:
         raise InvalidParameterError("coefficients do not cover the ambient truncation degree")
     n, top, tgt = fock.n, fock.max_degree, op.target_dim
-    thetas = _degree_slices(op, fock)
+    thetas = degree_slices(op, fock)
     off = [o * tgt for o in fock.slice_offsets]
-    out = np.zeros((fock.dim * tgt, fock.dim * tgt), dtype=complex)
-    for i in range(top + 1):
-        for j in range(i + 1):
-            prod = thetas[i] @ thetas[j].conj().T
-            for c in range(top - i + 1):
-                a, b, mu = i + c, j + c, np.arange(n**c)
-                block = out[off[a] : off[a + 1], off[b] : off[b + 1]]
-                block.reshape(n**c, n**i * tgt, n**c, n**j * tgt)[mu, :, mu, :] += prod
+    out = np.empty((fock.dim * tgt, fock.dim * tgt), dtype=complex)
     for a in range(top + 1):
-        for b in range(a):
-            out[off[b] : off[b + 1], off[a] : off[a + 1]] = out[off[a] : off[a + 1], off[b] : off[b + 1]].conj().T
+        for b in range(a + 1):
+            block = out[off[a] : off[a + 1], off[b] : off[b + 1]]
+            np.matmul(thetas[a], thetas[b].conj().T, out=block)
+            if b:
+                prev = out[off[a - 1] : off[a], off[b - 1] : off[b]]
+                inner = block.reshape(n, n ** (a - 1) * tgt, n, n ** (b - 1) * tgt)
+                for mu in range(n):
+                    inner[mu, :, mu, :] += prev
+            if b < a:
+                np.conjugate(block.T, out=out[off[b] : off[b + 1], off[a] : off[a + 1]])
     return out
 
 

@@ -104,7 +104,7 @@ def task_shifts(ctx: RunContext, params: dict) -> dict:
     data: dict = {
         "dim": cs.dim,
         "slice_dims": cs.slice_dims,
-        "slice_rank_gaps": [{"sigma_zero_max": z, "sigma_nonzero_min": nz} for z, nz in cs.slice_rank_gaps],
+        "slice_rank_gaps": _rank_gaps(cs.slice_rank_gaps),
         "graded": cs.graded,
     }
     if cs.contains_vacuum():
@@ -152,12 +152,34 @@ def task_factorize(ctx: RunContext, params: dict) -> dict:
     return {"checks": checks, "data": data}
 
 
-def task_curvature(ctx: RunContext, params: dict) -> dict:
-    rc = ctx.rc
+def _curvature_params(params: dict) -> tuple[int, str]:
+    """The curvature task's ``m_max`` (an integer >= 1) and ``method``."""
     m_max = check_count("m_max", params.get("m_max", 6), 1)
     method = params.get("method", "both")
     if method not in ("phi", "theta", "both"):
         raise InvalidParameterError(f"unknown curvature method {method!r}")
+    return m_max, method
+
+
+def _arveson_params(params: dict) -> tuple[int, tuple[float, ...]]:
+    """The arveson task's ``m_max`` (an integer >= 1) and ``r_values`` (a
+    non-empty list of numbers in (0, 1))."""
+    m_max = check_count("m_max", params.get("m_max", 8), 1)
+    r_values = params.get("r_values", (0.9, 0.99, 0.999))
+    if not (isinstance(r_values, (list, tuple)) and r_values
+            and all(isinstance(r, (int, float)) and not isinstance(r, bool) and 0.0 < r < 1.0 for r in r_values)):
+        raise InvalidParameterError(f"r_values must be a non-empty list of radial parameters in (0, 1), "
+                                    f"got {r_values!r}")
+    return m_max, tuple(r_values)
+
+
+def _rank_gaps(gaps) -> list[dict]:
+    return [{"sigma_zero_max": z, "sigma_nonzero_min": nz} for z, nz in gaps]
+
+
+def task_curvature(ctx: RunContext, params: dict) -> dict:
+    rc = ctx.rc
+    m_max, method = _curvature_params(params)
     checks = []
     data: dict = {}
     if method in ("phi", "both"):
@@ -173,22 +195,21 @@ def task_curvature(ctx: RunContext, params: dict) -> dict:
         data["theta"] = {
             "m": rep.m_values, "sequence": rep.sequence, "last": rep.last, "aitken": rep.aitken,
             "euler_sequence": rep.extras["euler_sequence"],
+            "euler_rank_gaps": _rank_gaps(rep.extras["euler_rank_gaps"]),
         }
         checks.append(_check("cross_method_gap", max(rep.extras["cross_check_vs_phi"]), 1e-8))
     return {"checks": checks, "data": data}
 
 
 def task_arveson(ctx: RunContext, params: dict) -> dict:
-    rep = arveson_curvature(
-        ctx.rc,
-        m_max=check_count("m_max", params.get("m_max", 8), 1),
-        r_values=tuple(params.get("r_values", (0.9, 0.99, 0.999))),
-    )
+    m_max, r_values = _arveson_params(params)
+    rep = arveson_curvature(ctx.rc, m_max=m_max, r_values=r_values)
     data = {
         "boundary": {f"{r:g}": {"value": value, "tail_bound": tail} for r, (value, tail) in rep.boundary.items()},
         "orbit_steps": rep.orbit_steps,
         "qm_sequence": rep.qm_sequence,
         "euler_sequence": rep.euler_sequence,
+        "euler_rank_gaps": _rank_gaps(rep.euler_rank_gaps),
         "deviations": rep.deviations,
     }
     checks = [
@@ -324,6 +345,8 @@ def run_task(ctx: RunContext, spec: dict) -> dict:
 
 TUPLE_TASKS = {"factorize", "curvature", "arveson", "wold", "dilate", "model", "poisson"}
 TRUNCATION_TASKS = {"shifts", "factorize", "dilate", "model", "poisson"}
+# Task parameters checked when the scenario loads, before any compute.
+PARAMETER_CHECKS = {"curvature": _curvature_params, "arveson": _arveson_params}
 
 
 def _reject_constant(name: str):
@@ -343,7 +366,8 @@ def _load_json(path: str):
 def check_scenario(scenario: dict) -> dict:
     """Reject a scenario that lacks what its tasks read: ``n`` and a list of
     task objects always, ``T`` for a task on the tuple, ``N`` for a task on the
-    truncation, and points and targets for ``pick``."""
+    truncation, and points and targets for ``pick``; and one whose curvature
+    or arveson task has a parameter its handler would reject."""
     if not isinstance(scenario, dict):
         raise InvalidParameterError("a scenario is a JSON object")
     for key in ("n", "tasks"):
@@ -361,6 +385,8 @@ def check_scenario(scenario: dict) -> dict:
             raise InvalidParameterError(f"task {name!r} needs a truncation degree (scenario key 'N')")
         if name == "pick" and not ("points" in t and "targets" in t):
             raise InvalidParameterError("pick task needs 'points' and 'targets'")
+        if name in PARAMETER_CHECKS:
+            PARAMETER_CHECKS[name](t)
     return scenario
 
 

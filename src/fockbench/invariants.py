@@ -9,23 +9,23 @@ factorization of the characteristic function: the trace of the kernel square
 on a degree slice equals the trace of (I - Theta Theta^*) there, and the
 kernel-side quantity collapses to a CP-map trace increment. Theta is
 lower-triangular in degree, so the degree <= m part of I - Theta Theta^*
-needs Theta truncated at m only. One reader serves both curvature routes: it
-takes Theta Theta^* from ``theta_gram`` at truncation m_max, on the Fock space
-or on N_J of the commutator ideal (there at the commutators' degree 2 if that
-is higher), and it takes each Euler rank from the eigenvalues of a principal
-block of I - Theta Theta^*.
+needs Theta truncated at m only. One reader serves both curvature routes,
+on the Fock space or on N_J of the commutator ideal, and never forms
+Theta Theta^*: each slice trace is a sum of squared coefficient norms, and
+each Euler rank is read from I - Theta Theta^* applied to a seeded Gaussian
+probe block, since I - Theta Theta^* = K K^* has rank at most dim H.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._linalg import aitken_extrapolate, herm_part, matrix_rank, numerical_rank
-from .charfn import characteristic_coefficients, theta_gram
+from ._linalg import aitken_extrapolate, matrix_rank, numerical_rank, svdvals
+from .charfn import assemble, characteristic_coefficients, degree_slices
 from .contractions import PURITY_TOL, RowContraction, check_constraints
 from .errors import InvalidParameterError, PreconditionError
 from .ideals import NcPolynomial, build_constrained_subspace, commutator_generators
@@ -87,38 +87,106 @@ def euler_phi(rc: RowContraction, m_max: int) -> CurvatureReport:
     )
 
 
+# The Euler probe is the randomized range finder of Halko, Martinsson and
+# Tropp (SIAM Review 53, 2011): one complex Gaussian block of width
+# dim H + EULER_PROBE_OVERSAMPLE, drawn once per reading from this constant
+# seed, so every report is reproducible bit for bit.
+EULER_PROBE_SEED = 20110502
+EULER_PROBE_OVERSAMPLE = 4
+
+
+def _gaussian_probe(rows: int, cols: int) -> np.ndarray:
+    """A (rows, cols) block of standard complex Gaussians from EULER_PROBE_SEED:
+    splitmix64 of a counter gives the uniforms, Box-Muller the normals. It
+    stays off ``numpy.random``, whose import alone adds 6.6 MB of resident
+    memory (numpy 2.4, Linux x86-64), more than a curvature task needs."""
+    count = rows * cols
+    z = np.uint64(EULER_PROBE_SEED) + np.arange(1, 2 * count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    u = ((z ^ (z >> np.uint64(31))) >> np.uint64(11)).astype(float) * 2.0**-53 + 2.0**-54
+    radius, angle = np.sqrt(-2.0 * np.log(u[:count])), 2.0 * np.pi * u[count:]
+    return (radius * (np.cos(angle) + 1j * np.sin(angle))).reshape(rows, cols)
+
+
+class EulerRank(NamedTuple):
+    """One Euler rank decision: the rank, the largest probe singular value it
+    counted as zero and the smallest it counted as nonzero, None where a side
+    is empty."""
+
+    rank: int
+    sigma_zero_max: float | None
+    sigma_nonzero_min: float | None
+
+
+def _rank_decision(y: np.ndarray) -> EulerRank:
+    s = svdvals(y)
+    rank = numerical_rank(s)
+    return EulerRank(rank, float(s[rank]) if rank < s.size else None, float(s[rank - 1]) if rank else None)
+
+
+def _fock_probe(thetas: list[np.ndarray], n: int, omega: list[np.ndarray], m: int) -> np.ndarray:
+    """((I - Theta_S Theta_S^*) Omega)^T on the Fock degrees <= m, with
+    ``omega[a]`` the transposed degree-a block of the probe, (width, n^a
+    target). Theta_S's block from degree c to c + k is I_{n^c} (x) Theta_k, so
+    with the width axis first each block acts as one product on a reshape:
+    Z_c = sum_k (I (x) Theta_k)^* Omega_{c+k}, then
+    Y_a = Omega_a - sum_c (I (x) Theta_{a-c}) Z_c."""
+    w, tgt = omega[0].shape[0], thetas[0].shape[0]
+    z = [sum(omega[c + k].reshape(w * n**c, n**k * tgt) @ thetas[k].conj() for k in range(m - c + 1))
+         for c in range(m + 1)]
+    return np.concatenate(
+        [omega[a] - sum((z[c] @ thetas[a - c].T).reshape(w, n**a * tgt) for c in range(a + 1))
+         for a in range(m + 1)], axis=1)
+
+
 def _theta_defect_by_degree(
     rc: RowContraction, m_max: int, generators: Sequence[NcPolynomial] = ()
-) -> list[tuple[int, float, int]]:
+) -> list[tuple[int, float, EulerRank]]:
     """For m = 1..m_max: the dimension of the degree-m slice of (ambient
     tensor row defect), trace[Theta Theta^*] on it, and the rank of the
-    principal degree <= m block of I - Theta Theta^*, from one
-    ``theta_gram`` at truncation m_max (at the top generator degree if that is
-    higher) on the Fock space, or on N_J with generators; the two ambients
-    differ only in the degree of each basis vector.
+    principal degree <= m block of I - Theta Theta^*, on the Fock space, or
+    on N_J with generators, from Theta at truncation m_max (at the top
+    generator degree if that is higher). Theta Theta^* is never formed.
 
     Theta is lower-triangular in degree, so these degree <= m quantities are
-    the same at every truncation >= m. The rank equals the rank of the
-    degree <= m columns: truncated Theta is a contraction, so
-    I - Theta Theta^* = K K^*, and with K_S the degree <= m rows of K both
-    blocks, K_S K_S^* and K K_S^*, have the rank of K_S. The principal block
-    is Hermitian and positive semidefinite, so its singular values are the
-    absolute values of its eigenvalues."""
+    the same at every truncation >= m, and the principal block is
+    I - Theta_S Theta_S^* with Theta_S the degree <= m block of Theta.
+    - Slice traces: on the Fock space the degree-m rows of Theta are the
+      blocks I_{n^(m-c)} (x) Theta_c, so the trace is
+      sum_{c <= m} n^(m-c) ||Theta_c||_F^2; on N_J it is the sum of the
+      squared degree-m row norms of the assembled Theta.
+    - Euler ranks: truncated Theta is a contraction, so the principal block
+      is K_S K_S^* with K_S the degree <= m rows of K, of rank at most dim H.
+      For a Gaussian block Omega of width dim H + EULER_PROBE_OVERSAMPLE,
+      (I - Theta_S Theta_S^*) Omega has that rank almost surely, and it is
+      ``numerical_rank`` of its singular values. Omega is one block over the
+      whole ambient; degree <= m reads its leading rows, the basis being
+      ordered by degree."""
     top = max([m_max, *(p.degree for p in generators)])
     fock = TruncatedFock(rc.n, top)
     op = characteristic_coefficients(rc, top)
+    n, tgt, src = rc.n, op.target_dim, op.source_dim
     cs = build_constrained_subspace(fock, generators) if generators else None
-    gram = theta_gram(op, fock=fock if cs is None else None, cs=cs)
-    degrees = np.repeat(fock.degrees if cs is None else cs.basis_degrees, op.target_dim)
-    diagonal = gram.diagonal()
+    omega = _gaussian_probe(rc.dim + EULER_PROBE_OVERSAMPLE, (fock.dim if cs is None else cs.dim) * tgt)
     out = []
+    if cs is None:
+        thetas = degree_slices(op, fock)
+        norms = [float(np.vdot(t, t).real) for t in thetas]
+        off = [o * tgt for o in fock.slice_offsets]
+        blocks = [np.ascontiguousarray(omega[:, off[a] : off[a + 1]]) for a in range(top + 1)]
+        for m in range(1, m_max + 1):
+            slice_trace = sum(n ** (m - c) * norms[c] for c in range(m + 1))
+            out.append((n**m * tgt, slice_trace, _rank_decision(_fock_probe(thetas, n, blocks, m))))
+        return out
+    theta = assemble(op, cs=cs)
+    row_degrees, col_degrees = np.repeat(cs.basis_degrees, tgt), np.repeat(cs.basis_degrees, src)
+    row_norms = np.einsum("ij,ij->i", theta, theta.conj()).real
     for m in range(1, m_max + 1):
-        rows = degrees == m
-        slice_trace = float(diagonal[rows].sum().real)
-        # The basis is ordered by degree: degree <= m is a leading block.
-        lead = int(np.count_nonzero(degrees <= m))
-        eigs = np.linalg.eigvalsh(herm_part(np.eye(lead) - gram[:lead, :lead]))
-        out.append((int(np.count_nonzero(rows)), slice_trace, numerical_rank(np.abs(eigs))))
+        lead_t, lead_s = int(np.count_nonzero(row_degrees <= m)), int(np.count_nonzero(col_degrees <= m))
+        theta_s, omega_s = theta[:lead_t, :lead_s], omega[:, :lead_t]
+        y = omega_s - (omega_s @ theta_s.conj()) @ theta_s.T
+        out.append((cs.slice_dims[m] * tgt, float(row_norms[row_degrees == m].sum()), _rank_decision(y)))
     return out
 
 
@@ -127,24 +195,27 @@ def curvature_theta(rc: RowContraction, m_max: int) -> CurvatureReport:
 
     curvature(m) = rank(defect) - trace[Theta Theta^* (P_m tensor I)] / n^m;
     the cross-check field holds the gap to the CP-map route at matched m,
-    which the factorization makes a machine-precision identity.
+    which the factorization makes a machine-precision identity. Each Euler
+    rank comes with the gap of its probe decision.
     """
     if m_max < 1:
         raise InvalidParameterError("need m_max >= 1")
-    seq, cross, euler_ranks = [], [], []
-    for m, (slice_dim, slice_trace, rank) in enumerate(_theta_defect_by_degree(rc, m_max), start=1):
+    seq, cross, decisions = [], [], []
+    for m, (slice_dim, slice_trace, decision) in enumerate(_theta_defect_by_degree(rc, m_max), start=1):
         seq.append(rc.defect_rank - slice_trace / rc.n**m)
         # CP-map route to the same slice quantity.
         phi_side = float(np.trace(rc.orbit(m) - rc.orbit(m + 1)).real)
         cross.append(abs((slice_dim - slice_trace) - phi_side) / rc.n**m)
-        euler_ranks.append(rank)
+        decisions.append(decision)
+    euler_ranks = [d.rank for d in decisions]
     euler_seq = [r / _geometric_denominator(rc.n, m) for m, r in enumerate(euler_ranks, start=1)]
     return CurvatureReport(
         m_values=list(range(1, m_max + 1)),
         sequence=seq,
         last=seq[-1],
         aitken=aitken_extrapolate(seq),
-        extras={"cross_check_vs_phi": cross, "euler_sequence": euler_seq, "euler_ranks": euler_ranks},
+        extras={"cross_check_vs_phi": cross, "euler_sequence": euler_seq, "euler_ranks": euler_ranks,
+                "euler_rank_gaps": [(d.sigma_zero_max, d.sigma_nonzero_min) for d in decisions]},
     )
 
 
@@ -154,6 +225,7 @@ class ArvesonReport:
     orbit_steps: int
     qm_sequence: list[float]
     euler_sequence: list[float]
+    euler_rank_gaps: list[tuple[float | None, float | None]]
     slice_trace_gap: float
     deviations: dict
 
@@ -227,11 +299,12 @@ def arveson_curvature(
         raise PreconditionError("tuple is not commuting to 1e-10")
 
     # (b), (c) on N_J of the commutator ideal.
-    qm_seq, euler_seq, gaps = [], [], []
-    for m, (slice_dim, slice_trace, rank) in enumerate(
+    qm_seq, euler_seq, rank_gaps, gaps = [], [], [], []
+    for m, (slice_dim, slice_trace, decision) in enumerate(
             _theta_defect_by_degree(rc, m_max, commutator_generators(rc.n)), start=1):
         qm_seq.append(math.factorial(rc.n - 1) * (slice_dim - slice_trace) / m ** (rc.n - 1))
-        euler_seq.append(math.factorial(rc.n) * rank / m**rc.n)
+        euler_seq.append(math.factorial(rc.n) * decision.rank / m**rc.n)
+        rank_gaps.append((decision.sigma_zero_max, decision.sigma_nonzero_min))
         gaps.append(abs(slice_dim - slice_trace - float(np.trace(rc.orbit(m) - rc.orbit(m + 1)).real)))
 
     # (a) after (b), so the series reads the orbit powers they cached.
@@ -245,6 +318,7 @@ def arveson_curvature(
         orbit_steps=steps,
         qm_sequence=qm_seq,
         euler_sequence=euler_seq,
+        euler_rank_gaps=rank_gaps,
         slice_trace_gap=max(gaps),
         deviations=deviations,
     )

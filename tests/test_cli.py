@@ -213,22 +213,25 @@ class TestSubcommands:
         assert checks["two_path_dim_mismatch"]["pass"]
 
     def test_cross_method_check_fails_on_a_shifted_theta_gram(self, monkeypatch):
-        """1e-7 I added to the Theta Theta^* that the theta route reads, ten
-        times the bound, moves each slice trace away from the CP-map route."""
+        """The theta route reads each slice trace of Theta Theta^* from the
+        coefficient norms. Each trace moved by 1e-7 n^m, as a Theta Theta^*
+        shifted by a multiple of I would move it, is 1e-7 per n^m, ten times
+        the bound, away from the CP-map route."""
         import fockbench.invariants as invariants
 
         rc = validate([np.diag([0.3, -0.1]), np.diag([0.2, 0.4])])
         ctx = RunContext(n=2, trunc=None, generators=[], rc=rc, tol=1e-9, seed=None)
         assert all(c["pass"] for c in task_curvature(ctx, {"method": "theta", "m_max": 4})["checks"])
-        theta_gram = invariants.theta_gram
+        by_degree = invariants._theta_defect_by_degree
 
         def shifted(*args, **kwargs):
-            gram = theta_gram(*args, **kwargs)
-            return gram + 1e-7 * np.eye(len(gram))
+            return [(slice_dim, trace + 1e-7 * 2**m, rank)
+                    for m, (slice_dim, trace, rank) in enumerate(by_degree(*args, **kwargs), start=1)]
 
-        monkeypatch.setattr(invariants, "theta_gram", shifted)
+        monkeypatch.setattr(invariants, "_theta_defect_by_degree", shifted)
         checks = task_curvature(ctx, {"method": "theta", "m_max": 4})["checks"]
         assert [c["name"] for c in checks] == ["cross_method_gap"] and not checks[0]["pass"]
+        assert abs(checks[0]["value"] - 1e-7) < 1e-12
 
     def test_slice_trace_check_fails_on_a_slice_trace_off_by_1e_9(self, monkeypatch):
         """For a commuting tuple each slice trace of I - Theta Theta^* on N_J
@@ -519,13 +522,8 @@ class TestScenario:
         ({"task": "factorize", "mode": "point", "points": [[[0.1, 0.0], [0.2, 0.0]]], "tol": "abc"},
          "ValueError: "),
         ({"task": "wold", "k_max": -1}, "InvalidParameterError: "),
-        ({"task": "arveson", "m_max": 2, "r_values": [0.9, 1.0]}, "InvalidParameterError: "),
-        ({"task": "curvature", "m_max": 3.9}, "InvalidParameterError: "),
-        ({"task": "curvature", "m_max": True}, "InvalidParameterError: "),
-        ({"task": "arveson", "m_max": 2.5}, "InvalidParameterError: "),
         ({"task": "factorize", "mode": "point", "random_points": 2.5}, "InvalidParameterError: "),
-    ], ids=["tol_not_a_number", "wold_negative_k_max", "arveson_radius_one",
-            "curvature_m_max_float", "curvature_m_max_bool", "arveson_m_max_float", "random_points_float"])
+    ], ids=["tol_not_a_number", "wold_negative_k_max", "random_points_float"])
     def test_raising_task_is_recorded_and_the_rest_run(self, tmp_path, bad_task, error_prefix):
         scenario = self.scenario_dict()
         scenario["tasks"] = [bad_task, {"task": "curvature", "m_max": 2}]
@@ -536,6 +534,31 @@ class TestScenario:
         report = json.loads(out.read_text())
         assert [t["status"] for t in report["tasks"]] == ["fail", "pass"]
         assert report["tasks"][0]["error"].startswith(error_prefix)
+
+    @pytest.mark.parametrize("bad_task", [
+        {"task": "arveson", "m_max": 2, "r_values": [0.9, 1.0]},
+        {"task": "arveson", "m_max": 2, "r_values": []},
+        {"task": "arveson", "m_max": 2, "r_values": ["0.9"]},
+        {"task": "arveson", "m_max": 2, "r_values": 0.9},
+        {"task": "curvature", "m_max": 3.9},
+        {"task": "curvature", "m_max": True},
+        {"task": "curvature", "m_max": 0},
+        {"task": "curvature", "m_max": 2, "method": "thetta"},
+        {"task": "arveson", "m_max": 2.5},
+    ], ids=["arveson_radius_one", "arveson_no_radius", "arveson_radius_string", "arveson_radius_not_a_list",
+            "curvature_m_max_float", "curvature_m_max_bool", "curvature_m_max_0", "curvature_unknown_method",
+            "arveson_m_max_float"])
+    def test_bad_curvature_or_arveson_parameter_exits_2(self, tmp_path, capsys, bad_task):
+        """These parameters are checked when the scenario loads: the run exits
+        2 before any compute and writes no report."""
+        scenario = self.scenario_dict()
+        scenario["tasks"] = [{"task": "curvature", "m_max": 2}, bad_task]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "report.json"
+        assert main(["scenario", "run", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_non_finite_point_fails_its_task_at_the_boundary(self, tmp_path, capsys):
         # the NaN token is rejected when the scenario is parsed, before any
@@ -870,7 +893,7 @@ class TestSchemas:
     """The schemas in docs/ agree with the CLI, read with the stdlib only."""
 
     def test_task_lists_match_the_cli(self):
-        from fockbench.cli import TASKS, TRUNCATION_TASKS, TUPLE_TASKS
+        from fockbench.cli import PARAMETER_CHECKS, TASKS, TRUNCATION_TASKS, TUPLE_TASKS
 
         scenario = load_schema("scenario.schema.json")
         assert scenario["properties"]["tasks"]["items"]["properties"]["task"]["enum"] == list(TASKS)
@@ -879,6 +902,8 @@ class TestSchemas:
                        for rule in scenario["allOf"]}
         assert set(conditional["N"]["properties"]["task"]["enum"]) == TRUNCATION_TASKS
         assert set(conditional["T"]["properties"]["task"]["enum"]) == TUPLE_TASKS
+        parameter_rules = scenario["properties"]["tasks"]["items"]["allOf"]
+        assert {rule["if"]["properties"]["task"]["const"] for rule in parameter_rules} == set(PARAMETER_CHECKS)
 
     @pytest.mark.parametrize("name", ["golden_report.json", "golden_qcomm_report.json"])
     def test_golden_reports_carry_every_required_key(self, name):
@@ -911,6 +936,22 @@ class TestSchemas:
             assert set(data_schema["required"]) == set(task["data"]) == set(data_schema["properties"])
             assert all(set(value) == set(entry["required"]) for value in task["data"]["boundary"].values())
             assert set(task["data"]["deviations"]) == set(data_schema["properties"]["deviations"]["required"])
+            assert [c["name"] for c in task["checks"]] == checks_schema["items"]["properties"]["name"]["enum"]
+
+    def test_curvature_data_and_checks_are_the_ones_the_schema_describes(self, rc_file, tmp_path):
+        rule = task_rule("curvature")
+        data_schema, checks_schema = rule["then"]["properties"]["data"], rule["then"]["properties"]["checks"]
+        out = tmp_path / "curvature.json"
+        assert main(["curvature", "--input", rc_file, "--m-max", "3", "--out", str(out)]) == 0
+        golden = json.loads((DATA / "golden_report.json").read_text())["tasks"][4]
+        for task in (json.loads(out.read_text())["tasks"][0], golden):
+            assert task["task"] == "curvature"
+            assert set(task["data"]) == set(data_schema["properties"])
+            for key, value in task["data"].items():
+                assert set(value) == set(data_schema["properties"][key]["required"])
+            gaps = task["data"]["theta"]["euler_rank_gaps"]
+            assert len(gaps) == len(task["data"]["theta"]["m"])
+            assert all(set(gap) == {"sigma_zero_max", "sigma_nonzero_min"} for gap in gaps)
             assert [c["name"] for c in task["checks"]] == checks_schema["items"]["properties"]["name"]["enum"]
 
     @pytest.mark.parametrize("command", list(SUBCOMMAND_ARGV))

@@ -24,7 +24,11 @@ product. Theta Theta^* read from the coefficient slices (``theta_gram``) sums
 the same products as the dense product of the assembled Theta in another
 order, so it is pinned under a computed rounding budget, on tuples whose
 defects are zero too; on N_J it is the product of the assembled Theta, bit
-for bit. The model space is the eigenvectors of the rank K smallest
+for bit. Its one-step recursion, block (a, b) = Theta_a Theta_b^* +
+I_n (x) block (a-1, b-1), adds the same products as the loop that added each
+into every block it reaches, with the operands of each addition commuted, so
+it is pinned against that loop, kept here as a reference, bit for bit. The
+model space is the eigenvectors of the rank K smallest
 eigenvalues of Theta Theta^* instead of the left singular vectors of as many
 smallest singular values of Theta, so it is pinned against that SVD, kept
 here as a reference: the same model dimension, and projectors within a
@@ -579,6 +583,44 @@ def test_theta_gram_edge_cases(rc):
     if rc.n == 1 and rc.defect_rank == 0:
         assert op.source_dim == 0 and op.target_dim == 0
     assert_gram_matches_dense(rc, 4)
+
+
+def gram_by_reach(op, fock):
+    """The Fock Theta Theta^* as built before the one-step recursion: each
+    product Theta_i Theta_j^* added, from zero, into every block (i + c, j + c)
+    it reaches, then the upper blocks mirrored."""
+    n, top, tgt = fock.n, fock.max_degree, op.target_dim
+    thetas = charfn_mod.degree_slices(op, fock)
+    off = [o * tgt for o in fock.slice_offsets]
+    out = np.zeros((fock.dim * tgt, fock.dim * tgt), dtype=complex)
+    for i in range(top + 1):
+        for j in range(i + 1):
+            prod = thetas[i] @ thetas[j].conj().T
+            for c in range(top - i + 1):
+                a, b, mu = i + c, j + c, np.arange(n**c)
+                block = out[off[a] : off[a + 1], off[b] : off[b + 1]]
+                block.reshape(n**c, n**i * tgt, n**c, n**j * tgt)[mu, :, mu, :] += prod
+    for a in range(top + 1):
+        for b in range(a):
+            out[off[b] : off[b + 1], off[a] : off[a + 1]] = out[off[a] : off[a + 1], off[b] : off[b + 1]].conj().T
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["random", "coisometric", "unitary"]), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 4), st.integers(0, 2**31 - 1))
+def test_theta_gram_recursion_equals_the_reach_loop(kind, n, dim, top, seed):
+    """Bit for bit, also where the target (a coisometry) or both defects (a
+    unitary) are 0."""
+    if kind == "random":
+        rc = random_tuple(n, dim, seed)
+    elif kind == "coisometric":
+        rc = coisometric_tuple(n, dim, seed)
+    else:
+        rc = unitary_tuple(dim, seed)
+    op = characteristic_coefficients(rc, max(top, 1))
+    fock = TruncatedFock(rc.n, top)
+    assert np.array_equal(theta_gram(op, fock), gram_by_reach(op, fock))
 
 
 @pytest.mark.parametrize("gens", [

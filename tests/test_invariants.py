@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fockbench.invariants as invariants_mod
@@ -561,20 +561,64 @@ def commuting_tuples(draw):
     return _scaled(mats, draw(st.floats(0.3, 0.99)))
 
 
+SHIFT_6 = np.diag(np.ones(5), -1).astype(complex)
+JORDAN_4 = np.diag(np.ones(3), 1).astype(complex)
+
+
 # m_max = 1 on N_J reads degree 1 of Theta assembled at the commutators' degree 2.
+# The examples have Euler ranks that grow with m (the shift pair 2, 3, 4, 5, 6, 6
+# and the Jordan block 2, 3, 4, 4, 4, 4), stay at dim H (the zero tuple) or are 0
+# (a coisometry, whose row defect is 0).
 @settings(max_examples=30, deadline=None)
 @given(st.one_of(
     st.tuples(general_tuples(), st.just(False), st.integers(1, 4)),
     st.tuples(commuting_tuples(), st.just(True), st.integers(1, 4)),
 ))
+@example((validate([SHIFT_6 / np.sqrt(2)] * 2), False, 6))
+@example((validate([SHIFT_6 / np.sqrt(2)] * 2), True, 6))
+@example((validate([JORDAN_4]), False, 6))
+@example((validate([np.zeros((2, 2))] * 2), False, 4))
+@example((validate([np.zeros((2, 2))] * 2), True, 4))
+@example((coisometric_pair(), False, 4))
+@example((coisometric_pair(), True, 4))
 def test_principal_block_ranks_equal_the_column_block_ranks(case):
+    """The probe's Euler ranks and the coefficient-norm slice traces against
+    the dense reading of the whole I - Theta Theta^*."""
     rc, on_nj, m_max = case
     generators = commutator_generators(rc.n) if on_nj else []
     traces, ranks = column_reference(rc, m_max, generators)
     got = invariants_mod._theta_defect_by_degree(rc, m_max, generators)
-    assert [rank for _, _, rank in got] == ranks
+    assert [decision.rank for _, _, decision in got] == ranks
     for (slice_dim, trace, _), ref in zip(got, traces, strict=True):
         assert abs(trace - ref) <= 1e-12 * max(1, slice_dim)
+
+
+def test_the_shift_pair_ranks_grow_to_dim_h():
+    got = invariants_mod._theta_defect_by_degree(validate([SHIFT_6 / np.sqrt(2)] * 2), 6)
+    assert [decision.rank for _, _, decision in got] == [2, 3, 4, 5, 6, 6]
+
+
+def test_each_rank_decision_reports_its_probe_gap():
+    """The gap brackets the cutoff: the smallest value counted as nonzero is
+    above it, the largest counted as zero below it, None on an empty side."""
+    for rc in (validate([SHIFT_6 / np.sqrt(2)] * 2), validate([np.zeros((2, 2))] * 2), coisometric_pair()):
+        for _, _, (rank, zero_max, nonzero_min) in invariants_mod._theta_defect_by_degree(rc, 4):
+            assert (nonzero_min is None) == (rank == 0)
+            if zero_max is not None and nonzero_min is not None:
+                assert zero_max <= 1e-9 * nonzero_min
+    assert all(decision[1:] == (None, None) for _, _, decision in
+               invariants_mod._theta_defect_by_degree(coisometric_pair(), 4))
+
+
+def test_curvature_theta_reads_a_3x3_triple_at_m_max_7():
+    """Degree <= 7 on the Fock space of three letters has dimension 3280, so
+    Theta Theta^* would be 9840^2 complex entries; the reader forms neither
+    it nor Theta."""
+    rng = np.random.default_rng(7)
+    rc = _scaled([rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(3)], 0.85)
+    rep = curvature_theta(rc, 7)
+    assert max(rep.extras["cross_check_vs_phi"]) <= 1e-12
+    assert rep.extras["euler_ranks"] == [3] * 7
 
 
 # --- the Monte-Carlo boundary integral, kept as the oracle of the series ------
