@@ -1,12 +1,6 @@
 """Numerical workbench for constrained row contractions on truncated Fock spaces."""
 
-from .words import (
-    IDENTITY_WORD,
-    TruncatedFock,
-    Word,
-    enumerate_words,
-    word_operator,
-)
+from .words import TruncatedFock, Word, word_operator
 from .ideals import (
     ConstrainedSubspace,
     NcPolynomial,

@@ -34,7 +34,7 @@ import numpy as np
 from ._linalg import herm_part, spectral_norm
 from .contractions import RowContraction, spectral_radius, validate
 from .errors import InvalidParameterError, PreconditionError
-from .ideals import ConstrainedSubspace, constrained_shifts, evaluate_polynomial
+from .ideals import ConstrainedSubspace, evaluate_polynomial
 from .poisson import PoissonKernel
 from .words import TruncatedFock, Word, word_products
 
@@ -103,13 +103,11 @@ def assemble(
     Coefficient beta lands at block rows mu*reverse(beta) for every word mu it
     fits against. So with Theta_k the degree-k coefficients stacked in the
     order of the reversed words, the Fock block from degree m to degree m + k
-    is I_{n^m} (x) Theta_k, written through a strided view. A graded
-    constrained ambient compresses that block to its slice bases,
+    is I_{n^m} (x) Theta_k, written through a strided view. A constrained
+    ambient compresses that block to its slice bases,
     (Q_{m+k}^* (x) I)(I_{n^m} (x) Theta_k)(Q_m (x) I), as two products; N_J is
-    co-invariant, so this equals the assembly against products of the
-    compressed right shifts. Non-homogeneous generators keep those word
-    products: there the compression of a product differs from the product of
-    compressions at truncation.
+    graded and co-invariant, so this equals the assembly against products of
+    the compressed right shifts.
     """
     if (fock is None) == (cs is None):
         raise InvalidParameterError("pass exactly one ambient: fock or cs")
@@ -117,8 +115,6 @@ def assemble(
     if op.max_degree < ambient.max_degree:
         raise InvalidParameterError("coefficients do not cover the ambient truncation degree")
     n, top, src, tgt = ambient.n, ambient.max_degree, op.source_dim, op.target_dim
-    if cs is not None and not cs.graded:
-        return _assemble_word_products(op, cs)
     thetas = degree_slices(op, ambient)
 
     if cs is None:
@@ -201,17 +197,6 @@ def theta_gram(
                     inner[mu, :, mu, :] += prev
             if b < a:
                 np.conjugate(block.T, out=out[off[b] : off[b + 1], off[a] : off[a + 1]])
-    return out
-
-
-def _assemble_word_products(op: MultiAnalyticOperator, cs: ConstrainedSubspace) -> np.ndarray:
-    """Kron-sum of each coefficient with the product of the compressed right
-    shifts along its word. The walk gives basis word rho the product along
-    reverse(rho), which is the word of the coefficient stored at rho."""
-    prods = word_products(np.eye(cs.dim, dtype=complex), constrained_shifts(cs, "right"), cs.fock.max_degree)
-    out = np.zeros((cs.dim * op.target_dim, cs.dim * op.source_dim), dtype=complex)
-    for prod, theta in zip(prods, op.coefficients):
-        out += np.kron(prod, theta)
     return out
 
 
@@ -307,15 +292,11 @@ def verify_truncated_factorization(kernel: PoissonKernel, gram: np.ndarray) -> F
     identity telescopes exactly. ``gram`` is Theta Theta^* on that ambient
     (``kernel_theta_gram``). The residual is the Frobenius norm, which bounds
     the spectral norm from above. The budget is ``_factorization_budget``, or
-    the purity tail ||Phi^(N+1)(I)|| + 1e-10 if that is smaller. On a
-    non-graded N_J the comparison is restricted to the buffer window."""
+    the purity tail ||Phi^(N+1)(I)|| + 1e-10 if that is smaller. N_J is
+    graded, so the comparison runs over the whole ambient."""
     kernel.require_unit_radius("the truncated factorization")
-    cs = kernel.cs
     diff = gram + kernel.matrix @ kernel.matrix.conj().T
     diff[np.diag_indices_from(diff)] -= 1.0
-    if cs is not None and not cs.graded:
-        mask = np.repeat(cs.degree_window_mask(cs.buffer_window), max(kernel.defect_dim, 1)).astype(float)
-        diff = diff * mask[:, None] * mask[None, :]
     residual = float(np.linalg.norm(diff))
     tail = spectral_norm(kernel.rc.orbit(kernel.fock.max_degree + 1)) + 1e-10
     budget = min(_factorization_budget(kernel), tail)

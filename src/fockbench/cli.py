@@ -105,7 +105,8 @@ def task_shifts(ctx: RunContext, params: dict) -> dict:
         "dim": cs.dim,
         "slice_dims": cs.slice_dims,
         "slice_rank_gaps": _rank_gaps(cs.slice_rank_gaps),
-        "graded": cs.graded,
+        # Every N_J is graded: a non-homogeneous generator is rejected at input.
+        "graded": True,
     }
     if cs.contains_vacuum():
         v0 = cs.vacuum_vector()
@@ -119,15 +120,27 @@ def task_shifts(ctx: RunContext, params: dict) -> dict:
     return {"checks": checks, "data": data}
 
 
+def _factorize_params(params: dict) -> tuple[str, int]:
+    """The factorize task's ``mode`` (point or truncated) and, in point mode,
+    its ``random_points`` (an integer >= 0); point mode needs ``points`` or
+    at least one random point."""
+    mode = params.get("mode", "point")
+    if mode not in ("point", "truncated"):
+        raise InvalidParameterError(f"unknown factorize mode {mode!r}")
+    count = check_count("random_points", params.get("random_points", 0), 0) if mode == "point" else 0
+    if mode == "point" and not (params.get("points") or count):
+        raise InvalidParameterError("point mode needs points or random_points >= 1")
+    return mode, count
+
+
 def task_factorize(ctx: RunContext, params: dict) -> dict:
     rc = ctx.rc
-    mode = params.get("mode", "point")
+    mode, count = _factorize_params(params)
     checks = []
     data: dict = {"mode": mode}
     if mode == "point":
         tol = float(params.get("tol", ctx.tol))
         points = [point_from_json(p, ctx.n) for p in params.get("points", [])]
-        count = check_count("random_points", params.get("random_points", 0), 0)
         if count:
             seed = params.get("seed", ctx.seed)
             if seed is None:
@@ -136,19 +149,15 @@ def task_factorize(ctx: RunContext, params: dict) -> dict:
             for _ in range(count):
                 z = rng.standard_normal(ctx.n) + 1j * rng.standard_normal(ctx.n)
                 points.append(0.8 * z / max(np.linalg.norm(z), 1e-12) * rng.uniform(0.1, 1.0))
-        if not points:
-            raise InvalidParameterError("point mode needs points")
         _, residuals = point_factorization(rc, points, cs=ctx.cs() if ctx.generators else None)
         data["points"] = [[complex_to_json(v) for v in z] for z in points]
         data["residuals"] = residuals
         checks.append(_check("point_factorization_max_residual", max(residuals), tol))
-    elif mode == "truncated":
+    else:
         rep = verify_truncated_factorization(ctx.kernel(), ctx.theta_gram())
         data["residual"] = rep.residual
         data["budget"] = rep.budget
         checks.append(_check("truncated_factorization_residual", rep.residual, rep.budget))
-    else:
-        raise InvalidParameterError(f"unknown factorize mode {mode!r}")
     return {"checks": checks, "data": data}
 
 
@@ -245,8 +254,14 @@ def task_pick(ctx: RunContext, params: dict) -> dict:
     return {"checks": [_check("lambda_min_residual", res.residual, 1e-12)], "data": data}
 
 
+def _wold_params(params: dict) -> int | None:
+    """The wold task's ``k_max``: an integer >= 0, or None for the default."""
+    k_max = params.get("k_max")
+    return None if k_max is None else check_count("k_max", k_max, 0)
+
+
 def task_wold(ctx: RunContext, params: dict) -> dict:
-    split = wold_decompose(ctx.rc, k_max=params.get("k_max"))
+    split = wold_decompose(ctx.rc, k_max=_wold_params(params))
     checks = [
         _check("two_path_max_angle", float(split.two_path_angles.max(initial=0.0)), 1e-8),
         _check("two_path_dim_mismatch", 0.0 if split.two_path_dim_match else 1.0, 0.0),
@@ -346,7 +361,8 @@ def run_task(ctx: RunContext, spec: dict) -> dict:
 TUPLE_TASKS = {"factorize", "curvature", "arveson", "wold", "dilate", "model", "poisson"}
 TRUNCATION_TASKS = {"shifts", "factorize", "dilate", "model", "poisson"}
 # Task parameters checked when the scenario loads, before any compute.
-PARAMETER_CHECKS = {"curvature": _curvature_params, "arveson": _arveson_params}
+PARAMETER_CHECKS = {"factorize": _factorize_params, "curvature": _curvature_params, "arveson": _arveson_params,
+                    "wold": _wold_params}
 
 
 def _reject_constant(name: str):
@@ -366,8 +382,9 @@ def _load_json(path: str):
 def check_scenario(scenario: dict) -> dict:
     """Reject a scenario that lacks what its tasks read: ``n`` and a list of
     task objects always, ``T`` for a task on the tuple, ``N`` for a task on the
-    truncation, and points and targets for ``pick``; and one whose curvature
-    or arveson task has a parameter its handler would reject."""
+    truncation, and points and targets for ``pick``; and one whose
+    factorize, curvature, arveson or wold task has a parameter its handler
+    would reject."""
     if not isinstance(scenario, dict):
         raise InvalidParameterError("a scenario is a JSON object")
     for key in ("n", "tasks"):

@@ -3,7 +3,9 @@
 The ideal generated by a polynomial family is represented at truncation level
 by the span of all vectors obtained from a generator by creating letters on
 the left and right; the constrained subspace is its orthogonal complement.
-For homogeneous generators this truncated picture is exact degree by degree.
+Every generator must be homogeneous (all its terms of one length), so the
+ideal and its complement are graded and the truncated picture is exact degree
+by degree; a non-homogeneous generator is rejected with InvalidParameterError.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from ._linalg import complement_basis, numerical_rank, spectral_norm, svd_positive
+from ._linalg import numerical_rank, spectral_norm, svd_positive
 from .errors import InvalidParameterError, PreconditionError
-from .words import TruncatedFock, Word, enumerate_words, word_operator
+from .words import TruncatedFock, Word, word_operator
 
 
 class NcPolynomial:
@@ -116,23 +118,18 @@ def word_length_generators(n: int, m: int) -> list[NcPolynomial]:
 class ConstrainedSubspace:
     """Orthonormal basis of the truncated constrained subspace N_J.
 
-    ``basis`` has one column per basis vector (in Fock coordinates); for
-    homogeneous generators each column is supported in a single degree slice,
-    columns are ordered by degree, and ``basis_degrees`` records each degree.
+    ``basis`` has one column per basis vector (in Fock coordinates); each
+    column is supported in a single degree slice, the columns are ordered by
+    degree, and slice m holds ``slice_dims[m]`` of them.
     ``slice_rank_gaps`` holds, per slice, the (largest singular value counted
     as zero, smallest counted as nonzero) of the rank decisions that fixed
-    that slice's dimension, with None where a side is empty; it is empty, like
-    ``slice_dims``, for non-homogeneous generators. For those ``graded`` is
-    false: the truncated ideal span may undershoot the true one, so
-    downstream checks restrict to ``buffer_window``.
+    that slice's dimension, with None where a side is empty.
     The projection onto N_J is ``basis @ basis^*``; it is never stored.
     """
 
     fock: TruncatedFock
     generators: list[NcPolynomial]
     basis: np.ndarray
-    graded: bool
-    basis_degrees: np.ndarray
     slice_dims: list[int]
     slice_rank_gaps: list[tuple[float | None, float | None]]
 
@@ -141,15 +138,9 @@ class ConstrainedSubspace:
         return self.basis.shape[1]
 
     @property
-    def max_generator_degree(self) -> int:
-        return max((g.degree for g in self.generators), default=0)
-
-    @property
-    def buffer_window(self) -> int:
-        """Largest ambient degree on which truncated identities are trusted."""
-        if self.graded:
-            return self.fock.max_degree
-        return self.fock.max_degree - self.max_generator_degree
+    def basis_degrees(self) -> np.ndarray:
+        """The degree of each basis column."""
+        return np.repeat(np.arange(len(self.slice_dims)), self.slice_dims)
 
     def contains_vacuum(self) -> bool:
         """Whether |P e_0 - e_0| <= 1e-10, with P e_0 = Q (row 0 of Q)^*."""
@@ -165,35 +156,6 @@ class ConstrainedSubspace:
 
     def degree_window_mask(self, max_degree: int) -> np.ndarray:
         return self.basis_degrees <= max_degree
-
-
-def _ideal_columns(fock: TruncatedFock, generators: Sequence[NcPolynomial]):
-    """Vectors S_alpha p(S) S_beta (vacuum) for |alpha| + deg p + |beta| <= N.
-
-    Built by index arithmetic: the column for (alpha, p, beta) is
-    sum_w c_w e_{alpha w beta}, with words beyond the truncation dropped
-    (possible only for non-homogeneous p). Homogeneous generators never build
-    it: their subspace comes from the slice recursion of ``_next_slice``.
-    """
-    top = fock.max_degree
-    columns: list[tuple[int, np.ndarray]] = []  # (degree tag, vector)
-    all_words = enumerate_words(fock.n, top)
-    for p in generators:
-        d = p.degree
-        for beta in all_words:
-            if len(beta) > top - d:
-                continue
-            for alpha in all_words:
-                if len(alpha) + d + len(beta) > top:
-                    continue
-                vec = np.zeros(fock.dim, dtype=complex)
-                for w, c in p.terms.items():
-                    full = alpha * w * beta
-                    idx = fock.word_index(full)
-                    if idx is not None:
-                        vec[idx] += c
-                columns.append((len(alpha) + d + len(beta), vec))
-    return columns
 
 
 def _generator_matrix(fock: TruncatedFock, generators: Sequence[NcPolynomial], d: int) -> np.ndarray:
@@ -240,15 +202,13 @@ def _next_slice(fock: TruncatedFock, gens: Sequence[NcPolynomial], prev: np.ndar
 
 
 def build_constrained_subspace(fock: TruncatedFock, generators: Sequence[NcPolynomial]) -> ConstrainedSubspace:
-    """Constrained subspace N_J at truncation level.
+    """Constrained subspace N_J at truncation level, built slice by slice.
 
-    Homogeneous generators give a graded result, built slice by slice: N_m
-    comes from N_{m-1} by the thin intersection of ``_next_slice``, so every
-    basis vector lives in one degree slice, no translate of a generator is
-    formed, and the slice dimensions are stable under increasing the
-    truncation.
-    Non-homogeneous generators take the complement of the truncated ideal
-    columns in the whole truncated space.
+    N_m comes from N_{m-1} by the thin intersection of ``_next_slice``, so
+    every basis vector lives in one degree slice, no translate of a generator
+    is formed, and the slice dimensions are stable under increasing the
+    truncation. A generator above the truncation degree, with a letter beyond
+    n, or whose terms have different lengths raises InvalidParameterError.
     """
     gens = [g for g in generators if g.terms]
     for g in gens:
@@ -256,59 +216,34 @@ def build_constrained_subspace(fock: TruncatedFock, generators: Sequence[NcPolyn
             raise InvalidParameterError("generator degree exceeds the truncation degree")
         if any(x > fock.n for w in g.terms for x in w.letters):
             raise InvalidParameterError(f"generator {g} uses a letter beyond n = {fock.n}")
+        if not g.is_homogeneous:
+            raise InvalidParameterError(f"generator {g} is not homogeneous: its terms have different lengths")
 
     if not gens:
         return ConstrainedSubspace(
             fock=fock,
             generators=[],
             basis=np.eye(fock.dim, dtype=complex),
-            graded=True,
-            basis_degrees=fock.degrees.copy(),
             slice_dims=[fock.n**m for m in range(fock.max_degree + 1)],
             slice_rank_gaps=[(None, None)] * (fock.max_degree + 1),
         )
 
-    if all(g.is_homogeneous for g in gens):
-        slices: list[np.ndarray] = []
-        gaps: list[tuple[float | None, float | None]] = []
-        for m in range(fock.max_degree + 1):
-            block, gap = _next_slice(fock, gens, slices[-1] if slices else None, m)
-            slices.append(block)
-            gaps.append(gap)
-        slice_dims = [block.shape[1] for block in slices]
-        basis = np.zeros((fock.dim, sum(slice_dims)), dtype=complex)
-        for m, (block, col) in enumerate(zip(slices, np.cumsum([0, *slice_dims]))):
-            basis[fock.slice_range(m), col : col + block.shape[1]] = block
-        degrees = np.repeat(np.arange(fock.max_degree + 1), slice_dims)
-        graded = True
-    else:
-        mat = np.stack([vec for _, vec in _ideal_columns(fock, gens)], axis=1)
-        basis = complement_basis(mat, fock.dim)
-        graded = False
-        # Degree tag = highest slice carrying mass; used for buffer windows.
-        degrees = []
-        for k in range(basis.shape[1]):
-            col = basis[:, k]
-            mass = np.abs(col) > 1e-12
-            degrees.append(int(fock.degrees[mass].max()) if mass.any() else 0)
-        slice_dims = []
-        gaps = []
-
-    return ConstrainedSubspace(
-        fock=fock,
-        generators=list(gens),
-        basis=basis,
-        graded=graded,
-        basis_degrees=np.array(degrees, dtype=int),
-        slice_dims=slice_dims,
-        slice_rank_gaps=gaps,
-    )
+    slices: list[np.ndarray] = []
+    gaps: list[tuple[float | None, float | None]] = []
+    for m in range(fock.max_degree + 1):
+        block, gap = _next_slice(fock, gens, slices[-1] if slices else None, m)
+        slices.append(block)
+        gaps.append(gap)
+    slice_dims = [block.shape[1] for block in slices]
+    basis = np.zeros((fock.dim, sum(slice_dims)), dtype=complex)
+    for m, (block, col) in enumerate(zip(slices, np.cumsum([0, *slice_dims]))):
+        basis[fock.slice_range(m), col : col + block.shape[1]] = block
+    return ConstrainedSubspace(fock=fock, generators=gens, basis=basis, slice_dims=slice_dims, slice_rank_gaps=gaps)
 
 
 def ideal_orthogonality(cs: ConstrainedSubspace) -> float:
     """Largest |A^* Q| between the ideal vectors A and the basis Q, zero in
-    exact arithmetic: per degree slice for homogeneous generators, over the
-    truncated ideal columns otherwise.
+    exact arithmetic, per degree slice.
 
     The slice-m ideal vectors are the translates alpha (x) p (x) beta with
     |alpha| = a, deg p = d and |beta| = b, so their inner products with the
@@ -316,9 +251,6 @@ def ideal_orthogonality(cs: ConstrainedSubspace) -> float:
     coefficients against its middle axis; no translate is formed."""
     if not cs.generators:
         return 0.0
-    if not cs.graded:
-        mat = np.stack([vec for _, vec in _ideal_columns(cs.fock, cs.generators)], axis=1)
-        return spectral_norm(mat.conj().T @ cs.basis)
     fock, n = cs.fock, cs.fock.n
     worst = 0.0
     for m in range(fock.max_degree + 1):

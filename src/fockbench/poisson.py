@@ -105,7 +105,8 @@ def constrained_poisson_kernel(rc: RowContraction, cs: ConstrainedSubspace, r: f
     This is the one place a tuple is checked against the ideal generators
     (PreconditionError for a residual beyond 1e-10); everything that reads
     the kernel relies on it. It also verifies that the full kernel's range
-    already lies in the constrained part (exact for homogeneous generators).
+    already lies in the constrained part (exact, since every generator is
+    homogeneous).
     Q^* acts on the word index only, so the compression and the containment
     residual are each one product on the (word, defect * dim) reshape of the
     kernel."""

@@ -76,11 +76,18 @@ def polynomial_from_json(obj: list) -> NcPolynomial:
 
 
 def _custom_generators(n: int, obj) -> list[NcPolynomial]:
+    """Custom generators: every letter at most n, and every generator
+    homogeneous (all its terms of one length), since N_J is built degree by
+    degree."""
     if not isinstance(obj, list):
         raise InvalidParameterError(f"custom generators are a list of polynomials, got {obj!r}")
     gens = [polynomial_from_json(p) for p in obj]
     if any(x > n for g in gens for w in g.terms for x in w.letters):
         raise InvalidParameterError(f"a generator uses a letter beyond n = {n}")
+    for i, g in enumerate(gens, start=1):
+        if not g.is_homogeneous:
+            raise InvalidParameterError(f"custom generator {i}, {g}, is not homogeneous: "
+                                        f"its terms have lengths {sorted({len(w) for w in g.terms})}")
     return gens
 
 

@@ -14,9 +14,8 @@ no word and ``Word`` appears only at the boundary (polynomial terms and
 ``word_products`` walks the words degree by degree: the block of g_i b is
 the block of b times op_i, so the block of alpha = g_{a_1} ... g_{a_m} is
 start @ op_{a_m} @ ... @ op_{a_1}, the product along the reversed word. With
-ops T_i^* that is start @ T_alpha^* (the Poisson kernel); with the right
-shifts it is the product along reverse(alpha) (the characteristic function's
-reversed-word order).
+ops T_i^* that is start @ T_alpha^*: the Poisson kernel, and the kernel
+blocks that the characteristic function's coefficients are built from.
 
 The left and right creation operators are never stored as matrices: each is
 the index map ``TruncatedFock.child_map``, e_a -> e_{g_i a} or e_a -> e_{a g_i},
@@ -64,26 +63,6 @@ class Word:
         if not self.letters:
             return "g0"
         return "".join(f"g{i}" for i in self.letters)
-
-
-IDENTITY_WORD = Word(())
-
-
-def enumerate_words(n: int, max_len: int) -> list[Word]:
-    """All words of length <= max_len in length-lexicographic order.
-
-    Index 0 is the identity word; the degree-k slice holds exactly n**k words.
-    """
-    if n < 1:
-        raise InvalidParameterError(f"need n >= 1 generators, got {n}")
-    if max_len < 0:
-        raise InvalidParameterError(f"need max_len >= 0, got {max_len}")
-    words: list[Word] = [IDENTITY_WORD]
-    level: list[tuple[int, ...]] = [()]
-    for _ in range(max_len):
-        level = [w + (i,) for w in level for i in range(1, n + 1)]
-        words.extend(Word(w) for w in level)
-    return words
 
 
 def word_products(start: np.ndarray, ops: Sequence[np.ndarray], depth: int) -> np.ndarray:

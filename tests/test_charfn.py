@@ -13,7 +13,6 @@ from fockbench import (
     commutator_generators,
     constrained_poisson_kernel,
     constrained_shifts,
-    enumerate_words,
     evaluate_polynomial,
     kernel_theta_gram,
     point_factorization,
@@ -28,6 +27,7 @@ from fockbench import (
 from fockbench._linalg import spectral_norm
 from fockbench.cli import RunContext, task_factorize
 from fockbench.errors import InvalidParameterError, PreconditionError
+from words_reference import enumerate_words
 
 
 def truncated_factorization(kernel):

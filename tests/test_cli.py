@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fockbench.cli import (
+    TASKS,
     RunContext,
     build_parser,
     main,
@@ -521,9 +522,8 @@ class TestScenario:
     @pytest.mark.parametrize("bad_task, error_prefix", [
         ({"task": "factorize", "mode": "point", "points": [[[0.1, 0.0], [0.2, 0.0]]], "tol": "abc"},
          "ValueError: "),
-        ({"task": "wold", "k_max": -1}, "InvalidParameterError: "),
-        ({"task": "factorize", "mode": "point", "random_points": 2.5}, "InvalidParameterError: "),
-    ], ids=["tol_not_a_number", "wold_negative_k_max", "random_points_float"])
+        ({"task": "factorize", "mode": "point", "points": [[[0.9, 0.0], [0.9, 0.0]]]}, "PreconditionError: "),
+    ], ids=["tol_not_a_number", "point_outside_the_ball"])
     def test_raising_task_is_recorded_and_the_rest_run(self, tmp_path, bad_task, error_prefix):
         scenario = self.scenario_dict()
         scenario["tasks"] = [bad_task, {"task": "curvature", "m_max": 2}]
@@ -559,6 +559,93 @@ class TestScenario:
         assert main(["scenario", "run", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("bad_task", [
+        {"task": "factorize", "mode": "pointwise", "points": [[[0.1, 0.0], [0.2, 0.0]]]},
+        {"task": "factorize"},
+        {"task": "factorize", "mode": "point", "points": []},
+        {"task": "factorize", "mode": "point", "random_points": 0},
+        {"task": "factorize", "mode": "point", "random_points": 2.5},
+        {"task": "factorize", "mode": "point", "points": [[[0.1, 0.0], [0.2, 0.0]]], "random_points": -1},
+        {"task": "wold", "k_max": -1},
+        {"task": "wold", "k_max": 1.5},
+        {"task": "wold", "k_max": "3"},
+        {"task": "wold", "k_max": True},
+    ], ids=["factorize_unknown_mode", "factorize_no_points", "factorize_empty_points",
+            "factorize_zero_random_points", "factorize_random_points_float", "factorize_negative_random_points",
+            "wold_negative_k_max", "wold_k_max_float", "wold_k_max_string", "wold_k_max_bool"])
+    def test_bad_factorize_or_wold_parameter_exits_2(self, tmp_path, capsys, bad_task):
+        """Checked when the scenario loads, like the curvature and arveson
+        parameters: the run exits 2 before any compute and writes no report."""
+        scenario = self.scenario_dict()
+        scenario["tasks"] = [{"task": "curvature", "m_max": 2}, bad_task]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "report.json"
+        assert main(["scenario", "run", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["factorize", "--input", "RC"], "point mode needs points"),
+        (["factorize", "--input", "RC", "--random-points", "0"], "point mode needs points"),
+        (["factorize", "--input", "RC", "--random-points", "-2"], "need an integer random_points >= 0"),
+        (["wold", "--input", "RC", "--k-max", "-1"], "need an integer k_max >= 0"),
+    ], ids=["factorize_no_points", "factorize_zero_random_points", "factorize_negative_random_points",
+            "wold_negative_k_max"])
+    def test_bad_factorize_or_wold_flag_exits_2_before_any_compute(self, rc_file, tmp_path, capsys, monkeypatch,
+                                                                  argv, message):
+        import fockbench.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "context_from_scenario", lambda *a: calls.append(a))
+        out = tmp_path / "report.json"
+        assert main([rc_file if a == "RC" else a for a in argv] + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
+    def custom_ideal_scenario(self, words, t2, tasks):
+        """The scalar pair (0.4, t2) at N = 3 under the custom generator
+        x1 x1 - 0.25 x_words, with these tasks."""
+        scenario = self.scenario_dict()
+        scenario.update(N=3, T=[matrix_to_json(np.array([[0.4]])), matrix_to_json(np.array([[t2]]))], tasks=tasks,
+                        ideal={"kind": "custom", "generators": [[{"word": [1, 1], "re": 1.0},
+                                                                 {"word": words, "re": -0.25}]]})
+        return scenario
+
+    @pytest.mark.parametrize("tasks", [
+        [{"task": "shifts"}, {"task": "model"}],
+        [{"task": "pick", "points": [[[0.0, 0.0], [0.0, 0.0]], [[0.2, 0.0], [0.16, 0.0]]],
+          "targets": [[0.0, 0.0], [0.2, 0.0]]}],
+    ], ids=["shifts_and_model", "pick"])
+    def test_non_homogeneous_generator_exits_2_before_any_compute(self, tmp_path, capsys, monkeypatch, tasks):
+        """x1 x1 - 0.25 x2 holds at the scalar pair (0.4, 0.64), but its terms
+        have lengths 2 and 1: the scenario exits 2 and names the generator."""
+        import fockbench.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "run_task", lambda *a: calls.append(a))
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(self.custom_ideal_scenario([2], 0.64, tasks)))
+        out = tmp_path / "report.json"
+        assert main(["scenario", "run", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "custom generator 1, NcPolynomial((-0.25+0j)*g2 + (1+0j)*g1g1), is not homogeneous" in err
+        assert calls == [] and not out.exists()
+
+    def test_homogeneous_custom_generator_runs_every_task(self):
+        """x1 x1 - 0.25 x2 x2 is homogeneous and holds at the scalar pair
+        (0.4, 0.8): every task runs on its N_J and passes."""
+        scenario = self.custom_ideal_scenario([2, 2], 0.8, [
+            {"task": "shifts"}, {"task": "factorize", "points": [[[0.1, 0.0], [0.2, 0.0]]]},
+            {"task": "factorize", "mode": "truncated"}, {"task": "poisson"}, {"task": "curvature"},
+            {"task": "arveson"}, {"task": "wold"}, {"task": "dilate"}, {"task": "model"},
+            {"task": "pick", "points": [[[0.0, 0.0], [0.0, 0.0]], [[0.1, 0.0], [0.2, 0.0]]],
+             "targets": [[0.0, 0.0], [0.2, 0.0]]}])
+        report = run_scenario(scenario)
+        assert {t["task"] for t in report["tasks"]} == set(TASKS)
+        assert report["summary"] == {"total": 10, "passed": 10, "failed": 0}
+        assert report["tasks"][0]["data"]["slice_dims"] == [1, 2, 3, 4]
 
     def test_non_finite_point_fails_its_task_at_the_boundary(self, tmp_path, capsys):
         # the NaN token is rejected when the scenario is parsed, before any
@@ -905,6 +992,34 @@ class TestSchemas:
         parameter_rules = scenario["properties"]["tasks"]["items"]["allOf"]
         assert {rule["if"]["properties"]["task"]["const"] for rule in parameter_rules} == set(PARAMETER_CHECKS)
 
+    def test_factorize_and_wold_parameters_are_the_ones_the_cli_checks(self):
+        """Each value the scenario schema allows passes the load-time check,
+        and the value just outside it is rejected."""
+        from fockbench.cli import PARAMETER_CHECKS
+
+        rules = {rule["if"]["properties"]["task"]["const"]: rule["then"]
+                 for rule in load_schema("scenario.schema.json")["properties"]["tasks"]["items"]["allOf"]}
+        factorize, wold = PARAMETER_CHECKS["factorize"], PARAMETER_CHECKS["wold"]
+        point = [[[0.1, 0.0], [0.2, 0.0]]]
+        props = rules["factorize"]["properties"]
+        for mode in props["mode"]["enum"]:
+            factorize({"mode": mode, "points": point})
+        low = props["random_points"]["minimum"]
+        factorize({"points": point, "random_points": low})
+        factorize({"mode": "truncated"})
+        with_points, with_random = rules["factorize"]["then"]["anyOf"]
+        need = with_random["properties"]["random_points"]["minimum"]
+        factorize({"random_points": need})
+        k_max = rules["wold"]["properties"]["k_max"]["minimum"]
+        wold({"k_max": k_max})
+        for check, params in ((factorize, {"mode": "pointwise", "points": point}),
+                              (factorize, {"points": point, "random_points": low - 1}),
+                              (factorize, {"random_points": need - 1}),
+                              (factorize, {"points": [None] * (with_points["properties"]["points"]["minItems"] - 1)}),
+                              (wold, {"k_max": k_max - 1})):
+            with pytest.raises(InvalidParameterError):
+                check(params)
+
     @pytest.mark.parametrize("name", ["golden_report.json", "golden_qcomm_report.json"])
     def test_golden_reports_carry_every_required_key(self, name):
         report = json.loads((DATA / name).read_text())
@@ -967,7 +1082,7 @@ class TestSchemas:
 # Public module-level names that no task reaches, each with the reason it stays.
 UNREACHED_ALLOWED = {
     ("charfn", "unitary_invariance_check"):
-        "acceptance criterion 12 reads it until Theta decides unitary equivalence (ROADMAP item 4)",
+        "acceptance criterion 12 reads it until Theta decides unitary equivalence (ROADMAP item 6)",
 }
 
 

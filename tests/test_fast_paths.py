@@ -2,21 +2,23 @@
 
 The child-index maps for the shifts and the degree-by-degree Fock assembly
 rearrange the same floating-point operations, so those comparisons are
-``np.array_equal``, not a tolerance; so is the word-product assembly kept for
-non-homogeneous generators. The shared word walk (``word_products``) is
+``np.array_equal``, not a tolerance. The shared word walk (``word_products``) is
 pinned against the per-word parent recursions it replaced, kept here as
 references, and each reference against the dense ``word_operator`` of every
 word: bit for bit where the walk associates the products the same way (the
 walk itself and the Θ coefficients), under a computed rounding budget where
 it does not (the Poisson kernel, whose old recursion multiplied the adjoints
-before the defect root). The graded constrained assembly compresses each Fock
+before the defect root). The constrained assembly compresses each Fock
 block to the slice bases by two products, a different association than the
 word products of compressed shifts, so it is pinned under a computed rounding
 budget. The slice recursion for the constrained subspace computes a different
 orthonormal basis of the same space, so it is pinned basis-free, to 1e-12:
 equal slice dimensions, principal angles, and shifts unitarily similar to
 those of the dense complement of each ideal slice. The ideal slices
-themselves are a dense reference built here. The shift action on kernel rows
+themselves are a dense reference built here, pinned bit for bit against the
+per-word ideal columns S_alpha p(S) S_beta (vacuum), kept here as a
+reference. Every generator is homogeneous; the ``ideals()`` strategy draws
+random custom ones beside the named ideals. The shift action on kernel rows
 (``shift_adjoints``) is pinned against the dense lift (S_i^* (x) I) x: bit for
 bit on the Fock space, where it is a gather, and under a computed rounding
 budget on N_J, where it is one product on a reshape instead of a Kronecker
@@ -46,9 +48,7 @@ from hypothesis import strategies as st
 
 import fockbench.charfn as charfn_mod
 import fockbench.contractions as contractions_mod
-import fockbench.ideals as ideals_mod
 from fockbench import (
-    IDENTITY_WORD,
     NcPolynomial,
     PickProblem,
     TruncatedFock,
@@ -58,7 +58,6 @@ from fockbench import (
     characteristic_coefficients,
     commutator_generators,
     constrained_shifts,
-    enumerate_words,
     constrained_poisson_kernel,
     kernel_theta_gram,
     model_space,
@@ -74,9 +73,10 @@ from fockbench import (
 from fockbench._linalg import complement_basis, principal_angles, svd_positive
 from fockbench.cli import RunContext, task_factorize
 from fockbench.errors import DegenerateInputError, InvalidParameterError, PreconditionError
-from fockbench.ideals import _generator_matrix, _ideal_columns, ideal_orthogonality
+from fockbench.ideals import _generator_matrix, ideal_orthogonality
 from fockbench.poisson import _radial_defect
 from fockbench.words import word_products
+from words_reference import IDENTITY_WORD, enumerate_words
 
 EPS = np.finfo(float).eps
 
@@ -191,9 +191,31 @@ def assembly_budget(op, cs):
     return (cs.fock.max_degree + 1) * cs.fock.dim * EPS * total
 
 
+def ideal_columns(fock, generators):
+    """Vectors S_alpha p(S) S_beta (vacuum) for |alpha| + deg p + |beta| <= N,
+    each with its degree, built word by word: the column for (alpha, p, beta)
+    is sum_w c_w e_{alpha w beta}."""
+    top = fock.max_degree
+    columns = []
+    all_words = enumerate_words(fock.n, top)
+    for p in generators:
+        d = p.degree
+        for beta in all_words:
+            if len(beta) > top - d:
+                continue
+            for alpha in all_words:
+                if len(alpha) + d + len(beta) > top:
+                    continue
+                vec = np.zeros(fock.dim, dtype=complex)
+                for w, c in p.terms.items():
+                    vec[fock.word_index(alpha * w * beta)] += c
+                columns.append((len(alpha) + d + len(beta), vec))
+    return columns
+
+
 def ideal_slice(fock, generators, m):
-    """Dense degree-m ideal slice: the degree-m columns of ``_ideal_columns``
-    for homogeneous generators, in slice coordinates and in the same order
+    """Dense degree-m ideal slice: the degree-m columns of ``ideal_columns``,
+    in slice coordinates and in the same order
     (generator, then beta by length and lexicographically, then alpha
     lexicographically) with the same values. The column for (alpha, p, beta)
     holds c_w at the slice index of alpha*w*beta, which is
@@ -217,13 +239,14 @@ def ideal_slice(fock, generators, m):
 
 
 @st.composite
-def ideals(draw, homogeneous_only=False):
+def ideals(draw):
     """(n, N, generators) over commutative, q-commutative with a random q,
-    truncated(m) and one non-homogeneous custom ideal."""
+    truncated(m) and a custom ideal: one homogeneous generator of a random
+    degree 1 <= d <= N with random complex coefficients on one to three
+    words of length d."""
     n = draw(st.integers(1, 3))
     top = draw(st.integers(1, 5))
-    kinds = ["commutative", "q-commutative", "truncated"] + ([] if homogeneous_only else ["custom"])
-    kind = draw(st.sampled_from(kinds))
+    kind = draw(st.sampled_from(["commutative", "q-commutative", "truncated", "custom"]))
     if kind == "commutative":
         gens = commutator_generators(n)
     elif kind == "q-commutative":
@@ -233,8 +256,10 @@ def ideals(draw, homogeneous_only=False):
     elif kind == "truncated":
         gens = word_length_generators(n, draw(st.integers(1, top)))
     else:
-        k = min(2, top)
-        gens = [NcPolynomial({Word((1,) * k): 1.0, Word((n,) * (k - 1)): -0.5})]
+        d = draw(st.integers(1, top))
+        words = draw(st.lists(st.tuples(*[st.integers(1, n)] * d), min_size=1, max_size=3, unique=True))
+        gens = [NcPolynomial({Word(w): draw(st.floats(0.5, 2.0)) * np.exp(1j * draw(st.floats(-np.pi, np.pi)))
+                              for w in words})]
     return n, max([top] + [g.degree for g in gens]), gens
 
 
@@ -265,11 +290,11 @@ def test_constrained_shifts_match_dense_compression(case):
 
 
 @settings(max_examples=25, deadline=None)
-@given(ideals(homogeneous_only=True))
+@given(ideals())
 def test_ideal_slices_match_ideal_columns(case):
     n, top, gens = case
     fock = TruncatedFock(n, top)
-    columns = _ideal_columns(fock, gens)
+    columns = ideal_columns(fock, gens)
     for m in range(top + 1):
         sl = fock.slice_range(m)
         ref = [vec[sl] for deg, vec in columns if deg == m]
@@ -280,7 +305,7 @@ def test_ideal_slices_match_ideal_columns(case):
 
 
 @settings(max_examples=40, deadline=None)
-@given(ideals(homogeneous_only=True))
+@given(ideals())
 def test_ideal_orthogonality_matches_dense_slices(case):
     n, top, gens = case
     cs = build_constrained_subspace(TruncatedFock(n, top), gens)
@@ -313,7 +338,7 @@ def assert_recursion_matches_dense_complement(fock, gens):
 
 
 @settings(max_examples=40, deadline=None)
-@given(ideals(homogeneous_only=True))
+@given(ideals())
 def test_slice_recursion_matches_dense_complement(case):
     n, top, gens = case
     assert_recursion_matches_dense_complement(TruncatedFock(n, top), gens)
@@ -361,14 +386,7 @@ def test_constrained_assembly_matches_kron_sum(case, seed):
     cs = build_constrained_subspace(TruncatedFock(n, top), gens)
     op = random_coefficients(n, top, seed)
     fast = assemble(op, cs=cs)
-    if cs.graded:
-        assert np.abs(fast - dense_assemble(op, cs)).max(initial=0.0) <= assembly_budget(op, cs)
-    else:
-        assert np.array_equal(fast, dense_assemble(op, cs))
-
-
-# z_1^2 = z_2 / 2 on scalar points; its ideal is not graded.
-NON_HOMOGENEOUS = NcPolynomial({Word((1, 1)): 1.0, Word((2,)): -0.5})
+    assert np.abs(fast - dense_assemble(op, cs)).max(initial=0.0) <= assembly_budget(op, cs)
 
 
 def coisometric_pair():
@@ -380,8 +398,7 @@ def coisometric_pair():
     (coisometric_pair(), 2, commutator_generators(2)),
     (coisometric_pair(), 2, []),
     (validate([np.diag([0.3, 0.1]), np.diag([0.2, -0.4])]), 2, [NcPolynomial({IDENTITY_WORD: 1.0})]),
-    (validate([np.diag([0.3, 0.1]), np.diag([0.2, -0.4])]), 2, [NON_HOMOGENEOUS]),
-], ids=["n1", "defect_rank0_commutative", "defect_rank0_free", "constant_generator", "non_homogeneous"])
+], ids=["n1", "defect_rank0_commutative", "defect_rank0_free", "constant_generator"])
 def test_assembly_edge_cases(rc, n, gens):
     top = 4
     op = characteristic_coefficients(rc, top)
@@ -391,23 +408,6 @@ def test_assembly_edge_cases(rc, n, gens):
     assert fast.shape == (cs.dim * op.target_dim, cs.dim * op.source_dim)
     assert np.abs(fast - dense_assemble(op, cs)).max(initial=0.0) <= assembly_budget(op, cs)
     assert np.array_equal(assemble(op, fock=fock), word_loop_assemble(op, fock))
-
-
-def test_graded_paths_skip_dense_builders(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("dense builder called on a graded fast path")
-
-    monkeypatch.setattr(ideals_mod, "_ideal_columns", forbidden)
-    monkeypatch.setattr(charfn_mod, "_assemble_word_products", forbidden)
-    for n, gens in ((3, commutator_generators(3)), (2, q_commutator_generators(np.full((2, 2), 0.5))),
-                    (2, word_length_generators(2, 3))):
-        cs = build_constrained_subspace(TruncatedFock(n, 4), gens)
-        constrained_shifts(cs, "left")
-        constrained_shifts(cs, "right")
-        ideal_orthogonality(cs)
-        assemble(random_coefficients(n, 4, 0), cs=cs)
-    with pytest.raises(AssertionError):
-        build_constrained_subspace(TruncatedFock(2, 3), [NcPolynomial({Word((1, 2)): 1.0, Word((1,)): 1.0})])
 
 
 def test_point_factorization_forms_the_tuple_constants_once(monkeypatch):
@@ -625,8 +625,8 @@ def test_theta_gram_recursion_equals_the_reach_loop(kind, n, dim, top, seed):
 
 @pytest.mark.parametrize("gens", [
     commutator_generators(2), q_commutator_generators(np.array([[1.0, 0.5], [0.0, 1.0]])),
-    word_length_generators(2, 3), [NON_HOMOGENEOUS], [],
-], ids=["commutative", "q_commutative", "truncated", "non_homogeneous", "free"])
+    word_length_generators(2, 3), [],
+], ids=["commutative", "q_commutative", "truncated", "free"])
 def test_theta_gram_on_nj_is_the_product_of_the_assembled_theta(gens):
     op = characteristic_coefficients(random_tuple(2, 2, 5), 4)
     fock = TruncatedFock(2, 4)
@@ -708,13 +708,10 @@ def test_model_space_matches_the_svd_of_theta(ambient, row_norm, n, dim, top, se
     assert np.linalg.norm(diff, 2) <= model_budget(kern, op, gap)
 
 
-def variety_tuple(n, gens):
-    """A scalar tuple on which every generator drawn by ``ideals()`` vanishes:
-    zero for the homogeneous ideals; T_1 = T_n = 1/2 for the custom one,
-    g_1^k - g_n^(k-1) / 2 with k <= 2."""
-    if all(g.is_homogeneous for g in gens):
-        return validate([np.zeros((1, 1))] * n)
-    return validate([np.array([[0.5 if i in (0, n - 1) else 0.0]]) for i in range(n)])
+def variety_tuple(n):
+    """The zero scalar tuple, on which every generator drawn by ``ideals()``
+    vanishes: each one is homogeneous of degree at least 1."""
+    return validate([np.zeros((1, 1))] * n)
 
 
 def assert_shift_adjoints_match_dense(kern, x):
@@ -736,7 +733,7 @@ def assert_shift_adjoints_match_dense(kern, x):
 @given(ideals(), st.booleans(), st.integers(0, 2), st.integers(1, 3), st.integers(0, 2**31 - 1))
 def test_shift_adjoints_match_the_dense_lift(case, on_nj, d, cols, seed):
     n, top, gens = case
-    rc = variety_tuple(n, gens)
+    rc = variety_tuple(n)
     fock = TruncatedFock(n, top)
     kern = constrained_poisson_kernel(rc, build_constrained_subspace(fock, gens)) if on_nj else poisson_kernel(rc, fock)
     rng = np.random.default_rng(seed)
@@ -751,8 +748,7 @@ def test_shift_adjoints_match_the_dense_lift(case, on_nj, d, cols, seed):
     (validate([np.diag([0.5, 0.5], 1)]), word_length_generators(1, 3)),
     (coisometric_pair(), commutator_generators(2)),
     (coisometric_pair(), []),
-    (validate([np.array([[0.5]]), np.array([[0.5]])]), [NON_HOMOGENEOUS]),
-], ids=["n1_free", "n1_truncated", "defect_rank0_commutative", "defect_rank0_free", "non_homogeneous"])
+], ids=["n1_free", "n1_truncated", "defect_rank0_commutative", "defect_rank0_free"])
 def test_shift_adjoint_edge_cases(rc, gens):
     fock = TruncatedFock(rc.n, 4)
     for kern in (poisson_kernel(rc, fock), constrained_poisson_kernel(rc, build_constrained_subspace(fock, gens))):

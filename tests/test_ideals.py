@@ -119,16 +119,17 @@ class TestBuildConstrainedSubspace:
             cs = build_constrained_subspace(f, gens)
             assert cs.contains_vacuum()
 
-    def test_non_homogeneous_generators_are_flagged(self):
-        f = TruncatedFock(2, 4)
-        p = NcPolynomial({Word((1,)): 1.0, Word((1, 2)): 1.0})
-        cs = build_constrained_subspace(f, [p])
-        assert not cs.graded
-        assert cs.buffer_window == 2
+    def test_non_homogeneous_generator_is_rejected(self):
+        # z_1^2 = z_2 / 4 holds at the scalar pair (0.4, 0.64), but its terms
+        # have lengths 2 and 1
+        p = NcPolynomial({Word((1, 1)): 1.0, Word((2,)): -0.25})
+        with pytest.raises(InvalidParameterError, match="not homogeneous"):
+            build_constrained_subspace(TruncatedFock(2, 3), [p])
 
     def test_vacuum_compression_requires_vacuum(self):
+        # a nonzero constant is homogeneous of degree 0 and kills the vacuum
         f = TruncatedFock(2, 3)
-        cs = build_constrained_subspace(f, [NcPolynomial({Word(()): 1.0, Word((1,)): 1.0})])
+        cs = build_constrained_subspace(f, [NcPolynomial({Word(()): 0.5})])
         with pytest.raises(PreconditionError):
             cs.vacuum_vector()
 

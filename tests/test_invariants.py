@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import fockbench.invariants as invariants_mod
 from fockbench import (
-    IDENTITY_WORD,
     PurityResult,
     TruncatedFock,
     Word,
@@ -18,13 +17,13 @@ from fockbench import (
     characteristic_coefficients,
     commutator_generators,
     curvature_phi,
-    enumerate_words,
     curvature_theta,
     euler_phi,
     validate,
 )
 from fockbench._linalg import matrix_rank, spectral_norm
 from fockbench.errors import InvalidParameterError, PreconditionError
+from words_reference import IDENTITY_WORD, enumerate_words
 
 
 def brute_force_trace_sequence(mats, m_max):

@@ -8,11 +8,11 @@ from fockbench import (
     Word,
     build_constrained_subspace,
     constrained_shifts,
-    enumerate_words,
     word_operator,
 )
 from fockbench.words import word_products
 from fockbench.errors import InvalidParameterError
+from words_reference import enumerate_words
 
 
 def creation_tuples(f):
