@@ -104,7 +104,7 @@ def assemble(
     fits against. So with Theta_k the degree-k coefficients stacked in the
     order of the reversed words, the Fock block from degree m to degree m + k
     is I_{n^m} (x) Theta_k, written through a strided view. A constrained
-    ambient compresses that block to its slice bases,
+    ambient compresses that block to its stored slice bases ``cs.slices``,
     (Q_{m+k}^* (x) I)(I_{n^m} (x) Theta_k)(Q_m (x) I), as two products; N_J is
     graded and co-invariant, so this equals the assembly against products of
     the compressed right shifts.
@@ -128,8 +128,7 @@ def assemble(
                 block.reshape(n**m, n**k * tgt, n**m, src)[mu, :, mu, :] += theta_k
         return out
 
-    off = np.cumsum([0, *cs.slice_dims])
-    slices = [cs.basis[ambient.slice_range(m), off[m] : off[m + 1]] for m in range(top + 1)]
+    off, slices = np.cumsum([0, *cs.slice_dims]), cs.slices
     out = np.zeros((cs.dim * tgt, cs.dim * src), dtype=complex)
     out4 = out.reshape(cs.dim, tgt, cs.dim, src)
     for k, theta_k in enumerate(thetas):

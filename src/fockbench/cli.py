@@ -24,7 +24,8 @@ from .charfn import kernel_theta_gram, point_factorization, verify_truncated_fac
 from .contractions import RowContraction, check_count, validate
 from .dilation import build_dilation, model_space, wold_decompose
 from .errors import FockbenchError, InvalidParameterError
-from .ideals import NcPolynomial, build_constrained_subspace, constrained_shifts, ideal_orthogonality
+from .ideals import (NcPolynomial, build_constrained_subspace, constrained_shifts, ideal_orthogonality,
+                     shift_matrices)
 from .interpolation import PickProblem, pick_feasible, variety_membership
 from .invariants import arveson_curvature, curvature_phi, curvature_theta, euler_phi
 from .poisson import PoissonKernel, constrained_poisson_kernel, intertwining_check, poisson_kernel
@@ -95,10 +96,12 @@ def _purity(rc: RowContraction) -> dict:
 
 
 def task_shifts(ctx: RunContext, params: dict) -> dict:
+    """Slice by slice: Q_m^* Q_m = I, and the block-diagonal I - sum B_i B_i^*
+    is Q_0 Q_0^* on slice 0 and 0 on slices 1..N-1."""
     cs = ctx.cs()
     left = constrained_shifts(cs, "left")
     checks = [
-        _check("basis_orthonormal", spectral_norm(cs.basis.conj().T @ cs.basis - np.eye(cs.dim)), 1e-12),
+        _check("basis_orthonormal", max(spectral_norm(q.conj().T @ q - np.eye(q.shape[1])) for q in cs.slices), 1e-12),
         _check("ideal_orthogonality", ideal_orthogonality(cs), 1e-12),
     ]
     data: dict = {
@@ -109,21 +112,38 @@ def task_shifts(ctx: RunContext, params: dict) -> dict:
         "graded": True,
     }
     if cs.contains_vacuum():
-        v0 = cs.vacuum_vector()
-        defect = np.eye(cs.dim) - sum(b @ b.conj().T for b in left)
-        window = cs.degree_window_mask(cs.fock.max_degree - 1)
-        diff = (defect - np.outer(v0, v0.conj()))[np.ix_(window, window)]
-        checks.append(_check("defect_is_vacuum_projection", spectral_norm(diff), 1e-10))
+        blocks = [np.eye(q.shape[1]) - (sum(x[m - 1] @ x[m - 1].conj().T for x in left) if m else q @ q.conj().T)
+                  for m, q in enumerate(cs.slices[: cs.fock.max_degree])]
+        checks.append(_check("defect_is_vacuum_projection", max(map(spectral_norm, blocks), default=0.0), 1e-10))
     if params.get("emit_matrices", True):
-        data["left_shifts"] = [matrix_to_json(b) for b in left]
-        data["right_shifts"] = [matrix_to_json(w) for w in constrained_shifts(cs, "right")]
+        data["left_shifts"] = [matrix_to_json(b) for b in shift_matrices(cs, left)]
+        data["right_shifts"] = [matrix_to_json(w) for w in shift_matrices(cs, constrained_shifts(cs, "right"))]
     return {"checks": checks, "data": data}
+
+
+def _number(key: str, default: float, ok, what: str):
+    """The reader of a task's number parameter ``key``: a finite number (not
+    a bool) with ``ok(value)``; anything else raises InvalidParameterError."""
+    def read(params: dict) -> float:
+        value = params.get(key, default)
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not (np.isfinite(value) and ok(value)):
+            raise InvalidParameterError(f"need a finite number {key} {what}, got {value!r}")
+        return float(value)
+    return read
+
+
+# The tol of pick (and of factorize), poisson's radius r and arveson's agree_tol.
+_tol_params = _number("tol", 1e-9, lambda v: v > 0, "> 0")
+_poisson_params = _number("r", 1.0, lambda v: 0 < v <= 1, "in (0, 1]")
+_agree_tol = _number("agree_tol", 2e-2, lambda v: v >= 0, ">= 0")
 
 
 def _factorize_params(params: dict) -> tuple[str, int]:
     """The factorize task's ``mode`` (point or truncated) and, in point mode,
     its ``random_points`` (an integer >= 0); point mode needs ``points`` or
-    at least one random point."""
+    at least one random point. A ``tol`` must be a number > 0."""
+    if "tol" in params:
+        _tol_params(params)
     mode = params.get("mode", "point")
     if mode not in ("point", "truncated"):
         raise InvalidParameterError(f"unknown factorize mode {mode!r}")
@@ -142,10 +162,7 @@ def task_factorize(ctx: RunContext, params: dict) -> dict:
         tol = float(params.get("tol", ctx.tol))
         points = [point_from_json(p, ctx.n) for p in params.get("points", [])]
         if count:
-            seed = params.get("seed", ctx.seed)
-            if seed is None:
-                raise InvalidParameterError("random points need a seed")
-            rng = np.random.default_rng(int(seed))
+            rng = np.random.default_rng(int(params.get("seed", ctx.seed)))
             for _ in range(count):
                 z = rng.standard_normal(ctx.n) + 1j * rng.standard_normal(ctx.n)
                 points.append(0.8 * z / max(np.linalg.norm(z), 1e-12) * rng.uniform(0.1, 1.0))
@@ -170,16 +187,16 @@ def _curvature_params(params: dict) -> tuple[int, str]:
     return m_max, method
 
 
-def _arveson_params(params: dict) -> tuple[int, tuple[float, ...]]:
-    """The arveson task's ``m_max`` (an integer >= 1) and ``r_values`` (a
-    non-empty list of numbers in (0, 1))."""
+def _arveson_params(params: dict) -> tuple[int, tuple[float, ...], float]:
+    """The arveson task's ``m_max`` (an integer >= 1), ``r_values`` (a
+    non-empty list of numbers in (0, 1)) and ``agree_tol`` (a number >= 0)."""
     m_max = check_count("m_max", params.get("m_max", 8), 1)
     r_values = params.get("r_values", (0.9, 0.99, 0.999))
     if not (isinstance(r_values, (list, tuple)) and r_values
             and all(isinstance(r, (int, float)) and not isinstance(r, bool) and 0.0 < r < 1.0 for r in r_values)):
         raise InvalidParameterError(f"r_values must be a non-empty list of radial parameters in (0, 1), "
                                     f"got {r_values!r}")
-    return m_max, tuple(r_values)
+    return m_max, tuple(r_values), _agree_tol(params)
 
 
 def _rank_gaps(gaps) -> list[dict]:
@@ -211,7 +228,7 @@ def task_curvature(ctx: RunContext, params: dict) -> dict:
 
 
 def task_arveson(ctx: RunContext, params: dict) -> dict:
-    m_max, r_values = _arveson_params(params)
+    m_max, r_values, agree_tol = _arveson_params(params)
     rep = arveson_curvature(ctx.rc, m_max=m_max, r_values=r_values)
     data = {
         "boundary": {f"{r:g}": {"value": value, "tail_bound": tail} for r, (value, tail) in rep.boundary.items()},
@@ -222,7 +239,7 @@ def task_arveson(ctx: RunContext, params: dict) -> dict:
         "deviations": rep.deviations,
     }
     checks = [
-        _check("boundary_vs_qm", rep.deviations["boundary_vs_qm"], float(params.get("agree_tol", 2e-2))),
+        _check("boundary_vs_qm", rep.deviations["boundary_vs_qm"], agree_tol),
         _check("slice_trace_vs_orbit", rep.slice_trace_gap, 1e-10),
     ]
     return {"checks": checks, "data": data}
@@ -234,7 +251,7 @@ def task_pick(ctx: RunContext, params: dict) -> dict:
                for a in params["targets"]]
     if not all(np.isfinite(a).all() for a in targets):
         raise InvalidParameterError("pick targets must be finite")
-    tol = float(params.get("tol", 1e-9))
+    tol = _tol_params(params)
     for z in points:
         if not variety_membership(z, ctx.generators, ctx.n):
             raise FockbenchError(f"point {z} is not in the variety of the ideal")
@@ -314,7 +331,7 @@ def task_model(ctx: RunContext, params: dict) -> dict:
 
 
 def task_poisson(ctx: RunContext, params: dict) -> dict:
-    kern = ctx.kernel(float(params.get("r", 1.0)))
+    kern = ctx.kernel(_poisson_params(params))
     inter = intertwining_check(kern)
     checks = [
         _check("intertwining_residual", inter.residual, 1e-10),
@@ -362,7 +379,7 @@ TUPLE_TASKS = {"factorize", "curvature", "arveson", "wold", "dilate", "model", "
 TRUNCATION_TASKS = {"shifts", "factorize", "dilate", "model", "poisson"}
 # Task parameters checked when the scenario loads, before any compute.
 PARAMETER_CHECKS = {"factorize": _factorize_params, "curvature": _curvature_params, "arveson": _arveson_params,
-                    "wold": _wold_params}
+                    "pick": _tol_params, "wold": _wold_params, "poisson": _poisson_params}
 
 
 def _reject_constant(name: str):
@@ -382,9 +399,8 @@ def _load_json(path: str):
 def check_scenario(scenario: dict) -> dict:
     """Reject a scenario that lacks what its tasks read: ``n`` and a list of
     task objects always, ``T`` for a task on the tuple, ``N`` for a task on the
-    truncation, and points and targets for ``pick``; and one whose
-    factorize, curvature, arveson or wold task has a parameter its handler
-    would reject."""
+    truncation, and points and targets for ``pick``; and one whose task has
+    a parameter in ``PARAMETER_CHECKS`` that its handler would reject."""
     if not isinstance(scenario, dict):
         raise InvalidParameterError("a scenario is a JSON object")
     for key in ("n", "tasks"):
@@ -431,14 +447,11 @@ def context_from_scenario(scenario: dict, tol: float, seed: int | None) -> RunCo
         rc = validate([matrix_from_json(m) for m in scenario["T"]])
         if rc.n != n:
             raise InvalidParameterError("tuple length disagrees with the scenario dimension")
-    return RunContext(
-        n=n,
-        trunc=trunc,
-        generators=generators,
-        rc=rc,
-        tol=tol,
-        seed=scenario.get("seed", seed),
-    )
+    seed = scenario.get("seed", seed)
+    if any(t["task"] == "factorize" and _factorize_params(t)[1] and t.get("seed", seed) is None
+           for t in scenario["tasks"]):
+        raise InvalidParameterError("random points need a seed: from the task, the scenario or --seed")
+    return RunContext(n=n, trunc=trunc, generators=generators, rc=rc, tol=tol, seed=seed)
 
 
 def run_scenario(scenario: str | dict, tol: float = 1e-9, seed: int | None = None) -> dict:

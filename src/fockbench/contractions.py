@@ -220,10 +220,10 @@ def purity(rc: RowContraction, tol: float = 1e-10, k_max: int = 10_000) -> Purit
 # width at which spectral_radius certifies, the step cap, and the stagnation
 # rule (stop when the width has not halved over the last PERRON_STALL_STEPS
 # steps). A stalled bracket costs PERRON_STALL_STEPS + 1 steps, about 2 ms for
-# a diagonal pair of dim 32.
-PERRON_RTOL = 1e-13
-PERRON_MAX_STEPS = 500
-PERRON_STALL_STEPS = 12
+# a diagonal pair of dim 32. POWER_* are the stopping width and step cap of
+# the power iteration beyond the dense cutoff.
+PERRON_RTOL, PERRON_MAX_STEPS, PERRON_STALL_STEPS = 1e-13, 500, 12
+POWER_RTOL, POWER_MAX_STEPS = 1e-15, 2000
 
 
 def _collatz_wielandt(mats: tuple[np.ndarray, ...]) -> Iterator[tuple[float, float]]:
@@ -289,7 +289,8 @@ def spectral_radius(matrices_or_rc) -> float:
     (reducible Phi, such as diagonal tuples, whose bracket stalls at a gap
     between the radii of invariant pieces): to the dominant eigenvalue
     magnitude of the dense dim^2 x dim^2 matrix of Phi while dim^2 <= 4096,
-    and beyond that to the norm-root iteration on CP powers of the identity.
+    and beyond that to the power iteration X_{k+1} = Phi(X_k) / tr Phi(X_k)
+    from I / dim, whose traces tr Phi(X_k) tend to rho(Phi), until two agree.
 
     Raises InvalidParameterError for an empty tuple, matrices that are not
     square of one size, and non-finite entries.
@@ -306,18 +307,17 @@ def spectral_radius(matrices_or_rc) -> float:
         eigs = np.linalg.eigvals(sum(np.kron(t.conj(), t) for t in mats))
         top = float(np.abs(eigs).max()) if eigs.size else 0.0
         return float(np.sqrt(top))
-    x = np.eye(dim, dtype=complex)
-    estimate = 0.0
-    for k in range(1, 400):
-        x = sum(t @ x @ t.conj().T for t in mats)
-        norm = spectral_norm(x)
-        if norm == 0.0:
+    # Phi maps PSD to PSD, and a PSD iterate has trace 0 only when it is 0.
+    x, prev = np.eye(dim, dtype=complex) / dim, 0.0
+    for _ in range(POWER_MAX_STEPS):
+        y = sum(t @ x @ t.conj().T for t in mats)
+        ratio = float(np.trace(y).real)
+        if ratio <= 0.0:
             return 0.0
-        new = norm ** (1.0 / (2.0 * k))
-        if k > 8 and abs(new - estimate) < 1e-6 * max(1.0, estimate):
-            return float(new)
-        estimate = new
-    return float(estimate)
+        if abs(ratio - prev) <= POWER_RTOL * ratio:
+            break
+        x, prev = y / ratio, ratio
+    return float(np.sqrt(ratio))
 
 
 def check_constraints(rc: RowContraction, generators: Sequence[NcPolynomial]) -> list[float]:

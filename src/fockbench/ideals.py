@@ -6,6 +6,8 @@ the left and right; the constrained subspace is its orthogonal complement.
 Every generator must be homogeneous (all its terms of one length), so the
 ideal and its complement are graded and the truncated picture is exact degree
 by degree; a non-homogeneous generator is rejected with InvalidParameterError.
+N_J is stored as its slice bases Q_m and each constrained shift as its blocks
+Q_{m+1}^* S_i Q_m, so no array has a row per Fock basis word.
 """
 
 from __future__ import annotations
@@ -116,46 +118,41 @@ def word_length_generators(n: int, m: int) -> list[NcPolynomial]:
 
 @dataclass
 class ConstrainedSubspace:
-    """Orthonormal basis of the truncated constrained subspace N_J.
-
-    ``basis`` has one column per basis vector (in Fock coordinates); each
-    column is supported in a single degree slice, the columns are ordered by
-    degree, and slice m holds ``slice_dims[m]`` of them.
-    ``slice_rank_gaps`` holds, per slice, the (largest singular value counted
-    as zero, smallest counted as nonzero) of the rank decisions that fixed
-    that slice's dimension, with None where a side is empty.
-    The projection onto N_J is ``basis @ basis^*``; it is never stored.
+    """The truncated constrained subspace N_J, stored as its degree slices:
+    ``slices[m]`` is Q_m, an orthonormal basis of N_m in the coordinates of
+    the degree-m Fock slice (n^m x dim N_m), and the coordinates of N_J list
+    the slice bases in degree order. ``slice_rank_gaps`` holds, per slice,
+    the (largest singular value counted as zero, smallest counted as nonzero)
+    of the rank decisions that fixed its dimension, None where a side is empty.
     """
 
     fock: TruncatedFock
     generators: list[NcPolynomial]
-    basis: np.ndarray
-    slice_dims: list[int]
+    slices: list[np.ndarray]
     slice_rank_gaps: list[tuple[float | None, float | None]]
 
     @property
+    def slice_dims(self) -> list[int]:
+        return [q.shape[1] for q in self.slices]
+
+    @property
     def dim(self) -> int:
-        return self.basis.shape[1]
+        return sum(self.slice_dims)
 
     @property
     def basis_degrees(self) -> np.ndarray:
-        """The degree of each basis column."""
-        return np.repeat(np.arange(len(self.slice_dims)), self.slice_dims)
+        """The degree of each coordinate of N_J."""
+        return np.repeat(np.arange(len(self.slices)), self.slice_dims)
 
     def contains_vacuum(self) -> bool:
-        """Whether |P e_0 - e_0| <= 1e-10, with P e_0 = Q (row 0 of Q)^*."""
-        residual = self.basis @ self.basis[0].conj()
-        residual[0] -= 1.0
-        return spectral_norm(residual) <= 1e-10
+        """Whether 1 lies in N_J: N_0 is C or 0, since N_J is graded."""
+        return self.slice_dims[0] == 1
 
     def vacuum_vector(self) -> np.ndarray:
         """Coordinates of the vacuum in the subspace basis; requires 1 in N_J."""
         if not self.contains_vacuum():
             raise PreconditionError("the vacuum does not lie in the constrained subspace")
-        return self.basis[0].conj()
-
-    def degree_window_mask(self, max_degree: int) -> np.ndarray:
-        return self.basis_degrees <= max_degree
+        return np.concatenate([self.slices[0][0].conj(), np.zeros(self.dim - 1, dtype=complex)])
 
 
 def _generator_matrix(fock: TruncatedFock, generators: Sequence[NcPolynomial], d: int) -> np.ndarray:
@@ -204,11 +201,12 @@ def _next_slice(fock: TruncatedFock, gens: Sequence[NcPolynomial], prev: np.ndar
 def build_constrained_subspace(fock: TruncatedFock, generators: Sequence[NcPolynomial]) -> ConstrainedSubspace:
     """Constrained subspace N_J at truncation level, built slice by slice.
 
-    N_m comes from N_{m-1} by the thin intersection of ``_next_slice``, so
-    every basis vector lives in one degree slice, no translate of a generator
-    is formed, and the slice dimensions are stable under increasing the
-    truncation. A generator above the truncation degree, with a letter beyond
-    n, or whose terms have different lengths raises InvalidParameterError.
+    N_m comes from N_{m-1} by the thin intersection of ``_next_slice`` and is
+    stored as its basis Q_m; no translate of a generator is formed, and the
+    slice dimensions are stable under increasing the truncation. Without
+    generators every Q_m is the identity. A generator above the truncation
+    degree, with a letter beyond n, or whose terms have different lengths
+    raises InvalidParameterError.
     """
     gens = [g for g in generators if g.terms]
     for g in gens:
@@ -219,26 +217,14 @@ def build_constrained_subspace(fock: TruncatedFock, generators: Sequence[NcPolyn
         if not g.is_homogeneous:
             raise InvalidParameterError(f"generator {g} is not homogeneous: its terms have different lengths")
 
-    if not gens:
-        return ConstrainedSubspace(
-            fock=fock,
-            generators=[],
-            basis=np.eye(fock.dim, dtype=complex),
-            slice_dims=[fock.n**m for m in range(fock.max_degree + 1)],
-            slice_rank_gaps=[(None, None)] * (fock.max_degree + 1),
-        )
-
     slices: list[np.ndarray] = []
     gaps: list[tuple[float | None, float | None]] = []
     for m in range(fock.max_degree + 1):
-        block, gap = _next_slice(fock, gens, slices[-1] if slices else None, m)
+        block, gap = (_next_slice(fock, gens, slices[-1] if slices else None, m) if gens
+                      else (np.eye(fock.n**m, dtype=complex), (None, None)))
         slices.append(block)
         gaps.append(gap)
-    slice_dims = [block.shape[1] for block in slices]
-    basis = np.zeros((fock.dim, sum(slice_dims)), dtype=complex)
-    for m, (block, col) in enumerate(zip(slices, np.cumsum([0, *slice_dims]))):
-        basis[fock.slice_range(m), col : col + block.shape[1]] = block
-    return ConstrainedSubspace(fock=fock, generators=gens, basis=basis, slice_dims=slice_dims, slice_rank_gaps=gaps)
+    return ConstrainedSubspace(fock=fock, generators=gens, slices=slices, slice_rank_gaps=gaps)
 
 
 def ideal_orthogonality(cs: ConstrainedSubspace) -> float:
@@ -253,8 +239,7 @@ def ideal_orthogonality(cs: ConstrainedSubspace) -> float:
         return 0.0
     fock, n = cs.fock, cs.fock.n
     worst = 0.0
-    for m in range(fock.max_degree + 1):
-        q = cs.basis[fock.slice_range(m), cs.basis_degrees == m]
+    for m, q in enumerate(cs.slices):
         k = q.shape[1]
         if k == 0:
             continue
@@ -269,19 +254,23 @@ def ideal_orthogonality(cs: ConstrainedSubspace) -> float:
     return worst
 
 
-def constrained_shifts(cs: ConstrainedSubspace, side: Literal["left", "right"]) -> list[np.ndarray]:
-    """Compressions of the left or right creation tuple to the constrained
-    subspace, expressed in its orthonormal basis.
+def constrained_shifts(cs: ConstrainedSubspace, side: Literal["left", "right"]) -> list[list[np.ndarray]]:
+    """Compressions B_i = P_{N_J} S_i|_{N_J} of the left or right creation
+    tuple as their blocks: per generator, X_{m,i} = Q_{m+1}^* S_i Q_m for
+    m < N (B_i maps N_m into N_{m+1}), read as Q_{m+1}[g_i-children]^* Q_m."""
+    fock = cs.fock
+    return [[cs.slices[m + 1][fock.child_rows(side, i, m)].conj().T @ cs.slices[m] for m in range(fock.max_degree)]
+            for i in range(1, fock.n + 1)]
 
-    Q^* S is a gather through the Fock child map: each of its entries is one
-    product with 1 plus exact zeros, so the gathered matrix equals the dense
-    product bit for bit and no dim x dim creation matrix is built."""
-    qh = cs.basis.conj().T
+
+def shift_matrices(cs: ConstrainedSubspace, shifts: list[list[np.ndarray]]) -> list[np.ndarray]:
+    """The dense matrices B_i of the blocks from ``constrained_shifts``:
+    block (m + 1, m) of B_i is X_{m,i}, and every other block is zero."""
+    off = np.cumsum([0, *cs.slice_dims])
     out = []
-    for i in range(1, cs.fock.n + 1):
-        src, dst = cs.fock.child_map(side, i)
-        g = np.zeros(qh.shape, dtype=complex)
-        g[:, src] = qh[:, dst]
-        out.append(g @ cs.basis)
+    for blocks in shifts:
+        b = np.zeros((cs.dim, cs.dim), dtype=complex)
+        for m, x in enumerate(blocks):
+            b[off[m + 1] : off[m + 2], off[m] : off[m + 1]] = x
+        out.append(b)
     return out
-

@@ -107,9 +107,9 @@ def constrained_poisson_kernel(rc: RowContraction, cs: ConstrainedSubspace, r: f
     the kernel relies on it. It also verifies that the full kernel's range
     already lies in the constrained part (exact, since every generator is
     homogeneous).
-    Q^* acts on the word index only, so the compression and the containment
-    residual are each one product on the (word, defect * dim) reshape of the
-    kernel."""
+    Q^* acts on the word index only and N_J is graded, so on the
+    (word, defect * dim) reshape of the kernel the compression is Q_m^* on
+    the slice-m rows, and the containment residual stacks their remainders."""
     residuals = check_constraints(rc, cs.generators)
     if any(res > 1e-10 for res in residuals):
         raise PreconditionError(
@@ -117,17 +117,14 @@ def constrained_poisson_kernel(rc: RowContraction, cs: ConstrainedSubspace, r: f
         )
     full = poisson_kernel(rc, cs.fock, r)
     words = full.matrix.reshape(cs.fock.dim, -1)
-    coords = cs.basis.conj().T @ words
-    compressed = coords.reshape(cs.dim * full.defect_dim, rc.dim)
+    rows = [words[cs.fock.slice_range(m)] for m in range(len(cs.slices))]
+    coords = [q.conj().T @ w for q, w in zip(cs.slices, rows)]
+    compressed = np.concatenate(coords).reshape(cs.dim * full.defect_dim, rc.dim)
     top = cs.fock.max_degree + 1
     exact_gram = np.eye(rc.dim) - (r ** (2 * top)) * rc.orbit(top)
-    return replace(
-        full,
-        matrix=compressed,
-        isometry_defect=spectral_norm(compressed.conj().T @ compressed - exact_gram),
-        cs=cs,
-        range_containment=spectral_norm((words - cs.basis @ coords).reshape(full.matrix.shape)),
-    )
+    residual = np.concatenate([w - q @ c for q, w, c in zip(cs.slices, rows, coords)]).reshape(full.matrix.shape)
+    return replace(full, matrix=compressed, cs=cs, range_containment=spectral_norm(residual),
+                   isometry_defect=spectral_norm(compressed.conj().T @ compressed - exact_gram))
 
 
 @dataclass
@@ -140,19 +137,22 @@ def shift_adjoints(kernel: PoissonKernel, x: np.ndarray | None = None) -> list[n
     """(S_i^* tensor I) x for i = 1..n on the kernel's ambient; x (default:
     the kernel matrix) has one row block per ambient basis vector.
 
-    On the Fock space S_i^* is a gather through the left child map: it takes
-    row block g_i mu to row block mu and leaves the top-degree blocks zero.
-    On N_J it is B_i^* = (Q^* S_i Q)^* applied to the (ambient, rest)
-    reshape of x; no Kronecker lift is formed."""
+    Slice m of the result is read from slice m + 1 of x; the top slice stays
+    zero. On the Fock space it gathers the g_i-children of slice m
+    (``TruncatedFock.child_rows``); on N_J it is X_{m,i}^* times slice m + 1,
+    with X_{m,i} the blocks of ``constrained_shifts``."""
     x = kernel.matrix if x is None else x
-    blocks = x.reshape(kernel.ambient_dim, -1)
-    if kernel.cs is not None:
-        return [(b.conj().T @ blocks).reshape(x.shape) for b in constrained_shifts(kernel.cs, "left")]
+    fock, cs = kernel.fock, kernel.cs
+    rows = x.reshape(kernel.ambient_dim, -1)
+    off = fock.slice_offsets if cs is None else np.cumsum([0, *cs.slice_dims])
+    shifts = None if cs is None else constrained_shifts(cs, "left")
     out = []
-    for i in range(1, kernel.fock.n + 1):
-        src, dst = kernel.fock.child_map("left", i)
-        moved = np.zeros_like(blocks)
-        moved[src] = blocks[dst]
+    for i in range(1, fock.n + 1):
+        moved = np.zeros_like(rows)
+        for m in range(fock.max_degree):
+            above = rows[off[m + 1] : off[m + 2]]
+            moved[off[m] : off[m + 1]] = (above[fock.child_rows("left", i, m)] if cs is None
+                                          else shifts[i - 1][m].conj().T @ above)
         out.append(moved.reshape(x.shape))
     return out
 

@@ -17,10 +17,10 @@ start @ op_{a_m} @ ... @ op_{a_1}, the product along the reversed word. With
 ops T_i^* that is start @ T_alpha^*: the Poisson kernel, and the kernel
 blocks that the characteristic function's coefficients are built from.
 
-The left and right creation operators are never stored as matrices: each is
-the index map ``TruncatedFock.child_map``, e_a -> e_{g_i a} or e_a -> e_{a g_i},
-and callers gather or scatter rows through it. Their compressions to a
-constrained subspace are ``ideals.constrained_shifts``.
+The left and right creation operators are never stored as matrices: creation
+by g_i maps slice m onto the rows of slice m + 1 that ``TruncatedFock.child_rows``
+names, and callers gather rows through it. Their compressions to a constrained
+subspace are the per-degree blocks of ``ideals.constrained_shifts``.
 
 Truncation rule: creation operators annihilate the top degree slice, which
 keeps them endomorphisms of one space. Identities that move weight upward in
@@ -110,24 +110,17 @@ class TruncatedFock:
             digits = digits * self.n + (x - 1)
         return self.slice_offsets[len(word)] + digits
 
-    def child_map(self, side: Literal["left", "right"], i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Index arrays (src, dst) with e_src -> e_dst under left (e_a -> e_{g_i a})
-        or right (e_a -> e_{a g_i}) creation by g_i.
-
-        In slice m, word j has left child off[m+1] + (i-1) n^m + j and right
-        child off[m+1] + j n + (i-1); top-degree words have no child.
-        """
+    def child_rows(self, side: Literal["left", "right"], i: int, m: int) -> slice:
+        """The rows of slice m + 1 (0 <= m < N) that are the g_i-children of
+        slice m, in parent order: word j has left child (i-1) n^m + j
+        (e_a -> e_{g_i a}, a block) and right child j n + (i-1) (stride n)."""
         if not 1 <= i <= self.n:
             raise InvalidParameterError(f"generator index {i} outside 1..{self.n}")
         if side not in ("left", "right"):
             raise InvalidParameterError(f"side must be 'left' or 'right', got {side!r}")
-        src = np.arange(self.slice_offsets[self.max_degree])
-        dst = np.empty_like(src)
-        for m in range(self.max_degree):
-            j = np.arange(self.n**m)
-            child = (i - 1) * self.n**m + j if side == "left" else j * self.n + (i - 1)
-            dst[self.slice_offsets[m] : self.slice_offsets[m + 1]] = self.slice_offsets[m + 1] + child
-        return src, dst
+        if not 0 <= m < self.max_degree:
+            raise InvalidParameterError(f"degree {m} has no children below the truncation {self.max_degree}")
+        return slice((i - 1) * self.n**m, i * self.n**m) if side == "left" else slice(i - 1, None, self.n)
 
     def __repr__(self) -> str:
         return f"TruncatedFock(n={self.n}, max_degree={self.max_degree}, dim={self.dim})"

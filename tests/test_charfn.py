@@ -12,7 +12,6 @@ from fockbench import (
     characteristic_coefficients,
     commutator_generators,
     constrained_poisson_kernel,
-    constrained_shifts,
     evaluate_polynomial,
     kernel_theta_gram,
     point_factorization,
@@ -27,7 +26,7 @@ from fockbench import (
 from fockbench._linalg import spectral_norm
 from fockbench.cli import RunContext, task_factorize
 from fockbench.errors import InvalidParameterError, PreconditionError
-from words_reference import enumerate_words
+from words_reference import enumerate_words, fock_row_basis, shift_tuple
 
 
 def truncated_factorization(kernel):
@@ -45,7 +44,7 @@ def creation_tuples(f):
     """Left and right creation tuples as matrices (the free ideal's N_J has
     the identity basis, so its compressions equal them bit for bit)."""
     cs = build_constrained_subspace(f, [])
-    return constrained_shifts(cs, "left"), constrained_shifts(cs, "right")
+    return shift_tuple(cs, "left"), shift_tuple(cs, "right")
 
 
 def coefficient_items(op):
@@ -452,8 +451,9 @@ class TestConstrainedCompression:
         op = characteristic_coefficients(rc, f.max_degree)
         constrained = assemble(op, cs=cs)
         standard = assemble(op, fock=f)
-        lift_t = np.kron(cs.basis, np.eye(op.target_dim, dtype=complex))
-        lift_s = np.kron(cs.basis, np.eye(op.source_dim, dtype=complex))
+        q = fock_row_basis(cs)
+        lift_t = np.kron(q, np.eye(op.target_dim, dtype=complex))
+        lift_s = np.kron(q, np.eye(op.source_dim, dtype=complex))
         compressed = lift_t.conj().T @ standard @ lift_s
         assert np.linalg.norm(constrained - compressed, 2) < 1e-10
 
@@ -508,7 +508,7 @@ class TestConstrainedMultiAnalyticity:
         cs = build_constrained_subspace(f, commutator_generators(2))
         op = characteristic_coefficients(rc, f.max_degree)
         mat = assemble(op, cs=cs)
-        b_ops = constrained_shifts(cs, "left")
+        b_ops = shift_tuple(cs, "left")
         for b in b_ops:
             lhs = mat @ np.kron(b, np.eye(op.source_dim, dtype=complex))
             rhs = np.kron(b, np.eye(op.target_dim, dtype=complex)) @ mat

@@ -163,18 +163,16 @@ class TestSubcommands:
         gens = commutator_generators(2)
         ctx = RunContext(n=2, trunc=4, generators=gens, rc=None, tol=1e-8, seed=None)
         cs = ctx.cs()
-        q = cs.basis.copy()
-        col = int(np.flatnonzero(cs.basis_degrees == 2)[0])
+        slices = [q.copy() for q in cs.slices]
+        q = slices[2]
         if mutation == "scale":
-            q[:, col] *= 1.0 + 1e-11
+            q[:, 0] *= 1.0 + 1e-11
         else:
             # Turn one slice-2 vector towards the ideal: the basis stays
             # orthonormal, since the ideal is orthogonal to every basis vector.
-            ideal = np.zeros(cs.fock.dim, dtype=complex)
-            ideal[cs.fock.slice_range(2)] = _generator_matrix(cs.fock, gens, 2)[:, 0]
-            ideal /= np.linalg.norm(ideal)
-            q[:, col] = np.cos(1e-11) * q[:, col] + np.sin(1e-11) * ideal
-        ctx._cs = dataclasses.replace(cs, basis=q)
+            ideal = _generator_matrix(cs.fock, gens, 2)[:, 0]
+            q[:, 0] = np.cos(1e-11) * q[:, 0] + np.sin(1e-11) * ideal / np.linalg.norm(ideal)
+        ctx._cs = dataclasses.replace(cs, slices=slices)
         checks = {c["name"]: c for c in task_shifts(ctx, {"emit_matrices": False})["checks"]}
         assert not checks[failing]["pass"]
         assert all(c["pass"] for name, c in checks.items() if name != failing)
@@ -188,7 +186,8 @@ class TestSubcommands:
         ctx = RunContext(n=2, trunc=4, generators=commutator_generators(2), rc=None, tol=1e-8, seed=None)
         assert all(c["pass"] for c in task_shifts(ctx, {"emit_matrices": False})["checks"])
         shifts = cli.constrained_shifts
-        monkeypatch.setattr(cli, "constrained_shifts", lambda cs, side: [(1 - 5e-10) * b for b in shifts(cs, side)])
+        monkeypatch.setattr(cli, "constrained_shifts",
+                            lambda cs, side: [[(1 - 5e-10) * x for x in blocks] for blocks in shifts(cs, side)])
         checks = {c["name"]: c for c in task_shifts(ctx, {"emit_matrices": False})["checks"]}
         assert not checks["defect_is_vacuum_projection"]["pass"]
         assert checks["basis_orthonormal"]["pass"] and checks["ideal_orthogonality"]["pass"]
@@ -520,10 +519,8 @@ class TestScenario:
         assert [t["status"] for t in report["tasks"]] == ["fail", "pass"]
 
     @pytest.mark.parametrize("bad_task, error_prefix", [
-        ({"task": "factorize", "mode": "point", "points": [[[0.1, 0.0], [0.2, 0.0]]], "tol": "abc"},
-         "ValueError: "),
         ({"task": "factorize", "mode": "point", "points": [[[0.9, 0.0], [0.9, 0.0]]]}, "PreconditionError: "),
-    ], ids=["tol_not_a_number", "point_outside_the_ball"])
+    ], ids=["point_outside_the_ball"])
     def test_raising_task_is_recorded_and_the_rest_run(self, tmp_path, bad_task, error_prefix):
         scenario = self.scenario_dict()
         scenario["tasks"] = [bad_task, {"task": "curvature", "m_max": 2}]
@@ -559,6 +556,45 @@ class TestScenario:
         assert main(["scenario", "run", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("bad_task, drop_seed", [
+        ({"task": "factorize", "mode": "point", "points": [[[0.1, 0.0], [0.2, 0.0]]], "tol": "abc"}, False),
+        ({"task": "factorize", "mode": "point", "points": [[[0.1, 0.0], [0.2, 0.0]]], "tol": 0.0}, False),
+        ({"task": "factorize", "mode": "truncated", "tol": True}, False),
+        ({"task": "pick", "points": [[[0.0, 0.0], [0.0, 0.0]]], "targets": [[0.0, 0.0]], "tol": -1e-9}, False),
+        ({"task": "poisson", "r": 0.0}, False),
+        ({"task": "poisson", "r": 1.5}, False),
+        ({"task": "poisson", "r": "0.5"}, False),
+        ({"task": "arveson", "m_max": 2, "agree_tol": -0.01}, False),
+        ({"task": "arveson", "m_max": 2, "agree_tol": [0.1]}, False),
+        ({"task": "factorize", "mode": "point", "random_points": 2}, True),
+    ], ids=["tol_not_a_number", "factorize_tol_zero", "factorize_tol_bool", "pick_tol_negative", "poisson_r_zero",
+            "poisson_r_above_one", "poisson_r_string", "arveson_agree_tol_negative", "arveson_agree_tol_list",
+            "random_points_without_a_seed"])
+    def test_bad_tolerance_radius_or_missing_seed_exits_2(self, tmp_path, capsys, bad_task, drop_seed):
+        """A tol, r or agree_tol out of range, and random points with no seed
+        from the task, the scenario or --seed, are checked when the scenario
+        loads: the run exits 2 before any compute and writes no report."""
+        scenario = self.scenario_dict()
+        scenario["tasks"] = [{"task": "curvature", "m_max": 2}, bad_task]
+        if drop_seed:
+            del scenario["seed"]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "report.json"
+        assert main(["scenario", "run", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeded", [{"seed": 5}, {}], ids=["task_seed", "flag_seed"])
+    def test_random_points_take_a_seed_from_the_task_or_the_flag(self, tmp_path, seeded):
+        scenario = self.scenario_dict()
+        del scenario["seed"]
+        scenario["tasks"] = [{"task": "factorize", "mode": "point", "random_points": 2, **seeded}]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        argv = ["scenario", "run", str(path), "--out", str(tmp_path / "report.json")]
+        assert main(argv + ([] if seeded else ["--seed", "5"])) == 0
 
     @pytest.mark.parametrize("bad_task", [
         {"task": "factorize", "mode": "pointwise", "points": [[[0.1, 0.0], [0.2, 0.0]]]},
@@ -905,7 +941,7 @@ class TestDeterminism:
 
     def test_qcomm_golden_report_matches_stored(self, tmp_path):
         """Pins the graded fast paths (shifts, slice-built ideal, block-wise
-        constrained assembly) to the stored dense-path report, byte for byte."""
+        constrained assembly) to the stored report, byte for byte."""
         out = tmp_path / "report.json"
         assert main(["scenario", "run", str(DATA / "golden_qcomm_scenario.json"), "--out", str(out)]) == 0
         assert out.read_bytes() == (DATA / "golden_qcomm_report.json").read_bytes()
@@ -1019,6 +1055,32 @@ class TestSchemas:
                               (wold, {"k_max": k_max - 1})):
             with pytest.raises(InvalidParameterError):
                 check(params)
+
+    @pytest.mark.parametrize("task,key", [("factorize", "tol"), ("pick", "tol"), ("poisson", "r"),
+                                          ("arveson", "agree_tol")])
+    def test_number_parameters_are_the_ones_the_cli_checks(self, task, key):
+        """The bounds the scenario schema gives a number parameter are the
+        load-time check's: an inclusive bound passes, an exclusive one fails,
+        and so does a value just beyond either."""
+        from fockbench.cli import PARAMETER_CHECKS
+
+        rules = {rule["if"]["properties"]["task"]["const"]: rule["then"]
+                 for rule in load_schema("scenario.schema.json")["properties"]["tasks"]["items"]["allOf"]}
+        prop = rules[task]["properties"][key]
+        base = {"points": [[[0.1, 0.0], [0.2, 0.0]]]} if task == "factorize" else {}
+
+        def check(value):
+            PARAMETER_CHECKS[task]({**base, key: value})
+
+        assert prop["type"] == "number"
+        for bound, step in (("minimum", -1e-3), ("exclusiveMinimum", -1e-3), ("maximum", 1e-3)):
+            if bound not in prop:
+                continue
+            if bound != "exclusiveMinimum":
+                check(prop[bound])
+            for bad in ([prop[bound]] if bound == "exclusiveMinimum" else []) + [prop[bound] + step]:
+                with pytest.raises(InvalidParameterError):
+                    check(bad)
 
     @pytest.mark.parametrize("name", ["golden_report.json", "golden_qcomm_report.json"])
     def test_golden_reports_carry_every_required_key(self, name):

@@ -298,8 +298,25 @@ class TestSpectralRadius:
         mats = [s @ v @ s_inv for v in scaled]
         assert abs(spectral_radius(mats) - c) <= 1e-10 * c
 
+    def test_block_triangular_tuple_beyond_the_dense_cutoff(self, monkeypatch):
+        # Phi of a block upper-triangular pair leaves the upper-left block
+        # invariant, so rho(Phi) is the larger of the radii of the two diagonal
+        # blocks (each irreducible, dim 36); dim 72 is past the dense cutoff.
+        rng = np.random.default_rng(5)
+
+        def gaussian():
+            return rng.standard_normal((36, 36)) + 1j * rng.standard_normal((36, 36))
+
+        mats = [np.block([[gaussian(), gaussian()], [np.zeros((36, 36)), 0.9 * gaussian()]]) for _ in range(2)]
+        mats = [t / np.linalg.norm(np.hstack(mats), 2) for t in mats]
+        reference = max(dense_radius([t[:36, :36] for t in mats]), dense_radius([t[36:, 36:] for t in mats]))
+        calls = counting_eigvals(monkeypatch)
+        assert abs(spectral_radius(mats) - reference) <= 1e-10 * reference
+        assert calls == []
+
     def test_reducible_tuple_beyond_the_dense_cutoff(self):
-        # diagonal pair: the bracket stalls, and the norm-root loop is exact here
+        # diagonal pair: the bracket stalls, and the power iteration converges
+        # at the rate of the two largest of the 72 radii
         d1, d2 = np.linspace(0.1, 0.6, 72), np.linspace(0.5, -0.3, 72)
         expected = np.sqrt(np.max(d1**2 + d2**2))
         assert abs(spectral_radius([np.diag(d1), np.diag(d2)]) - expected) <= 1e-12

@@ -11,7 +11,6 @@ from fockbench import (
     build_dilation,
     commutator_generators,
     constrained_poisson_kernel,
-    constrained_shifts,
     evaluate_polynomial,
     intertwining_check,
     kernel_theta_gram,
@@ -26,6 +25,7 @@ from fockbench._linalg import complement_basis, principal_angles, spectral_norm
 from fockbench.cli import RunContext, task_model
 from fockbench.dilation import _word_translate_span
 from fockbench.errors import InvalidParameterError, PreconditionError
+from words_reference import fock_row_basis, shift_tuple
 
 
 def model_of(kernel):
@@ -260,7 +260,7 @@ class TestWold:
 
     def test_truncated_creation_block_plus_cuntz(self):
         f = TruncatedFock(2, 3)
-        s = constrained_shifts(build_constrained_subspace(f, []), "left")
+        s = shift_tuple(build_constrained_subspace(f, []), "left")
         z = [np.array([[1 / np.sqrt(2)]]), np.array([[1j / np.sqrt(2)]])]
         v = [np.block([
             [si, np.zeros((f.dim, 1))],
@@ -279,7 +279,7 @@ class TestShiftMultiplicity:
 
     def test_tensor_multiplicity_of_constrained_shift(self):
         cs = commutative_cs(2, 3)
-        left = constrained_shifts(cs, "left")
+        left = shift_tuple(cs, "left")
         for mult in (1, 2, 3):
             eye = np.eye(mult, dtype=complex)
             split = wold_decompose(validate([np.kron(b, eye) for b in left]))
@@ -460,16 +460,17 @@ class TestMaximalConstrainedPiece:
 
     def test_commutators_on_truncated_creation_recover_symmetric_space(self):
         f = TruncatedFock(2, 4)
-        s = constrained_shifts(build_constrained_subspace(f, []), "left")
+        s = shift_tuple(build_constrained_subspace(f, []), "left")
         gens = commutator_generators(2)
         basis = self.piece(s, gens, f.max_degree)
         cs = build_constrained_subspace(f, gens)
         # spans coincide exactly in the graded case
-        gap = basis @ basis.conj().T - cs.basis @ cs.basis.conj().T
+        q = fock_row_basis(cs)
+        gap = basis @ basis.conj().T - q @ q.conj().T
         assert np.linalg.norm(gap, 2) < 1e-10
         compressed = [basis.conj().T @ t @ basis for t in s]
         assert max(spectral_norm(evaluate_polynomial(p, compressed)) for p in gens) < 1e-10
-        assert principal_angles(basis, cs.basis).max() < 1e-8
+        assert principal_angles(basis, q).max() < 1e-8
 
     def test_commuting_tuple_is_its_own_piece(self):
         mats = [np.diag([0.2, 0.3]), np.diag([0.4, 0.1])]
@@ -489,7 +490,7 @@ class TestWoldPartialSumIdentities:
         # recovers the projection onto the shift part, and the CP powers of
         # the identity converge to the projection onto the residual part.
         f = TruncatedFock(2, 3)
-        s = constrained_shifts(build_constrained_subspace(f, []), "left")
+        s = shift_tuple(build_constrained_subspace(f, []), "left")
         z = [np.array([[1 / np.sqrt(2)]]), np.array([[1j / np.sqrt(2)]])]
         v = [np.block([
             [si, np.zeros((f.dim, 1))],

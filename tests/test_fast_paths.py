@@ -1,8 +1,13 @@
 """Each fast path pinned to the dense path it replaced.
 
-The child-index maps for the shifts and the degree-by-degree Fock assembly
-rearrange the same floating-point operations, so those comparisons are
-``np.array_equal``, not a tolerance. The shared word walk (``word_products``) is
+The per-degree child rows for the free shifts and the degree-by-degree Fock
+assembly rearrange the same floating-point operations, so those comparisons
+are ``np.array_equal``, not a tolerance. N_J is stored as its slice bases and
+its shifts as their blocks Q_{m+1}[children]^* Q_m; the former Fock-row
+representation (the scattered basis Q, the whole-space child map and
+Q^* S_i Q, in ``words_reference``) is kept as the oracle, and the shift blocks
+of both sides, the kernel compression, its range containment and the three
+``shifts`` check values are pinned against it to 1e-13. The shared word walk (``word_products``) is
 pinned against the per-word parent recursions it replaced, kept here as
 references, and each reference against the dense ``word_operator`` of every
 word: bit for bit where the walk associates the products the same way (the
@@ -41,6 +46,8 @@ blocks, pinned against that loop, kept here as a reference, entrywise within
 test for coincident points is pinned against the pair loop it replaced.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +55,7 @@ from hypothesis import strategies as st
 
 import fockbench.charfn as charfn_mod
 import fockbench.contractions as contractions_mod
+import fockbench.poisson as poisson_mod
 from fockbench import (
     NcPolynomial,
     PickProblem,
@@ -65,18 +73,25 @@ from fockbench import (
     poisson_kernel,
     q_commutator_generators,
     shift_adjoints,
+    shift_matrices,
     theta_gram,
     validate,
     word_length_generators,
     word_operator,
 )
-from fockbench._linalg import complement_basis, principal_angles, svd_positive
-from fockbench.cli import RunContext, task_factorize
+from fockbench._linalg import complement_basis, principal_angles, spectral_norm, svd_positive
+from fockbench.cli import RunContext, task_factorize, task_shifts
 from fockbench.errors import DegenerateInputError, InvalidParameterError, PreconditionError
 from fockbench.ideals import _generator_matrix, ideal_orthogonality
 from fockbench.poisson import _radial_defect
 from fockbench.words import word_products
-from words_reference import IDENTITY_WORD, enumerate_words
+from words_reference import (
+    IDENTITY_WORD,
+    child_map,
+    dense_constrained_shifts,
+    enumerate_words,
+    fock_row_basis,
+)
 
 EPS = np.finfo(float).eps
 
@@ -154,7 +169,7 @@ def extend_coefficients(rc, top):
 def dense_assemble(op, cs):
     """Constrained assembly as the full kron-sum over every word, with the
     word products of the compressed right shifts from the parent recursion."""
-    right = constrained_shifts(cs, "right")
+    right = dense_constrained_shifts(cs, "right")
     prods = letter_products(np.eye(cs.dim, dtype=complex), right, cs.fock.max_degree)
     out = np.zeros((cs.dim * op.target_dim, cs.dim * op.source_dim), dtype=complex)
     for beta, theta in coefficient_items(op):
@@ -266,11 +281,16 @@ def ideals(draw):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 3), st.integers(0, 5), st.sampled_from(["left", "right"]), st.data())
 def test_child_map_matches_dense_creation(n, top, side, data):
+    """The per-degree child rows are the former whole-space child map, slice
+    by slice, and the free shifts built from them are the creation matrices."""
     fock = TruncatedFock(n, top)
     i = data.draw(st.integers(1, n))
-    src, dst = fock.child_map(side, i)
-    shift = constrained_shifts(build_constrained_subspace(fock, []), side)[i - 1]
-    assert np.array_equal(shift, dense_creation(fock, side, i))
+    src, dst = child_map(fock, side, i)
+    for m in range(top):
+        rows = fock.slice_offsets[m + 1] + np.arange(n ** (m + 1))[fock.child_rows(side, i, m)]
+        assert np.array_equal(rows, dst[fock.slice_range(m)])
+    cs = build_constrained_subspace(fock, [])
+    assert np.array_equal(shift_matrices(cs, constrained_shifts(cs, side))[i - 1], dense_creation(fock, side, i))
     words = enumerate_words(n, top)
     for s, d in zip(src, dst):
         w = words[s]
@@ -282,11 +302,64 @@ def test_child_map_matches_dense_creation(n, top, side, data):
 def test_constrained_shifts_match_dense_compression(case):
     n, top, gens = case
     cs = build_constrained_subspace(TruncatedFock(n, top), gens)
-    left, right = constrained_shifts(cs, "left"), constrained_shifts(cs, "right")
-    q = cs.basis
+    left, right = dense_constrained_shifts(cs, "left"), dense_constrained_shifts(cs, "right")
+    q = fock_row_basis(cs)
     for i in range(1, n + 1):
         assert np.array_equal(left[i - 1], q.conj().T @ dense_creation(cs.fock, "left", i) @ q)
         assert np.array_equal(right[i - 1], q.conj().T @ dense_creation(cs.fock, "right", i) @ q)
+
+
+def dense_shift_checks(cs):
+    """The shifts task's three check values on the Fock-row basis Q:
+    |Q^*Q - I|, the ideal slices against the rows of each slice, and, when
+    |Q Q^* e_0 - e_0| <= 1e-10, I - sum B_i B_i^* minus the vacuum
+    projection on the degrees <= N - 1."""
+    fock, q = cs.fock, fock_row_basis(cs)
+    out = {
+        "basis_orthonormal": spectral_norm(q.conj().T @ q - np.eye(cs.dim)),
+        "ideal_orthogonality": max(spectral_norm(ideal_slice(fock, cs.generators, m).conj().T @ q[fock.slice_range(m)])
+                                   for m in range(fock.max_degree + 1)),
+    }
+    residual = q @ q[0].conj()
+    residual[0] -= 1.0
+    if spectral_norm(residual) <= 1e-10:
+        v0 = q[0].conj()
+        defect = np.eye(cs.dim) - sum(b @ b.conj().T for b in dense_constrained_shifts(cs, "left"))
+        window = cs.basis_degrees <= fock.max_degree - 1
+        out["defect_is_vacuum_projection"] = spectral_norm((defect - np.outer(v0, v0.conj()))[np.ix_(window, window)])
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(ideals(), st.integers(0, 2**31 - 1))
+def test_slice_path_matches_the_fock_row_oracle(case, seed):
+    """The slice blocks of both shift tuples, the compression of a Fock-row
+    kernel, its range containment and the shifts checks agree with the
+    Fock-row oracle to 1e-13. The kernel rows are random, so they do not lie
+    in N_J and the containment residual is of order one."""
+    n, top, gens = case
+    cs = build_constrained_subspace(TruncatedFock(n, top), gens)
+    for side in ("left", "right"):
+        pairs = zip(shift_matrices(cs, constrained_shifts(cs, side)), dense_constrained_shifts(cs, side), strict=True)
+        assert all(np.abs(got - ref).max(initial=0.0) <= 1e-13 for got, ref in pairs)
+
+    rc, rng = validate([np.zeros((2, 2))] * n), np.random.default_rng(seed)
+    rows = rng.standard_normal((cs.fock.dim * 2, 2)) + 1j * rng.standard_normal((cs.fock.dim * 2, 2))
+    real = poisson_mod.poisson_kernel
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poisson_mod, "poisson_kernel", lambda *args: replace(real(*args), matrix=rows))
+        kern = constrained_poisson_kernel(rc, cs)
+    q, words = fock_row_basis(cs), rows.reshape(cs.fock.dim, -1)
+    coords = q.conj().T @ words
+    assert np.abs(kern.matrix - coords.reshape(kern.matrix.shape)).max(initial=0.0) <= 1e-13
+    assert abs(kern.range_containment - spectral_norm((words - q @ coords).reshape(rows.shape))) <= 1e-13
+
+    ctx = RunContext(n=n, trunc=top, generators=gens, rc=None, tol=1e-9, seed=None)
+    ctx._cs = cs
+    got = {c["name"]: c["value"] for c in task_shifts(ctx, {"emit_matrices": False})["checks"]}
+    ref = dense_shift_checks(cs)
+    assert got.keys() == ref.keys()
+    assert all(abs(got[name] - ref[name]) <= 1e-13 for name in ref)
 
 
 @settings(max_examples=25, deadline=None)
@@ -311,7 +384,7 @@ def test_ideal_orthogonality_matches_dense_slices(case):
     cs = build_constrained_subspace(TruncatedFock(n, top), gens)
     fock, dense = cs.fock, 0.0
     for m in range(top + 1):
-        inner = ideal_slice(fock, gens, m).conj().T @ cs.basis[fock.slice_range(m), cs.basis_degrees == m]
+        inner = ideal_slice(fock, gens, m).conj().T @ cs.slices[m]
         if inner.size:
             dense = max(dense, np.linalg.norm(inner, 2))
     assert abs(ideal_orthogonality(cs) - dense) <= 1e-15
@@ -324,15 +397,15 @@ def assert_recursion_matches_dense_complement(fock, gens):
     for m in range(fock.max_degree + 1):
         comp = complement_basis(ideal_slice(fock, gens, m), fock.n**m)
         assert cs.slice_dims[m] == comp.shape[1]
-        new = cs.basis[fock.slice_range(m), cs.basis_degrees == m]
+        new = cs.slices[m]
         assert np.all(principal_angles(new, comp) <= 1e-12)
         block = np.zeros((fock.dim, comp.shape[1]), dtype=complex)
         block[fock.slice_range(m)] = comp
         ref = np.concatenate([ref, block], axis=1)
-    u = ref.conj().T @ cs.basis
+    u = ref.conj().T @ fock_row_basis(cs)
     assert np.linalg.norm(u.conj().T @ u - np.eye(cs.dim), 2) <= 1e-12
     for side in ("left", "right"):
-        for i, fast in enumerate(constrained_shifts(cs, side), start=1):
+        for i, fast in enumerate(shift_matrices(cs, constrained_shifts(cs, side)), start=1):
             dense = ref.conj().T @ dense_creation(fock, side, i) @ ref
             assert np.linalg.norm(fast - u.conj().T @ dense @ u, 2) <= 1e-12
 
@@ -716,7 +789,7 @@ def variety_tuple(n):
 
 def assert_shift_adjoints_match_dense(kern, x):
     fock = kern.fock
-    ops = constrained_shifts(kern.cs, "left") if kern.cs is not None else [
+    ops = dense_constrained_shifts(kern.cs, "left") if kern.cs is not None else [
         dense_creation(fock, "left", i) for i in range(1, fock.n + 1)]
     eye = np.eye(x.shape[0] // kern.ambient_dim)
     for b, got in zip(ops, shift_adjoints(kern, x), strict=True):

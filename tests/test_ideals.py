@@ -17,6 +17,7 @@ from fockbench import (
     word_length_generators,
 )
 from fockbench.errors import InvalidParameterError, PreconditionError
+from words_reference import child_map, shift_tuple
 
 
 def multiset_slice_dimension(n: int, m: int) -> int:
@@ -61,11 +62,11 @@ class TestBuildConstrainedSubspace:
         f = TruncatedFock(2, 3)
         cs = build_constrained_subspace(f, [])
         assert cs.dim == 15
-        assert np.array_equal(cs.basis, np.eye(15))
+        assert all(np.array_equal(q, np.eye(2**m)) for m, q in enumerate(cs.slices))
         # the compressions are the creation matrices e_src -> e_dst themselves
         for side in ("left", "right"):
-            for i, b in enumerate(constrained_shifts(cs, side), start=1):
-                src, dst = f.child_map(side, i)
+            for i, b in enumerate(shift_tuple(cs, side), start=1):
+                src, dst = child_map(f, side, i)
                 s = np.zeros((f.dim, f.dim), dtype=complex)
                 s[dst, src] = 1.0
                 assert np.array_equal(b, s)
@@ -88,7 +89,7 @@ class TestBuildConstrainedSubspace:
         assert time.perf_counter() - start < 1.0
         for m in range(top + 1):
             assert cs.slice_dims[m] == math.comb(m + n - 1, n - 1)
-            q = cs.basis[f.slice_range(m), cs.basis_degrees == m].reshape((n,) * m + (-1,))
+            q = cs.slices[m].reshape((n,) * m + (-1,))
             for k in range(m - 1):
                 assert np.abs(np.swapaxes(q, k, k + 1) - q).max() < 1e-12
 
@@ -105,13 +106,14 @@ class TestBuildConstrainedSubspace:
         assert dims5[:4] == dims3
 
     def test_projection_is_orthogonal_projection(self):
+        # N_J is graded, so its projection is the sum of the slice projections
         f = TruncatedFock(2, 4)
         cs = build_constrained_subspace(f, q_commutator_generators(np.array([[1, 0.3], [0, 1]])))
-        p = cs.basis @ cs.basis.conj().T
-        assert np.linalg.norm(p @ p - p, 2) < 1e-12
-        assert np.linalg.norm(p - p.conj().T, 2) < 1e-12
-        gram = cs.basis.conj().T @ cs.basis
-        assert np.linalg.norm(gram - np.eye(cs.dim), 2) < 1e-12
+        for q in cs.slices:
+            p = q @ q.conj().T
+            assert np.linalg.norm(p @ p - p, 2) < 1e-12
+            assert np.linalg.norm(p - p.conj().T, 2) < 1e-12
+            assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1]), 2) < 1e-12
 
     def test_vacuum_membership_for_constant_killing_generators(self):
         f = TruncatedFock(2, 3)
@@ -157,10 +159,10 @@ class TestConstrainedShifts:
         ]
         for gens in ideals:
             cs = build_constrained_subspace(f, gens)
-            left = constrained_shifts(cs, "left")
+            left = shift_tuple(cs, "left")
             defect = np.eye(cs.dim) - sum(b @ b.conj().T for b in left)
             v0 = cs.vacuum_vector()
-            window = cs.degree_window_mask(f.max_degree - 1)
+            window = cs.basis_degrees <= f.max_degree - 1
             diff = (defect - np.outer(v0, v0.conj()))[np.ix_(window, window)]
             assert np.linalg.norm(diff, 2) < 1e-10
 
@@ -168,16 +170,33 @@ class TestConstrainedShifts:
         f = TruncatedFock(2, 4)
         gens = commutator_generators(2)
         cs = build_constrained_subspace(f, gens)
-        left = constrained_shifts(cs, "left")
-        window = cs.degree_window_mask(f.max_degree - max(g.degree for g in gens))
+        left = shift_tuple(cs, "left")
+        window = cs.basis_degrees <= f.max_degree - max(g.degree for g in gens)
         for p in gens:
             image = evaluate_polynomial(p, left)[:, window]
             assert np.linalg.norm(image, 2) < 1e-10
 
+    @pytest.mark.parametrize("n,top,gens", [
+        (2, 9, commutator_generators(2)),
+        (2, 5, q_commutator_generators(np.array([[1, 0.48 + 0.36j], [0, 1]]))),
+    ], ids=["commutative", "q_commutative"])
+    def test_no_array_has_a_row_per_fock_word(self, n, top, gens):
+        """N_J is held as its slices and the shifts as their blocks: beside the
+        ambient ``fock``, no array held by the subspace and none of the shift
+        blocks has fock.dim rows."""
+        f = TruncatedFock(n, top)
+        cs = build_constrained_subspace(f, gens)
+        held = [a for name, value in vars(cs).items() if name != "fock"
+                for a in (value if isinstance(value, list) else [value]) if isinstance(a, np.ndarray)]
+        blocks = [x for side in ("left", "right") for per_i in constrained_shifts(cs, side) for x in per_i]
+        assert len(held) == top + 1 and len(blocks) == 2 * n * top
+        assert all(a.shape[0] != f.dim for a in held + blocks)
+        assert max(a.shape[0] for a in held + blocks) == n**top
+
     def test_commutation_of_shifts_on_safe_degrees(self):
         f = TruncatedFock(2, 3)
         cs = build_constrained_subspace(f, commutator_generators(2))
-        left = constrained_shifts(cs, "left")
-        window = cs.degree_window_mask(1)
+        left = shift_tuple(cs, "left")
+        window = cs.basis_degrees <= 1
         comm = (left[0] @ left[1] - left[1] @ left[0])[:, window]
         assert np.linalg.norm(comm, 2) < 1e-12

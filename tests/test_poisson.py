@@ -7,7 +7,6 @@ from fockbench import (
     build_constrained_subspace,
     commutator_generators,
     constrained_poisson_kernel,
-    constrained_shifts,
     cp_apply,
     intertwining_check,
     poisson_kernel,
@@ -17,12 +16,13 @@ from fockbench import (
 )
 from fockbench._linalg import spectral_norm
 from fockbench.errors import InvalidParameterError, PreconditionError
+from words_reference import shift_tuple
 
 
 def left_creation(f):
     """The left creation tuple as matrices (compressions to the free ideal's
     N_J, whose basis is the identity)."""
-    return constrained_shifts(build_constrained_subspace(f, []), "left")
+    return shift_tuple(build_constrained_subspace(f, []), "left")
 
 
 def random_pair(seed, dim=3, slack=1.02):

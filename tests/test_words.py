@@ -8,6 +8,7 @@ from fockbench import (
     Word,
     build_constrained_subspace,
     constrained_shifts,
+    shift_matrices,
     word_operator,
 )
 from fockbench.words import word_products
@@ -17,9 +18,17 @@ from words_reference import enumerate_words
 
 def creation_tuples(f):
     """Left and right creation tuples as matrices: the compressions to the
-    free ideal's N_J, whose basis is the identity, equal bit for bit."""
+    free ideal's N_J, whose slice bases are identities, equal bit for bit."""
     cs = build_constrained_subspace(f, [])
-    return constrained_shifts(cs, "left"), constrained_shifts(cs, "right")
+    return tuple(shift_matrices(cs, constrained_shifts(cs, side)) for side in ("left", "right"))
+
+
+def children(f, side, i):
+    """(src, dst): every word below the top degree and its g_i-child, as
+    Fock indices, from the per-degree rule ``child_rows``."""
+    src = [f.slice_offsets[m] + np.arange(f.n**m) for m in range(f.max_degree)]
+    dst = [f.slice_offsets[m + 1] + np.arange(f.n ** (m + 1))[f.child_rows(side, i, m)] for m in range(f.max_degree)]
+    return np.concatenate(src, dtype=int), np.concatenate(dst, dtype=int)
 
 
 def reversal(f):
@@ -116,10 +125,9 @@ def test_creation_defect_is_vacuum_projection():
 
 def test_child_map_rejects_bad_generator():
     f = TruncatedFock(2, 2)
-    with pytest.raises(InvalidParameterError):
-        f.child_map("left", 3)
-    with pytest.raises(InvalidParameterError):
-        f.child_map("up", 1)
+    for side, i, m in (("left", 3, 0), ("up", 1, 0), ("right", 1, 2), ("left", 1, -1)):
+        with pytest.raises(InvalidParameterError):
+            f.child_rows(side, i, m)
 
 
 def test_flip_unitary_involution_and_fixed_short_words():
@@ -136,8 +144,8 @@ def test_flip_conjugation_swaps_creation_sides():
     f = TruncatedFock(2, 3)
     rev = reversal(f)
     for i in range(1, 3):
-        left_src, left_dst = f.child_map("left", i)
-        right_src, right_dst = f.child_map("right", i)
+        left_src, left_dst = children(f, "left", i)
+        right_src, right_dst = children(f, "right", i)
         assert np.array_equal(np.sort(rev[left_src]), right_src)
         right_child = dict(zip(right_src, right_dst))
         assert all(right_child[rev[a]] == rev[b] for a, b in zip(left_src, left_dst))

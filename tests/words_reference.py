@@ -1,8 +1,19 @@
-"""Word enumeration for the tests: the length-lexicographic list of words
-that the library's index arithmetic (``TruncatedFock.word_index``) encodes,
-kept here as the oracle the per-word references iterate."""
+"""Oracles for the tests, kept from the dense paths the library replaced.
 
-from fockbench import Word
+``enumerate_words`` is the length-lexicographic list of words that the
+library's index arithmetic (``TruncatedFock.word_index``) encodes; the
+per-word references iterate it. ``fock_row_basis``, ``child_map`` and
+``dense_constrained_shifts`` are the former Fock-row representation of N_J:
+the slice bases scattered into one fock.dim x dim N_J matrix Q, the creation
+operators as index arrays over the whole Fock space, and the compressions
+Q^* S_i Q gathered through them. ``shift_tuple`` is not an oracle: it is
+the library's shift blocks placed into dense matrices, for the tests that
+multiply the shifts as operators.
+"""
+
+import numpy as np
+
+from fockbench import Word, constrained_shifts, shift_matrices
 from fockbench.errors import InvalidParameterError
 
 IDENTITY_WORD = Word(())
@@ -23,3 +34,43 @@ def enumerate_words(n: int, max_len: int) -> list[Word]:
         level = [w + (i,) for w in level for i in range(1, n + 1)]
         words.extend(Word(w) for w in level)
     return words
+
+
+def fock_row_basis(cs) -> np.ndarray:
+    """The basis of N_J in Fock coordinates: column block m is Q_m on the
+    rows of slice m, zero elsewhere."""
+    q = np.zeros((cs.fock.dim, cs.dim), dtype=complex)
+    off = np.cumsum([0, *cs.slice_dims])
+    for m, block in enumerate(cs.slices):
+        q[cs.fock.slice_range(m), off[m] : off[m + 1]] = block
+    return q
+
+
+def child_map(fock, side, i):
+    """Index arrays (src, dst) with e_src -> e_dst under left (e_a -> e_{g_i a})
+    or right (e_a -> e_{a g_i}) creation by g_i; top-degree words have no child."""
+    src = np.arange(fock.slice_offsets[fock.max_degree])
+    dst = np.empty_like(src)
+    for m in range(fock.max_degree):
+        j = np.arange(fock.n**m)
+        child = (i - 1) * fock.n**m + j if side == "left" else j * fock.n + (i - 1)
+        dst[fock.slice_offsets[m] : fock.slice_offsets[m + 1]] = fock.slice_offsets[m + 1] + child
+    return src, dst
+
+
+def dense_constrained_shifts(cs, side):
+    """Q^* S_i Q for i = 1..n, with Q^* S_i gathered through ``child_map``."""
+    q = fock_row_basis(cs)
+    qh = q.conj().T
+    out = []
+    for i in range(1, cs.fock.n + 1):
+        src, dst = child_map(cs.fock, side, i)
+        g = np.zeros(qh.shape, dtype=complex)
+        g[:, src] = qh[:, dst]
+        out.append(g @ q)
+    return out
+
+
+def shift_tuple(cs, side):
+    """The dense dim N_J x dim N_J shifts B_i built from the library's blocks."""
+    return shift_matrices(cs, constrained_shifts(cs, side))
