@@ -9,7 +9,6 @@ from .ideals import (
     constrained_shifts,
     evaluate_polynomial,
     q_commutator_generators,
-    shift_matrices,
     word_length_generators,
 )
 from .contractions import (

@@ -128,12 +128,12 @@ def assemble(
                 block.reshape(n**m, n**k * tgt, n**m, src)[mu, :, mu, :] += theta_k
         return out
 
-    off, slices = np.cumsum([0, *cs.slice_dims]), cs.slices
+    off = np.cumsum([0, *cs.slice_dims])
     out = np.zeros((cs.dim * tgt, cs.dim * src), dtype=complex)
     out4 = out.reshape(cs.dim, tgt, cs.dim, src)
     for k, theta_k in enumerate(thetas):
         for m in range(top - k + 1):
-            q_t, q_s = slices[m + k], slices[m]
+            q_t, q_s = cs.slices[m + k], cs.slices[m]
             d_t, d_s = q_t.shape[1], q_s.shape[1]
             # Contract the word rho of Theta_k against Q_{m+k} = Q[(mu, rho), i],
             # then mu against Q_m.

@@ -24,8 +24,7 @@ from .charfn import kernel_theta_gram, point_factorization, verify_truncated_fac
 from .contractions import RowContraction, check_count, validate
 from .dilation import build_dilation, model_space, wold_decompose
 from .errors import FockbenchError, InvalidParameterError
-from .ideals import (NcPolynomial, build_constrained_subspace, constrained_shifts, ideal_orthogonality,
-                     shift_matrices)
+from .ideals import NcPolynomial, build_constrained_subspace, constrained_shifts, ideal_orthogonality, shift_matrices
 from .interpolation import PickProblem, pick_feasible, variety_membership
 from .invariants import arveson_curvature, curvature_phi, curvature_theta, euler_phi
 from .poisson import PoissonKernel, constrained_poisson_kernel, intertwining_check, poisson_kernel
@@ -138,28 +137,28 @@ _poisson_params = _number("r", 1.0, lambda v: 0 < v <= 1, "in (0, 1]")
 _agree_tol = _number("agree_tol", 2e-2, lambda v: v >= 0, ">= 0")
 
 
-def _factorize_params(params: dict) -> tuple[str, int]:
-    """The factorize task's ``mode`` (point or truncated) and, in point mode,
-    its ``random_points`` (an integer >= 0); point mode needs ``points`` or
-    at least one random point. A ``tol`` must be a number > 0."""
-    if "tol" in params:
-        _tol_params(params)
+def _factorize_params(params: dict) -> tuple[str, int, float | None]:
+    """The factorize task's ``mode`` (point or truncated), in point mode its
+    ``random_points`` (an integer >= 0), and its ``tol`` (a number > 0, None
+    when absent: the run's tolerance applies); point mode needs ``points`` or
+    at least one random point."""
+    tol = _tol_params(params) if "tol" in params else None
     mode = params.get("mode", "point")
     if mode not in ("point", "truncated"):
         raise InvalidParameterError(f"unknown factorize mode {mode!r}")
     count = check_count("random_points", params.get("random_points", 0), 0) if mode == "point" else 0
     if mode == "point" and not (params.get("points") or count):
         raise InvalidParameterError("point mode needs points or random_points >= 1")
-    return mode, count
+    return mode, count, tol
 
 
 def task_factorize(ctx: RunContext, params: dict) -> dict:
     rc = ctx.rc
-    mode, count = _factorize_params(params)
+    mode, count, tol = _factorize_params(params)
     checks = []
     data: dict = {"mode": mode}
     if mode == "point":
-        tol = float(params.get("tol", ctx.tol))
+        tol = ctx.tol if tol is None else tol
         points = [point_from_json(p, ctx.n) for p in params.get("points", [])]
         if count:
             rng = np.random.default_rng(int(params.get("seed", ctx.seed)))
@@ -451,7 +450,14 @@ def context_from_scenario(scenario: dict, tol: float, seed: int | None) -> RunCo
     if any(t["task"] == "factorize" and _factorize_params(t)[1] and t.get("seed", seed) is None
            for t in scenario["tasks"]):
         raise InvalidParameterError("random points need a seed: from the task, the scenario or --seed")
-    return RunContext(n=n, trunc=trunc, generators=generators, rc=rc, tol=tol, seed=seed)
+    return RunContext(
+        n=n,
+        trunc=trunc,
+        generators=generators,
+        rc=rc,
+        tol=tol,
+        seed=seed,
+    )
 
 
 def run_scenario(scenario: str | dict, tol: float = 1e-9, seed: int | None = None) -> dict:

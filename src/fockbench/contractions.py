@@ -222,8 +222,11 @@ def purity(rc: RowContraction, tol: float = 1e-10, k_max: int = 10_000) -> Purit
 # steps). A stalled bracket costs PERRON_STALL_STEPS + 1 steps, about 2 ms for
 # a diagonal pair of dim 32. POWER_* are the stopping width and step cap of
 # the power iteration beyond the dense cutoff.
-PERRON_RTOL, PERRON_MAX_STEPS, PERRON_STALL_STEPS = 1e-13, 500, 12
-POWER_RTOL, POWER_MAX_STEPS = 1e-15, 2000
+PERRON_RTOL = 1e-13
+PERRON_MAX_STEPS = 500
+PERRON_STALL_STEPS = 12
+POWER_RTOL = 1e-15
+POWER_MAX_STEPS = 2000
 
 
 def _collatz_wielandt(mats: tuple[np.ndarray, ...]) -> Iterator[tuple[float, float]]:
@@ -291,6 +294,10 @@ def spectral_radius(matrices_or_rc) -> float:
     magnitude of the dense dim^2 x dim^2 matrix of Phi while dim^2 <= 4096,
     and beyond that to the power iteration X_{k+1} = Phi(X_k) / tr Phi(X_k)
     from I / dim, whose traces tr Phi(X_k) tend to rho(Phi), until two agree.
+    When they never agree (an imprimitive Phi, whose peripheral eigenvalues
+    rho e^{2 pi i j / p} make the traces cycle), it returns the geometric mean
+    of the traces, (tr Phi^K(I / dim))^{1/K} after the K = POWER_MAX_STEPS
+    steps, which is exact when p divides K.
 
     Raises InvalidParameterError for an empty tuple, matrices that are not
     square of one size, and non-finite entries.
@@ -308,16 +315,16 @@ def spectral_radius(matrices_or_rc) -> float:
         top = float(np.abs(eigs).max()) if eigs.size else 0.0
         return float(np.sqrt(top))
     # Phi maps PSD to PSD, and a PSD iterate has trace 0 only when it is 0.
-    x, prev = np.eye(dim, dtype=complex) / dim, 0.0
+    x, prev, log_sum = np.eye(dim, dtype=complex) / dim, 0.0, 0.0
     for _ in range(POWER_MAX_STEPS):
         y = sum(t @ x @ t.conj().T for t in mats)
         ratio = float(np.trace(y).real)
         if ratio <= 0.0:
             return 0.0
         if abs(ratio - prev) <= POWER_RTOL * ratio:
-            break
-        x, prev = y / ratio, ratio
-    return float(np.sqrt(ratio))
+            return float(np.sqrt(ratio))
+        x, prev, log_sum = y / ratio, ratio, log_sum + np.log(ratio)
+    return float(np.sqrt(np.exp(log_sum / POWER_MAX_STEPS)))
 
 
 def check_constraints(rc: RowContraction, generators: Sequence[NcPolynomial]) -> list[float]:

@@ -123,8 +123,13 @@ def constrained_poisson_kernel(rc: RowContraction, cs: ConstrainedSubspace, r: f
     top = cs.fock.max_degree + 1
     exact_gram = np.eye(rc.dim) - (r ** (2 * top)) * rc.orbit(top)
     residual = np.concatenate([w - q @ c for q, w, c in zip(cs.slices, rows, coords)]).reshape(full.matrix.shape)
-    return replace(full, matrix=compressed, cs=cs, range_containment=spectral_norm(residual),
-                   isometry_defect=spectral_norm(compressed.conj().T @ compressed - exact_gram))
+    return replace(
+        full,
+        matrix=compressed,
+        isometry_defect=spectral_norm(compressed.conj().T @ compressed - exact_gram),
+        cs=cs,
+        range_containment=spectral_norm(residual),
+    )
 
 
 @dataclass

@@ -279,6 +279,13 @@ class TestSubcommands:
         assert len(calls) == 30 and not check["pass"]
         assert 1e-9 < check["value"] < 1e-7
 
+    def test_point_check_bound_is_the_task_tol_or_the_run_tol(self):
+        rc = validate([np.diag([0.3, -0.2]), np.diag([0.1, 0.4])])
+        ctx = RunContext(n=2, trunc=None, generators=[], rc=rc, tol=3e-9, seed=7)
+        params = {"mode": "point", "points": [[[0.1, 0.0], [0.2, 0.0]]]}
+        assert task_factorize(ctx, params)["checks"][0]["bound"] == 3e-9
+        assert task_factorize(ctx, {**params, "tol": 2e-5})["checks"][0]["bound"] == 2e-5
+
     def test_arveson_task_carrying_mc_samples_runs_and_passes(self):
         """Scenarios written for the former Monte-Carlo route still run (the
         benchmark's generator writes mc_samples): the key is echoed and read

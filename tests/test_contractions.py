@@ -314,6 +314,16 @@ class TestSpectralRadius:
         assert abs(spectral_radius(mats) - reference) <= 1e-10 * reference
         assert calls == []
 
+    @pytest.mark.parametrize("a, b", [(1.0, 0.5), (1.0, 0.01)])
+    def test_imprimitive_tuple_beyond_the_dense_cutoff(self, a, b):
+        # T_1 = a [[0, I], [0, 0]], T_2 = b [[0, 0], [I, 0]] with I of dim 36:
+        # Phi swaps the diagonal blocks, Phi^2 = a^2 b^2 on them, so the traces
+        # of the power iteration alternate and rho(Phi) = ab.
+        eye, zero = np.eye(36), np.zeros((36, 36))
+        mats = [a * np.block([[zero, eye], [zero, zero]]), b * np.block([[zero, zero], [eye, zero]])]
+        expected = np.sqrt(a * b)
+        assert abs(spectral_radius(mats) - expected) <= 1e-12 * expected
+
     def test_reducible_tuple_beyond_the_dense_cutoff(self):
         # diagonal pair: the bracket stalls, and the power iteration converges
         # at the rate of the two largest of the 72 radii

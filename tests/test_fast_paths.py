@@ -73,7 +73,6 @@ from fockbench import (
     poisson_kernel,
     q_commutator_generators,
     shift_adjoints,
-    shift_matrices,
     theta_gram,
     validate,
     word_length_generators,
@@ -82,7 +81,7 @@ from fockbench import (
 from fockbench._linalg import complement_basis, principal_angles, spectral_norm, svd_positive
 from fockbench.cli import RunContext, task_factorize, task_shifts
 from fockbench.errors import DegenerateInputError, InvalidParameterError, PreconditionError
-from fockbench.ideals import _generator_matrix, ideal_orthogonality
+from fockbench.ideals import _generator_matrix, ideal_orthogonality, shift_matrices
 from fockbench.poisson import _radial_defect
 from fockbench.words import word_products
 from words_reference import (

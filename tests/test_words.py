@@ -8,9 +8,9 @@ from fockbench import (
     Word,
     build_constrained_subspace,
     constrained_shifts,
-    shift_matrices,
     word_operator,
 )
+from fockbench.ideals import shift_matrices
 from fockbench.words import word_products
 from fockbench.errors import InvalidParameterError
 from words_reference import enumerate_words

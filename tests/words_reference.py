@@ -13,7 +13,8 @@ multiply the shifts as operators.
 
 import numpy as np
 
-from fockbench import Word, constrained_shifts, shift_matrices
+from fockbench import Word, constrained_shifts
+from fockbench.ideals import shift_matrices
 from fockbench.errors import InvalidParameterError
 
 IDENTITY_WORD = Word(())
