@@ -14,14 +14,15 @@ form of I - Theta Theta^* = K K^*. ``assemble`` places coefficient beta at
 ambient blocks (mu * reverse(beta), mu), matching the action of right
 creation products, one degree pair at a time: the degree-k slice of the
 stored array is the block from degree m to m + k of every ambient,
-compressed to the slice bases of a constrained one. ``theta_gram`` is the
-one place Theta Theta^* is formed, for the two identities that read all of
-it (the truncated factorization and the model space): on the Fock space it
-comes from the same slices without assembling Theta, block (a, b) being
-Theta_a Theta_b^* + I_n (x) block (a-1, b-1); on N_J from the assembled
-Theta. Curvature and Euler never form it: they read the slices
-(``degree_slices``) through ``invariants``. A dedicated convention test pins
-point evaluation against partial sums.
+compressed to the slice bases of a constrained one. On the Fock space
+Theta Theta^* is read from the same slices one degree block at a time
+(``_gram_blocks``), block (a, b) being Theta_a Theta_b^* + I_n (x) block
+(a-1, b-1): ``theta_gram`` writes the blocks into the whole Gram for the
+model space, and the truncated factorization sums their residual norms
+without forming it. On N_J ``theta_gram`` is the assembled Theta times its
+adjoint and serves both. Curvature and Euler never form it: they read the
+slices (``degree_slices``) through ``invariants``. A dedicated convention
+test pins point evaluation against partial sums.
 """
 
 from __future__ import annotations
@@ -78,9 +79,10 @@ def characteristic_coefficients(rc: RowContraction, max_degree: int) -> MultiAna
     T_{reverse(gamma)}^* times the i-th block row of the column defect root.
     In reversed-word order the degree-k slice is therefore
     ``concatenate([K_{k-1} @ block_i for i])`` with K_{k-1} the degree-(k-1)
-    slice of the kernel walk."""
-    if max_degree < 1:
-        raise InvalidParameterError("need max_degree >= 1")
+    slice of the kernel walk. At max_degree 0 only the constant coefficient
+    is returned."""
+    if max_degree < 0:
+        raise InvalidParameterError("need max_degree >= 0")
     d, n = rc.dim, rc.n
     e_t = rc.defect_basis
     e_s = rc.defect_star_basis
@@ -164,14 +166,8 @@ def theta_gram(
 
     On N_J with generators it is the product of the assembled Theta with its
     adjoint. On the Fock space, and on N_J without generators, whose basis is
-    the identity, it comes from the coefficients without assembling Theta:
-    Theta's block from degree c to degree c + k is I_{n^c} (x) Theta_k, so
-    block (a, b) of the product, b <= a, is
-    sum_{c <= b} I_{n^c} (x) (Theta_{a-c} Theta_{b-c}^*), that is
-    Theta_a Theta_b^* + I_n (x) block (a-1, b-1). Each block is written once
-    as the product of two coefficient slices, and block (a-1, b-1) is added
-    onto its n diagonal sub-blocks; the blocks above the diagonal are the
-    conjugate transposes of those below it.
+    the identity, each block (a, b), b <= a, is written in place by
+    ``_gram_blocks`` and its conjugate transpose fills block (b, a).
     """
     if (fock is None) == (cs is None):
         raise InvalidParameterError("pass exactly one ambient: fock or cs")
@@ -179,24 +175,44 @@ def theta_gram(
         theta = assemble(op, cs=cs)
         return theta @ theta.conj().T
     fock = fock if cs is None else cs.fock
+    off = [o * op.target_dim for o in fock.slice_offsets]
+    out = np.empty((off[-1], off[-1]), dtype=complex)
+    for a, b, block in _gram_blocks(op, fock, out):
+        if b < a:
+            np.conjugate(block.T, out=out[off[b] : off[b + 1], off[a] : off[a + 1]])
+    return out
+
+
+def _gram_blocks(op: MultiAnalyticOperator, fock: TruncatedFock, out: np.ndarray | None = None):
+    """The blocks P_ab of Theta Theta^* on (Fock tensor target), b <= a, as
+    (a, b, P_ab).
+
+    Theta's block from degree c to degree c + k is I_{n^c} (x) Theta_k, so
+    P_ab = sum_{c <= b} I_{n^c} (x) (Theta_{a-c} Theta_{b-c}^*), that is
+    P_ab = Theta_a Theta_b^* + I_n (x) P_{a-1,b-1}: one product of two
+    coefficient slices, and the previous block of the band k = a - b added
+    onto its n diagonal sub-blocks. The walk goes band by band, b rising, and
+    keeps only that previous block. With ``out`` (the whole Gram) each block
+    is written into its place there; otherwise each is a fresh array, which
+    the caller may change in place once the band is done with it, at a = N.
+    """
     if op.max_degree < fock.max_degree:
         raise InvalidParameterError("coefficients do not cover the ambient truncation degree")
     n, top, tgt = fock.n, fock.max_degree, op.target_dim
     thetas = degree_slices(op, fock)
+    adjoints = [theta.conj().T for theta in thetas]
     off = [o * tgt for o in fock.slice_offsets]
-    out = np.empty((fock.dim * tgt, fock.dim * tgt), dtype=complex)
-    for a in range(top + 1):
-        for b in range(a + 1):
-            block = out[off[a] : off[a + 1], off[b] : off[b + 1]]
-            np.matmul(thetas[a], thetas[b].conj().T, out=block)
+    for k in range(top + 1):
+        for b in range(top - k + 1):
+            a = b + k
+            block = None if out is None else out[off[a] : off[a + 1], off[b] : off[b + 1]]
+            block = np.matmul(thetas[a], adjoints[b], out=block)
             if b:
-                prev = out[off[a - 1] : off[a], off[b - 1] : off[b]]
                 inner = block.reshape(n, n ** (a - 1) * tgt, n, n ** (b - 1) * tgt)
                 for mu in range(n):
                     inner[mu, :, mu, :] += prev
-            if b < a:
-                np.conjugate(block.T, out=out[off[b] : off[b + 1], off[a] : off[a + 1]])
-    return out
+            yield a, b, block
+            prev = block
 
 
 def _lifted_point(point, n: int) -> list[np.ndarray]:
@@ -286,20 +302,62 @@ class FactorizationReport:
     budget: float
 
 
-def verify_truncated_factorization(kernel: PoissonKernel, gram: np.ndarray) -> FactorizationReport:
+def verify_truncated_factorization(
+    kernel: PoissonKernel,
+    op: MultiAnalyticOperator | None = None,
+    gram: np.ndarray | None = None,
+) -> FactorizationReport:
     """Check I - Theta Theta^* = K K^* on the kernel's ambient, where the
-    identity telescopes exactly. ``gram`` is Theta Theta^* on that ambient
-    (``kernel_theta_gram``). The residual is the Frobenius norm, which bounds
-    the spectral norm from above. The budget is ``_factorization_budget``, or
-    the purity tail ||Phi^(N+1)(I)|| + 1e-10 if that is smaller. N_J is
-    graded, so the comparison runs over the whole ambient."""
+    identity telescopes exactly, with ``op`` Theta's coefficients (default:
+    the tuple's, at the kernel's truncation). The residual is the Frobenius
+    norm, which bounds the spectral norm from above, over the whole ambient
+    (N_J is graded). On the Fock space it is summed block by block
+    (``_fock_residual``) and no Gram is formed; on N_J it reads ``gram`` =
+    Theta Theta^* there (default ``theta_gram(op, cs=kernel.cs)``), which
+    the scenario shares with the model space. The budget is
+    ``_factorization_budget``, or the purity tail ||Phi^(N+1)(I)|| + 1e-10 if
+    that is smaller."""
     kernel.require_unit_radius("the truncated factorization")
-    diff = gram + kernel.matrix @ kernel.matrix.conj().T
-    diff[np.diag_indices_from(diff)] -= 1.0
-    residual = float(np.linalg.norm(diff))
+    if gram is not None and kernel.cs is None:
+        raise InvalidParameterError("on the Fock space the factorization reads Theta's coefficients, not a Gram")
+    if op is None and gram is None:
+        op = characteristic_coefficients(kernel.rc, kernel.fock.max_degree)
+    if kernel.cs is None:
+        residual = _fock_residual(kernel, op)
+    else:
+        diff = (theta_gram(op, cs=kernel.cs) if gram is None else gram) + kernel.matrix @ kernel.matrix.conj().T
+        diff[np.diag_indices_from(diff)] -= 1.0
+        residual = float(np.linalg.norm(diff))
     tail = spectral_norm(kernel.rc.orbit(kernel.fock.max_degree + 1)) + 1e-10
     budget = min(_factorization_budget(kernel), tail)
     return FactorizationReport(residual, budget)
+
+
+def _fock_residual(kernel: PoissonKernel, op: MultiAnalyticOperator) -> float:
+    """||Theta Theta^* + K K^* - I||_F on the Fock space from its degree
+    blocks G_ab = P_ab + K_a K_b^* - delta_ab I, with P_ab from
+    ``_gram_blocks`` and K_a the kernel's degree-a rows: G is Hermitian, so
+    the squared norm is sum_a ||G_aa||^2 + 2 sum_{a > b} ||G_ab||^2. The
+    walk still needs P_ab while a < N, so K_a K_b^* goes into a copy there;
+    the last block of each band takes it in place, one of n row groups at a
+    time, so nothing of the whole ambient's size is formed."""
+    top, tgt = kernel.fock.max_degree, kernel.defect_dim
+    off = [o * tgt for o in kernel.fock.slice_offsets]
+    rows = [kernel.matrix[off[m] : off[m + 1]] for m in range(top + 1)]
+    adjoints = [row.conj().T for row in rows]
+    squares = 0.0
+    for a, b, block in _gram_blocks(op, kernel.fock):
+        if a < top:
+            diff = rows[a] @ adjoints[b]
+            diff += block
+        else:
+            diff, step = block, max(len(block) // kernel.fock.n, 1)
+            for lo in range(0, len(block), step):
+                diff[lo : lo + step] += rows[a][lo : lo + step] @ adjoints[b]
+        if a == b:
+            diff[np.diag_indices_from(diff)] -= 1.0
+        squares += (1.0 if a == b else 2.0) * np.vdot(diff, diff).real
+    return float(np.sqrt(squares))
 
 
 def _factorization_budget(kernel: PoissonKernel) -> float:

@@ -75,7 +75,9 @@ class RunContext:
 
     def theta_gram(self) -> np.ndarray:
         """Theta_T Theta_T^* on the ambient of ``kernel()``, formed once for
-        every task that reads it."""
+        the tasks that read it: ``model``, and on N_J also ``factorize``
+        (truncated). The Fock-space factorization reads Theta's degree
+        blocks one at a time instead."""
         if self._theta_gram is None:
             self._theta_gram = kernel_theta_gram(self.kernel())
         return self._theta_gram
@@ -170,7 +172,7 @@ def task_factorize(ctx: RunContext, params: dict) -> dict:
         data["residuals"] = residuals
         checks.append(_check("point_factorization_max_residual", max(residuals), tol))
     else:
-        rep = verify_truncated_factorization(ctx.kernel(), ctx.theta_gram())
+        rep = verify_truncated_factorization(ctx.kernel(), gram=ctx.theta_gram() if ctx.generators else None)
         data["residual"] = rep.residual
         data["budget"] = rep.budget
         checks.append(_check("truncated_factorization_residual", rep.residual, rep.budget))

@@ -107,14 +107,14 @@ def test_criterion_02_truncated_factorization():
     for rc, degree, top in nilpotents:
         assert top >= degree
         kern = fb.poisson_kernel(rc, fb.TruncatedFock(rc.n, top))
-        rep = fb.verify_truncated_factorization(kern, fb.theta_gram(fb.characteristic_coefficients(rc, top), kern.fock))
+        rep = fb.verify_truncated_factorization(kern, fb.characteristic_coefficients(rc, top))
         assert rep.residual <= 1e-10
 
     rng = np.random.default_rng(102)
     for _ in range(3):
         rc = random_tuple(rng, 2, 3, commuting=False, scale=1.02)
         kern = fb.poisson_kernel(rc, fb.TruncatedFock(2, 5))
-        rep = fb.verify_truncated_factorization(kern, fb.theta_gram(fb.characteristic_coefficients(rc, 5), kern.fock))
+        rep = fb.verify_truncated_factorization(kern, fb.characteristic_coefficients(rc, 5))
         assert rep.residual <= rep.budget
     report("ACCEPTANCE 02 truncated-factorization (nilpotent exact, generic within budget): PASS")
 

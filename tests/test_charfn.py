@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,11 +16,9 @@ from fockbench import (
     commutator_generators,
     constrained_poisson_kernel,
     evaluate_polynomial,
-    kernel_theta_gram,
     point_factorization,
     poisson_kernel,
     spectral_radius,
-    theta_gram,
     unitary_invariance_check,
     validate,
     verify_truncated_factorization,
@@ -27,11 +28,6 @@ from fockbench._linalg import spectral_norm
 from fockbench.cli import RunContext, task_factorize
 from fockbench.errors import InvalidParameterError, PreconditionError
 from words_reference import enumerate_words, fock_row_basis, shift_tuple
-
-
-def truncated_factorization(kernel):
-    """The check on Theta Theta^* as the scenario runner forms it."""
-    return verify_truncated_factorization(kernel, kernel_theta_gram(kernel))
 
 
 def random_contraction(rng, n, dim, scale=1.05):
@@ -269,13 +265,13 @@ class TestFactorization:
         a = np.array([[0, 1 / np.sqrt(2)], [0, 0]], dtype=complex)
         b = np.array([[0, 1j / np.sqrt(2)], [0, 0]], dtype=complex)
         rc = validate([a, b])
-        rep = truncated_factorization(poisson_kernel(rc, TruncatedFock(2, 4)))
+        rep = verify_truncated_factorization(poisson_kernel(rc, TruncatedFock(2, 4)))
         assert rep.residual < 1e-10
 
     def test_truncated_mode_generic_within_budget(self):
         rng = np.random.default_rng(18)
         rc = random_contraction(rng, 2, 3, scale=1.01)
-        rep = truncated_factorization(poisson_kernel(rc, TruncatedFock(2, 5)))
+        rep = verify_truncated_factorization(poisson_kernel(rc, TruncatedFock(2, 5)))
         assert rep.residual <= rep.budget
         assert rep.residual < 1e-12  # telescopes exactly at truncation
 
@@ -285,10 +281,10 @@ class TestFactorization:
         rc = random_contraction(rng, 2, 3, scale=1.01)
         kernel = poisson_kernel(rc, TruncatedFock(2, 4))
         op = characteristic_coefficients(rc, 4)
-        rep = verify_truncated_factorization(kernel, theta_gram(op, kernel.fock))
+        rep = verify_truncated_factorization(kernel, op)
         assert rep.residual < 1e-12 and rep.residual <= rep.budget
         op.coefficients[word_index, 0, 0] += 1e-6
-        rep = verify_truncated_factorization(kernel, theta_gram(op, kernel.fock))
+        rep = verify_truncated_factorization(kernel, op)
         assert rep.residual > 1e-7
         assert rep.residual > rep.budget
 
@@ -299,9 +295,62 @@ class TestFactorization:
         kernel = poisson_kernel(rc, TruncatedFock(2, 4))
         op = characteristic_coefficients(rc, 4)
         op.coefficients[0, 0, 0] += 1e-2
-        rep = verify_truncated_factorization(kernel, theta_gram(op, kernel.fock))
+        rep = verify_truncated_factorization(kernel, op)
         assert np.linalg.norm(rc.orbit(5), 2) > rep.residual > 1e-2
         assert rep.residual > rep.budget
+
+    @pytest.mark.parametrize("group", [0, 1])
+    def test_truncated_check_fails_on_top_degree_kernel_rows_off_by_1e_6(self, group):
+        """The top-degree block of each band takes K_N K_b^* in place, one of
+        n row groups at a time; kernel rows of either group off by 1e-6 fail
+        the check."""
+        rng = np.random.default_rng(18)
+        rc = random_contraction(rng, 2, 3, scale=1.01)
+        kernel = poisson_kernel(rc, TruncatedFock(2, 4))
+        top = kernel.fock.slice_offsets[4] * kernel.defect_dim
+        step = (kernel.matrix.shape[0] - top) // 2
+        matrix = kernel.matrix.copy()
+        matrix[top + group * step : top + (group + 1) * step] += 1e-6
+        rep = verify_truncated_factorization(replace(kernel, matrix=matrix))
+        assert rep.residual > 1e-7
+        assert rep.residual > rep.budget
+
+    def test_fock_check_reads_coefficients_not_a_gram(self):
+        rc = random_contraction(np.random.default_rng(18), 2, 3, scale=1.01)
+        kernel = poisson_kernel(rc, TruncatedFock(2, 3))
+        with pytest.raises(InvalidParameterError, match="not a Gram"):
+            verify_truncated_factorization(kernel, gram=np.eye(kernel.matrix.shape[0]))
+
+    def test_fock_check_peaks_below_one_dense_gram(self):
+        """At (n, dim, N) = (3, 3, 5) Theta Theta^* has 1092^2 complex
+        entries, 19.1 MB. The block walk holds the band's last and previous
+        blocks and one row group, so its traced peak stays below one such
+        Gram; the dense check formed three of them."""
+        rc = random_contraction(np.random.default_rng(5), 3, 3, scale=1 / 0.85)
+        kernel = poisson_kernel(rc, TruncatedFock(3, 5))
+        rows = kernel.matrix.shape[0]
+        assert rows == 1092
+        tracemalloc.start()
+        try:
+            rep = verify_truncated_factorization(kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.residual <= rep.budget
+        assert peak < rows**2 * np.dtype(complex).itemsize
+
+    def test_truncation_zero_keeps_the_constant_coefficient(self):
+        """At N = 0 Theta is its constant coefficient -E^* T E_*, and
+        I - Theta_0 Theta_0^* = K_0 K_0^* holds exactly."""
+        rc = random_contraction(np.random.default_rng(3), 2, 3, scale=1 / 0.85)
+        op = characteristic_coefficients(rc, 0)
+        assert op.max_degree == 0 and len(op.coefficients) == 1
+        assert np.array_equal(op.coefficients[0],
+                              -(rc.defect_basis.conj().T @ rc.row_matrix @ rc.defect_star_basis))
+        rep = verify_truncated_factorization(poisson_kernel(rc, TruncatedFock(2, 0)), op)
+        assert rep.residual <= rep.budget and rep.residual < 1e-14
+        with pytest.raises(InvalidParameterError, match="max_degree >= 0"):
+            characteristic_coefficients(rc, -1)
 
     def test_one_defect_cutoff_keeps_the_ranks_consistent(self):
         """Row singular values sqrt(1 - 1e-10), sqrt(1 - 1e-3) twice: the
@@ -315,7 +364,7 @@ class TestFactorization:
         row = (u * np.sqrt([1 - 1e-10, 1 - 1e-3, 1 - 1e-3])) @ v.conj().T
         rc = validate([row[:, :3], row[:, 3:]])
         assert (rc.defect_rank, rc.defect_star_basis.shape[1]) == (2, 5)
-        rep = truncated_factorization(poisson_kernel(rc, TruncatedFock(2, 4)))
+        rep = verify_truncated_factorization(poisson_kernel(rc, TruncatedFock(2, 4)))
         assert rep.residual <= rep.budget and rep.residual < 1e-11
 
     @settings(max_examples=40, deadline=None)
@@ -340,14 +389,14 @@ class TestFactorization:
             z[:, 0] *= top_singular / np.linalg.norm(z[:, 0])
             rc = validate([q @ np.diag(zi) @ q.conj().T for zi in z])
             kernel = constrained_poisson_kernel(rc, build_constrained_subspace(fock, commutator_generators(fock.n)))
-        rep = truncated_factorization(kernel)
+        rep = verify_truncated_factorization(kernel)
         assert rep.residual <= rep.budget
         assert rep.budget <= np.linalg.norm(kernel.rc.orbit(top + 1), 2) + 1e-10
 
     def test_constrained_truncated_two_path(self):
         rc = validate([np.diag([0.3, -0.2]), np.diag([0.1, 0.35])])
         cs = build_constrained_subspace(TruncatedFock(2, 5), commutator_generators(2))
-        rep = truncated_factorization(constrained_poisson_kernel(rc, cs))
+        rep = verify_truncated_factorization(constrained_poisson_kernel(rc, cs))
         assert rep.residual < 1e-10
 
     def test_constrained_point_checks_membership(self):
@@ -380,7 +429,7 @@ class TestFactorization:
     def test_truncated_mode_needs_the_unit_radius_kernel(self):
         rc = validate([np.diag([0.3, -0.2]), np.diag([0.1, 0.35])])
         with pytest.raises(InvalidParameterError, match="r = 1"):
-            truncated_factorization(poisson_kernel(rc, TruncatedFock(2, 3), r=0.9))
+            verify_truncated_factorization(poisson_kernel(rc, TruncatedFock(2, 3), r=0.9))
 
     @pytest.mark.parametrize("mode", ["constrained_point", "constrained_truncated"])
     def test_removed_mode_names_are_unknown(self, mode):

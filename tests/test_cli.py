@@ -797,6 +797,39 @@ class TestScenario:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_factorize_and_model_run_at_truncation_zero(self, tmp_path):
+        """At N = 0 Theta is its constant coefficient -E^* T E_*, and
+        I - Theta_0 Theta_0^* = K_0 K_0^* holds exactly: the truncated
+        factorization and the model pass beside shifts, poisson and dilate."""
+        rng = np.random.default_rng(4)
+        mats = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(2)]
+        mats = [0.85 * m / np.linalg.norm(np.hstack(mats), 2) for m in mats]
+        scenario = {**self.scenario_dict(), "N": 0, "ideal": "free", "T": [matrix_to_json(m) for m in mats],
+                    "tasks": [{"task": "shifts"}, {"task": "poisson"}, {"task": "dilate"},
+                              {"task": "factorize", "mode": "truncated"}, {"task": "model"}]}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "report.json"
+        assert main(["scenario", "run", str(path), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["summary"] == {"total": 5, "passed": 5, "failed": 0}
+        factorize, model = report["tasks"][3:]
+        assert 0.0 < factorize["data"]["residual"] <= factorize["data"]["budget"]
+        assert model["data"]["model_dim"] == 2
+
+    def test_free_truncated_factorization_never_forms_theta_theta_star(self, monkeypatch):
+        """On the Fock space the check reads Theta's degree blocks one at a
+        time; the whole Gram is formed only for the model space."""
+        import fockbench.charfn as charfn
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("theta_gram called")
+
+        monkeypatch.setattr(charfn, "theta_gram", refuse)
+        monkeypatch.setattr(charfn, "kernel_theta_gram", refuse)
+        scenario = {**self.scenario_dict(), "ideal": "free", "tasks": [{"task": "factorize", "mode": "truncated"}]}
+        assert run_scenario(scenario)["summary"]["failed"] == 0
+
     def count_calls(self, tmp_path, monkeypatch, ideal, tasks):
         """Run a scenario with these tasks and count the calls of the kernel
         constructor, the constraint check, purity, the constrained shifts and
@@ -833,8 +866,9 @@ class TestScenario:
                              [("commutative", 1, 4, 1), ("free", 0, 1, 0)], ids=["commutative-1-4", "free-0-1"])
     def test_one_kernel_constraint_check_and_purity_per_scenario(self, tmp_path, monkeypatch, ideal,
                                                                  constraint_checks, shift_bound, assembles):
-        """factorize and model read one Theta Theta^*: on N_J from one
-        assembled Theta, on the Fock space from the coefficients."""
+        """On N_J factorize and model read one Theta Theta^* from one
+        assembled Theta; on the Fock space model reads it from the
+        coefficients and factorize reads their degree blocks."""
         counts = self.count_calls(tmp_path, monkeypatch, ideal, [
             {"task": "shifts", "emit_matrices": False}, {"task": "factorize", "mode": "truncated"},
             {"task": "poisson"}, {"task": "wold"}, {"task": "dilate"}, {"task": "model"}])
@@ -844,7 +878,7 @@ class TestScenario:
 
     def test_free_factorize_and_curvature_never_assemble_theta(self, tmp_path, monkeypatch):
         """On the Fock space the truncated factorization, the model space and
-        the theta curvature read Theta Theta^* from the coefficients."""
+        the theta curvature read Theta's coefficients and never assemble it."""
         counts = self.count_calls(tmp_path, monkeypatch, "free", [
             {"task": "factorize", "mode": "truncated"}, {"task": "model"},
             {"task": "curvature", "method": "theta", "m_max": 3}])

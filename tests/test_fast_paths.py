@@ -35,6 +35,10 @@ for bit. Its one-step recursion, block (a, b) = Theta_a Theta_b^* +
 I_n (x) block (a-1, b-1), adds the same products as the loop that added each
 into every block it reaches, with the operands of each addition commuted, so
 it is pinned against that loop, kept here as a reference, bit for bit. The
+Fock-space truncated factorization sums the residual norms of those blocks
+plus K_a K_b^* without forming Theta Theta^*; it is pinned against the dense
+||theta_gram + K K^* - I||_F, kept here as a reference: the same verdict
+unperturbed, and 1e-6 relative under a perturbation. The
 model space is the eigenvectors of the rank K smallest
 eigenvalues of Theta Theta^* instead of the left singular vectors of as many
 smallest singular values of Theta, so it is pinned against that SVD, kept
@@ -75,6 +79,7 @@ from fockbench import (
     shift_adjoints,
     theta_gram,
     validate,
+    verify_truncated_factorization,
     word_length_generators,
     word_operator,
 )
@@ -705,6 +710,71 @@ def test_theta_gram_on_nj_is_the_product_of_the_assembled_theta(gens):
     cs = build_constrained_subspace(fock, gens)
     theta = assemble(op, cs=cs)
     assert np.array_equal(theta_gram(op, cs=cs), theta @ theta.conj().T if gens else theta_gram(op, fock=fock))
+
+
+def dense_factorization_residual(kernel, op):
+    """||theta_gram + K K^* - I||_F over the whole Fock ambient: the dense
+    reader the block walk of ``verify_truncated_factorization`` replaced."""
+    diff = theta_gram(op, kernel.fock) + kernel.matrix @ kernel.matrix.conj().T
+    diff[np.diag_indices_from(diff)] -= 1.0
+    return float(np.linalg.norm(diff))
+
+
+def oracle_tuple(kind, n, dim, seed):
+    """A random tuple, a diagonal one, a multiple of one nilpotent Jordan
+    block per letter (dim >= 2) or a coisometry (row defect 0), at row norm
+    0.9 but for the coisometry."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return random_tuple(n, dim, seed)
+    if kind == "coisometric":
+        return coisometric_tuple(n, dim, seed)
+    if kind == "diagonal":
+        z = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+        z *= 0.9 / np.linalg.norm(z, axis=0).max()
+        return validate([np.diag(zi) for zi in z])
+    jordan = np.eye(max(dim, 2), k=1)
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return validate([0.9 * ci / np.linalg.norm(c) * jordan for ci in c])
+
+
+def perturb_a_large_entry(array, size, rng):
+    """Add ``size`` to one entry, drawn among those of modulus at least a
+    tenth of the largest. The entry's column then reaches the residual at
+    first order: an entry of a zero column (a kernel direction of T in
+    Theta_0 at N = 0) moves it only by size^2, below rounding at 1e-9."""
+    large = np.flatnonzero(np.abs(array) >= 0.1 * np.abs(array).max())
+    array.flat[rng.choice(large)] += size
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["random", "diagonal", "jordan", "coisometric"]), st.integers(1, 3), st.integers(1, 4),
+       st.integers(0, 5), st.sampled_from([None, "coefficient", "kernel_row"]), st.sampled_from([1e-9, 1e-6]),
+       st.integers(0, 2**31 - 1))
+def test_block_factorization_residual_matches_the_dense_oracle(kind, n, dim, top, target, size, seed):
+    """Unperturbed, both residuals lie within the budget. With one
+    coefficient or kernel entry off by 1e-9 or 1e-6 they agree to 1e-6
+    relative. A coisometry has no kernel rows and no coefficient entries:
+    its blocks are empty and only the unperturbed case applies."""
+    rc = oracle_tuple(kind, n, dim, seed)
+    kernel = poisson_kernel(rc, TruncatedFock(n, top))
+    op = characteristic_coefficients(rc, top)
+    rng = np.random.default_rng(seed)
+    if kind == "coisometric":
+        assert op.target_dim == 0 and kernel.matrix.size == 0
+        target = None
+    if target == "coefficient":
+        perturb_a_large_entry(op.coefficients, size, rng)
+    elif target == "kernel_row":
+        matrix = kernel.matrix.copy()
+        perturb_a_large_entry(matrix, size, rng)
+        kernel = replace(kernel, matrix=matrix)
+    rep = verify_truncated_factorization(kernel, op)
+    dense = dense_factorization_residual(kernel, op)
+    if target is None:
+        assert rep.residual <= rep.budget and dense <= rep.budget
+    else:
+        assert abs(rep.residual - dense) <= 1e-6 * dense
 
 
 def test_theta_gram_takes_exactly_one_ambient():
