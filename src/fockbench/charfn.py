@@ -37,7 +37,7 @@ from .contractions import RowContraction, spectral_radius, validate
 from .errors import InvalidParameterError, PreconditionError
 from .ideals import ConstrainedSubspace, evaluate_polynomial
 from .poisson import PoissonKernel
-from .words import TruncatedFock, Word, word_products
+from .words import TruncatedFock, word_products
 
 EPS = np.finfo(float).eps
 
@@ -63,12 +63,6 @@ class MultiAnalyticOperator:
     @property
     def source_dim(self) -> int:
         return self.coefficients.shape[2]
-
-    def coefficient(self, beta: Word) -> np.ndarray:
-        idx = TruncatedFock(self.n, self.max_degree).word_index(beta.reverse())
-        if idx is None:
-            return np.zeros((self.target_dim, self.source_dim), dtype=complex)
-        return self.coefficients[idx]
 
 
 def characteristic_coefficients(rc: RowContraction, max_degree: int) -> MultiAnalyticOperator:

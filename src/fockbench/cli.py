@@ -532,8 +532,38 @@ def _parse_targets(args) -> list:
     return [matrix_to_json(np.atleast_2d(_finite_complex(t))) for t in args.targets.split(",")]
 
 
+def report_text(report) -> str:
+    """The JSON text of a report, the one writer of every report: a dict,
+    or a list that holds a dict, has one item a line, indented by 2, keys
+    sorted; any other value (a number, a matrix's data, a point list) is one
+    ``json.dumps`` on its line, so the C encoder writes all the numbers."""
+    out: list[str] = []
+    _write_json(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, pad: str, out: list[str]) -> None:
+    if isinstance(value, dict) and value:
+        inner = pad + "  "
+        out.append("{")
+        for i, key in enumerate(sorted(value)):
+            out.append(("," if i else "") + inner + json.dumps(key) + ": ")
+            _write_json(value[key], inner, out)
+        out.append(pad + "}")
+    elif isinstance(value, list) and any(isinstance(v, dict) for v in value):
+        inner = pad + "  "
+        out.append("[")
+        for i, item in enumerate(value):
+            out.append(("," if i else "") + inner)
+            _write_json(item, inner, out)
+        out.append(pad + "]")
+    else:
+        out.append(json.dumps(value, sort_keys=True))
+
+
 def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = report_text(report)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)

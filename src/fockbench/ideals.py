@@ -18,7 +18,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from ._linalg import numerical_rank, spectral_norm, svd_positive
-from .errors import InvalidParameterError, PreconditionError
+from .errors import InvalidParameterError
 from .words import TruncatedFock, Word, word_operator
 
 
@@ -147,12 +147,6 @@ class ConstrainedSubspace:
     def contains_vacuum(self) -> bool:
         """Whether 1 lies in N_J: N_0 is C or 0, since N_J is graded."""
         return self.slice_dims[0] == 1
-
-    def vacuum_vector(self) -> np.ndarray:
-        """Coordinates of the vacuum in the subspace basis; requires 1 in N_J."""
-        if not self.contains_vacuum():
-            raise PreconditionError("the vacuum does not lie in the constrained subspace")
-        return np.concatenate([self.slices[0][0].conj(), np.zeros(self.dim - 1, dtype=complex)])
 
 
 def _generator_matrix(fock: TruncatedFock, generators: Sequence[NcPolynomial], d: int) -> np.ndarray:

@@ -27,7 +27,7 @@ def matrix_to_json(a: np.ndarray) -> dict:
     a = np.atleast_2d(np.asarray(a, dtype=complex))
     return {
         "shape": [int(a.shape[0]), int(a.shape[1])],
-        "data": [[float(v.real), float(v.imag)] for v in a.reshape(-1)],
+        "data": np.ascontiguousarray(a).reshape(-1).view(np.float64).reshape(-1, 2).tolist(),
     }
 
 
@@ -113,15 +113,24 @@ def ideal_from_spec(n: int, spec, max_degree: int | None = None) -> list[NcPolyn
     "q-commutative" (with a dict carrying the q matrix), or an explicit
     {"kind": ..., ...} / list-of-polynomials form. A malformed spec (an m that
     is not an integer >= 1, a bad term, a letter beyond n) raises
-    InvalidParameterError before any generator is used, and so does
-    truncated(m) with m above ``max_degree``, before its n^m monomials exist."""
+    InvalidParameterError before any generator is used, and so does a
+    generator of degree above ``max_degree``, named; truncated(m) is checked
+    before its n^m monomials exist."""
+    m = word_length_degree(spec)
+    if m is not None and max_degree is not None and m > max_degree:
+        raise InvalidParameterError(f"truncated({m}) exceeds the truncation degree {max_degree}")
+    gens = _generators_from_spec(n, spec) if m is None else word_length_generators(n, m)
+    for i, g in enumerate(gens, start=1):
+        if max_degree is not None and g.degree > max_degree:
+            raise InvalidParameterError(f"ideal generator {i}, {g}, of degree {g.degree} exceeds the truncation "
+                                        f"degree {max_degree}")
+    return gens
+
+
+def _generators_from_spec(n: int, spec) -> list[NcPolynomial]:
+    """The generators of every spec but truncated(m)."""
     if spec is None:
         return []
-    m = word_length_degree(spec)
-    if m is not None:
-        if max_degree is not None and m > max_degree:
-            raise InvalidParameterError(f"truncated({m}) exceeds the truncation degree {max_degree}")
-        return word_length_generators(n, m)
     if isinstance(spec, str):
         s = spec.strip().lower()
         if s == "free":

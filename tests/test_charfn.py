@@ -27,7 +27,7 @@ from fockbench import (
 from fockbench._linalg import spectral_norm
 from fockbench.cli import RunContext, task_factorize
 from fockbench.errors import InvalidParameterError, PreconditionError
-from words_reference import enumerate_words, fock_row_basis, shift_tuple
+from words_reference import coefficient, enumerate_words, fock_row_basis, shift_tuple
 
 
 def random_contraction(rng, n, dim, scale=1.05):
@@ -105,25 +105,25 @@ class TestCoefficients:
     def test_zero_scalar_is_the_shift_symbol(self):
         rc = validate([np.zeros((1, 1))])
         op = characteristic_coefficients(rc, 4)
-        assert np.allclose(op.coefficient(Word(())), [[0.0]])
-        assert np.allclose(op.coefficient(Word((1,))), [[1.0]])
+        assert np.allclose(coefficient(op, Word(())), [[0.0]])
+        assert np.allclose(coefficient(op, Word((1,))), [[1.0]])
         for k in (2, 3, 4):
-            assert np.linalg.norm(op.coefficient(Word((1,) * k))) < 1e-15
+            assert np.linalg.norm(coefficient(op, Word((1,) * k))) < 1e-15
 
     def test_scalar_moebius_coefficients(self):
         t = 0.35 - 0.2j
         rc = validate([np.array([[t]])])
         op = characteristic_coefficients(rc, 5)
-        assert abs(op.coefficient(Word(()))[0, 0] + t) < 1e-14
+        assert abs(coefficient(op, Word(()))[0, 0] + t) < 1e-14
         for k in range(1, 6):
             expected = (1 - abs(t) ** 2) * np.conj(t) ** (k - 1)
-            assert abs(op.coefficient(Word((1,) * k))[0, 0] - expected) < 1e-14
+            assert abs(coefficient(op, Word((1,) * k))[0, 0] - expected) < 1e-14
 
     def test_coisometric_tuple_has_trivial_target(self):
         rc = validate([np.array([[1 / np.sqrt(2)]]), np.array([[1 / np.sqrt(2)]])])
         op = characteristic_coefficients(rc, 3)
         assert op.target_dim == 0
-        assert op.coefficient(Word(())).shape == (0, 1)
+        assert coefficient(op, Word(())).shape == (0, 1)
 
     def test_fourier_pairing_reads_reversed_words(self):
         # Block of the assembled matrix at (word row, vacuum column) is the
@@ -136,7 +136,7 @@ class TestCoefficients:
         tgt, src = op.target_dim, op.source_dim
         for row, w in enumerate(enumerate_words(2, 3)):
             block = mat[row * tgt : (row + 1) * tgt, 0:src]
-            assert np.allclose(block, op.coefficient(w.reverse()), atol=1e-13)
+            assert np.allclose(block, coefficient(op, w.reverse()), atol=1e-13)
 
 
 class TestAssemble:
@@ -545,8 +545,8 @@ def test_coefficients_are_one_array_in_reversed_word_order(n, top):
     assert len(op.coefficients) == sum(n**k for k in range(top + 1))
     assert op.coefficients.shape[1:] == (op.target_dim, op.source_dim)
     for rho, theta in zip(enumerate_words(n, top), op.coefficients):
-        assert np.array_equal(op.coefficient(rho.reverse()), theta)
-    beyond = op.coefficient(Word((1,) * (top + 1)))
+        assert np.array_equal(coefficient(op, rho.reverse()), theta)
+    beyond = coefficient(op, Word((1,) * (top + 1)))
     assert beyond.shape == (op.target_dim, op.source_dim) and not beyond.any()
 
 

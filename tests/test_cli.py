@@ -1,18 +1,22 @@
 import ast
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fockbench.cli import (
     TASKS,
     RunContext,
     build_parser,
     main,
+    report_text,
     run_scenario,
     run_task,
     task_arveson,
@@ -105,6 +109,20 @@ class TestSerialize:
         params = {"points": [[[0.0, 0.0]], [[0.5, 0.0]]], "targets": [[0.0, 0.0], [float("nan"), 0.0]]}
         with pytest.raises(InvalidParameterError):
             task_pick(ctx, params)
+
+
+    def test_matrix_data_keeps_every_entry_and_its_sign(self):
+        """The data pairs are the real and imaginary parts of the row-major
+        entries as Python floats, signed zeros included, for a strided view
+        as for a contiguous array."""
+        a = np.array([[-0.0, complex(0.5, -0.0)], [complex(-1e-300, 2.0), 3.0]])
+        for view in (a, a.T, a[:, ::-1]):
+            data = matrix_to_json(view)["data"]
+            expected = [[float(v.real), float(v.imag)] for v in np.asarray(view).reshape(-1)]
+            assert data == expected
+            assert [[math.copysign(1.0, x) for x in pair] for pair in data] == \
+                [[math.copysign(1.0, x) for x in pair] for pair in expected]
+            assert all(type(x) is float for pair in data for x in pair)
 
 
 class TestSubcommands:
@@ -937,6 +955,29 @@ class TestScenario:
         assert calls == []
 
 
+    @pytest.mark.parametrize("N", [0, 1])
+    @pytest.mark.parametrize("ideal", [
+        "commutative",
+        {"kind": "q-commutative", "q": [[1.0, 0.5], [0.0, 1.0]]},
+        [[{"word": [1, 2], "re": 1.0}, {"word": [2, 1], "re": -1.0}]],
+    ], ids=["commutative", "q-commutative", "custom"])
+    def test_named_ideal_above_the_truncation_degree_exits_2_at_load(self, tmp_path, capsys, monkeypatch, ideal, N):
+        """A degree-2 generator at N = 0 or 1 is rejected before any task
+        runs, with the generator and the truncation named."""
+        import fockbench.cli as cli
+
+        ran = []
+        monkeypatch.setattr(cli, "run_task", lambda ctx, spec: ran.append(spec))
+        scenario = dict(self.scenario_dict(), ideal=ideal, N=N)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "report.json"
+        assert main(["scenario", "run", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "ideal generator 1" in err and f"of degree 2 exceeds the truncation degree {N}" in err
+        assert ran == [] and not out.exists()
+
+
 class TestDeterminism:
     def test_golden_scenario_reruns_byte_identically(self, tmp_path):
         scenario_path = DATA / "golden_scenario.json"
@@ -976,7 +1017,7 @@ class TestDeterminism:
     def test_golden_report_matches_stored(self, tmp_path):
         scenario_path = DATA / "golden_scenario.json"
         report = run_scenario(str(scenario_path))
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = report_text(report)
         stored = (DATA / "golden_report.json").read_text()
         assert text == stored
 
@@ -1051,6 +1092,62 @@ def task_rule(name):
     rules = load_schema("report.schema.json")["properties"]["tasks"]["items"]["allOf"]
     (rule,) = [r for r in rules if r["if"]["properties"]["task"] == {"const": name}]
     return rule
+
+
+JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.text()
+               | st.floats() | st.sampled_from([-0.0, 1e-300, -1e-300, math.nan, math.inf, -math.inf]))
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda kids: st.lists(kids, max_size=4)
+                           | st.dictionaries(st.text(max_size=4), kids, max_size=4), max_leaves=24)
+
+
+class TestReportText:
+    def test_objects_are_indented_and_arrays_of_numbers_sit_on_one_line(self):
+        report = {"b": [{"data": [[0.5, -0.0], [1e-300, 2.0]], "shape": [1, 2]}], "a": {}, "c": [], "é": "ü"}
+        assert report_text(report) == (
+            '{\n'
+            '  "a": {},\n'
+            '  "b": [\n'
+            '    {\n'
+            '      "data": [[0.5, -0.0], [1e-300, 2.0]],\n'
+            '      "shape": [1, 2]\n'
+            '    }\n'
+            '  ],\n'
+            '  "c": [],\n'
+            '  "\\u00e9": "\\u00fc"\n'
+            '}\n')
+        assert report_text([[1, 2.5], None]) == "[[1, 2.5], null]\n"
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    @example({"\u00e9\u4e2d": [{}, [], -0.0, 1e-300, math.nan, math.inf, -math.inf, True, None, "\u00fc"]})
+    @example([[{"z": 1, "a": [{"y": [], "b": {}}]}], {"k": [1, {"j": None}]}])
+    def test_report_text_reads_back_as_the_value(self, value):
+        assert json.dumps(json.loads(report_text(value)), sort_keys=True) == json.dumps(value, sort_keys=True)
+
+    @pytest.mark.parametrize("name", ["golden_report.json", "golden_qcomm_report.json"])
+    def test_golden_layout(self, name):
+        """No line of a stored report holds a bare number, and every "data"
+        array (a matrix's entries) sits whole on its own line."""
+        text = (DATA / name).read_text()
+        lines = text.splitlines()
+        assert not [line for line in lines if _is_number(line.strip().rstrip(","))]
+        data_lines = [line.strip().rstrip(",") for line in lines if line.strip().startswith('"data": [')]
+        assert all(isinstance(json.loads(line[len('"data": '):]), list) for line in data_lines)
+
+        def count_data(value):
+            if isinstance(value, dict):
+                return isinstance(value.get("data"), list) + sum(count_data(v) for v in value.values())
+            return sum(count_data(v) for v in value) if isinstance(value, list) else 0
+
+        assert len(data_lines) == count_data(json.loads(text)) > 0
+
+
+def _is_number(text: str) -> bool:
+    try:
+        value = json.loads(text)
+    except ValueError:
+        return False
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class TestSchemas:
@@ -1266,3 +1363,30 @@ def test_every_dataclass_field_is_read():
     assert fields
     unread = {key for key in fields if key[2] not in reads}
     assert sorted(unread) == sorted(UNREAD_FIELDS_ALLOWED)
+
+
+# Public methods and properties that no code in src/ reads, each with the reason it stays.
+UNREAD_METHODS_ALLOWED = {
+    ("words", "Word", "reverse"):
+        "the reversal of a word, part of the word type: Theta's coefficients are stored in reversed-word order",
+}
+
+
+def test_every_public_method_is_read():
+    """Every public method or property of a class in the package is read as
+    an attribute somewhere in the package, or is listed in
+    UNREAD_METHODS_ALLOWED with its reason, so code that only the tests
+    call lives in the tests. Reads are matched by name, as for fields."""
+    import fockbench.cli
+
+    methods, reads = set(), set()
+    for path in sorted(Path(fockbench.cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                methods.update((path.stem, node.name, f.name) for f in node.body
+                               if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+    assert methods
+    unread = {key for key in methods if key[2] not in reads}
+    assert sorted(unread) == sorted(UNREAD_METHODS_ALLOWED)

@@ -23,7 +23,7 @@ from fockbench import (
 )
 from fockbench._linalg import matrix_rank, spectral_norm
 from fockbench.errors import InvalidParameterError, PreconditionError
-from words_reference import IDENTITY_WORD, enumerate_words
+from words_reference import IDENTITY_WORD, coefficient, enumerate_words
 
 
 def brute_force_trace_sequence(mats, m_max):
@@ -231,7 +231,7 @@ def _symmetric_char_matrix(rc, sym):
         class_sums[occ] = class_sums[occ] + theta if occ in class_sums else theta
 
     creations = [sym.creation(i) for i in range(1, rc.n + 1)]
-    out = np.kron(np.eye(sym.dim, dtype=complex), op.coefficient(IDENTITY_WORD))
+    out = np.kron(np.eye(sym.dim, dtype=complex), coefficient(op, IDENTITY_WORD))
     powers = {tuple([0] * rc.n): np.eye(sym.dim, dtype=complex)}
     for m in range(1, sym.max_degree + 1):
         for mu in _multisets(rc.n, m):
@@ -425,7 +425,7 @@ def pruned_walk_char_matrix(rc, sym):
 
     walk((), reduced)
     creations = [sym.creation(i) for i in range(1, rc.n + 1)]
-    out = np.kron(np.eye(sym.dim, dtype=complex), op0.coefficient(Word(())))
+    out = np.kron(np.eye(sym.dim, dtype=complex), coefficient(op0, Word(())))
     powers = {tuple([0] * rc.n): np.eye(sym.dim, dtype=complex)}
     for m in range(1, sym.max_degree + 1):
         for mu in _multisets(rc.n, m):

@@ -8,14 +8,16 @@ the slice bases scattered into one fock.dim x dim N_J matrix Q, the creation
 operators as index arrays over the whole Fock space, and the compressions
 Q^* S_i Q gathered through them. ``shift_tuple`` is not an oracle: it is
 the library's shift blocks placed into dense matrices, for the tests that
-multiply the shifts as operators.
+multiply the shifts as operators. ``vacuum_vector`` and ``coefficient`` read
+one vector of N_J and one coefficient of Theta by name, for the tests that
+check a single entry.
 """
 
 import numpy as np
 
-from fockbench import Word, constrained_shifts
+from fockbench import TruncatedFock, Word, constrained_shifts
 from fockbench.ideals import shift_matrices
-from fockbench.errors import InvalidParameterError
+from fockbench.errors import InvalidParameterError, PreconditionError
 
 IDENTITY_WORD = Word(())
 
@@ -75,3 +77,19 @@ def dense_constrained_shifts(cs, side):
 def shift_tuple(cs, side):
     """The dense dim N_J x dim N_J shifts B_i built from the library's blocks."""
     return shift_matrices(cs, constrained_shifts(cs, side))
+
+
+def vacuum_vector(cs) -> np.ndarray:
+    """Coordinates of the vacuum in the basis of N_J; requires 1 in N_J."""
+    if not cs.contains_vacuum():
+        raise PreconditionError("the vacuum does not lie in the constrained subspace")
+    return np.concatenate([cs.slices[0][0].conj(), np.zeros(cs.dim - 1, dtype=complex)])
+
+
+def coefficient(op, beta: Word) -> np.ndarray:
+    """The coefficient of the word beta in a MultiAnalyticOperator, zero
+    beyond its degree."""
+    idx = TruncatedFock(op.n, op.max_degree).word_index(beta.reverse())
+    if idx is None:
+        return np.zeros((op.target_dim, op.source_dim), dtype=complex)
+    return op.coefficients[idx]
