@@ -1,14 +1,41 @@
-"""Dense complex linear-algebra helpers: rank decisions, PSD roots, spans.
+"""Dense complex linear-algebra helpers: rank decisions, spans, angles.
 
-Rank decisions on spans go through ``numerical_rank`` (sigma > RANK_RTOL *
-sigma_max); defects are cut at RANK_RTOL itself (``defect_root_and_basis``).
+Every rank in the package is one ``rank_decision``: of descending values
+(singular values, or eigenvalues of a PSD matrix) it keeps those above
+max(RANK_RTOL * largest, floor) and returns the rank with its gap. Three
+floors serve every site: SPAN_FLOOR (1e-12) for spans, RANK_RTOL (1e-9) for
+the defects, whose eigenvalues are at most 1, so the cut is absolute on the
+contraction scale, and ``contractions.Q_RANK_FLOOR`` (1e-10) for the purity
+limit Q.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 RANK_RTOL = 1e-9
+SPAN_FLOOR = 1e-12
+
+
+class RankDecision(NamedTuple):
+    """A rank and its gap: the largest value counted as zero and the
+    smallest counted as nonzero, None where a side is empty."""
+
+    rank: int
+    zero_max: float | None
+    nonzero_min: float | None
+
+
+def rank_decision(values: np.ndarray, floor: float = SPAN_FLOOR) -> RankDecision:
+    """Count the descending ``values`` above max(RANK_RTOL * largest, floor).
+
+    The floor handles all-noise spectra (e.g. defects of coisometric tuples),
+    where a purely relative rule would count machine eps as rank."""
+    v = np.asarray(values, dtype=float)
+    rank = int(np.count_nonzero(v > max(RANK_RTOL * v.max(initial=0.0), floor)))
+    return RankDecision(rank, float(v[rank]) if rank < v.size else None, float(v[rank - 1]) if rank else None)
 
 
 def svd_positive(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -46,41 +73,10 @@ def herm_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def herm_sqrt_psd(a: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a PSD matrix.
-
-    Eigenvalues in [-1e-10, 0) are treated as floating noise and clamped to
-    zero; anything more negative raises ValueError.
-    """
-    vals, vecs = np.linalg.eigh(herm_part(np.asarray(a, dtype=complex)))
-    if vals.size and float(vals.min()) < -1e-10:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {vals.min():.3e}")
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
 def eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vals, vecs = np.linalg.eigh(herm_part(np.asarray(a, dtype=complex)))
     order = np.argsort(-vals, kind="stable")
     return vals[order], vecs[:, order]
-
-
-def numerical_rank(singular_values: np.ndarray) -> int:
-    """Count singular values above RANK_RTOL * sigma_max and above 1e-12.
-
-    The absolute floor handles all-noise spectra (e.g. defects of coisometric
-    tuples), where a purely relative rule would count machine eps as rank."""
-    s = np.asarray(singular_values, dtype=float)
-    if s.size == 0 or s.max() <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > max(RANK_RTOL * s.max(), 1e-12)))
-
-
-def matrix_rank(a: np.ndarray) -> int:
-    a = np.asarray(a, dtype=complex)
-    if a.size == 0:
-        return 0
-    return numerical_rank(svdvals(a))
 
 
 def range_basis(a: np.ndarray) -> np.ndarray:
@@ -89,16 +85,15 @@ def range_basis(a: np.ndarray) -> np.ndarray:
     if a.size == 0:
         return np.zeros((a.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return u[:, : numerical_rank(s)]
+    return u[:, : rank_decision(s).rank]
 
 
-def complement_basis(a: np.ndarray, ambient_dim: int) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the column span."""
-    a = np.asarray(a, dtype=complex)
-    if a.size == 0 or a.shape[1] == 0:
-        return np.eye(ambient_dim, dtype=complex)
+def complement_basis(a: np.ndarray) -> tuple[np.ndarray, RankDecision]:
+    """Orthonormal basis of the orthogonal complement of the column span, and
+    the rank decision of the span."""
     u, s = svd_positive(a)
-    return u[:, numerical_rank(s):]
+    decision = rank_decision(s)
+    return u[:, decision.rank :], decision
 
 
 def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:

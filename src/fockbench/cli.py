@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from ._linalg import spectral_norm
+from ._linalg import RankDecision, spectral_norm
 from .charfn import kernel_theta_gram, point_factorization, verify_truncated_factorization
 from .contractions import RowContraction, check_count, validate
 from .dilation import build_dilation, model_space, wold_decompose
@@ -87,6 +87,12 @@ def _check(name: str, value: float, bound: float) -> dict:
     return {"name": name, "value": float(value), "bound": float(bound), "pass": bool(value <= bound)}
 
 
+def _gap(decision: RankDecision) -> dict:
+    """The report shape of every rank decision: the largest value it counted
+    as zero and the smallest it counted as nonzero, null where a side is empty."""
+    return {"sigma_zero_max": decision.zero_max, "sigma_nonzero_min": decision.nonzero_min}
+
+
 def _purity(rc: RowContraction) -> dict:
     """How the tuple's one purity limit was decided: certified or walked, in how many steps."""
     pur = rc.purity_limit()
@@ -98,7 +104,7 @@ def _purity(rc: RowContraction) -> dict:
 
 def task_shifts(ctx: RunContext, params: dict) -> dict:
     """Slice by slice: Q_m^* Q_m = I, and the block-diagonal I - sum B_i B_i^*
-    is Q_0 Q_0^* on slice 0 and 0 on slices 1..N-1."""
+    is Q_0 Q_0^* on slice 0 and 0 on slices 1..N."""
     cs = ctx.cs()
     left = constrained_shifts(cs, "left")
     checks = [
@@ -108,13 +114,13 @@ def task_shifts(ctx: RunContext, params: dict) -> dict:
     data: dict = {
         "dim": cs.dim,
         "slice_dims": cs.slice_dims,
-        "slice_rank_gaps": _rank_gaps(cs.slice_rank_gaps),
+        "slice_rank_gaps": list(map(_gap, cs.slice_decisions)),
         # Every N_J is graded: a non-homogeneous generator is rejected at input.
         "graded": True,
     }
     if cs.contains_vacuum():
         blocks = [np.eye(q.shape[1]) - (sum(x[m - 1] @ x[m - 1].conj().T for x in left) if m else q @ q.conj().T)
-                  for m, q in enumerate(cs.slices[: cs.fock.max_degree])]
+                  for m, q in enumerate(cs.slices)]
         checks.append(_check("defect_is_vacuum_projection", max(map(spectral_norm, blocks), default=0.0), 1e-10))
     if params.get("emit_matrices", True):
         data["left_shifts"] = [matrix_to_json(b) for b in shift_matrices(cs, left)]
@@ -200,10 +206,6 @@ def _arveson_params(params: dict) -> tuple[int, tuple[float, ...], float]:
     return m_max, tuple(r_values), _agree_tol(params)
 
 
-def _rank_gaps(gaps) -> list[dict]:
-    return [{"sigma_zero_max": z, "sigma_nonzero_min": nz} for z, nz in gaps]
-
-
 def task_curvature(ctx: RunContext, params: dict) -> dict:
     rc = ctx.rc
     m_max, method = _curvature_params(params)
@@ -216,13 +218,14 @@ def task_curvature(ctx: RunContext, params: dict) -> dict:
             "kernel_slice_increments": rep.extras["kernel_slice_increments"],
         }
         erep = euler_phi(rc, m_max)
-        data["euler_phi"] = {"m": erep.m_values, "sequence": erep.sequence, "ranks": erep.extras["ranks"]}
+        data["euler_phi"] = {"m": erep.m_values, "sequence": erep.sequence, "ranks": erep.extras["ranks"],
+                             "rank_gaps": list(map(_gap, erep.extras["rank_decisions"]))}
     if method in ("theta", "both"):
         rep = curvature_theta(rc, m_max)
         data["theta"] = {
             "m": rep.m_values, "sequence": rep.sequence, "last": rep.last, "aitken": rep.aitken,
             "euler_sequence": rep.extras["euler_sequence"],
-            "euler_rank_gaps": _rank_gaps(rep.extras["euler_rank_gaps"]),
+            "euler_rank_gaps": list(map(_gap, rep.extras["euler_rank_decisions"])),
         }
         checks.append(_check("cross_method_gap", max(rep.extras["cross_check_vs_phi"]), 1e-8))
     return {"checks": checks, "data": data}
@@ -236,7 +239,7 @@ def task_arveson(ctx: RunContext, params: dict) -> dict:
         "orbit_steps": rep.orbit_steps,
         "qm_sequence": rep.qm_sequence,
         "euler_sequence": rep.euler_sequence,
-        "euler_rank_gaps": _rank_gaps(rep.euler_rank_gaps),
+        "euler_rank_gaps": list(map(_gap, rep.euler_rank_decisions)),
         "deviations": rep.deviations,
     }
     checks = [
@@ -286,6 +289,8 @@ def task_wold(ctx: RunContext, params: dict) -> dict:
     ]
     data = {
         "multiplicity": split.multiplicity,
+        "defect_rank_gap": _gap(ctx.rc.defect_decision),
+        "q_rank_gap": _gap(split.purity.q_spectrum()[2]),
         "k0_dim": int(split.k0_basis.shape[1]),
         "k1_dim": int(split.k1_basis.shape[1]),
         "idempotency_defect": split.idempotency_defect,
@@ -306,8 +311,11 @@ def task_dilate(ctx: RunContext, params: dict) -> dict:
     ]
     data = {
         "k_dim": blocks.k_dim,
+        "cuntz_rank_gap": _gap(ctx.rc.purity_limit().q_spectrum()[2]),
         "dilation_index": ctx.rc.defect_rank,
         "defect_rank": ctx.rc.defect_rank,
+        "defect_rank_gap": _gap(ctx.rc.defect_decision),
+        "column_defect_rank_gap": _gap(ctx.rc.defect_star_decision),
         "kernel_isometry_defect": blocks.kernel.isometry_defect,
         "intertwining_full_residual": inter.full_residual,
         "purity": _purity(ctx.rc),
@@ -322,10 +330,9 @@ def task_model(ctx: RunContext, params: dict) -> dict:
         _check("complement_residual", res.complement_residual, 1e-10),
         _check("equivalence_residual", res.equivalence_residual, 1e-10),
     ]
-    largest_in_model, smallest_in_range = res.split
     data = {
-        "model_dim": int(res.basis.shape[1]),
-        "split": {"largest_in_model": largest_in_model, "smallest_in_range": smallest_in_range},
+        "model_dim": res.decision.rank,
+        "split": _gap(res.decision),
         "purity": _purity(ctx.rc),
     }
     return {"checks": checks, "data": data}
@@ -340,7 +347,9 @@ def task_poisson(ctx: RunContext, params: dict) -> dict:
     ]
     if kern.range_containment is not None:
         checks.append(_check("range_containment", kern.range_containment, 1e-10))
-    data = {"defect_dim": kern.defect_dim, "tail_budget": kern.tail_budget, "purity": _purity(ctx.rc)}
+    data = {"defect_dim": kern.defect_dim, "defect_rank_gap": _gap(kern.defect_decision),
+            "column_defect_rank_gap": _gap(ctx.rc.defect_star_decision), "tail_budget": kern.tail_budget,
+            "purity": _purity(ctx.rc)}
     return {"checks": checks, "data": data}
 
 

@@ -9,7 +9,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._linalg import RANK_RTOL, eigh_descending, spectral_norm
+from ._linalg import RANK_RTOL, RankDecision, eigh_descending, rank_decision, spectral_norm
 from .errors import InvalidParameterError, NotARowContractionError
 from .ideals import NcPolynomial, evaluate_polynomial
 
@@ -21,9 +21,11 @@ class RowContraction:
     ``delta`` and ``delta_star`` are the Hermitian square roots of the row
     and column defects; ``defect_basis`` / ``defect_star_basis`` hold
     orthonormal eigenvector bases of the corresponding defect spaces, ordered
-    by decreasing defect eigenvalue. ``orbit(k)`` serves Phi^k(I) from a
-    lazily extended cache shared by every tail budget and curvature sequence;
-    ``purity_limit()`` serves the one purity limit every check reads.
+    by decreasing defect eigenvalue, cut by the rank decisions
+    ``defect_decision`` / ``defect_star_decision``. ``orbit(k)`` serves
+    Phi^k(I) from a lazily extended cache shared by every tail budget and
+    curvature sequence; ``purity_limit()`` serves the one purity limit every
+    check reads.
     """
 
     matrices: tuple[np.ndarray, ...]
@@ -33,6 +35,8 @@ class RowContraction:
     delta_star: np.ndarray
     defect_basis: np.ndarray
     defect_star_basis: np.ndarray
+    defect_decision: RankDecision
+    defect_star_decision: RankDecision
     _orbit: list[np.ndarray] = field(default_factory=list, init=False, repr=False, compare=False)
     _purity: PurityResult | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -67,30 +71,32 @@ class RowContraction:
 
     @property
     def defect_rank(self) -> int:
-        return self.defect_basis.shape[1]
+        return self.defect_decision.rank
 
     def row_gram(self) -> np.ndarray:
         """Sum of T_i T_i*."""
         return sum(t @ t.conj().T for t in self.matrices)
 
 
-def defect_root_and_basis(psd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Square root of a PSD defect together with an orthonormal range basis.
+def defect_root_and_basis(psd: np.ndarray) -> tuple[np.ndarray, np.ndarray, RankDecision]:
+    """Square root of a PSD defect, an orthonormal range basis, and the rank
+    decision that cut it.
 
     The rank cutoff is applied to the eigenvalues of the squared defect,
     where floating noise sits at machine scale; cutting on the root itself
-    would admit sqrt(eps)-sized noise directions. Both defects are cut at
-    RANK_RTOL on the contraction scale 1: the non-unit spectra of I - T T^*
-    and I - T^* T coincide, so one absolute cutoff gives consistent ranks,
-    and an all-noise spectrum (coisometric tuples) keeps nothing. Eigenvalues
+    would admit sqrt(eps)-sized noise directions. Both defects are cut by
+    ``rank_decision`` at floor RANK_RTOL, which is RANK_RTOL on the
+    contraction scale 1 since their eigenvalues are at most 1: the non-unit
+    spectra of I - T T^* and I - T^* T coincide, so one absolute cutoff gives
+    consistent ranks, and an all-noise spectrum keeps nothing. Eigenvalues
     in [-1e-12, 0) are clamped to zero; anything more negative raises
     ValueError."""
     vals, vecs = eigh_descending(psd)
     if vals.size and float(vals.min()) < -1e-12:
         raise ValueError(f"defect is not PSD: min eigenvalue {vals.min():.3e}")
     vals = np.clip(vals, 0.0, None)
-    root = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    return root, vecs[:, vals > RANK_RTOL]
+    decision = rank_decision(vals, RANK_RTOL)
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T, vecs[:, : decision.rank], decision
 
 
 def _square_tuple(matrices: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -126,8 +132,8 @@ def validate(matrices: Sequence[np.ndarray], tol: float = 1e-10) -> RowContracti
     if excess > tol:
         raise NotARowContractionError(excess)
     row = np.concatenate(mats, axis=1)
-    delta, defect_basis = defect_root_and_basis(np.eye(dim) - gram)
-    delta_star, defect_star_basis = defect_root_and_basis(np.eye(len(mats) * dim) - row.conj().T @ row)
+    delta, defect_basis, decision = defect_root_and_basis(np.eye(dim) - gram)
+    delta_star, defect_star_basis, star_decision = defect_root_and_basis(np.eye(len(mats) * dim) - row.conj().T @ row)
     return RowContraction(
         matrices=mats,
         n=len(mats),
@@ -136,6 +142,8 @@ def validate(matrices: Sequence[np.ndarray], tol: float = 1e-10) -> RowContracti
         delta_star=delta_star,
         defect_basis=defect_basis,
         defect_star_basis=defect_star_basis,
+        defect_decision=decision,
+        defect_star_decision=star_decision,
     )
 
 
@@ -162,6 +170,18 @@ class PurityResult:
     k_used: int
     converged: bool
     method: str
+    _spectrum: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def q_spectrum(self) -> tuple[np.ndarray, np.ndarray, RankDecision]:
+        """Q's eigenvalues (descending), eigenvectors and rank decision at
+        floor Q_RANK_FLOOR, from one ``eigh``: the Wold decomposition and the
+        dilation both read it. ValueError for an eigenvalue below -1e-10."""
+        if self._spectrum is None:
+            vals, vecs = eigh_descending(self.q_limit)
+            if vals.size and float(vals[-1]) < -1e-10:
+                raise ValueError(f"purity limit is not PSD: min eigenvalue {vals[-1]:.3e}")
+            self._spectrum = (vals, vecs, rank_decision(vals, Q_RANK_FLOOR))
+        return self._spectrum
 
 
 # Margin below one that an upper Collatz-Wielandt bound on rho(Phi) must clear
@@ -171,6 +191,10 @@ PURITY_GAP = 1e-9
 
 # Tolerance of the one purity limit each tuple caches (``purity_limit``).
 PURITY_TOL = 1e-13
+
+# Floor of Q's rank decision: a pure tuple's walk leaves iteration-noise
+# eigenvalues that a relative rule alone would count as a Cuntz part.
+Q_RANK_FLOOR = 1e-10
 
 
 def purity(rc: RowContraction, tol: float = 1e-10, k_max: int = 10_000) -> PurityResult:

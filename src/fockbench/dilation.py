@@ -12,17 +12,16 @@ from typing import Sequence
 import numpy as np
 
 from ._linalg import (
-    RANK_RTOL,
+    RankDecision,
     complement_basis,
-    eigh_descending,
     herm_part,
-    herm_sqrt_psd,
-    matrix_rank,
     principal_angles,
     range_basis,
+    rank_decision,
     spectral_norm,
+    svdvals,
 )
-from .contractions import PURITY_TOL, PurityResult, RowContraction, check_count
+from .contractions import PurityResult, RowContraction, check_count
 from .errors import PreconditionError
 from .ideals import evaluate_polynomial
 from .poisson import PoissonKernel, shift_adjoints
@@ -56,31 +55,27 @@ def build_dilation(kernel: PoissonKernel) -> DilationBlocks:
     """Split the kernel's tuple into a shift part on the kernel's ambient
     (N_J, or the Fock space for the free ideal) and a Cuntz part.
 
-    The Cuntz block acts on the closure of the range of the square root of
-    the purity limit; its generators are the adjoints of the operators that
-    implement T_i^* there, obtained by least squares on that range. The
-    tuple met the ideal generators when the kernel was built."""
+    The Cuntz block acts on the range of the purity limit Q, the leading
+    eigenvectors that its rank decision keeps (``PurityResult.q_spectrum``);
+    its generators are the adjoints of the operators that implement T_i^*
+    there, obtained by least squares against Y, the root of Q on that range.
+    The tuple met the ideal generators when the kernel was built."""
     kernel.require_unit_radius("the dilation")
     rc = kernel.rc
     generators = [] if kernel.cs is None else kernel.cs.generators
-    q = rc.purity_limit().q_limit
-    y = herm_sqrt_psd(q)
-    # Directions with q-eigenvalue at the iteration-error level are
-    # indistinguishable from zero; an absolute cutoff keeps pure tuples from
-    # acquiring a noise Cuntz block.
-    q_vals, q_vecs = eigh_descending(q)
-    keep = q_vals > max(100.0 * PURITY_TOL, RANK_RTOL * max(q_vals.max(initial=0.0), 0.0))
-    k_basis = q_vecs[:, keep]
-    kdim = k_basis.shape[1]
+    pur = rc.purity_limit()
+    q_vals, q_vecs, decision = pur.q_spectrum()
+    kdim = decision.rank
+    k_basis = q_vecs[:, :kdim]
 
-    y_hat = k_basis.conj().T @ y  # coordinates of Y on its range
+    y_hat = np.sqrt(q_vals[:kdim])[:, None] * k_basis.conj().T  # coordinates of Y on its range
     z_ops: list[np.ndarray] = []
     lsq_res = 0.0
     if kdim:
         # least squares against the full-row-rank y_hat via its Gram matrix
         gram = y_hat @ y_hat.conj().T
         for t in rc.matrices:
-            rhs = k_basis.conj().T @ y @ t.conj().T
+            rhs = y_hat @ t.conj().T
             lam = np.linalg.solve(gram.conj().T, (rhs @ y_hat.conj().T).conj().T).conj().T
             lsq_res = max(lsq_res, spectral_norm(lam @ y_hat - rhs))
             z_ops.append(lam.conj().T)
@@ -91,7 +86,7 @@ def build_dilation(kernel: PoissonKernel) -> DilationBlocks:
         constraint_res = [0.0 for _ in generators]
 
     embedding = np.concatenate([kernel.matrix, y_hat], axis=0)
-    exact = np.eye(rc.dim) - rc.orbit(kernel.fock.max_degree + 1) + q
+    exact = np.eye(rc.dim) - rc.orbit(kernel.fock.max_degree + 1) + pur.q_limit
     return DilationBlocks(
         kernel=kernel,
         k_basis=k_basis,
@@ -106,7 +101,6 @@ def build_dilation(kernel: PoissonKernel) -> DilationBlocks:
 
 @dataclass
 class WoldSplit:
-    q: np.ndarray
     k0_basis: np.ndarray
     k1_basis: np.ndarray
     multiplicity: int
@@ -120,34 +114,25 @@ def wold_decompose(rc: RowContraction, k_max: int | None = None) -> WoldSplit:
     """Split a row contraction into its shift part and its residual part.
 
     The shift part is computed two ways: as the span of word translates of
-    the defect range, and as the null space of the purity limit; the
-    principal angles between the two are reported, not assumed zero. The
-    idempotency of the defect is likewise reported only. ``k_max`` (default
-    dim) bounds the word length of the translates; InvalidParameterError
-    unless it is an integer >= 0."""
+    the defect range ``rc.defect_basis``, and as the null space of the purity
+    limit, the eigenvectors its rank decision drops; the principal angles
+    between the two are reported, not assumed zero. The multiplicity is the
+    defect rank, and the idempotency of the defect is reported only.
+    ``k_max`` (default dim) bounds the word length of the translates;
+    InvalidParameterError unless it is an integer >= 0."""
     dim = rc.dim
     k_max = dim if k_max is None else check_count("k_max", k_max, 0)
     q = np.eye(dim, dtype=complex) - rc.row_gram()
-    idem = spectral_norm(q @ q - q)
-    k0_span = _word_translate_span([q], rc.matrices, k_max)
-
+    k0_span = _word_translate_span([rc.defect_basis], rc.matrices, k_max)
     pur = rc.purity_limit()
-    vals, vecs = eigh_descending(pur.q_limit)
-    # absolute floor: a geometrically pure tuple leaves iteration-noise
-    # eigenvalues that a relative rule would misread as a residual part
-    null_mask = vals <= max(RANK_RTOL * vals.max(initial=0.0), 1e-10)
-    k0_null = vecs[:, null_mask]
-
-    angles = principal_angles(k0_span, k0_null)
-    k1 = complement_basis(k0_span, dim)
-    mult = matrix_rank(q)
+    _, vecs, decision = pur.q_spectrum()
+    k0_null = vecs[:, decision.rank :]
     return WoldSplit(
-        q=q,
         k0_basis=k0_span,
-        k1_basis=k1,
-        multiplicity=mult,
-        idempotency_defect=idem,
-        two_path_angles=angles,
+        k1_basis=complement_basis(k0_span)[0],
+        multiplicity=rc.defect_rank,
+        idempotency_defect=spectral_norm(q @ q - q),
+        two_path_angles=principal_angles(k0_span, k0_null),
         two_path_dim_match=k0_span.shape[1] == k0_null.shape[1],
         purity=pur,
     )
@@ -160,7 +145,7 @@ class ModelSpaceResult:
     projection_residual: float
     equivalence_residual: float
     complement_residual: float
-    split: tuple[float | None, float | None]
+    decision: RankDecision
 
 
 def model_space(kernel: PoissonKernel, gram: np.ndarray) -> ModelSpaceResult:
@@ -182,8 +167,8 @@ def model_space(kernel: PoissonKernel, gram: np.ndarray) -> ModelSpaceResult:
     - ``equivalence_residual`` = max_i |K^* (B_i (x) I) K - T_i (I - Phi^N(I))|,
       with B_i the ambient's shift, since K^* (B_i (x) I) K telescopes to
       T_i (I - Phi^N(I)).
-    ``split`` is (largest eigenvalue counted into the model, smallest counted
-    out), None where a side is empty. One shift action on [K | B] gives both
+    ``decision`` is the rank decision on the singular values of K that fixes
+    the model dimension, with its gap. One shift action on [K | B] gives both
     the compressed model operators and the kernel side of the equivalence;
     every check reads thin products, none a matrix of (ambient dim)^2."""
     kernel.require_unit_radius("the model space")
@@ -192,11 +177,11 @@ def model_space(kernel: PoissonKernel, gram: np.ndarray) -> ModelSpaceResult:
         raise PreconditionError("model space requires a pure row contraction")
 
     vals, vecs = np.linalg.eigh(herm_part(gram))
-    rank = matrix_rank(kernel.matrix)
-    basis = vecs[:, :rank]
-    split = (float(vals[rank - 1]) if rank else None, float(vals[rank]) if rank < vals.size else None)
-
     k = kernel.matrix
+    decision = rank_decision(svdvals(k))
+    rank = decision.rank
+    basis = vecs[:, :rank]
+
     projection_residual = spectral_norm(k - basis @ (basis.conj().T @ k))
     complement_residual = float(np.abs(1.0 - vals[rank:]).max(initial=0.0))
 
@@ -214,7 +199,7 @@ def model_space(kernel: PoissonKernel, gram: np.ndarray) -> ModelSpaceResult:
         projection_residual=projection_residual,
         equivalence_residual=equivalence_residual,
         complement_residual=complement_residual,
-        split=split,
+        decision=decision,
     )
 
 

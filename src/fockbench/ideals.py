@@ -17,7 +17,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from ._linalg import numerical_rank, spectral_norm, svd_positive
+from ._linalg import RankDecision, complement_basis, spectral_norm
 from .errors import InvalidParameterError
 from .words import TruncatedFock, Word, word_operator
 
@@ -121,15 +121,15 @@ class ConstrainedSubspace:
     """The truncated constrained subspace N_J, stored as its degree slices:
     ``slices[m]`` is Q_m, an orthonormal basis of N_m in the coordinates of
     the degree-m Fock slice (n^m x dim N_m), and the coordinates of N_J list
-    the slice bases in degree order. ``slice_rank_gaps`` holds, per slice,
-    the (largest singular value counted as zero, smallest counted as nonzero)
-    of the rank decisions that fixed its dimension, None where a side is empty.
+    the slice bases in degree order. ``slice_decisions`` holds, per slice,
+    its dimension with the joint gap of the rank decisions that fixed it (the
+    largest value any counted as zero, the smallest any counted as nonzero).
     """
 
     fock: TruncatedFock
     generators: list[NcPolynomial]
     slices: list[np.ndarray]
-    slice_rank_gaps: list[tuple[float | None, float | None]]
+    slice_decisions: list[RankDecision]
 
     @property
     def slice_dims(self) -> list[int]:
@@ -160,17 +160,9 @@ def _generator_matrix(fock: TruncatedFock, generators: Sequence[NcPolynomial], d
     return mat
 
 
-def _complement(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``complement_basis`` of the column span of a, with the singular values
-    its rank decision counted as zero and as nonzero."""
-    u, s = svd_positive(a)
-    rank = numerical_rank(s)
-    return u[:, rank:], s[rank:], s[:rank]
-
-
 def _next_slice(fock: TruncatedFock, gens: Sequence[NcPolynomial], prev: np.ndarray | None, m: int):
-    """Orthonormal basis of N_m from the basis ``prev`` of N_{m-1}, with the
-    rank gap of the decisions that fixed its dimension.
+    """Orthonormal basis of N_m from the basis ``prev`` of N_{m-1}, with its
+    dimension and the joint gap of the rank decisions that fixed it.
 
     The degree-m ideal slice is J_{m-1} (x) C^n + C^n (x) J_{m-1} + span of the
     degree-m generators, so N_m = (N_{m-1} (x) C^n) cap (C^n (x) N_{m-1}) cap G_m^perp.
@@ -178,18 +170,21 @@ def _next_slice(fock: TruncatedFock, gens: Sequence[NcPolynomial], prev: np.ndar
     intersection is C1 times the null space of (I - C2 C2^*) C1, a thin
     problem of width n dim N_{m-1}; the generators then act only inside that
     candidate space. N_0 starts from the candidate space C^1."""
+    decisions = []
     if m == 0:
-        cand, zero, nonzero = np.ones((1, 1), dtype=complex), np.zeros(0), np.zeros(0)
+        cand = np.ones((1, 1), dtype=complex)
     else:
         eye_n = np.eye(fock.n, dtype=complex)
         c1, c2 = np.kron(prev, eye_n), np.kron(eye_n, prev)
-        null, zero, nonzero = _complement((c1 - c2 @ (c2.conj().T @ c1)).conj().T)
+        null, decision = complement_basis((c1 - c2 @ (c2.conj().T @ c1)).conj().T)
         cand = c1 @ null
-    top = _generator_matrix(fock, gens, m)
-    keep, zero_g, nonzero_g = _complement(cand.conj().T @ top)
-    zero, nonzero = np.concatenate([zero, zero_g]), np.concatenate([nonzero, nonzero_g])
-    gap = (float(zero.max()) if zero.size else None, float(nonzero.min()) if nonzero.size else None)
-    return np.linalg.qr(cand @ keep)[0], gap
+        decisions.append(decision)
+    keep, decision = complement_basis(cand.conj().T @ _generator_matrix(fock, gens, m))
+    decisions.append(decision)
+    basis = np.linalg.qr(cand @ keep)[0]
+    zero = [d.zero_max for d in decisions if d.zero_max is not None]
+    nonzero = [d.nonzero_min for d in decisions if d.nonzero_min is not None]
+    return basis, RankDecision(basis.shape[1], max(zero, default=None), min(nonzero, default=None))
 
 
 def build_constrained_subspace(fock: TruncatedFock, generators: Sequence[NcPolynomial]) -> ConstrainedSubspace:
@@ -212,13 +207,13 @@ def build_constrained_subspace(fock: TruncatedFock, generators: Sequence[NcPolyn
             raise InvalidParameterError(f"generator {g} is not homogeneous: its terms have different lengths")
 
     slices: list[np.ndarray] = []
-    gaps: list[tuple[float | None, float | None]] = []
+    decisions: list[RankDecision] = []
     for m in range(fock.max_degree + 1):
-        block, gap = (_next_slice(fock, gens, slices[-1] if slices else None, m) if gens
-                      else (np.eye(fock.n**m, dtype=complex), (None, None)))
+        block, decision = (_next_slice(fock, gens, slices[-1] if slices else None, m) if gens
+                           else (np.eye(fock.n**m, dtype=complex), RankDecision(fock.n**m, None, None)))
         slices.append(block)
-        gaps.append(gap)
-    return ConstrainedSubspace(fock=fock, generators=gens, slices=slices, slice_rank_gaps=gaps)
+        decisions.append(decision)
+    return ConstrainedSubspace(fock=fock, generators=gens, slices=slices, slice_decisions=decisions)
 
 
 def ideal_orthogonality(cs: ConstrainedSubspace) -> float:

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ._linalg import aitken_extrapolate, matrix_rank, numerical_rank, svdvals
+from ._linalg import RankDecision, aitken_extrapolate, rank_decision, svdvals
 from .charfn import assemble, characteristic_coefficients, degree_slices
 from .contractions import PURITY_TOL, RowContraction, check_constraints
 from .errors import InvalidParameterError, PreconditionError
@@ -70,20 +70,20 @@ def curvature_phi(rc: RowContraction, m_max: int) -> CurvatureReport:
 
 
 def euler_phi(rc: RowContraction, m_max: int) -> CurvatureReport:
-    """rank[I - Phi^m(I)] over the geometric denominator; ranks use the global
-    cutoff and are reported as exact integers before normalization."""
+    """rank[I - Phi^m(I)] over the geometric denominator; each rank is the
+    span ``rank_decision`` of the singular values, reported as an exact
+    integer before normalization, with the decision beside it."""
     if m_max < 1:
         raise InvalidParameterError("need m_max >= 1")
-    ranks = []
-    for m in range(1, m_max + 1):
-        ranks.append(matrix_rank(np.eye(rc.dim) - rc.orbit(m)))
+    decisions = [rank_decision(svdvals(np.eye(rc.dim) - rc.orbit(m))) for m in range(1, m_max + 1)]
+    ranks = [d.rank for d in decisions]
     seq = [ranks[m - 1] / _geometric_denominator(rc.n, m) for m in range(1, m_max + 1)]
     return CurvatureReport(
         m_values=list(range(1, m_max + 1)),
         sequence=seq,
         last=seq[-1],
         aitken=aitken_extrapolate(seq),
-        extras={"ranks": ranks},
+        extras={"ranks": ranks, "rank_decisions": decisions},
     )
 
 
@@ -109,22 +109,6 @@ def _gaussian_probe(rows: int, cols: int) -> np.ndarray:
     return (radius * (np.cos(angle) + 1j * np.sin(angle))).reshape(rows, cols)
 
 
-class EulerRank(NamedTuple):
-    """One Euler rank decision: the rank, the largest probe singular value it
-    counted as zero and the smallest it counted as nonzero, None where a side
-    is empty."""
-
-    rank: int
-    sigma_zero_max: float | None
-    sigma_nonzero_min: float | None
-
-
-def _rank_decision(y: np.ndarray) -> EulerRank:
-    s = svdvals(y)
-    rank = numerical_rank(s)
-    return EulerRank(rank, float(s[rank]) if rank < s.size else None, float(s[rank - 1]) if rank else None)
-
-
 def _fock_probe(thetas: list[np.ndarray], n: int, omega: list[np.ndarray], m: int) -> np.ndarray:
     """((I - Theta_S Theta_S^*) Omega)^T on the Fock degrees <= m, with
     ``omega[a]`` the transposed degree-a block of the probe, (width, n^a
@@ -142,7 +126,7 @@ def _fock_probe(thetas: list[np.ndarray], n: int, omega: list[np.ndarray], m: in
 
 def _theta_defect_by_degree(
     rc: RowContraction, m_max: int, generators: Sequence[NcPolynomial] = ()
-) -> list[tuple[int, float, EulerRank]]:
+) -> list[tuple[int, float, RankDecision]]:
     """For m = 1..m_max: the dimension of the degree-m slice of (ambient
     tensor row defect), trace[Theta Theta^*] on it, and the rank of the
     principal degree <= m block of I - Theta Theta^*, on the Fock space, or
@@ -160,9 +144,9 @@ def _theta_defect_by_degree(
       is K_S K_S^* with K_S the degree <= m rows of K, of rank at most dim H.
       For a Gaussian block Omega of width dim H + EULER_PROBE_OVERSAMPLE,
       (I - Theta_S Theta_S^*) Omega has that rank almost surely, and it is
-      ``numerical_rank`` of its singular values. Omega is one block over the
-      whole ambient; degree <= m reads its leading rows, the basis being
-      ordered by degree."""
+      the span ``rank_decision`` of its singular values. Omega is one block
+      over the whole ambient; degree <= m reads its leading rows, the basis
+      being ordered by degree."""
     top = max([m_max, *(p.degree for p in generators)])
     fock = TruncatedFock(rc.n, top)
     op = characteristic_coefficients(rc, top)
@@ -177,7 +161,7 @@ def _theta_defect_by_degree(
         blocks = [np.ascontiguousarray(omega[:, off[a] : off[a + 1]]) for a in range(top + 1)]
         for m in range(1, m_max + 1):
             slice_trace = sum(n ** (m - c) * norms[c] for c in range(m + 1))
-            out.append((n**m * tgt, slice_trace, _rank_decision(_fock_probe(thetas, n, blocks, m))))
+            out.append((n**m * tgt, slice_trace, rank_decision(svdvals(_fock_probe(thetas, n, blocks, m)))))
         return out
     theta = assemble(op, cs=cs)
     row_degrees, col_degrees = np.repeat(cs.basis_degrees, tgt), np.repeat(cs.basis_degrees, src)
@@ -186,7 +170,7 @@ def _theta_defect_by_degree(
         lead_t, lead_s = int(np.count_nonzero(row_degrees <= m)), int(np.count_nonzero(col_degrees <= m))
         theta_s, omega_s = theta[:lead_t, :lead_s], omega[:, :lead_t]
         y = omega_s - (omega_s @ theta_s.conj()) @ theta_s.T
-        out.append((cs.slice_dims[m] * tgt, float(row_norms[row_degrees == m].sum()), _rank_decision(y)))
+        out.append((cs.slice_dims[m] * tgt, float(row_norms[row_degrees == m].sum()), rank_decision(svdvals(y))))
     return out
 
 
@@ -215,7 +199,7 @@ def curvature_theta(rc: RowContraction, m_max: int) -> CurvatureReport:
         last=seq[-1],
         aitken=aitken_extrapolate(seq),
         extras={"cross_check_vs_phi": cross, "euler_sequence": euler_seq, "euler_ranks": euler_ranks,
-                "euler_rank_gaps": [(d.sigma_zero_max, d.sigma_nonzero_min) for d in decisions]},
+                "euler_rank_decisions": decisions},
     )
 
 
@@ -225,7 +209,7 @@ class ArvesonReport:
     orbit_steps: int
     qm_sequence: list[float]
     euler_sequence: list[float]
-    euler_rank_gaps: list[tuple[float | None, float | None]]
+    euler_rank_decisions: list[RankDecision]
     slice_trace_gap: float
     deviations: dict
 
@@ -299,12 +283,12 @@ def arveson_curvature(
         raise PreconditionError("tuple is not commuting to 1e-10")
 
     # (b), (c) on N_J of the commutator ideal.
-    qm_seq, euler_seq, rank_gaps, gaps = [], [], [], []
+    qm_seq, euler_seq, decisions, gaps = [], [], [], []
     for m, (slice_dim, slice_trace, decision) in enumerate(
             _theta_defect_by_degree(rc, m_max, commutator_generators(rc.n)), start=1):
         qm_seq.append(math.factorial(rc.n - 1) * (slice_dim - slice_trace) / m ** (rc.n - 1))
         euler_seq.append(math.factorial(rc.n) * decision.rank / m**rc.n)
-        rank_gaps.append((decision.sigma_zero_max, decision.sigma_nonzero_min))
+        decisions.append(decision)
         gaps.append(abs(slice_dim - slice_trace - float(np.trace(rc.orbit(m) - rc.orbit(m + 1)).real)))
 
     # (a) after (b), so the series reads the orbit powers they cached.
@@ -318,7 +302,7 @@ def arveson_curvature(
         orbit_steps=steps,
         qm_sequence=qm_seq,
         euler_sequence=euler_seq,
-        euler_rank_gaps=rank_gaps,
+        euler_rank_decisions=decisions,
         slice_trace_gap=max(gaps),
         deviations=deviations,
     )

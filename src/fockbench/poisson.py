@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import spectral_norm
+from ._linalg import RankDecision, spectral_norm
 from .contractions import RowContraction, check_constraints, defect_root_and_basis
 from .errors import InvalidParameterError, PreconditionError
 from .ideals import ConstrainedSubspace, constrained_shifts
@@ -26,7 +26,8 @@ class PoissonKernel:
 
     ``matrix`` maps the underlying space into (ambient basis) tensor (defect
     coordinates); for the constrained flavor the ambient is the constrained
-    subspace basis and ``cs`` is set. Every check of the kernel
+    subspace basis and ``cs`` is set. ``defect_decision`` is the rank
+    decision that cut the (radial) row defect to ``defect_basis``. Every check of the kernel
     (intertwining, truncated factorization, dilation, model space) takes the
     kernel itself and reads the tuple, the ambient and r from it.
     """
@@ -36,6 +37,7 @@ class PoissonKernel:
     fock: TruncatedFock
     matrix: np.ndarray
     defect_basis: np.ndarray
+    defect_decision: RankDecision
     isometry_defect: float
     tail_budget: float
     cs: ConstrainedSubspace | None = None
@@ -62,9 +64,9 @@ class PoissonKernel:
             raise InvalidParameterError(f"{what} needs the r = 1 kernel, got r = {self.r}")
 
 
-def _radial_defect(rc: RowContraction, r: float) -> tuple[np.ndarray, np.ndarray]:
+def _radial_defect(rc: RowContraction, r: float) -> tuple[np.ndarray, np.ndarray, RankDecision]:
     if r == 1.0:
-        return rc.delta, rc.defect_basis
+        return rc.delta, rc.defect_basis, rc.defect_decision
     return defect_root_and_basis(np.eye(rc.dim) - (r * r) * rc.row_gram())
 
 
@@ -80,7 +82,7 @@ def poisson_kernel(rc: RowContraction, fock: TruncatedFock, r: float = 1.0) -> P
     """
     if not 0.0 < r <= 1.0:
         raise InvalidParameterError(f"radial parameter must lie in (0, 1], got {r}")
-    delta_r, basis = _radial_defect(rc, r)
+    delta_r, basis, decision = _radial_defect(rc, r)
     adjoints = [t.conj().T for t in rc.matrices]
     blocks = word_products(basis.conj().T @ delta_r, adjoints, fock.max_degree)
     blocks *= (r ** fock.degrees)[:, None, None]
@@ -94,6 +96,7 @@ def poisson_kernel(rc: RowContraction, fock: TruncatedFock, r: float = 1.0) -> P
         fock=fock,
         matrix=k,
         defect_basis=basis,
+        defect_decision=decision,
         isometry_defect=defect,
         tail_budget=spectral_norm(tail),
     )

@@ -39,6 +39,7 @@ from fockbench.ideals import NcPolynomial, _generator_matrix, commutator_generat
 from fockbench.words import Word
 
 DATA = Path(__file__).parent / "data"
+GOLDENS = ("golden_report.json", "golden_qcomm_report.json")
 
 
 def nilpotent_pair_json():
@@ -209,6 +210,61 @@ class TestSubcommands:
         checks = {c["name"]: c for c in task_shifts(ctx, {"emit_matrices": False})["checks"]}
         assert not checks["defect_is_vacuum_projection"]["pass"]
         assert checks["basis_orthonormal"]["pass"] and checks["ideal_orthogonality"]["pass"]
+
+    def test_defect_check_fails_on_a_perturbed_slice_n_block(self, monkeypatch):
+        """The block X_{N-1,1} maps into the top slice N, where
+        I - sum B_i B_i^* = 0 holds as on every slice below it; moved by 1e-9
+        it fails the check, which reads slice N as well."""
+        import fockbench.cli as cli
+
+        ctx = RunContext(n=2, trunc=4, generators=commutator_generators(2), rc=None, tol=1e-8, seed=None)
+        shifts = cli.constrained_shifts
+
+        def perturbed(cs, side):
+            blocks = shifts(cs, side)
+            blocks[0][-1] = blocks[0][-1] + 1e-9 * np.ones_like(blocks[0][-1])
+            return blocks
+
+        monkeypatch.setattr(cli, "constrained_shifts", perturbed)
+        checks = {c["name"]: c for c in task_shifts(ctx, {"emit_matrices": False})["checks"]}
+        assert not checks["defect_is_vacuum_projection"]["pass"]
+        assert checks["basis_orthonormal"]["pass"] and checks["ideal_orthogonality"]["pass"]
+
+    def test_two_rank_rules_probe_reports_one_defect_rank(self):
+        """T = (diag(sqrt 0.5, sqrt(1 - 6e-10)), 0): the row defect has the
+        eigenvalues 0.5 and 6e-10, and 6e-10 is below the defect cutoff 1e-9.
+        Every task reads the one defect decision, so every defect rank is 1,
+        each defect gap straddles the cutoff, and the two Wold paths agree.
+        The kernel identities of poisson and dilate are not asserted here:
+        they compare with a value that ignores the dropped eigenvalue
+        (ROADMAP item 3)."""
+        t1 = np.diag([np.sqrt(0.5), np.sqrt(1 - 6e-10)])
+        scenario = {"n": 2, "N": 3, "T": [matrix_to_json(t1), matrix_to_json(np.zeros((2, 2)))],
+                    "tasks": [{"task": "wold"}, {"task": "poisson"}, {"task": "dilate"}]}
+        tasks = run_scenario(scenario)["tasks"]
+        wold, poisson, dilate = (t["data"] for t in tasks)
+        assert wold["multiplicity"] == poisson["defect_dim"] == dilate["defect_rank"] == dilate["dilation_index"] == 1
+        assert [c["name"] for c in tasks[0]["checks"] if c["pass"]] == ["two_path_max_angle", "two_path_dim_mismatch"]
+        gaps = [wold["defect_rank_gap"]] + [task[key] for task in (poisson, dilate)
+                                            for key in ("defect_rank_gap", "column_defect_rank_gap")]
+        for gap in gaps:
+            assert gap["sigma_zero_max"] == pytest.approx(6e-10, rel=1e-6)
+            assert gap["sigma_nonzero_min"] == pytest.approx(0.5, abs=1e-15)
+
+    def test_q_is_decomposed_once_per_tuple(self, monkeypatch):
+        """wold and dilate read one eigendecomposition of the purity limit Q:
+        on a tuple with a Cuntz part (Q = diag(1, 0)) the scenario calls
+        ``eigh`` on Q once, though wold runs twice and dilate once."""
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(np.array(a)) or eigh(a))
+        t1, t2 = np.diag([1.0, 0.3]), np.diag([0.0, 0.3])
+        scenario = {"n": 2, "N": 2, "T": [matrix_to_json(t1), matrix_to_json(t2)],
+                    "tasks": [{"task": "wold"}, {"task": "dilate"}, {"task": "wold"}]}
+        report = run_scenario(scenario)
+        assert report["tasks"][1]["data"]["k_dim"] == 1
+        q = np.diag([1.0, 0.0])
+        assert sum(a.shape == (2, 2) and np.abs(a - q).max() < 1e-9 for a in calls) == 1
 
     def test_wold_angle_check_fails_on_a_rotated_purity_limit(self):
         """A Jordan block plus a unitary scalar: the purity limit is the
@@ -1100,6 +1156,41 @@ JSON_VALUES = st.recursive(JSON_LEAVES, lambda kids: st.lists(kids, max_size=4)
                            | st.dictionaries(st.text(max_size=4), kids, max_size=4), max_leaves=24)
 
 
+# Each rank-valued report leaf and the key of the gap beside it.
+RANK_LEAVES = {"slice_dims": "slice_rank_gaps", "ranks": "rank_gaps", "euler_sequence": "euler_rank_gaps",
+               "defect_dim": "defect_rank_gap", "defect_rank": "defect_rank_gap", "multiplicity": "defect_rank_gap",
+               "k_dim": "cuntz_rank_gap", "model_dim": "split"}
+
+
+@pytest.mark.parametrize("name", GOLDENS)
+def test_every_rank_in_the_goldens_reports_its_gap(name):
+    """Beside every rank-valued leaf of a golden report sits its gap in the
+    shared shape, one per rank for a list; the gap brackets the cutoff, and
+    a single decision has a nonzero side exactly when its rank is nonzero."""
+    found = set()
+
+    def walk(value):
+        if isinstance(value, dict):
+            for key in RANK_LEAVES.keys() & value.keys():
+                found.add(key)
+                rank, gap = value[key], value[RANK_LEAVES[key]]
+                for r, g in zip(rank, gap, strict=True) if isinstance(rank, list) else [(rank, gap)]:
+                    assert set(g) == {"sigma_zero_max", "sigma_nonzero_min"}
+                    if None not in g.values():
+                        assert g["sigma_zero_max"] < g["sigma_nonzero_min"]
+                    if not isinstance(rank, list):
+                        assert (g["sigma_nonzero_min"] is None) == (r == 0)
+            value = list(value.values())
+        if isinstance(value, list):
+            for item in value:
+                walk(item)
+
+    walk(json.loads((DATA / name).read_text())["tasks"])
+    expected = {"golden_report.json": set(RANK_LEAVES),
+                "golden_qcomm_report.json": {"slice_dims", "defect_dim", "defect_rank", "k_dim", "model_dim"}}
+    assert found == expected[name]
+
+
 class TestReportText:
     def test_objects_are_indented_and_arrays_of_numbers_sit_on_one_line(self):
         report = {"b": [{"data": [[0.5, -0.0], [1e-300, 2.0]], "shape": [1, 2]}], "a": {}, "c": [], "é": "ü"}
@@ -1268,6 +1359,34 @@ class TestSchemas:
             assert len(gaps) == len(task["data"]["theta"]["m"])
             assert all(set(gap) == {"sigma_zero_max", "sigma_nonzero_min"} for gap in gaps)
             assert [c["name"] for c in task["checks"]] == checks_schema["items"]["properties"]["name"]["enum"]
+
+    @pytest.mark.parametrize("name", ["shifts", "poisson", "dilate", "wold", "model", "curvature", "arveson"])
+    def test_every_gap_leaf_is_the_shared_rank_gap(self, rc_file, tmp_path, name):
+        """Each gap leaf the schema gives a task references the one $defs
+        rank_gap entry, alone or as the items of an array, and holds that
+        shape in the subcommand's report and in every golden task."""
+        gap_def = load_schema("report.schema.json")["$defs"]["rank_gap"]
+        out = tmp_path / "report.json"
+        argv = [name] + [rc_file if a == "RC" else a for a in SUBCOMMAND_ARGV[name]]
+        assert main(argv + ["--out", str(out)]) in (0, 1)
+        tasks = [json.loads(out.read_text())["tasks"][0]] + [
+            t for g in GOLDENS for t in json.loads((DATA / g).read_text())["tasks"] if t["task"] == name]
+        data_schema = task_rule(name)["then"]["properties"]["data"]
+        leaves = [(data_schema, key) for key in data_schema["properties"]]
+        leaves += [(sub, key) for sub in data_schema["properties"].values() for key in sub.get("properties", {})]
+        refs = [(sub, key) for sub, key in leaves if key.endswith(("_gap", "_gaps")) or key == "split"]
+        assert refs
+        for sub, key in refs:
+            prop = sub["properties"][key]
+            assert prop.get("$ref", prop.get("items", {}).get("$ref")) == "#/$defs/rank_gap"
+        for task in tasks:
+            values = [task["data"]] + [v for v in task["data"].values() if isinstance(v, dict)]
+            found = [(key, v[key]) for v in values for sub, key in refs if key in v]
+            assert found
+            for key, value in found:
+                for gap in value if isinstance(value, list) else [value]:
+                    assert set(gap) == set(gap_def["required"]) == set(gap_def["properties"])
+                    assert all(x is None or _is_number(json.dumps(x)) for x in gap.values())
 
     @pytest.mark.parametrize("command", list(SUBCOMMAND_ARGV))
     def test_subcommand_reports_carry_every_required_key(self, rc_file, tmp_path, command):

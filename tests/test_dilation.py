@@ -25,7 +25,7 @@ from fockbench._linalg import complement_basis, principal_angles, spectral_norm
 from fockbench.cli import RunContext, task_model
 from fockbench.dilation import _word_translate_span
 from fockbench.errors import InvalidParameterError, PreconditionError
-from words_reference import fock_row_basis, shift_tuple
+from words_reference import fock_row_basis, model_split, shift_tuple
 
 
 def model_of(kernel):
@@ -331,8 +331,9 @@ class TestModelSpace:
             assert np.linalg.norm(b - u @ t @ u.conj().T, 2) < 1e-10
 
     def test_split_brackets_the_quarter(self):
-        res = model_of(constrained_poisson_kernel(nilpotent_commuting_pair(), commutative_cs(2, 4)))
-        largest_in_model, smallest_in_range = res.split
+        kern = constrained_poisson_kernel(nilpotent_commuting_pair(), commutative_cs(2, 4))
+        gram = kernel_theta_gram(kern)
+        largest_in_model, smallest_in_range = model_split(gram, model_space(kern, gram))
         assert abs(largest_in_model) < 1e-12
         assert abs(smallest_in_range - 1.0) < 1e-12
 
@@ -342,9 +343,10 @@ class TestModelSpace:
         counts rank K = 1 direction into the model, and every model identity
         holds to rounding."""
         kern = poisson_kernel(validate([np.array([[0.9]])]), TruncatedFock(1, 1))
-        res = model_space(kern, kernel_theta_gram(kern))
+        gram = kernel_theta_gram(kern)
+        res = model_space(kern, gram)
         assert res.basis.shape == (2, 1)
-        largest_in_model, smallest_in_range = res.split
+        largest_in_model, smallest_in_range = model_split(gram, res)
         assert abs(largest_in_model - 0.9**4) < 1e-12 and abs(smallest_in_range - 1.0) < 1e-12
         assert max(res.projection_residual, res.complement_residual, res.equivalence_residual) <= 1e-15
 
@@ -370,7 +372,7 @@ class TestModelSpace:
         ctx = RunContext(n=rc.n, trunc=trunc, generators=gens, rc=rc, tol=1e-9, seed=None)
         report = task_model(ctx, {})
         assert report["data"]["model_dim"] == rc.dim
-        assert report["data"]["split"]["largest_in_model"] > 0.25
+        assert np.linalg.eigvalsh(ctx.theta_gram())[rc.dim - 1] > 0.25
         assert all(c["pass"] for c in report["checks"])
 
     @pytest.mark.parametrize("mutation", ["kernel_column_off_the_model", "gram_minus_1e9", "kernel_scaled"])
@@ -456,7 +458,7 @@ class TestMaximalConstrainedPiece:
     @staticmethod
     def piece(mats, gens, k_max):
         span = _word_translate_span([evaluate_polynomial(p, mats) for p in gens], mats, k_max)
-        return complement_basis(span, mats[0].shape[0])
+        return complement_basis(span)[0]
 
     def test_commutators_on_truncated_creation_recover_symmetric_space(self):
         f = TruncatedFock(2, 4)
@@ -498,7 +500,7 @@ class TestWoldPartialSumIdentities:
         ]) for si, zi in zip(s, z)]
         split = wold_decompose(validate(v))
         dim = v[0].shape[0]
-        q = split.q
+        q = np.eye(dim) - sum(t @ t.conj().T for t in v)
         # direct word sum of V_alpha Q V_alpha^* up to the nilpotency depth
         total = q.copy()
         for depth in range(1, f.max_degree + 2):
@@ -527,7 +529,7 @@ class TestWoldPartialSumIdentities:
         # Q is a projection here; its range is the joint kernel of the adjoints
         from fockbench._linalg import range_basis
 
-        q_range = range_basis(split.q)
+        q_range = range_basis(np.eye(4) - sum(t @ t.conj().T for t in v))
         stacked = np.concatenate([m.conj().T @ q_range for m in v], axis=0)
         assert np.linalg.norm(stacked) < 1e-12
         assert q_range.shape[1] == split.multiplicity

@@ -47,14 +47,19 @@ computed rounding budget over the eigenvalue gap. The Pick matrix is one
 broadcast over a k x k stack of target products instead of a loop over its
 blocks, pinned against that loop, kept here as a reference, entrywise within
 4 eps of its largest entry and Hermitian bit for bit; the pairwise-distance
-test for coincident points is pinned against the pair loop it replaced.
+test for coincident points is pinned against the pair loop it replaced. The
+one ``rank_decision`` is pinned against the four rank rules it replaced
+(``words_reference``) on planted spectra around each floor, at each site:
+the same rank everywhere except Q's band (1e-11, 1e-10], which the dilation
+counted as its Cuntz part and which now, as in the Wold decomposition,
+counts as zero.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fockbench.charfn as charfn_mod
@@ -83,7 +88,14 @@ from fockbench import (
     word_length_generators,
     word_operator,
 )
-from fockbench._linalg import complement_basis, principal_angles, spectral_norm, svd_positive
+from fockbench._linalg import (
+    complement_basis,
+    principal_angles,
+    range_basis,
+    rank_decision,
+    spectral_norm,
+    svd_positive,
+)
 from fockbench.cli import RunContext, task_factorize, task_shifts
 from fockbench.errors import DegenerateInputError, InvalidParameterError, PreconditionError
 from fockbench.ideals import _generator_matrix, ideal_orthogonality, shift_matrices
@@ -94,7 +106,12 @@ from words_reference import (
     child_map,
     dense_constrained_shifts,
     enumerate_words,
+    cuntz_rank,
+    defect_rank,
     fock_row_basis,
+    model_split,
+    numerical_rank,
+    wold_null_dim,
 )
 
 EPS = np.finfo(float).eps
@@ -142,7 +159,7 @@ def word_adjoint_products(rc, top):
 def recursive_kernel(rc, top, r):
     """The former Poisson kernel: block alpha is r^|alpha| (reduced defect
     root) T_alpha^*; returns the stacked blocks and the reduced root."""
-    delta, basis = _radial_defect(rc, r)
+    delta, basis, _ = _radial_defect(rc, r)
     reduced = basis.conj().T @ delta
     prods = word_adjoint_products(rc, top)
     blocks = [(r ** len(w)) * (reduced @ prods[w]) for w in enumerate_words(rc.n, top)]
@@ -399,7 +416,7 @@ def assert_recursion_matches_dense_complement(fock, gens):
     cs = build_constrained_subspace(fock, gens)
     ref = np.zeros((fock.dim, 0), dtype=complex)
     for m in range(fock.max_degree + 1):
-        comp = complement_basis(ideal_slice(fock, gens, m), fock.n**m)
+        comp = complement_basis(ideal_slice(fock, gens, m))[0]
         assert cs.slice_dims[m] == comp.shape[1]
         new = cs.slices[m]
         assert np.all(principal_angles(new, comp) <= 1e-12)
@@ -841,7 +858,7 @@ def test_model_space_matches_the_svd_of_theta(ambient, row_norm, n, dim, top, se
     # directions, on which Theta Theta^* has the eigenvalues of Phi^(N+1)(I)
     ref = svd_model_basis(theta, rc.dim)
     res = model_space(kern, gram)
-    largest_in_model, smallest_in_range = res.split
+    largest_in_model, smallest_in_range = model_split(gram, res)
     assert res.basis.shape == ref.shape
     assert largest_in_model <= row_norm ** (2 * (fock.max_degree + 1)) + 1e-12
     assert smallest_in_range is None or smallest_in_range >= 1.0 - 1e-10
@@ -960,3 +977,34 @@ def test_coincident_points_are_rejected_as_by_the_pair_loop(k, n, copies, seed):
     else:
         with pytest.raises(DegenerateInputError, match=f"points {expected[0]} and {expected[1]} coincide"):
             PickProblem(n=n, points=points, targets=[np.eye(1)] * k)
+
+
+# --- one rank decision against the four rules it replaced ---------------------
+
+# Planted values around the three floors (1e-12 spans, 1e-10 Q, 1e-9 defects)
+# and the former dilation floor 1e-11, the floors themselves among them.
+PLANTED = st.one_of(st.sampled_from([1e-12, 1e-11, 1e-10, 1e-9]),
+                    st.floats(-13.0, -7.0).map(lambda e: 10.0**e))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from([1.0, 0.5, 1e-2, 1e-5]), max_size=3), st.lists(PLANTED, min_size=1, max_size=5),
+       st.integers(0, 2))
+@example([1e-2], [5e-11, 2e-10], 0)
+@example([1.0], [1e-9, 1e-10, 1e-12], 1)
+@example([], [3e-9, 1e-13], 0)
+def test_rank_decision_matches_each_old_rule(tops, planted, zeros):
+    """Spans, defects and Wold's null space decide as before; the dilation's
+    Cuntz part drops Q's band (1e-11, 1e-10] above its relative cut, which it
+    used to keep. The gap is the pair of values beside the cut."""
+    vals = np.array(sorted(tops + planted + [0.0] * zeros, reverse=True))
+    diag = np.diag(vals).astype(complex)
+    span = rank_decision(vals)
+    assert span.rank == numerical_rank(vals) == range_basis(diag).shape[1]
+    assert span.zero_max == (vals[span.rank] if span.rank < vals.size else None)
+    assert span.nonzero_min == (vals[span.rank - 1] if span.rank else None)
+    assert contractions_mod.defect_root_and_basis(diag)[2].rank == defect_rank(vals)
+    q = contractions_mod.PurityResult(diag, False, 1, True, "walk").q_spectrum()[2]
+    assert q.rank == vals.size - wold_null_dim(vals)
+    band = (vals > 1e-11) & (vals <= 1e-10) & (vals > 1e-9 * vals.max())
+    assert cuntz_rank(vals) - q.rank == np.count_nonzero(band)

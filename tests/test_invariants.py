@@ -21,9 +21,9 @@ from fockbench import (
     euler_phi,
     validate,
 )
-from fockbench._linalg import matrix_rank, spectral_norm
+from fockbench._linalg import spectral_norm
 from fockbench.errors import InvalidParameterError, PreconditionError
-from words_reference import IDENTITY_WORD, coefficient, enumerate_words
+from words_reference import IDENTITY_WORD, coefficient, enumerate_words, matrix_rank
 
 
 def brute_force_trace_sequence(mats, m_max):

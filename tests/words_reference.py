@@ -10,7 +10,11 @@ Q^* S_i Q gathered through them. ``shift_tuple`` is not an oracle: it is
 the library's shift blocks placed into dense matrices, for the tests that
 multiply the shifts as operators. ``vacuum_vector`` and ``coefficient`` read
 one vector of N_J and one coefficient of Theta by name, for the tests that
-check a single entry.
+check a single entry. ``numerical_rank``, ``matrix_rank``, ``defect_rank``,
+``cuntz_rank`` and ``wold_null_dim`` are the four rank rules that
+``_linalg.rank_decision`` replaced, one per site: spans, the defects, and
+the purity limit Q in the dilation and in the Wold decomposition.
+``model_split`` reads the former model ``split`` from the Gram's eigenvalues.
 """
 
 import numpy as np
@@ -93,3 +97,47 @@ def coefficient(op, beta: Word) -> np.ndarray:
     if idx is None:
         return np.zeros((op.target_dim, op.source_dim), dtype=complex)
     return op.coefficients[idx]
+
+
+# --- the four rank rules that ``rank_decision`` replaced ---------------------
+
+
+def numerical_rank(singular_values) -> int:
+    """Spans: singular values above max(1e-9 sigma_max, 1e-12)."""
+    s = np.asarray(singular_values, dtype=float)
+    if s.size == 0 or s.max() <= 0.0:
+        return 0
+    return int(np.count_nonzero(s > max(1e-9 * s.max(), 1e-12)))
+
+
+def matrix_rank(a) -> int:
+    """``numerical_rank`` of the singular values of a."""
+    a = np.asarray(a, dtype=complex)
+    return 0 if a.size == 0 else numerical_rank(np.linalg.svd(a, compute_uv=False))
+
+
+def defect_rank(eigenvalues) -> int:
+    """The defects: eigenvalues, clipped at zero, above 1e-9, absolute."""
+    return int(np.count_nonzero(np.clip(eigenvalues, 0.0, None) > 1e-9))
+
+
+def cuntz_rank(q_eigenvalues) -> int:
+    """The dilation's Cuntz part: eigenvalues of Q above
+    max(1e-11, 1e-9 lambda_max)."""
+    v = np.asarray(q_eigenvalues, dtype=float)
+    return int(np.count_nonzero(v > max(1e-11, 1e-9 * max(v.max(initial=0.0), 0.0))))
+
+
+def wold_null_dim(q_eigenvalues) -> int:
+    """The Wold null space: eigenvalues of Q at most max(1e-9 lambda_max, 1e-10)."""
+    v = np.asarray(q_eigenvalues, dtype=float)
+    return int(np.count_nonzero(v <= max(1e-9 * v.max(initial=0.0), 1e-10)))
+
+
+def model_split(gram, res):
+    """(largest eigenvalue of Theta Theta^* counted into the model, smallest
+    counted out), None where a side is empty: the eigenvalues of the one
+    ``eigh`` the model basis is cut from."""
+    vals = np.linalg.eigh(0.5 * (gram + gram.conj().T))[0]
+    rank = res.basis.shape[1]
+    return (float(vals[rank - 1]) if rank else None, float(vals[rank]) if rank < vals.size else None)
