@@ -225,7 +225,7 @@ def task_curvature(ctx: RunContext, params: dict) -> dict:
         data["theta"] = {
             "m": rep.m_values, "sequence": rep.sequence, "last": rep.last, "aitken": rep.aitken,
             "euler_sequence": rep.extras["euler_sequence"],
-            "euler_rank_gaps": list(map(_gap, rep.extras["euler_rank_decisions"])),
+            "euler_rank_gaps": list(map(_gap, rep.extras["euler_decisions"])),
         }
         checks.append(_check("cross_method_gap", max(rep.extras["cross_check_vs_phi"]), 1e-8))
     return {"checks": checks, "data": data}
@@ -239,7 +239,7 @@ def task_arveson(ctx: RunContext, params: dict) -> dict:
         "orbit_steps": rep.orbit_steps,
         "qm_sequence": rep.qm_sequence,
         "euler_sequence": rep.euler_sequence,
-        "euler_rank_gaps": list(map(_gap, rep.euler_rank_decisions)),
+        "euler_rank_gaps": list(map(_gap, rep.euler_decisions)),
         "deviations": rep.deviations,
     }
     checks = [

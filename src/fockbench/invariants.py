@@ -199,7 +199,7 @@ def curvature_theta(rc: RowContraction, m_max: int) -> CurvatureReport:
         last=seq[-1],
         aitken=aitken_extrapolate(seq),
         extras={"cross_check_vs_phi": cross, "euler_sequence": euler_seq, "euler_ranks": euler_ranks,
-                "euler_rank_decisions": decisions},
+                "euler_decisions": decisions},
     )
 
 
@@ -209,7 +209,7 @@ class ArvesonReport:
     orbit_steps: int
     qm_sequence: list[float]
     euler_sequence: list[float]
-    euler_rank_decisions: list[RankDecision]
+    euler_decisions: list[RankDecision]
     slice_trace_gap: float
     deviations: dict
 
@@ -302,7 +302,7 @@ def arveson_curvature(
         orbit_steps=steps,
         qm_sequence=qm_seq,
         euler_sequence=euler_seq,
-        euler_rank_decisions=decisions,
+        euler_decisions=decisions,
         slice_trace_gap=max(gaps),
         deviations=deviations,
     )
