@@ -31,9 +31,7 @@ from .charfn import (
     MultiAnalyticOperator,
     assemble,
     characteristic_coefficients,
-    kernel_theta_gram,
     point_factorization,
-    theta_gram,
     unitary_invariance_check,
     verify_truncated_factorization,
 )

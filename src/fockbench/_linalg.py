@@ -69,23 +69,30 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.sqrt(max(top, 0.0)))
 
 
-def herm_part(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
-
-
 def eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    vals, vecs = np.linalg.eigh(herm_part(np.asarray(a, dtype=complex)))
+    a = np.asarray(a, dtype=complex)
+    vals, vecs = np.linalg.eigh(0.5 * (a + a.conj().T))
     order = np.argsort(-vals, kind="stable")
     return vals[order], vecs[:, order]
 
 
-def range_basis(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column span, deterministic given the input."""
+def joint_decision(rank: int, decisions: list[RankDecision]) -> RankDecision:
+    """One rank fixed by several decisions, with their joint gap: the largest
+    value any of them counted as zero and the smallest any counted as nonzero."""
+    zero = [d.zero_max for d in decisions if d.zero_max is not None]
+    nonzero = [d.nonzero_min for d in decisions if d.nonzero_min is not None]
+    return RankDecision(rank, max(zero, default=None), min(nonzero, default=None))
+
+
+def range_basis(a: np.ndarray) -> tuple[np.ndarray, RankDecision]:
+    """Orthonormal basis of the column span, deterministic given the input,
+    from the thin SVD, and the rank decision of the span."""
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
-        return np.zeros((a.shape[0], 0), dtype=complex)
+        return np.zeros((a.shape[0], 0), dtype=complex), RankDecision(0, None, None)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return u[:, : rank_decision(s).rank]
+    decision = rank_decision(s)
+    return u[:, : decision.rank], decision
 
 
 def complement_basis(a: np.ndarray) -> tuple[np.ndarray, RankDecision]:
@@ -104,8 +111,7 @@ def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     component of one orthonormal basis outside the other span, which stays
     accurate for the near-zero angles the workbench compares (the cosine
     form loses half the digits there)."""
-    qa = range_basis(a)
-    qb = range_basis(b)
+    qa, qb = range_basis(a)[0], range_basis(b)[0]
     if qa.shape[1] == 0 or qb.shape[1] == 0:
         return np.zeros(0)
     residual = qa - qb @ (qb.conj().T @ qa)

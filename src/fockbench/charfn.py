@@ -10,19 +10,21 @@ one (#words, target, source) array whose entry at basis word rho is the
 coefficient of reverse(rho). In that order the degree-k coefficients are the
 degree-(k-1) Poisson kernel blocks (defect root) T_rho^* of the shared word
 walk (``words.word_products``) times the column-defect blocks, the word-level
-form of I - Theta Theta^* = K K^*. ``assemble`` places coefficient beta at
-ambient blocks (mu * reverse(beta), mu), matching the action of right
-creation products, one degree pair at a time: the degree-k slice of the
-stored array is the block from degree m to m + k of every ambient,
-compressed to the slice bases of a constrained one. On the Fock space
-Theta Theta^* is read from the same slices one degree block at a time
-(``_gram_blocks``), block (a, b) being Theta_a Theta_b^* + I_n (x) block
-(a-1, b-1): ``theta_gram`` writes the blocks into the whole Gram for the
-model space, and the truncated factorization sums their residual norms
-without forming it. On N_J ``theta_gram`` is the assembled Theta times its
-adjoint and serves both. Curvature and Euler never form it: they read the
-slices (``degree_slices``) through ``invariants``. A dedicated convention
-test pins point evaluation against partial sums.
+form of I - Theta Theta^* = K K^*. The degree-k slice of the stored array
+is the block from degree m to m + k of the Fock space, I_{n^m} (x) Theta_k
+(``degree_slices``). On the Fock space Theta and Theta Theta^* are never
+formed; I - Theta Theta^* is read from the slices as an action or one
+degree block at a time:
+- ``_fock_probe`` applies it to a block of vectors, one product per degree
+  pair on a reshape: the Euler ranks of ``invariants`` and the model basis
+  read it on the seeded Gaussian probe (``_gaussian_probe``);
+- ``_gram_blocks`` walks the blocks of Theta Theta^*, block (a, b) being
+  Theta_a Theta_b^* + I_n (x) block (a-1, b-1): the truncated factorization
+  and the model's complement check sum residual norms over them.
+On N_J with generators ``assemble`` compresses each Fock block to the slice
+bases, and Theta Theta^* is the assembled Theta times its adjoint, which a
+scenario forms once for the factorization and the model. A dedicated
+convention test pins point evaluation against partial sums.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import herm_part, spectral_norm
+from ._linalg import RankDecision, range_basis, spectral_norm
 from .contractions import RowContraction, spectral_radius, validate
 from .errors import InvalidParameterError, PreconditionError
 from .ideals import ConstrainedSubspace, evaluate_polynomial
@@ -89,45 +91,24 @@ def characteristic_coefficients(rc: RowContraction, max_degree: int) -> MultiAna
     return MultiAnalyticOperator(n=n, max_degree=max_degree, coefficients=np.concatenate(thetas))
 
 
-def assemble(
-    op: MultiAnalyticOperator,
-    fock: TruncatedFock | None = None,
-    cs: ConstrainedSubspace | None = None,
-) -> np.ndarray:
-    """Truncated matrix of the multi-analytic operator on (ambient tensor source).
+def assemble(op: MultiAnalyticOperator, cs: ConstrainedSubspace) -> np.ndarray:
+    """Truncated matrix of the multi-analytic operator on (N_J tensor source).
 
     Coefficient beta lands at block rows mu*reverse(beta) for every word mu it
     fits against. So with Theta_k the degree-k coefficients stacked in the
     order of the reversed words, the Fock block from degree m to degree m + k
-    is I_{n^m} (x) Theta_k, written through a strided view. A constrained
-    ambient compresses that block to its stored slice bases ``cs.slices``,
-    (Q_{m+k}^* (x) I)(I_{n^m} (x) Theta_k)(Q_m (x) I), as two products; N_J is
-    graded and co-invariant, so this equals the assembly against products of
-    the compressed right shifts.
+    is I_{n^m} (x) Theta_k, and N_J compresses it to its stored slice bases
+    ``cs.slices``, (Q_{m+k}^* (x) I)(I_{n^m} (x) Theta_k)(Q_m (x) I), as two
+    products; N_J is graded and co-invariant, so this equals the assembly
+    against products of the compressed right shifts.
     """
-    if (fock is None) == (cs is None):
-        raise InvalidParameterError("pass exactly one ambient: fock or cs")
-    ambient = fock if cs is None else cs.fock
-    if op.max_degree < ambient.max_degree:
+    if op.max_degree < cs.fock.max_degree:
         raise InvalidParameterError("coefficients do not cover the ambient truncation degree")
-    n, top, src, tgt = ambient.n, ambient.max_degree, op.source_dim, op.target_dim
-    thetas = degree_slices(op, ambient)
-
-    if cs is None:
-        out = np.zeros((fock.dim * tgt, fock.dim * src), dtype=complex)
-        off = fock.slice_offsets
-        for k, theta_k in enumerate(thetas):
-            for m in range(top - k + 1):
-                block = out[off[m + k] * tgt : off[m + k + 1] * tgt, off[m] * src : off[m + 1] * src]
-                mu = np.arange(n**m)
-                # Every block is written once, onto zeros.
-                block.reshape(n**m, n**k * tgt, n**m, src)[mu, :, mu, :] += theta_k
-        return out
-
+    n, top, src, tgt = cs.fock.n, cs.fock.max_degree, op.source_dim, op.target_dim
     off = np.cumsum([0, *cs.slice_dims])
     out = np.zeros((cs.dim * tgt, cs.dim * src), dtype=complex)
     out4 = out.reshape(cs.dim, tgt, cs.dim, src)
-    for k, theta_k in enumerate(thetas):
+    for k, theta_k in enumerate(degree_slices(op, cs.fock)):
         for m in range(top - k + 1):
             q_t, q_s = cs.slices[m + k], cs.slices[m]
             d_t, d_s = q_t.shape[1], q_s.shape[1]
@@ -150,34 +131,49 @@ def degree_slices(op: MultiAnalyticOperator, ambient: TruncatedFock) -> list[np.
             for k in range(ambient.max_degree + 1)]
 
 
-def theta_gram(
-    op: MultiAnalyticOperator,
-    fock: TruncatedFock | None = None,
-    cs: ConstrainedSubspace | None = None,
-) -> np.ndarray:
-    """Theta Theta^* on (ambient tensor target), for exactly one ambient as in
-    ``assemble``.
-
-    On N_J with generators it is the product of the assembled Theta with its
-    adjoint. On the Fock space, and on N_J without generators, whose basis is
-    the identity, each block (a, b), b <= a, is written in place by
-    ``_gram_blocks`` and its conjugate transpose fills block (b, a).
-    """
-    if (fock is None) == (cs is None):
-        raise InvalidParameterError("pass exactly one ambient: fock or cs")
-    if cs is not None and cs.generators:
-        theta = assemble(op, cs=cs)
-        return theta @ theta.conj().T
-    fock = fock if cs is None else cs.fock
-    off = [o * op.target_dim for o in fock.slice_offsets]
-    out = np.empty((off[-1], off[-1]), dtype=complex)
-    for a, b, block in _gram_blocks(op, fock, out):
-        if b < a:
-            np.conjugate(block.T, out=out[off[b] : off[b + 1], off[a] : off[a + 1]])
-    return out
+# The probe of I - Theta Theta^* is the randomized range finder of Halko,
+# Martinsson and Tropp (SIAM Review 53, 2011): one complex Gaussian block of
+# width dim H + EULER_PROBE_OVERSAMPLE, drawn once per reading from this
+# constant seed, so every report is reproducible bit for bit. The Euler ranks
+# and the model basis read it.
+EULER_PROBE_SEED = 20110502
+EULER_PROBE_OVERSAMPLE = 4
 
 
-def _gram_blocks(op: MultiAnalyticOperator, fock: TruncatedFock, out: np.ndarray | None = None):
+def _gaussian_probe(rank_bound: int, cols: int) -> np.ndarray:
+    """The transposed probe of a matrix of rank <= ``rank_bound``: a
+    (rank_bound + EULER_PROBE_OVERSAMPLE, cols) block of standard complex
+    Gaussians from EULER_PROBE_SEED, splitmix64 of a counter giving the
+    uniforms and Box-Muller the normals. It stays off ``numpy.random``, whose
+    import alone adds 6.6 MB of resident memory (numpy 2.4, Linux x86-64)."""
+    rows = rank_bound + EULER_PROBE_OVERSAMPLE
+    count = rows * cols
+    z = np.uint64(EULER_PROBE_SEED) + np.arange(1, 2 * count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    u = ((z ^ (z >> np.uint64(31))) >> np.uint64(11)).astype(float) * 2.0**-53 + 2.0**-54
+    radius, angle = np.sqrt(-2.0 * np.log(u[:count])), 2.0 * np.pi * u[count:]
+    return (radius * (np.cos(angle) + 1j * np.sin(angle))).reshape(rows, cols)
+
+
+def _fock_probe(thetas: list[np.ndarray], n: int, omega: np.ndarray, m: int) -> np.ndarray:
+    """((I - Theta_S Theta_S^*) Omega)^T on the Fock degrees <= m, with
+    ``omega`` the probe transposed, (width, rows); its leading columns, the
+    degrees <= m, are read, one contiguous block Omega_a per degree.
+    Theta_S's block from degree c to c + k is I_{n^c} (x) Theta_k, so with
+    the width axis first each block acts as one product on a reshape:
+    Z_c = sum_k (I (x) Theta_k)^* Omega_{c+k}, then
+    Y_a = Omega_a - sum_c (I (x) Theta_{a-c}) Z_c."""
+    w, tgt, off = omega.shape[0], thetas[0].shape[0], np.cumsum([0, *(t.shape[0] for t in thetas[: m + 1])])
+    omega = [np.ascontiguousarray(omega[:, off[a] : off[a + 1]]) for a in range(m + 1)]
+    z = [sum(omega[c + k].reshape(w * n**c, n**k * tgt) @ thetas[k].conj() for k in range(m - c + 1))
+         for c in range(m + 1)]
+    return np.concatenate(
+        [omega[a] - sum((z[c] @ thetas[a - c].T).reshape(w, n**a * tgt) for c in range(a + 1))
+         for a in range(m + 1)], axis=1)
+
+
+def _gram_blocks(op: MultiAnalyticOperator, fock: TruncatedFock):
     """The blocks P_ab of Theta Theta^* on (Fock tensor target), b <= a, as
     (a, b, P_ab).
 
@@ -186,21 +182,16 @@ def _gram_blocks(op: MultiAnalyticOperator, fock: TruncatedFock, out: np.ndarray
     P_ab = Theta_a Theta_b^* + I_n (x) P_{a-1,b-1}: one product of two
     coefficient slices, and the previous block of the band k = a - b added
     onto its n diagonal sub-blocks. The walk goes band by band, b rising, and
-    keeps only that previous block. With ``out`` (the whole Gram) each block
-    is written into its place there; otherwise each is a fresh array, which
-    the caller may change in place once the band is done with it, at a = N.
+    keeps only that previous block. Each block is a fresh array, which the
+    caller may change in place once the band is done with it, at a = N.
     """
-    if op.max_degree < fock.max_degree:
-        raise InvalidParameterError("coefficients do not cover the ambient truncation degree")
     n, top, tgt = fock.n, fock.max_degree, op.target_dim
     thetas = degree_slices(op, fock)
     adjoints = [theta.conj().T for theta in thetas]
-    off = [o * tgt for o in fock.slice_offsets]
     for k in range(top + 1):
         for b in range(top - k + 1):
             a = b + k
-            block = None if out is None else out[off[a] : off[a + 1], off[b] : off[b + 1]]
-            block = np.matmul(thetas[a], adjoints[b], out=block)
+            block = thetas[a] @ adjoints[b]
             if b:
                 inner = block.reshape(n, n ** (a - 1) * tgt, n, n ** (b - 1) * tgt)
                 for mu in range(n):
@@ -283,17 +274,31 @@ def point_factorization(
     return thetas, residuals
 
 
-def kernel_theta_gram(kernel: PoissonKernel) -> np.ndarray:
-    """Theta_T Theta_T^* of the kernel's tuple on the kernel's ambient, the
-    Fock space or N_J, truncated at the kernel's degree."""
-    op = characteristic_coefficients(kernel.rc, kernel.fock.max_degree)
-    return theta_gram(op, fock=kernel.fock if kernel.cs is None else None, cs=kernel.cs)
-
-
 @dataclass
 class FactorizationReport:
     residual: float
     budget: float
+
+
+def _theta_reader(kernel: PoissonKernel, op: MultiAnalyticOperator | None,
+                  gram: np.ndarray | None) -> tuple[MultiAnalyticOperator | None, np.ndarray | None]:
+    """How a check reads Theta on the kernel's ambient: as (op, None) on the
+    Fock space and on N_J without generators, whose basis is the identity,
+    with ``op`` defaulting to the tuple's coefficients and a Gram refused; as
+    (None, gram) on N_J with generators, with ``gram`` = Theta Theta^*
+    defaulting to the assembled Theta times its adjoint."""
+    if op is None and gram is None:
+        op = characteristic_coefficients(kernel.rc, kernel.fock.max_degree)
+    if kernel.cs is None or not kernel.cs.generators:
+        if gram is not None:
+            raise InvalidParameterError("on the Fock space Theta is read from its coefficients, not a Gram")
+        if op.max_degree < kernel.fock.max_degree:
+            raise InvalidParameterError("coefficients do not cover the ambient truncation degree")
+        return op, None
+    if gram is None:
+        theta = assemble(op, kernel.cs)
+        gram = theta @ theta.conj().T
+    return None, gram
 
 
 def verify_truncated_factorization(
@@ -302,56 +307,76 @@ def verify_truncated_factorization(
     gram: np.ndarray | None = None,
 ) -> FactorizationReport:
     """Check I - Theta Theta^* = K K^* on the kernel's ambient, where the
-    identity telescopes exactly, with ``op`` Theta's coefficients (default:
-    the tuple's, at the kernel's truncation). The residual is the Frobenius
-    norm, which bounds the spectral norm from above, over the whole ambient
-    (N_J is graded). On the Fock space it is summed block by block
-    (``_fock_residual``) and no Gram is formed; on N_J it reads ``gram`` =
-    Theta Theta^* there (default ``theta_gram(op, cs=kernel.cs)``), which
-    the scenario shares with the model space. The budget is
-    ``_factorization_budget``, or the purity tail ||Phi^(N+1)(I)|| + 1e-10 if
-    that is smaller."""
+    identity telescopes exactly, reading Theta as ``_theta_reader`` says. The
+    residual is the Frobenius norm over the whole ambient (N_J is graded),
+    which bounds the spectral norm from above (``_residual``). The budget is
+    ``_factorization_budget``, or the purity tail ||Phi^(N+1)(I)|| + 1e-10
+    if that is smaller."""
     kernel.require_unit_radius("the truncated factorization")
-    if gram is not None and kernel.cs is None:
-        raise InvalidParameterError("on the Fock space the factorization reads Theta's coefficients, not a Gram")
-    if op is None and gram is None:
-        op = characteristic_coefficients(kernel.rc, kernel.fock.max_degree)
-    if kernel.cs is None:
-        residual = _fock_residual(kernel, op)
-    else:
-        diff = (theta_gram(op, cs=kernel.cs) if gram is None else gram) + kernel.matrix @ kernel.matrix.conj().T
-        diff[np.diag_indices_from(diff)] -= 1.0
-        residual = float(np.linalg.norm(diff))
+    residual = _residual(kernel.fock, *_theta_reader(kernel, op, gram), kernel.matrix, kernel.matrix)
     tail = spectral_norm(kernel.rc.orbit(kernel.fock.max_degree + 1)) + 1e-10
     budget = min(_factorization_budget(kernel), tail)
     return FactorizationReport(residual, budget)
 
 
-def _fock_residual(kernel: PoissonKernel, op: MultiAnalyticOperator) -> float:
-    """||Theta Theta^* + K K^* - I||_F on the Fock space from its degree
-    blocks G_ab = P_ab + K_a K_b^* - delta_ab I, with P_ab from
-    ``_gram_blocks`` and K_a the kernel's degree-a rows: G is Hermitian, so
-    the squared norm is sum_a ||G_aa||^2 + 2 sum_{a > b} ||G_ab||^2. The
-    walk still needs P_ab while a < N, so K_a K_b^* goes into a copy there;
-    the last block of each band takes it in place, one of n row groups at a
-    time, so nothing of the whole ambient's size is formed."""
-    top, tgt = kernel.fock.max_degree, kernel.defect_dim
-    off = [o * tgt for o in kernel.fock.slice_offsets]
-    rows = [kernel.matrix[off[m] : off[m + 1]] for m in range(top + 1)]
-    adjoints = [row.conj().T for row in rows]
+def _residual(fock: TruncatedFock, op: MultiAnalyticOperator | None, gram: np.ndarray | None,
+              left: np.ndarray, right: np.ndarray) -> float:
+    """||Theta Theta^* + L R^* - I||_F over the ambient for thin L = ``left``
+    and R = ``right``, Theta read as ``_theta_reader`` returns it. On N_J it
+    is dense in ``gram``. On the Fock space no Gram is formed: with P_ab from
+    ``_gram_blocks`` and L_a, R_a the degree-a rows, block (a, b), b <= a, is
+    P_ab + L_a R_b^* - delta_ab I, and block (b, a) the adjoint of
+    P_ab + R_a L_b^* (the same for L = R, counted twice). Each is summed
+    into the product while the walk still needs P_ab (a < N), and in place,
+    one of n row groups at a time, on the last block of each band."""
+    if gram is not None:
+        diff = gram + left @ right.conj().T
+        diff[np.diag_indices_from(diff)] -= 1.0
+        return float(np.linalg.norm(diff))
+    top = fock.max_degree
+    off = [o * op.target_dim for o in fock.slice_offsets]
+    rows = [[x[off[a] : off[a + 1]] for a in range(top + 1)] for x in (left, right)]
+    adjoints = [[x.conj().T for x in blocks] for blocks in rows]
     squares = 0.0
-    for a, b, block in _gram_blocks(op, kernel.fock):
-        if a < top:
-            diff = rows[a] @ adjoints[b]
-            diff += block
-        else:
-            diff, step = block, max(len(block) // kernel.fock.n, 1)
-            for lo in range(0, len(block), step):
-                diff[lo : lo + step] += rows[a][lo : lo + step] @ adjoints[b]
-        if a == b:
-            diff[np.diag_indices_from(diff)] -= 1.0
-        squares += (1.0 if a == b else 2.0) * np.vdot(diff, diff).real
+    for a, b, block in _gram_blocks(op, fock):
+        pairs = [(rows[0][a], adjoints[1][b])]
+        if a > b and left is not right:
+            pairs.append((rows[1][a], adjoints[0][b]))
+        weight = 2.0 if a > b and left is right else 1.0
+        step = max(len(block) // fock.n if a == top else len(block), 1)
+        for lo in range(0, len(block), step):
+            group = block[lo : lo + step]
+            for i, (lhs, rhs) in enumerate(pairs):
+                diff = lhs[lo : lo + step] @ rhs
+                diff = np.add(group, diff, out=group if a == top and i == len(pairs) - 1 else diff)
+                if a == b:
+                    diff[np.arange(len(diff)), lo + np.arange(len(diff))] -= 1.0
+                squares += weight * np.vdot(diff, diff).real
+                del diff  # before the next product or block is formed
     return float(np.sqrt(squares))
+
+
+def _defect_range(kernel: PoissonKernel, op: MultiAnalyticOperator | None,
+                  gram: np.ndarray | None) -> tuple[np.ndarray, RankDecision, float]:
+    """The range B of M = I - Theta Theta^* on the kernel's ambient, its rank
+    decision, and ||M (I - B B^*)||_F, reading Theta as ``_theta_reader`` says.
+
+    M = K K^* has rank at most dim H, so B is the range of M Omega, Omega the
+    seeded Gaussian block of width dim H + EULER_PROBE_OVERSAMPLE: its thin
+    SVD cut at the span floor. On the Fock space M acts by ``_fock_probe``
+    at m = N, on N_J as I - gram; with D = M B the residual is ``_residual``
+    of D and B. (||M||_F^2 - ||M B||_F^2 would lose half the digits.)"""
+    op, gram = _theta_reader(kernel, op, gram)
+    fock = kernel.fock
+    omega = _gaussian_probe(kernel.rc.dim, kernel.matrix.shape[0])
+    if gram is None:
+        thetas = degree_slices(op, fock)
+        basis, decision = range_basis(_fock_probe(thetas, fock.n, omega, fock.max_degree).T)
+        moved = _fock_probe(thetas, fock.n, basis.T, fock.max_degree).T
+    else:
+        basis, decision = range_basis(omega.T - gram @ omega.T)
+        moved = basis - gram @ basis
+    return basis, decision, _residual(fock, op, gram, moved, basis)
 
 
 def _factorization_budget(kernel: PoissonKernel) -> float:
@@ -370,16 +395,15 @@ def _factorization_budget(kernel: PoissonKernel) -> float:
     - the root of a defect eigenvalue lambda moves by eps / (2 sqrt(lambda))
       when lambda moves by eps, and Theta pairs the row root with the column
       root, so that rounding is scaled by 1 + 1 / sqrt(lambda_min), with
-      lambda_min the smallest eigenvalue either rank cutoff keeps;
+      lambda_min the smallest eigenvalue either rank decision keeps;
     - a column-defect direction the cutoff drops leaves Theta's source, which
       leaves the positive matrix Theta (I - P) Theta^* in the residual; its
       trace, which bounds its Frobenius norm, is at most dim(ambient) times
       the dropped trace of D_*^2.
     """
     rc, fock = kernel.rc, kernel.fock
-    pairs = ((rc.delta, rc.defect_basis), (rc.delta_star, rc.defect_star_basis))
-    root_min = min((float(np.linalg.eigvalsh(herm_part(e.conj().T @ root @ e))[0]) for root, e in pairs if e.size),
-                   default=1.0)
+    decisions = (rc.defect_decision, rc.defect_star_decision)
+    root_min = min((d.nonzero_min**0.5 for d in decisions if d.nonzero_min is not None), default=1.0)
     e_s = rc.defect_star_basis
     dropped = float(np.linalg.norm(rc.delta_star - e_s @ (e_s.conj().T @ rc.delta_star))) ** 2
     terms = (fock.max_degree + 1) * (e_s.shape[1] + rc.n * rc.dim) + fock.dim

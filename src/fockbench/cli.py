@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from ._linalg import RankDecision, spectral_norm
-from .charfn import kernel_theta_gram, point_factorization, verify_truncated_factorization
+from .charfn import assemble, characteristic_coefficients, point_factorization, verify_truncated_factorization
 from .contractions import RowContraction, check_count, validate
 from .dilation import build_dilation, model_space, wold_decompose
 from .errors import FockbenchError, InvalidParameterError
@@ -74,12 +74,12 @@ class RunContext:
         return self._kernels[r]
 
     def theta_gram(self) -> np.ndarray:
-        """Theta_T Theta_T^* on the ambient of ``kernel()``, formed once for
-        the tasks that read it: ``model``, and on N_J also ``factorize``
-        (truncated). The Fock-space factorization reads Theta's degree
-        blocks one at a time instead."""
+        """Theta_T Theta_T^* on N_J, formed once for the tasks of a scenario
+        with generators that read it: ``factorize`` (truncated) and
+        ``model``. On the Fock space both read Theta's coefficients instead."""
         if self._theta_gram is None:
-            self._theta_gram = kernel_theta_gram(self.kernel())
+            theta = assemble(characteristic_coefficients(self.rc, self.trunc), self.cs())
+            self._theta_gram = theta @ theta.conj().T
         return self._theta_gram
 
 
@@ -293,6 +293,7 @@ def task_wold(ctx: RunContext, params: dict) -> dict:
         "q_rank_gap": _gap(split.purity.q_spectrum()[2]),
         "k0_dim": int(split.k0_basis.shape[1]),
         "k1_dim": int(split.k1_basis.shape[1]),
+        "k0_rank_gap": _gap(split.k0_decision),
         "idempotency_defect": split.idempotency_defect,
         "is_shift": split.purity.is_pure,
         "purity": _purity(ctx.rc),
@@ -324,7 +325,7 @@ def task_dilate(ctx: RunContext, params: dict) -> dict:
 
 
 def task_model(ctx: RunContext, params: dict) -> dict:
-    res = model_space(ctx.kernel(), ctx.theta_gram())
+    res = model_space(ctx.kernel(), gram=ctx.theta_gram() if ctx.generators else None)
     checks = [
         _check("projection_residual", res.projection_residual, 1e-10),
         _check("complement_residual", res.complement_residual, 1e-10),

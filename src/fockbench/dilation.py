@@ -1,8 +1,10 @@
 """Dilation blocks, Wold decompositions (with the shift multiplicity), and
 model spaces.
 
-The model space reads Theta Theta^* (``charfn.kernel_theta_gram``), the same
-product the truncated factorization checks, and never Theta itself."""
+The model space is the range of I - Theta Theta^*, read from the seeded probe
+of ``charfn``, the reader the Euler ranks share: on the Fock space as an
+action of Theta's coefficients, with no Gram formed, and on N_J from the
+Theta Theta^* the truncated factorization checks too."""
 
 from __future__ import annotations
 
@@ -14,13 +16,12 @@ import numpy as np
 from ._linalg import (
     RankDecision,
     complement_basis,
-    herm_part,
+    joint_decision,
     principal_angles,
     range_basis,
-    rank_decision,
     spectral_norm,
-    svdvals,
 )
+from .charfn import MultiAnalyticOperator, _defect_range
 from .contractions import PurityResult, RowContraction, check_count
 from .errors import PreconditionError
 from .ideals import evaluate_polynomial
@@ -103,6 +104,7 @@ def build_dilation(kernel: PoissonKernel) -> DilationBlocks:
 class WoldSplit:
     k0_basis: np.ndarray
     k1_basis: np.ndarray
+    k0_decision: RankDecision
     multiplicity: int
     idempotency_defect: float
     two_path_angles: np.ndarray
@@ -116,20 +118,22 @@ def wold_decompose(rc: RowContraction, k_max: int | None = None) -> WoldSplit:
     The shift part is computed two ways: as the span of word translates of
     the defect range ``rc.defect_basis``, and as the null space of the purity
     limit, the eigenvectors its rank decision drops; the principal angles
-    between the two are reported, not assumed zero. The multiplicity is the
+    between the two are reported, not assumed zero, and so is the joint gap
+    of the rank decisions that fixed the span. The multiplicity is the
     defect rank, and the idempotency of the defect is reported only.
     ``k_max`` (default dim) bounds the word length of the translates;
     InvalidParameterError unless it is an integer >= 0."""
     dim = rc.dim
     k_max = dim if k_max is None else check_count("k_max", k_max, 0)
     q = np.eye(dim, dtype=complex) - rc.row_gram()
-    k0_span = _word_translate_span([rc.defect_basis], rc.matrices, k_max)
+    k0_span, k0_decision = _word_translate_span([rc.defect_basis], rc.matrices, k_max)
     pur = rc.purity_limit()
     _, vecs, decision = pur.q_spectrum()
     k0_null = vecs[:, decision.rank :]
     return WoldSplit(
         k0_basis=k0_span,
         k1_basis=complement_basis(k0_span)[0],
+        k0_decision=k0_decision,
         multiplicity=rc.defect_rank,
         idempotency_defect=spectral_norm(q @ q - q),
         two_path_angles=principal_angles(k0_span, k0_null),
@@ -148,42 +152,36 @@ class ModelSpaceResult:
     decision: RankDecision
 
 
-def model_space(kernel: PoissonKernel, gram: np.ndarray) -> ModelSpaceResult:
+def model_space(kernel: PoissonKernel, op: MultiAnalyticOperator | None = None,
+                gram: np.ndarray | None = None) -> ModelSpaceResult:
     """Model a pure tuple inside (kernel ambient) tensor (row defect) as the
-    complement of the range of its characteristic function, read from
-    ``gram`` = Theta Theta^* on that ambient (``kernel_theta_gram(kernel)``),
-    and compare it with the range of K.
+    complement of the range of its characteristic function, and compare it
+    with the range of K. Theta is read from ``op`` or ``gram`` as in
+    ``verify_truncated_factorization``.
 
-    At truncation I - Theta Theta^* = K K^*, so Theta Theta^* is the identity
-    off the range of K and has the eigenvalues of Phi^(N+1)(I) on it, which
-    lie below 1 but may exceed any fixed split at a shallow N. The model
-    basis B is therefore the rank K eigenvectors of Theta Theta^* with the
-    smallest eigenvalues, and the three checks are the exact truncated
-    identities:
+    At truncation I - Theta Theta^* = K K^*, so the model basis B is the
+    range of I - Theta Theta^*, read from the seeded probe
+    (``charfn._defect_range``), never from K; ``decision`` is the rank
+    decision on the probe's singular values, with its gap. The three checks
+    are the exact truncated identities:
     - ``projection_residual`` = |K - B B^* K|: the range of K lies in the
       model space;
-    - ``complement_residual`` = max |1 - lambda| over the eigenvalues of
-      Theta Theta^* outside the model: Theta Theta^* = I there;
+    - ``complement_residual`` = ||(I - Theta Theta^*)(I - B B^*)||_F, an
+      upper bound of max |1 - lambda| over the eigenvalues of
+      Theta Theta^* off the model, where Theta Theta^* = I;
     - ``equivalence_residual`` = max_i |K^* (B_i (x) I) K - T_i (I - Phi^N(I))|,
       with B_i the ambient's shift, since K^* (B_i (x) I) K telescopes to
       T_i (I - Phi^N(I)).
-    ``decision`` is the rank decision on the singular values of K that fixes
-    the model dimension, with its gap. One shift action on [K | B] gives both
-    the compressed model operators and the kernel side of the equivalence;
-    every check reads thin products, none a matrix of (ambient dim)^2."""
+    One shift action on [K | B] gives both the compressed model operators
+    and the kernel side of the equivalence."""
     kernel.require_unit_radius("the model space")
     rc = kernel.rc
     if not rc.purity_limit().is_pure:
         raise PreconditionError("model space requires a pure row contraction")
 
-    vals, vecs = np.linalg.eigh(herm_part(gram))
+    basis, decision, complement_residual = _defect_range(kernel, op, gram)
     k = kernel.matrix
-    decision = rank_decision(svdvals(k))
-    rank = decision.rank
-    basis = vecs[:, :rank]
-
     projection_residual = spectral_norm(k - basis @ (basis.conj().T @ k))
-    complement_residual = float(np.abs(1.0 - vals[rank:]).max(initial=0.0))
 
     equivalence_residual = 0.0
     compressed = []
@@ -203,18 +201,22 @@ def model_space(kernel: PoissonKernel, gram: np.ndarray) -> ModelSpaceResult:
     )
 
 
-def _word_translate_span(seeds: Sequence[np.ndarray], mats: Sequence[np.ndarray], k_max: int) -> np.ndarray:
+def _word_translate_span(seeds: Sequence[np.ndarray], mats: Sequence[np.ndarray],
+                         k_max: int) -> tuple[np.ndarray, RankDecision]:
     """Orthonormal basis of span{T_alpha s : s seed column, |alpha| <= k_max},
-    with levels rank-reduced so widths never exceed the ambient dimension.
-    Stops early once the span stabilizes (it is then invariant)."""
-    total = range_basis(np.concatenate(list(seeds), axis=1))
+    with levels rank-reduced so widths never exceed the ambient dimension,
+    and the joint gap of the rank decisions that fixed it. Stops early once
+    the span stabilizes (it is then invariant)."""
+    total, decision = range_basis(np.concatenate(list(seeds), axis=1))
+    decisions = [decision]
     level = total
     for _ in range(k_max):
         if level.shape[1] == 0:
             break
-        level = range_basis(np.concatenate([t @ level for t in mats], axis=1))
-        combined = range_basis(np.concatenate([total, level], axis=1))
+        level, level_decision = range_basis(np.concatenate([t @ level for t in mats], axis=1))
+        combined, combined_decision = range_basis(np.concatenate([total, level], axis=1))
+        decisions += [level_decision, combined_decision]
         if combined.shape[1] == total.shape[1]:
             break
         total = combined
-    return total
+    return total, joint_decision(total.shape[1], decisions)

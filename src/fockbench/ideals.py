@@ -17,7 +17,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from ._linalg import RankDecision, complement_basis, spectral_norm
+from ._linalg import RankDecision, complement_basis, joint_decision, spectral_norm
 from .errors import InvalidParameterError
 from .words import TruncatedFock, Word, word_operator
 
@@ -182,9 +182,7 @@ def _next_slice(fock: TruncatedFock, gens: Sequence[NcPolynomial], prev: np.ndar
     keep, decision = complement_basis(cand.conj().T @ _generator_matrix(fock, gens, m))
     decisions.append(decision)
     basis = np.linalg.qr(cand @ keep)[0]
-    zero = [d.zero_max for d in decisions if d.zero_max is not None]
-    nonzero = [d.nonzero_min for d in decisions if d.nonzero_min is not None]
-    return basis, RankDecision(basis.shape[1], max(zero, default=None), min(nonzero, default=None))
+    return basis, joint_decision(basis.shape[1], decisions)
 
 
 def build_constrained_subspace(fock: TruncatedFock, generators: Sequence[NcPolynomial]) -> ConstrainedSubspace:

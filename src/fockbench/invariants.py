@@ -12,8 +12,9 @@ lower-triangular in degree, so the degree <= m part of I - Theta Theta^*
 needs Theta truncated at m only. One reader serves both curvature routes,
 on the Fock space or on N_J of the commutator ideal, and never forms
 Theta Theta^*: each slice trace is a sum of squared coefficient norms, and
-each Euler rank is read from I - Theta Theta^* applied to a seeded Gaussian
-probe block, since I - Theta Theta^* = K K^* has rank at most dim H.
+each Euler rank is read from I - Theta Theta^* applied to the seeded Gaussian
+probe block of ``charfn``, which the model basis reads too, since
+I - Theta Theta^* = K K^* has rank at most dim H.
 """
 
 from __future__ import annotations
@@ -25,7 +26,13 @@ from typing import Sequence
 import numpy as np
 
 from ._linalg import RankDecision, aitken_extrapolate, rank_decision, svdvals
-from .charfn import assemble, characteristic_coefficients, degree_slices
+from .charfn import (
+    _fock_probe,
+    _gaussian_probe,
+    assemble,
+    characteristic_coefficients,
+    degree_slices,
+)
 from .contractions import PURITY_TOL, RowContraction, check_constraints
 from .errors import InvalidParameterError, PreconditionError
 from .ideals import NcPolynomial, build_constrained_subspace, commutator_generators
@@ -87,43 +94,6 @@ def euler_phi(rc: RowContraction, m_max: int) -> CurvatureReport:
     )
 
 
-# The Euler probe is the randomized range finder of Halko, Martinsson and
-# Tropp (SIAM Review 53, 2011): one complex Gaussian block of width
-# dim H + EULER_PROBE_OVERSAMPLE, drawn once per reading from this constant
-# seed, so every report is reproducible bit for bit.
-EULER_PROBE_SEED = 20110502
-EULER_PROBE_OVERSAMPLE = 4
-
-
-def _gaussian_probe(rows: int, cols: int) -> np.ndarray:
-    """A (rows, cols) block of standard complex Gaussians from EULER_PROBE_SEED:
-    splitmix64 of a counter gives the uniforms, Box-Muller the normals. It
-    stays off ``numpy.random``, whose import alone adds 6.6 MB of resident
-    memory (numpy 2.4, Linux x86-64), more than a curvature task needs."""
-    count = rows * cols
-    z = np.uint64(EULER_PROBE_SEED) + np.arange(1, 2 * count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    u = ((z ^ (z >> np.uint64(31))) >> np.uint64(11)).astype(float) * 2.0**-53 + 2.0**-54
-    radius, angle = np.sqrt(-2.0 * np.log(u[:count])), 2.0 * np.pi * u[count:]
-    return (radius * (np.cos(angle) + 1j * np.sin(angle))).reshape(rows, cols)
-
-
-def _fock_probe(thetas: list[np.ndarray], n: int, omega: list[np.ndarray], m: int) -> np.ndarray:
-    """((I - Theta_S Theta_S^*) Omega)^T on the Fock degrees <= m, with
-    ``omega[a]`` the transposed degree-a block of the probe, (width, n^a
-    target). Theta_S's block from degree c to c + k is I_{n^c} (x) Theta_k, so
-    with the width axis first each block acts as one product on a reshape:
-    Z_c = sum_k (I (x) Theta_k)^* Omega_{c+k}, then
-    Y_a = Omega_a - sum_c (I (x) Theta_{a-c}) Z_c."""
-    w, tgt = omega[0].shape[0], thetas[0].shape[0]
-    z = [sum(omega[c + k].reshape(w * n**c, n**k * tgt) @ thetas[k].conj() for k in range(m - c + 1))
-         for c in range(m + 1)]
-    return np.concatenate(
-        [omega[a] - sum((z[c] @ thetas[a - c].T).reshape(w, n**a * tgt) for c in range(a + 1))
-         for a in range(m + 1)], axis=1)
-
-
 def _theta_defect_by_degree(
     rc: RowContraction, m_max: int, generators: Sequence[NcPolynomial] = ()
 ) -> list[tuple[int, float, RankDecision]]:
@@ -142,9 +112,10 @@ def _theta_defect_by_degree(
       squared degree-m row norms of the assembled Theta.
     - Euler ranks: truncated Theta is a contraction, so the principal block
       is K_S K_S^* with K_S the degree <= m rows of K, of rank at most dim H.
-      For a Gaussian block Omega of width dim H + EULER_PROBE_OVERSAMPLE,
-      (I - Theta_S Theta_S^*) Omega has that rank almost surely, and it is
-      the span ``rank_decision`` of its singular values. Omega is one block
+      For the Gaussian block Omega of ``charfn._gaussian_probe``, of width
+      dim H + EULER_PROBE_OVERSAMPLE, (I - Theta_S Theta_S^*) Omega has that
+      rank almost surely, the span ``rank_decision`` of its singular
+      values. Omega is one block
       over the whole ambient; degree <= m reads its leading rows, the basis
       being ordered by degree."""
     top = max([m_max, *(p.degree for p in generators)])
@@ -152,18 +123,16 @@ def _theta_defect_by_degree(
     op = characteristic_coefficients(rc, top)
     n, tgt, src = rc.n, op.target_dim, op.source_dim
     cs = build_constrained_subspace(fock, generators) if generators else None
-    omega = _gaussian_probe(rc.dim + EULER_PROBE_OVERSAMPLE, (fock.dim if cs is None else cs.dim) * tgt)
+    omega = _gaussian_probe(rc.dim, (fock.dim if cs is None else cs.dim) * tgt)
     out = []
     if cs is None:
         thetas = degree_slices(op, fock)
         norms = [float(np.vdot(t, t).real) for t in thetas]
-        off = [o * tgt for o in fock.slice_offsets]
-        blocks = [np.ascontiguousarray(omega[:, off[a] : off[a + 1]]) for a in range(top + 1)]
         for m in range(1, m_max + 1):
             slice_trace = sum(n ** (m - c) * norms[c] for c in range(m + 1))
-            out.append((n**m * tgt, slice_trace, rank_decision(svdvals(_fock_probe(thetas, n, blocks, m)))))
+            out.append((n**m * tgt, slice_trace, rank_decision(svdvals(_fock_probe(thetas, n, omega, m)))))
         return out
-    theta = assemble(op, cs=cs)
+    theta = assemble(op, cs)
     row_degrees, col_degrees = np.repeat(cs.basis_degrees, tgt), np.repeat(cs.basis_degrees, src)
     row_norms = np.einsum("ij,ij->i", theta, theta.conj()).real
     for m in range(1, m_max + 1):

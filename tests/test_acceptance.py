@@ -261,7 +261,7 @@ def test_criterion_08_model_theorem():
     for rc, gens, n, top in cases:
         cs = fb.build_constrained_subspace(fb.TruncatedFock(n, top), gens)
         kern = fb.constrained_poisson_kernel(rc, cs)
-        res = fb.model_space(kern, fb.kernel_theta_gram(kern))
+        res = fb.model_space(kern)
         assert res.complement_residual <= 1e-10
         assert res.projection_residual <= 1e-10
         assert res.equivalence_residual <= 1e-10

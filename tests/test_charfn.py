@@ -27,7 +27,7 @@ from fockbench import (
 from fockbench._linalg import spectral_norm
 from fockbench.cli import RunContext, task_factorize
 from fockbench.errors import InvalidParameterError, PreconditionError
-from words_reference import coefficient, enumerate_words, fock_row_basis, shift_tuple
+from words_reference import coefficient, enumerate_words, fock_assemble, fock_row_basis, shift_tuple
 
 
 def random_contraction(rng, n, dim, scale=1.05):
@@ -41,6 +41,12 @@ def creation_tuples(f):
     the identity basis, so its compressions equal them bit for bit)."""
     cs = build_constrained_subspace(f, [])
     return shift_tuple(cs, "left"), shift_tuple(cs, "right")
+
+
+def fock_theta(op, f):
+    """Theta on the Fock space, as the library assembles it: on N_J of the
+    free ideal, whose basis is the identity."""
+    return assemble(op, build_constrained_subspace(f, []))
 
 
 def coefficient_items(op):
@@ -132,7 +138,7 @@ class TestCoefficients:
         rc = random_contraction(rng, 2, 2)
         f = TruncatedFock(2, 3)
         op = characteristic_coefficients(rc, 3)
-        mat = assemble(op, fock=f)
+        mat = fock_theta(op, f)
         tgt, src = op.target_dim, op.source_dim
         for row, w in enumerate(enumerate_words(2, 3)):
             block = mat[row * tgt : (row + 1) * tgt, 0:src]
@@ -146,12 +152,12 @@ class TestAssemble:
         op.coefficients = np.zeros_like(op.coefficients)
         op.coefficients[0] = np.eye(1)
         f = TruncatedFock(1, 3)
-        assert np.array_equal(assemble(op, fock=f), np.eye(f.dim))
+        assert np.array_equal(fock_theta(op, f), np.eye(f.dim))
 
     def test_zero_scalar_assembles_to_shift(self):
         rc = validate([np.zeros((1, 1))])
         f = TruncatedFock(1, 3)
-        mat = assemble(characteristic_coefficients(rc, 3), fock=f)
+        mat = fock_theta(characteristic_coefficients(rc, 3), f)
         assert np.allclose(mat, creation_tuples(f)[1][0])
 
     def test_multi_analyticity_is_exact(self):
@@ -159,7 +165,7 @@ class TestAssemble:
         rc = random_contraction(rng, 2, 3)
         f = TruncatedFock(2, 4)
         op = characteristic_coefficients(rc, 4)
-        mat = assemble(op, fock=f)
+        mat = fock_theta(op, f)
         for s in creation_tuples(f)[0]:
             lhs = mat @ np.kron(s, np.eye(op.source_dim, dtype=complex))
             rhs = np.kron(s, np.eye(op.target_dim, dtype=complex)) @ mat
@@ -170,19 +176,19 @@ class TestAssemble:
         rc = random_contraction(rng, 2, 2)
         f = TruncatedFock(2, 3)
         op = characteristic_coefficients(rc, 3)
-        full = assemble(op, fock=f)
+        full = fock_theta(op, f)
         gaps = []
         for r in (0.9, 0.99, 0.999):
             radial = transformed(op, lambda beta, theta: r ** len(beta) * theta)
-            gaps.append(np.abs(full - assemble(radial, fock=f)).max())
+            gaps.append(np.abs(full - fock_theta(radial, f)).max())
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_multiplicity_tensors_coefficients(self):
         rc = validate([np.array([[0.4]])])
         f = TruncatedFock(1, 2)
         op = characteristic_coefficients(rc, 2)
-        single = assemble(op, fock=f)
-        doubled = assemble(transformed(op, lambda beta, theta: np.kron(theta, np.eye(2))), fock=f)
+        single = fock_theta(op, f)
+        doubled = fock_theta(transformed(op, lambda beta, theta: np.kron(theta, np.eye(2))), f)
         assert doubled.shape == (2 * single.shape[0], 2 * single.shape[1])
         perm = np.kron(single, np.eye(2))
         assert np.allclose(doubled, perm)
@@ -499,7 +505,7 @@ class TestConstrainedCompression:
         cs = build_constrained_subspace(f, commutator_generators(2))
         op = characteristic_coefficients(rc, f.max_degree)
         constrained = assemble(op, cs=cs)
-        standard = assemble(op, fock=f)
+        standard = fock_assemble(op, f)
         q = fock_row_basis(cs)
         lift_t = np.kron(q, np.eye(op.target_dim, dtype=complex))
         lift_s = np.kron(q, np.eye(op.source_dim, dtype=complex))
@@ -512,7 +518,7 @@ class TestConstrainedCompression:
         f = TruncatedFock(2, 3)
         cs = build_constrained_subspace(f, [])
         op = characteristic_coefficients(rc, 3)
-        assert np.allclose(assemble(op, cs=cs), assemble(characteristic_coefficients(rc, 3), fock=f))
+        assert np.allclose(assemble(op, cs=cs), fock_assemble(characteristic_coefficients(rc, 3), f))
 
 
 class TestUnitaryInvariance:

@@ -893,16 +893,18 @@ class TestScenario:
 
     def test_free_truncated_factorization_never_forms_theta_theta_star(self, monkeypatch):
         """On the Fock space the check reads Theta's degree blocks one at a
-        time; the whole Gram is formed only for the model space."""
+        time, and the model space reads Theta as an action on its probe:
+        neither forms the whole Gram."""
         import fockbench.charfn as charfn
 
         def refuse(*args, **kwargs):
-            raise AssertionError("theta_gram called")
+            raise AssertionError("theta_gram or assemble called")
 
-        monkeypatch.setattr(charfn, "theta_gram", refuse)
-        monkeypatch.setattr(charfn, "kernel_theta_gram", refuse)
-        scenario = {**self.scenario_dict(), "ideal": "free", "tasks": [{"task": "factorize", "mode": "truncated"}]}
-        assert run_scenario(scenario)["summary"]["failed"] == 0
+        monkeypatch.setattr(RunContext, "theta_gram", refuse)
+        monkeypatch.setattr(charfn, "assemble", refuse)
+        scenario = {**self.scenario_dict(), "ideal": "free",
+                    "tasks": [{"task": "factorize", "mode": "truncated"}, {"task": "model"}]}
+        assert run_scenario(scenario)["summary"] == {"total": 2, "passed": 2, "failed": 0}
 
     def count_calls(self, tmp_path, monkeypatch, ideal, tasks):
         """Run a scenario with these tasks and count the calls of the kernel
@@ -1159,14 +1161,18 @@ JSON_VALUES = st.recursive(JSON_LEAVES, lambda kids: st.lists(kids, max_size=4)
 # Each rank-valued report leaf and the key of the gap beside it.
 RANK_LEAVES = {"slice_dims": "slice_rank_gaps", "ranks": "rank_gaps", "euler_sequence": "euler_rank_gaps",
                "defect_dim": "defect_rank_gap", "defect_rank": "defect_rank_gap", "multiplicity": "defect_rank_gap",
-               "k_dim": "cuntz_rank_gap", "model_dim": "split"}
+               "k_dim": "cuntz_rank_gap", "model_dim": "split", "k0_dim": "k0_rank_gap", "k1_dim": "k0_rank_gap"}
+# Rank-valued leaves that count what their decision left out (k1_dim = dim - k0_dim), not what it kept.
+CORANK_LEAVES = {"k1_dim"}
 
 
 @pytest.mark.parametrize("name", GOLDENS)
 def test_every_rank_in_the_goldens_reports_its_gap(name):
     """Beside every rank-valued leaf of a golden report sits its gap in the
     shared shape, one per rank for a list; the gap brackets the cutoff, and
-    a single decision has a nonzero side exactly when its rank is nonzero."""
+    a single decision has a nonzero side exactly when its rank is nonzero
+    (for a leaf that counts the complement, the decision's rank is the
+    other leaf's)."""
     found = set()
 
     def walk(value):
@@ -1178,7 +1184,7 @@ def test_every_rank_in_the_goldens_reports_its_gap(name):
                     assert set(g) == {"sigma_zero_max", "sigma_nonzero_min"}
                     if None not in g.values():
                         assert g["sigma_zero_max"] < g["sigma_nonzero_min"]
-                    if not isinstance(rank, list):
+                    if not isinstance(rank, list) and key not in CORANK_LEAVES:
                         assert (g["sigma_nonzero_min"] is None) == (r == 0)
             value = list(value.values())
         if isinstance(value, list):

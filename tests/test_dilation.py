@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,12 +9,13 @@ from fockbench import (
     NcPolynomial,
     TruncatedFock,
     build_constrained_subspace,
+    assemble,
     build_dilation,
+    characteristic_coefficients,
     commutator_generators,
     constrained_poisson_kernel,
     evaluate_polynomial,
     intertwining_check,
-    kernel_theta_gram,
     model_space,
     poisson_kernel,
     q_commutator_generators,
@@ -21,15 +23,26 @@ from fockbench import (
     validate,
     wold_decompose,
 )
-from fockbench._linalg import complement_basis, principal_angles, spectral_norm
+from fockbench._linalg import complement_basis, principal_angles, rank_decision, spectral_norm, svdvals
 from fockbench.cli import RunContext, task_model
 from fockbench.dilation import _word_translate_span
 from fockbench.errors import InvalidParameterError, PreconditionError
-from words_reference import fock_row_basis, model_split, shift_tuple
+from words_reference import eigh_model, fock_row_basis, fock_theta_gram, model_split, shift_tuple
 
 
 def model_of(kernel):
-    return model_space(kernel, kernel_theta_gram(kernel))
+    return model_space(kernel)
+
+
+def kernel_gram(kernel):
+    """Theta Theta^* of the kernel's tuple on the kernel's ambient, at its
+    truncation: on N_J the assembled Theta times its adjoint, on the Fock
+    space the dense oracle."""
+    op = characteristic_coefficients(kernel.rc, kernel.fock.max_degree)
+    if kernel.cs is None:
+        return fock_theta_gram(op, kernel.fock)
+    theta = assemble(op, kernel.cs)
+    return theta @ theta.conj().T
 
 
 def dilation_intertwining(blocks):
@@ -332,8 +345,8 @@ class TestModelSpace:
 
     def test_split_brackets_the_quarter(self):
         kern = constrained_poisson_kernel(nilpotent_commuting_pair(), commutative_cs(2, 4))
-        gram = kernel_theta_gram(kern)
-        largest_in_model, smallest_in_range = model_split(gram, model_space(kern, gram))
+        gram = kernel_gram(kern)
+        largest_in_model, smallest_in_range = model_split(gram, model_space(kern, gram=gram))
         assert abs(largest_in_model) < 1e-12
         assert abs(smallest_in_range - 1.0) < 1e-12
 
@@ -343,8 +356,8 @@ class TestModelSpace:
         counts rank K = 1 direction into the model, and every model identity
         holds to rounding."""
         kern = poisson_kernel(validate([np.array([[0.9]])]), TruncatedFock(1, 1))
-        gram = kernel_theta_gram(kern)
-        res = model_space(kern, gram)
+        gram = kernel_gram(kern)
+        res = model_space(kern)
         assert res.basis.shape == (2, 1)
         largest_in_model, smallest_in_range = model_split(gram, res)
         assert abs(largest_in_model - 0.9**4) < 1e-12 and abs(smallest_in_range - 1.0) < 1e-12
@@ -382,10 +395,10 @@ class TestModelSpace:
         scaled by 1 + 1e-9 each stay within the removed tail budgets, and
         fail the projection, complement and equivalence identities in turn."""
         kern = constrained_poisson_kernel(decaying_pair(), commutative_cs(2, 3))
-        rc, gram = kern.rc, kernel_theta_gram(kern)
+        rc, gram = kern.rc, kernel_gram(kern)
         tail = spectral_norm(rc.orbit(4))
         assert tail > 1e-3
-        res = model_space(kern, gram)
+        res = model_space(kern, gram=gram)
         assert res.basis.shape[1] == rc.dim
         assert max(res.projection_residual, res.complement_residual, res.equivalence_residual) <= 1e-10
 
@@ -397,12 +410,14 @@ class TestModelSpace:
             gram = gram - 1e-9 * np.eye(gram.shape[0])
         else:
             kern = replace(kern, matrix=kern.matrix * (1 + 1e-9))
-        res = model_space(kern, gram)
+        res = model_space(kern, gram=gram)
 
-        # the removed checks: |P - K K^*| and |P + Theta Theta^* - I| against
+        # the removed checks, on the removed route (the eigh of the Gram split
+        # at the rank of K): |P - K K^*| and |P + Theta Theta^* - I| against
         # 3 |Phi^4(I)| + 1e-9, and |K^* (B_i (x) I) K - T_i| against
         # |Phi^3(I)| + 1e-9
-        p, k = res.basis @ res.basis.conj().T, kern.matrix
+        removed_basis, k = eigh_model(kern, gram)[0], kern.matrix
+        p = removed_basis @ removed_basis.conj().T
         assert spectral_norm(p - k @ k.conj().T) <= 3 * tail + 1e-9
         assert spectral_norm(p + gram - np.eye(gram.shape[0])) <= 3 * tail + 1e-9
         equivalence = max(spectral_norm(moved.conj().T @ k - t) for t, moved in zip(rc.matrices, shift_adjoints(kern)))
@@ -414,6 +429,79 @@ class TestModelSpace:
             "kernel_scaled": res.equivalence_residual,
         }[mutation]
         assert failed > 1e-10
+
+    @pytest.mark.parametrize("mutation", ["coefficient_plus_1e9", "kernel_column_off_the_model"])
+    def test_a_1e9_fock_mutation_fails_its_check(self, mutation):
+        """On the Fock space the model reads Theta's coefficients: one entry
+        of one coefficient moved by 1e-9 leaves I - Theta Theta^* off the
+        range of the probe by about that much and fails the Frobenius
+        complement check, and a kernel column moved 1e-9 off the model fails
+        the projection check, since the basis is read from the probe, not
+        from K. The unperturbed model passes every check."""
+        rc = pure_tuple(2, 3, 4)
+        kern = poisson_kernel(rc, TruncatedFock(2, 3))
+        op = characteristic_coefficients(rc, 3)
+        res = model_space(kern, op)
+        assert res.decision.rank == rc.dim
+        assert max(res.projection_residual, res.complement_residual, res.equivalence_residual) <= 1e-10
+        if mutation == "coefficient_plus_1e9":
+            entry = op.coefficients[3]
+            entry.flat[np.argmax(np.abs(entry))] += 1e-9
+            assert model_space(kern, op).complement_residual > 1e-10
+        else:
+            off_model = np.zeros_like(kern.matrix)
+            off_model[:, 0] = np.linalg.eigh(kernel_gram(kern))[1][:, -1]
+            assert model_space(replace(kern, matrix=kern.matrix + 1e-9 * off_model), op).projection_residual > 1e-10
+
+    def test_fock_model_refuses_a_gram_and_short_coefficients(self):
+        rc = pure_tuple(2, 2, 1)
+        kern = poisson_kernel(rc, TruncatedFock(2, 2))
+        with pytest.raises(InvalidParameterError, match="not a Gram"):
+            model_space(kern, gram=np.eye(kern.matrix.shape[0]))
+        with pytest.raises(InvalidParameterError, match="do not cover"):
+            model_space(kern, characteristic_coefficients(rc, 1))
+
+    @pytest.mark.parametrize("top", [1, 3])
+    @pytest.mark.parametrize("eps,rank", [(2e-9, 2), (1e-9, 1), (7e-10, None)])
+    def test_near_purity_band_on_the_fock_space(self, eps, rank, top):
+        """(diag(0.3, 0.6a), diag(0.2, 0.8a)) with a = sqrt(1 - eps) has the
+        defect eigenvalue eps, at the defect cutoff 1e-9. Where the tuple is
+        decided pure, the probe's model dimension is the rank of K, and its
+        gap is reported; at eps = 7e-10 purity is not decided and the model
+        is refused."""
+        a = np.sqrt(1.0 - eps)
+        rc = validate([np.diag([0.3, 0.6 * a]), np.diag([0.2, 0.8 * a])])
+        kern = poisson_kernel(rc, TruncatedFock(2, top))
+        if rank is None:
+            with pytest.raises(PreconditionError, match="requires a pure row contraction"):
+                model_space(kern)
+            return
+        res = model_space(kern)
+        assert res.decision.rank == rank_decision(svdvals(kern.matrix)).rank == rank
+        assert res.decision.zero_max is not None and res.decision.nonzero_min is not None
+        assert res.decision.zero_max < 1e-12 < res.decision.nonzero_min
+
+    def test_fock_model_peaks_below_one_dense_gram(self):
+        """At (n, dim, N) = (3, 3, 5) Theta Theta^* has 1092^2 complex
+        entries, 19.1 MB. The model reads I - Theta Theta^* on its probe and
+        its complement check walks the degree blocks, so its traced peak
+        stays below one such Gram; the eigh route formed it."""
+        rng = np.random.default_rng(0)
+        mats = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(3)]
+        rc = validate([0.85 * t / np.linalg.norm(np.hstack(mats), 2) for t in mats])
+        kern = poisson_kernel(rc, TruncatedFock(3, 5))
+        rows = kern.matrix.shape[0]
+        assert rows == 1092
+        tracemalloc.start()
+        try:
+            res = model_space(kern)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.decision.rank == rc.dim
+        assert max(res.projection_residual, res.complement_residual, res.equivalence_residual) <= 1e-10
+        assert peak < rows**2 * np.dtype(complex).itemsize
+
 
 def pure_tuple(n, dim, seed):
     rng = np.random.default_rng(seed)
@@ -457,7 +545,7 @@ class TestMaximalConstrainedPiece:
 
     @staticmethod
     def piece(mats, gens, k_max):
-        span = _word_translate_span([evaluate_polynomial(p, mats) for p in gens], mats, k_max)
+        span = _word_translate_span([evaluate_polynomial(p, mats) for p in gens], mats, k_max)[0]
         return complement_basis(span)[0]
 
     def test_commutators_on_truncated_creation_recover_symmetric_space(self):
@@ -529,7 +617,7 @@ class TestWoldPartialSumIdentities:
         # Q is a projection here; its range is the joint kernel of the adjoints
         from fockbench._linalg import range_basis
 
-        q_range = range_basis(np.eye(4) - sum(t @ t.conj().T for t in v))
+        q_range = range_basis(np.eye(4) - sum(t @ t.conj().T for t in v))[0]
         stacked = np.concatenate([m.conj().T @ q_range for m in v], axis=0)
         assert np.linalg.norm(stacked) < 1e-12
         assert q_range.shape[1] == split.multiplicity

@@ -27,23 +27,30 @@ random custom ones beside the named ideals. The shift action on kernel rows
 (``shift_adjoints``) is pinned against the dense lift (S_i^* (x) I) x: bit for
 bit on the Fock space, where it is a gather, and under a computed rounding
 budget on N_J, where it is one product on a reshape instead of a Kronecker
-product. Theta Theta^* read from the coefficient slices (``theta_gram``) sums
-the same products as the dense product of the assembled Theta in another
-order, so it is pinned under a computed rounding budget, on tuples whose
-defects are zero too; on N_J it is the product of the assembled Theta, bit
-for bit. Its one-step recursion, block (a, b) = Theta_a Theta_b^* +
-I_n (x) block (a-1, b-1), adds the same products as the loop that added each
-into every block it reaches, with the operands of each addition commuted, so
-it is pinned against that loop, kept here as a reference, bit for bit. The
-Fock-space truncated factorization sums the residual norms of those blocks
-plus K_a K_b^* without forming Theta Theta^*; it is pinned against the dense
-||theta_gram + K K^* - I||_F, kept here as a reference: the same verdict
-unperturbed, and 1e-6 relative under a perturbation. The
-model space is the eigenvectors of the rank K smallest
-eigenvalues of Theta Theta^* instead of the left singular vectors of as many
+product. The library never forms the Fock-space Theta or Theta Theta^*;
+the oracles ``fock_assemble`` and ``fock_theta_gram`` (``words_reference``)
+do. The strided assembly is pinned against the per-word placement loop bit
+for bit. Theta Theta^* written from the degree blocks (``_gram_blocks``)
+sums the same products as the dense product of the assembled Theta in
+another order, so it is pinned under a computed rounding budget, on tuples
+whose defects are zero too; the scenario's Theta Theta^* on N_J is the
+product of the assembled Theta, bit for bit. The one-step recursion, block
+(a, b) = Theta_a Theta_b^* + I_n (x) block (a-1, b-1), adds the same
+products as the loop that added each into every block it reaches, with the
+operands of each addition commuted, so it is pinned against that loop, kept
+here as a reference, bit for bit. The Fock-space truncated factorization
+sums the residual norms of those blocks plus K_a K_b^* without forming
+Theta Theta^*; it is pinned against the dense ||Theta Theta^* + K K^* - I||_F,
+kept here as a reference: the same verdict unperturbed, and 1e-6 relative
+under a perturbation. The model space is the range of the seeded probe
+(I - Theta Theta^*) Omega instead of the left singular vectors of the rank K
 smallest singular values of Theta, so it is pinned against that SVD, kept
 here as a reference: the same model dimension, and projectors within a
-computed rounding budget over the eigenvalue gap. The Pick matrix is one
+computed rounding budget over the eigenvalue gap. On the Fock space it is
+also pinned against the former route, the eigh of the dense Gram split at
+the rank of K (``words_reference.eigh_model``): the same model dimension,
+and the block-walked complement residual equal to the dense one to
+rounding. The Pick matrix is one
 broadcast over a k x k stack of target products instead of a loop over its
 blocks, pinned against that loop, kept here as a reference, entrywise within
 4 eps of its largest entry and Hermitian bit for bit; the pairwise-distance
@@ -76,13 +83,11 @@ from fockbench import (
     commutator_generators,
     constrained_shifts,
     constrained_poisson_kernel,
-    kernel_theta_gram,
     model_space,
     pick_matrix,
     poisson_kernel,
     q_commutator_generators,
     shift_adjoints,
-    theta_gram,
     validate,
     verify_truncated_factorization,
     word_length_generators,
@@ -108,7 +113,10 @@ from words_reference import (
     enumerate_words,
     cuntz_rank,
     defect_rank,
+    eigh_model,
+    fock_assemble,
     fock_row_basis,
+    fock_theta_gram,
     model_split,
     numerical_rank,
     wold_null_dim,
@@ -470,7 +478,7 @@ def random_coefficients(n, top, seed, dim=2):
 def test_fock_assembly_matches_the_word_loop(n, top, dim, seed):
     op = random_coefficients(n, top, seed, dim)
     fock = TruncatedFock(n, top)
-    assert np.array_equal(assemble(op, fock=fock), word_loop_assemble(op, fock))
+    assert np.array_equal(fock_assemble(op, fock), word_loop_assemble(op, fock))
 
 
 @settings(max_examples=25, deadline=None)
@@ -501,7 +509,7 @@ def test_assembly_edge_cases(rc, n, gens):
     fast = assemble(op, cs=cs)
     assert fast.shape == (cs.dim * op.target_dim, cs.dim * op.source_dim)
     assert np.abs(fast - dense_assemble(op, cs)).max(initial=0.0) <= assembly_budget(op, cs)
-    assert np.array_equal(assemble(op, fock=fock), word_loop_assemble(op, fock))
+    assert np.array_equal(fock_assemble(op, fock), word_loop_assemble(op, fock))
 
 
 def test_point_factorization_forms_the_tuple_constants_once(monkeypatch):
@@ -622,7 +630,7 @@ def test_theta_coefficient_edge_cases(rc):
 
 
 def gram_budget(op, fock):
-    """Rounding budget between ``theta_gram`` and the dense product of the
+    """Rounding budget between ``fock_theta_gram`` and the dense product of the
     assembled Theta. An entry of either sums at most (N + 1) source nonzero
     products, each at most M^2 with M the largest coefficient entry; the
     dense product reaches it through an inner dimension of dim(Fock) source,
@@ -636,9 +644,9 @@ def gram_budget(op, fock):
 def assert_gram_matches_dense(rc, top):
     op = characteristic_coefficients(rc, top)
     fock = TruncatedFock(rc.n, top)
-    theta = assemble(op, fock=fock)
+    theta = fock_assemble(op, fock)
     dense = theta @ theta.conj().T
-    fast = theta_gram(op, fock)
+    fast = fock_theta_gram(op, fock)
     assert fast.shape == dense.shape == (fock.dim * op.target_dim,) * 2
     assert np.abs(fast - dense).max(initial=0.0) <= gram_budget(op, fock)
 
@@ -714,7 +722,7 @@ def test_theta_gram_recursion_equals_the_reach_loop(kind, n, dim, top, seed):
         rc = unitary_tuple(dim, seed)
     op = characteristic_coefficients(rc, max(top, 1))
     fock = TruncatedFock(rc.n, top)
-    assert np.array_equal(theta_gram(op, fock), gram_by_reach(op, fock))
+    assert np.array_equal(fock_theta_gram(op, fock), gram_by_reach(op, fock))
 
 
 @pytest.mark.parametrize("gens", [
@@ -722,17 +730,23 @@ def test_theta_gram_recursion_equals_the_reach_loop(kind, n, dim, top, seed):
     word_length_generators(2, 3), [],
 ], ids=["commutative", "q_commutative", "truncated", "free"])
 def test_theta_gram_on_nj_is_the_product_of_the_assembled_theta(gens):
-    op = characteristic_coefficients(random_tuple(2, 2, 5), 4)
+    """The scenario's one Theta Theta^* (``RunContext.theta_gram``), which
+    a scenario with generators reads, is the assembled Theta times its
+    adjoint; on N_J without generators it is the Fock Gram to rounding."""
+    rc = random_tuple(2, 2, 5)
+    op = characteristic_coefficients(rc, 4)
     fock = TruncatedFock(2, 4)
-    cs = build_constrained_subspace(fock, gens)
-    theta = assemble(op, cs=cs)
-    assert np.array_equal(theta_gram(op, cs=cs), theta @ theta.conj().T if gens else theta_gram(op, fock=fock))
+    ctx = RunContext(n=2, trunc=4, generators=gens, rc=rc, tol=1e-9, seed=None)
+    theta = assemble(op, cs=build_constrained_subspace(fock, gens))
+    assert np.array_equal(ctx.theta_gram(), theta @ theta.conj().T)
+    if not gens:
+        assert np.abs(ctx.theta_gram() - fock_theta_gram(op, fock)).max() <= gram_budget(op, fock)
 
 
 def dense_factorization_residual(kernel, op):
     """||theta_gram + K K^* - I||_F over the whole Fock ambient: the dense
     reader the block walk of ``verify_truncated_factorization`` replaced."""
-    diff = theta_gram(op, kernel.fock) + kernel.matrix @ kernel.matrix.conj().T
+    diff = fock_theta_gram(op, kernel.fock) + kernel.matrix @ kernel.matrix.conj().T
     diff[np.diag_indices_from(diff)] -= 1.0
     return float(np.linalg.norm(diff))
 
@@ -794,14 +808,6 @@ def test_block_factorization_residual_matches_the_dense_oracle(kind, n, dim, top
         assert abs(rep.residual - dense) <= 1e-6 * dense
 
 
-def test_theta_gram_takes_exactly_one_ambient():
-    op = characteristic_coefficients(random_tuple(2, 2, 5), 3)
-    fock = TruncatedFock(2, 3)
-    for kwargs in ({}, {"fock": fock, "cs": build_constrained_subspace(fock, [])}):
-        with pytest.raises(InvalidParameterError, match="exactly one ambient"):
-            theta_gram(op, **kwargs)
-
-
 def svd_model_basis(theta, count):
     """The model basis as read from the assembled Theta before the Gram
     route: the left singular vectors of its ``count`` smallest singular
@@ -847,17 +853,22 @@ def test_model_space_matches_the_svd_of_theta(ambient, row_norm, n, dim, top, se
         rc = commuting_tuple(fock.n, dim, seed, row_norm)
         kern = constrained_poisson_kernel(rc, build_constrained_subspace(fock, commutator_generators(fock.n)))
     op = characteristic_coefficients(rc, fock.max_degree)
-    theta = assemble(op, fock=fock) if kern.cs is None else assemble(op, cs=kern.cs)
-    gram = kernel_theta_gram(kern)
+    if kern.cs is None:
+        theta, gram = fock_assemble(op, fock), None
+    else:
+        theta = assemble(op, cs=kern.cs)
+        gram = theta @ theta.conj().T
     if row_norm == 1.0:
-        assert op.target_dim == 0 and gram.shape == (0, 0) and theta.shape[0] == 0
+        assert op.target_dim == 0 and theta.shape[0] == 0
         with pytest.raises(PreconditionError, match="pure"):
-            model_space(kern, gram)
+            model_space(kern, gram=gram)
         return
     # K^*K = I - Phi^(N+1)(I) >= (1 - row_norm^2) I, so the model has dim
     # directions, on which Theta Theta^* has the eigenvalues of Phi^(N+1)(I)
     ref = svd_model_basis(theta, rc.dim)
-    res = model_space(kern, gram)
+    res = model_space(kern, gram=gram)
+    if gram is None:
+        gram = fock_theta_gram(op, fock)
     largest_in_model, smallest_in_range = model_split(gram, res)
     assert res.basis.shape == ref.shape
     assert largest_in_model <= row_norm ** (2 * (fock.max_degree + 1)) + 1e-12
@@ -865,6 +876,34 @@ def test_model_space_matches_the_svd_of_theta(ambient, row_norm, n, dim, top, se
     gap = (1.0 if smallest_in_range is None else smallest_in_range) - largest_in_model
     diff = res.basis @ res.basis.conj().T - ref @ ref.conj().T
     assert np.linalg.norm(diff, 2) <= model_budget(kern, op, gap)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(["random", "diagonal", "jordan"]), st.integers(1, 3), st.integers(1, 3), st.integers(0, 4),
+       st.sampled_from([None, 1e-9, 1e-6]), st.integers(0, 2**31 - 1))
+def test_fock_model_matches_the_eigh_route(kind, n, dim, top, size, seed):
+    """On the Fock space the probe's model dimension is the former split, the
+    rank of K, every model check passes, and the block-walked complement
+    residual is the dense ||(I - Theta Theta^*)(I - B B^*)||_F to the rounding
+    of forming the Gram and D = (I - Theta Theta^*) B. With one coefficient
+    entry off by 1e-9 or 1e-6 the two agree to 1e-6 relative, or to that
+    rounding where the probe's range takes the whole ambient."""
+    rc = oracle_tuple(kind, n, dim, seed)
+    fock = TruncatedFock(n, top)
+    kern = poisson_kernel(rc, fock)
+    op = characteristic_coefficients(rc, top)
+    if size is not None:
+        perturb_a_large_entry(op.coefficients, size, np.random.default_rng(seed))
+    res = model_space(kern, op)
+    gram = fock_theta_gram(op, fock)
+    defect, rows = np.eye(len(gram)) - gram, len(gram)
+    dense = np.linalg.norm(defect - (defect @ res.basis) @ res.basis.conj().T)
+    rounding = rows * (gram_budget(op, fock) + 8 * rows * EPS)
+    assert abs(res.complement_residual - dense) <= max(1e-6 * dense, rounding)
+    if size is not None:
+        return
+    assert res.decision.rank == eigh_model(kern, gram)[2].rank
+    assert max(res.projection_residual, res.complement_residual, res.equivalence_residual) <= 1e-10
 
 
 def variety_tuple(n):
@@ -1000,7 +1039,7 @@ def test_rank_decision_matches_each_old_rule(tops, planted, zeros):
     vals = np.array(sorted(tops + planted + [0.0] * zeros, reverse=True))
     diag = np.diag(vals).astype(complex)
     span = rank_decision(vals)
-    assert span.rank == numerical_rank(vals) == range_basis(diag).shape[1]
+    assert span.rank == numerical_rank(vals) == range_basis(diag)[0].shape[1]
     assert span.zero_max == (vals[span.rank] if span.rank < vals.size else None)
     assert span.nonzero_min == (vals[span.rank - 1] if span.rank else None)
     assert contractions_mod.defect_root_and_basis(diag)[2].rank == defect_rank(vals)

@@ -23,7 +23,7 @@ from fockbench import (
 )
 from fockbench._linalg import spectral_norm
 from fockbench.errors import InvalidParameterError, PreconditionError
-from words_reference import IDENTITY_WORD, coefficient, enumerate_words, matrix_rank
+from words_reference import IDENTITY_WORD, coefficient, enumerate_words, fock_assemble, matrix_rank
 
 
 def brute_force_trace_sequence(mats, m_max):
@@ -525,7 +525,7 @@ def column_reference(rc, m_max, generators):
         cs = build_constrained_subspace(fock, generators)
         theta, degrees = assemble(op, cs=cs), cs.basis_degrees
     else:
-        theta, degrees = assemble(op, fock=fock), fock.degrees
+        theta, degrees = fock_assemble(op, fock), fock.degrees
     degrees = np.repeat(degrees, op.target_dim)
     gram = theta @ theta.conj().T
     resid_full = np.eye(gram.shape[0]) - gram

@@ -15,11 +15,18 @@ check a single entry. ``numerical_rank``, ``matrix_rank``, ``defect_rank``,
 ``_linalg.rank_decision`` replaced, one per site: spans, the defects, and
 the purity limit Q in the dilation and in the Wold decomposition.
 ``model_split`` reads the former model ``split`` from the Gram's eigenvalues.
+``fock_assemble`` and ``fock_theta_gram`` are the dense Fock-space Theta and
+Theta Theta^* the library no longer forms: the strided degree-block
+assembly, and the whole Gram written from ``charfn._gram_blocks``.
+``eigh_model`` is the former model basis: the eigenvectors of the dense
+Theta Theta^* with the rank K smallest eigenvalues.
 """
 
 import numpy as np
 
 from fockbench import TruncatedFock, Word, constrained_shifts
+from fockbench._linalg import rank_decision, svdvals
+from fockbench.charfn import _gram_blocks, degree_slices
 from fockbench.ideals import shift_matrices
 from fockbench.errors import InvalidParameterError, PreconditionError
 
@@ -141,3 +148,46 @@ def model_split(gram, res):
     vals = np.linalg.eigh(0.5 * (gram + gram.conj().T))[0]
     rank = res.basis.shape[1]
     return (float(vals[rank - 1]) if rank else None, float(vals[rank]) if rank < vals.size else None)
+
+
+# --- the dense Fock-space Theta, Theta Theta^* and model basis -------------
+
+
+def fock_assemble(op, fock) -> np.ndarray:
+    """Theta on (Fock tensor source): the Fock block from degree m to m + k
+    is I_{n^m} (x) Theta_k, written through a strided view."""
+    if op.max_degree < fock.max_degree:
+        raise InvalidParameterError("coefficients do not cover the ambient truncation degree")
+    n, src, tgt = fock.n, op.source_dim, op.target_dim
+    out = np.zeros((fock.dim * tgt, fock.dim * src), dtype=complex)
+    off = fock.slice_offsets
+    for k, theta_k in enumerate(degree_slices(op, fock)):
+        for m in range(fock.max_degree - k + 1):
+            block = out[off[m + k] * tgt : off[m + k + 1] * tgt, off[m] * src : off[m + 1] * src]
+            mu = np.arange(n**m)
+            # Every block is written once, onto zeros.
+            block.reshape(n**m, n**k * tgt, n**m, src)[mu, :, mu, :] += theta_k
+    return out
+
+
+def fock_theta_gram(op, fock) -> np.ndarray:
+    """Theta Theta^* on (Fock tensor target): each block (a, b), b <= a, of
+    ``_gram_blocks`` written into its place, its conjugate transpose into
+    block (b, a)."""
+    off = [o * op.target_dim for o in fock.slice_offsets]
+    out = np.empty((off[-1], off[-1]), dtype=complex)
+    for a, b, block in _gram_blocks(op, fock):
+        out[off[a] : off[a + 1], off[b] : off[b + 1]] = block
+        if b < a:
+            out[off[b] : off[b + 1], off[a] : off[a + 1]] = block.conj().T
+    return out
+
+
+def eigh_model(kernel, gram):
+    """The former model basis and its eigenvalues: one ``eigh`` of the
+    Hermitian part of the dense Theta Theta^*, split at the rank of K, the
+    rank K eigenvectors with the smallest eigenvalues. Returns (basis,
+    eigenvalues, the rank decision on the singular values of K)."""
+    vals, vecs = np.linalg.eigh(0.5 * (gram + gram.conj().T))
+    decision = rank_decision(svdvals(kernel.matrix))
+    return vecs[:, : decision.rank], vals, decision
