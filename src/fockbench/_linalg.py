@@ -118,15 +118,3 @@ def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     s = svdvals(residual)
     return np.arcsin(np.clip(s, 0.0, 1.0))
 
-
-def aitken_extrapolate(seq) -> float | None:
-    """Aitken delta-squared acceleration from the last usable triple."""
-    seq = list(seq)
-    if len(seq) < 3:
-        return None
-    x0, x1, x2 = seq[-3], seq[-2], seq[-1]
-    denom = x2 - 2.0 * x1 + x0
-    if abs(denom) < 1e-300:
-        return float(x2)
-    return float(x2 - (x2 - x1) ** 2 / denom)
-

@@ -115,8 +115,6 @@ def task_shifts(ctx: RunContext, params: dict) -> dict:
         "dim": cs.dim,
         "slice_dims": cs.slice_dims,
         "slice_rank_gaps": list(map(_gap, cs.slice_decisions)),
-        # Every N_J is graded: a non-homogeneous generator is rejected at input.
-        "graded": True,
     }
     if cs.contains_vacuum():
         blocks = [np.eye(q.shape[1]) - (sum(x[m - 1] @ x[m - 1].conj().T for x in left) if m else q @ q.conj().T)
@@ -145,31 +143,33 @@ _poisson_params = _number("r", 1.0, lambda v: 0 < v <= 1, "in (0, 1]")
 _agree_tol = _number("agree_tol", 2e-2, lambda v: v >= 0, ">= 0")
 
 
-def _factorize_params(params: dict) -> tuple[str, int, float | None]:
+def _factorize_params(params: dict) -> tuple[str, int, float | None, int | None]:
     """The factorize task's ``mode`` (point or truncated), in point mode its
-    ``random_points`` (an integer >= 0), and its ``tol`` (a number > 0, None
-    when absent: the run's tolerance applies); point mode needs ``points`` or
-    at least one random point."""
+    ``random_points`` (an integer >= 0), its ``tol`` (a number > 0, None
+    when absent: the run's tolerance applies) and its ``seed`` (an integer
+    >= 0, None when absent: the scenario's applies); point mode needs
+    ``points`` or at least one random point."""
     tol = _tol_params(params) if "tol" in params else None
+    seed = check_count("seed", params["seed"], 0) if "seed" in params else None
     mode = params.get("mode", "point")
     if mode not in ("point", "truncated"):
         raise InvalidParameterError(f"unknown factorize mode {mode!r}")
     count = check_count("random_points", params.get("random_points", 0), 0) if mode == "point" else 0
     if mode == "point" and not (params.get("points") or count):
         raise InvalidParameterError("point mode needs points or random_points >= 1")
-    return mode, count, tol
+    return mode, count, tol, seed
 
 
 def task_factorize(ctx: RunContext, params: dict) -> dict:
     rc = ctx.rc
-    mode, count, tol = _factorize_params(params)
+    mode, count, tol, seed = _factorize_params(params)
     checks = []
     data: dict = {"mode": mode}
     if mode == "point":
         tol = ctx.tol if tol is None else tol
         points = [point_from_json(p, ctx.n) for p in params.get("points", [])]
         if count:
-            rng = np.random.default_rng(int(params.get("seed", ctx.seed)))
+            rng = np.random.default_rng(ctx.seed if seed is None else seed)
             for _ in range(count):
                 z = rng.standard_normal(ctx.n) + 1j * rng.standard_normal(ctx.n)
                 points.append(0.8 * z / max(np.linalg.norm(z), 1e-12) * rng.uniform(0.1, 1.0))
@@ -214,7 +214,7 @@ def task_curvature(ctx: RunContext, params: dict) -> dict:
     if method in ("phi", "both"):
         rep = curvature_phi(rc, m_max)
         data["phi"] = {
-            "m": rep.m_values, "sequence": rep.sequence, "last": rep.last, "aitken": rep.aitken,
+            "m": rep.m_values, "sequence": rep.sequence,
             "kernel_slice_increments": rep.extras["kernel_slice_increments"],
         }
         erep = euler_phi(rc, m_max)
@@ -223,7 +223,7 @@ def task_curvature(ctx: RunContext, params: dict) -> dict:
     if method in ("theta", "both"):
         rep = curvature_theta(rc, m_max)
         data["theta"] = {
-            "m": rep.m_values, "sequence": rep.sequence, "last": rep.last, "aitken": rep.aitken,
+            "m": rep.m_values, "sequence": rep.sequence,
             "euler_sequence": rep.extras["euler_sequence"],
             "euler_rank_gaps": list(map(_gap, rep.extras["euler_decisions"])),
         }
@@ -249,13 +249,26 @@ def task_arveson(ctx: RunContext, params: dict) -> dict:
     return {"checks": checks, "data": data}
 
 
+def _pick_params(params: dict) -> tuple[list[np.ndarray], float]:
+    """The pick task's ``targets``, each a matrix object or an [re, im] pair
+    of finite numbers, and its ``tol``; ``check_scenario`` requires targets."""
+    targets = params.get("targets", [])
+    if not isinstance(targets, list):
+        raise InvalidParameterError(f"pick targets must be a list, got {targets!r}")
+    parsed = []
+    for k, a in enumerate(targets):
+        pair = isinstance(a, list) and len(a) == 2 and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) and np.isfinite(x) for x in a)
+        if not (pair or isinstance(a, dict)):
+            raise InvalidParameterError(f"pick target {k} must be a matrix object or an [re, im] pair of "
+                                        f"finite numbers, got {a!r}")
+        parsed.append(matrix_from_json(a) if isinstance(a, dict) else np.atleast_2d(complex(a[0], a[1])))
+    return parsed, _tol_params(params)
+
+
 def task_pick(ctx: RunContext, params: dict) -> dict:
     points = [point_from_json(p, ctx.n) for p in params["points"]]
-    targets = [matrix_from_json(a) if isinstance(a, dict) else np.atleast_2d(complex(a[0], a[1]))
-               for a in params["targets"]]
-    if not all(np.isfinite(a).all() for a in targets):
-        raise InvalidParameterError("pick targets must be finite")
-    tol = _tol_params(params)
+    targets, tol = _pick_params(params)
     for z in points:
         if not variety_membership(z, ctx.generators, ctx.n):
             raise FockbenchError(f"point {z} is not in the variety of the ideal")
@@ -313,7 +326,6 @@ def task_dilate(ctx: RunContext, params: dict) -> dict:
     data = {
         "k_dim": blocks.k_dim,
         "cuntz_rank_gap": _gap(ctx.rc.purity_limit().q_spectrum()[2]),
-        "dilation_index": ctx.rc.defect_rank,
         "defect_rank": ctx.rc.defect_rank,
         "defect_rank_gap": _gap(ctx.rc.defect_decision),
         "column_defect_rank_gap": _gap(ctx.rc.defect_star_decision),
@@ -370,7 +382,7 @@ TASKS = {
 def run_task(ctx: RunContext, spec: dict) -> dict:
     name = spec.get("task")
     params = {k: v for k, v in spec.items() if k != "task"}
-    report = {"task": name, "params": params}
+    report = {"task": name}
     try:
         result = TASKS[name](ctx, params)
         checks = result["checks"]
@@ -390,7 +402,7 @@ TUPLE_TASKS = {"factorize", "curvature", "arveson", "wold", "dilate", "model", "
 TRUNCATION_TASKS = {"shifts", "factorize", "dilate", "model", "poisson"}
 # Task parameters checked when the scenario loads, before any compute.
 PARAMETER_CHECKS = {"factorize": _factorize_params, "curvature": _curvature_params, "arveson": _arveson_params,
-                    "pick": _tol_params, "wold": _wold_params, "poisson": _poisson_params}
+                    "pick": _pick_params, "wold": _wold_params, "poisson": _poisson_params}
 
 
 def _reject_constant(name: str):
@@ -458,7 +470,8 @@ def context_from_scenario(scenario: dict, tol: float, seed: int | None) -> RunCo
         rc = validate([matrix_from_json(m) for m in scenario["T"]])
         if rc.n != n:
             raise InvalidParameterError("tuple length disagrees with the scenario dimension")
-    seed = scenario.get("seed", seed)
+    if "seed" in scenario or seed is not None:
+        seed = check_count("seed", scenario.get("seed", seed), 0)
     if any(t["task"] == "factorize" and _factorize_params(t)[1] and t.get("seed", seed) is None
            for t in scenario["tasks"]):
         raise InvalidParameterError("random points need a seed: from the task, the scenario or --seed")

@@ -1,10 +1,10 @@
 """Curvature and Euler characteristic sequences, their characteristic-function
 reformulations, and the commutative boundary-integral versions.
 
-On a finite-dimensional space every one of these limits is zero, so the
-workbench never claims a scalar limit: each report carries the full sequence,
-its last value, and an Aitken extrapolation, and acceptance rests on exact
-anchors and cross-method agreement. The two methods are linked through the
+On a finite-dimensional space H every one of these sequences tends to 0 (its
+numerator is at most dim H, its denominator grows without bound), so no scalar
+limit is claimed: each report carries the sequence, and acceptance rests on
+exact anchors and cross-method agreement. The two methods are linked through the
 factorization of the characteristic function: the trace of the kernel square
 on a degree slice equals the trace of (I - Theta Theta^*) there, and the
 kernel-side quantity collapses to a CP-map trace increment. Theta is
@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import RankDecision, aitken_extrapolate, rank_decision, svdvals
+from ._linalg import RankDecision, rank_decision, svdvals
 from .charfn import (
     _fock_probe,
     _gaussian_probe,
@@ -41,10 +41,11 @@ from .words import TruncatedFock
 
 @dataclass
 class CurvatureReport:
+    """A normalized trace or rank sequence, m = 1..m_max: it tends to 0 on a
+    finite-dimensional space, and no scalar limit is claimed."""
+
     m_values: list[int]
     sequence: list[float]
-    last: float
-    aitken: float | None
     extras: dict = field(default_factory=dict)
 
 
@@ -70,9 +71,7 @@ def curvature_phi(rc: RowContraction, m_max: int) -> CurvatureReport:
     return CurvatureReport(
         m_values=list(range(1, m_max + 1)),
         sequence=seq,
-        last=seq[-1],
-        aitken=aitken_extrapolate(seq),
-        extras={"kernel_slice_increments": increments, "traces": traces},
+        extras={"kernel_slice_increments": increments},
     )
 
 
@@ -88,8 +87,6 @@ def euler_phi(rc: RowContraction, m_max: int) -> CurvatureReport:
     return CurvatureReport(
         m_values=list(range(1, m_max + 1)),
         sequence=seq,
-        last=seq[-1],
-        aitken=aitken_extrapolate(seq),
         extras={"ranks": ranks, "rank_decisions": decisions},
     )
 
@@ -165,8 +162,6 @@ def curvature_theta(rc: RowContraction, m_max: int) -> CurvatureReport:
     return CurvatureReport(
         m_values=list(range(1, m_max + 1)),
         sequence=seq,
-        last=seq[-1],
-        aitken=aitken_extrapolate(seq),
         extras={"cross_check_vs_phi": cross, "euler_sequence": euler_seq, "euler_ranks": euler_ranks,
                 "euler_decisions": decisions},
     )

@@ -243,7 +243,7 @@ class TestSubcommands:
                     "tasks": [{"task": "wold"}, {"task": "poisson"}, {"task": "dilate"}]}
         tasks = run_scenario(scenario)["tasks"]
         wold, poisson, dilate = (t["data"] for t in tasks)
-        assert wold["multiplicity"] == poisson["defect_dim"] == dilate["defect_rank"] == dilate["dilation_index"] == 1
+        assert wold["multiplicity"] == poisson["defect_dim"] == dilate["defect_rank"] == 1
         assert [c["name"] for c in tasks[0]["checks"] if c["pass"]] == ["two_path_max_angle", "two_path_dim_mismatch"]
         gaps = [wold["defect_rank_gap"]] + [task[key] for task in (poisson, dilate)
                                             for key in ("defect_rank_gap", "column_defect_rank_gap")]
@@ -368,8 +368,9 @@ class TestSubcommands:
         mats = [0.5 * s @ np.diag(d) @ np.linalg.inv(s) for d in ([0.3, -0.5j, 0.1], [0.2j, 0.1, -0.4])]
         scenario = {"n": 2, "N": 2, "seed": 3, "ideal": "free", "T": [matrix_to_json(m) for m in mats],
                     "tasks": [{"task": "arveson", "m_max": 8, "mc_samples": 20_000}]}
-        (task,) = run_scenario(scenario)["tasks"]
-        assert task["status"] == "pass" and task["params"]["mc_samples"] == 20_000
+        report = run_scenario(scenario)
+        (task,) = report["tasks"]
+        assert task["status"] == "pass" and report["scenario"]["tasks"][0]["mc_samples"] == 20_000
         assert "mc_samples" not in task["data"] and task["data"]["orbit_steps"] > 0
 
     def test_one_parser_serves_consecutive_calls(self, rc_file, tmp_path):
@@ -422,7 +423,7 @@ class TestSubcommands:
         report = json.loads(out.read_text())
         assert report["scenario"] == dict(nilpotent_pair_json(), N=3, ideal="commutative",
                                           tasks=[{"task": "poisson"}])
-        assert report["tasks"][0]["params"] == {}
+        assert "params" not in report["tasks"][0]
 
     def test_pick_reads_no_truncation(self, tmp_path):
         """pick sends no N, so a word-length ideal of any degree is a variety
@@ -720,6 +721,51 @@ class TestScenario:
         assert main([rc_file if a == "RC" else a for a in argv] + ["--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("where, seed", [("scenario", "abc"), ("task", -1), ("scenario", 1.5), ("task", True),
+                                             ("flag", -1), ("subcommand_flag", -1)],
+                             ids=["scenario_string", "task_negative", "scenario_float", "task_bool", "flag_negative",
+                                  "subcommand_flag_negative"])
+    def test_bad_seed_exits_2_before_any_compute(self, rc_file, tmp_path, capsys, monkeypatch, where, seed):
+        """A seed that is not an integer >= 0, on the scenario, on a factorize
+        task or from --seed, is an InvalidParameterError naming seed when the
+        scenario loads: no task runs and no report is written."""
+        import fockbench.cli as cli
+
+        scenario = self.scenario_dict()
+        del scenario["seed"]
+        task = {"task": "factorize", "mode": "point", "random_points": 2}
+        if where in ("scenario", "task"):
+            (scenario if where == "scenario" else task)["seed"] = seed
+        scenario["tasks"] = [task]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "report.json"
+        argv = {"subcommand_flag": ["factorize", "--input", rc_file, "--random-points", "2"]}.get(
+            where, ["scenario", "run", str(path)])
+        argv += ["--seed", str(seed)] if where.endswith("flag") else []
+        calls = []
+        monkeypatch.setattr(cli, "run_task", lambda *a: calls.append(a))
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: need an integer seed >= 0")
+        assert calls == [] and not out.exists()
+        with pytest.raises(InvalidParameterError, match="integer seed >= 0"):
+            run_scenario(scenario, seed=seed if where.endswith("flag") else None)
+
+    @pytest.mark.parametrize("target", [[0.2], "x"], ids=["one_number", "string"])
+    def test_malformed_pick_target_exits_2_naming_it(self, tmp_path, capsys, target):
+        scenario = self.scenario_dict()
+        scenario["tasks"] = [{"task": "pick", "points": [[[0.0, 0.0], [0.0, 0.0]], [[0.3, 0.0], [0.1, 0.0]]],
+                              "targets": [[0.0, 0.0], target]}]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "report.json"
+        assert main(["scenario", "run", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: pick target 1 must be a matrix object or an [re, im] "
+                                                  f"pair of finite numbers, got {target!r}")
+        assert not out.exists()
+        with pytest.raises(InvalidParameterError, match="pick target 1"):
+            run_scenario(scenario)
 
     def custom_ideal_scenario(self, words, t2, tasks):
         """The scalar pair (0.4, t2) at N = 3 under the custom generator
@@ -1119,30 +1165,99 @@ def load_schema(name):
     return json.loads((DOCS / name).read_text())
 
 
-def missing_required(schema, value, root, path="$"):
-    """Yield the path of every key the schema requires that the value lacks,
-    following properties, items and references ("file#/pointer", within
-    ``root`` or to a schema file in docs/)."""
-    if "$ref" in schema:
-        name, _, pointer = schema["$ref"].partition("#")
-        root = load_schema(name) if name else root
-        target = root
-        for part in filter(None, pointer.split("/")):
-            target = target[part]
-        yield from missing_required(target, value, root, path)
+def resolve(schema, root):
+    """The schema a "$ref" ("file#/pointer", within ``root`` or to a schema
+    file in docs/) points to, and the root it lives in; others as they are."""
+    if "$ref" not in schema:
+        return schema, root
+    name, _, pointer = schema["$ref"].partition("#")
+    root = load_schema(name) if name else root
+    target = root
+    for part in filter(None, pointer.split("/")):
+        target = target[part]
+    return resolve(target, root)
+
+
+def holds(condition, value):
+    """Whether the value meets an ``if`` condition of the schemas in docs/:
+    ``required`` keys, each property's ``const``, ``enum`` or ``contains``,
+    and ``not``."""
+    if "not" in condition:
+        return not holds(condition["not"], value)
+    if "const" in condition:
+        return value == condition["const"]
+    if "enum" in condition:
+        return value in condition["enum"]
+    if "contains" in condition:
+        return isinstance(value, list) and any(holds(condition["contains"], v) for v in value)
     if isinstance(value, dict):
-        yield from (f"{path}.{key}" for key in schema.get("required", []) if key not in value)
-        for key, sub in schema.get("properties", {}).items():
-            if key in value:
-                yield from missing_required(sub, value[key], root, f"{path}.{key}")
-    elif isinstance(value, list) and "items" in schema:
+        return all(key in value for key in condition.get("required", [])) and all(
+            holds(sub, value[key]) for key, sub in condition.get("properties", {}).items() if key in value)
+    return True
+
+
+def applied_rules(schema, value, root):
+    """Yield (schema, root) for the schema, with references resolved, and for
+    every rule that applies to the value: each ``allOf`` entry, the ``then``
+    of an ``if`` that holds, and the ``oneOf`` branch of the value's
+    container type (object or array)."""
+    schema, root = resolve(schema, root)
+    yield schema, root
+    if "if" in schema and holds(schema["if"], value):
+        yield from applied_rules(schema["then"], value, root)
+    for rule in schema.get("allOf", []):
+        yield from applied_rules(rule, value, root)
+    kind = {dict: "object", list: "array"}.get(type(value))
+    for branch in schema.get("oneOf", []):
+        if kind is not None and resolve(branch, root)[0].get("type") == kind:
+            yield from applied_rules(branch, value, root)
+
+
+def missing_required(schema, value, root, path="$"):
+    """Yield the path of every key the applying rules require that the value
+    lacks, following properties and items."""
+    rules = list(applied_rules(schema, value, root))
+    if isinstance(value, dict):
+        yield from (f"{path}.{key}" for rule, _ in rules for key in rule.get("required", []) if key not in value)
+        for rule, rule_root in rules:
+            for key, sub in rule.get("properties", {}).items():
+                if key in value:
+                    yield from missing_required(sub, value[key], rule_root, f"{path}.{key}")
+    elif isinstance(value, list):
+        for rule, rule_root in rules:
+            for idx, item in enumerate(value if "items" in rule else []):
+                yield from missing_required(rule["items"], item, rule_root, f"{path}[{idx}]")
+
+
+def undocumented_keys(schemas, value, path="$"):
+    """Yield the path of every key of the value that no rule applying under
+    the (schema, root) pairs describes, in its ``properties`` or by an
+    ``additionalProperties`` schema; the rules of a key or of the items of a
+    list are walked together."""
+    rules = [rule for schema, root in schemas for rule in applied_rules(schema, value, root)]
+    if isinstance(value, dict):
+        for key, item in value.items():
+            subs = [(rule["properties"][key], root) for rule, root in rules if key in rule.get("properties", {})]
+            subs += [(rule["additionalProperties"], root) for rule, root in rules
+                     if isinstance(rule.get("additionalProperties"), dict)]
+            if not subs:
+                yield f"{path}.{key}"
+            yield from undocumented_keys(subs, item, f"{path}.{key}")
+    elif isinstance(value, list):
+        items = [(rule["items"], root) for rule, root in rules if "items" in rule]
         for idx, item in enumerate(value):
-            yield from missing_required(schema["items"], item, root, f"{path}[{idx}]")
+            yield from undocumented_keys(items, item, f"{path}[{idx}]")
 
 
 def missing_report_keys(report):
     schema = load_schema("report.schema.json")
     return list(missing_required(schema, report, schema))
+
+
+def extra_report_keys(report):
+    """The keys of a report that docs/report.schema.json does not describe."""
+    schema = load_schema("report.schema.json")
+    return list(undocumented_keys([(schema, schema)], report))
 
 
 def task_rule(name):
@@ -1321,6 +1436,29 @@ class TestSchemas:
     def test_golden_reports_carry_every_required_key(self, name):
         report = json.loads((DATA / name).read_text())
         assert missing_report_keys(report) == []
+
+    @pytest.mark.parametrize("name", GOLDENS)
+    def test_golden_reports_document_every_key(self, name):
+        """Every key of a stored report is described by docs/report.schema.json
+        (or the scenario schema it references for the echo), task i reports
+        scenario task i, and a leaf the schema does not describe is found."""
+        report = json.loads((DATA / name).read_text())
+        assert extra_report_keys(report) == []
+        assert [t["task"] for t in report["tasks"]] == [t["task"] for t in report["scenario"]["tasks"]]
+        report["tasks"][0]["params"] = {}
+        report["tasks"][0]["data"]["graded"] = True
+        report["scenario"]["tasks"][0]["emit_matrices"] = {"stray": 1}
+        assert set(extra_report_keys(report)) == {"$.scenario.tasks[0].emit_matrices.stray", "$.tasks[0].params",
+                                                  "$.tasks[0].data.graded"}
+
+    @pytest.mark.parametrize("command", list(SUBCOMMAND_ARGV))
+    def test_subcommand_reports_document_every_key(self, rc_file, tmp_path, command):
+        out = tmp_path / "report.json"
+        argv = [command] + [rc_file if a == "RC" else a for a in SUBCOMMAND_ARGV[command]]
+        assert main(argv + ["--out", str(out)]) in (0, 1)
+        report = json.loads(out.read_text())
+        assert extra_report_keys(report) == []
+        assert [t["task"] for t in report["tasks"]] == [t["task"] for t in report["scenario"]["tasks"]]
 
     @pytest.mark.parametrize("targets", ["0,0.2", "0,0.9"], ids=["feasible", "infeasible"])
     def test_pick_data_and_checks_are_the_ones_the_schema_describes(self, tmp_path, targets):

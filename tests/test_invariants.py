@@ -81,10 +81,10 @@ class TestCurvaturePhi:
         mats = [rng.standard_normal((3, 3)) for _ in range(2)]
         norm = np.linalg.norm(np.concatenate(mats, axis=1), 2)
         rc = validate([m / (norm * 1.05) for m in mats])
-        rep = curvature_phi(rc, 8)
-        traces = rep.extras["traces"]
+        traces = [float(np.trace(rc.orbit(m)).real) for m in range(10)]
         gaps = [traces[0] - traces[m] for m in range(1, 9)]
         assert all(g2 >= g1 - 1e-12 for g1, g2 in zip(gaps, gaps[1:]))
+        assert curvature_phi(rc, 8).sequence == [g / (2**m - 1) for m, g in enumerate(gaps, start=1)]
 
     def test_rejects_bad_m_max(self):
         with pytest.raises(InvalidParameterError):
