@@ -102,6 +102,14 @@ def _purity(rc: RowContraction) -> dict:
 # --- task handlers ---------------------------------------------------------
 
 
+def _shifts_params(params: dict) -> bool:
+    """The shifts task's ``emit_matrices``: a JSON bool, default true."""
+    emit = params.get("emit_matrices", True)
+    if not isinstance(emit, bool):
+        raise InvalidParameterError(f"need a bool emit_matrices, got {emit!r}")
+    return emit
+
+
 def task_shifts(ctx: RunContext, params: dict) -> dict:
     """Slice by slice: Q_m^* Q_m = I, and the block-diagonal I - sum B_i B_i^*
     is Q_0 Q_0^* on slice 0 and 0 on slices 1..N."""
@@ -120,7 +128,7 @@ def task_shifts(ctx: RunContext, params: dict) -> dict:
         blocks = [np.eye(q.shape[1]) - (sum(x[m - 1] @ x[m - 1].conj().T for x in left) if m else q @ q.conj().T)
                   for m, q in enumerate(cs.slices)]
         checks.append(_check("defect_is_vacuum_projection", max(map(spectral_norm, blocks), default=0.0), 1e-10))
-    if params.get("emit_matrices", True):
+    if _shifts_params(params):
         data["left_shifts"] = [matrix_to_json(b) for b in shift_matrices(cs, left)]
         data["right_shifts"] = [matrix_to_json(w) for w in shift_matrices(cs, constrained_shifts(cs, "right"))]
     return {"checks": checks, "data": data}
@@ -401,8 +409,8 @@ def run_task(ctx: RunContext, spec: dict) -> dict:
 TUPLE_TASKS = {"factorize", "curvature", "arveson", "wold", "dilate", "model", "poisson"}
 TRUNCATION_TASKS = {"shifts", "factorize", "dilate", "model", "poisson"}
 # Task parameters checked when the scenario loads, before any compute.
-PARAMETER_CHECKS = {"factorize": _factorize_params, "curvature": _curvature_params, "arveson": _arveson_params,
-                    "pick": _pick_params, "wold": _wold_params, "poisson": _poisson_params}
+PARAMETER_CHECKS = {"shifts": _shifts_params, "factorize": _factorize_params, "curvature": _curvature_params,
+                    "arveson": _arveson_params, "pick": _pick_params, "wold": _wold_params, "poisson": _poisson_params}
 
 
 def _reject_constant(name: str):

@@ -162,8 +162,9 @@ class PurityResult:
     """The limit Q = lim Phi^k(I) and how it was decided.
 
     ``method`` is ``"certified"`` when a Collatz-Wielandt bound proved
-    rho(Phi) < 1, so Q = 0 exactly and ``k_used`` counts bracket steps; it is
-    ``"walk"`` when Q came from iterating Phi, and ``k_used`` counts CP steps."""
+    rho(Phi) < 1, so Q = 0 exactly and ``k_used`` is the CP step of the
+    certifying bracket; it is ``"walk"`` when Q came from iterating Phi, and
+    ``k_used`` counts CP steps."""
 
     q_limit: np.ndarray
     is_pure: bool
@@ -203,10 +204,11 @@ def purity(rc: RowContraction, tol: float = 1e-10, k_max: int = 10_000) -> Purit
 
     In finite dimension Phi^k(I) -> 0 exactly when rho(Phi) < 1. So purity
     first runs the Collatz-Wielandt bracket of ``spectral_radius`` and returns
-    Q = 0 (method ``"certified"``) as soon as its upper bound on rho(Phi) is at
-    most 1 - PURITY_GAP. From X_0 = I the first bound is the top eigenvalue of
-    sum T_i T_i^*, so a tuple with row norm below 1 - PURITY_GAP is certified
-    in one step. Phi(X_k) = 0 also certifies Q = 0.
+    Q = 0 (method ``"certified"``, ``k_used`` the CP step of the bracket) as
+    soon as its upper bound on rho(Phi) is at most 1 - PURITY_GAP. From
+    X_0 = I the first bound is the top eigenvalue of sum T_i T_i^*, so a tuple
+    with row norm below 1 - PURITY_GAP is certified in one step. Phi(X_k) = 0
+    also certifies Q = 0.
 
     The walk (method ``"walk"``) runs only when no certificate comes: an
     iterate is not positive definite (nilpotent tuples), the lower bound
@@ -221,9 +223,9 @@ def purity(rc: RowContraction, tol: float = 1e-10, k_max: int = 10_000) -> Purit
     if tol <= 0:
         raise InvalidParameterError("need tol > 0")
     check_count("k_max", k_max, 1)
-    for steps, (lo, hi) in enumerate(_collatz_wielandt(rc.matrices), 1):
+    for step, lo, hi in _collatz_wielandt(rc.matrices):
         if hi <= 1.0 - PURITY_GAP:
-            return PurityResult(np.zeros((rc.dim, rc.dim), dtype=complex), True, steps, True, "certified")
+            return PurityResult(np.zeros((rc.dim, rc.dim), dtype=complex), True, step, True, "certified")
         if lo >= 1.0 - PURITY_GAP:
             break
     x = np.eye(rc.dim, dtype=complex)
@@ -241,55 +243,81 @@ def purity(rc: RowContraction, tol: float = 1e-10, k_max: int = 10_000) -> Purit
 
 
 # Perron iteration of the Collatz-Wielandt bracket: the relative bracket
-# width at which spectral_radius certifies, the step cap, and the stagnation
-# rule (stop when the width has not halved over the last PERRON_STALL_STEPS
-# steps). A stalled bracket costs PERRON_STALL_STEPS + 1 steps, about 2 ms for
-# a diagonal pair of dim 32. POWER_* are the stopping width and step cap of
-# the power iteration beyond the dense cutoff.
+# width at which spectral_radius certifies, the CP step cap, and the
+# checkpoint schedule. Each CP step is one normalized Phi product; the
+# bracket (a Cholesky, an inverse and an eigvalsh, about four Phi steps at
+# dim 32) is read after each of steps 1..PERRON_READ_EVERY and then after
+# every PERRON_READ_EVERY-th step. Skipping reads loses nothing: Phi is
+# positive, so l X <= Phi(X) <= u X gives l Phi(X) <= Phi^2(X) <= u Phi(X),
+# and a later bracket is at least as tight as an earlier one. The stall rule
+# stops when the width has not halved since the last bracket read at least
+# PERRON_STALL_STEPS CP steps back; a diagonal pair, whose bracket never
+# narrows, stops at step 16 after 9 reads. The step cap is a multiple of
+# PERRON_READ_EVERY, so the last step taken is read. POWER_* are the stopping
+# width and step cap of the power iteration beyond the dense cutoff.
 PERRON_RTOL = 1e-13
-PERRON_MAX_STEPS = 500
+PERRON_MAX_STEPS = 496
 PERRON_STALL_STEPS = 12
+PERRON_READ_EVERY = 8
 POWER_RTOL = 1e-15
 POWER_MAX_STEPS = 2000
 
 
-def _collatz_wielandt(mats: tuple[np.ndarray, ...]) -> Iterator[tuple[float, float]]:
-    """The best bounds (lo, hi) on rho(Phi) after each step of the normalized
-    power iteration X_{k+1} = Phi(X_k) / |Phi(X_k)|_F from X_0 = I.
+def _phi(mats: tuple[np.ndarray, ...]):
+    """X -> Phi(X) = sum T_i X T_i^* as one product: the row [T_1 ... T_n]
+    times the stacked X T_i^*. Agrees with ``cp_apply`` to rounding, not bit
+    for bit, so only the spectral code uses it."""
+    row = np.concatenate(mats, axis=1)
+    adjoints = np.stack([t.conj().T for t in mats])
+    dim = row.shape[0]
+    return lambda x: row @ (x @ adjoints).reshape(-1, dim)
+
+
+def _collatz_wielandt(mats: tuple[np.ndarray, ...]) -> Iterator[tuple[int, float, float]]:
+    """The best bounds (step, lo, hi) on rho(Phi) read at the checkpoints of
+    the normalized power iteration X_{k+1} = Phi(X_k) / |Phi(X_k)|_F from
+    X_0 = I: after each of the CP steps 1..8, then after every 8th step
+    (PERRON_READ_EVERY).
 
     While X_k = L L^* is positive definite, the extreme eigenvalues l, u of
     L^{-1} Phi(X_k) L^{-*} bound rho(Phi): Phi(X) >= l X gives rho >= l, and
-    Phi(X) <= u X gives rho <= u. Yields (0.0, 0.0) and stops when
-    Phi(X_k) = 0. Stops without a bound when X_k is not positive definite,
-    when the width has stalled, or after PERRON_MAX_STEPS steps. Phi is formed
-    inline, so the ``cp_apply`` and ``spectral_norm`` counts are untouched."""
-    adjoints = [t.conj().T for t in mats]
+    Phi(X) <= u X gives rho <= u. The steps between reads lose nothing:
+    applying the positive map Phi to l X <= Phi(X) <= u X gives
+    l Phi(X) <= Phi^2(X) <= u Phi(X), so a later bracket is at least as
+    tight. Yields (k, 0.0, 0.0) and stops when Phi(X_k) = 0, at any step.
+    Stops without a bound when X_k is not positive definite at a read, when
+    the width has not halved since the last read at least PERRON_STALL_STEPS
+    steps back, or after PERRON_MAX_STEPS steps. Phi comes from ``_phi``, so
+    the ``cp_apply`` and ``spectral_norm`` counts are untouched."""
+    phi = _phi(mats)
     x = np.eye(mats[0].shape[0], dtype=complex)
     lo, hi = 0.0, np.inf
-    widths = []
-    for _ in range(PERRON_MAX_STEPS):
-        y = sum(t @ x @ a for t, a in zip(mats, adjoints))
+    widths: list[tuple[int, float]] = []  # (step, width) of each bracket read
+    for step in range(1, PERRON_MAX_STEPS + 1):
+        y = phi(x)
         scale = np.linalg.norm(y)
         if scale == 0.0:
-            yield 0.0, 0.0
+            yield step, 0.0, 0.0
             return
-        try:
-            linv = np.linalg.inv(np.linalg.cholesky(x))
-            vals = np.linalg.eigvalsh(linv @ y @ linv.conj().T)
-        except np.linalg.LinAlgError:
-            return
-        lo, hi = max(lo, float(vals[0])), min(hi, float(vals[-1]))
-        yield lo, hi
-        widths.append(hi - lo)
-        if len(widths) > PERRON_STALL_STEPS and widths[-1] > 0.5 * widths[-1 - PERRON_STALL_STEPS]:
-            return
+        if step <= PERRON_READ_EVERY or step % PERRON_READ_EVERY == 0:
+            try:
+                linv = np.linalg.inv(np.linalg.cholesky(x))
+                vals = np.linalg.eigvalsh(linv @ y @ linv.conj().T)
+            except np.linalg.LinAlgError:
+                return
+            lo, hi = max(lo, float(vals[0])), min(hi, float(vals[-1]))
+            yield step, lo, hi
+            earlier = [w for k, w in widths if k <= step - PERRON_STALL_STEPS]
+            if earlier and hi - lo > 0.5 * earlier[-1]:
+                return
+            widths.append((step, hi - lo))
         x = y / scale
 
 
 def _perron_radius(mats: tuple[np.ndarray, ...]) -> float | None:
     """sqrt(rho(Phi)) once the Collatz-Wielandt bracket is within
     PERRON_RTOL, or None when it cannot certify it."""
-    for lo, hi in _collatz_wielandt(mats):
+    for _, lo, hi in _collatz_wielandt(mats):
         if hi - lo <= PERRON_RTOL * hi:
             # Bounds that cross by more than the tolerance show rounding noise
             # above it: certify nothing.
@@ -304,8 +332,11 @@ def spectral_radius(matrices_or_rc) -> float:
     The certified path iterates X_{k+1} = Phi(X_k) / |Phi(X_k)| from X_0 = I.
     While X_k = L L^* is positive definite, the extreme eigenvalues l_k, u_k of
     L^{-1} Phi(X_k) L^{-*} bracket rho(Phi) (Collatz-Wielandt: Phi(X) >= l X
-    gives rho >= l, Phi(X) <= u X gives rho <= u). The best bounds seen so far
-    are kept, and sqrt((l + u) / 2) is returned once u - l <= 1e-13 u, unless
+    gives rho >= l, Phi(X) <= u X gives rho <= u). Every CP step is one Phi
+    product; the bracket is read after each of steps 1..8 and then after
+    every 8th step (PERRON_READ_EVERY), which loses nothing because a later
+    bracket is at least as tight. The best bounds read so far are kept, and
+    sqrt((l + u) / 2) is returned once u - l <= 1e-13 u, unless
     the bounds cross by more than that (rounding noise above the tolerance).
     If Phi(X_k) = 0, the radius is 0. For an irreducible Phi the iterates tend
     to its positive definite Perron eigenvector and the bracket closes
@@ -339,9 +370,10 @@ def spectral_radius(matrices_or_rc) -> float:
         top = float(np.abs(eigs).max()) if eigs.size else 0.0
         return float(np.sqrt(top))
     # Phi maps PSD to PSD, and a PSD iterate has trace 0 only when it is 0.
+    phi = _phi(mats)
     x, prev, log_sum = np.eye(dim, dtype=complex) / dim, 0.0, 0.0
     for _ in range(POWER_MAX_STEPS):
-        y = sum(t @ x @ t.conj().T for t in mats)
+        y = phi(x)
         ratio = float(np.trace(y).real)
         if ratio <= 0.0:
             return 0.0

@@ -157,13 +157,11 @@ def curvature_theta(rc: RowContraction, m_max: int) -> CurvatureReport:
         phi_side = float(np.trace(rc.orbit(m) - rc.orbit(m + 1)).real)
         cross.append(abs((slice_dim - slice_trace) - phi_side) / rc.n**m)
         decisions.append(decision)
-    euler_ranks = [d.rank for d in decisions]
-    euler_seq = [r / _geometric_denominator(rc.n, m) for m, r in enumerate(euler_ranks, start=1)]
+    euler_seq = [d.rank / _geometric_denominator(rc.n, m) for m, d in enumerate(decisions, start=1)]
     return CurvatureReport(
         m_values=list(range(1, m_max + 1)),
         sequence=seq,
-        extras={"cross_check_vs_phi": cross, "euler_sequence": euler_seq, "euler_ranks": euler_ranks,
-                "euler_decisions": decisions},
+        extras={"cross_check_vs_phi": cross, "euler_sequence": euler_seq, "euler_decisions": decisions},
     )
 
 

@@ -704,6 +704,19 @@ class TestScenario:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("emit", ["no", 0, None, [False]], ids=["string", "integer", "null", "list"])
+    def test_non_bool_emit_matrices_exits_2(self, tmp_path, capsys, emit):
+        """emit_matrices is read as a JSON bool: any other value, even a
+        falsy one, exits 2 when the scenario loads and names the key."""
+        scenario = self.scenario_dict()
+        scenario["tasks"] = [{"task": "shifts", "emit_matrices": emit}]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "report.json"
+        assert main(["scenario", "run", str(path), "--out", str(out)]) == 2
+        assert "emit_matrices" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv,message", [
         (["factorize", "--input", "RC"], "point mode needs points"),
         (["factorize", "--input", "RC", "--random-points", "0"], "point mode needs points"),

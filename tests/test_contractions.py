@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -50,6 +51,50 @@ def counting_eigvals(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvals", eigvals)
     return calls
+
+
+def counting_cholesky(monkeypatch):
+    """Patch np.linalg.cholesky to record the shape of every matrix it gets:
+    each Collatz-Wielandt bracket read factors its iterate once."""
+    calls = []
+    real = np.linalg.cholesky
+
+    def cholesky(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    return calls
+
+
+def counting_phi_steps(monkeypatch):
+    """Patch contractions._phi so that every Phi product of the spectral code
+    (one per CP step) is recorded."""
+    calls = []
+    real = contractions._phi
+
+    def phi(mats):
+        product = real(mats)
+
+        def counted(x):
+            calls.append(x.shape)
+            return product(x)
+
+        return counted
+
+    monkeypatch.setattr(contractions, "_phi", phi)
+    return calls
+
+
+def cycle_walk(dim, loss):
+    """T_1 = P D / sqrt(2), T_2 = P^* D / sqrt(2) with P the cyclic shift of
+    C^dim and D = I except sqrt(1 - loss) at the last site. On diagonal X,
+    Phi is a random walk on the cycle that loses mass at one site, so
+    rho(Phi) < 1; yet on 11 sites the bracket's upper bound stays at 1, to
+    rounding, through CP step 9."""
+    shift = np.roll(np.eye(dim), 1, axis=0)
+    d = np.diag([1.0] * (dim - 1) + [np.sqrt(1.0 - loss)])
+    return [shift @ d / np.sqrt(2), shift.T @ d / np.sqrt(2)]
 
 
 def family_tuple(family, n, dim, seed):
@@ -138,6 +183,15 @@ class TestCpApply:
         oracle = brute_force_word_sum(list(rc.matrices), k)
         assert np.linalg.norm(cp_apply(rc, np.eye(3), k) - oracle, 2) < 1e-12
 
+    def test_stacked_phi_product_matches_cp_apply(self):
+        # the spectral code's one-product Phi sums in another order: equal to rounding
+        rng = np.random.default_rng(4)
+        rc = random_row_contraction(rng, 3, 5)
+        g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        x = g @ g.conj().T
+        expected = cp_apply(rc, x)
+        assert np.linalg.norm(contractions._phi(rc.matrices)(x) - expected) <= 1e-14 * np.linalg.norm(expected)
+
     def test_monotone_decreasing_in_operator_order(self):
         rng = np.random.default_rng(7)
         rc = random_row_contraction(rng, 2, 4)
@@ -218,6 +272,17 @@ class TestPurity:
         assert (res.method, res.k_used, res.converged, res.is_pure) == ("walk", 4, True, True)
         assert calls == [1] * 4 and not res.q_limit.any()
 
+    def test_certificate_after_step_8_reports_its_checkpoint(self, monkeypatch):
+        # no bracket of steps 1..8 is below 1 - PURITY_GAP
+        rc = validate(cycle_walk(11, 0.5))
+        reads = list(contractions._collatz_wielandt(rc.matrices))
+        first = next(step for step, _, hi in reads if hi <= 1.0 - contractions.PURITY_GAP)
+        steps = counting_phi_steps(monkeypatch)
+        res = purity(rc)
+        assert (res.method, res.k_used) == ("certified", first)
+        assert res.k_used > 8 and res.k_used % contractions.PERRON_READ_EVERY == 0
+        assert len(steps) == res.k_used
+
     @pytest.mark.parametrize("k_max", [0, -1, 1.5, 10.0, True, "10", None])
     def test_rejects_bad_k_max(self, k_max):
         with pytest.raises(InvalidParameterError):
@@ -275,16 +340,33 @@ class TestSpectralRadius:
         assert calls == []
         assert abs(value - reference) <= 1e-10 * reference
 
+    def test_bracket_is_read_at_checkpoints(self, monkeypatch):
+        # |lambda_2 / lambda_1| = 0.74: the bracket closes at CP step 104, and
+        # is read after steps 1..8 and every 8th step after that
+        rng = np.random.default_rng(25)
+        pair = [rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24)) for _ in range(2)]
+        reference = dense_radius(pair)
+        reads = counting_cholesky(monkeypatch)
+        steps = counting_phi_steps(monkeypatch)
+        value = spectral_radius(pair)
+        k = len(steps)
+        assert k > 8 and len(reads) <= 8 + math.ceil(k / 8)
+        assert abs(value - reference) <= 1e-10 * reference
+
     @pytest.mark.parametrize(
         "mats",
         [[0.5 * np.diag(np.ones(7), 1)], [np.diag(np.linspace(0.1, 0.6, 8)), np.diag(np.linspace(0.5, -0.3, 8))]],
         ids=["nilpotent_jordan", "diagonal_pair"],
     )
     def test_fallback_returns_the_dense_value(self, monkeypatch, mats):
+        # the Jordan block's iterate is singular at step 2; the diagonal pair's
+        # bracket never narrows and stalls within the stall window
         reference = dense_radius(mats)
         calls = counting_eigvals(monkeypatch)
+        steps = counting_phi_steps(monkeypatch)
         assert spectral_radius(mats) == reference
         assert calls == [(64, 64)]
+        assert len(steps) <= contractions.PERRON_STALL_STEPS + 8
 
     def test_known_radius_beyond_the_dense_cutoff(self):
         # T_i = S (c V_i) S^{-1} with [V_1 V_2] a coisometry: Phi_T is similar to

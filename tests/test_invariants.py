@@ -128,7 +128,7 @@ class TestCurvatureTheta:
         rc = nilpotent_commuting_pair()
         rep_t = curvature_theta(rc, 4)
         rep_p = euler_phi(rc, 5)
-        assert rep_t.extras["euler_ranks"] == rep_p.extras["ranks"][1:5]
+        assert [d.rank for d in rep_t.extras["euler_decisions"]] == rep_p.extras["ranks"][1:5]
 
     def test_rejects_bad_m_max(self):
         with pytest.raises(InvalidParameterError):
@@ -617,7 +617,7 @@ def test_curvature_theta_reads_a_3x3_triple_at_m_max_7():
     rc = _scaled([rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(3)], 0.85)
     rep = curvature_theta(rc, 7)
     assert max(rep.extras["cross_check_vs_phi"]) <= 1e-12
-    assert rep.extras["euler_ranks"] == [3] * 7
+    assert [d.rank for d in rep.extras["euler_decisions"]] == [3] * 7
 
 
 # --- the Monte-Carlo boundary integral, kept as the oracle of the series ------
