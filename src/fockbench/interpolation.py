@@ -14,24 +14,26 @@ from .errors import DegenerateInputError, InvalidParameterError, OutOfBallError
 from .ideals import NcPolynomial
 
 
-def _as_point(point, n: int) -> np.ndarray:
-    z = np.asarray(point, dtype=complex).reshape(-1)
-    if z.shape != (n,):
-        raise InvalidParameterError(f"point must have {n} coordinates")
-    return z
-
-
 def variety_membership(point, generators: Sequence[NcPolynomial], n: int, tol: float = 1e-10) -> bool:
     """A ball point z is in the zero set when every generator p vanishes at
     the scalar commuting evaluation relative to the size of its terms,
     |p(z)| <= tol * sum_w |c_w| |z|^|w|, so that small terms of high degree
     (0.1^24 under truncated(24)) do not pass for zero."""
-    z = _as_point(point, n)
+    z = np.asarray(point, dtype=complex).reshape(-1)
+    if z.shape != (n,):
+        raise InvalidParameterError(f"point must have {n} coordinates")
     norm = float(np.linalg.norm(z))
     if norm >= 1.0:
         raise OutOfBallError(f"|point| = {norm:.6f} >= 1")
     return all(abs(p.evaluate_scalar(z)) <= tol * sum(abs(c) * norm ** len(w) for w, c in p.terms.items())
                for p in generators)
+
+
+def check_pick_counts(points: int, targets: int) -> None:
+    """Pick data pairs each point with one target, and has at least one point."""
+    if points != targets or not points:
+        raise InvalidParameterError(f"pick needs one target per point, at least one: got {points} points and "
+                                    f"{targets} targets")
 
 
 @dataclass
@@ -43,6 +45,7 @@ class PickProblem:
     targets: list[np.ndarray]
 
     def __post_init__(self):
+        check_pick_counts(len(self.points), len(self.targets))
         pts = np.asarray(self.points, dtype=complex).reshape(len(self.targets), -1)
         if pts.shape[1] != self.n:
             raise InvalidParameterError(f"points must have {self.n} coordinates")

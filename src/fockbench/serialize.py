@@ -163,10 +163,10 @@ def complex_to_json(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def point_from_json(obj, n: int) -> np.ndarray:
-    arr = _finite_array(obj, float, "point")
+def point_from_json(obj, n: int, what: str = "point") -> np.ndarray:
+    arr = _finite_array(obj, float, what)
     if arr.shape == (n, 2):
         return arr[:, 0] + 1j * arr[:, 1]
     if arr.shape == (n,):
         return arr.astype(complex)
-    raise InvalidParameterError(f"point must be a list of {n} [re, im] pairs")
+    raise InvalidParameterError(f"{what} must be a list of {n} [re, im] pairs")

@@ -25,8 +25,9 @@ from fockbench import (
     word_operator,
 )
 from fockbench._linalg import spectral_norm
-from fockbench.cli import RunContext, task_factorize
+from fockbench.cli import RunContext
 from fockbench.errors import InvalidParameterError, PreconditionError
+from parsed_run import run_parsed
 from words_reference import coefficient, enumerate_words, fock_assemble, fock_row_basis, shift_tuple
 
 
@@ -442,7 +443,7 @@ class TestFactorization:
         rc = validate([np.diag([0.3, -0.2]), np.diag([0.1, 0.35])])
         ctx = RunContext(n=2, trunc=3, generators=commutator_generators(2), rc=rc, tol=1e-9, seed=None)
         with pytest.raises(InvalidParameterError, match="unknown factorize mode"):
-            task_factorize(ctx, {"mode": mode})
+            run_parsed(ctx, "factorize", {"mode": mode})
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -19,15 +19,10 @@ from fockbench.cli import (
     report_text,
     run_scenario,
     run_task,
-    task_arveson,
-    task_curvature,
-    task_factorize,
-    task_pick,
-    task_shifts,
-    task_wold,
 )
 from fockbench.contractions import validate
 from fockbench.errors import InvalidParameterError
+from fockbench.interpolation import PickProblem
 from fockbench.serialize import (
     ideal_from_spec,
     matrix_from_json,
@@ -37,6 +32,7 @@ from fockbench.serialize import (
 )
 from fockbench.ideals import NcPolynomial, _generator_matrix, commutator_generators
 from fockbench.words import Word
+from parsed_run import run_parsed
 
 DATA = Path(__file__).parent / "data"
 GOLDENS = ("golden_report.json", "golden_qcomm_report.json")
@@ -109,7 +105,7 @@ class TestSerialize:
         ctx = RunContext(n=1, trunc=2, generators=[], rc=None, tol=1e-9, seed=None)
         params = {"points": [[[0.0, 0.0]], [[0.5, 0.0]]], "targets": [[0.0, 0.0], [float("nan"), 0.0]]}
         with pytest.raises(InvalidParameterError):
-            task_pick(ctx, params)
+            run_parsed(ctx, "pick", params)
 
 
     def test_matrix_data_keeps_every_entry_and_its_sign(self):
@@ -143,7 +139,7 @@ class TestSubcommands:
 
         ctx = RunContext(n=2, trunc=None, generators=[], rc=None, tol=1e-9, seed=None)
         params = {"points": [[[0.0, 0.0], [0.0, 0.0]], [[0.3, 0.0], [0.1, 0.0]]], "targets": targets}
-        clean = task_pick(ctx, params)
+        clean = run_parsed(ctx, "pick", params)
         assert [c["name"] for c in clean["checks"]] == ["lambda_min_residual"]
         assert clean["checks"][0]["value"] < 1e-15 and clean["checks"][0]["pass"]
         assert ("certificate" in clean["data"]) == (clean["data"]["verdict"] == "infeasible")
@@ -156,7 +152,7 @@ class TestSubcommands:
             return vals, vecs
 
         monkeypatch.setattr(interpolation.np.linalg, "eigh", shifted)
-        check = task_pick(ctx, params)["checks"][0]
+        check = run_parsed(ctx, "pick", params)["checks"][0]
         assert check["value"] == pytest.approx(1e-9, rel=1e-6)
         assert not check["pass"]
 
@@ -192,7 +188,7 @@ class TestSubcommands:
             ideal = _generator_matrix(cs.fock, gens, 2)[:, 0]
             q[:, 0] = np.cos(1e-11) * q[:, 0] + np.sin(1e-11) * ideal / np.linalg.norm(ideal)
         ctx._cs = dataclasses.replace(cs, slices=slices)
-        checks = {c["name"]: c for c in task_shifts(ctx, {"emit_matrices": False})["checks"]}
+        checks = {c["name"]: c for c in run_parsed(ctx, "shifts", {"emit_matrices": False})["checks"]}
         assert not checks[failing]["pass"]
         assert all(c["pass"] for name, c in checks.items() if name != failing)
 
@@ -203,11 +199,11 @@ class TestSubcommands:
         import fockbench.cli as cli
 
         ctx = RunContext(n=2, trunc=4, generators=commutator_generators(2), rc=None, tol=1e-8, seed=None)
-        assert all(c["pass"] for c in task_shifts(ctx, {"emit_matrices": False})["checks"])
+        assert all(c["pass"] for c in run_parsed(ctx, "shifts", {"emit_matrices": False})["checks"])
         shifts = cli.constrained_shifts
         monkeypatch.setattr(cli, "constrained_shifts",
                             lambda cs, side: [[(1 - 5e-10) * x for x in blocks] for blocks in shifts(cs, side)])
-        checks = {c["name"]: c for c in task_shifts(ctx, {"emit_matrices": False})["checks"]}
+        checks = {c["name"]: c for c in run_parsed(ctx, "shifts", {"emit_matrices": False})["checks"]}
         assert not checks["defect_is_vacuum_projection"]["pass"]
         assert checks["basis_orthonormal"]["pass"] and checks["ideal_orthogonality"]["pass"]
 
@@ -226,7 +222,7 @@ class TestSubcommands:
             return blocks
 
         monkeypatch.setattr(cli, "constrained_shifts", perturbed)
-        checks = {c["name"]: c for c in task_shifts(ctx, {"emit_matrices": False})["checks"]}
+        checks = {c["name"]: c for c in run_parsed(ctx, "shifts", {"emit_matrices": False})["checks"]}
         assert not checks["defect_is_vacuum_projection"]["pass"]
         assert checks["basis_orthonormal"]["pass"] and checks["ideal_orthogonality"]["pass"]
 
@@ -276,13 +272,13 @@ class TestSubcommands:
         v[3, 3] = np.exp(0.9j)
         rc = validate([v])
         ctx = RunContext(n=1, trunc=3, generators=[], rc=rc, tol=1e-9, seed=None)
-        assert all(c["pass"] for c in task_wold(ctx, {})["checks"])
+        assert all(c["pass"] for c in run_parsed(ctx, "wold", {})["checks"])
         c, s = np.cos(1e-7), np.sin(1e-7)
         u = np.eye(4, dtype=complex)
         u[np.ix_([0, 3], [0, 3])] = [[c, -s], [s, c]]
         pur = rc.purity_limit()
         rc._purity = dataclasses.replace(pur, q_limit=u @ pur.q_limit @ u.conj().T)
-        checks = {c["name"]: c for c in task_wold(ctx, {})["checks"]}
+        checks = {c["name"]: c for c in run_parsed(ctx, "wold", {})["checks"]}
         assert not checks["two_path_max_angle"]["pass"]
         assert checks["two_path_dim_mismatch"]["pass"]
 
@@ -295,7 +291,7 @@ class TestSubcommands:
 
         rc = validate([np.diag([0.3, -0.1]), np.diag([0.2, 0.4])])
         ctx = RunContext(n=2, trunc=None, generators=[], rc=rc, tol=1e-9, seed=None)
-        assert all(c["pass"] for c in task_curvature(ctx, {"method": "theta", "m_max": 4})["checks"])
+        assert all(c["pass"] for c in run_parsed(ctx, "curvature", {"method": "theta", "m_max": 4})["checks"])
         by_degree = invariants._theta_defect_by_degree
 
         def shifted(*args, **kwargs):
@@ -303,7 +299,7 @@ class TestSubcommands:
                     for m, (slice_dim, trace, rank) in enumerate(by_degree(*args, **kwargs), start=1)]
 
         monkeypatch.setattr(invariants, "_theta_defect_by_degree", shifted)
-        checks = task_curvature(ctx, {"method": "theta", "m_max": 4})["checks"]
+        checks = run_parsed(ctx, "curvature", {"method": "theta", "m_max": 4})["checks"]
         assert [c["name"] for c in checks] == ["cross_method_gap"] and not checks[0]["pass"]
         assert abs(checks[0]["value"] - 1e-7) < 1e-12
 
@@ -315,7 +311,7 @@ class TestSubcommands:
 
         rc = validate([np.diag([0.3, -0.1]), np.diag([0.2, 0.4])])
         ctx = RunContext(n=2, trunc=None, generators=[], rc=rc, tol=1e-9, seed=None)
-        check = task_arveson(ctx, {"m_max": 3})["checks"][1]
+        check = run_parsed(ctx, "arveson", {"m_max": 3})["checks"][1]
         assert check["name"] == "slice_trace_vs_orbit" and check["pass"] and check["value"] <= 1e-13
         by_degree = invariants._theta_defect_by_degree
 
@@ -324,7 +320,7 @@ class TestSubcommands:
             return [first, (slice_dim, trace + 1e-9, rank), *rest]
 
         monkeypatch.setattr(invariants, "_theta_defect_by_degree", moved)
-        check = task_arveson(ctx, {"m_max": 3})["checks"][1]
+        check = run_parsed(ctx, "arveson", {"m_max": 3})["checks"][1]
         assert check["name"] == "slice_trace_vs_orbit" and not check["pass"]
         assert abs(check["value"] - 1e-9) < 1e-12
 
@@ -339,7 +335,7 @@ class TestSubcommands:
         rc = validate([0.9 * t / np.linalg.norm(np.hstack(mats), 2) for t in mats])
         ctx = RunContext(n=2, trunc=None, generators=[], rc=rc, tol=1e-9, seed=7)
         params = {"mode": "point", "random_points": 30}
-        check = task_factorize(ctx, params)["checks"][0]
+        check = run_parsed(ctx, "factorize", params)["checks"][0]
         assert check["name"] == "point_factorization_max_residual" and check["pass"] and check["value"] < 1e-13
         theta_at, calls = charfn._theta_at, []
 
@@ -349,7 +345,7 @@ class TestSubcommands:
             return theta + 1e-8 if len(calls) == 17 else theta
 
         monkeypatch.setattr(charfn, "_theta_at", moved)
-        check = task_factorize(ctx, params)["checks"][0]
+        check = run_parsed(ctx, "factorize", params)["checks"][0]
         assert len(calls) == 30 and not check["pass"]
         assert 1e-9 < check["value"] < 1e-7
 
@@ -357,8 +353,8 @@ class TestSubcommands:
         rc = validate([np.diag([0.3, -0.2]), np.diag([0.1, 0.4])])
         ctx = RunContext(n=2, trunc=None, generators=[], rc=rc, tol=3e-9, seed=7)
         params = {"mode": "point", "points": [[[0.1, 0.0], [0.2, 0.0]]]}
-        assert task_factorize(ctx, params)["checks"][0]["bound"] == 3e-9
-        assert task_factorize(ctx, {**params, "tol": 2e-5})["checks"][0]["bound"] == 2e-5
+        assert run_parsed(ctx, "factorize", params)["checks"][0]["bound"] == 3e-9
+        assert run_parsed(ctx, "factorize", {**params, "tol": 2e-5})["checks"][0]["bound"] == 2e-5
 
     def test_arveson_task_carrying_mc_samples_runs_and_passes(self):
         """Scenarios written for the former Monte-Carlo route still run (the
@@ -410,11 +406,14 @@ class TestSubcommands:
         assert all(abs(x) < 1e-12 for x in seq)
 
     def test_unknown_curvature_method_fails_its_task(self):
+        """The task's parser rejects an unknown method, so no handler sees it;
+        a handler that raises on what it was handed (m_max = 0, past the
+        parser) is recorded as its task's failure."""
         rc = validate([np.eye(1) / np.sqrt(2)] * 2)
         ctx = RunContext(n=2, trunc=3, generators=[], rc=rc, tol=1e-9, seed=None)
         with pytest.raises(InvalidParameterError, match="unknown curvature method 'thetta'"):
-            task_curvature(ctx, {"method": "thetta", "m_max": 2})
-        report = run_task(ctx, {"task": "curvature", "method": "thetta"})
+            run_parsed(ctx, "curvature", {"method": "thetta", "m_max": 2})
+        report = run_task(ctx, "curvature", {"m_max": 0, "method": "both"})
         assert report["status"] == "fail" and report["error"].startswith("InvalidParameterError: ")
 
     def test_subcommand_report_echoes_its_scenario(self, rc_file, tmp_path):
@@ -475,7 +474,7 @@ class TestSubcommands:
     def test_scenarios_with_n_keep_every_word_of_a_word_length_ideal(self):
         from fockbench.cli import context_from_scenario
 
-        ctx = context_from_scenario({"n": 2, "N": 4, "ideal": "truncated(3)", "tasks": []}, 1e-9, None)
+        ctx = context_from_scenario({"n": 2, "N": 4, "ideal": "truncated(3)", "tasks": []}, [], 1e-9, None)
         assert [p.terms for p in ctx.generators] == [p.terms for p in ideal_from_spec(2, "truncated(3)")]
         assert len(ctx.generators) == 8
 
@@ -549,8 +548,8 @@ class TestSubcommands:
         monkeypatch.setattr(contractions, "purity", counting)
         rc = validate([matrix_from_json(m) for m in nilpotent_pair_json()["T"]])
         ctx = RunContext(n=2, trunc=3, generators=[], rc=rc, tol=1e-9, seed=None)
-        data = task_wold(ctx, {})["data"]
-        assert task_wold(ctx, {})["data"] == data
+        data = run_parsed(ctx, "wold", {})["data"]
+        assert run_parsed(ctx, "wold", {})["data"] == data
         assert calls == {"purity": 1}
         assert data["is_shift"] is True
 
@@ -910,6 +909,54 @@ class TestScenario:
         path.write_text(json.dumps(scenario))
         assert main(["scenario", "run", str(path)]) == 2
 
+    @pytest.mark.parametrize("name", [["shifts"], {"a": 1}, 3, None], ids=["list", "object", "number", "null"])
+    def test_non_string_task_name_exits_2_naming_its_index(self, tmp_path, capsys, name):
+        scenario = self.scenario_dict()
+        scenario["tasks"] = [{"task": "wold"}, {"task": name}]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["scenario", "run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: scenario task 1 names an unknown task")
+
+    @pytest.mark.parametrize("task", ["factorize", "pick"])
+    @pytest.mark.parametrize("points", [5, "x", [[[0.1, 0.0], [0.2, 0.0], [0.0, 0.0]]]],
+                             ids=["number", "string", "three_coordinates"])
+    def test_malformed_points_exit_2_naming_the_point(self, tmp_path, capsys, monkeypatch, task, points):
+        """Points are read against n when the scenario loads: a malformed one
+        exits 2 before any compute and names its task."""
+        import fockbench.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "context_from_scenario", lambda *a: calls.append(a))
+        scenario = self.scenario_dict()
+        scenario["tasks"] = [{"task": task, "points": points, "targets": [[0.0, 0.0]]}]
+        path, out = tmp_path / "scenario.json", tmp_path / "report.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["scenario", "run", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {task} point")
+        assert ("point 0 must be a list of 2 [re, im] pairs" in err) == isinstance(points, list)
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("points,targets", [
+        ([[[0.1, 0.0], [0.2, 0.0]], [[0.3, 0.0], [0.0, 0.0]]], [[0.5, 0.0]]),
+        ([], []),
+    ], ids=["two_points_one_target", "empty"])
+    def test_pick_needs_one_target_per_point_and_a_point(self, tmp_path, capsys, points, targets):
+        """The pick parser rejects mismatched or empty data at load, naming both
+        counts, and a library caller of PickProblem gets the same error."""
+        scenario = self.scenario_dict()
+        scenario["tasks"] = [{"task": "pick", "points": points, "targets": targets}]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["scenario", "run", str(path)]) == 2
+        message = f"pick needs one target per point, at least one: got {len(points)} points and {len(targets)} targets"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        with pytest.raises(InvalidParameterError) as exc:
+            PickProblem(n=2, points=np.array([point_from_json(z, 2) for z in points]),
+                        targets=[np.atleast_2d(complex(*a)) for a in targets])
+        assert str(exc.value) == message
+
 
     @pytest.mark.parametrize("ideal", [
         "truncated(x)",
@@ -1093,6 +1140,57 @@ class TestScenario:
         err = capsys.readouterr().err
         assert "ideal generator 1" in err and f"of degree 2 exceeds the truncation degree {N}" in err
         assert ran == [] and not out.exists()
+
+
+class TestTaskTable:
+    """Each task is declared once, as a record of cli.TASKS."""
+
+    @pytest.mark.parametrize("name", GOLDENS)
+    def test_each_task_entry_is_parsed_once(self, tmp_path, monkeypatch, name):
+        import fockbench.cli as cli
+
+        seen = []
+        for task_name, task in list(cli.TASKS.items()):
+            def counted(spec, n, parse=task.parse):
+                seen.append(spec)
+                return parse(spec, n)
+
+            monkeypatch.setitem(cli.TASKS, task_name, dataclasses.replace(task, parse=counted))
+        scenario = DATA / name.replace("_report.json", "_scenario.json")
+        out = tmp_path / "report.json"
+        assert main(["scenario", "run", str(scenario), "--out", str(out)]) == 0
+        assert seen == json.loads(scenario.read_text())["tasks"]
+        assert out.read_bytes() == (DATA / name).read_bytes()
+
+    def test_a_new_record_runs_as_a_scenario_task_and_a_subcommand(self, tmp_path, monkeypatch):
+        """A record added to the table, and nothing else, gives a scenario task
+        that is parsed at load and a subcommand built from its flags."""
+        import fockbench.cli as cli
+        from fockbench.contractions import check_count
+
+        def task_scaled(ctx, scale):
+            return {"checks": [{"name": "scale", "value": 0.0, "bound": 0.0, "pass": True}],
+                    "data": {"n": ctx.n, "scale": scale}}
+
+        record = cli.Task(task_scaled, "a task declared by its record alone",
+                          lambda spec, n: {"scale": check_count("scale", spec.get("scale", 1), 1)}, set(),
+                          flags=(("--scale", {"type": int}),))
+        monkeypatch.setitem(cli.TASKS, "scaled", record)
+        build_parser.cache_clear()
+        try:
+            report = run_scenario({"n": 2, "tasks": [{"task": "scaled", "scale": 3}]})
+            assert report["tasks"][0]["data"] == {"n": 2, "scale": 3} and report["summary"]["passed"] == 1
+            with pytest.raises(InvalidParameterError, match="scale >= 1"):
+                run_scenario({"n": 2, "tasks": [{"task": "scaled", "scale": 0}]})
+            out = tmp_path / "report.json"
+            assert main(["scaled", "--n", "3", "--scale", "4", "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            assert report["scenario"] == {"n": 3, "ideal": "free", "tasks": [{"task": "scaled", "scale": 4}]}
+            assert report["tasks"][0]["data"] == {"n": 3, "scale": 4}
+            assert main(["scaled", "--n", "3", "--ideal", "commutative"]) == 2
+        finally:
+            monkeypatch.undo()
+            build_parser.cache_clear()
 
 
 class TestDeterminism:
@@ -1379,26 +1477,29 @@ class TestSchemas:
     """The schemas in docs/ agree with the CLI, read with the stdlib only."""
 
     def test_task_lists_match_the_cli(self):
-        from fockbench.cli import PARAMETER_CHECKS, TASKS, TRUNCATION_TASKS, TUPLE_TASKS
+        from fockbench.cli import Task
 
         scenario = load_schema("scenario.schema.json")
         assert scenario["properties"]["tasks"]["items"]["properties"]["task"]["enum"] == list(TASKS)
         assert list(SUBCOMMAND_ARGV) == list(TASKS)
         conditional = {rule["then"]["required"][0]: rule["if"]["properties"]["tasks"]["contains"]
                        for rule in scenario["allOf"]}
-        assert set(conditional["N"]["properties"]["task"]["enum"]) == TRUNCATION_TASKS
-        assert set(conditional["T"]["properties"]["task"]["enum"]) == TUPLE_TASKS
+        assert set(conditional["N"]["properties"]["task"]["enum"]) == {
+            name for name, task in TASKS.items() if "N" in task.reads}
+        assert set(conditional["T"]["properties"]["task"]["enum"]) == {
+            name for name, task in TASKS.items() if "T" in task.reads}
         parameter_rules = scenario["properties"]["tasks"]["items"]["allOf"]
-        assert {rule["if"]["properties"]["task"]["const"] for rule in parameter_rules} == set(PARAMETER_CHECKS)
+        assert {rule["if"]["properties"]["task"]["const"] for rule in parameter_rules} == {
+            name for name, task in TASKS.items() if task.parse is not Task.parse}
 
     def test_factorize_and_wold_parameters_are_the_ones_the_cli_checks(self):
         """Each value the scenario schema allows passes the load-time check,
         and the value just outside it is rejected."""
-        from fockbench.cli import PARAMETER_CHECKS
+        import functools
 
         rules = {rule["if"]["properties"]["task"]["const"]: rule["then"]
                  for rule in load_schema("scenario.schema.json")["properties"]["tasks"]["items"]["allOf"]}
-        factorize, wold = PARAMETER_CHECKS["factorize"], PARAMETER_CHECKS["wold"]
+        factorize, wold = (functools.partial(TASKS[name].parse, n=2) for name in ("factorize", "wold"))
         point = [[[0.1, 0.0], [0.2, 0.0]]]
         props = rules["factorize"]["properties"]
         for mode in props["mode"]["enum"]:
@@ -1425,15 +1526,14 @@ class TestSchemas:
         """The bounds the scenario schema gives a number parameter are the
         load-time check's: an inclusive bound passes, an exclusive one fails,
         and so does a value just beyond either."""
-        from fockbench.cli import PARAMETER_CHECKS
-
         rules = {rule["if"]["properties"]["task"]["const"]: rule["then"]
                  for rule in load_schema("scenario.schema.json")["properties"]["tasks"]["items"]["allOf"]}
         prop = rules[task]["properties"][key]
-        base = {"points": [[[0.1, 0.0], [0.2, 0.0]]]} if task == "factorize" else {}
+        point = [[[0.1, 0.0], [0.2, 0.0]]]
+        base = {"factorize": {"points": point}, "pick": {"points": point, "targets": [[0.0, 0.0]]}}.get(task, {})
 
         def check(value):
-            PARAMETER_CHECKS[task]({**base, key: value})
+            TASKS[task].parse({**base, key: value}, 2)
 
         assert prop["type"] == "number"
         for bound, step in (("minimum", -1e-3), ("exclusiveMinimum", -1e-3), ("maximum", 1e-3)):

@@ -383,17 +383,18 @@ class TestSpectralRadius:
     def test_block_triangular_tuple_beyond_the_dense_cutoff(self, monkeypatch):
         # Phi of a block upper-triangular pair leaves the upper-left block
         # invariant, so rho(Phi) is the larger of the radii of the two diagonal
-        # blocks (each irreducible, dim 36); dim 72 is past the dense cutoff.
-        rng = np.random.default_rng(5)
-
-        def gaussian():
-            return rng.standard_normal((36, 36)) + 1j * rng.standard_normal((36, 36))
-
-        mats = [np.block([[gaussian(), gaussian()], [np.zeros((36, 36)), 0.9 * gaussian()]]) for _ in range(2)]
-        mats = [t / np.linalg.norm(np.hstack(mats), 2) for t in mats]
-        reference = max(dense_radius([t[:36, :36] for t in mats]), dense_radius([t[36:, 36:] for t in mats]))
+        # blocks (dim 36 each; dim 72 is past the dense cutoff). The diagonal
+        # blocks have sum A_i A_i^* = a I and sum C_i C_i^* = c I, so I is a
+        # positive eigenvector of each block's map and rho(Phi) = max(a, c):
+        # the upper block dominates, the lower one, and nearly a tie.
         calls = counting_eigvals(monkeypatch)
-        assert abs(spectral_radius(mats) - reference) <= 1e-10 * reference
+        for a, c in [(0.5, 0.3), (0.3, 0.5), (0.5, 0.49)]:
+            rng = np.random.default_rng(5)
+            upper, lower = scaled_coisometry(rng, 2, 36, np.sqrt(a)), scaled_coisometry(rng, 2, 36, np.sqrt(c))
+            mats = [np.block([[x, rng.standard_normal((36, 36)) + 1j * rng.standard_normal((36, 36))],
+                              [np.zeros((36, 36)), y]]) for x, y in zip(upper, lower)]
+            reference = np.sqrt(max(a, c))
+            assert abs(spectral_radius(mats) - reference) <= 1e-10 * reference
         assert calls == []
 
     @pytest.mark.parametrize("a, b", [(1.0, 0.5), (1.0, 0.01)])

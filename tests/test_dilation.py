@@ -24,9 +24,10 @@ from fockbench import (
     wold_decompose,
 )
 from fockbench._linalg import complement_basis, principal_angles, rank_decision, spectral_norm, svdvals
-from fockbench.cli import RunContext, task_model
+from fockbench.cli import RunContext
 from fockbench.dilation import _word_translate_span
 from fockbench.errors import InvalidParameterError, PreconditionError
+from parsed_run import run_parsed
 from words_reference import eigh_model, fock_row_basis, fock_theta_gram, model_split, shift_tuple
 
 
@@ -383,7 +384,7 @@ class TestModelSpace:
             rc = validate([s * np.array([[0.0, 1.0], [0.0, 0.0]]), s * np.diag([q, 1.0])])
             trunc, gens = 5, q_commutator_generators(np.array([[1.0, q], [0.0, 1.0]]))
         ctx = RunContext(n=rc.n, trunc=trunc, generators=gens, rc=rc, tol=1e-9, seed=None)
-        report = task_model(ctx, {})
+        report = run_parsed(ctx, "model", {})
         assert report["data"]["model_dim"] == rc.dim
         assert np.linalg.eigvalsh(ctx.theta_gram())[rc.dim - 1] > 0.25
         assert all(c["pass"] for c in report["checks"])

@@ -101,11 +101,12 @@ from fockbench._linalg import (
     spectral_norm,
     svd_positive,
 )
-from fockbench.cli import RunContext, task_factorize, task_shifts
+from fockbench.cli import RunContext
 from fockbench.errors import DegenerateInputError, InvalidParameterError, PreconditionError
 from fockbench.ideals import _generator_matrix, ideal_orthogonality, shift_matrices
 from fockbench.poisson import _radial_defect
 from fockbench.words import word_products
+from parsed_run import run_parsed
 from words_reference import (
     IDENTITY_WORD,
     child_map,
@@ -385,7 +386,7 @@ def test_slice_path_matches_the_fock_row_oracle(case, seed):
 
     ctx = RunContext(n=n, trunc=top, generators=gens, rc=None, tol=1e-9, seed=None)
     ctx._cs = cs
-    got = {c["name"]: c["value"] for c in task_shifts(ctx, {"emit_matrices": False})["checks"]}
+    got = {c["name"]: c["value"] for c in run_parsed(ctx, "shifts", {"emit_matrices": False})["checks"]}
     ref = dense_shift_checks(cs)
     assert got.keys() == ref.keys()
     assert all(abs(got[name] - ref[name]) <= 1e-13 for name in ref)
@@ -533,7 +534,7 @@ def test_point_factorization_forms_the_tuple_constants_once(monkeypatch):
     for count in (30, 60):
         calls.update(spectral_radius=0, row_matrix=0, kron=0)
         ctx = RunContext(n=2, trunc=None, generators=[], rc=rc, tol=1e-9, seed=5)
-        out = task_factorize(ctx, {"mode": "point", "random_points": count})
+        out = run_parsed(ctx, "factorize", {"mode": "point", "random_points": count})
         assert len(out["data"]["residuals"]) == count and out["checks"][0]["pass"]
         assert calls["spectral_radius"] == 0 and calls["row_matrix"] == 1
         krons.append(calls["kron"])
