@@ -29,6 +29,7 @@ from .poisson import (
 )
 from .charfn import (
     MultiAnalyticOperator,
+    ThetaAction,
     assemble,
     characteristic_coefficients,
     point_factorization,

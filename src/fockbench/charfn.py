@@ -12,29 +12,32 @@ degree-(k-1) Poisson kernel blocks (defect root) T_rho^* of the shared word
 walk (``words.word_products``) times the column-defect blocks, the word-level
 form of I - Theta Theta^* = K K^*. The degree-k slice of the stored array
 is the block from degree m to m + k of the Fock space, I_{n^m} (x) Theta_k
-(``degree_slices``). On the Fock space Theta and Theta Theta^* are never
-formed; I - Theta Theta^* is read from the slices as an action or one
-degree block at a time:
-- ``_fock_probe`` applies it to a block of vectors, one product per degree
-  pair on a reshape: the Euler ranks of ``invariants`` and the model basis
-  read it on the seeded Gaussian probe (``_gaussian_probe``);
-- ``_gram_blocks`` walks the blocks of Theta Theta^*, block (a, b) being
-  Theta_a Theta_b^* + I_n (x) block (a-1, b-1): the truncated factorization
-  and the model's complement check sum residual norms over them.
-On N_J with generators ``assemble`` compresses each Fock block to the slice
-bases, and Theta Theta^* is the assembled Theta times its adjoint, which a
-scenario forms once for the factorization and the model. A dedicated
+(``degree_slices``). Every reader of I - Theta Theta^* = K K^* (the
+truncated factorization, the model space, the curvature and Euler sequences)
+reads Theta through one ``ThetaAction``, the only code that knows how Theta
+is read on its ambient. It offers three operations: the per-degree slice
+traces of Theta Theta^*, the probe (I - Theta_S Theta_S^*) Omega on the
+degrees <= m (the Euler ranks and the model basis read it on one seeded
+Gaussian block), and the residual ||Theta Theta^* + L R^* - I||_F. On the
+Fock space Theta and Theta Theta^* are never formed: the probe is one product
+per degree pair on a reshape, and the residual walks the blocks of
+Theta Theta^* (``_gram_blocks``), block (a, b) being
+Theta_a Theta_b^* + I_n (x) block (a-1, b-1). On N_J with generators
+``assemble`` compresses each Fock block to the slice bases once, and
+Theta Theta^* is formed at most once, which both residuals share. A dedicated
 convention test pins point evaluation against partial sums.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ._linalg import RankDecision, range_basis, spectral_norm
+from ._linalg import spectral_norm
 from .contractions import RowContraction, spectral_radius, validate
 from .errors import InvalidParameterError, PreconditionError
 from .ideals import ConstrainedSubspace, evaluate_polynomial
@@ -140,39 +143,6 @@ EULER_PROBE_SEED = 20110502
 EULER_PROBE_OVERSAMPLE = 4
 
 
-def _gaussian_probe(rank_bound: int, cols: int) -> np.ndarray:
-    """The transposed probe of a matrix of rank <= ``rank_bound``: a
-    (rank_bound + EULER_PROBE_OVERSAMPLE, cols) block of standard complex
-    Gaussians from EULER_PROBE_SEED, splitmix64 of a counter giving the
-    uniforms and Box-Muller the normals. It stays off ``numpy.random``, whose
-    import alone adds 6.6 MB of resident memory (numpy 2.4, Linux x86-64)."""
-    rows = rank_bound + EULER_PROBE_OVERSAMPLE
-    count = rows * cols
-    z = np.uint64(EULER_PROBE_SEED) + np.arange(1, 2 * count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    u = ((z ^ (z >> np.uint64(31))) >> np.uint64(11)).astype(float) * 2.0**-53 + 2.0**-54
-    radius, angle = np.sqrt(-2.0 * np.log(u[:count])), 2.0 * np.pi * u[count:]
-    return (radius * (np.cos(angle) + 1j * np.sin(angle))).reshape(rows, cols)
-
-
-def _fock_probe(thetas: list[np.ndarray], n: int, omega: np.ndarray, m: int) -> np.ndarray:
-    """((I - Theta_S Theta_S^*) Omega)^T on the Fock degrees <= m, with
-    ``omega`` the probe transposed, (width, rows); its leading columns, the
-    degrees <= m, are read, one contiguous block Omega_a per degree.
-    Theta_S's block from degree c to c + k is I_{n^c} (x) Theta_k, so with
-    the width axis first each block acts as one product on a reshape:
-    Z_c = sum_k (I (x) Theta_k)^* Omega_{c+k}, then
-    Y_a = Omega_a - sum_c (I (x) Theta_{a-c}) Z_c."""
-    w, tgt, off = omega.shape[0], thetas[0].shape[0], np.cumsum([0, *(t.shape[0] for t in thetas[: m + 1])])
-    omega = [np.ascontiguousarray(omega[:, off[a] : off[a + 1]]) for a in range(m + 1)]
-    z = [sum(omega[c + k].reshape(w * n**c, n**k * tgt) @ thetas[k].conj() for k in range(m - c + 1))
-         for c in range(m + 1)]
-    return np.concatenate(
-        [omega[a] - sum((z[c] @ thetas[a - c].T).reshape(w, n**a * tgt) for c in range(a + 1))
-         for a in range(m + 1)], axis=1)
-
-
 def _gram_blocks(op: MultiAnalyticOperator, fock: TruncatedFock):
     """The blocks P_ab of Theta Theta^* on (Fock tensor target), b <= a, as
     (a, b, P_ab).
@@ -198,6 +168,142 @@ def _gram_blocks(op: MultiAnalyticOperator, fock: TruncatedFock):
                     inner[mu, :, mu, :] += prev
             yield a, b, block
             prev = block
+
+
+class ThetaAction:
+    """Theta with coefficients ``op`` on ``ambient``, a ``TruncatedFock`` or
+    a ``ConstrainedSubspace``, read only through I - Theta Theta^*. On the
+    Fock space, and on N_J without generators, whose basis is the identity,
+    Theta is its degree slices (``thetas``); on N_J with generators it is
+    ``matrix``, assembled once, and Theta Theta^* is formed on the first
+    residual and kept."""
+
+    def __init__(self, op: MultiAnalyticOperator, ambient: TruncatedFock | ConstrainedSubspace):
+        constrained = isinstance(ambient, ConstrainedSubspace)
+        self.fock = ambient.fock if constrained else ambient
+        if op.max_degree < self.fock.max_degree:
+            raise InvalidParameterError("coefficients do not cover the ambient truncation degree")
+        self.op, self.thetas = op, degree_slices(op, self.fock)
+        self.matrix = assemble(op, ambient) if constrained and ambient.generators else None
+        self.offsets = (0, *itertools.accumulate(ambient.slice_dims)) if constrained else self.fock.slice_offsets
+        self.row_offsets = [o * op.target_dim for o in self.offsets]  # of (ambient tensor target)
+
+    @classmethod
+    def for_kernel(cls, kernel: PoissonKernel, theta: ThetaAction | None = None) -> ThetaAction:
+        """The reading of Theta that the kernel's checks take: by default
+        Theta of the kernel's tuple on the kernel's ambient, at its
+        truncation; else ``theta``, InvalidParameterError unless it reads an
+        ambient of the kernel's truncation and size."""
+        if theta is None:
+            return cls(characteristic_coefficients(kernel.rc, kernel.fock.max_degree),
+                       kernel.fock if kernel.cs is None else kernel.cs)
+        if (theta.fock.max_degree, theta.row_offsets[-1]) != (kernel.fock.max_degree, kernel.matrix.shape[0]):
+            raise InvalidParameterError("Theta is read on another ambient than the kernel's")
+        return theta
+
+    @functools.cached_property
+    def _gram(self) -> np.ndarray:
+        """Theta Theta^* on N_J, formed one block row per degree a up to the
+        diagonal block: Theta is lower-triangular in degree, so row block a
+        reads the columns of degree <= a only, and the blocks above the
+        diagonal are the adjoints of those below it."""
+        adjoint, off = self.matrix.conj().T, self.row_offsets
+        gram = np.empty((off[-1], off[-1]), dtype=complex)
+        for a in range(len(off) - 1):
+            lo, hi, cols = off[a], off[a + 1], self.offsets[a + 1] * self.op.source_dim
+            gram[lo:hi, :hi] = self.matrix[lo:hi, :cols] @ adjoint[:cols, :hi]
+            gram[:lo, lo:hi] = gram[lo:hi, :lo].conj().T
+        return gram
+
+    def gaussian(self, rank_bound: int) -> np.ndarray:
+        """The transposed probe of a matrix of rank <= ``rank_bound`` on
+        (ambient tensor target): a rank_bound + EULER_PROBE_OVERSAMPLE by
+        dim(ambient tensor target) block of standard complex Gaussians from
+        EULER_PROBE_SEED, splitmix64 of a counter giving the uniforms and
+        Box-Muller the normals. It stays off ``numpy.random``, whose import
+        alone adds 6.6 MB of resident memory (numpy 2.4, Linux x86-64)."""
+        rows, cols = rank_bound + EULER_PROBE_OVERSAMPLE, self.row_offsets[-1]
+        count = rows * cols
+        z = np.uint64(EULER_PROBE_SEED) + np.arange(1, 2 * count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        u = ((z ^ (z >> np.uint64(31))) >> np.uint64(11)).astype(float) * 2.0**-53 + 2.0**-54
+        radius, angle = np.sqrt(-2.0 * np.log(u[:count])), 2.0 * np.pi * u[count:]
+        return (radius * (np.cos(angle) + 1j * np.sin(angle))).reshape(rows, cols)
+
+    def slice_traces(self) -> list[tuple[int, float]]:
+        """For m = 0..N: the dimension of the degree-m slice of (ambient tensor
+        target) and trace[Theta Theta^*] on it. On the Fock space the degree-m
+        rows of Theta are the blocks I_{n^(m-c)} (x) Theta_c, so the trace is
+        sum_{c <= m} n^(m-c) ||Theta_c||_F^2; on N_J it is the sum of the
+        squared degree-m row norms of the assembled Theta."""
+        n, off = self.fock.n, self.row_offsets
+        if self.matrix is None:
+            norms = [float(np.vdot(t, t).real) for t in self.thetas]
+            traces = [sum(n ** (m - c) * norms[c] for c in range(m + 1)) for m in range(len(norms))]
+        else:
+            row_norms = np.einsum("ij,ij->i", self.matrix, self.matrix.conj()).real
+            traces = [float(row_norms[off[m] : off[m + 1]].sum()) for m in range(len(off) - 1)]
+        return [(off[m + 1] - off[m], trace) for m, trace in enumerate(traces)]
+
+    def probe(self, x: np.ndarray, m: int | None = None) -> np.ndarray:
+        """((I - Theta_S Theta_S^*) X)^T on the degrees <= m (default N), with
+        Theta_S the degree <= m block of Theta and X given transposed,
+        (width, rows); its leading columns, the degrees <= m, are read.
+        Theta is lower-triangular in degree, so this is the principal
+        degree <= m block of I - Theta Theta^* at every truncation >= m.
+        On N_J it is X - conj(conj(X) Theta_S) Theta_S^T. On the Fock space
+        Theta_S's block from degree c to c + k is I_{n^c} (x) Theta_k, so with
+        the width axis first each block acts as one product on a reshape:
+        Z_c = sum_k (I (x) Theta_k)^* X_{c+k}, then
+        Y_a = X_a - sum_c (I (x) Theta_{a-c}) Z_c."""
+        m = self.fock.max_degree if m is None else m
+        n, tgt, thetas, off = self.fock.n, self.op.target_dim, self.thetas, self.row_offsets
+        if self.matrix is not None:
+            theta, x = self.matrix[: off[m + 1], : self.offsets[m + 1] * self.op.source_dim], x[:, : off[m + 1]]
+            return x - (x.conj() @ theta).conj() @ theta.T
+        w = x.shape[0]
+        x = [np.ascontiguousarray(x[:, off[a] : off[a + 1]]) for a in range(m + 1)]
+        z = [sum(x[c + k].reshape(w * n**c, n**k * tgt) @ thetas[k].conj() for k in range(m - c + 1))
+             for c in range(m + 1)]
+        return np.concatenate(
+            [x[a] - sum((z[c] @ thetas[a - c].T).reshape(w, n**a * tgt) for c in range(a + 1))
+             for a in range(m + 1)], axis=1)
+
+    def residual(self, left: np.ndarray, right: np.ndarray) -> float:
+        """||Theta Theta^* + L R^* - I||_F over the ambient for thin L = ``left``
+        and R = ``right``. On N_J it is dense in the kept Theta Theta^*. On the
+        Fock space no Gram is formed: with P_ab from ``_gram_blocks`` and L_a,
+        R_a the degree-a rows, block (a, b), b <= a, is
+        P_ab + L_a R_b^* - delta_ab I, and block (b, a) the adjoint of
+        P_ab + R_a L_b^* (the same for L = R, counted twice). Each is summed
+        into the product while the walk still needs P_ab (a < N), and in place,
+        one of n row groups at a time, on the last block of each band."""
+        if self.matrix is not None:
+            diff = self._gram + left @ right.conj().T
+            diff[np.diag_indices_from(diff)] -= 1.0
+            return float(np.linalg.norm(diff))
+        fock, off = self.fock, self.row_offsets
+        top = fock.max_degree
+        rows = [[x[off[a] : off[a + 1]] for a in range(top + 1)] for x in (left, right)]
+        adjoints = [[x.conj().T for x in blocks] for blocks in rows]
+        squares = 0.0
+        for a, b, block in _gram_blocks(self.op, fock):
+            pairs = [(rows[0][a], adjoints[1][b])]
+            if a > b and left is not right:
+                pairs.append((rows[1][a], adjoints[0][b]))
+            weight = 2.0 if a > b and left is right else 1.0
+            step = max(len(block) // fock.n if a == top else len(block), 1)
+            for lo in range(0, len(block), step):
+                group = block[lo : lo + step]
+                for i, (lhs, rhs) in enumerate(pairs):
+                    diff = lhs[lo : lo + step] @ rhs
+                    diff = np.add(group, diff, out=group if a == top and i == len(pairs) - 1 else diff)
+                    if a == b:
+                        diff[np.arange(len(diff)), lo + np.arange(len(diff))] -= 1.0
+                    squares += weight * np.vdot(diff, diff).real
+                    del diff  # before the next product or block is formed
+        return float(np.sqrt(squares))
 
 
 def _lifted_point(point, n: int) -> list[np.ndarray]:
@@ -280,103 +386,18 @@ class FactorizationReport:
     budget: float
 
 
-def _theta_reader(kernel: PoissonKernel, op: MultiAnalyticOperator | None,
-                  gram: np.ndarray | None) -> tuple[MultiAnalyticOperator | None, np.ndarray | None]:
-    """How a check reads Theta on the kernel's ambient: as (op, None) on the
-    Fock space and on N_J without generators, whose basis is the identity,
-    with ``op`` defaulting to the tuple's coefficients and a Gram refused; as
-    (None, gram) on N_J with generators, with ``gram`` = Theta Theta^*
-    defaulting to the assembled Theta times its adjoint."""
-    if op is None and gram is None:
-        op = characteristic_coefficients(kernel.rc, kernel.fock.max_degree)
-    if kernel.cs is None or not kernel.cs.generators:
-        if gram is not None:
-            raise InvalidParameterError("on the Fock space Theta is read from its coefficients, not a Gram")
-        if op.max_degree < kernel.fock.max_degree:
-            raise InvalidParameterError("coefficients do not cover the ambient truncation degree")
-        return op, None
-    if gram is None:
-        theta = assemble(op, kernel.cs)
-        gram = theta @ theta.conj().T
-    return None, gram
-
-
-def verify_truncated_factorization(
-    kernel: PoissonKernel,
-    op: MultiAnalyticOperator | None = None,
-    gram: np.ndarray | None = None,
-) -> FactorizationReport:
+def verify_truncated_factorization(kernel: PoissonKernel, theta: ThetaAction | None = None) -> FactorizationReport:
     """Check I - Theta Theta^* = K K^* on the kernel's ambient, where the
-    identity telescopes exactly, reading Theta as ``_theta_reader`` says. The
-    residual is the Frobenius norm over the whole ambient (N_J is graded),
-    which bounds the spectral norm from above (``_residual``). The budget is
-    ``_factorization_budget``, or the purity tail ||Phi^(N+1)(I)|| + 1e-10
-    if that is smaller."""
+    identity telescopes exactly, reading Theta from ``theta``
+    (``ThetaAction.for_kernel``). The residual is the Frobenius norm over the
+    whole ambient (N_J is graded), which bounds the spectral norm from above
+    (``ThetaAction.residual``). The budget is ``_factorization_budget``, or
+    the purity tail ||Phi^(N+1)(I)|| + 1e-10 if that is smaller."""
     kernel.require_unit_radius("the truncated factorization")
-    residual = _residual(kernel.fock, *_theta_reader(kernel, op, gram), kernel.matrix, kernel.matrix)
+    residual = ThetaAction.for_kernel(kernel, theta).residual(kernel.matrix, kernel.matrix)
     tail = spectral_norm(kernel.rc.orbit(kernel.fock.max_degree + 1)) + 1e-10
     budget = min(_factorization_budget(kernel), tail)
     return FactorizationReport(residual, budget)
-
-
-def _residual(fock: TruncatedFock, op: MultiAnalyticOperator | None, gram: np.ndarray | None,
-              left: np.ndarray, right: np.ndarray) -> float:
-    """||Theta Theta^* + L R^* - I||_F over the ambient for thin L = ``left``
-    and R = ``right``, Theta read as ``_theta_reader`` returns it. On N_J it
-    is dense in ``gram``. On the Fock space no Gram is formed: with P_ab from
-    ``_gram_blocks`` and L_a, R_a the degree-a rows, block (a, b), b <= a, is
-    P_ab + L_a R_b^* - delta_ab I, and block (b, a) the adjoint of
-    P_ab + R_a L_b^* (the same for L = R, counted twice). Each is summed
-    into the product while the walk still needs P_ab (a < N), and in place,
-    one of n row groups at a time, on the last block of each band."""
-    if gram is not None:
-        diff = gram + left @ right.conj().T
-        diff[np.diag_indices_from(diff)] -= 1.0
-        return float(np.linalg.norm(diff))
-    top = fock.max_degree
-    off = [o * op.target_dim for o in fock.slice_offsets]
-    rows = [[x[off[a] : off[a + 1]] for a in range(top + 1)] for x in (left, right)]
-    adjoints = [[x.conj().T for x in blocks] for blocks in rows]
-    squares = 0.0
-    for a, b, block in _gram_blocks(op, fock):
-        pairs = [(rows[0][a], adjoints[1][b])]
-        if a > b and left is not right:
-            pairs.append((rows[1][a], adjoints[0][b]))
-        weight = 2.0 if a > b and left is right else 1.0
-        step = max(len(block) // fock.n if a == top else len(block), 1)
-        for lo in range(0, len(block), step):
-            group = block[lo : lo + step]
-            for i, (lhs, rhs) in enumerate(pairs):
-                diff = lhs[lo : lo + step] @ rhs
-                diff = np.add(group, diff, out=group if a == top and i == len(pairs) - 1 else diff)
-                if a == b:
-                    diff[np.arange(len(diff)), lo + np.arange(len(diff))] -= 1.0
-                squares += weight * np.vdot(diff, diff).real
-                del diff  # before the next product or block is formed
-    return float(np.sqrt(squares))
-
-
-def _defect_range(kernel: PoissonKernel, op: MultiAnalyticOperator | None,
-                  gram: np.ndarray | None) -> tuple[np.ndarray, RankDecision, float]:
-    """The range B of M = I - Theta Theta^* on the kernel's ambient, its rank
-    decision, and ||M (I - B B^*)||_F, reading Theta as ``_theta_reader`` says.
-
-    M = K K^* has rank at most dim H, so B is the range of M Omega, Omega the
-    seeded Gaussian block of width dim H + EULER_PROBE_OVERSAMPLE: its thin
-    SVD cut at the span floor. On the Fock space M acts by ``_fock_probe``
-    at m = N, on N_J as I - gram; with D = M B the residual is ``_residual``
-    of D and B. (||M||_F^2 - ||M B||_F^2 would lose half the digits.)"""
-    op, gram = _theta_reader(kernel, op, gram)
-    fock = kernel.fock
-    omega = _gaussian_probe(kernel.rc.dim, kernel.matrix.shape[0])
-    if gram is None:
-        thetas = degree_slices(op, fock)
-        basis, decision = range_basis(_fock_probe(thetas, fock.n, omega, fock.max_degree).T)
-        moved = _fock_probe(thetas, fock.n, basis.T, fock.max_degree).T
-    else:
-        basis, decision = range_basis(omega.T - gram @ omega.T)
-        moved = basis - gram @ basis
-    return basis, decision, _residual(fock, op, gram, moved, basis)
 
 
 def _factorization_budget(kernel: PoissonKernel) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from ._linalg import RankDecision, spectral_norm
-from .charfn import assemble, characteristic_coefficients, point_factorization, verify_truncated_factorization
+from .charfn import ThetaAction, point_factorization, verify_truncated_factorization
 from .contractions import RowContraction, check_count, validate
 from .dilation import build_dilation, model_space, wold_decompose
 from .errors import FockbenchError, InvalidParameterError
@@ -54,7 +54,7 @@ class RunContext:
     _fock: TruncatedFock | None = field(default=None, repr=False)
     _cs: object = field(default=None, repr=False)
     _kernels: dict = field(default_factory=dict, repr=False)
-    _theta_gram: np.ndarray | None = field(default=None, repr=False)
+    _theta: ThetaAction | None = field(default=None, repr=False)
 
     def fock(self) -> TruncatedFock:
         if self._fock is None:
@@ -75,14 +75,12 @@ class RunContext:
                                 else poisson_kernel(self.rc, self.fock(), r))
         return self._kernels[r]
 
-    def theta_gram(self) -> np.ndarray:
-        """Theta_T Theta_T^* on N_J, formed once for the tasks of a scenario
-        with generators that read it: ``factorize`` (truncated) and
-        ``model``. On the Fock space both read Theta's coefficients instead."""
-        if self._theta_gram is None:
-            theta = assemble(characteristic_coefficients(self.rc, self.trunc), self.cs())
-            self._theta_gram = theta @ theta.conj().T
-        return self._theta_gram
+    def theta(self) -> ThetaAction:
+        """Theta_T on the kernel's ambient, read once for the tasks that read
+        I - Theta Theta^*: ``factorize`` (truncated) and ``model``."""
+        if self._theta is None:
+            self._theta = ThetaAction.for_kernel(self.kernel())
+        return self._theta
 
 
 def _check(name: str, value: float, bound: float) -> dict:
@@ -123,7 +121,7 @@ def _number(key: str, default: float, ok, what: str):
     return read
 
 
-# The tol of pick (and of factorize), poisson's radius r and arveson's agree_tol.
+# The tol of pick, of factorize and of the run, poisson's radius r and arveson's agree_tol.
 _tol_params = _number("tol", 1e-9, lambda v: v > 0, "> 0")
 _radius = _number("r", 1.0, lambda v: 0 < v <= 1, "in (0, 1]")
 _agree_tol = _number("agree_tol", 2e-2, lambda v: v >= 0, ">= 0")
@@ -244,7 +242,7 @@ def task_factorize(ctx: RunContext, mode: str, points: list, random_points: int,
         data["residuals"] = residuals
         checks.append(_check("point_factorization_max_residual", max(residuals), tol))
     else:
-        rep = verify_truncated_factorization(ctx.kernel(), gram=ctx.theta_gram() if ctx.generators else None)
+        rep = verify_truncated_factorization(ctx.kernel(), ctx.theta())
         data["residual"] = rep.residual
         data["budget"] = rep.budget
         checks.append(_check("truncated_factorization_residual", rep.residual, rep.budget))
@@ -355,7 +353,7 @@ def task_dilate(ctx: RunContext) -> dict:
 
 
 def task_model(ctx: RunContext) -> dict:
-    res = model_space(ctx.kernel(), gram=ctx.theta_gram() if ctx.generators else None)
+    res = model_space(ctx.kernel(), ctx.theta())
     checks = [
         _check("projection_residual", res.projection_residual, 1e-10),
         _check("complement_residual", res.complement_residual, 1e-10),
@@ -538,7 +536,9 @@ def _generators(n: int, spec, trunc: int | None) -> list[NcPolynomial]:
 
 def context_from_scenario(scenario: dict, params: list[dict], tol: float, seed: int | None) -> RunContext:
     """The run's context from a checked scenario and its tasks' parsed
-    parameters, which say whether random points need a seed."""
+    parameters, which say whether random points need a seed. The run's
+    ``tol`` follows the rule of a task's: a finite number > 0."""
+    tol = _tol_params({"tol": tol})
     n = scenario["n"]
     trunc = check_count("N", scenario["N"], 0) if "N" in scenario else None
     generators = _generators(n, scenario.get("ideal"), trunc)

@@ -2,9 +2,8 @@
 model spaces.
 
 The model space is the range of I - Theta Theta^*, read from the seeded probe
-of ``charfn``, the reader the Euler ranks share: on the Fock space as an
-action of Theta's coefficients, with no Gram formed, and on N_J from the
-Theta Theta^* the truncated factorization checks too."""
+of ``charfn.ThetaAction``, the reader the Euler ranks and the truncated
+factorization share."""
 
 from __future__ import annotations
 
@@ -21,7 +20,7 @@ from ._linalg import (
     range_basis,
     spectral_norm,
 )
-from .charfn import MultiAnalyticOperator, _defect_range
+from .charfn import ThetaAction
 from .contractions import PurityResult, RowContraction, check_count
 from .errors import PreconditionError
 from .ideals import evaluate_polynomial
@@ -152,23 +151,25 @@ class ModelSpaceResult:
     decision: RankDecision
 
 
-def model_space(kernel: PoissonKernel, op: MultiAnalyticOperator | None = None,
-                gram: np.ndarray | None = None) -> ModelSpaceResult:
+def model_space(kernel: PoissonKernel, theta: ThetaAction | None = None) -> ModelSpaceResult:
     """Model a pure tuple inside (kernel ambient) tensor (row defect) as the
     complement of the range of its characteristic function, and compare it
-    with the range of K. Theta is read from ``op`` or ``gram`` as in
-    ``verify_truncated_factorization``.
+    with the range of K. Theta is read from ``theta``
+    (``ThetaAction.for_kernel``).
 
-    At truncation I - Theta Theta^* = K K^*, so the model basis B is the
-    range of I - Theta Theta^*, read from the seeded probe
-    (``charfn._defect_range``), never from K; ``decision`` is the rank
-    decision on the probe's singular values, with its gap. The three checks
-    are the exact truncated identities:
+    At truncation M = I - Theta Theta^* = K K^* has rank at most dim H, so
+    the model basis B is the range of M Omega, Omega the seeded Gaussian
+    block of width dim H + EULER_PROBE_OVERSAMPLE (``ThetaAction.probe``):
+    its thin SVD cut at the span floor, never read from K. ``decision`` is
+    that rank decision, with its gap. The three checks are the exact
+    truncated identities:
     - ``projection_residual`` = |K - B B^* K|: the range of K lies in the
       model space;
     - ``complement_residual`` = ||(I - Theta Theta^*)(I - B B^*)||_F, an
       upper bound of max |1 - lambda| over the eigenvalues of
-      Theta Theta^* off the model, where Theta Theta^* = I;
+      Theta Theta^* off the model, where Theta Theta^* = I: with D = M B it is
+      ``ThetaAction.residual`` of D and B (||M||_F^2 - ||M B||_F^2 would lose
+      half the digits);
     - ``equivalence_residual`` = max_i |K^* (B_i (x) I) K - T_i (I - Phi^N(I))|,
       with B_i the ambient's shift, since K^* (B_i (x) I) K telescopes to
       T_i (I - Phi^N(I)).
@@ -179,7 +180,9 @@ def model_space(kernel: PoissonKernel, op: MultiAnalyticOperator | None = None,
     if not rc.purity_limit().is_pure:
         raise PreconditionError("model space requires a pure row contraction")
 
-    basis, decision, complement_residual = _defect_range(kernel, op, gram)
+    theta = ThetaAction.for_kernel(kernel, theta)
+    basis, decision = range_basis(theta.probe(theta.gaussian(rc.dim)).T)
+    complement_residual = theta.residual(theta.probe(basis.T).T, basis)
     k = kernel.matrix
     projection_residual = spectral_norm(k - basis @ (basis.conj().T @ k))
 

@@ -9,12 +9,13 @@ factorization of the characteristic function: the trace of the kernel square
 on a degree slice equals the trace of (I - Theta Theta^*) there, and the
 kernel-side quantity collapses to a CP-map trace increment. Theta is
 lower-triangular in degree, so the degree <= m part of I - Theta Theta^*
-needs Theta truncated at m only. One reader serves both curvature routes,
-on the Fock space or on N_J of the commutator ideal, and never forms
-Theta Theta^*: each slice trace is a sum of squared coefficient norms, and
-each Euler rank is read from I - Theta Theta^* applied to the seeded Gaussian
-probe block of ``charfn``, which the model basis reads too, since
-I - Theta Theta^* = K K^* has rank at most dim H.
+needs Theta truncated at m only. Both curvature routes, on the Fock space
+or on N_J of the commutator ideal, read Theta through one
+``charfn.ThetaAction``, the reader of the truncated factorization and the
+model space too: each slice trace from its slice traces, and each Euler rank
+from its probe, I - Theta Theta^* applied to the seeded Gaussian block that
+the model basis reads too, since I - Theta Theta^* = K K^* has rank at most
+dim H. Neither route forms Theta Theta^*.
 """
 
 from __future__ import annotations
@@ -26,13 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from ._linalg import RankDecision, rank_decision, svdvals
-from .charfn import (
-    _fock_probe,
-    _gaussian_probe,
-    assemble,
-    characteristic_coefficients,
-    degree_slices,
-)
+from .charfn import ThetaAction, characteristic_coefficients
 from .contractions import PURITY_TOL, RowContraction, check_constraints
 from .errors import InvalidParameterError, PreconditionError
 from .ideals import NcPolynomial, build_constrained_subspace, commutator_generators
@@ -98,46 +93,24 @@ def _theta_defect_by_degree(
     tensor row defect), trace[Theta Theta^*] on it, and the rank of the
     principal degree <= m block of I - Theta Theta^*, on the Fock space, or
     on N_J with generators, from Theta at truncation m_max (at the top
-    generator degree if that is higher). Theta Theta^* is never formed.
+    generator degree if that is higher), read by one ``ThetaAction``.
 
     Theta is lower-triangular in degree, so these degree <= m quantities are
-    the same at every truncation >= m, and the principal block is
-    I - Theta_S Theta_S^* with Theta_S the degree <= m block of Theta.
-    - Slice traces: on the Fock space the degree-m rows of Theta are the
-      blocks I_{n^(m-c)} (x) Theta_c, so the trace is
-      sum_{c <= m} n^(m-c) ||Theta_c||_F^2; on N_J it is the sum of the
-      squared degree-m row norms of the assembled Theta.
-    - Euler ranks: truncated Theta is a contraction, so the principal block
-      is K_S K_S^* with K_S the degree <= m rows of K, of rank at most dim H.
-      For the Gaussian block Omega of ``charfn._gaussian_probe``, of width
-      dim H + EULER_PROBE_OVERSAMPLE, (I - Theta_S Theta_S^*) Omega has that
-      rank almost surely, the span ``rank_decision`` of its singular
-      values. Omega is one block
-      over the whole ambient; degree <= m reads its leading rows, the basis
-      being ordered by degree."""
+    the same at every truncation >= m. Truncated Theta is a contraction, so
+    the principal block is K_S K_S^* with K_S the degree <= m rows of K, of
+    rank at most dim H. For the seeded Gaussian block Omega of width
+    dim H + EULER_PROBE_OVERSAMPLE (``ThetaAction.gaussian``), the probe
+    (I - Theta_S Theta_S^*) Omega has that rank almost surely, the span
+    ``rank_decision`` of its singular values. Omega is one block over the
+    whole ambient; degree <= m reads its leading rows, the basis being
+    ordered by degree."""
     top = max([m_max, *(p.degree for p in generators)])
     fock = TruncatedFock(rc.n, top)
-    op = characteristic_coefficients(rc, top)
-    n, tgt, src = rc.n, op.target_dim, op.source_dim
-    cs = build_constrained_subspace(fock, generators) if generators else None
-    omega = _gaussian_probe(rc.dim, (fock.dim if cs is None else cs.dim) * tgt)
-    out = []
-    if cs is None:
-        thetas = degree_slices(op, fock)
-        norms = [float(np.vdot(t, t).real) for t in thetas]
-        for m in range(1, m_max + 1):
-            slice_trace = sum(n ** (m - c) * norms[c] for c in range(m + 1))
-            out.append((n**m * tgt, slice_trace, rank_decision(svdvals(_fock_probe(thetas, n, omega, m)))))
-        return out
-    theta = assemble(op, cs)
-    row_degrees, col_degrees = np.repeat(cs.basis_degrees, tgt), np.repeat(cs.basis_degrees, src)
-    row_norms = np.einsum("ij,ij->i", theta, theta.conj()).real
-    for m in range(1, m_max + 1):
-        lead_t, lead_s = int(np.count_nonzero(row_degrees <= m)), int(np.count_nonzero(col_degrees <= m))
-        theta_s, omega_s = theta[:lead_t, :lead_s], omega[:, :lead_t]
-        y = omega_s - (omega_s @ theta_s.conj()) @ theta_s.T
-        out.append((cs.slice_dims[m] * tgt, float(row_norms[row_degrees == m].sum()), rank_decision(svdvals(y))))
-    return out
+    theta = ThetaAction(characteristic_coefficients(rc, top),
+                        build_constrained_subspace(fock, generators) if generators else fock)
+    omega = theta.gaussian(rc.dim)
+    traces = theta.slice_traces()
+    return [(*traces[m], rank_decision(svdvals(theta.probe(omega, m)))) for m in range(1, m_max + 1)]
 
 
 def curvature_theta(rc: RowContraction, m_max: int) -> CurvatureReport:

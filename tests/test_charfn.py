@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fockbench import (
     MultiAnalyticOperator,
+    ThetaAction,
     TruncatedFock,
     Word,
     assemble,
@@ -16,6 +17,7 @@ from fockbench import (
     commutator_generators,
     constrained_poisson_kernel,
     evaluate_polynomial,
+    model_space,
     point_factorization,
     poisson_kernel,
     spectral_radius,
@@ -288,10 +290,10 @@ class TestFactorization:
         rc = random_contraction(rng, 2, 3, scale=1.01)
         kernel = poisson_kernel(rc, TruncatedFock(2, 4))
         op = characteristic_coefficients(rc, 4)
-        rep = verify_truncated_factorization(kernel, op)
+        rep = verify_truncated_factorization(kernel, ThetaAction(op, kernel.fock))
         assert rep.residual < 1e-12 and rep.residual <= rep.budget
         op.coefficients[word_index, 0, 0] += 1e-6
-        rep = verify_truncated_factorization(kernel, op)
+        rep = verify_truncated_factorization(kernel, ThetaAction(op, kernel.fock))
         assert rep.residual > 1e-7
         assert rep.residual > rep.budget
 
@@ -302,7 +304,7 @@ class TestFactorization:
         kernel = poisson_kernel(rc, TruncatedFock(2, 4))
         op = characteristic_coefficients(rc, 4)
         op.coefficients[0, 0, 0] += 1e-2
-        rep = verify_truncated_factorization(kernel, op)
+        rep = verify_truncated_factorization(kernel, ThetaAction(op, kernel.fock))
         assert np.linalg.norm(rc.orbit(5), 2) > rep.residual > 1e-2
         assert rep.residual > rep.budget
 
@@ -322,11 +324,22 @@ class TestFactorization:
         assert rep.residual > 1e-7
         assert rep.residual > rep.budget
 
-    def test_fock_check_reads_coefficients_not_a_gram(self):
-        rc = random_contraction(np.random.default_rng(18), 2, 3, scale=1.01)
-        kernel = poisson_kernel(rc, TruncatedFock(2, 3))
-        with pytest.raises(InvalidParameterError, match="not a Gram"):
-            verify_truncated_factorization(kernel, gram=np.eye(kernel.matrix.shape[0]))
+    @pytest.mark.parametrize("reading", ["fock_for_nj", "deeper_truncation"])
+    def test_a_reading_of_another_ambient_is_refused(self, reading):
+        """A ThetaAction on the Fock space for a kernel on N_J, or one at
+        truncation 4 for a kernel at truncation 3, is an InvalidParameterError
+        of both kernel checks that read Theta, not a shape error of numpy."""
+        rc = validate([np.diag([0.5, -0.4]), np.diag([0.3, 0.6])])
+        if reading == "fock_for_nj":
+            kernel = constrained_poisson_kernel(rc, build_constrained_subspace(TruncatedFock(2, 3),
+                                                                              commutator_generators(2)))
+            theta = ThetaAction(characteristic_coefficients(rc, 3), TruncatedFock(2, 3))
+        else:
+            kernel = poisson_kernel(rc, TruncatedFock(2, 3))
+            theta = ThetaAction(characteristic_coefficients(rc, 4), TruncatedFock(2, 4))
+        for check in (verify_truncated_factorization, model_space):
+            with pytest.raises(InvalidParameterError, match="another ambient"):
+                check(kernel, theta)
 
     def test_fock_check_peaks_below_one_dense_gram(self):
         """At (n, dim, N) = (3, 3, 5) Theta Theta^* has 1092^2 complex
@@ -354,7 +367,8 @@ class TestFactorization:
         assert op.max_degree == 0 and len(op.coefficients) == 1
         assert np.array_equal(op.coefficients[0],
                               -(rc.defect_basis.conj().T @ rc.row_matrix @ rc.defect_star_basis))
-        rep = verify_truncated_factorization(poisson_kernel(rc, TruncatedFock(2, 0)), op)
+        kernel = poisson_kernel(rc, TruncatedFock(2, 0))
+        rep = verify_truncated_factorization(kernel, ThetaAction(op, kernel.fock))
         assert rep.residual <= rep.budget and rep.residual < 1e-14
         with pytest.raises(InvalidParameterError, match="max_degree >= 0"):
             characteristic_coefficients(rc, -1)

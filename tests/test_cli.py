@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import functools
 import json
 import math
 import subprocess
@@ -764,6 +765,24 @@ class TestScenario:
         with pytest.raises(InvalidParameterError, match="integer seed >= 0"):
             run_scenario(scenario, seed=seed if where.endswith("flag") else None)
 
+    @pytest.mark.parametrize("tol", ["-1", "0"])
+    def test_non_positive_run_tol_exits_2_before_any_compute(self, rc_file, tmp_path, capsys, monkeypatch, tol):
+        """The run's --tol follows a task's rule, a finite number > 0: -1 or
+        0 is an InvalidParameterError when the scenario loads, before the
+        tuple is validated; no task runs and no report is written."""
+        import fockbench.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "validate", lambda *a: calls.append(a))
+        monkeypatch.setattr(cli, "run_task", lambda *a: calls.append(a))
+        out = tmp_path / "report.json"
+        argv = ["factorize", "--input", rc_file, "--points", "0.1,0.2", "--tol", tol, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: need a finite number tol > 0")
+        assert calls == [] and not out.exists()
+        with pytest.raises(InvalidParameterError, match="tol > 0"):
+            run_scenario(self.scenario_dict(), tol=float(tol))
+
     @pytest.mark.parametrize("target", [[0.2], "x"], ids=["one_number", "string"])
     def test_malformed_pick_target_exits_2_naming_it(self, tmp_path, capsys, target):
         scenario = self.scenario_dict()
@@ -1000,13 +1019,13 @@ class TestScenario:
     def test_free_truncated_factorization_never_forms_theta_theta_star(self, monkeypatch):
         """On the Fock space the check reads Theta's degree blocks one at a
         time, and the model space reads Theta as an action on its probe:
-        neither forms the whole Gram."""
+        neither assembles Theta or forms the whole Gram."""
         import fockbench.charfn as charfn
 
         def refuse(*args, **kwargs):
-            raise AssertionError("theta_gram or assemble called")
+            raise AssertionError("Theta assembled or Theta Theta^* formed")
 
-        monkeypatch.setattr(RunContext, "theta_gram", refuse)
+        monkeypatch.setattr(charfn.ThetaAction, "_gram", property(refuse))
         monkeypatch.setattr(charfn, "assemble", refuse)
         scenario = {**self.scenario_dict(), "ideal": "free",
                     "tasks": [{"task": "factorize", "mode": "truncated"}, {"task": "model"}]}
@@ -1015,7 +1034,7 @@ class TestScenario:
     def count_calls(self, tmp_path, monkeypatch, ideal, tasks):
         """Run a scenario with these tasks and count the calls of the kernel
         constructor, the constraint check, purity, the constrained shifts and
-        Theta's assembly."""
+        Theta's assembly, and how often Theta Theta^* is formed."""
         import fockbench.charfn as charfn
         import fockbench.contractions as contractions
         import fockbench.ideals as ideals
@@ -1036,6 +1055,10 @@ class TestScenario:
             for module in [m for key, m in sys.modules.items() if key.startswith("fockbench")]:
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counting(name, original))
+        counts["gram"] = 0
+        gram = functools.cached_property(counting("gram", charfn.ThetaAction._gram.func))
+        gram.__set_name__(charfn.ThetaAction, "_gram")
+        monkeypatch.setattr(charfn.ThetaAction, "_gram", gram)
         scenario = self.scenario_dict()
         scenario["ideal"] = ideal
         scenario["tasks"] = tasks
@@ -1048,15 +1071,15 @@ class TestScenario:
                              [("commutative", 1, 4, 1), ("free", 0, 1, 0)], ids=["commutative-1-4", "free-0-1"])
     def test_one_kernel_constraint_check_and_purity_per_scenario(self, tmp_path, monkeypatch, ideal,
                                                                  constraint_checks, shift_bound, assembles):
-        """On N_J factorize and model read one Theta Theta^* from one
-        assembled Theta; on the Fock space model reads it from the
-        coefficients and factorize reads their degree blocks."""
+        """factorize and model share the scenario's one reading of Theta: on
+        N_J one assembled Theta and one Theta Theta^*; on the Fock space its
+        coefficients, with Theta never assembled and no Gram formed."""
         counts = self.count_calls(tmp_path, monkeypatch, ideal, [
             {"task": "shifts", "emit_matrices": False}, {"task": "factorize", "mode": "truncated"},
             {"task": "poisson"}, {"task": "wold"}, {"task": "dilate"}, {"task": "model"}])
         assert counts.pop("constrained_shifts") <= shift_bound
         assert counts == {"poisson_kernel": 1, "check_constraints": constraint_checks, "purity": 1,
-                          "assemble": assembles}
+                          "assemble": assembles, "gram": assembles}
 
     def test_free_factorize_and_curvature_never_assemble_theta(self, tmp_path, monkeypatch):
         """On the Fock space the truncated factorization, the model space and
@@ -1065,7 +1088,7 @@ class TestScenario:
             {"task": "factorize", "mode": "truncated"}, {"task": "model"},
             {"task": "curvature", "method": "theta", "m_max": 3}])
         assert counts == {"poisson_kernel": 1, "check_constraints": 0, "purity": 1, "constrained_shifts": 0,
-                          "assemble": 0}
+                          "assemble": 0, "gram": 0}
 
     @pytest.mark.parametrize("key,value", [("N", "abc"), ("N", -1), ("N", 4.5), ("n", 0), ("n", True)])
     def test_malformed_scenario_sizes_exit_2(self, tmp_path, capsys, key, value):
@@ -1703,6 +1726,21 @@ def test_every_public_name_is_reached_by_a_task():
                     todo.append(target)
     unreached = {key for key in defs if not key[1].startswith("_")} - reached
     assert sorted(unreached) == sorted(UNREACHED_ALLOWED)
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    """No module of the package imports an underscore name from a sibling
+    module, ``__version__`` aside: what one module reads of another is its
+    public surface, which the guard above walks."""
+    import fockbench.cli
+
+    private = []
+    for path in sorted(Path(fockbench.cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                private += [(path.stem, node.module, a.name) for a in node.names
+                            if a.name.startswith("_") and a.name != "__version__"]
+    assert private == []
 
 
 # Dataclass fields that no code in src/ reads, each with the reason it stays.

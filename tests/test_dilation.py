@@ -7,6 +7,7 @@ import pytest
 
 from fockbench import (
     NcPolynomial,
+    ThetaAction,
     TruncatedFock,
     build_constrained_subspace,
     assemble,
@@ -21,6 +22,7 @@ from fockbench import (
     q_commutator_generators,
     shift_adjoints,
     validate,
+    verify_truncated_factorization,
     wold_decompose,
 )
 from fockbench._linalg import complement_basis, principal_angles, rank_decision, spectral_norm, svdvals
@@ -346,8 +348,7 @@ class TestModelSpace:
 
     def test_split_brackets_the_quarter(self):
         kern = constrained_poisson_kernel(nilpotent_commuting_pair(), commutative_cs(2, 4))
-        gram = kernel_gram(kern)
-        largest_in_model, smallest_in_range = model_split(gram, model_space(kern, gram=gram))
+        largest_in_model, smallest_in_range = model_split(kernel_gram(kern), model_space(kern))
         assert abs(largest_in_model) < 1e-12
         assert abs(smallest_in_range - 1.0) < 1e-12
 
@@ -386,32 +387,36 @@ class TestModelSpace:
         ctx = RunContext(n=rc.n, trunc=trunc, generators=gens, rc=rc, tol=1e-9, seed=None)
         report = run_parsed(ctx, "model", {})
         assert report["data"]["model_dim"] == rc.dim
-        assert np.linalg.eigvalsh(ctx.theta_gram())[rc.dim - 1] > 0.25
+        assert np.linalg.eigvalsh(kernel_gram(ctx.kernel()))[rc.dim - 1] > 0.25
         assert all(c["pass"] for c in report["checks"])
 
-    @pytest.mark.parametrize("mutation", ["kernel_column_off_the_model", "gram_minus_1e9", "kernel_scaled"])
+    @pytest.mark.parametrize("mutation", ["kernel_column_off_the_model", "coefficient_plus_1e9", "kernel_scaled"])
     def test_a_1e9_mutation_fails_where_the_tail_budgets_passed_it(self, mutation):
         """On a pure pair with tail |Phi^4(I)| = 0.073: a kernel column moved
-        1e-9 off the model, Theta Theta^* shifted by -1e-9 I, and the kernel
-        scaled by 1 + 1e-9 each stay within the removed tail budgets, and
-        fail the projection, complement and equivalence identities in turn."""
+        1e-9 off the model, the largest entry of Theta's degree-1 coefficient
+        moved by 1e-9, and the kernel scaled by 1 + 1e-9 each stay within the
+        removed tail budgets, and fail the projection, complement and
+        equivalence identities in turn."""
         kern = constrained_poisson_kernel(decaying_pair(), commutative_cs(2, 3))
-        rc, gram = kern.rc, kernel_gram(kern)
+        rc, op = kern.rc, characteristic_coefficients(kern.rc, 3)
         tail = spectral_norm(rc.orbit(4))
         assert tail > 1e-3
-        res = model_space(kern, gram=gram)
+        res = model_space(kern, ThetaAction(op, kern.cs))
         assert res.basis.shape[1] == rc.dim
         assert max(res.projection_residual, res.complement_residual, res.equivalence_residual) <= 1e-10
 
         if mutation == "kernel_column_off_the_model":
             off_model = np.zeros_like(kern.matrix)
-            off_model[:, 0] = np.linalg.eigh(gram)[1][:, -1]
+            off_model[:, 0] = np.linalg.eigh(kernel_gram(kern))[1][:, -1]
             kern = replace(kern, matrix=kern.matrix + 1e-9 * off_model)
-        elif mutation == "gram_minus_1e9":
-            gram = gram - 1e-9 * np.eye(gram.shape[0])
+        elif mutation == "coefficient_plus_1e9":
+            entry = op.coefficients[1]
+            entry.flat[np.argmax(np.abs(entry))] += 1e-9
         else:
             kern = replace(kern, matrix=kern.matrix * (1 + 1e-9))
-        res = model_space(kern, gram=gram)
+        theta = ThetaAction(op, kern.cs)
+        res = model_space(kern, theta)
+        gram = theta.matrix @ theta.matrix.conj().T
 
         # the removed checks, on the removed route (the eigh of the Gram split
         # at the rank of K): |P - K K^*| and |P + Theta Theta^* - I| against
@@ -426,7 +431,7 @@ class TestModelSpace:
 
         failed = {
             "kernel_column_off_the_model": res.projection_residual,
-            "gram_minus_1e9": res.complement_residual,
+            "coefficient_plus_1e9": res.complement_residual,
             "kernel_scaled": res.equivalence_residual,
         }[mutation]
         assert failed > 1e-10
@@ -442,25 +447,46 @@ class TestModelSpace:
         rc = pure_tuple(2, 3, 4)
         kern = poisson_kernel(rc, TruncatedFock(2, 3))
         op = characteristic_coefficients(rc, 3)
-        res = model_space(kern, op)
+        theta = ThetaAction(op, kern.fock)
+        res = model_space(kern, theta)
         assert res.decision.rank == rc.dim
         assert max(res.projection_residual, res.complement_residual, res.equivalence_residual) <= 1e-10
         if mutation == "coefficient_plus_1e9":
             entry = op.coefficients[3]
             entry.flat[np.argmax(np.abs(entry))] += 1e-9
-            assert model_space(kern, op).complement_residual > 1e-10
+            assert model_space(kern, ThetaAction(op, kern.fock)).complement_residual > 1e-10
         else:
             off_model = np.zeros_like(kern.matrix)
             off_model[:, 0] = np.linalg.eigh(kernel_gram(kern))[1][:, -1]
-            assert model_space(replace(kern, matrix=kern.matrix + 1e-9 * off_model), op).projection_residual > 1e-10
+            assert model_space(replace(kern, matrix=kern.matrix + 1e-9 * off_model), theta).projection_residual > 1e-10
 
-    def test_fock_model_refuses_a_gram_and_short_coefficients(self):
+    @pytest.mark.parametrize("word_index", [0, 1, 2, 3])
+    @pytest.mark.parametrize("ambient", ["fock", "commutative"])
+    def test_a_1e9_coefficient_mutation_fails_the_factorization_and_the_complement(self, ambient, word_index):
+        """One reading of Theta serves both residuals on either ambient: the
+        largest entry of one coefficient moved by 1e-9 fails the truncated
+        factorization (budget about 1e-11) and the model's complement check
+        (bound 1e-10) alike, while the unperturbed reading passes both."""
+        rc = decaying_pair()
+        kern = (poisson_kernel(rc, TruncatedFock(2, 3)) if ambient == "fock"
+                else constrained_poisson_kernel(rc, commutative_cs(2, 3)))
+        op = characteristic_coefficients(rc, 3)
+        ambient_space = kern.fock if kern.cs is None else kern.cs
+        rep = verify_truncated_factorization(kern, ThetaAction(op, ambient_space))
+        assert rep.residual <= rep.budget < 1e-10
+        assert model_space(kern, ThetaAction(op, ambient_space)).complement_residual <= 1e-10
+        entry = op.coefficients[word_index]
+        entry.flat[np.argmax(np.abs(entry))] += 1e-9
+        theta = ThetaAction(op, ambient_space)
+        rep = verify_truncated_factorization(kern, theta)
+        assert rep.residual > 1e2 * rep.budget
+        assert model_space(kern, theta).complement_residual > 1e-10
+
+    def test_fock_model_refuses_short_coefficients(self):
         rc = pure_tuple(2, 2, 1)
         kern = poisson_kernel(rc, TruncatedFock(2, 2))
-        with pytest.raises(InvalidParameterError, match="not a Gram"):
-            model_space(kern, gram=np.eye(kern.matrix.shape[0]))
         with pytest.raises(InvalidParameterError, match="do not cover"):
-            model_space(kern, characteristic_coefficients(rc, 1))
+            model_space(kern, ThetaAction(characteristic_coefficients(rc, 1), kern.fock))
 
     @pytest.mark.parametrize("top", [1, 3])
     @pytest.mark.parametrize("eps,rank", [(2e-9, 2), (1e-9, 1), (7e-10, None)])

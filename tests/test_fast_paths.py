@@ -62,6 +62,7 @@ counted as its Cuntz part and which now, as in the Wold decomposition,
 counts as zero.
 """
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -75,6 +76,7 @@ import fockbench.poisson as poisson_mod
 from fockbench import (
     NcPolynomial,
     PickProblem,
+    ThetaAction,
     TruncatedFock,
     Word,
     assemble,
@@ -731,17 +733,37 @@ def test_theta_gram_recursion_equals_the_reach_loop(kind, n, dim, top, seed):
     word_length_generators(2, 3), [],
 ], ids=["commutative", "q_commutative", "truncated", "free"])
 def test_theta_gram_on_nj_is_the_product_of_the_assembled_theta(gens):
-    """The scenario's one Theta Theta^* (``RunContext.theta_gram``), which
-    a scenario with generators reads, is the assembled Theta times its
-    adjoint; on N_J without generators it is the Fock Gram to rounding."""
+    """The one reading of Theta on N_J (``ThetaAction``, which
+    ``RunContext.theta`` builds once per scenario). With generators its
+    Theta Theta^*, which both residuals read, is the assembled Theta times
+    its adjoint, formed one block row per degree: the same products summed
+    in another order, so it is pinned entrywise under the rounding bound
+    8 C eps sum_k |theta_ik| |theta_jk|, C the inner dimension (4 for complex
+    arithmetic, twice for two evaluations); its residual is that of its Gram
+    bit for bit. Without generators Theta is read from its coefficients,
+    never assembled, and its residual is that of the dense Fock Gram to
+    rounding."""
     rc = random_tuple(2, 2, 5)
     op = characteristic_coefficients(rc, 4)
     fock = TruncatedFock(2, 4)
-    ctx = RunContext(n=2, trunc=4, generators=gens, rc=rc, tol=1e-9, seed=None)
-    theta = assemble(op, cs=build_constrained_subspace(fock, gens))
-    assert np.array_equal(ctx.theta_gram(), theta @ theta.conj().T)
-    if not gens:
-        assert np.abs(ctx.theta_gram() - fock_theta_gram(op, fock)).max() <= gram_budget(op, fock)
+    cs = build_constrained_subspace(fock, gens)
+    reading = ThetaAction(op, cs)
+    thin = np.random.default_rng(5).standard_normal((cs.dim * op.target_dim, 3)) * (1 + 1j)
+    if gens:
+        theta = assemble(op, cs=cs)
+        assert np.array_equal(reading.matrix, theta)
+        bound = 8 * theta.shape[1] * EPS * (np.abs(theta) @ np.abs(theta).T)
+        gram = reading._gram
+        assert np.all(np.abs(gram - theta @ theta.conj().T) <= bound)
+    else:
+        assert reading.matrix is None
+        gram = fock_theta_gram(op, fock)
+    diff = gram + thin @ thin.conj().T
+    diff[np.diag_indices_from(diff)] -= 1.0
+    if gens:
+        assert reading.residual(thin, thin) == float(np.linalg.norm(diff))
+    else:
+        assert reading.residual(thin, thin) == pytest.approx(float(np.linalg.norm(diff)), rel=1e-12)
 
 
 def dense_factorization_residual(kernel, op):
@@ -752,15 +774,44 @@ def dense_factorization_residual(kernel, op):
     return float(np.linalg.norm(diff))
 
 
+def weighted_shift(ambient, n, depth, seed):
+    """The shift on the basis vectors of degree <= depth of the Fock space
+    (words, weight 1) or of the symmetric Fock space (monomials z^alpha, the
+    Drury-Arveson weights sqrt((alpha_i + 1) / (|alpha| + 1)), a commuting
+    tuple), conjugated by a random diagonal unitary; and the degree of each
+    basis vector. Either way sum T_i T_i^* = I - E_0, so Phi^m(I) is the
+    projection onto the degrees >= m, and the rank of K at truncation N, the
+    model dimension, is the number of basis vectors of degree <= N: it grows
+    with N up to the depth."""
+    if ambient == "fock":
+        basis = [w for k in range(depth + 1) for w in itertools.product(range(n), repeat=k)]
+        degree = len
+    else:
+        basis = sorted((a for a in itertools.product(range(depth + 1), repeat=n) if sum(a) <= depth), key=sum)
+        degree = sum
+    index = {b: k for k, b in enumerate(basis)}
+    mats = [np.zeros((len(basis), len(basis)), dtype=complex) for _ in range(n)]
+    for b in (b for b in basis if degree(b) < depth):
+        for i, t in enumerate(mats):
+            if ambient == "fock":
+                t[index[(i, *b)], index[b]] = 1.0
+            else:
+                t[index[tuple(x + (j == i) for j, x in enumerate(b))], index[b]] = np.sqrt((b[i] + 1) / (sum(b) + 1))
+    phases = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=len(basis)))
+    return validate([phases[:, None] * t * phases.conj() for t in mats]), np.array([degree(b) for b in basis])
+
+
 def oracle_tuple(kind, n, dim, seed):
     """A random tuple, a diagonal one, a multiple of one nilpotent Jordan
-    block per letter (dim >= 2) or a coisometry (row defect 0), at row norm
-    0.9 but for the coisometry."""
+    block per letter (dim >= 2), a coisometry (row defect 0), at row norm
+    0.9 but for the coisometry, or the free weighted shift of depth dim."""
     rng = np.random.default_rng(seed)
     if kind == "random":
         return random_tuple(n, dim, seed)
     if kind == "coisometric":
         return coisometric_tuple(n, dim, seed)
+    if kind == "weighted_shift":
+        return weighted_shift("fock", n, dim, seed)[0]
     if kind == "diagonal":
         z = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
         z *= 0.9 / np.linalg.norm(z, axis=0).max()
@@ -801,7 +852,7 @@ def test_block_factorization_residual_matches_the_dense_oracle(kind, n, dim, top
         matrix = kernel.matrix.copy()
         perturb_a_large_entry(matrix, size, rng)
         kernel = replace(kernel, matrix=matrix)
-    rep = verify_truncated_factorization(kernel, op)
+    rep = verify_truncated_factorization(kernel, ThetaAction(op, kernel.fock))
     dense = dense_factorization_residual(kernel, op)
     if target is None:
         assert rep.residual <= rep.budget and dense <= rep.budget
@@ -843,35 +894,45 @@ def commuting_tuple(n, dim, seed, row_norm):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["fock", "commutative"]), st.sampled_from([0.5, 0.9, 1.0]), st.integers(1, 3),
-       st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**31 - 1))
+@given(st.sampled_from(["fock", "commutative"]), st.sampled_from([0.5, 0.9, 1.0, "weighted_shift"]),
+       st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**31 - 1))
 def test_model_space_matches_the_svd_of_theta(ambient, row_norm, n, dim, top, seed):
+    """On random or commuting tuples at row norm 0.5 or 0.9, a coisometry
+    (refused: not pure), and weighted shifts of depth dim, whose model
+    dimension is the number of basis vectors of degree <= N."""
     fock = TruncatedFock(max(n, 2), max(top, 2)) if ambient == "commutative" else TruncatedFock(n, top)
-    if ambient == "fock":
+    if row_norm == "weighted_shift":
+        rc, degrees = weighted_shift(ambient, fock.n, dim, seed)
+        model_dim, row_norm = int(np.count_nonzero(degrees <= fock.max_degree)), 0.0
+    elif ambient == "fock":
         rc = coisometric_tuple(n, dim, seed) if row_norm == 1.0 else random_tuple(n, dim, seed, row_norm)
-        kern = poisson_kernel(rc, fock)
     else:
         rc = commuting_tuple(fock.n, dim, seed, row_norm)
+    if row_norm != 0.0:
+        # K^*K = I - Phi^(N+1)(I) >= (1 - row_norm^2) I, so the model has dim
+        # directions, on which Theta Theta^* has the eigenvalues of Phi^(N+1)(I)
+        model_dim = rc.dim
+    if ambient == "fock":
+        kern = poisson_kernel(rc, fock)
+    else:
         kern = constrained_poisson_kernel(rc, build_constrained_subspace(fock, commutator_generators(fock.n)))
     op = characteristic_coefficients(rc, fock.max_degree)
     if kern.cs is None:
-        theta, gram = fock_assemble(op, fock), None
+        theta = fock_assemble(op, fock)
+        gram = fock_theta_gram(op, fock)
     else:
         theta = assemble(op, cs=kern.cs)
         gram = theta @ theta.conj().T
     if row_norm == 1.0:
         assert op.target_dim == 0 and theta.shape[0] == 0
         with pytest.raises(PreconditionError, match="pure"):
-            model_space(kern, gram=gram)
+            model_space(kern)
         return
-    # K^*K = I - Phi^(N+1)(I) >= (1 - row_norm^2) I, so the model has dim
-    # directions, on which Theta Theta^* has the eigenvalues of Phi^(N+1)(I)
-    ref = svd_model_basis(theta, rc.dim)
-    res = model_space(kern, gram=gram)
-    if gram is None:
-        gram = fock_theta_gram(op, fock)
+    ref = svd_model_basis(theta, model_dim)
+    res = model_space(kern)
     largest_in_model, smallest_in_range = model_split(gram, res)
     assert res.basis.shape == ref.shape
+    assert res.decision.rank == model_dim
     assert largest_in_model <= row_norm ** (2 * (fock.max_degree + 1)) + 1e-12
     assert smallest_in_range is None or smallest_in_range >= 1.0 - 1e-10
     gap = (1.0 if smallest_in_range is None else smallest_in_range) - largest_in_model
@@ -880,22 +941,24 @@ def test_model_space_matches_the_svd_of_theta(ambient, row_norm, n, dim, top, se
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.sampled_from(["random", "diagonal", "jordan"]), st.integers(1, 3), st.integers(1, 3), st.integers(0, 4),
-       st.sampled_from([None, 1e-9, 1e-6]), st.integers(0, 2**31 - 1))
+@given(st.sampled_from(["random", "diagonal", "jordan", "weighted_shift"]), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 4), st.sampled_from([None, 1e-9, 1e-6]), st.integers(0, 2**31 - 1))
 def test_fock_model_matches_the_eigh_route(kind, n, dim, top, size, seed):
     """On the Fock space the probe's model dimension is the former split, the
     rank of K, every model check passes, and the block-walked complement
     residual is the dense ||(I - Theta Theta^*)(I - B B^*)||_F to the rounding
     of forming the Gram and D = (I - Theta Theta^*) B. With one coefficient
     entry off by 1e-9 or 1e-6 the two agree to 1e-6 relative, or to that
-    rounding where the probe's range takes the whole ambient."""
+    rounding where the probe's range takes the whole ambient. On a weighted
+    shift of depth dim the rank of K is the number of words of length
+    <= min(N, dim)."""
     rc = oracle_tuple(kind, n, dim, seed)
     fock = TruncatedFock(n, top)
     kern = poisson_kernel(rc, fock)
     op = characteristic_coefficients(rc, top)
     if size is not None:
         perturb_a_large_entry(op.coefficients, size, np.random.default_rng(seed))
-    res = model_space(kern, op)
+    res = model_space(kern, ThetaAction(op, fock))
     gram = fock_theta_gram(op, fock)
     defect, rows = np.eye(len(gram)) - gram, len(gram)
     dense = np.linalg.norm(defect - (defect @ res.basis) @ res.basis.conj().T)
@@ -904,6 +967,8 @@ def test_fock_model_matches_the_eigh_route(kind, n, dim, top, size, seed):
     if size is not None:
         return
     assert res.decision.rank == eigh_model(kern, gram)[2].rank
+    if kind == "weighted_shift":
+        assert res.decision.rank == sum(n**k for k in range(min(top, dim) + 1))
     assert max(res.projection_residual, res.complement_residual, res.equivalence_residual) <= 1e-10
 
 
