@@ -24,8 +24,9 @@ per degree pair on a reshape, and the residual walks the blocks of
 Theta Theta^* (``_gram_blocks``), block (a, b) being
 Theta_a Theta_b^* + I_n (x) block (a-1, b-1). On N_J with generators
 ``assemble`` compresses each Fock block to the slice bases once, and
-Theta Theta^* is formed at most once, which both residuals share. A dedicated
-convention test pins point evaluation against partial sums.
+Theta Theta^* is formed at most once: the probe reads its principal blocks
+(Theta is lower-triangular in degree) and both residuals read it whole.
+A dedicated convention test pins point evaluation against partial sums.
 """
 
 from __future__ import annotations
@@ -175,12 +176,12 @@ class ThetaAction:
     a ``ConstrainedSubspace``, read only through I - Theta Theta^*. On the
     Fock space, and on N_J without generators, whose basis is the identity,
     Theta is its degree slices (``thetas``); on N_J with generators it is
-    ``matrix``, assembled once, and Theta Theta^* is formed on the first
-    residual and kept."""
+    ``matrix``, assembled once, and Theta Theta^* is formed on first use and
+    kept for the probe and the residual."""
 
     def __init__(self, op: MultiAnalyticOperator, ambient: TruncatedFock | ConstrainedSubspace):
         constrained = isinstance(ambient, ConstrainedSubspace)
-        self.fock = ambient.fock if constrained else ambient
+        self.ambient, self.fock = ambient, ambient.fock if constrained else ambient
         if op.max_degree < self.fock.max_degree:
             raise InvalidParameterError("coefficients do not cover the ambient truncation degree")
         self.op, self.thetas = op, degree_slices(op, self.fock)
@@ -192,28 +193,20 @@ class ThetaAction:
     def for_kernel(cls, kernel: PoissonKernel, theta: ThetaAction | None = None) -> ThetaAction:
         """The reading of Theta that the kernel's checks take: by default
         Theta of the kernel's tuple on the kernel's ambient, at its
-        truncation; else ``theta``, InvalidParameterError unless it reads an
-        ambient of the kernel's truncation and size."""
+        truncation; else ``theta``, whose coefficients are taken as given (a
+        mutation check perturbs them), InvalidParameterError unless it reads
+        the kernel's own ambient object into the kernel's row defect space."""
+        ambient = kernel.fock if kernel.cs is None else kernel.cs
         if theta is None:
-            return cls(characteristic_coefficients(kernel.rc, kernel.fock.max_degree),
-                       kernel.fock if kernel.cs is None else kernel.cs)
-        if (theta.fock.max_degree, theta.row_offsets[-1]) != (kernel.fock.max_degree, kernel.matrix.shape[0]):
-            raise InvalidParameterError("Theta is read on another ambient than the kernel's")
+            return cls(characteristic_coefficients(kernel.rc, kernel.fock.max_degree), ambient)
+        if theta.ambient is not ambient or theta.row_offsets[-1] != kernel.matrix.shape[0]:
+            raise InvalidParameterError("Theta is read on another ambient than the kernel's, or into another target")
         return theta
 
     @functools.cached_property
     def _gram(self) -> np.ndarray:
-        """Theta Theta^* on N_J, formed one block row per degree a up to the
-        diagonal block: Theta is lower-triangular in degree, so row block a
-        reads the columns of degree <= a only, and the blocks above the
-        diagonal are the adjoints of those below it."""
-        adjoint, off = self.matrix.conj().T, self.row_offsets
-        gram = np.empty((off[-1], off[-1]), dtype=complex)
-        for a in range(len(off) - 1):
-            lo, hi, cols = off[a], off[a + 1], self.offsets[a + 1] * self.op.source_dim
-            gram[lo:hi, :hi] = self.matrix[lo:hi, :cols] @ adjoint[:cols, :hi]
-            gram[:lo, lo:hi] = gram[lo:hi, :lo].conj().T
-        return gram
+        """Theta Theta^* on N_J with generators."""
+        return self.matrix @ self.matrix.conj().T
 
     def gaussian(self, rank_bound: int) -> np.ndarray:
         """The transposed probe of a matrix of rank <= ``rank_bound`` on
@@ -252,16 +245,17 @@ class ThetaAction:
         (width, rows); its leading columns, the degrees <= m, are read.
         Theta is lower-triangular in degree, so this is the principal
         degree <= m block of I - Theta Theta^* at every truncation >= m.
-        On N_J it is X - conj(conj(X) Theta_S) Theta_S^T. On the Fock space
-        Theta_S's block from degree c to c + k is I_{n^c} (x) Theta_k, so with
-        the width axis first each block acts as one product on a reshape:
+        On N_J it is X - G_S X with G_S that principal block of the kept
+        Theta Theta^*. On the Fock space Theta_S's block from degree c to
+        c + k is I_{n^c} (x) Theta_k, so with the width axis first each block
+        acts as one product on a reshape:
         Z_c = sum_k (I (x) Theta_k)^* X_{c+k}, then
         Y_a = X_a - sum_c (I (x) Theta_{a-c}) Z_c."""
         m = self.fock.max_degree if m is None else m
         n, tgt, thetas, off = self.fock.n, self.op.target_dim, self.thetas, self.row_offsets
         if self.matrix is not None:
-            theta, x = self.matrix[: off[m + 1], : self.offsets[m + 1] * self.op.source_dim], x[:, : off[m + 1]]
-            return x - (x.conj() @ theta).conj() @ theta.T
+            x = x[:, : off[m + 1]].T
+            return (x - self._gram[: off[m + 1], : off[m + 1]] @ x).T
         w = x.shape[0]
         x = [np.ascontiguousarray(x[:, off[a] : off[a + 1]]) for a in range(m + 1)]
         z = [sum(x[c + k].reshape(w * n**c, n**k * tgt) @ thetas[k].conj() for k in range(m - c + 1))

@@ -15,7 +15,8 @@ or on N_J of the commutator ideal, read Theta through one
 model space too: each slice trace from its slice traces, and each Euler rank
 from its probe, I - Theta Theta^* applied to the seeded Gaussian block that
 the model basis reads too, since I - Theta Theta^* = K K^* has rank at most
-dim H. Neither route forms Theta Theta^*.
+dim H. On the Fock space Theta Theta^* is never formed; on N_J the probe
+reads the principal blocks of the one Theta Theta^* of the reading.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from fockbench import (
     model_space,
     point_factorization,
     poisson_kernel,
+    q_commutator_generators,
     spectral_radius,
     unitary_invariance_check,
     validate,
@@ -324,19 +325,34 @@ class TestFactorization:
         assert rep.residual > 1e-7
         assert rep.residual > rep.budget
 
-    @pytest.mark.parametrize("reading", ["fock_for_nj", "deeper_truncation"])
+    @pytest.mark.parametrize("reading", ["fock_for_nj", "deeper_truncation", "q_commutative_for_commutative",
+                                         "equal_copy_of_nj"])
     def test_a_reading_of_another_ambient_is_refused(self, reading):
-        """A ThetaAction on the Fock space for a kernel on N_J, or one at
-        truncation 4 for a kernel at truncation 3, is an InvalidParameterError
-        of both kernel checks that read Theta, not a shape error of numpy."""
+        """A ThetaAction on the Fock space for a kernel on N_J, one at
+        truncation 4 for a kernel at truncation 3, one on the q-commutative
+        N_J for a kernel on the commutative N_J of the same dimension 10, or
+        one on another N_J object of the same ideal is an
+        InvalidParameterError of both kernel checks that read Theta, not a
+        shape error of numpy or a residual of the wrong ambient; a reading
+        on the kernel's own ambient object is taken."""
         rc = validate([np.diag([0.5, -0.4]), np.diag([0.3, 0.6])])
+        op = characteristic_coefficients(rc, 3)
+        commutative = build_constrained_subspace(TruncatedFock(2, 3), commutator_generators(2))
+        kernel = constrained_poisson_kernel(rc, commutative)
         if reading == "fock_for_nj":
-            kernel = constrained_poisson_kernel(rc, build_constrained_subspace(TruncatedFock(2, 3),
-                                                                              commutator_generators(2)))
-            theta = ThetaAction(characteristic_coefficients(rc, 3), TruncatedFock(2, 3))
-        else:
+            theta = ThetaAction(op, TruncatedFock(2, 3))
+        elif reading == "deeper_truncation":
             kernel = poisson_kernel(rc, TruncatedFock(2, 3))
             theta = ThetaAction(characteristic_coefficients(rc, 4), TruncatedFock(2, 4))
+        elif reading == "q_commutative_for_commutative":
+            q_comm = build_constrained_subspace(TruncatedFock(2, 3),
+                                                q_commutator_generators(np.array([[1.0, 0.5], [0.0, 1.0]])))
+            assert q_comm.dim == commutative.dim == 10
+            theta = ThetaAction(op, q_comm)
+        else:
+            theta = ThetaAction(op, build_constrained_subspace(TruncatedFock(2, 3), commutator_generators(2)))
+        own = kernel.fock if kernel.cs is None else kernel.cs
+        verify_truncated_factorization(kernel, ThetaAction(op, own))  # the kernel's own ambient is read
         for check in (verify_truncated_factorization, model_space):
             with pytest.raises(InvalidParameterError, match="another ambient"):
                 check(kernel, theta)

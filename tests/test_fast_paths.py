@@ -735,28 +735,32 @@ def test_theta_gram_recursion_equals_the_reach_loop(kind, n, dim, top, seed):
 def test_theta_gram_on_nj_is_the_product_of_the_assembled_theta(gens):
     """The one reading of Theta on N_J (``ThetaAction``, which
     ``RunContext.theta`` builds once per scenario). With generators its
-    Theta Theta^*, which both residuals read, is the assembled Theta times
-    its adjoint, formed one block row per degree: the same products summed
-    in another order, so it is pinned entrywise under the rounding bound
-    8 C eps sum_k |theta_ik| |theta_jk|, C the inner dimension (4 for complex
-    arithmetic, twice for two evaluations); its residual is that of its Gram
-    bit for bit. Without generators Theta is read from its coefficients,
-    never assembled, and its residual is that of the dense Fock Gram to
-    rounding."""
+    Theta Theta^* is the assembled Theta times its adjoint, bit for bit;
+    the residual is that of this Gram, and the probe on the degrees <= m
+    reads its principal block, I - Theta_S Theta_S^* with Theta_S the
+    leading block of the assembled Theta (Theta is lower-triangular in
+    degree), to rounding. Without generators Theta is read from its
+    coefficients, never assembled: the assembled Gram is the Fock Gram to
+    rounding, and the residual is that of the dense Fock Gram."""
     rc = random_tuple(2, 2, 5)
     op = characteristic_coefficients(rc, 4)
     fock = TruncatedFock(2, 4)
     cs = build_constrained_subspace(fock, gens)
     reading = ThetaAction(op, cs)
     thin = np.random.default_rng(5).standard_normal((cs.dim * op.target_dim, 3)) * (1 + 1j)
+    theta = assemble(op, cs=cs)
+    gram = theta @ theta.conj().T
     if gens:
-        theta = assemble(op, cs=cs)
         assert np.array_equal(reading.matrix, theta)
-        bound = 8 * theta.shape[1] * EPS * (np.abs(theta) @ np.abs(theta).T)
-        gram = reading._gram
-        assert np.all(np.abs(gram - theta @ theta.conj().T) <= bound)
+        assert np.array_equal(reading._gram, gram)
+        x = reading.gaussian(rc.dim)
+        for m in range(fock.max_degree + 1):
+            rows, cols = reading.row_offsets[m + 1], reading.offsets[m + 1] * op.source_dim
+            lead, x_m = theta[:rows, :cols], x[:, :rows].T
+            assert np.abs(reading.probe(x, m).T - (x_m - lead @ (lead.conj().T @ x_m))).max() <= 1e-13
     else:
         assert reading.matrix is None
+        assert np.abs(gram - fock_theta_gram(op, fock)).max() <= gram_budget(op, fock)
         gram = fock_theta_gram(op, fock)
     diff = gram + thin @ thin.conj().T
     diff[np.diag_indices_from(diff)] -= 1.0
